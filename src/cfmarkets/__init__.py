@@ -10,9 +10,9 @@ worst-case loss verification, and a scenario CLI.
 
 from .costs import (CostModel, ExponentialFamilyCost, IndependentBinaryCost,
                     LmsrCost, PiecewiseLinearCost, PriceSet, RestrictedCost,
-                    ScaledCost, ShiftedCost, SwitchedCost, conjugate, cost,
-                    divergence, finite_difference_price, price,
-                    restricted_cost, scale_liquidity, trade_cost)
+                    ScaledCost, ShiftedCost, SwitchedCost,
+                    finite_difference_price, restricted_cost,
+                    scale_liquidity)
 from .gradual import (BlockSchedule, PartialDecreaseAudit, Schedule,
                       TimedState, constant_schedule, divergence_decomposition,
                       model_at, new_state, partial_decrease_audit, time_cost)
@@ -20,8 +20,8 @@ from .lcmm import (ArbitrageSolution, LcmmCost, TightnessResult,
                    certificate_check, direct_sum_cost, lcmm_cost,
                    lcmm_divergence, medal_count_model, tightness_check)
 from .markets import (BlockStructure, ExposureWitness, Observation,
-                      OutcomeSpace, conditional_outcomes, exposure_witness,
-                      face_check, independent_binary_market, membership,
+                      OutcomeSpace, exposure_witness, face_check,
+                      independent_binary_market, membership,
                       observe_block_payoff, observe_coordinate,
                       observe_identity, observe_partition, observe_sum,
                       probe_points, simplex_market, single_binary_market,

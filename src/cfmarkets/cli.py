@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .gradual import model_at
-from .lcmm import LcmmCost, tightness_check
+from .lcmm import tightness_check
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import (InconsistentPlanError, run_protocol1, run_protocol2,
                        verify_loss, wc_loss_bound)

@@ -18,7 +18,9 @@ outside the price space, and comparisons treat it as maximal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -26,7 +28,7 @@ from scipy.special import expit, logsumexp, xlogy
 
 from . import geometry
 from ._solvers import project_onto_hull
-from .markets import OutcomeSpace
+from .markets import OutcomeSpace, probe_points
 
 INF = float("inf")
 
@@ -86,10 +88,22 @@ class PriceSet:
                     and np.max(np.abs(self.hi - other.hi), initial=0.0) <= tol)
 
 
-def _hull_union(sets) -> PriceSet:
-    los = np.array([p.lo for p in sets])
-    his = np.array([p.hi for p in sets])
-    return PriceSet(los.min(axis=0), his.max(axis=0))
+def _softmax(z) -> np.ndarray:
+    e = np.exp(z - np.max(z))
+    return e / e.sum()
+
+
+class ClosedForm(NamedTuple):
+    """Closed form of a cost restricted to an event E.
+
+    `cost(q)` is C_E(q) = sup over mu in M(E) of [q.mu - R(mu)] and
+    `price(q)` its maximizer, the conditional price. `fixed_coords` lists the
+    coordinates a binary-cube face pins, with their values.
+    """
+
+    cost: Callable
+    price: Callable
+    fixed_coords: dict = {}
 
 
 class CostModel:
@@ -140,6 +154,11 @@ class CostModel:
         """A state whose price (set) contains mu; optional per kind."""
         raise NotImplementedError(f"{self.kind}: no closed-form state inverse")
 
+    def restrict(self, event) -> ClosedForm | None:
+        """Closed form of the cost restricted to `event`, or None when this
+        kind has none and the restriction needs a Frank-Wolfe projection."""
+        return None
+
 
 class LmsrCost(CostModel):
     """Logarithmic market scoring rule over a complete market.
@@ -164,9 +183,7 @@ class LmsrCost(CostModel):
 
     def price(self, q) -> PriceSet:
         q = _as_vector(q, self.dim, "q")
-        z = q - np.max(q)
-        e = np.exp(z)
-        return PriceSet.point(e / e.sum())
+        return PriceSet.point(_softmax(q))
 
     def conjugate(self, mu) -> float:
         mu = np.asarray(mu, dtype=float).reshape(-1)
@@ -184,6 +201,17 @@ class LmsrCost(CostModel):
     def state_with_price(self, mu) -> np.ndarray:
         m = np.clip(np.asarray(mu, dtype=float), 0.0, None)
         return np.log(np.clip(m, np.exp(-_STATE_CLIP), None))
+
+    def restrict(self, event) -> ClosedForm:
+        """Any event: log-sum-exp and softmax over the event's securities."""
+        idx = np.unique([self.space.index(w) for w in event])
+
+        def price(q):
+            p = np.zeros(self.dim)
+            p[idx] = _softmax(q[idx])
+            return p
+
+        return ClosedForm(lambda q: float(logsumexp(q[idx])), price)
 
 
 class IndependentBinaryCost(CostModel):
@@ -231,6 +259,31 @@ class IndependentBinaryCost(CostModel):
         m = np.clip(np.asarray(mu, dtype=float), 0.0, 1.0)
         q = np.log(np.clip(m, _LOG_CLIP, None)) - np.log(np.clip(1.0 - m, _LOG_CLIP, None))
         return np.clip(q, -_STATE_CLIP, _STATE_CLIP)
+
+    def restrict(self, event) -> ClosedForm | None:
+        """Sub-cube faces: linear in the pinned coordinates, binary LMSR in
+        the free ones. Other events have no closed form."""
+        V = self.space.vertices(event)
+        fixed = {i: float(V[0, i]) for i in range(self.dim)
+                 if np.ptp(V[:, i]) < 1e-12}
+        free = np.array([i for i in range(self.dim) if i not in fixed],
+                        dtype=int)
+        patterns = {tuple(int(round(v)) for v in row[free]) for row in V}
+        if len(event) != 2 ** len(free) or len(patterns) != len(event):
+            return None
+
+        def cost(q):
+            pinned = sum(x * q[i] for i, x in fixed.items())
+            return float(pinned + np.sum(np.logaddexp(0.0, q[free])))
+
+        def price(q):
+            p = np.empty(self.dim)
+            p[free] = expit(q[free])
+            for i, x in fixed.items():
+                p[i] = x
+            return p
+
+        return ClosedForm(cost, price, fixed)
 
 
 class PiecewiseLinearCost(CostModel):
@@ -292,11 +345,7 @@ class ExponentialFamilyCost(CostModel):
 
     def price(self, q) -> PriceSet:
         q = _as_vector(q, self.dim, "q")
-        z = self.space.payoff @ q
-        z -= np.max(z)
-        w = np.exp(z)
-        w /= w.sum()
-        return PriceSet.point(w @ self.space.payoff)
+        return PriceSet.point(_softmax(self.space.payoff @ q) @ self.space.payoff)
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
@@ -310,10 +359,11 @@ class ExponentialFamilyCost(CostModel):
 class RestrictedCost(CostModel):
     """Cost of the base market restricted to an event E.
 
-    C_E(q) = sup over mu in the hull of E's payoffs of [q.mu - R(mu)].
-    Bounded-loss and arbitrage-free for outcomes in E. Complete markets and
-    binary-product cells have closed forms; otherwise the sup is solved by
-    conditional gradient over the event's hull vertices.
+    C_E(q) = sup over mu in the hull of E's payoffs of [q.mu - R(mu)], and
+    the maximizer is the conditional price. Bounded-loss and arbitrage-free
+    for outcomes in E. The base's `restrict(E)` supplies a closed form where
+    its kind has one; otherwise each solve is an away-step Frank-Wolfe
+    projection onto the event's hull.
     """
 
     kind = "restricted"
@@ -327,54 +377,24 @@ class RestrictedCost(CostModel):
         self.vertices = base.space.vertices(self.event)
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
-        self._mode = "generic"
-        self.fixed_coords: dict[int, float] = {}
-        if isinstance(base, LmsrCost):
-            self._mode = "simplex"
-            self._coords = np.flatnonzero(self.vertices.sum(axis=0) > 0.5)
-        elif isinstance(base, IndependentBinaryCost):
-            fixed = {i: float(self.vertices[0, i])
-                     for i in range(self.dim)
-                     if np.ptp(self.vertices[:, i]) < 1e-12}
-            free = [i for i in range(self.dim) if i not in fixed]
-            patterns = {tuple(int(round(v)) for v in row[free])
-                        for row in self.vertices}
-            if len(self.event) == 2 ** len(free) and len(patterns) == len(self.event):
-                self._mode = "product"
-                self.fixed_coords = fixed
-                self._free = np.array(free, dtype=int)
-        if self._mode == "generic" and not isinstance(base, CostModel):
-            raise TypeError("base must be a CostModel")
+        self._closed = base.restrict(self.event)
+        self.fixed_coords = (dict(self._closed.fixed_coords)
+                             if self._closed is not None else {})
+
+    def solve(self, q) -> tuple[float, np.ndarray]:
+        """C_E(q) and the conditional price, from one solve."""
+        q = _as_vector(q, self.dim, "q")
+        if self._closed is not None:
+            return self._closed.cost(q), self._closed.price(q)
+        res = project_onto_hull(self.vertices, self.base.conjugate,
+                                self.base.conjugate_grad, q)
+        return float(q @ res.mu - self.base.conjugate(res.mu)), res.mu
 
     def cost(self, q) -> float:
-        q = _as_vector(q, self.dim, "q")
-        if self._mode == "simplex":
-            return float(logsumexp(q[self._coords]))
-        if self._mode == "product":
-            fixed = sum(x * q[i] for i, x in self.fixed_coords.items())
-            return float(fixed + np.sum(np.logaddexp(0.0, q[self._free])))
-        res = self._project(q)
-        return float(q @ res.mu - self.base.conjugate(res.mu))
-
-    def _project(self, q):
-        return project_onto_hull(self.vertices, self.base.conjugate,
-                                 self.base.conjugate_grad, q)
+        return self.solve(q)[0]
 
     def price(self, q) -> PriceSet:
-        q = _as_vector(q, self.dim, "q")
-        if self._mode == "simplex":
-            p = np.zeros(self.dim)
-            z = q[self._coords] - np.max(q[self._coords])
-            e = np.exp(z)
-            p[self._coords] = e / e.sum()
-            return PriceSet.point(p)
-        if self._mode == "product":
-            p = np.empty(self.dim)
-            p[self._free] = expit(q[self._free])
-            for i, x in self.fixed_coords.items():
-                p[i] = x
-            return PriceSet.point(p)
-        return PriceSet.point(self._project(q).mu)
+        return PriceSet.point(self.solve(q)[1])
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
@@ -386,12 +406,18 @@ class RestrictedCost(CostModel):
         return self.base.conjugate_grad(mu)
 
     def state_with_price(self, mu) -> np.ndarray:
-        if self._mode in ("simplex", "product"):
-            q = self.base.state_with_price(mu)
-            for i in self.fixed_coords:
-                q[i] = 0.0
-            return q
-        raise NotImplementedError("no closed-form state inverse for generic events")
+        if self._closed is None:
+            raise NotImplementedError(
+                "no closed-form state inverse for generic events")
+        q = self.base.state_with_price(mu)
+        for i in self.fixed_coords:
+            q[i] = 0.0
+        return q
+
+    def restrict(self, event) -> ClosedForm | None:
+        if set(event) <= set(self.event):
+            return self.base.restrict(event)
+        return None
 
 
 class SwitchedCost(CostModel):
@@ -431,8 +457,9 @@ class SwitchedCost(CostModel):
         return [x for x in self.realizations if vals[x] >= top - tie_tol]
 
     def price(self, q) -> PriceSet:
-        cells = self.argmax_cells(q)
-        return _hull_union([self.cell_models[x].price(q) for x in cells])
+        sets = [self.cell_models[x].price(q) for x in self.argmax_cells(q)]
+        return PriceSet(np.min([p.lo for p in sets], axis=0),
+                        np.max([p.hi for p in sets], axis=0))
 
     def containing_cells(self, mu, tol: float | None = None) -> list:
         tol = self.domain_tol if tol is None else tol
@@ -446,7 +473,7 @@ class SwitchedCost(CostModel):
                       for x in self.containing_cells(mu)]
         # convex-roof value: mixtures across cells can undercut the in-cell
         # offset conjugate exactly when the switch is inconsistent
-        points, values = self._roof_samples()
+        points, values = self._roof_samples
         out = geometry.min_weighted_value(points, values, mu, self.domain_tol)
         if out is not None:
             candidates.append(out[0])
@@ -454,17 +481,15 @@ class SwitchedCost(CostModel):
             return INF
         return min(candidates)
 
+    @cached_property
     def _roof_samples(self):
-        if getattr(self, "_roof_cache", None) is None:
-            from .markets import probe_points
-            chunks, values = [], []
-            for x in self.realizations:
-                pts = probe_points(self.space, self.cell_models[x].event)
-                chunks.append(pts)
-                values.extend(self.base.conjugate(p) - self.offsets[x]
-                              for p in pts)
-            self._roof_cache = (np.vstack(chunks), np.array(values))
-        return self._roof_cache
+        chunks, values = [], []
+        for x in self.realizations:
+            pts = probe_points(self.space, self.cell_models[x].event)
+            chunks.append(pts)
+            values.extend(self.base.conjugate(p) - self.offsets[x]
+                          for p in pts)
+        return np.vstack(chunks), np.array(values)
 
     def conjugate_grad(self, mu) -> np.ndarray:
         return self.base.conjugate_grad(mu)
@@ -480,6 +505,15 @@ class SwitchedCost(CostModel):
         for i, x in model.fixed_coords.items():
             q[i] = self.switch_state[i] + (_STATE_CLIP if x > 0.5 else -_STATE_CLIP)
         return q
+
+    def restrict(self, event) -> ClosedForm | None:
+        # inside one cell the conjugate of a consistent switch is the base's
+        # less the cell offset: same maximizer, value raised by the offset
+        for x in self.realizations:
+            if set(event) <= set(self.cell_models[x].event):
+                inner, b = self.base.restrict(event), self.offsets[x]
+                return inner and inner._replace(cost=lambda q: b + inner.cost(q))
+        return None
 
 
 class ScaledCost(CostModel):
@@ -517,6 +551,11 @@ class ScaledCost(CostModel):
     def state_with_price(self, mu) -> np.ndarray:
         return self.alpha * self.base.state_with_price(mu)
 
+    def restrict(self, event) -> ClosedForm | None:
+        inner, a = self.base.restrict(event), self.alpha
+        return inner and inner._replace(cost=lambda q: a * inner.cost(q / a),
+                                        price=lambda q: inner.price(q / a))
+
 
 class ShiftedCost(CostModel):
     """State-translated cost C'(q) = C(q + shift); divergences transport
@@ -552,29 +591,14 @@ class ShiftedCost(CostModel):
     def state_with_price(self, mu) -> np.ndarray:
         return self.base.state_with_price(mu) - self.shift
 
+    def restrict(self, event) -> ClosedForm | None:
+        inner, d = self.base.restrict(event), self.shift
+        return inner and inner._replace(cost=lambda q: inner.cost(q + d),
+                                        price=lambda q: inner.price(q + d))
+
 
 # ---------------------------------------------------------------------------
 # Functional surface
-
-
-def cost(m: CostModel, q) -> float:
-    return m.cost(q)
-
-
-def price(m: CostModel, q) -> PriceSet:
-    return m.price(q)
-
-
-def conjugate(m: CostModel, mu) -> float:
-    return m.conjugate(mu)
-
-
-def divergence(m: CostModel, mu, q) -> float:
-    return m.divergence(mu, q)
-
-
-def trade_cost(m: CostModel, q, r) -> float:
-    return m.trade_cost(q, r)
 
 
 def restricted_cost(m: CostModel, outcomes) -> RestrictedCost:

@@ -128,6 +128,7 @@ def divergence_decomposition(model: LcmmCost, schedule: Schedule, mu, q,
     mu = _as_vector(mu, model.dim, "mu")
     q = _as_vector(q, model.dim, "q")
     ts = new_state(model, schedule, q, t, t_new)
+    m_t = model_at(model, schedule, t)
     m_new = model_at(model, schedule, t_new)
     lhs = m_new.divergence(mu, ts.q)
     shifted = q + ts.solution.delta
@@ -135,8 +136,7 @@ def divergence_decomposition(model: LcmmCost, schedule: Schedule, mu, q,
     rhs = (float((model.A.T @ mu - model.b_c) @ ts.solution.eta)
            if ts.solution.eta.size else 0.0)
     for g, idx in enumerate(model._slices):
-        c = model.block_costs[g]
-        c_t = c if schedule.beta(g, t) == 1.0 else ScaledCost(c, schedule.beta(g, t))
+        c_t = m_t.block_costs[g]
         term = schedule.alpha(g, t, t_new) * c_t.divergence(mu[idx], shifted[idx])
         per_block.append(term)
         rhs += term
@@ -178,8 +178,7 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
                               seed=seed)
     alpha = schedule.alpha(g, t, t_new)
     idx = model._slices[g]
-    c_t = (model.block_costs[g] if schedule.beta(g, t) == 1.0
-           else ScaledCost(model.block_costs[g], schedule.beta(g, t)))
+    c_t = m_old.block_costs[g]
     shifted_block = (q + ts.solution.delta)[idx]
     drops = {}
     drop_ok = True

@@ -7,7 +7,7 @@ is the convex hull of those rows; M(E) restricts the hull to an event E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -150,12 +150,6 @@ class ExposureWitness:
         object.__setattr__(self, "vector", v)
         if not self.margin > 0:
             raise ValueError("margin must be positive")
-
-
-def conditional_outcomes(space: OutcomeSpace, obs: Observation, x) -> tuple:
-    """Outcomes consistent with the realization x."""
-    obs.validate(space)
-    return obs.cell(x)
 
 
 def membership(space: OutcomeSpace, mu, outcomes=None, tol: float = 1e-9):

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .costs import (CostModel, PriceSet, RestrictedCost, ShiftedCost,
-                    SwitchedCost, _as_vector)
+from .costs import (CostModel, RestrictedCost, ShiftedCost, SwitchedCost,
+                    _as_vector)
 from .markets import Observation, OutcomeSpace, exposure_witness, probe_points
-from .utility import conditional_price, util_event
+from .utility import util_event
 
 
 @dataclass
@@ -39,7 +39,6 @@ class SwitchPlan:
     switched: SwitchedCost
     conditional_prices: dict
     consistency: ConsistencyVerdict
-    shift: np.ndarray
 
 
 @dataclass
@@ -63,8 +62,20 @@ class DesiderataReport:
         return all(r.passed for r in self.rows.values() if not r.informational)
 
 
-def plan_switch(m: CostModel, obs: Observation, s, tol: float = 1e-7,
-                shift=None) -> SwitchPlan:
+def _solve_cells(m: CostModel, obs: Observation, s):
+    """Restricted cost of each cell, the gap C(s) - C_x(s) and the cell's
+    conditional price mu_x, both from one solve of the cell at s."""
+    cs = m.cost(s)
+    cell_models, gaps, prices = {}, {}, {}
+    for x in obs.realizations:
+        cell_models[x] = RestrictedCost(m, obs.cell(x))
+        c_x, prices[x] = cell_models[x].solve(s)
+        gaps[x] = cs - c_x
+    return cell_models, gaps, prices
+
+
+def plan_switch(m: CostModel, obs: Observation, s,
+                tol: float = 1e-7) -> SwitchPlan:
     """Build the post-revelation cost for observation `obs` at state s.
 
     Offsets are b_x = C(s) - C_x(s), which equals the divergence from s to
@@ -74,22 +85,14 @@ def plan_switch(m: CostModel, obs: Observation, s, tol: float = 1e-7,
     """
     obs.validate(m.space)
     s = _as_vector(s, m.dim, "s")
-    cs = m.cost(s)
-    cell_models = {x: RestrictedCost(m, obs.cell(x)) for x in obs.realizations}
-    offsets = {}
-    for x, cm in cell_models.items():
-        b = cs - cm.cost(s)
+    cell_models, gaps, cond = _solve_cells(m, obs, s)
+    for x, b in gaps.items():
         if b < -1e-8:
             raise AssertionError(f"negative switch offset for {x!r}: {b}")
-        offsets[x] = max(b, 0.0)
+    offsets = {x: max(b, 0.0) for x, b in gaps.items()}
     switched = SwitchedCost(m, obs, s, offsets, cell_models)
-    cond = {x: conditional_price(m, obs.cell(x), s)[0]
-            for x in obs.realizations}
     verdict = consistency_check(m, obs, s, tol=tol)
-    shift = (np.zeros(m.dim) if shift is None
-             else _as_vector(shift, m.dim, "shift"))
-    return SwitchPlan(obs, s, offsets, cell_models, switched, cond, verdict,
-                      shift)
+    return SwitchPlan(obs, s, offsets, cell_models, switched, cond, verdict)
 
 
 def consistency_check(m: CostModel, obs: Observation, s,
@@ -104,10 +107,9 @@ def consistency_check(m: CostModel, obs: Observation, s,
     """
     obs.validate(m.space)
     s = _as_vector(s, m.dim, "s")
-    cs = m.cost(s)
     xs = obs.realizations
-    cell_models = {x: RestrictedCost(m, obs.cell(x)) for x in xs}
-    offsets = {x: max(cs - cell_models[x].cost(s), 0.0) for x in xs}
+    cell_models, gaps, _ = _solve_cells(m, obs, s)
+    offsets = {x: max(b, 0.0) for x, b in gaps.items()}
     for i, x in enumerate(xs):
         for y in xs[i + 1:]:
             if geometry.hulls_intersect(cell_models[x].vertices,
@@ -210,12 +212,12 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
     details = {}
     for x in obs.realizations:
         cell = obs.cell(x)
-        cp_o, _ = conditional_price(m_old, cell, s_old)
-        cp_n, _ = conditional_price(m_new, cell, s_new)
-        cp_dev = max(cp_dev, float(np.max(np.abs(cp_o - cp_n), initial=0.0)))
+        ev_old = util_event(m_old, cell, s_old)
+        ev_new = util_event(m_new, cell, s_new)
+        dev = np.abs(ev_old.minimizer - ev_new.minimizer)
+        cp_dev = max(cp_dev, float(np.max(dev, initial=0.0)))
 
-        u_old = util_event(m_old, cell, s_old).value
-        u_new = util_event(m_new, cell, s_new).value
+        u_old, u_new = ev_old.value, ev_new.value
         zero_worst = max(zero_worst, u_new)
         if u_new > u_old + tol:
             dec_ok = False

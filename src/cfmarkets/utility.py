@@ -4,7 +4,10 @@ The maker's utility for a belief mu at state q is the mixed Bregman
 divergence D(mu || q). The utility for an event E (the largest payoff a
 trader can guarantee knowing the outcome lies in E) is the smallest
 divergence to the event's price hull, attained at the conditional price
-vector: the Bregman projection of the state onto M(E).
+vector: the Bregman projection of the state onto M(E). That projection is
+the maximizer of the restricted cost C_E, so the model's `restrict(E)`
+gives it in closed form where the cost kind has one; otherwise it is solved
+by away-step Frank-Wolfe over the event's payoff vertices.
 """
 
 from __future__ import annotations
@@ -15,9 +18,7 @@ import numpy as np
 
 from . import markets
 from ._solvers import project_onto_hull
-from .costs import (CostModel, IndependentBinaryCost, LmsrCost,
-                    RestrictedCost, ScaledCost, ShiftedCost, SwitchedCost,
-                    _as_vector)
+from .costs import CostModel, _as_vector
 
 PROJECTION_TOL = 1e-9
 PROJECTION_MAX_ITER = 1000
@@ -37,36 +38,6 @@ def util_belief(m: CostModel, mu, q) -> float:
     return m.divergence(mu, q)
 
 
-def _closed_form_conditional(m: CostModel, event, q):
-    """Exact conditional price where the model structure admits one."""
-    q = np.asarray(q, dtype=float)
-    if isinstance(m, LmsrCost):
-        idx = [m.space.index(w) for w in event]
-        p = np.zeros(m.dim)
-        z = q[idx] - np.max(q[idx])
-        e = np.exp(z)
-        p[idx] = e / e.sum()
-        return p
-    if isinstance(m, IndependentBinaryCost):
-        cell = RestrictedCost(m, event)
-        if cell._mode == "product":
-            return np.asarray(cell.price(q).center)
-        return None
-    if isinstance(m, ScaledCost):
-        return _closed_form_conditional(m.base, event, q / m.alpha)
-    if isinstance(m, ShiftedCost):
-        return _closed_form_conditional(m.base, event, q + m.shift)
-    if isinstance(m, RestrictedCost) and set(event) <= set(m.event):
-        return _closed_form_conditional(m.base, event, q)
-    if isinstance(m, SwitchedCost):
-        # within a single revelation cell the conjugate differs from the
-        # base's by a constant, so projections coincide
-        for x in m.realizations:
-            if set(event) <= set(m.cell_models[x].event):
-                return _closed_form_conditional(m.base, event, q)
-    return None
-
-
 def util_event(m: CostModel, event, q, tol: float = PROJECTION_TOL,
                max_iter: int = PROJECTION_MAX_ITER) -> EventUtility:
     """Minimum divergence from state q to the event's price hull."""
@@ -74,9 +45,10 @@ def util_event(m: CostModel, event, q, tol: float = PROJECTION_TOL,
     if not event:
         raise ValueError("event must be nonempty")
     q = _as_vector(q, m.dim, "q")
-    closed = _closed_form_conditional(m, event, q)
+    closed = m.restrict(event)
     if closed is not None:
-        return EventUtility(m.divergence(closed, q), closed, 0.0, True,
+        mu = closed.price(q)
+        return EventUtility(m.divergence(mu, q), mu, 0.0, True,
                             multiple=not m.strictly_convex)
     res = project_onto_hull(m.space.vertices(event), m.conjugate,
                             m.conjugate_grad, q, tol=tol, max_iter=max_iter)

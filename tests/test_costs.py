@@ -6,9 +6,11 @@ from scipy.special import logsumexp
 from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
                        ScaledCost, ShiftedCost, finite_difference_price,
+                       membership, observe_coordinate, plan_switch,
                        restricted_cost, scale_liquidity, simplex_market,
                        single_binary_market, single_security_market,
-                       square_market)
+                       square_market, util_event)
+from cfmarkets._solvers import project_onto_hull
 
 INF = float("inf")
 
@@ -173,23 +175,48 @@ def test_lmsr_price_sums_to_one_property(qs):
 # Restricted costs
 
 
-def test_restricted_simplex_mode():
+@pytest.fixture
+def projections(monkeypatch):
+    """Counts the Frank-Wolfe projections made through costs and utility;
+    once `forbidden` is set, any further projection fails the test."""
+    import cfmarkets.costs
+    import cfmarkets.utility
+
+    class Projections:
+        calls = 0
+        forbidden = False
+
+    real = cfmarkets.costs.project_onto_hull
+
+    def counted(*args, **kwargs):
+        assert not Projections.forbidden, "unexpected Frank-Wolfe projection"
+        Projections.calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cfmarkets.costs, "project_onto_hull", counted)
+    monkeypatch.setattr(cfmarkets.utility, "project_onto_hull", counted)
+    return Projections
+
+
+def test_restricted_simplex_mode(projections):
+    projections.forbidden = True
     m = lmsr()
     cell = RestrictedCost(m, (0, 1))
-    assert cell._mode == "simplex"
     q = np.array([0.5, -0.3, 2.0])
     assert cell.cost(q) == pytest.approx(np.logaddexp(q[0], q[1]), abs=1e-12)
     p = cell.price(q).center
     assert p[2] == 0.0 and p.sum() == pytest.approx(1.0)
+    assert cell.solve(q)[0] == cell.cost(q)
+    assert np.array_equal(cell.solve(q)[1], p)
     assert cell.conjugate(np.array([0.5, 0.5, 0.0])) == pytest.approx(
         -np.log(2), abs=1e-12)
     assert cell.conjugate(np.array([0.3, 0.3, 0.4])) == INF  # outside the cell
 
 
-def test_restricted_product_mode():
+def test_restricted_product_mode(projections):
+    projections.forbidden = True
     m = square()
     cell = RestrictedCost(m, (((1, 0)), ((1, 1))))
-    assert cell._mode == "product"
     assert cell.fixed_coords == {0: 1.0}
     q = np.array([0.7, -0.2])
     assert cell.cost(q) == pytest.approx(q[0] + np.logaddexp(0, q[1]),
@@ -198,15 +225,18 @@ def test_restricted_product_mode():
                        atol=1e-12)
     s = cell.state_with_price(np.array([1.0, 0.25]))
     assert np.allclose(cell.price(s).center, [1.0, 0.25], atol=1e-9)
+    # simplex cells pin no coordinates
+    assert RestrictedCost(lmsr(), (0, 1)).fixed_coords == {}
 
 
-def test_restricted_generic_mode_diagonal():
+def test_restricted_generic_mode_diagonal(projections):
     m = square()
     diag = RestrictedCost(m, (((0, 1)), ((1, 0))))
-    assert diag._mode == "generic"
+    assert diag.fixed_coords == {}
     q = np.array([0.5, -0.7])
     # C_E(q) = q.mu - R(mu) at the projection; must stay below the full cost
     assert diag.cost(q) <= m.cost(q) + 1e-9
+    assert projections.calls == 1  # the diagonal has no closed form
     p = diag.price(q).center
     assert p.sum() == pytest.approx(1.0, abs=1e-6)  # diagonal constraint
     # supremum definition: no hull point does better
@@ -217,6 +247,54 @@ def test_restricted_generic_mode_diagonal():
         assert q @ mu - m.conjugate(mu) <= diag.cost(q) + 1e-6
     with pytest.raises(NotImplementedError):
         diag.state_with_price(p)
+    # util_event falls back to the same projection
+    before = projections.calls
+    assert np.allclose(util_event(m, diag.event, q).minimizer, p, atol=1e-12)
+    assert projections.calls == before + 1
+
+
+def test_util_event_closed_forms_never_project(projections):
+    sq = square()
+    face = (((1, 0)), ((1, 1)))
+    plan = plan_switch(sq, observe_coordinate(sq.space, 0),
+                       np.array([0.3, -0.4]))
+    cases = [(lmsr(), (0, 2)), (sq, face),
+             (ScaledCost(lmsr(), 0.4), (1, 2)),
+             (ShiftedCost(sq, np.array([0.6, -0.9])), face),
+             (RestrictedCost(sq, face), (((1, 1)),)),
+             (plan.switched, face), (plan.switched, (((1, 1)),))]
+    projections.forbidden = True
+    q = np.array([0.3, -0.4, 0.8])
+    for m, event in cases:
+        res = util_event(m, event, q[:m.dim])
+        assert res.residual == 0.0 and res.converged
+        assert membership(m.space, res.minimizer, event, tol=1e-9) is not None
+
+
+def switched_square():
+    sq = square()
+    return plan_switch(sq, observe_coordinate(sq.space, 0),
+                       np.array([0.3, -0.4])).switched
+
+
+@pytest.mark.parametrize("make_base, event", [
+    (lambda: ScaledCost(lmsr(), 0.37), (0, 2)),
+    (lambda: ShiftedCost(square(), np.array([0.6, -0.9])),
+     (((1, 0)), ((1, 1)))),
+    (switched_square, (((1, 0)), ((1, 1)))),
+], ids=["scaled", "shifted", "switched"])
+def test_restricted_delegating_kinds_match_projection(make_base, event,
+                                                      projections):
+    # the base's closed form is used, and agrees with the projection
+    base = make_base()
+    projections.forbidden = True
+    cell = RestrictedCost(base, event)
+    q = np.array([0.4, -1.1, 0.7])[:base.dim]
+    value, mu = cell.solve(q)
+    res = project_onto_hull(cell.vertices, base.conjugate,
+                            base.conjugate_grad, q)
+    assert np.allclose(mu, res.mu, atol=1e-7)
+    assert value == pytest.approx(-res.value, abs=1e-7)
 
 
 def test_restricted_cost_helper_and_empty_event():

@@ -1,0 +1,88 @@
+"""Golden records: `cfmarkets run` on every bundled scenario at its own seed.
+
+Each file in tests/golden/ holds the record stream of one case; the impossible
+count scenario runs both with and without --allow-inconsistent. Exit codes
+must match exactly, non-numeric fields exactly and numbers within 1e-9.
+A difference is a behaviour change to explain, not a fixture to refresh.
+To write the files afresh after an intended change:
+
+    PYTHONPATH=src python tests/test_golden_records.py
+"""
+
+import contextlib
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from cfmarkets import bundled_scenarios
+from cfmarkets.cli import cmd_run
+
+GOLDEN = Path(__file__).parent / "golden"
+NUM_TOL = 1e-9
+
+# case name -> expected exit code
+EXIT_CODES = {
+    "lmsr_partition_sudden": 0,
+    "medal1_gradual": 0,
+    "medal2_random_trades": 0,
+    "simplex_identity_check": 0,
+    "square_count_impossible": 1,
+    "square_count_impossible.allow": 0,
+    "square_count_symmetric": 0,
+    "square_random_trades": 0,
+    "square_sudden": 0,
+}
+
+
+def _run(case: str):
+    scenario, _, flag = case.partition(".")
+    paths = {Path(p).stem: p for p in bundled_scenarios().values()}
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cmd_run(str(paths[scenario]),
+                       allow_inconsistent=flag == "allow")
+    return code, out.getvalue()
+
+
+def _assert_close(got, want, where):
+    if isinstance(want, bool) or want is None or isinstance(want, str):
+        assert got == want, where
+    elif isinstance(want, (int, float)):
+        assert isinstance(got, (int, float)) and not isinstance(got, bool), \
+            where
+        assert math.isclose(got, want, rel_tol=0.0, abs_tol=NUM_TOL), \
+            (where, got, want)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{where}[{i}]")
+    else:
+        assert isinstance(got, dict) and set(got) == set(want), where
+        for k in want:
+            _assert_close(got[k], want[k], f"{where}.{k}")
+
+
+def test_every_bundled_scenario_has_a_golden_case():
+    stems = {Path(p).stem for p in bundled_scenarios().values()}
+    assert stems == {c.partition(".")[0] for c in EXIT_CODES}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_records_match_golden(case):
+    code, text = _run(case)
+    assert code == EXIT_CODES[case]
+    want = (GOLDEN / f"{case}.jsonl").read_text().splitlines()
+    got = text.splitlines()
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        _assert_close(json.loads(g), json.loads(w), f"{case}:{i + 1}")
+
+
+if __name__ == "__main__":
+    for case in sorted(EXIT_CODES):
+        code, text = _run(case)
+        (GOLDEN / f"{case}.jsonl").write_text(text)
+        print(case, code)

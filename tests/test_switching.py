@@ -124,12 +124,6 @@ def test_switched_zero_util_per_cell():
         assert u == pytest.approx(0.0, abs=1e-8)
 
 
-def test_plan_switch_records_shift():
-    m = square()
-    plan = plan_switch(m, coord0(m), np.zeros(2), shift=np.array([0.1, 0.2]))
-    assert np.allclose(plan.shift, [0.1, 0.2])
-
-
 # ---------------------------------------------------------------------------
 # Consistency
 
