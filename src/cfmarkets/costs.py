@@ -263,14 +263,10 @@ class IndependentBinaryCost(CostModel):
     def restrict(self, event) -> ClosedForm | None:
         """Sub-cube faces: linear in the pinned coordinates, binary LMSR in
         the free ones. Other events have no closed form."""
-        V = self.space.vertices(event)
-        fixed = {i: float(V[0, i]) for i in range(self.dim)
-                 if np.ptp(V[:, i]) < 1e-12}
-        free = np.array([i for i in range(self.dim) if i not in fixed],
-                        dtype=int)
-        patterns = {tuple(int(round(v)) for v in row[free]) for row in V}
-        if len(event) != 2 ** len(free) or len(patterns) != len(event):
+        hull = self.space.hull(event)
+        if hull.kind != "box":
             return None
+        fixed, free = hull.pinned, hull.free
 
         def cost(q):
             pinned = sum(x * q[i] for i, x in fixed.items())
@@ -349,7 +345,7 @@ class ExponentialFamilyCost(CostModel):
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
-        if not geometry.hull_contains(self.space.payoff, mu, self.domain_tol):
+        if not self.space.hull().contains(mu, self.domain_tol):
             return INF
         res = minimize(lambda q: self.cost(q) - mu @ q, np.zeros(self.dim),
                        method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
@@ -374,7 +370,8 @@ class RestrictedCost(CostModel):
         self.event = tuple(outcomes)
         if len(self.event) == 0:
             raise ValueError("event must be nonempty")
-        self.vertices = base.space.vertices(self.event)
+        self.hull = base.space.hull(self.event)
+        self.vertices = self.hull.vertices
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
         self._closed = base.restrict(self.event)
@@ -398,7 +395,7 @@ class RestrictedCost(CostModel):
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
-        if not geometry.hull_contains(self.vertices, mu, self.domain_tol):
+        if not self.hull.contains(mu, self.domain_tol):
             return INF
         return self.base.conjugate(mu)
 
@@ -465,7 +462,7 @@ class SwitchedCost(CostModel):
         tol = self.domain_tol if tol is None else tol
         mu = _as_vector(mu, self.dim, "mu")
         return [x for x in self.realizations
-                if geometry.hull_contains(self.cell_models[x].vertices, mu, tol)]
+                if self.cell_models[x].hull.contains(mu, tol)]
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")

@@ -3,6 +3,8 @@
 Everything here works on an explicit vertex list V (n x K): convex weight
 recovery, maximal off-face weight, separating directions, and minimum-value
 convex combinations. Instances are desk-scale, so a dense LP per query is fine.
+`Hull` answers membership and overlap for simplex and sub-cube faces in
+closed form and sends every other vertex set to these LPs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,19 @@ import numpy as np
 from scipy.optimize import linprog
 
 DEFAULT_TOL = 1e-9
+
+# At its default feasibility tolerance (1e-7) HiGHS may round a convex weight
+# of 1e-8 to zero, so a point just inside a hull reads as just outside it.
+# A miss of at most _RESOLVE_BELOW is solved once more at the tightest
+# tolerances HiGHS takes; larger misses are real.
+_RESOLVE_ABOVE = 1e-12
+_RESOLVE_BELOW = 1e-6
+_TIGHT = {"options": {"primal_feasibility_tolerance": 1e-10,
+                      "dual_feasibility_tolerance": 1e-10}}
+
+
+def _near_miss(residual: float) -> bool:
+    return _RESOLVE_ABOVE < residual <= _RESOLVE_BELOW
 
 
 def best_hull_weights(vertices: np.ndarray, mu: np.ndarray):
@@ -37,13 +52,16 @@ def best_hull_weights(vertices: np.ndarray, mu: np.ndarray):
     b_ub[k:] = -mu
     a_eq = np.zeros((1, n + 1))
     a_eq[0, :n] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * (n + 1), method="highs")
-    if not res.success:  # pragma: no cover - the slack makes this feasible
-        raise RuntimeError(f"hull weight LP failed: {res.message}")
-    lam = np.clip(res.x[:n], 0.0, None)
-    lam /= lam.sum()
-    residual = float(np.max(np.abs(V.T @ lam - mu), initial=0.0))
+    for extra in ({}, _TIGHT):
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                      bounds=[(0, None)] * (n + 1), method="highs", **extra)
+        if not res.success:  # pragma: no cover - the slack makes this feasible
+            raise RuntimeError(f"hull weight LP failed: {res.message}")
+        lam = np.clip(res.x[:n], 0.0, None)
+        lam /= lam.sum()
+        residual = float(np.max(np.abs(V.T @ lam - mu), initial=0.0))
+        if not _near_miss(residual):
+            break
     return lam, residual
 
 
@@ -173,8 +191,88 @@ def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray,
     a_eq = np.zeros((2, n_var))
     a_eq[0, :na] = 1.0
     a_eq[1, na:na + nb] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * k), A_eq=a_eq,
-                  b_eq=[1.0, 1.0], bounds=[(0, None)] * n_var, method="highs")
-    if not res.success:  # pragma: no cover
-        raise RuntimeError(f"hull intersection LP failed: {res.message}")
-    return float(res.x[-1]) <= tol
+    for extra in ({}, _TIGHT):
+        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * k), A_eq=a_eq,
+                      b_eq=[1.0, 1.0], bounds=[(0, None)] * n_var,
+                      method="highs", **extra)
+        if not res.success:  # pragma: no cover
+            raise RuntimeError(f"hull intersection LP failed: {res.message}")
+        gap = float(res.x[-1])
+        if gap <= tol or not _near_miss(gap):
+            break
+    return gap <= tol
+
+
+_EQ_TOL = 1e-12  # payoff entries this close count as equal
+
+
+class Hull:
+    """Convex hull of an event's payoff vertices, sorted once into a kind.
+
+    - "box": 0/1 vertices forming the full sub-cube over the `free`
+      coordinates, with the other coordinates `pinned`;
+    - "simplex": distinct unit vectors e_i for i in `free`, every other
+      coordinate pinned to 0;
+    - "generic": anything else (`pinned` empty, `free` every coordinate).
+
+    A single unit vector is a box with every coordinate pinned, unless the
+    vertices come from a `complete` market (payoffs distinct unit vectors),
+    where every event is a simplex face. Membership and overlap of boxes and
+    simplices are decided in closed form, with the meaning `hull_contains`
+    and `hulls_intersect` give them (an L-inf residual of at most tol);
+    generic hulls go to those LPs.
+    """
+
+    def __init__(self, vertices, complete: bool = False):
+        V = np.array(vertices, dtype=float, ndmin=2)
+        V.setflags(write=False)
+        n, k = V.shape
+        self.vertices = V
+        self.kind = "generic"
+        self.free = np.arange(k)
+        one = np.abs(V - 1.0) < _EQ_TOL
+        if np.all(one | (np.abs(V) < _EQ_TOL)):
+            free = np.flatnonzero(np.ptp(V, axis=0) >= _EQ_TOL)
+            patterns = {tuple(row) for row in one[:, free]}
+            units = np.argmax(V, axis=1)
+            unit = (np.all(one.sum(axis=1) == 1)
+                    and len(set(units)) == n)
+            cube = n == 2 ** len(free) and len(patterns) == n
+            if unit and (complete or not cube):
+                self.kind, self.free = "simplex", np.unique(units)
+            elif cube:
+                self.kind, self.free = "box", free
+        self.pinned = ({} if self.kind == "generic" else
+                       {int(i): float(V[0, i])
+                        for i in np.setdiff1d(np.arange(k), self.free)})
+
+    def contains(self, mu, tol: float = DEFAULT_TOL) -> bool:
+        """Whether mu is within L-inf distance tol of the hull."""
+        if self.kind == "generic":
+            return hull_contains(self.vertices, mu, tol)
+        mu = np.asarray(mu, dtype=float)
+        if any(abs(mu[i] - c) > tol for i, c in self.pinned.items()):
+            return False
+        f = mu[self.free]
+        if np.any(f < -tol):
+            return False
+        if self.kind == "box":
+            return bool(np.all(f <= 1.0 + tol))
+        # some point with coordinates in [max(f - tol, 0), f + tol] sums to 1
+        return bool(np.maximum(f - tol, 0.0).sum() <= 1.0 <= (f + tol).sum())
+
+    def intersects(self, other: "Hull", tol: float = DEFAULT_TOL) -> bool:
+        """Whether the two hulls share a point (within L-inf distance tol)."""
+        if self.kind == other.kind == "box":
+            shared = self.pinned.keys() & other.pinned.keys()
+            return all(abs(self.pinned[i] - other.pinned[i]) <= tol
+                       for i in shared)
+        if self.kind == other.kind == "simplex":
+            # disjoint simplex faces are max(1/|a|, 1/|b|) apart in L-inf
+            a, b = self.free, other.free
+            return bool(np.intersect1d(a, b).size
+                        or max(1.0 / a.size, 1.0 / b.size) <= tol)
+        for one, rest in ((self, other), (other, self)):
+            if one.vertices.shape[0] == 1 and rest.kind != "generic":
+                return rest.contains(one.vertices[0], tol)
+        return hulls_intersect(self.vertices, other.vertices, tol)

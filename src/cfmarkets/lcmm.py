@@ -20,7 +20,6 @@ from itertools import product
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from . import geometry
 from ._solvers import polish_nonnegative
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
                     _as_vector)
@@ -170,7 +169,7 @@ class LcmmCost(CostModel):
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
-        if not geometry.hull_contains(self.space.payoff, mu, self.domain_tol):
+        if not self.space.hull().contains(mu, self.domain_tol):
             return INF
         return self.direct_sum_conjugate(mu)
 
@@ -222,7 +221,7 @@ def certificate_check(model: LcmmCost, q, eta, tol: float = 1e-7) -> bool:
         raise ValueError("eta must be nonnegative")
     q = _as_vector(q, model.dim, "q")
     mu = model.direct_sum_price(q + model.A @ eta).center
-    if not geometry.hull_contains(model.space.payoff, mu, max(tol, 1e-7)):
+    if not model.space.hull().contains(mu, max(tol, 1e-7)):
         return False
     return model.certificate_gap(q, eta) <= tol
 
@@ -296,6 +295,7 @@ def tightness_check(model: LcmmCost, g: int, n_samples: int = 20,
     for x in xs:
         cell = [w for w, row in zip(model.space.outcomes, V_block)
                 if np.max(np.abs(row - x), initial=0.0) < 1e-9]
+        hull = model.space.hull(cell)
         found = []
         for _ in range(n_samples):
             c = rng.standard_normal(n)
@@ -305,7 +305,7 @@ def tightness_check(model: LcmmCost, g: int, n_samples: int = 20,
             if not res.success:
                 continue
             mu = P.T @ res.x
-            if not geometry.hull_contains(model.space.vertices(cell), mu, tol):
+            if not hull.contains(mu, tol):
                 return TightnessResult(
                     "not_tight",
                     counterexample={"realization": tuple(x), "mu": mu})

@@ -46,6 +46,9 @@ class OutcomeSpace:
         object.__setattr__(self, "security_names", names)
         object.__setattr__(self, "_index",
                            {w: i for i, w in enumerate(self.outcomes)})
+        whole = geometry.Hull(payoff)
+        object.__setattr__(self, "_complete", whole.kind == "simplex")
+        object.__setattr__(self, "_hulls", {None: whole})
 
     @property
     def dim(self) -> int:
@@ -70,6 +73,15 @@ class OutcomeSpace:
             return self.payoff
         idx = [self.index(w) for w in outcomes]
         return self.payoff[idx]
+
+    def hull(self, outcomes=None) -> geometry.Hull:
+        """Hull of the event's payoff vertices (default: all outcomes),
+        built once per event."""
+        key = None if outcomes is None else tuple(outcomes)
+        if key not in self._hulls:
+            self._hulls[key] = geometry.Hull(self.vertices(key),
+                                             self._complete)
+        return self._hulls[key]
 
 
 @dataclass(frozen=True)
@@ -199,25 +211,17 @@ def face_check(space: OutcomeSpace, obs: Observation, x,
     return True
 
 
-def _is_simplex_market(space: OutcomeSpace) -> bool:
-    if space.n_outcomes != space.dim:
-        return False
-    return np.allclose(space.payoff, np.eye(space.dim), atol=1e-12)
-
-
-def _binary_submarket_witness(space: OutcomeSpace, cell) -> np.ndarray | None:
-    """Constructive +-1/0 witness for cells that fix a subset of binary
-    payoff coordinates to a realization, leaving the rest free."""
-    V = space.vertices(cell)
-    if not np.all((np.abs(space.payoff) < 1e-12) |
-                  (np.abs(space.payoff - 1.0) < 1e-12)):
+def _face_witness(hull: geometry.Hull) -> np.ndarray | None:
+    """Constructive witness for a face: the indicator of a simplex face's
+    coordinates, or +-1 on the coordinates a sub-cube face pins."""
+    if hull.kind == "generic":
         return None
-    fixed = [i for i in range(space.dim) if np.ptp(V[:, i]) < 1e-12]
-    if not fixed:
-        return None
-    v = np.zeros(space.dim)
-    for i in fixed:
-        v[i] = 1.0 if V[0, i] > 0.5 else -1.0
+    v = np.zeros(hull.vertices.shape[1])
+    if hull.kind == "simplex":
+        v[hull.free] = 1.0
+    else:
+        for i, x in hull.pinned.items():
+            v[i] = 1.0 if x > 0.5 else -1.0
     return v
 
 
@@ -226,7 +230,7 @@ def exposure_witness(space: OutcomeSpace, obs: Observation,
     """Separating direction per cell, or None for cells that are not exposed.
 
     A cell is exposed when it is exactly the argmax set of some linear
-    function of payoffs. Simplex markets and binary-coordinate cells have
+    function of payoffs. Simplex and sub-cube faces (`OutcomeSpace.hull`) have
     constructive witnesses; otherwise a linear feasibility problem decides.
     """
     obs.validate(space)
@@ -235,14 +239,7 @@ def exposure_witness(space: OutcomeSpace, obs: Observation,
         cell = obs.cell(x)
         cell_set = set(cell)
         others = [w for w in space.outcomes if w not in cell_set]
-        candidate = None
-        if _is_simplex_market(space):
-            v = np.zeros(space.dim)
-            for w in cell:
-                v[space.index(w)] = 1.0
-            candidate = v
-        else:
-            candidate = _binary_submarket_witness(space, cell)
+        candidate = _face_witness(space.hull(cell))
         if candidate is not None and others:
             vin = space.vertices(cell) @ candidate
             vout = space.vertices(others) @ candidate

@@ -133,18 +133,22 @@ def _build_trader(spec, obs, settlement, model):
     kind = spec.get("kind")
     name = spec.get("name", kind)
     times = spec.get("times", [])
+    budget = spec.get("budget")
+    if budget is not None and (isinstance(budget, bool)
+                               or not isinstance(budget, (int, float))
+                               or not budget >= 0):
+        raise ScenarioError(f"trader {name!r}: budget must be a number >= 0")
     if kind == "noise":
         return NoiseTrader(name, times, scale=float(spec.get("scale", 1.0)),
-                           budget=spec.get("budget"))
+                           budget=budget)
     if kind == "belief":
         return BeliefTrader(name, times, np.array(spec["belief"], dtype=float),
-                            budget=spec.get("budget"))
+                            budget=budget)
     if kind == "jit":
         if obs is None:
             raise ScenarioError("jit trader needs an observation")
         x = spec.get("realization", obs.of(settlement))
-        return JitArbitrageur(name, times, obs, _hashable(x),
-                              budget=spec.get("budget"))
+        return JitArbitrageur(name, times, obs, _hashable(x), budget=budget)
     raise ScenarioError(f"unknown trader kind {kind!r}")
 
 
@@ -180,7 +184,7 @@ def parse_scenario(raw) -> Scenario:
         market_spec = raw["market"]
     except KeyError as e:
         raise ScenarioError(f"missing required field {e.args[0]!r}") from None
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ScenarioError("seed must be an integer")
     if protocol not in ("sudden", "gradual"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
@@ -192,9 +196,15 @@ def parse_scenario(raw) -> Scenario:
     settlement = _hashable(raw.get("settlement"))
     if settlement not in space.outcomes:
         raise ScenarioError(f"settlement {settlement!r} is not an outcome")
-    s0 = np.array(raw.get("initial_state", np.zeros(space.dim)), dtype=float)
+    try:
+        s0 = np.array(raw.get("initial_state", np.zeros(space.dim)),
+                      dtype=float)
+    except (TypeError, ValueError):
+        raise ScenarioError("initial_state must be a list of numbers") from None
     if s0.shape != (space.dim,):
         raise ScenarioError("initial_state has the wrong length")
+    if not np.all(np.isfinite(s0)):
+        raise ScenarioError("initial_state must be finite")
     tol = float(raw.get("tolerance", 1e-6))
     sc = Scenario(name=str(raw.get("name", "scenario")), seed=seed, tol=tol,
                   protocol=protocol, model=model, observation=obs,

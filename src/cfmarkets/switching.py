@@ -112,8 +112,7 @@ def consistency_check(m: CostModel, obs: Observation, s,
     offsets = {x: max(b, 0.0) for x, b in gaps.items()}
     for i, x in enumerate(xs):
         for y in xs[i + 1:]:
-            if geometry.hulls_intersect(cell_models[x].vertices,
-                                        cell_models[y].vertices, tol=1e-9):
+            if cell_models[x].hull.intersects(cell_models[y].hull, tol=1e-9):
                 return ConsistencyVerdict(False, float("inf"),
                                           {"overlap": (x, y)})
     points, values, owners = [], [], []

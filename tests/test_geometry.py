@@ -1,7 +1,15 @@
+from functools import partial
+from itertools import combinations
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cfmarkets import geometry
+from cfmarkets import (IndependentBinaryCost, LmsrCost, geometry,
+                       independent_binary_market, observe_coordinate,
+                       observe_partition, observe_sum, plan_switch,
+                       probe_points, simplex_market, square_market)
 
 SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
@@ -106,3 +114,184 @@ def test_hulls_intersect():
     low = SQUARE[[0, 2]]  # second coordinate 0
     high = SQUARE[[1, 3]]  # second coordinate 1
     assert not geometry.hulls_intersect(low, high)
+
+
+# ---------------------------------------------------------------------------
+# Hull: closed-form faces against the LPs
+
+# At HiGHS's default feasibility tolerance (1e-7) the LP may round a convex
+# weight of 1e-8 to zero and so report a point 1e-8 inside a hull as 1e-8
+# away from it. The reference runs the same LPs with tolerances below the
+# 1e-8 offsets drawn here.
+_exact_linprog = partial(geometry.linprog, options={
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10})
+
+
+def lp_contains(vertices, mu):
+    with mock.patch.object(geometry, "linprog", _exact_linprog):
+        return geometry.hull_contains(vertices, mu)
+
+
+def lp_intersect(a, b):
+    with mock.patch.object(geometry, "linprog", _exact_linprog):
+        return geometry.hulls_intersect(a, b)
+
+
+def simplex_face(draw, n):
+    space = simplex_market(n)
+    event = draw(st.sets(st.sampled_from(space.outcomes), min_size=1))
+    return space, tuple(sorted(event))
+
+
+def cube_face(draw, n):
+    """A sub-cube face: a random subset of coordinates pinned to random
+    0/1 values, the rest free."""
+    space = independent_binary_market(n)
+    pins = draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from((0, 1))))
+    return space, tuple(w for w in space.outcomes
+                        if all(w[i] == x for i, x in pins.items()))
+
+
+@st.composite
+def faces(draw):
+    if draw(st.booleans()):
+        return simplex_face(draw, draw(st.integers(1, 5)))
+    return cube_face(draw, draw(st.integers(1, 4)))
+
+
+@st.composite
+def face_points(draw):
+    """A face and a point at a vertex, on an edge or inside it, possibly
+    moved 1e-10 or 1e-8 along one coordinate (off a facet where the point
+    sits on one)."""
+    space, event = draw(faces())
+    V = space.vertices(event)
+    where = draw(st.sampled_from(("vertex", "edge", "interior")))
+    i = draw(st.integers(0, len(V) - 1))
+    j = draw(st.integers(0, len(V) - 1))
+    t = draw(st.floats(0.0, 1.0))
+    if where == "vertex":
+        mu = V[i].copy()
+    elif where == "edge":
+        mu = t * V[i] + (1.0 - t) * V[j]
+    else:
+        w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) \
+            .dirichlet(np.ones(len(V)))
+        mu = w @ V
+    step = draw(st.sampled_from((0.0, 1e-10, -1e-10, 1e-8, -1e-8)))
+    mu[draw(st.integers(0, space.dim - 1))] += step
+    return space, event, mu
+
+
+@settings(max_examples=300, deadline=None)
+@given(face_points())
+def test_hull_contains_matches_lp(case):
+    space, event, mu = case
+    hull = space.hull(event)
+    assert hull.kind != "generic"
+    assert hull.contains(mu) == lp_contains(hull.vertices, mu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hull_intersects_matches_lp(data):
+    space, a = data.draw(faces())
+    draw_face = simplex_face if space.dim == space.n_outcomes else cube_face
+    _, b = draw_face(data.draw, space.dim)
+    ha, hb = space.hull(a), space.hull(b)
+    want = lp_intersect(ha.vertices, hb.vertices)
+    assert ha.intersects(hb) == hb.intersects(ha) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_hull_any_cube_event_matches_lp(data):
+    # every nonempty event of a small cube, whatever its kind: singleton
+    # corners against the unit-vector cells, generic cells, mixed pairs
+    space = independent_binary_market(data.draw(st.integers(2, 3)))
+    units = [w for w in space.outcomes if sum(w) == 1]
+    events = st.one_of(st.sets(st.sampled_from(space.outcomes), min_size=1,
+                               max_size=1),
+                       st.sets(st.sampled_from(units), min_size=2),
+                       st.sets(st.sampled_from(space.outcomes), min_size=1))
+    ha = space.hull(tuple(sorted(data.draw(events))))
+    hb = space.hull(tuple(sorted(data.draw(events))))
+    assert ha.intersects(hb) == lp_intersect(ha.vertices, hb.vertices)
+    w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))) \
+        .dirichlet(np.ones(len(hb.vertices)))
+    mu = w @ hb.vertices
+    mu[0] += data.draw(st.sampled_from((0.0, 1e-10, -1e-8)))
+    assert ha.contains(mu) == lp_contains(ha.vertices, mu)
+
+
+def test_hull_kinds():
+    sq = square_market()
+    assert sq.hull().kind == "box" and sq.hull().pinned == {}
+    face = sq.hull(((1, 0), (1, 1)))
+    assert face.kind == "box" and face.pinned == {0: 1.0}
+    assert list(face.free) == [1]
+    corner = sq.hull(((0, 1),))  # one unit vector outside a complete market
+    assert corner.kind == "box" and corner.pinned == {0: 0.0, 1: 1.0}
+    anti = sq.hull(((0, 1), (1, 0)))  # conv{e0, e1}
+    assert anti.kind == "simplex" and anti.pinned == {}
+    assert sq.hull(((0, 0), (1, 1))).kind == "generic"
+    lm = simplex_market(3)
+    one = lm.hull((2,))  # every event of a complete market is a simplex face
+    assert one.kind == "simplex" and one.pinned == {0: 0.0, 1: 0.0}
+    assert lm.hull((0, 2)).pinned == {1: 0.0}
+    assert sq.hull(((1, 0), (1, 1))) is face  # built once per event
+    counts = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
+    assert geometry.Hull(counts).kind == "generic"
+
+
+@pytest.fixture
+def lps(monkeypatch):
+    """Counts the HiGHS calls made through the geometry module."""
+    calls = []
+    real = geometry.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (IndependentBinaryCost(square_market()),
+             lambda sp: observe_coordinate(sp, 0)),
+    lambda: (IndependentBinaryCost(square_market()), observe_sum),
+    lambda: (LmsrCost(simplex_market(4)),
+             lambda sp: observe_partition(sp, [[0, 1], [2, 3]])),
+], ids=["square/coordinate", "square/sum", "lmsr(4)/partition"])
+def test_face_cells_make_no_lp(make, lps):
+    m, observe = make()
+    plan = plan_switch(m, observe(m.space), np.array([0.3, -0.2, 0.1,
+                                                      0.0])[:m.dim])
+    lps.clear()
+    # the membership and overlap questions of the switched cost and the
+    # consistency check
+    for mu in probe_points(m.space):
+        plan.switched.containing_cells(mu)
+        for cell in plan.cell_models.values():
+            cell.conjugate(mu)
+    for a, b in combinations(plan.cell_models.values(), 2):
+        a.hull.intersects(b.hull)
+    corner = plan.switched.state_with_price(m.space.payoff[0])
+    assert np.all(np.isfinite(corner))
+    assert lps == []
+
+
+def test_generic_cell_still_uses_lp(lps):
+    m = IndependentBinaryCost(square_market())
+    diagonals = observe_partition(
+        m.space, [[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
+    plan = plan_switch(m, diagonals, np.zeros(2))
+    assert plan.cell_models[0].hull.kind == "generic"
+    lps.clear()
+    plan.cell_models[0].conjugate(np.array([0.5, 0.5]))
+    assert len(lps) == 1
+    assert plan.cell_models[0].hull.intersects(plan.cell_models[1].hull)
+    assert len(lps) == 2

@@ -87,6 +87,15 @@ def test_parse_scenario_errors():
     with pytest.raises(ScenarioError):
         parse_scenario({**base, "seed": "seven"})
     with pytest.raises(ScenarioError):
+        parse_scenario({**base, "seed": True})  # bool passes isinstance(int)
+    for bad_state in ([float("nan"), 0.0], [0.0, float("inf")], ["a", 0.0]):
+        with pytest.raises(ScenarioError):
+            parse_scenario({**base, "initial_state": bad_state})
+    for budget in (-1.0, float("nan"), "lots", True):
+        with pytest.raises(ScenarioError):
+            parse_scenario({**base, "traders": [
+                {"kind": "noise", "times": [0.5], "budget": budget}]})
+    with pytest.raises(ScenarioError):
         parse_scenario({**base, "protocol": "telepathy"})
     with pytest.raises(ScenarioError):
         parse_scenario({**base, "settlement": [2, 2]})
@@ -151,6 +160,25 @@ def test_cmd_run_allow_inconsistent_reports_and_passes(tmp_path):
 def test_cmd_run_malformed_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("market: square\n")  # missing required fields
+    assert cmd_run(str(bad)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "seed: true",
+    "initial_state: [.nan, 0.0]",
+    "initial_state: [.inf, 0.0]",
+    "traders: [{kind: noise, times: [0.5], budget: -1.0}]",
+])
+def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
+    fields = {"seed": "seed: 1", "initial_state": "initial_state: [0.0, 0.0]",
+              "traders": "traders: []"}
+    fields[line.split(":")[0]] = line
+    bad = tmp_path / "bad.scn"
+    bad.write_text("protocol: sudden\nmarket: square\n"
+                   "observation: {kind: coordinate, index: 0}\n"
+                   "switch_time: 1.0\nsettlement: [1, 1]\n"
+                   + "\n".join(fields.values()) + "\n")
     assert cmd_run(str(bad)) == 2
     assert "error:" in capsys.readouterr().err
 
