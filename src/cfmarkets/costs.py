@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import expit, logsumexp, xlogy
+from scipy.special import expit, xlogy
 
 from . import geometry
 from ._solvers import project_onto_hull
@@ -86,6 +86,24 @@ class PriceSet:
     def agrees_with(self, other: "PriceSet", tol: float = 1e-9) -> bool:
         return bool(np.max(np.abs(self.lo - other.lo), initial=0.0) <= tol
                     and np.max(np.abs(self.hi - other.hi), initial=0.0) <= tol)
+
+
+def _logsumexp(a) -> float:
+    """ln sum_i exp(a_i) for a nonempty 1-D float array.
+
+    Same float operations, in the same order, as scipy.special.logsumexp
+    (the maxima are split off the sum and counted), so results are
+    bit-identical, at a small fraction of its per-call overhead.
+    """
+    a_max = a.max()
+    at_max = a == a_max
+    e = np.exp(a - a_max)
+    e[at_max] = 0.0
+    s = e.sum()
+    k = np.count_nonzero(at_max)
+    if s != 0:
+        s = s / k
+    return float(np.log1p(s) + np.log(k) + a_max)
 
 
 def _softmax(z) -> np.ndarray:
@@ -179,7 +197,7 @@ class LmsrCost(CostModel):
 
     def cost(self, q) -> float:
         q = _as_vector(q, self.dim, "q")
-        return float(logsumexp(q))
+        return _logsumexp(q)
 
     def price(self, q) -> PriceSet:
         q = _as_vector(q, self.dim, "q")
@@ -211,7 +229,7 @@ class LmsrCost(CostModel):
             p[idx] = _softmax(q[idx])
             return p
 
-        return ClosedForm(lambda q: float(logsumexp(q[idx])), price)
+        return ClosedForm(lambda q: _logsumexp(q[idx]), price)
 
 
 class IndependentBinaryCost(CostModel):
@@ -337,7 +355,7 @@ class ExponentialFamilyCost(CostModel):
 
     def cost(self, q) -> float:
         q = _as_vector(q, self.dim, "q")
-        return float(logsumexp(self.space.payoff @ q))
+        return _logsumexp(self.space.payoff @ q)
 
     def price(self, q) -> PriceSet:
         q = _as_vector(q, self.dim, "q")

@@ -13,7 +13,7 @@ which preserves prices while shrinking every block divergence by alpha_g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,8 +33,8 @@ class BlockSchedule:
     def __post_init__(self):
         if self.kind not in ("constant", "linear-to-floor", "exponential"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
+        if not 0.0 <= self.rate < float("inf"):
+            raise ValueError("rate must be finite and nonnegative")
         if not 0.0 < self.floor <= 1.0:
             raise ValueError("floor must be in (0, 1]")
 
@@ -52,6 +52,9 @@ class BlockSchedule:
 class Schedule:
     per_block: tuple
     t0: float = 0.0
+    # (model, t) -> time-t LCMM built by `model_at`; private to this object
+    _models: dict = field(default_factory=dict, init=False, compare=False,
+                          repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "per_block", tuple(self.per_block))
@@ -83,14 +86,26 @@ class TimedState:
 
 def model_at(model: LcmmCost, schedule: Schedule, t: float) -> LcmmCost:
     """The LCMM in effect at time t: per-block liquidity-scaled costs under
-    the same constraints."""
+    the same constraints.
+
+    The schedule object keeps the models it has built, so every call with
+    the same (model, t) returns the same LCMM and its solve cache.
+    """
+    key = (model, float(t))
+    m = schedule._models.get(key)
+    if m is not None:
+        return m
     schedule.validate(model)
     scaled = []
     for g, c in enumerate(model.block_costs):
         b = schedule.beta(g, t)
         scaled.append(c if b == 1.0 else ScaledCost(c, b))
-    return LcmmCost(model.space, model.blocks, scaled, model.A, model.b_c,
-                    solve_tol=model.solve_tol)
+    m = LcmmCost(model.space, model.blocks, scaled, model.A, model.b_c,
+                 solve_tol=model.solve_tol)
+    if len(schedule._models) > 256:
+        schedule._models.clear()
+    schedule._models[key] = m
+    return m
 
 
 def time_cost(model: LcmmCost, schedule: Schedule, q, t: float,
@@ -103,7 +118,13 @@ def time_cost(model: LcmmCost, schedule: Schedule, q, t: float,
 
 def new_state(model: LcmmCost, schedule: Schedule, q, t: float,
               t_new: float) -> TimedState:
-    """Advance the state from time t to t_new, preserving prices."""
+    """Advance the state from time t to t_new, preserving prices.
+
+    The direct-sum price at q_new + A eta* equals the one at q + A eta*, and
+    every block divergence shrinks by alpha_g, so eta* stays optimal at
+    (t_new, q_new). It is handed to the time-t_new model, which keeps it as
+    its solution at q_new when it certifies there.
+    """
     if not schedule.t0 <= t <= t_new:
         raise ValueError("need t0 <= t <= t_new")
     q = _as_vector(q, model.dim, "q")
@@ -113,6 +134,7 @@ def new_state(model: LcmmCost, schedule: Schedule, q, t: float,
     for g, idx in enumerate(model._slices):
         a = schedule.alpha(g, t, t_new)
         q_new[idx] = a * (q[idx] + sol.delta[idx]) - sol.delta[idx]
+    model_at(model, schedule, t_new)._adopt(q_new, sol.eta)
     return TimedState(q_new, t_new, sol)
 
 

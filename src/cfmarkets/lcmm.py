@@ -144,19 +144,53 @@ class LcmmCost(CostModel):
                     stop=lambda e: self.certificate_gap(q, e) <= tol)
             gap = self.certificate_gap(q, eta)
             sol = ArbitrageSolution(eta, self.A @ eta, f(eta), gap, gap <= tol)
+        self._remember(key, sol)
+        return sol
+
+    def _remember(self, key, sol: ArbitrageSolution):
         if len(self._cache) > 256:
             self._cache.clear()
         self._cache[key] = sol
-        return sol
+
+    def _adopt(self, q, eta) -> bool:
+        """Store `eta` as the solution at q when it certifies within
+        solve_tol; otherwise store nothing, so `solve(q)` computes one.
+
+        Certified means the certificate gap is at most solve_tol and so is
+        the projected-gradient residual max_i |min(eta_i, g_i)| of the
+        eta-minimization, g = A^T mu - b_c with mu the direct-sum price at
+        q + A eta. The gap alone misses a negative g_i: its complementary
+        slackness term g.eta can then be negative. A caller that knows a
+        near-optimal bundle (a price-preserving re-anchor keeps the old one
+        optimal) saves the L-BFGS-B run.
+        """
+        q = _as_vector(q, self.dim, "q")
+        key = (q.tobytes(), self.solve_tol)
+        if key in self._cache:
+            return True
+        gap, grad = self._kkt(q, eta)
+        residual = np.abs(np.minimum(eta, grad)).max(initial=0.0)
+        if not (gap <= self.solve_tol and residual <= self.solve_tol):
+            return False
+        delta = self.A @ eta
+        value = self.direct_sum_cost(q + delta) - float(self.b_c @ eta)
+        self._remember(key, ArbitrageSolution(eta, delta, value, gap, True))
+        return True
 
     def certificate_gap(self, q, eta) -> float:
         """First-order optimality residual for a candidate arbitrage eta."""
+        return self._kkt(q, eta)[0]
+
+    def _kkt(self, q, eta):
+        """(certificate gap, gradient A^T mu - b_c) at a candidate eta, with
+        mu the direct-sum price at q + A eta."""
         q = _as_vector(q, self.dim, "q")
         eta = np.asarray(eta, dtype=float).reshape(-1)
         shifted = q + self.A @ eta
         mu = self.direct_sum_price(shifted).center
-        comp = float((self.A.T @ mu - self.b_c) @ eta) if eta.size else 0.0
-        return self.direct_sum_divergence(mu, shifted) + comp
+        grad = self.A.T @ mu - self.b_c
+        comp = float(grad @ eta) if eta.size else 0.0
+        return self.direct_sum_divergence(mu, shifted) + comp, grad
 
     # -- cost-model surface ------------------------------------------------
     def cost(self, q) -> float:

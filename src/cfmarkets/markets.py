@@ -293,6 +293,8 @@ def single_security_market(values) -> OutcomeSpace:
 
 def observe_coordinate(space: OutcomeSpace, i: int) -> Observation:
     """Observation revealing security i's payoff."""
+    if not 0 <= i < space.dim:
+        raise ValueError(f"coordinate index {i} is not in [0, {space.dim})")
     return Observation({w: float(space.payoff_of(w)[i]) for w in space.outcomes},
                        name=f"coordinate {i}")
 

@@ -176,6 +176,19 @@ def load_scenario(path) -> Scenario:
 
 
 def parse_scenario(raw) -> Scenario:
+    """Build a Scenario from a parsed document. Any field that is missing,
+    malformed or rejected by a library builder raises ScenarioError."""
+    try:
+        return _parse_scenario(raw)
+    except ScenarioError:
+        raise
+    except KeyError as e:
+        raise ScenarioError(f"missing field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(str(e)) from None
+
+
+def _parse_scenario(raw) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a key/value document")
     try:
@@ -220,10 +233,17 @@ def parse_scenario(raw) -> Scenario:
         if not isinstance(model, LcmmCost):
             raise ScenarioError("gradual protocol needs an LCMM market")
         sc.t0 = float(raw.get("t0", 0.0))
+        if not np.isfinite(sc.t0):
+            raise ScenarioError("t0 must be finite")
         sc.schedule = _build_schedule(raw.get("schedules"), model, sc.t0)
         sc.requests = []
+        last = sc.t0
         for entry in raw.get("requests", []):
             time = float(entry["time"])
+            if not last <= time < float("inf"):
+                raise ScenarioError("request times must be finite, "
+                                    "non-decreasing and not before t0")
+            last = time
             trader = str(entry.get("trader", "t"))
             if "bundle" in entry:
                 bundle = np.array(entry["bundle"], dtype=float)

@@ -11,6 +11,7 @@ from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        single_binary_market, single_security_market,
                        square_market, util_event)
 from cfmarkets._solvers import project_onto_hull
+from cfmarkets.costs import _logsumexp
 
 INF = float("inf")
 
@@ -45,6 +46,16 @@ def test_price_set_basics():
 
 # ---------------------------------------------------------------------------
 # Closed forms
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.floats(-700, 700), min_size=1, max_size=40),
+       st.sampled_from([1.0, 1e-3, 1e-9]), st.data())
+def test_logsumexp_is_bit_identical_to_scipy(values, scale, data):
+    a = np.array(values) * scale
+    ties = data.draw(st.lists(st.integers(0, a.size - 1), max_size=a.size))
+    a[ties] = a.max()  # several entries at the maximum
+    assert _logsumexp(a).hex() == float(logsumexp(a)).hex()
 
 
 def test_lmsr_closed_forms():

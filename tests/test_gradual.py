@@ -98,6 +98,101 @@ def test_constant_schedule_is_identity():
     assert model_at(m, sched, 3.0).cost(q) == pytest.approx(m.cost(q))
 
 
+def test_model_at_memo_is_per_schedule_object():
+    m = medal_count_model(2)
+    per_block = (BlockSchedule("exponential", rate=0.4),
+                 BlockSchedule("linear-to-floor", rate=0.2, floor=0.25),
+                 BlockSchedule())
+    sched, twin = Schedule(per_block, 0.0), Schedule(per_block, 0.0)
+    m1 = model_at(m, sched, 1.0)
+    assert model_at(m, sched, 1.0) is m1
+    assert model_at(m, twin, 1.0) is not m1  # equal, but shares no models
+    assert model_at(m, sched, 2.0) is not m1
+    assert model_at(medal_count_model(2), sched, 1.0) is not m1
+    # the memo is invisible to equality, hashing and repr
+    assert sched == twin == Schedule(per_block, 0.0)
+    assert hash(sched) == hash(twin) == hash((per_block, 0.0))
+    assert len({sched, twin}) == 1
+    assert repr(sched) == f"Schedule(per_block={per_block!r}, t0=0.0)"
+
+
+def transport_schedule(n):
+    """Exponential, linear-to-floor and constant blocks; block 1 reaches its
+    floor at t = 0.5 and stays there."""
+    per_block = [BlockSchedule("exponential", rate=0.5),
+                 BlockSchedule("linear-to-floor", rate=1.2, floor=0.4)]
+    per_block += [BlockSchedule("linear-to-floor", rate=0.1, floor=0.2)
+                  for _ in range(n - 2)]
+    per_block.append(BlockSchedule())
+    return tuple(per_block)
+
+
+@pytest.fixture
+def lbfgs_runs(monkeypatch):
+    """Counts the L-BFGS-B runs of LCMM solves."""
+    import cfmarkets.lcmm as lcmm
+
+    runs = []
+    original = lcmm.minimize
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lcmm, "minimize", counted)
+    return runs
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transported_bundle_matches_cold_solve(n, lbfgs_runs):
+    m = medal_count_model(n)
+    per_block = transport_schedule(n)
+    rng = np.random.default_rng(n)
+    times = [(0.0, 0.3), (0.6, 2.0), (1.0, 1.0)]
+    times += [tuple(np.sort(rng.uniform(0.0, 2.0, 2))) for _ in range(5)]
+    kept = 0
+    for t, t_new in times:
+        q = rng.normal(0.0, 1.5, m.dim)
+        sched = Schedule(per_block, 0.0)
+        ts = new_state(m, sched, q, t, t_new)
+        before = len(lbfgs_runs)
+        warm = model_at(m, sched, t_new)
+        got = warm.solve(ts.q)
+        cold_model = model_at(m, Schedule(per_block, 0.0), t_new)
+        cold = cold_model.solve(ts.q)
+        if len(lbfgs_runs) == before + 2:  # rejected: solved from scratch
+            assert np.array_equal(got.eta, cold.eta)
+            continue
+        assert len(lbfgs_runs) == before + 1
+        kept += 1
+        assert got.converged and got.certificate_gap <= m.solve_tol
+        assert got.value == pytest.approx(cold.value, abs=1e-9)
+        # a gap of 1e-9 pins the value, not delta: cold L-BFGS-B answers
+        # on states like these sit up to about 2e-8 from the optimum
+        assert np.allclose(got.delta, cold.delta, rtol=0.0, atol=1e-7)
+        assert warm.price(ts.q).agrees_with(cold_model.price(ts.q), tol=1e-7)
+    assert kept >= len(times) // 2
+
+
+def test_rejected_bundle_leaves_the_cold_solve(lbfgs_runs):
+    m = medal_count_model(2)
+    per_block = transport_schedule(2)
+    q = np.random.default_rng(5).normal(0.0, 1.5, m.dim)
+    ts = new_state(m, Schedule(per_block, 0.0), q, 0.2, 1.1)
+    candidate = ts.solution.eta.copy()
+    candidate[0] += 0.5  # moves delta off the optimum
+    target = model_at(m, Schedule(per_block, 0.0), 1.1)
+    assert not target._adopt(ts.q, candidate)
+    runs = len(lbfgs_runs)
+    got = target.solve(ts.q)
+    assert len(lbfgs_runs) == runs + 1
+    cold = model_at(m, Schedule(per_block, 0.0), 1.1).solve(ts.q)
+    assert np.array_equal(got.eta, cold.eta)
+    assert np.array_equal(got.delta, cold.delta)
+    assert (got.value, got.certificate_gap, got.converged) == \
+        (cold.value, cold.certificate_gap, cold.converged)
+
+
 # ---------------------------------------------------------------------------
 # Divergence decomposition
 

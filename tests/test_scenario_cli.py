@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cfmarkets
 from cfmarkets import (IndependentBinaryCost, LcmmCost, LmsrCost,
                        PiecewiseLinearCost, ScenarioError, bundled_scenarios,
                        load_scenario)
@@ -112,6 +117,34 @@ def test_parse_scenario_errors():
         parse_scenario({"seed": 1, "protocol": "gradual",
                         "market": "medal_counts(1)", "settlement": [1],
                         "requests": [{"time": 0.5, "bundle": [1.0]}]})
+    with pytest.raises(ScenarioError):
+        parse_scenario({**base, "market": "lmsr(0)"})
+    with pytest.raises(ScenarioError):
+        parse_scenario({**base, "switch_time": "soon"})
+    with pytest.raises(ScenarioError):
+        parse_scenario({**base, "market": {"outcomes": [[0], [1]]}})
+    with pytest.raises(ScenarioError):
+        parse_scenario({**base, "traders": [{"kind": "noise",
+                                             "times": ["soon"]}]})
+    with pytest.raises(ScenarioError):
+        parse_scenario({**base, "observation": {"kind": "coordinate",
+                                                "index": 5}})
+    gradual = {"seed": 1, "protocol": "gradual", "market": "medal_counts(1)",
+               "settlement": [1]}
+    bundle = [0.5, 0.0, 0.0]
+    with pytest.raises(ScenarioError):  # request times go backwards
+        parse_scenario({**gradual, "requests": [
+            {"time": 1.0, "bundle": bundle}, {"time": 0.5, "bundle": bundle}]})
+    with pytest.raises(ScenarioError):
+        parse_scenario({**gradual, "requests": [
+            {"time": "soon", "bundle": bundle}]})
+    for sched in ({"kind": "exponential", "rate": -1.0},
+                  {"kind": "exponential", "rate": float("nan")},
+                  {"kind": "quadratic"},
+                  {"kind": "linear-to-floor", "rate": 0.1, "floor": 0.0},
+                  {"kind": "linear-to-floor", "rate": 0.1, "floor": 1.5}):
+        with pytest.raises(ScenarioError):
+            parse_scenario({**gradual, "schedules": [{"block": 0, **sched}]})
 
 
 def test_load_scenario_io_errors(tmp_path):
@@ -164,23 +197,58 @@ def test_cmd_run_malformed_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+SUDDEN_FIELDS = {"seed": "seed: 1", "protocol": "protocol: sudden",
+                 "market": "market: square",
+                 "observation": "observation: {kind: coordinate, index: 0}",
+                 "switch_time": "switch_time: 1.0",
+                 "settlement": "settlement: [1, 1]",
+                 "initial_state": "initial_state: [0.0, 0.0]",
+                 "traders": "traders: []"}
+# a line naming `schedules` or `requests` goes into a gradual scenario
+GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
+                  "market": "market: medal_counts(1)",
+                  "settlement": "settlement: [1]",
+                  "schedules": "schedules: []",
+                  "requests": "requests: [{time: 0.5, bundle: [0.5, 0, 0]}]"}
+
+
 @pytest.mark.parametrize("line", [
     "seed: true",
     "initial_state: [.nan, 0.0]",
     "initial_state: [.inf, 0.0]",
     "traders: [{kind: noise, times: [0.5], budget: -1.0}]",
+    "market: lmsr(0)",
+    "switch_time: soon",
+    "observation: {kind: coordinate, index: 5}",
+    "requests: [{time: 1.0, bundle: [0.5, 0, 0]}, "
+    "{time: 0.5, bundle: [0.5, 0, 0]}]",
+    "requests: [{time: soon, bundle: [0.5, 0, 0]}]",
+    "schedules: [{block: 0, kind: exponential, rate: -1.0}]",
+    "schedules: [{block: 0, kind: exponential, rate: .nan}]",
+    "schedules: [{block: 0, kind: quadratic}]",
+    "schedules: [{block: 0, kind: linear-to-floor, rate: 0.1, floor: 1.5}]",
 ])
 def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
-    fields = {"seed": "seed: 1", "initial_state": "initial_state: [0.0, 0.0]",
-              "traders": "traders: []"}
-    fields[line.split(":")[0]] = line
+    key = line.split(":")[0]
+    fields = dict(GRADUAL_FIELDS if key in ("schedules", "requests")
+                  else SUDDEN_FIELDS)
+    fields[key] = line
     bad = tmp_path / "bad.scn"
-    bad.write_text("protocol: sudden\nmarket: square\n"
-                   "observation: {kind: coordinate, index: 0}\n"
-                   "switch_time: 1.0\nsettlement: [1, 1]\n"
-                   + "\n".join(fields.values()) + "\n")
-    assert cmd_run(str(bad)) == 2
+    bad.write_text("\n".join(fields.values()) + "\n")
+    assert main(["run", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    path = scn("medal2_random_trades.scn")
+    assert cmd_run(path) == 0
+    expected = capsys.readouterr().out
+    src = Path(cfmarkets.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "cfmarkets", "run", path],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode()
 
 
 def test_cmd_run_csv_format(tmp_path):
