@@ -3,7 +3,8 @@
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 the scenario
 could not be parsed. Output records are line-delimited with the fixed field
 set {ts, kind, state, price_center, spread, cost_delta, trader, check,
-value, pass}; identical scenario and seed produce byte-identical output.
+value, pass} in strict JSON, with non-finite numbers written as null;
+identical scenario and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,7 +34,7 @@ def _num(v):
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (np.floating, float)):
-        return float(v)
+        return float(v) if math.isfinite(v) else None
     if isinstance(v, (np.integer, int)):
         return int(v)
     return v
@@ -41,16 +43,15 @@ def _num(v):
 def _record(**kw) -> dict:
     rec = {k: None for k in RECORD_FIELDS}
     for k, v in kw.items():
-        if isinstance(v, np.ndarray):
-            v = [float(x) for x in v]
-        rec[k] = _num(v)
+        rec[k] = ([_num(float(x)) for x in v] if isinstance(v, np.ndarray)
+                  else _num(v))
     return rec
 
 
 def _write_records(records, out, fmt: str):
     if fmt == "jsonl":
         for rec in records:
-            out.write(json.dumps(rec, sort_keys=True) + "\n")
+            out.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RECORD_FIELDS)
@@ -58,7 +59,8 @@ def _write_records(records, out, fmt: str):
         row = []
         for k in RECORD_FIELDS:
             v = rec[k]
-            row.append(json.dumps(v) if isinstance(v, list) else v)
+            row.append(json.dumps(v, allow_nan=False)
+                       if isinstance(v, list) else v)
         writer.writerow(row)
 
 
@@ -85,10 +87,14 @@ def _run_sudden(sc: Scenario, allow_inconsistent: bool):
         records.append(_record(ts=sc.switch_time, kind="switch",
                                check="consistency",
                                value=v.worst_violation, **{"pass": False}))
+        if "overlap" in v.witness:
+            x, y = v.witness["overlap"]
+            why = f"the cells of realizations {x!r} and {y!r} overlap"
+        else:
+            mu = [round(float(c), 6) for c in v.witness["mu"]]
+            why = f"worst violation {v.worst_violation:.6g} at mu={mu}"
         return records, ["inconsistent switch plan (use --allow-inconsistent "
-                         "to trade through it); worst violation "
-                         f"{v.worst_violation:.6g} at "
-                         f"mu={[round(float(x), 6) for x in v.witness['mu']]}"]
+                         f"to trade through it); {why}"]
 
     def model_for(t):
         if ledger.plan is not None and (
@@ -206,6 +212,10 @@ def cmd_check(path, tol=None, allow_inconsistent: bool = False) -> int:
                 mu = [round(float(v), 6) for v in verdict.witness["mu"]]
                 print(f"  witness: mu={mu} for realization "
                       f"{verdict.witness['realization']!r}")
+            elif verdict.witness:
+                x, y = verdict.witness["overlap"]
+                print(f"  witness: the cells of realizations {x!r} and "
+                      f"{y!r} overlap")
             ok = allow_inconsistent
         bound = wc_loss_bound(sc.model, sc.initial_state)
     else:

@@ -440,9 +440,13 @@ class SwitchedCost(CostModel):
 
     C_sw(q) = max_x [ b_x + C_x(q) ] where C_x restricts the base cost to the
     cell of realization x and b_x is the utility the maker forgoes for that
-    cell at the switch state. The conjugate (the convex roof of the offset
-    conjugates) is never materialized; within a cell it is R(mu) - b_x, and
-    off the cells it is bounded by a sampled convex-combination program.
+    cell at the switch state. The conjugate is the convex roof of the offset
+    conjugates R(mu) - b_x and is never materialized. When the switch is
+    `consistent` (the planner's verdict) the roof inside a cell is that
+    cell's R(mu) - b_x, returned in closed form. Off the cells, and at every
+    price of a switch not known to be consistent, the roof is bounded by a
+    sampled convex-combination LP, which undercuts the in-cell value exactly
+    when the switch is inconsistent.
     """
 
     kind = "switched"
@@ -450,7 +454,7 @@ class SwitchedCost(CostModel):
     differentiable = False
 
     def __init__(self, base: CostModel, observation, switch_state,
-                 offsets: dict, cell_models: dict):
+                 offsets: dict, cell_models: dict, consistent: bool = False):
         super().__init__(base.space)
         self.base = base
         self.observation = observation
@@ -458,6 +462,7 @@ class SwitchedCost(CostModel):
         self.offsets = dict(offsets)
         self.cell_models = dict(cell_models)
         self.realizations = observation.realizations
+        self.consistent = bool(consistent)
 
     def cost(self, q) -> float:
         q = _as_vector(q, self.dim, "q")
@@ -484,10 +489,10 @@ class SwitchedCost(CostModel):
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
-        candidates = [self.base.conjugate(mu) - self.offsets[x]
-                      for x in self.containing_cells(mu)]
-        # convex-roof value: mixtures across cells can undercut the in-cell
-        # offset conjugate exactly when the switch is inconsistent
+        cells = self.containing_cells(mu)
+        if cells and self.consistent:
+            return self.base.conjugate(mu) - max(self.offsets[x] for x in cells)
+        candidates = [self.base.conjugate(mu) - self.offsets[x] for x in cells]
         points, values = self._roof_samples
         out = geometry.min_weighted_value(points, values, mu, self.domain_tol)
         if out is not None:

@@ -37,7 +37,7 @@ from .markets import (Observation, OutcomeSpace, independent_binary_market,
                       simplex_market, single_binary_market,
                       square_market, trivial_observation)
 from .simulate import (BeliefTrader, JitArbitrageur, NoiseTrader,
-                       TradeRequest)
+                       TradeRequest, check_sudden_inputs)
 
 
 class ScenarioError(ValueError):
@@ -229,6 +229,8 @@ def _parse_scenario(raw) -> Scenario:
         sc.switch_boundary = raw.get("switch_boundary", "after")
         sc.traders = [_build_trader(t, obs, settlement, model)
                       for t in raw.get("traders", [])]
+        check_sudden_inputs(obs, sc.traders, sc.switch_time, settlement,
+                            sc.switch_boundary)
     else:
         if not isinstance(model, LcmmCost):
             raise ScenarioError("gradual protocol needs an LCMM market")

@@ -164,6 +164,26 @@ class JitArbitrageur(TraderAgent):
         return self._cap(model, q, seq.bundle)
 
 
+def check_sudden_inputs(obs: Observation, traders, switch_time: float,
+                        outcome, switch_boundary: str = "after") -> None:
+    """Raise ValueError for a sudden-revelation run that cannot be carried
+    out as specified: an unknown switch boundary, a switch time that is not
+    finite, or an arbitrageur that contradicts the settlement or acts before
+    the switch."""
+    if switch_boundary not in ("after", "before"):
+        raise ValueError("switch_boundary must be 'after' or 'before'")
+    if not np.isfinite(switch_time):
+        raise ValueError("switch_time must be finite")
+    x_true = obs.of(outcome)
+    for tr in traders:
+        if isinstance(tr, JitArbitrageur):
+            if tr.x != x_true:
+                raise ValueError("arbitrageur realization contradicts settlement")
+            if tr.times and tr.times[0] < switch_time:
+                # acting before the observation is announced is disallowed
+                raise ValueError("arbitrageur may only act at/after the switch")
+
+
 def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
                   switch_time: float, outcome, seed: int = 0,
                   allow_inconsistent: bool = False,
@@ -176,17 +196,8 @@ def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
     moves the boundary so that trades exactly at switch_time still price
     under the original cost).
     """
-    if switch_boundary not in ("after", "before"):
-        raise ValueError("switch_boundary must be 'after' or 'before'")
     obs.validate(model.space)
-    x_true = obs.of(outcome)
-    for tr in traders:
-        if isinstance(tr, JitArbitrageur):
-            if tr.x != x_true:
-                raise ValueError("arbitrageur realization contradicts settlement")
-            if tr.times and tr.times[0] < switch_time:
-                # acting before the observation is announced is disallowed
-                raise ValueError("arbitrageur may only act at/after the switch")
+    check_sudden_inputs(obs, traders, switch_time, outcome, switch_boundary)
     rng = np.random.default_rng(seed)
     q = _as_vector(s_ini, model.dim, "s_ini")
     ledger = Ledger()

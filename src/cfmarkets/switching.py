@@ -81,7 +81,8 @@ def plan_switch(m: CostModel, obs: Observation, s,
     Offsets are b_x = C(s) - C_x(s), which equals the divergence from s to
     the cell's conditional price; the switched cost is max_x [b_x + C_x] and
     agrees with C at s. The consistency verdict reports whether the switch
-    also preserves conditional prices and excess utility.
+    also preserves conditional prices and excess utility; the switched cost
+    of a consistent plan prices its in-cell conjugates in closed form.
     """
     obs.validate(m.space)
     s = _as_vector(s, m.dim, "s")
@@ -90,8 +91,9 @@ def plan_switch(m: CostModel, obs: Observation, s,
         if b < -1e-8:
             raise AssertionError(f"negative switch offset for {x!r}: {b}")
     offsets = {x: max(b, 0.0) for x, b in gaps.items()}
-    switched = SwitchedCost(m, obs, s, offsets, cell_models)
     verdict = consistency_check(m, obs, s, tol=tol)
+    switched = SwitchedCost(m, obs, s, offsets, cell_models,
+                            consistent=verdict.consistent)
     return SwitchPlan(obs, s, offsets, cell_models, switched, cond, verdict)
 
 

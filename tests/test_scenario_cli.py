@@ -129,6 +129,16 @@ def test_parse_scenario_errors():
     with pytest.raises(ScenarioError):
         parse_scenario({**base, "observation": {"kind": "coordinate",
                                                 "index": 5}})
+    for switch_time in (float("nan"), float("inf")):
+        with pytest.raises(ScenarioError):
+            parse_scenario({**base, "switch_time": switch_time})
+    with pytest.raises(ScenarioError):
+        parse_scenario({**base, "switch_boundary": "during"})
+    for jit in ({"kind": "jit", "times": [1.5], "realization": 0.0},
+                {"kind": "jit", "times": [0.5]}):
+        with pytest.raises(ScenarioError):  # contradicts settlement / early
+            parse_scenario({**base, "observation": "coordinate",
+                            "traders": [jit]})
     gradual = {"seed": 1, "protocol": "gradual", "market": "medal_counts(1)",
                "settlement": [1]}
     bundle = [0.5, 0.0, 0.0]
@@ -190,6 +200,39 @@ def test_cmd_run_allow_inconsistent_reports_and_passes(tmp_path):
     assert exutil and exutil[0]["pass"] is False  # reported, not enforced
 
 
+OVERLAPPING_DIAGONALS = """\
+seed: 3
+market: square
+protocol: sudden
+observation: {kind: partition, groups: [[[0, 0], [1, 1]], [[0, 1], [1, 0]]]}
+switch_time: 1.0
+settlement: [1, 1]
+traders: [{kind: noise, name: n1, times: [0.5, 1.5]}]
+"""
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_cmd_run_overlapping_cells(tmp_path, capsys):
+    path = tmp_path / "diagonals.scn"
+    path.write_text(OVERLAPPING_DIAGONALS)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL: inconsistent switch plan" in err
+    assert "realizations 0 and 1 overlap" in err
+    # traded through, the infinite violation is written as strict JSON null
+    assert main(["run", str(path), "--allow-inconsistent"]) == 0
+    recs = [json.loads(line, parse_constant=_reject_constant)
+            for line in capsys.readouterr().out.splitlines()]
+    switch = [r for r in recs if r["kind"] == "switch"]
+    assert switch and switch[0]["value"] is None
+    assert switch[0]["pass"] is False
+    assert main(["check", str(path)]) == 1
+    assert "realizations 0 and 1 overlap" in capsys.readouterr().out
+
+
 def test_cmd_run_malformed_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("market: square\n")  # missing required fields
@@ -227,6 +270,11 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "schedules: [{block: 0, kind: exponential, rate: .nan}]",
     "schedules: [{block: 0, kind: quadratic}]",
     "schedules: [{block: 0, kind: linear-to-floor, rate: 0.1, floor: 1.5}]",
+    "switch_time: .nan",
+    "switch_time: .inf",
+    "switch_boundary: during",
+    "traders: [{kind: jit, times: [1.5], realization: 0.0}]",
+    "traders: [{kind: jit, times: [0.5]}]",
 ])
 def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     key = line.split(":")[0]

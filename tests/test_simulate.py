@@ -121,6 +121,15 @@ def test_jit_before_switch_rejected():
         run_protocol1(m, np.zeros(2), obs, [jit], 1.0, (1, 1))
 
 
+@pytest.mark.parametrize("switch_time", [float("nan"), float("inf")])
+def test_non_finite_switch_time_rejected(switch_time):
+    m = square()
+    obs = observe_coordinate(m.space, 0)
+    with pytest.raises(ValueError):
+        run_protocol1(m, np.zeros(2), obs, [NoiseTrader("n", [0.5])],
+                      switch_time, (1, 1))
+
+
 def test_jit_realization_must_match_settlement():
     m = square()
     obs = observe_coordinate(m.space, 0)

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from cfmarkets import (IndependentBinaryCost, LmsrCost, ScaledCost,
                        check_desiderata, consistency_check, excess_util,
-                       feasibility_precheck, observe_coordinate,
+                       feasibility_precheck, geometry, observe_coordinate,
                        observe_identity, observe_partition, observe_sum,
                        plan_switch, shift_state, simplex_market,
                        square_market, util_event)
@@ -122,6 +124,90 @@ def test_switched_zero_util_per_cell():
     for x in (0.0, 1.0):
         u = util_event(plan.switched, plan.cell_models[x].event, s).value
         assert u == pytest.approx(0.0, abs=1e-8)
+
+
+CONSISTENT_PLANS = {
+    "square/coordinate": lambda: (square(), coord0, [0.3, -0.2]),
+    "lmsr(4)/partition": lambda: (
+        LmsrCost(simplex_market(4)),
+        lambda m: observe_partition(m.space, [[0, 1], [2, 3]]),
+        [0.3, -0.2, 0.1, 0.0]),
+    "lmsr(3)/identity": lambda: (LmsrCost(simplex_market(3)),
+                                 lambda m: observe_identity(m.space),
+                                 [0.5, -0.4, 0.2]),
+    "square/sum@diagonal": lambda: (square(), lambda m: observe_sum(m.space),
+                                    [0.8, 0.8]),
+}
+
+
+def roof_lp(sw, mu):
+    """The sampled convex-roof LP the switched cost keeps off the cells."""
+    return geometry.min_weighted_value(*sw._roof_samples, mu,
+                                       sw.domain_tol)[0]
+
+
+@pytest.mark.parametrize("name", sorted(CONSISTENT_PLANS))
+def test_consistent_in_cell_conjugate_is_exact_and_below_roof_lp(name):
+    m, observe, s = CONSISTENT_PLANS[name]()
+    plan = plan_switch(m, observe(m), np.array(s))
+    sw = plan.switched
+    assert plan.consistency.consistent and sw.consistent
+    rng = np.random.default_rng(11)
+    for x, cell in plan.cell_models.items():
+        lam = rng.dirichlet(np.ones(cell.vertices.shape[0]), size=50)
+        for mu in lam @ cell.vertices:
+            value = sw.conjugate(mu)
+            # the closed form is the in-cell offset conjugate to roundoff,
+            # and the LP over exact samples never lies below it
+            assert value == pytest.approx(m.conjugate(mu) - plan.offsets[x],
+                                          abs=1e-12)
+            assert value <= roof_lp(sw, mu) + 1e-8
+
+
+@pytest.fixture
+def roof_lps(monkeypatch):
+    """Counts the HiGHS calls made from inside `min_weighted_value`."""
+    calls = []
+    real = geometry.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", counted)
+    return lambda: calls.count("min_weighted_value")
+
+
+@pytest.mark.parametrize("name", sorted(CONSISTENT_PLANS))
+def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
+    m, observe, s = CONSISTENT_PLANS[name]()
+    obs = observe(m)
+    plan = plan_switch(m, obs, np.array(s))
+    assert roof_lps() > 0  # the consistency check itself still samples
+    before = roof_lps()
+    report = check_desiderata((m, plan.switch_state),
+                              (plan.switched, plan.switch_state), obs,
+                              price_informational=True)
+    assert report.all_pass
+    assert roof_lps() == before
+    assert "_roof_samples" not in vars(plan.switched)  # never built
+
+
+def test_roof_lp_prices_off_cell_and_inconsistent_plans():
+    m = square()
+    # off the cells of a consistent plan the roof LP decides the value
+    sw = plan_switch(m, coord0(m), np.array([0.3, 0.9])).switched
+    mid = np.array([0.5, 0.5])
+    assert sw.containing_cells(mid) == []
+    assert sw.conjugate(mid) == roof_lp(sw, mid)
+    # inside a cell of an inconsistent plan the roof undercuts the cell value
+    plan = plan_switch(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    w = plan.consistency.witness
+    assert not plan.consistency.consistent and not plan.switched.consistent
+    in_cell = m.conjugate(w["mu"]) - plan.offsets[w["realization"]]
+    value = plan.switched.conjugate(w["mu"])
+    assert value == roof_lp(plan.switched, w["mu"])
+    assert value < in_cell - 0.05
 
 
 # ---------------------------------------------------------------------------
