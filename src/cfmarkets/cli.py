@@ -64,10 +64,9 @@ def _write_records(records, out, fmt: str):
         writer.writerow(row)
 
 
-def _trade_records(ledger, price_model_at):
+def _trade_records(ledger):
     for rec in ledger.records:
-        model = price_model_at(rec.time)
-        p = model.price(rec.state_after)
+        p = rec.model.price(rec.state_after)
         yield _record(ts=rec.time, kind="trade", state=rec.state_after,
                       price_center=p.center, spread=p.spread,
                       cost_delta=rec.cost, trader=rec.trader)
@@ -96,14 +95,7 @@ def _run_sudden(sc: Scenario, allow_inconsistent: bool):
         return records, ["inconsistent switch plan (use --allow-inconsistent "
                          f"to trade through it); {why}"]
 
-    def model_for(t):
-        if ledger.plan is not None and (
-                t >= sc.switch_time if sc.switch_boundary == "after"
-                else t > sc.switch_time):
-            return ledger.plan.switched
-        return sc.model
-
-    records.extend(_trade_records(ledger, model_for))
+    records.extend(_trade_records(ledger))
     plan = ledger.plan
     if plan is not None:
         consistent = plan.consistency.consistent
@@ -141,8 +133,7 @@ def _run_gradual(sc: Scenario):
     failures = []
     ledger = run_protocol2(sc.model, sc.schedule, sc.initial_state, sc.t0,
                            sc.requests, sc.settlement, seed=sc.seed)
-    records.extend(_trade_records(
-        ledger, lambda t: model_at(sc.model, sc.schedule, t)))
+    records.extend(_trade_records(ledger))
     bound = wc_loss_bound(model_at(sc.model, sc.schedule, sc.t0),
                           sc.initial_state)
     ok, slack = verify_loss(ledger, bound, tol=sc.tol)

@@ -439,12 +439,14 @@ class SwitchedCost(CostModel):
     """Post-revelation cost: pointwise max of offset restricted costs.
 
     C_sw(q) = max_x [ b_x + C_x(q) ] where C_x restricts the base cost to the
-    cell of realization x and b_x is the utility the maker forgoes for that
-    cell at the switch state. The conjugate is the convex roof of the offset
+    cell of realization x and b_x = C(s) - C_x(s) is the utility the maker
+    forgoes for that cell at the switch state s. The constructor validates
+    the observation and s and solves each cell once at s, for its offset and
+    its conditional price. The conjugate is the convex roof of the offset
     conjugates R(mu) - b_x and is never materialized. When the switch is
     `consistent` (the planner's verdict) the roof inside a cell is that
     cell's R(mu) - b_x, returned in closed form. Off the cells, and at every
-    price of a switch not known to be consistent, the roof is bounded by a
+    price of a switch not known to be consistent, `_roof` bounds it by a
     sampled convex-combination LP, which undercuts the in-cell value exactly
     when the switch is inconsistent.
     """
@@ -454,38 +456,42 @@ class SwitchedCost(CostModel):
     differentiable = False
 
     def __init__(self, base: CostModel, observation, switch_state,
-                 offsets: dict, cell_models: dict, consistent: bool = False):
+                 consistent: bool = False):
         super().__init__(base.space)
+        observation.validate(base.space)
         self.base = base
         self.observation = observation
         self.switch_state = _as_vector(switch_state, base.space.dim, "s")
-        self.offsets = dict(offsets)
-        self.cell_models = dict(cell_models)
         self.realizations = observation.realizations
         self.consistent = bool(consistent)
+        cs = base.cost(self.switch_state)
+        self.cell_models, self.offsets, self.conditional_prices = {}, {}, {}
+        for x in self.realizations:
+            cell = RestrictedCost(base, observation.cell(x))
+            c_x, self.conditional_prices[x] = cell.solve(self.switch_state)
+            b = cs - c_x
+            if b < -1e-8:
+                raise ValueError(f"negative switch offset for {x!r}: {b}")
+            self.cell_models[x], self.offsets[x] = cell, max(b, 0.0)
 
     def cost(self, q) -> float:
         q = _as_vector(q, self.dim, "q")
         return max(self.offsets[x] + self.cell_models[x].cost(q)
                    for x in self.realizations)
 
-    def argmax_cells(self, q, tie_tol: float = 1e-9) -> list:
-        q = _as_vector(q, self.dim, "q")
-        vals = {x: self.offsets[x] + self.cell_models[x].cost(q)
-                for x in self.realizations}
-        top = max(vals.values())
-        return [x for x in self.realizations if vals[x] >= top - tie_tol]
-
     def price(self, q) -> PriceSet:
-        sets = [self.cell_models[x].price(q) for x in self.argmax_cells(q)]
-        return PriceSet(np.min([p.lo for p in sets], axis=0),
-                        np.max([p.hi for p in sets], axis=0))
+        q = _as_vector(q, self.dim, "q")
+        solved = [self.cell_models[x].solve(q) for x in self.realizations]
+        vals = [self.offsets[x] + c
+                for x, (c, _) in zip(self.realizations, solved)]
+        top = max(vals)
+        prices = [p for v, (_, p) in zip(vals, solved) if v >= top - 1e-9]
+        return PriceSet(np.min(prices, axis=0), np.max(prices, axis=0))
 
-    def containing_cells(self, mu, tol: float | None = None) -> list:
-        tol = self.domain_tol if tol is None else tol
+    def containing_cells(self, mu) -> list:
         mu = _as_vector(mu, self.dim, "mu")
         return [x for x in self.realizations
-                if self.cell_models[x].hull.contains(mu, tol)]
+                if self.cell_models[x].hull.contains(mu, self.domain_tol)]
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
@@ -493,8 +499,7 @@ class SwitchedCost(CostModel):
         if cells and self.consistent:
             return self.base.conjugate(mu) - max(self.offsets[x] for x in cells)
         candidates = [self.base.conjugate(mu) - self.offsets[x] for x in cells]
-        points, values = self._roof_samples
-        out = geometry.min_weighted_value(points, values, mu, self.domain_tol)
+        out = self._roof(mu)
         if out is not None:
             candidates.append(out[0])
         if not candidates:
@@ -503,13 +508,22 @@ class SwitchedCost(CostModel):
 
     @cached_property
     def _roof_samples(self):
-        chunks, values = [], []
+        """Probe points of every cell, their offset conjugate values
+        R(p) - b_x, and the realization x that owns each point."""
+        chunks, values, owners = [], [], []
         for x in self.realizations:
             pts = probe_points(self.space, self.cell_models[x].event)
             chunks.append(pts)
             values.extend(self.base.conjugate(p) - self.offsets[x]
                           for p in pts)
-        return np.vstack(chunks), np.array(values)
+            owners.extend([x] * len(pts))
+        return np.vstack(chunks), np.array(values), owners
+
+    def _roof(self, mu):
+        """Sampled convex roof at mu: (value, weights) of the cheapest convex
+        combination of probe points that matches mu, or None off their hull."""
+        points, values, _ = self._roof_samples
+        return geometry.min_weighted_value(points, values, mu, self.domain_tol)
 
     def conjugate_grad(self, mu) -> np.ndarray:
         return self.base.conjugate_grad(mu)

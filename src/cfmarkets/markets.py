@@ -109,9 +109,6 @@ class Observation:
         except KeyError:
             raise KeyError(f"unknown realization {x!r}") from None
 
-    def cells(self) -> dict:
-        return dict(self._cells)
-
     def of(self, outcome):
         return self.label[outcome]
 

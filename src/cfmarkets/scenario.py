@@ -142,8 +142,15 @@ def _build_trader(spec, obs, settlement, model):
         return NoiseTrader(name, times, scale=float(spec.get("scale", 1.0)),
                            budget=budget)
     if kind == "belief":
-        return BeliefTrader(name, times, np.array(spec["belief"], dtype=float),
-                            budget=budget)
+        mu = np.array(spec["belief"], dtype=float)
+        if mu.shape != (model.dim,):
+            raise ScenarioError(f"trader {name!r}: belief has the wrong length")
+        if not np.all(np.isfinite(mu)):
+            raise ScenarioError(f"trader {name!r}: belief must be finite")
+        if not model.space.hull().contains(mu, model.domain_tol):
+            raise ScenarioError(f"trader {name!r}: belief is outside the "
+                                "price space")
+        return BeliefTrader(name, times, mu, budget=budget)
     if kind == "jit":
         if obs is None:
             raise ScenarioError("jit trader needs an observation")

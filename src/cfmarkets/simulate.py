@@ -40,6 +40,7 @@ class TradeRecord:
     cost: float
     state_before: np.ndarray
     state_after: np.ndarray
+    model: CostModel  # the cost that priced the trade
 
 
 @dataclass
@@ -54,10 +55,10 @@ class Ledger:
     final_state: np.ndarray | None = None
     plan: SwitchPlan | None = None
 
-    def record_trade(self, time, trader, bundle, cost, before, after):
+    def record_trade(self, time, trader, bundle, cost, before, after, model):
         self.records.append(TradeRecord(time, trader, np.asarray(bundle),
                                         float(cost), np.asarray(before),
-                                        np.asarray(after)))
+                                        np.asarray(after), model))
         self.costs[trader] = self.costs.get(trader, 0.0) + float(cost)
 
     def settle(self, space, outcome):
@@ -187,8 +188,7 @@ def check_sudden_inputs(obs: Observation, traders, switch_time: float,
 def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
                   switch_time: float, outcome, seed: int = 0,
                   allow_inconsistent: bool = False,
-                  switch_boundary: str = "after",
-                  plan_tol: float = 1e-7) -> Ledger:
+                  switch_boundary: str = "after") -> Ledger:
     """Sudden-revelation run: trade, switch at switch_time, trade, settle.
 
     Trades strictly before switch_time price under the original cost; trades
@@ -212,7 +212,7 @@ def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
                else now > switch_time)
         if switched or not due:
             return
-        plan = plan_switch(model, obs, q, tol=plan_tol)
+        plan = plan_switch(model, obs, q)
         ledger.plan = plan
         ledger.events.append({"time": switch_time, "event": "switch",
                               "consistent": plan.consistency.consistent})
@@ -225,7 +225,7 @@ def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
         maybe_switch(t)
         r = tr.bundle(current, q, t, rng)
         c = current.trade_cost(q, r)
-        ledger.record_trade(t, tr.name, r, c, q, q + r)
+        ledger.record_trade(t, tr.name, r, c, q, q + r, current)
         q = q + r
     maybe_switch(np.inf)
     ledger.final_state = q
@@ -261,7 +261,7 @@ def run_protocol2(model: LcmmCost, schedule: Schedule, s0, t0: float,
         r = (np.asarray(req.bundle, dtype=float) if req.bundle is not None
              else req.agent.bundle(m_t, q, t, rng))
         c = m_t.trade_cost(q, r)
-        ledger.record_trade(t, req.trader, r, c, q, q + r)
+        ledger.record_trade(t, req.trader, r, c, q, q + r, m_t)
         q = q + r
     ledger.final_state = q
     ledger.settle(model.space, outcome)

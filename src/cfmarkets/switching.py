@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .costs import (CostModel, RestrictedCost, ShiftedCost, SwitchedCost,
-                    _as_vector)
+from .costs import CostModel, ShiftedCost, SwitchedCost, _as_vector
 from .markets import Observation, OutcomeSpace, exposure_witness, probe_points
 from .utility import util_event
 
@@ -62,39 +60,21 @@ class DesiderataReport:
         return all(r.passed for r in self.rows.values() if not r.informational)
 
 
-def _solve_cells(m: CostModel, obs: Observation, s):
-    """Restricted cost of each cell, the gap C(s) - C_x(s) and the cell's
-    conditional price mu_x, both from one solve of the cell at s."""
-    cs = m.cost(s)
-    cell_models, gaps, prices = {}, {}, {}
-    for x in obs.realizations:
-        cell_models[x] = RestrictedCost(m, obs.cell(x))
-        c_x, prices[x] = cell_models[x].solve(s)
-        gaps[x] = cs - c_x
-    return cell_models, gaps, prices
-
-
 def plan_switch(m: CostModel, obs: Observation, s,
                 tol: float = 1e-7) -> SwitchPlan:
     """Build the post-revelation cost for observation `obs` at state s.
 
-    Offsets are b_x = C(s) - C_x(s), which equals the divergence from s to
-    the cell's conditional price; the switched cost is max_x [b_x + C_x] and
-    agrees with C at s. The consistency verdict reports whether the switch
-    also preserves conditional prices and excess utility; the switched cost
-    of a consistent plan prices its in-cell conjugates in closed form.
+    The consistency verdict reports whether the switch preserves conditional
+    prices and excess utility; it is handed to the `SwitchedCost`, which
+    solves each cell at s for its offset b_x = C(s) - C_x(s) (the divergence
+    from s to the cell's conditional price) and agrees with C at s. The
+    switched cost of a consistent plan prices its in-cell conjugates in
+    closed form.
     """
-    obs.validate(m.space)
-    s = _as_vector(s, m.dim, "s")
-    cell_models, gaps, cond = _solve_cells(m, obs, s)
-    for x, b in gaps.items():
-        if b < -1e-8:
-            raise AssertionError(f"negative switch offset for {x!r}: {b}")
-    offsets = {x: max(b, 0.0) for x, b in gaps.items()}
     verdict = consistency_check(m, obs, s, tol=tol)
-    switched = SwitchedCost(m, obs, s, offsets, cell_models,
-                            consistent=verdict.consistent)
-    return SwitchPlan(obs, s, offsets, cell_models, switched, cond, verdict)
+    sw = SwitchedCost(m, obs, s, consistent=verdict.consistent)
+    return SwitchPlan(obs, sw.switch_state, sw.offsets, sw.cell_models, sw,
+                      sw.conditional_prices, verdict)
 
 
 def consistency_check(m: CostModel, obs: Observation, s,
@@ -102,34 +82,23 @@ def consistency_check(m: CostModel, obs: Observation, s,
     """Sampled check that the offset conjugates admit a consistent convex roof.
 
     For each probe point mu of each cell hull (vertices and pairwise
-    midpoints), the cheapest convex combination of per-cell probe points
-    matching mu must not undercut the cell's own offset conjugate value.
-    Overlapping cell hulls make the offset conjugate ill-defined and are
-    reported as inconsistent outright.
+    midpoints), the switched cost's sampled roof `_roof(mu)` must not
+    undercut the cell's own offset conjugate value. Overlapping cell hulls
+    make the offset conjugate ill-defined and are reported as inconsistent
+    outright.
     """
-    obs.validate(m.space)
-    s = _as_vector(s, m.dim, "s")
-    xs = obs.realizations
-    cell_models, gaps, _ = _solve_cells(m, obs, s)
-    offsets = {x: max(b, 0.0) for x, b in gaps.items()}
+    sw = SwitchedCost(m, obs, s)
+    xs = sw.realizations
     for i, x in enumerate(xs):
         for y in xs[i + 1:]:
-            if cell_models[x].hull.intersects(cell_models[y].hull, tol=1e-9):
+            if sw.cell_models[x].hull.intersects(sw.cell_models[y].hull,
+                                                 tol=1e-9):
                 return ConsistencyVerdict(False, float("inf"),
                                           {"overlap": (x, y)})
-    points, values, owners = [], [], []
-    for x in xs:
-        pts = probe_points(m.space, obs.cell(x))
-        for p in pts:
-            points.append(p)
-            values.append(m.conjugate(p) - offsets[x])
-            owners.append(x)
-    points = np.vstack(points)
-    values = np.array(values)
     worst = 0.0
     witness = None
-    for p, v, x in zip(points, values, owners):
-        out = geometry.min_weighted_value(points, values, p, tol=1e-9)
+    for p, v, x in zip(*sw._roof_samples):
+        out = sw._roof(p)
         if out is None:  # pragma: no cover - p is itself a candidate
             continue
         low, weights = out
@@ -226,7 +195,10 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
             dec_ok = False
         dec_worst = max(dec_worst, u_new - u_old)
 
-        diffs = [m_old.divergence(mu, s_old) - m_new.divergence(mu, s_new)
+        # D_old(mu||s_old) - D_new(mu||s_new) less C_old(s_old) - C_new(s_new),
+        # a constant that cancels in the spread
+        diffs = [m_old.conjugate(mu) - m_new.conjugate(mu)
+                 - float((s_old - s_new) @ mu)
                  for mu in _cell_samples(m_old.space, cell, n_random, rng)]
         diffs = [d for d in diffs if np.isfinite(d)]
         if diffs:

@@ -100,6 +100,13 @@ def test_parse_scenario_errors():
         with pytest.raises(ScenarioError):
             parse_scenario({**base, "traders": [
                 {"kind": "noise", "times": [0.5], "budget": budget}]})
+    # wrong length, not finite, outside the price space before and after
+    # the switch
+    for belief, time in (([0.5, 0.5, 0.5], 1.4), ([float("nan"), 0.5], 1.4),
+                         ([2.0, 0.5], 1.4), ([2.0, 0.5], 0.5)):
+        with pytest.raises(ScenarioError, match="belief"):
+            parse_scenario({**base, "traders": [
+                {"kind": "belief", "times": [time], "belief": belief}]})
     with pytest.raises(ScenarioError):
         parse_scenario({**base, "protocol": "telepathy"})
     with pytest.raises(ScenarioError):
@@ -275,6 +282,10 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "switch_boundary: during",
     "traders: [{kind: jit, times: [1.5], realization: 0.0}]",
     "traders: [{kind: jit, times: [0.5]}]",
+    "traders: [{kind: belief, times: [1.4], belief: [2.0, 0.5]}]",
+    "traders: [{kind: belief, times: [0.5], belief: [2.0, 0.5]}]",
+    "traders: [{kind: belief, times: [1.4], belief: [0.5, 0.5, 0.5]}]",
+    "traders: [{kind: belief, times: [1.4], belief: [.nan, 0.5]}]",
 ])
 def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     key = line.split(":")[0]

@@ -3,12 +3,16 @@ import sys
 import numpy as np
 import pytest
 
-from cfmarkets import (IndependentBinaryCost, LmsrCost, ScaledCost,
-                       check_desiderata, consistency_check, excess_util,
-                       feasibility_precheck, geometry, observe_coordinate,
+from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
+                       RestrictedCost, ScaledCost, Schedule, SwitchedCost,
+                       bundled_scenarios, check_desiderata, consistency_check,
+                       excess_util, feasibility_precheck, geometry,
+                       load_scenario, medal_count_model, model_at, new_state,
+                       observe_block_payoff, observe_coordinate,
                        observe_identity, observe_partition, observe_sum,
-                       plan_switch, shift_state, simplex_market,
-                       square_market, util_event)
+                       partial_decrease_audit, plan_switch, run_protocol1,
+                       shift_state, simplex_market, square_market, util_event)
+from cfmarkets.switching import _cell_samples
 
 from oracles import square_count_violation
 
@@ -142,7 +146,7 @@ CONSISTENT_PLANS = {
 
 def roof_lp(sw, mu):
     """The sampled convex-roof LP the switched cost keeps off the cells."""
-    return geometry.min_weighted_value(*sw._roof_samples, mu,
+    return geometry.min_weighted_value(*sw._roof_samples[:2], mu,
                                        sw.domain_tol)[0]
 
 
@@ -208,6 +212,146 @@ def test_roof_lp_prices_off_cell_and_inconsistent_plans():
     value = plan.switched.conjugate(w["mu"])
     assert value == roof_lp(plan.switched, w["mu"])
     assert value < in_cell - 0.05
+
+
+@pytest.fixture
+def roof_calls(monkeypatch):
+    """Records the switched cost behind each `SwitchedCost._roof` call."""
+    calls = []
+    real = SwitchedCost._roof
+
+    def counted(self, mu):
+        calls.append(self)
+        return real(self, mu)
+
+    monkeypatch.setattr(SwitchedCost, "_roof", counted)
+    return calls
+
+
+def test_consistency_check_and_roof_conjugate_share_one_roof(roof_lps,
+                                                             roof_calls):
+    m = square()
+    v = consistency_check(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    assert not v.consistent
+    # every roof LP of the check is one `_roof` call
+    assert len(roof_calls) == roof_lps() > 0
+    sw = plan_switch(m, coord0(m), np.array([0.3, 0.9])).switched
+    before = len(roof_calls)
+    sw.conjugate(np.array([0.5, 0.5]))  # off the cells: the LP path
+    assert roof_calls[before:] == [sw]
+    assert len(roof_calls) == roof_lps()
+
+
+def test_switched_price_solves_each_cell_once(monkeypatch):
+    m = square()
+    sw = plan_switch(m, coord0(m), np.array([0.4, -1.1])).switched
+    solved = []
+    real = RestrictedCost.solve
+
+    def counted(self, q):
+        solved.append(self.event)
+        return real(self, q)
+
+    monkeypatch.setattr(RestrictedCost, "solve", counted)
+    cells = sorted(c.event for c in sw.cell_models.values())
+    # a tie at the switch state, then a single winning cell on each side
+    for q in (sw.switch_state, [2.0, 0.3], [-1.0, 0.5]):
+        solved.clear()
+        sw.price(q)
+        assert sorted(solved) == cells
+
+
+def test_negative_switch_offset_is_a_value_error(monkeypatch):
+    m = square()
+    obs = coord0(m)
+    s = np.array([0.3, -0.2])
+    real = RestrictedCost.solve
+
+    def inflated(self, q):
+        # one cell's cost above C(s) gives that cell a negative offset
+        c, mu = real(self, q)
+        return (c + 1.0 if self.event == obs.cell(1.0) else c), mu
+
+    monkeypatch.setattr(RestrictedCost, "solve", inflated)
+    with pytest.raises(ValueError, match="negative switch offset for 1.0"):
+        SwitchedCost(m, obs, s)
+    with pytest.raises(ValueError, match="negative switch offset for 1.0"):
+        plan_switch(m, obs, s)
+
+
+def test_desiderata_switched_cost_calls_do_not_grow_with_samples(
+        monkeypatch):
+    m = square()
+    obs = coord0(m)
+    s = np.array([0.5, 0.4])
+    sw = plan_switch(m, obs, s).switched
+    calls = []
+    real = SwitchedCost.cost
+
+    def counted(self, q):
+        calls.append(1)
+        return real(self, q)
+
+    monkeypatch.setattr(SwitchedCost, "cost", counted)
+    counts = []
+    for n_random in (8, 64):
+        calls.clear()
+        check_desiderata((m, s), (sw, s), obs, n_random=n_random,
+                         price_informational=True)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def divergence_exutil(old, new, obs, n_random=32, seed=0):
+    """Reference EXUTIL: the spread of D_old(mu||s_old) - D_new(mu||s_new)
+    over the audit's own samples of each cell."""
+    (m_old, s_old), (m_new, s_new) = old, new
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for x in obs.realizations:
+        diffs = [m_old.divergence(mu, s_old) - m_new.divergence(mu, s_new)
+                 for mu in _cell_samples(m_old.space, obs.cell(x), n_random,
+                                         rng)]
+        diffs = [d for d in diffs if np.isfinite(d)]
+        if diffs:
+            worst = max(worst, max(diffs) - min(diffs))
+    return worst
+
+
+def test_exutil_matches_divergence_reference_on_bundled_plans():
+    checked = 0
+    for path in bundled_scenarios().values():
+        sc = load_scenario(path)
+        if sc.protocol != "sudden":
+            continue
+        ledger = run_protocol1(sc.model, sc.initial_state, sc.observation,
+                               sc.traders, sc.switch_time, sc.settlement,
+                               seed=sc.seed, allow_inconsistent=True,
+                               switch_boundary=sc.switch_boundary)
+        old = (sc.model, ledger.plan.switch_state)
+        new = (ledger.plan.switched, ledger.plan.switch_state)
+        report = check_desiderata(old, new, sc.observation, tol=sc.tol,
+                                  seed=sc.seed, price_informational=True)
+        assert report.row("EXUTIL").worst == pytest.approx(
+            divergence_exutil(old, new, sc.observation, seed=sc.seed),
+            abs=1e-12), sc.name
+        checked += 1
+    assert checked >= 6
+
+
+def test_exutil_matches_divergence_reference_on_partial_decrease():
+    m = medal_count_model(2)
+    per_block = [BlockSchedule() for _ in m.blocks]
+    per_block[1] = BlockSchedule("exponential", rate=0.4)
+    sched = Schedule(tuple(per_block), 0.0)
+    q = np.array([0.2, -0.5, 0.1, 0.4, -0.2])
+    audit = partial_decrease_audit(m, sched, 1, q, 0.5, 1.5)
+    ts = new_state(m, sched, q, 0.5, 1.5)
+    obs = observe_block_payoff(m.space, m.blocks.blocks[1])
+    expected = divergence_exutil((model_at(m, sched, 0.5), q),
+                                 (model_at(m, sched, 1.5), ts.q), obs)
+    assert audit.report.row("EXUTIL").worst == pytest.approx(expected,
+                                                             abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
