@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -28,12 +28,13 @@ from scipy.special import expit, xlogy
 
 from . import geometry
 from ._solvers import project_onto_hull
-from .markets import OutcomeSpace, probe_points
+from .markets import OutcomeSpace, exposure_witness, probe_points
 
 INF = float("inf")
 
 _LOG_CLIP = 1e-300  # keeps entropy gradients finite at the hull boundary
 _STATE_CLIP = 120.0  # logit magnitude used when inverting boundary prices
+CONSISTENCY_TOL = 1e-7  # roof undercut above which a switch is inconsistent
 
 
 def _as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
@@ -443,10 +444,10 @@ class SwitchedCost(CostModel):
     forgoes for that cell at the switch state s. The constructor validates
     the observation and s and solves each cell once at s, for its offset and
     its conditional price. The conjugate is the convex roof of the offset
-    conjugates R(mu) - b_x and is never materialized. When the switch is
-    `consistent` (the planner's verdict) the roof inside a cell is that
-    cell's R(mu) - b_x, returned in closed form. Off the cells, and at every
-    price of a switch not known to be consistent, `_roof` bounds it by a
+    conjugates R(mu) - b_x and is never materialized. The switch decides its
+    own consistency (`violation`): when it is `consistent` the roof inside a
+    cell is that cell's R(mu) - b_x, returned in closed form. Off the cells,
+    and at every price of an inconsistent switch, `_roof` bounds it by a
     sampled convex-combination LP, which undercuts the in-cell value exactly
     when the switch is inconsistent.
     """
@@ -455,15 +456,13 @@ class SwitchedCost(CostModel):
     strictly_convex = False
     differentiable = False
 
-    def __init__(self, base: CostModel, observation, switch_state,
-                 consistent: bool = False):
+    def __init__(self, base: CostModel, observation, switch_state):
         super().__init__(base.space)
         observation.validate(base.space)
         self.base = base
         self.observation = observation
         self.switch_state = _as_vector(switch_state, base.space.dim, "s")
         self.realizations = observation.realizations
-        self.consistent = bool(consistent)
         cs = base.cost(self.switch_state)
         self.cell_models, self.offsets, self.conditional_prices = {}, {}, {}
         for x in self.realizations:
@@ -502,9 +501,35 @@ class SwitchedCost(CostModel):
         out = self._roof(mu)
         if out is not None:
             candidates.append(out[0])
-        if not candidates:
-            return INF
-        return min(candidates)
+        return min(candidates, default=INF)
+
+    @cached_property
+    def violation(self) -> tuple[float, dict | None]:
+        """(worst, witness) of the roof test: (inf, the pair) for overlapping
+        cells; (0.0, None), with no LP, when every cell is exposed, which
+        makes the switch consistent at every state (arXiv 1407.8161); else
+        the worst probe value R(p) - b_x less the sampled roof `_roof(p)`."""
+        for x, y in combinations(self.realizations, 2):
+            if self.cell_models[x].hull.intersects(self.cell_models[y].hull,
+                                                   tol=1e-9):
+                return INF, {"overlap": (x, y)}
+        if all(exposure_witness(self.space, self.observation).values()):
+            return 0.0, None
+        worst, witness = 0.0, None
+        for p, v, x in zip(*self._roof_samples):
+            out = self._roof(p)
+            if out is None:  # pragma: no cover - p is itself a candidate
+                continue
+            low, weights = out
+            if v - low > worst:
+                worst = v - low
+                witness = {"mu": p.copy(), "realization": x, "value": v,
+                           "roof_value": low, "weights": weights.copy()}
+        return worst, witness
+
+    @property
+    def consistent(self) -> bool:
+        return self.violation[0] <= CONSISTENCY_TOL
 
     @cached_property
     def _roof_samples(self):

@@ -226,6 +226,10 @@ def _parse_scenario(raw) -> Scenario:
     if not np.all(np.isfinite(s0)):
         raise ScenarioError("initial_state must be finite")
     tol = float(raw.get("tolerance", 1e-6))
+    if not tol > 0:
+        raise ScenarioError("tolerance must be a positive number")
+    if np.any(np.spacing(np.abs(s0)) > tol):
+        raise ScenarioError("initial_state is too large for the tolerance")
     sc = Scenario(name=str(raw.get("name", "scenario")), seed=seed, tol=tol,
                   protocol=protocol, model=model, observation=obs,
                   initial_state=s0, settlement=settlement, raw=raw)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, ShiftedCost, SwitchedCost, _as_vector
+from .costs import (CONSISTENCY_TOL, CostModel, ShiftedCost, SwitchedCost,
+                    _as_vector)
 from .markets import Observation, OutcomeSpace, exposure_witness, probe_points
 from .utility import util_event
 
@@ -23,6 +24,7 @@ class ConsistencyVerdict:
     consistent: bool
     worst_violation: float
     witness: dict | None = None
+    switched: SwitchedCost | None = None  # the switch that was checked
 
     def __bool__(self):
         return self.consistent
@@ -60,57 +62,25 @@ class DesiderataReport:
         return all(r.passed for r in self.rows.values() if not r.informational)
 
 
-def plan_switch(m: CostModel, obs: Observation, s,
-                tol: float = 1e-7) -> SwitchPlan:
-    """Build the post-revelation cost for observation `obs` at state s.
-
-    The consistency verdict reports whether the switch preserves conditional
-    prices and excess utility; it is handed to the `SwitchedCost`, which
-    solves each cell at s for its offset b_x = C(s) - C_x(s) (the divergence
-    from s to the cell's conditional price) and agrees with C at s. The
-    switched cost of a consistent plan prices its in-cell conjugates in
-    closed form.
-    """
-    verdict = consistency_check(m, obs, s, tol=tol)
-    sw = SwitchedCost(m, obs, s, consistent=verdict.consistent)
+def plan_switch(m: CostModel, obs: Observation, s) -> SwitchPlan:
+    """Build the post-revelation cost for observation `obs` at state s: the
+    one `SwitchedCost` that `consistency_check` built and judged, whose
+    offsets b_x = C(s) - C_x(s) are each cell's divergence from s."""
+    verdict = consistency_check(m, obs, s)
+    sw = verdict.switched
     return SwitchPlan(obs, sw.switch_state, sw.offsets, sw.cell_models, sw,
                       sw.conditional_prices, verdict)
 
 
 def consistency_check(m: CostModel, obs: Observation, s,
-                      tol: float = 1e-7) -> ConsistencyVerdict:
-    """Sampled check that the offset conjugates admit a consistent convex roof.
-
-    For each probe point mu of each cell hull (vertices and pairwise
-    midpoints), the switched cost's sampled roof `_roof(mu)` must not
-    undercut the cell's own offset conjugate value. Overlapping cell hulls
-    make the offset conjugate ill-defined and are reported as inconsistent
-    outright.
-    """
+                      tol: float = CONSISTENCY_TOL) -> ConsistencyVerdict:
+    """Whether the offset conjugates admit a consistent convex roof: the
+    switch's `SwitchedCost.violation` at most tol. The verdict carries the
+    switch it checked."""
     sw = SwitchedCost(m, obs, s)
-    xs = sw.realizations
-    for i, x in enumerate(xs):
-        for y in xs[i + 1:]:
-            if sw.cell_models[x].hull.intersects(sw.cell_models[y].hull,
-                                                 tol=1e-9):
-                return ConsistencyVerdict(False, float("inf"),
-                                          {"overlap": (x, y)})
-    worst = 0.0
-    witness = None
-    for p, v, x in zip(*sw._roof_samples):
-        out = sw._roof(p)
-        if out is None:  # pragma: no cover - p is itself a candidate
-            continue
-        low, weights = out
-        violation = v - low
-        if violation > worst:
-            worst = violation
-            witness = {"mu": p.copy(), "realization": x,
-                       "value": v, "roof_value": low,
-                       "weights": weights.copy()}
-    if worst > tol:
-        return ConsistencyVerdict(False, worst, witness)
-    return ConsistencyVerdict(True, worst, None)
+    worst, witness = sw.violation
+    ok = worst <= tol
+    return ConsistencyVerdict(ok, worst, None if ok else witness, sw)
 
 
 @dataclass

@@ -4,7 +4,8 @@ Each file in tests/golden/ holds the record stream of one case; the impossible
 count scenario runs both with and without --allow-inconsistent. Exit codes
 must match exactly, non-numeric fields exactly and numbers within 1e-9.
 A difference is a behaviour change to explain, not a fixture to refresh.
-To write the files afresh after an intended change:
+After an intended change, this rewrites the lines that no longer match and
+leaves every other line and file as it is:
 
     PYTHONPATH=src python tests/test_golden_records.py
 """
@@ -81,8 +82,24 @@ def test_records_match_golden(case):
         _assert_close(json.loads(g), json.loads(w), f"{case}:{i + 1}")
 
 
+def _matches(got_line, want_line):
+    try:
+        _assert_close(json.loads(got_line), json.loads(want_line), "")
+    except AssertionError:
+        return False
+    return True
+
+
 if __name__ == "__main__":
+    # a golden line that still matches is kept, so drift below NUM_TOL never
+    # reaches the fixtures and only the cases that changed are rewritten
     for case in sorted(EXIT_CODES):
         code, text = _run(case)
-        (GOLDEN / f"{case}.jsonl").write_text(text)
-        print(case, code)
+        path = GOLDEN / f"{case}.jsonl"
+        want = path.read_text().splitlines() if path.exists() else []
+        got = text.splitlines()
+        if len(got) == len(want):
+            got = [w if _matches(g, w) else g for g, w in zip(got, want)]
+        if got != want:
+            path.write_text("".join(line + "\n" for line in got))
+            print(case, code, "rewritten")

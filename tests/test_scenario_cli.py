@@ -93,9 +93,13 @@ def test_parse_scenario_errors():
         parse_scenario({**base, "seed": "seven"})
     with pytest.raises(ScenarioError):
         parse_scenario({**base, "seed": True})  # bool passes isinstance(int)
-    for bad_state in ([float("nan"), 0.0], [0.0, float("inf")], ["a", 0.0]):
+    for bad_state in ([float("nan"), 0.0], [0.0, float("inf")], ["a", 0.0],
+                      [1.0e308, 0.0], [1.0e10, 0.0]):
         with pytest.raises(ScenarioError):
             parse_scenario({**base, "initial_state": bad_state})
+    # a trade of size `tolerance` still moves an entry of 1e3
+    assert parse_scenario({**base, "initial_state": [1.0e3, 0.0]}
+                          ).initial_state[0] == 1.0e3
     for budget in (-1.0, float("nan"), "lots", True):
         with pytest.raises(ScenarioError):
             parse_scenario({**base, "traders": [
@@ -240,6 +244,33 @@ def test_cmd_run_overlapping_cells(tmp_path, capsys):
     assert "realizations 0 and 1 overlap" in capsys.readouterr().out
 
 
+def test_cmd_run_exposed_switch_at_clipped_state(tmp_path, capsys):
+    # a boundary belief drives the state to the logit clip, [120, 0], before
+    # a coordinate revelation: exposed cells are consistent at any state
+    text = Path(scn("square_count_impossible.scn")).read_text()
+    for old, new in (("{kind: sum}", "{kind: coordinate, index: 0}"),
+                     ("belief: [1.0, 0.0]", "belief: [1.0, 0.5]"),
+                     ("times: [1.4]", "times: [0.5]")):
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "clipped.scn"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 0
+    recs = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    switch = [r for r in recs if r["check"] == "consistency"]
+    assert len(switch) == 1
+    assert switch[0]["pass"] is True and switch[0]["value"] == 0.0
+    assert switch[0]["state"][0] == pytest.approx(120.0)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+def test_parse_scenario_rejects_nonpositive_tolerance(tolerance):
+    raw = {"seed": 1, "protocol": "sudden", "market": "square",
+           "settlement": [1, 1], "switch_time": 1.0, "tolerance": tolerance}
+    with pytest.raises(ScenarioError, match="tolerance must be"):
+        parse_scenario(raw)
+
+
 def test_cmd_run_malformed_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.scn"
     bad.write_text("market: square\n")  # missing required fields
@@ -286,6 +317,8 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "traders: [{kind: belief, times: [0.5], belief: [2.0, 0.5]}]",
     "traders: [{kind: belief, times: [1.4], belief: [0.5, 0.5, 0.5]}]",
     "traders: [{kind: belief, times: [1.4], belief: [.nan, 0.5]}]",
+    "initial_state: [1.0e308, 0.0]",
+    "initial_state: [1.0e10, 0.0]",
 ])
 def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     key = line.split(":")[0]

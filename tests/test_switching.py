@@ -187,14 +187,69 @@ def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
     m, observe, s = CONSISTENT_PLANS[name]()
     obs = observe(m)
     plan = plan_switch(m, obs, np.array(s))
-    assert roof_lps() > 0  # the consistency check itself still samples
+    exposed = bool(feasibility_precheck(m.space, obs))
+    if exposed:
+        assert roof_lps() == 0  # exposure decides the check
+    else:
+        assert roof_lps() > 0  # the consistency check itself samples
     before = roof_lps()
     report = check_desiderata((m, plan.switch_state),
                               (plan.switched, plan.switch_state), obs,
                               price_informational=True)
     assert report.all_pass
     assert roof_lps() == before
-    assert "_roof_samples" not in vars(plan.switched)  # never built
+    if exposed:
+        assert "_roof_samples" not in vars(plan.switched)  # never built
+
+
+def test_exposed_switch_is_consistent_at_large_states(roof_lps):
+    m = square()
+    v = consistency_check(m, coord0(m), np.array([120.0, 0.0]))
+    assert v.consistent and v.worst_violation == 0.0
+    m = LmsrCost(simplex_market(4))
+    obs = observe_partition(m.space, [[0, 1], [2, 3]])
+    v = consistency_check(m, obs, np.array([120.0, -120.0, 0.0, 120.0]))
+    assert v.consistent and v.worst_violation == 0.0
+    assert roof_lps() == 0
+
+
+def test_plan_switch_solves_each_cell_once(monkeypatch):
+    m = square()
+    solved = []
+    real = RestrictedCost.solve
+
+    def counted(self, q):
+        solved.append(self.event)
+        return real(self, q)
+
+    monkeypatch.setattr(RestrictedCost, "solve", counted)
+    plan = plan_switch(m, coord0(m), np.array([0.3, -0.2]))
+    assert sorted(solved) == sorted(c.event
+                                    for c in plan.cell_models.values())
+    assert plan.consistency.switched is plan.switched
+
+
+def sampled_roof_violation(sw):
+    """Worst undercut of a probe value by the sampled roof LP."""
+    points, values, _ = sw._roof_samples
+    return max(v - roof_lp(sw, p) for p, v in zip(points, values))
+
+
+def test_exposure_verdict_agrees_with_sampled_roof_lp():
+    checked = set()
+    rng = np.random.default_rng(7)
+    for path in bundled_scenarios().values():
+        sc = load_scenario(path)
+        obs = sc.observation
+        if obs is None or not feasibility_precheck(sc.model.space, obs):
+            continue
+        for _ in range(20):
+            s = rng.uniform(-3, 3, sc.model.dim)
+            v = consistency_check(sc.model, obs, s)
+            assert v.consistent and v.worst_violation == 0.0
+            assert sampled_roof_violation(v.switched) <= 1e-7, (sc.name, s)
+        checked.add(sc.name)
+    assert len(checked) >= 4
 
 
 def test_roof_lp_prices_off_cell_and_inconsistent_plans():
