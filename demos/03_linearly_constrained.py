@@ -13,8 +13,8 @@ Run:  python3 demos/03_linearly_constrained.py
 
 import numpy as np
 
-from cfmarkets import (certificate_check, lcmm_cost, lcmm_divergence,
-                       medal_count_model, tightness_check, wc_loss_bound)
+from cfmarkets import (certificate_check, lcmm_divergence, medal_count_model,
+                       tightness_check, wc_loss_bound)
 
 
 def section(title):
@@ -29,9 +29,10 @@ print("constraint direction (both signs):", m.A[:, 0],
 
 section("Arbitrage is found and returned")
 q = np.array([2.0, -1.0, 0.0, 0.0, 0.0])  # blocks disagree about the count
-value, sol = lcmm_cost(m, q)
+sol = m.solve(q)
 print("direct-sum cost  ", round(m.direct_sum_cost(q), 6))
-print("LCMM cost        ", round(value, 6), " (the gap is trader arbitrage)")
+print("LCMM cost        ", round(sol.value, 6),
+      " (the gap is trader arbitrage)")
 print("eta*             ", np.round(sol.eta, 6))
 print("certificate gap  ", f"{sol.certificate_gap:.2e}",
       "| certified:", certificate_check(m, q, sol.eta))

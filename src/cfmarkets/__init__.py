@@ -11,14 +11,13 @@ worst-case loss verification, and a scenario CLI.
 from .costs import (CostModel, ExponentialFamilyCost, IndependentBinaryCost,
                     LmsrCost, PiecewiseLinearCost, PriceSet, RestrictedCost,
                     ScaledCost, ShiftedCost, SwitchedCost,
-                    finite_difference_price, restricted_cost,
-                    scale_liquidity)
+                    finite_difference_price)
 from .gradual import (BlockSchedule, PartialDecreaseAudit, Schedule,
                       TimedState, constant_schedule, divergence_decomposition,
-                      model_at, new_state, partial_decrease_audit, time_cost)
+                      model_at, new_state, partial_decrease_audit)
 from .lcmm import (ArbitrageSolution, LcmmCost, TightnessResult,
-                   certificate_check, direct_sum_cost, lcmm_cost,
-                   lcmm_divergence, medal_count_model, tightness_check)
+                   certificate_check, lcmm_divergence, medal_count_model,
+                   tightness_check)
 from .markets import (BlockStructure, ExposureWitness, Observation,
                       OutcomeSpace, exposure_witness, face_check,
                       independent_binary_market, membership,

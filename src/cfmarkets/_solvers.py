@@ -11,7 +11,6 @@ import numpy as np
 @dataclass
 class ProjectionResult:
     mu: np.ndarray
-    weights: np.ndarray
     value: float
     gap: float
     converged: bool
@@ -46,8 +45,8 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad, q: np.ndarray,
     n = V.shape[0]
     if n == 1:
         mu = V[0]
-        return ProjectionResult(mu.copy(), np.array([1.0]),
-                                float(conj(mu) - q @ mu), 0.0, True, 0)
+        return ProjectionResult(mu.copy(), float(conj(mu) - q @ mu), 0.0,
+                                True, 0)
 
     lam = np.full(n, 1.0 / n)
     gap = np.inf
@@ -83,8 +82,8 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad, q: np.ndarray,
         lam = np.clip(lam + gamma * d, 0.0, None)
         lam /= lam.sum()
     mu = V.T @ lam
-    return ProjectionResult(mu, lam, float(conj(mu) - q @ mu), gap,
-                            gap <= tol, it)
+    return ProjectionResult(mu, float(conj(mu) - q @ mu), gap, gap <= tol,
+                            it)
 
 
 def polish_nonnegative(f, grad, x0: np.ndarray, stop,

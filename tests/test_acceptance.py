@@ -16,7 +16,7 @@ from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
                        NoiseTrader, PiecewiseLinearCost, Schedule,
                        TradeRequest, bundled_scenarios, check_desiderata,
                        conditional_price, consistency_check,
-                       divergence_decomposition, lcmm_cost, medal_count_model,
+                       divergence_decomposition, medal_count_model,
                        model_at, new_state, observe_coordinate, observe_sum,
                        optimizing_sequence, partial_decrease_audit,
                        plan_switch, run_protocol1, run_protocol2,
@@ -185,10 +185,10 @@ def test_07_lcmm_certificates_and_value_oracle():
         m = medal_count_model(n)
         for _ in range(runs):
             q = rng.uniform(-3, 3, m.dim)
-            value, sol = lcmm_cost(m, q)
+            sol = m.solve(q)
             worst_gap = max(worst_gap, sol.certificate_gap)
             worst_val = max(worst_val,
-                            abs(value - medal_eta_grid_value(q, n)))
+                            abs(sol.value - medal_eta_grid_value(q, n)))
     elapsed = time.perf_counter() - start
     assert worst_val <= 1e-4, worst_val
     assert worst_gap <= 1e-7, worst_gap

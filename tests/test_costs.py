@@ -7,9 +7,8 @@ from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
                        ScaledCost, ShiftedCost, finite_difference_price,
                        membership, observe_coordinate, plan_switch,
-                       restricted_cost, scale_liquidity, simplex_market,
-                       single_binary_market, single_security_market,
-                       square_market, util_event)
+                       simplex_market, single_binary_market,
+                       single_security_market, square_market, util_event)
 from cfmarkets._solvers import project_onto_hull
 from cfmarkets.costs import _logsumexp
 
@@ -188,10 +187,9 @@ def test_lmsr_price_sums_to_one_property(qs):
 
 @pytest.fixture
 def projections(monkeypatch):
-    """Counts the Frank-Wolfe projections made through costs and utility;
-    once `forbidden` is set, any further projection fails the test."""
+    """Counts the Frank-Wolfe projections, all of which `RestrictedCost`
+    makes; once `forbidden` is set, any further projection fails the test."""
     import cfmarkets.costs
-    import cfmarkets.utility
 
     class Projections:
         calls = 0
@@ -205,7 +203,6 @@ def projections(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cfmarkets.costs, "project_onto_hull", counted)
-    monkeypatch.setattr(cfmarkets.utility, "project_onto_hull", counted)
     return Projections
 
 
@@ -308,11 +305,28 @@ def test_restricted_delegating_kinds_match_projection(make_base, event,
     assert value == pytest.approx(-res.value, abs=1e-7)
 
 
-def test_restricted_cost_helper_and_empty_event():
+def test_restricted_solve_evaluates_the_conjugate_once_per_projection(
+        projections):
     m = square()
-    assert isinstance(restricted_cost(m, (((1, 1)),)), RestrictedCost)
+    diag = RestrictedCost(m, (((0, 1)), ((1, 0))))
+    real, calls = m.conjugate, []
+
+    def counted(mu):
+        calls.append(mu)
+        return real(mu)
+
+    m.conjugate = counted  # the projection reads the base's binding
+    value, mu = diag.solve(np.array([0.5, -0.7]))
+    assert projections.calls == 1 and len(calls) == 1
+    assert value == -diag.project(np.array([0.5, -0.7])).value
+
+
+def test_restricted_cost_rejects_empty_event():
+    m = square()
     with pytest.raises(ValueError):
         RestrictedCost(m, ())
+    with pytest.raises(ValueError):
+        util_event(m, (), np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +336,7 @@ def test_restricted_cost_helper_and_empty_event():
 def test_scaled_cost_properties():
     m = lmsr()
     a = 0.37
-    s = scale_liquidity(m, a)
-    assert isinstance(s, ScaledCost)
+    s = ScaledCost(m, a)
     q = np.array([0.4, -0.1, 0.8])
     assert s.cost(a * q) == pytest.approx(a * m.cost(q), abs=1e-12)
     assert np.allclose(s.price(a * q).center, m.price(q).center, atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from cfmarkets import (BlockSchedule, Schedule, constant_schedule,
                        divergence_decomposition, medal_count_model, model_at,
                        new_state, observe_block_payoff,
-                       partial_decrease_audit, time_cost, util_event)
+                       partial_decrease_audit, util_event)
 
 
 def decaying_schedule(model, rates, t0=0.0):
@@ -65,12 +65,13 @@ def test_model_at_start_is_unscaled():
     assert m1.cost(np.zeros(3)) < m0.cost(np.zeros(3))
 
 
-def test_time_cost_matches_model_at():
+def test_model_at_solve_is_certified_cost():
     m = medal_count_model(2)
     sched = decaying_schedule(m, {0: 0.3, 1: 0.7})
     q = np.random.default_rng(0).uniform(-1, 1, m.dim)
-    value, sol = time_cost(m, sched, q, 1.5)
-    assert value == pytest.approx(model_at(m, sched, 1.5).cost(q), abs=1e-12)
+    sol = model_at(m, sched, 1.5).solve(q)
+    assert sol.value == pytest.approx(model_at(m, sched, 1.5).cost(q),
+                                      abs=1e-12)
     assert sol.certificate_gap <= 1e-9
 
 

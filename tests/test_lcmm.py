@@ -3,8 +3,8 @@ import pytest
 
 from cfmarkets import (BlockStructure, ExponentialFamilyCost,
                        IndependentBinaryCost, LcmmCost, LmsrCost,
-                       OutcomeSpace, certificate_check, direct_sum_cost,
-                       independent_binary_market, lcmm_cost, lcmm_divergence,
+                       OutcomeSpace, certificate_check,
+                       independent_binary_market, lcmm_divergence,
                        medal_count_model, simplex_market,
                        single_security_market, tightness_check)
 
@@ -61,7 +61,7 @@ def test_direct_sum_matches_blocks():
     q = rng.uniform(-2, 2, m.dim)
     expected = (np.logaddexp(0, q[0]) + np.logaddexp(0, q[1])
                 + np.log(np.exp(q[2:]).sum()))
-    assert direct_sum_cost(m, q) == pytest.approx(expected, abs=1e-12)
+    assert m.direct_sum_cost(q) == pytest.approx(expected, abs=1e-12)
     p = m.direct_sum_price(q).center
     assert np.allclose(p[:2], 1 / (1 + np.exp(-q[:2])), atol=1e-12)
     assert p[2:].sum() == pytest.approx(1.0, abs=1e-12)
@@ -87,18 +87,18 @@ def test_direct_sum_conjugate_and_divergence():
 def test_solve_returns_certified_optimum():
     m = medal_count_model(1)
     q = np.array([2.0, 0.0, 0.0])
-    value, sol = lcmm_cost(m, q)
+    sol = m.solve(q)
     assert sol.converged
     assert sol.certificate_gap <= 1e-9
-    assert value <= m.direct_sum_cost(q) + 1e-12  # arbitrage only helps
-    assert value == pytest.approx(medal_eta_grid_value(q, 1), abs=1e-8)
+    assert sol.value <= m.direct_sum_cost(q) + 1e-12  # arbitrage only helps
+    assert sol.value == pytest.approx(medal_eta_grid_value(q, 1), abs=1e-8)
     assert certificate_check(m, q, sol.eta)
 
 
 def test_certificate_rejects_perturbed_eta():
     m = medal_count_model(1)
     q = np.array([2.0, 0.0, 0.0])
-    _, sol = lcmm_cost(m, q)
+    sol = m.solve(q)
     assert not certificate_check(m, q, sol.eta + np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         certificate_check(m, q, -np.ones(2))
@@ -110,10 +110,10 @@ def test_solve_random_states_match_eta_grid_oracle():
         m = medal_count_model(n)
         for _ in range(10):
             q = rng.uniform(-3, 3, m.dim)
-            value, sol = lcmm_cost(m, q)
+            sol = m.solve(q)
             assert sol.certificate_gap <= 1e-7
-            assert value == pytest.approx(medal_eta_grid_value(q, n),
-                                          abs=1e-6)
+            assert sol.value == pytest.approx(medal_eta_grid_value(q, n),
+                                              abs=1e-6)
 
 
 def test_price_satisfies_constraints():
@@ -132,9 +132,9 @@ def test_price_satisfies_constraints():
 def test_unconstrained_model_has_no_arbitrage_term():
     m = unconstrained_two_block_model()
     q = np.array([0.7, -0.4])
-    value, sol = lcmm_cost(m, q)
+    sol = m.solve(q)
     assert sol.eta.size == 0
-    assert value == pytest.approx(m.direct_sum_cost(q), abs=1e-12)
+    assert sol.value == pytest.approx(m.direct_sum_cost(q), abs=1e-12)
 
 
 def test_divergence_decomposition_route():

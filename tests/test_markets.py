@@ -161,6 +161,28 @@ def test_exposure_witness_sum_middle_cell_not_exposed():
     assert out[1.0] is None  # the diagonal is not an argmax set
 
 
+def test_exposure_witness_is_decided_once_per_space(monkeypatch):
+    from cfmarkets import geometry
+    calls = []
+    real = geometry.separating_direction
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "separating_direction", counted)
+    sp = square_market()
+    obs = observe_sum(sp)
+    first = exposure_witness(sp, obs)
+    assert len(calls) == 1  # the diagonal cell needs the LP
+    first[1.0] = "changed by the caller"
+    again = exposure_witness(sp, obs)
+    assert len(calls) == 1 and again is not first and again[1.0] is None
+    assert again[0.0] is first[0.0]
+    exposure_witness(square_market(), obs)  # an equal but new space
+    assert len(calls) == 2
+
+
 def test_exposure_witness_simplex_partition():
     sp = simplex_market(4)
     obs = observe_partition(sp, [[0, 1], [2, 3]])

@@ -93,6 +93,8 @@ def test_parse_scenario_errors():
         parse_scenario({**base, "seed": "seven"})
     with pytest.raises(ScenarioError):
         parse_scenario({**base, "seed": True})  # bool passes isinstance(int)
+    with pytest.raises(ScenarioError, match="non-negative"):
+        parse_scenario({**base, "seed": -3})
     for bad_state in ([float("nan"), 0.0], [0.0, float("inf")], ["a", 0.0],
                       [1.0e308, 0.0], [1.0e10, 0.0]):
         with pytest.raises(ScenarioError):
@@ -295,6 +297,7 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
 
 @pytest.mark.parametrize("line", [
     "seed: true",
+    "seed: -3",
     "initial_state: [.nan, 0.0]",
     "initial_state: [.inf, 0.0]",
     "traders: [{kind: noise, times: [0.5], budget: -1.0}]",
@@ -329,6 +332,56 @@ def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     bad.write_text("\n".join(fields.values()) + "\n")
     assert main(["run", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("square_sudden.scn", ["--seed", "-1"]),
+    ("medal1_gradual.scn", ["--seed", "-1"]),
+    ("square_sudden.scn", ["--tol", "-1"]),
+    ("square_sudden.scn", ["--tol", "nan"]),
+    ("medal1_gradual.scn", ["--tol", "0"]),
+])
+def test_cmd_run_rejects_bad_override_with_exit_2(capsys, name, flags):
+    # an override passes the checks the file's own seed and tolerance pass
+    assert main(["run", scn(name)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_check_has_no_tolerance_flag(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["check", scn("square_sudden.scn"), "--tol", "1e-3"])
+    assert e.value.code == 2
+
+
+def test_count_switch_at_a_large_symmetric_state_passes_run_and_check(
+        tmp_path, capsys):
+    text = open(scn("square_count_symmetric.scn")).read().replace(
+        "initial_state: [0.5, 0.5]", "initial_state: [100.0, 100.0]")
+    path = tmp_path / "large.scn"
+    path.write_text(text)
+    assert cmd_run(str(path)) == 0
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    switch = [r for r in records if r["check"] == "consistency"]
+    assert switch[0]["pass"] and switch[0]["value"] <= 1e-8
+    assert cmd_check(str(path)) == 0
+    assert "consistency at initial state: consistent" in \
+        capsys.readouterr().out
+
+
+def test_cmd_check_decides_exposure_once(monkeypatch, capsys):
+    from cfmarkets import geometry
+    calls = []
+    real = geometry.separating_direction
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "separating_direction", counted)
+    assert cmd_check(scn("square_count_impossible.scn")) == 1
+    assert len(calls) == 1  # the precheck's answer serves the switch
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -145,9 +145,13 @@ CONSISTENT_PLANS = {
 
 
 def roof_lp(sw, mu):
-    """The sampled convex-roof LP the switched cost keeps off the cells."""
-    return geometry.min_weighted_value(*sw._roof_samples[:2], mu,
-                                       sw.domain_tol)[0]
+    """The sampled convex-roof LP the switched cost keeps off the cells, in
+    conjugate units: its samples are the divergences D(p || s) - b_x, which
+    exceed R(p) - b_x by C(s) - s.p, so the shift is added back."""
+    low = geometry.min_weighted_value(*sw._roof_samples[:2], mu,
+                                      sw.domain_tol)[0]
+    s = sw.switch_state
+    return low + float(s @ mu) - sw.base.cost(s)
 
 
 @pytest.mark.parametrize("name", sorted(CONSISTENT_PLANS))
@@ -232,7 +236,9 @@ def test_plan_switch_solves_each_cell_once(monkeypatch):
 def sampled_roof_violation(sw):
     """Worst undercut of a probe value by the sampled roof LP."""
     points, values, _ = sw._roof_samples
-    return max(v - roof_lp(sw, p) for p, v in zip(points, values))
+    s = sw.switch_state
+    return max(v + float(s @ p) - sw.base.cost(s) - roof_lp(sw, p)
+               for p, v in zip(points, values))
 
 
 def test_exposure_verdict_agrees_with_sampled_roof_lp():
@@ -438,6 +444,20 @@ def test_consistency_check_count_observation_passes_on_diagonal():
     for c in (0.0, 0.8, -1.3):
         v = consistency_check(m, observe_sum(m.space), np.array([c, c]))
         assert v.consistent, v.worst_violation
+
+
+def test_count_violation_matches_the_oracle_to_roundoff():
+    m = square()
+    v = consistency_check(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    assert abs(v.worst_violation - square_count_violation([1.0, 0.0])) <= 1e-10
+
+
+@pytest.mark.parametrize("c", [0.8, 10.0, 100.0, 1000.0])
+def test_count_switch_on_the_diagonal_is_consistent_at_any_scale(c):
+    # the roof LP's slack does not grow with the state
+    m = square()
+    v = consistency_check(m, observe_sum(m.space), np.array([c, c]))
+    assert v.consistent and v.worst_violation <= 1e-8
 
 
 def test_consistency_check_overlapping_cells():

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from cfmarkets import (IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
-                       ScaledCost, ShiftedCost, conditional_price,
-                       excess_util, optimizing_sequence, simplex_market,
+                       RestrictedCost, ScaledCost, ShiftedCost,
+                       conditional_price, excess_util, medal_count_model,
+                       observe_block_payoff, observe_coordinate,
+                       optimizing_sequence, plan_switch, simplex_market,
                        single_binary_market, square_market, util_belief,
                        util_event)
+from cfmarkets._solvers import project_onto_hull
 
 from oracles import (grid_minimax_util, lmsr_cost_vec, piecewise_cost_vec,
                      product_lmsr_cost_vec)
@@ -33,6 +36,47 @@ def test_util_event_lmsr_closed_form():
     assert res.value == pytest.approx(np.log(1.5), abs=1e-12)
     assert np.allclose(res.minimizer, [0.5, 0.5, 0.0], atol=1e-12)
     assert res.residual == 0.0
+
+
+def projection_cases():
+    """(model, event, state) over every way a restricted cost projects: the
+    closed forms of each kind, and Frank-Wolfe on the square's diagonal and
+    on a medal LCMM cell."""
+    sq = square()
+    face = (((1, 0)), ((1, 1)))
+    switched = plan_switch(sq, observe_coordinate(sq.space, 0),
+                           np.array([0.3, -0.4])).switched
+    medal = medal_count_model(2)
+    medal_cell = observe_block_payoff(medal.space, (0,)).cell((1.0,))
+    return [
+        (lmsr3(), (0, 2), np.array([0.3, -0.4, 0.8])),
+        (sq, face, np.array([0.3, -0.4])),
+        (ScaledCost(lmsr3(), 0.4), (1, 2), np.array([0.3, -0.4, 0.8])),
+        (ShiftedCost(sq, np.array([0.6, -0.9])), face, np.array([0.2, 0.1])),
+        (switched, face, np.array([0.5, -0.2])),
+        (sq, (((0, 1)), ((1, 0))), np.array([0.5, -0.7])),
+        (medal, medal_cell, np.array([0.4, -0.3, 0.2, -0.5, 0.1])),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7), ids=[
+    "lmsr", "product", "scaled", "shifted", "switched-in-cell",
+    "square-diagonal", "medal-cell"])
+def test_util_event_is_the_restricted_cost_projection(case):
+    m, event, q = projection_cases()[case]
+    res = RestrictedCost(m, event).project(q)
+    got = util_event(m, event, q)
+    assert np.array_equal(got.minimizer, res.mu)
+    # reference dispatch: the kind's closed form, else Frank-Wolfe with m's
+    # own conjugate over the event's payoff vertices
+    closed = m.restrict(event)
+    own = (closed.price(q) if closed is not None else
+           project_onto_hull(m.space.vertices(event), m.conjugate,
+                             m.conjugate_grad, q).mu)
+    assert np.array_equal(got.minimizer, own)
+    assert got.residual == res.gap and got.converged == res.converged
+    assert got.value == m.divergence(res.mu, q)
+    assert got.converged and (res.iterations > 0) == (case >= 5)
 
 
 def test_util_event_full_space_is_zero():
