@@ -1,5 +1,4 @@
-"""Internal convex solvers: conditional-gradient projection over vertex hulls
-and a projected-gradient polish for nonnegativity-constrained minimization."""
+"""Internal convex solver: conditional-gradient projection over vertex hulls."""
 
 from __future__ import annotations
 
@@ -25,6 +24,8 @@ def _line_search(deriv, gamma_max: float, iters: int = 80) -> float:
         return hi
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # stalled: every later step returns mid
+            return mid
         if deriv(mid) > 0.0:
             hi = mid
         else:
@@ -84,30 +85,3 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad, q: np.ndarray,
     mu = V.T @ lam
     return ProjectionResult(mu, float(conj(mu) - q @ mu), gap, gap <= tol,
                             it)
-
-
-def polish_nonnegative(f, grad, x0: np.ndarray, stop,
-                       max_iter: int = 5000) -> np.ndarray:
-    """Projected gradient descent with backtracking on the nonnegative
-    orthant; `stop(x)` may end the loop early (certificate satisfied)."""
-    x = np.clip(np.asarray(x0, dtype=float), 0.0, None)
-    step = 1.0
-    fx = f(x)
-    for _ in range(max_iter):
-        if stop(x):
-            break
-        g = grad(x)
-        while True:
-            x_new = np.clip(x - step * g, 0.0, None)
-            d = x - x_new
-            if f(x_new) <= fx - 0.5 * (g @ d) + 1e-18:
-                break
-            step *= 0.5
-            if step < 1e-18:
-                return x
-        if np.max(np.abs(x_new - x), initial=0.0) < 1e-16:
-            break
-        x = x_new
-        fx = f(x)
-        step *= 1.4
-    return x

@@ -7,9 +7,12 @@ belief). The LCMM charges
     C(q) = inf over eta >= 0 of [ C_sum(q + A eta) - b_c . eta ],
 
 returning constraint-bundle arbitrage to traders. The infimum is attained;
-first-order optimality gives a checkable certificate: the direct-sum price mu
-at q + A eta* must be a coherent belief with zero direct-sum divergence and
-complementary slackness (A^T mu - b_c) . eta* = 0.
+first-order optimality gives a checkable certificate: with mu the direct-sum
+price at q + A eta and g = A^T mu - b_c, the gap (direct-sum divergence plus
+complementary slackness g . eta) and the projected-gradient residual
+max_i |min(eta_i, g_i)| both vanish at eta*. `solve` finds eta* one
+multiplier at a time: g_j is nondecreasing in eta_j, so each coordinate is 0
+or the root of g_j.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import linprog, minimize
+from scipy.optimize import brentq, linprog
 
-from ._solvers import polish_nonnegative
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
                     _as_vector)
 from .markets import BlockStructure, OutcomeSpace, independent_binary_market, \
@@ -30,6 +32,8 @@ INF = float("inf")
 CERTIFICATE_TOL = 1e-7  # certificate_check's gap and hull-membership slack
 TIGHTNESS_SAMPLES = 20  # sampled coherent beliefs per block realization
 TIGHTNESS_TOL = 1e-7  # hull-membership slack of the sampled tightness check
+_MAX_CYCLES = 50  # coordinate sweeps before a solve stops unconverged
+_ETA_BOUND = 2.0 ** 40  # largest multiplier the bracket doubling tries
 
 
 @dataclass
@@ -115,85 +119,100 @@ class LcmmCost(CostModel):
 
     # -- arbitrage minimization --------------------------------------------
     def solve(self, q) -> ArbitrageSolution:
-        q = _as_vector(q, self.dim, "q")
-        tol = self.solve_tol
-        key = q.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        n_c = self.A.shape[1]
-        if n_c == 0:
-            eta = np.zeros(0)
-            sol = ArbitrageSolution(eta, np.zeros(self.dim),
-                                    self.direct_sum_cost(q),
-                                    self.certificate_gap(q, eta), True)
-        else:
-            def f(eta):
-                return (self.direct_sum_cost(q + self.A @ eta)
-                        - float(self.b_c @ eta))
+        """The optimal arbitrage bundle at q, by cyclic coordinate
+        root-finding on the multipliers.
 
-            def grad(eta):
-                p = self.direct_sum_price(q + self.A @ eta).center
-                return self.A.T @ p - self.b_c
-
-            res = minimize(f, np.zeros(n_c), jac=grad, method="L-BFGS-B",
-                           bounds=[(0.0, None)] * n_c,
-                           options={"ftol": 1e-18, "gtol": 1e-12,
-                                    "maxiter": 2000})
-            eta = np.clip(res.x, 0.0, None)
-            if self.certificate_gap(q, eta) > tol:
-                eta = polish_nonnegative(
-                    f, grad, eta,
-                    stop=lambda e: self.certificate_gap(q, e) <= tol)
-            gap = self.certificate_gap(q, eta)
-            sol = ArbitrageSolution(eta, self.A @ eta, f(eta), gap, gap <= tol)
-        self._remember(key, sol)
-        return sol
-
-    def _remember(self, key, sol: ArbitrageSolution):
-        if len(self._cache) > 256:
-            self._cache.clear()
-        self._cache[key] = sol
-
-    def _adopt(self, q, eta) -> bool:
-        """Store `eta` as the solution at q when it certifies within
-        solve_tol; otherwise store nothing, so `solve(q)` computes one.
-
-        Certified means the certificate gap is at most solve_tol and so is
-        the projected-gradient residual max_i |min(eta_i, g_i)| of the
-        eta-minimization, g = A^T mu - b_c with mu the direct-sum price at
-        q + A eta. The gap alone misses a negative g_i: its complementary
-        slackness term g.eta can then be negative. A caller that knows a
-        near-optimal bundle (a price-preserving re-anchor keeps the old one
-        optimal) saves the L-BFGS-B run.
+        The eta_j-derivative of C_sum(q + A eta) - b_c . eta is
+        g_j = a_j . mu - b_{c,j}, nondecreasing in eta_j, so each sweep sets
+        every eta_j in turn to its exact minimizer with the others fixed.
+        Sweeps stop when `_kkt` certifies eta or after _MAX_CYCLES; a
+        multiplier past _ETA_BOUND ends the solve unconverged.
         """
         q = _as_vector(q, self.dim, "q")
-        key = q.tobytes()
-        if key in self._cache:
+        hit = self._cache.get(q.tobytes())
+        if hit is not None:
+            return hit
+        tol = self.solve_tol
+        eta = np.zeros(self.A.shape[1])
+        for _ in range(_MAX_CYCLES):
+            bounded = all(self._coordinate(q, eta, j)
+                          for j in range(eta.size))
+            gap, residual = self._kkt(q, eta)
+            converged = bounded and gap <= tol and residual <= tol
+            if converged or not bounded:
+                break
+        return self._remember(q, eta, gap, converged)
+
+    def _coordinate(self, q, eta, j) -> bool:
+        """With the other multipliers fixed, set eta[j] to 0 when
+        g_j(0) >= 0 and otherwise to the root of g_j. False when g_j is
+        still negative at _ETA_BOUND, where eta[j] is then left."""
+        a = self.A[:, j]
+        base = q + self.A @ eta - eta[j] * a
+
+        def g(t):
+            mu = self.direct_sum_price(base + t * a).center
+            return float(a @ mu) - self.b_c[j]
+
+        lo, hi = 0.0, 1.0
+        if g(lo) >= 0.0:
+            eta[j] = 0.0
             return True
-        gap, grad = self._kkt(q, eta)
-        residual = np.abs(np.minimum(eta, grad)).max(initial=0.0)
-        if not (gap <= self.solve_tol and residual <= self.solve_tol):
-            return False
+        while g(hi) < 0.0:
+            if hi >= _ETA_BOUND:
+                eta[j] = hi
+                return False
+            lo, hi = hi, 2.0 * hi
+        eta[j] = brentq(g, lo, hi, xtol=1e-15, disp=False)
+        return True
+
+    def _remember(self, q, eta, gap, converged) -> ArbitrageSolution:
         delta = self.A @ eta
         value = self.direct_sum_cost(q + delta) - float(self.b_c @ eta)
-        self._remember(key, ArbitrageSolution(eta, delta, value, gap, True))
+        sol = ArbitrageSolution(eta, delta, value, gap, converged)
+        if len(self._cache) > 256:
+            self._cache.clear()
+        self._cache[q.tobytes()] = sol
+        return sol
+
+    def _adopt(self, q, eta) -> bool:
+        """Store `eta` as the solution at q when `_kkt` certifies it within
+        solve_tol; otherwise store nothing, so `solve(q)` computes one. A
+        caller that knows a near-optimal bundle (a price-preserving
+        re-anchor keeps the old one optimal) saves the solve."""
+        q = _as_vector(q, self.dim, "q")
+        if q.tobytes() in self._cache:
+            return True
+        gap, residual = self._kkt(q, eta)
+        if not (gap <= self.solve_tol and residual <= self.solve_tol):
+            return False
+        self._remember(q, eta, gap, True)
         return True
 
     def certificate_gap(self, q, eta) -> float:
-        """First-order optimality residual for a candidate arbitrage eta."""
-        return self._kkt(q, eta)[0]
-
-    def _kkt(self, q, eta):
-        """(certificate gap, gradient A^T mu - b_c) at a candidate eta, with
-        mu the direct-sum price at q + A eta."""
+        """Direct-sum divergence at q + A eta plus the complementary-slackness
+        term (A^T mu - b_c) . eta, mu the direct-sum price there."""
         q = _as_vector(q, self.dim, "q")
         eta = np.asarray(eta, dtype=float).reshape(-1)
         shifted = q + self.A @ eta
         mu = self.direct_sum_price(shifted).center
+        return (self.direct_sum_divergence(mu, shifted)
+                + float((self.A.T @ mu - self.b_c) @ eta))
+
+    def _kkt(self, q, eta):
+        """The certificate of a candidate bundle eta at q: (gap, residual),
+        and eta is certified at tol when both are at most tol.
+
+        gap is `certificate_gap`; residual is the projected-gradient
+        residual max_i |min(eta_i, g_i)| of the eta-minimization,
+        g = A^T mu - b_c with mu the direct-sum price at q + A eta. The gap
+        alone misses a negative g_i: its complementary-slackness term g.eta
+        can then be negative.
+        """
+        mu = self.direct_sum_price(q + self.A @ eta).center
         grad = self.A.T @ mu - self.b_c
-        comp = float(grad @ eta) if eta.size else 0.0
-        return self.direct_sum_divergence(mu, shifted) + comp, grad
+        return (self.certificate_gap(q, eta),
+                float(np.abs(np.minimum(eta, grad)).max(initial=0.0)))
 
     # -- cost-model surface ------------------------------------------------
     def cost(self, q) -> float:
@@ -237,21 +256,21 @@ def lcmm_divergence(model: LcmmCost, mu, q) -> float:
         return INF
     sol = model.solve(q)
     q = _as_vector(q, model.dim, "q")
-    comp = (float((model.A.T @ mu - model.b_c) @ sol.eta)
-            if sol.eta.size else 0.0)
+    comp = float((model.A.T @ mu - model.b_c) @ sol.eta)
     return model.direct_sum_divergence(mu, q + sol.delta) + comp
 
 
 def certificate_check(model: LcmmCost, q, eta) -> bool:
     """Whether eta is an optimal arbitrage bundle at q."""
     eta = np.asarray(eta, dtype=float).reshape(-1)
-    if eta.size and eta.min() < -1e-12:
+    if eta.min(initial=0.0) < -1e-12:
         raise ValueError("eta must be nonnegative")
     q = _as_vector(q, model.dim, "q")
     mu = model.direct_sum_price(q + model.A @ eta).center
     if not model.space.hull().contains(mu, CERTIFICATE_TOL):
         return False
-    return model.certificate_gap(q, eta) <= CERTIFICATE_TOL
+    gap, residual = model._kkt(q, eta)
+    return gap <= CERTIFICATE_TOL and residual <= CERTIFICATE_TOL
 
 
 def medal_count_model(n: int) -> LcmmCost:

@@ -29,7 +29,7 @@ import yaml
 
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost,
                     PiecewiseLinearCost)
-from .gradual import BlockSchedule, Schedule, constant_schedule
+from .gradual import BlockSchedule, Schedule
 from .lcmm import LcmmCost, medal_count_model
 from .markets import (Observation, OutcomeSpace, independent_binary_market,
                       observe_block_payoff, observe_coordinate,
@@ -68,8 +68,8 @@ class Scenario:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
                 or self.seed < 0:
             raise ScenarioError("seed must be a non-negative integer")
-        if not self.tol > 0:
-            raise ScenarioError("tolerance must be a positive number")
+        if not 0 < self.tol < float("inf"):
+            raise ScenarioError("tolerance must be a positive finite number")
         if np.any(np.spacing(np.abs(self.initial_state)) > self.tol):
             raise ScenarioError("initial_state is too large for the "
                                 "tolerance")
@@ -272,8 +272,6 @@ def _parse_scenario(raw) -> Scenario:
             else:
                 agent = _build_trader(entry, obs, settlement, model)
                 sc.requests.append(TradeRequest(time, trader, agent=agent))
-        if sc.schedule is None:
-            sc.schedule = constant_schedule(model, sc.t0)
     return sc
 
 

@@ -9,7 +9,7 @@ from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        membership, observe_coordinate, plan_switch,
                        simplex_market, single_binary_market,
                        single_security_market, square_market, util_event)
-from cfmarkets._solvers import project_onto_hull
+from cfmarkets._solvers import _line_search, project_onto_hull
 from cfmarkets.costs import _logsumexp
 
 INF = float("inf")
@@ -327,6 +327,35 @@ def test_restricted_cost_rejects_empty_event():
         RestrictedCost(m, ())
     with pytest.raises(ValueError):
         util_event(m, (), np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# Frank-Wolfe line search
+
+
+def bisect_80_times(deriv, gamma_max):
+    lo, hi = 0.0, gamma_max
+    if deriv(hi) <= 0.0:
+        return hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if deriv(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_line_search_stops_once_the_bisection_stalls():
+    calls = []
+
+    def deriv(gamma):
+        calls.append(gamma)
+        return gamma - 0.3
+
+    got = _line_search(deriv, 1.0)
+    assert len(calls) <= 60  # 80 bisection steps make 81
+    assert got == bisect_80_times(lambda g: g - 0.3, 1.0)
 
 
 # ---------------------------------------------------------------------------

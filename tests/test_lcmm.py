@@ -3,7 +3,7 @@ import pytest
 
 from cfmarkets import (BlockStructure, ExponentialFamilyCost,
                        IndependentBinaryCost, LcmmCost, LmsrCost,
-                       OutcomeSpace, certificate_check,
+                       OutcomeSpace, ScaledCost, certificate_check,
                        independent_binary_market, lcmm_divergence,
                        medal_count_model, simplex_market,
                        single_security_market, tightness_check)
@@ -102,6 +102,10 @@ def test_certificate_rejects_perturbed_eta():
     assert not certificate_check(m, q, sol.eta + np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         certificate_check(m, q, -np.ones(2))
+    # eta = 0 passes the gap alone, but g = A^T mu = [-0.38, 0.38] there
+    zero = np.zeros(2)
+    assert abs(m.certificate_gap(q, zero)) <= m.solve_tol
+    assert m._kkt(q, zero)[1] > 0.3
 
 
 def test_solve_random_states_match_eta_grid_oracle():
@@ -114,6 +118,52 @@ def test_solve_random_states_match_eta_grid_oracle():
             assert sol.certificate_gap <= 1e-7
             assert sol.value == pytest.approx(medal_eta_grid_value(q, n),
                                               abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cold_solves_of_scaled_medal_models_are_certified(n):
+    m = medal_count_model(n)
+    rng = np.random.default_rng(10 + n)
+    for _ in range(300):
+        scales = rng.uniform(0.1, 1.0, len(m.block_costs))
+        costs = [ScaledCost(c, a) for c, a in zip(m.block_costs, scales)]
+        scaled = LcmmCost(m.space, m.blocks, costs, m.A, m.b_c)
+        q = rng.normal(0.0, 2.0, m.dim)
+        sol = scaled.solve(q)
+        gap, residual = scaled._kkt(q, sol.eta)
+        assert sol.converged
+        assert gap <= scaled.solve_tol and residual <= scaled.solve_tol
+        assert sol.certificate_gap == gap
+
+
+def medal_with_count_mass_constraint(floor):
+    """medal(2) plus the constraint that the count-block prices sum to at
+    least `floor`; at floor 1 it holds for every price and is redundant."""
+    m = medal_count_model(2)
+    mass = np.zeros((m.dim, 1))
+    mass[m._slices[-1], 0] = 1.0
+    return LcmmCost(m.space, m.blocks, m.block_costs,
+                    np.hstack([m.A, mass]), np.append(m.b_c, floor))
+
+
+def test_redundant_constraint_converges():
+    m = medal_count_model(2)
+    redundant = medal_with_count_mass_constraint(1.0)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        q = rng.normal(0.0, 1.5, m.dim)
+        sol = redundant.solve(q)
+        assert sol.converged
+        assert sol.value == pytest.approx(m.solve(q).value, abs=1e-12)
+
+
+def test_multiplier_past_the_bracket_bound_is_unconverged():
+    # the constructor forgives a 1e-9 violation at the payoff vertices; this
+    # 1e-10 one leaves g_2 = -1e-10 at every multiplier
+    m = medal_with_count_mass_constraint(1.0 + 1e-10)
+    sol = m.solve(np.zeros(m.dim))
+    assert not sol.converged
+    assert sol.eta[2] == 2.0 ** 40
 
 
 def test_price_satisfies_constraints():

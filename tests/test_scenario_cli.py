@@ -265,7 +265,8 @@ def test_cmd_run_exposed_switch_at_clipped_state(tmp_path, capsys):
     assert switch[0]["state"][0] == pytest.approx(120.0)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tolerance",
+                         [0.0, -1.0, float("nan"), float("inf")])
 def test_parse_scenario_rejects_nonpositive_tolerance(tolerance):
     raw = {"seed": 1, "protocol": "sudden", "market": "square",
            "settlement": [1, 1], "switch_time": 1.0, "tolerance": tolerance}
@@ -340,6 +341,7 @@ def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     ("square_sudden.scn", ["--tol", "-1"]),
     ("square_sudden.scn", ["--tol", "nan"]),
     ("medal1_gradual.scn", ["--tol", "0"]),
+    ("square_sudden.scn", ["--tol", "inf"]),
 ])
 def test_cmd_run_rejects_bad_override_with_exit_2(capsys, name, flags):
     # an override passes the checks the file's own seed and tolerance pass
