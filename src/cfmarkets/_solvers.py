@@ -1,10 +1,20 @@
-"""Internal convex solver: conditional-gradient projection over vertex hulls."""
+"""Internal convex solver: conditional-gradient projection over vertex hulls.
+
+Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, 2015) with an exact line
+search: the directional derivative along each step is nondecreasing, so the
+step is its root, found by `brentq`, or the full step when the derivative is
+still nonpositive there.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
+
+_GAP_TOL = 1e-9  # Frank-Wolfe duality gap at which a projection stops
+_MAX_ITER = 1000
 
 
 @dataclass
@@ -16,25 +26,16 @@ class ProjectionResult:
     iterations: int
 
 
-def _line_search(deriv, gamma_max: float, iters: int = 80) -> float:
-    """Exact-ish line search for a convex 1-d restriction via derivative
-    bisection. `deriv(gamma)` must be the directional derivative."""
-    lo, hi = 0.0, gamma_max
-    if deriv(hi) <= 0.0:
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # stalled: every later step returns mid
-            return mid
-        if deriv(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _line_search(deriv, gamma_max: float) -> float:
+    """Exact line search for a convex 1-d restriction on [0, gamma_max].
+    `deriv(gamma)` must be the directional derivative, negative at 0."""
+    if deriv(gamma_max) <= 0.0:
+        return gamma_max
+    return brentq(deriv, 0.0, gamma_max, xtol=1e-15, disp=False)
 
 
-def project_onto_hull(vertices: np.ndarray, conj, conj_grad, q: np.ndarray,
-                      tol: float = 1e-9, max_iter: int = 1000) -> ProjectionResult:
+def project_onto_hull(vertices: np.ndarray, conj, conj_grad,
+                      q: np.ndarray) -> ProjectionResult:
     """Minimize R(mu) - q.mu over the convex hull of `vertices`.
 
     Away-step Frank-Wolfe over vertex weights; `conj` evaluates R and
@@ -52,12 +53,12 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad, q: np.ndarray,
     lam = np.full(n, 1.0 / n)
     gap = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         mu = V.T @ lam
         g = V @ (conj_grad(mu) - q)
         s = int(np.argmin(g))
         gap = float(lam @ g - g[s])
-        if gap <= tol:
+        if gap <= _GAP_TOL:
             break
         active = np.flatnonzero(lam > 1e-15)
         a = active[int(np.argmax(g[active]))]
@@ -83,5 +84,5 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad, q: np.ndarray,
         lam = np.clip(lam + gamma * d, 0.0, None)
         lam /= lam.sum()
     mu = V.T @ lam
-    return ProjectionResult(mu, float(conj(mu) - q @ mu), gap, gap <= tol,
-                            it)
+    return ProjectionResult(mu, float(conj(mu) - q @ mu), gap,
+                            gap <= _GAP_TOL, it)

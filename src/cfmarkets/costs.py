@@ -205,9 +205,7 @@ class LmsrCost(CostModel):
         return PriceSet.point(_softmax(q))
 
     def conjugate(self, mu) -> float:
-        mu = np.asarray(mu, dtype=float).reshape(-1)
-        if mu.shape[0] != self.dim:
-            raise ValueError("mu dimension mismatch")
+        mu = _as_vector(mu, self.dim, "mu")
         if np.any(mu < -self.domain_tol) or abs(mu.sum() - 1.0) > self.domain_tol:
             return INF
         m = np.clip(mu, 0.0, None)
@@ -262,9 +260,7 @@ class IndependentBinaryCost(CostModel):
         return PriceSet.point(expit(q))
 
     def conjugate(self, mu) -> float:
-        mu = np.asarray(mu, dtype=float).reshape(-1)
-        if mu.shape[0] != self.dim:
-            raise ValueError("mu dimension mismatch")
+        mu = _as_vector(mu, self.dim, "mu")
         if np.any(mu < -self.domain_tol) or np.any(mu > 1.0 + self.domain_tol):
             return INF
         m = np.clip(mu, 0.0, 1.0)
@@ -329,9 +325,7 @@ class PiecewiseLinearCost(CostModel):
         return PriceSet.point(np.array([p]))
 
     def conjugate(self, mu) -> float:
-        mu = np.asarray(mu, dtype=float).reshape(-1)
-        if mu.shape[0] != 1:
-            raise ValueError("mu dimension mismatch")
+        mu = _as_vector(mu, self.dim, "mu")
         if mu[0] < -self.domain_tol or mu[0] > 1.0 + self.domain_tol:
             return INF
         return 0.0

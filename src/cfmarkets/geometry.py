@@ -1,8 +1,9 @@
 """Small dense linear-feasibility helpers over vertex hulls.
 
 Everything here works on an explicit vertex list V (n x K): convex weight
-recovery, maximal off-face weight, separating directions, and minimum-value
-convex combinations. Instances are desk-scale, so a dense LP per query is fine.
+recovery and hull overlap (one min-slack LP, `_min_slack`), separating
+directions, and minimum-value convex combinations. Instances are desk-scale,
+so a dense LP per query is fine.
 `Hull` answers membership and overlap for simplex and sub-cube faces in
 closed form and sends every other vertex set to these LPs.
 """
@@ -28,6 +29,33 @@ def _near_miss(residual: float) -> bool:
     return _RESOLVE_ABOVE < residual <= _RESOLVE_BELOW
 
 
+def _min_slack(m, r, a_eq, b_eq, read, tol: float = 0.0):
+    """Minimize the slack s over nonnegative x with |m x - r| <= s and
+    a_eq x = b_eq, the slack as the last LP variable.
+
+    `read(solution)` returns (answer, miss). A near miss above `tol` is
+    solved once more at `_TIGHT`. Returns the last (answer, miss).
+    """
+    k, n = m.shape
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * k, n + 1))
+    a_ub[:k, :n] = m
+    a_ub[k:, :n] = -m
+    a_ub[:, -1] = -1.0
+    a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
+    for extra in ({}, _TIGHT):
+        res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([r, -r]), A_eq=a_eq,
+                      b_eq=b_eq, bounds=[(0, None)] * (n + 1),
+                      method="highs", **extra)
+        if not res.success:  # pragma: no cover - the slack makes this feasible
+            raise RuntimeError(f"min-slack LP failed: {res.message}")
+        answer, miss = read(res.x)
+        if miss <= tol or not _near_miss(miss):
+            break
+    return answer, miss
+
+
 def best_hull_weights(vertices: np.ndarray, mu: np.ndarray):
     """Convex weights over `vertices` minimizing the L-inf reconstruction error.
 
@@ -36,33 +64,16 @@ def best_hull_weights(vertices: np.ndarray, mu: np.ndarray):
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     mu = np.asarray(mu, dtype=float)
-    n, k = V.shape
+    n = V.shape[0]
     if n == 1:
         return np.array([1.0]), float(np.max(np.abs(V[0] - mu), initial=0.0))
-    # variables: [lambda (n), s (1)]; minimize s with |V^T lam - mu| <= s
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * k, n + 1))
-    b_ub = np.zeros(2 * k)
-    a_ub[:k, :n] = V.T
-    a_ub[:k, -1] = -1.0
-    b_ub[:k] = mu
-    a_ub[k:, :n] = -V.T
-    a_ub[k:, -1] = -1.0
-    b_ub[k:] = -mu
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, :n] = 1.0
-    for extra in ({}, _TIGHT):
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * (n + 1), method="highs", **extra)
-        if not res.success:  # pragma: no cover - the slack makes this feasible
-            raise RuntimeError(f"hull weight LP failed: {res.message}")
-        lam = np.clip(res.x[:n], 0.0, None)
+
+    def weights(x):
+        lam = np.clip(x[:n], 0.0, None)
         lam /= lam.sum()
-        residual = float(np.max(np.abs(V.T @ lam - mu), initial=0.0))
-        if not _near_miss(residual):
-            break
-    return lam, residual
+        return lam, float(np.max(np.abs(V.T @ lam - mu), initial=0.0))
+
+    return _min_slack(V.T, mu, np.ones((1, n)), [1.0], weights)
 
 
 def hull_weights(vertices, mu, tol: float = DEFAULT_TOL):
@@ -75,26 +86,6 @@ def hull_weights(vertices, mu, tol: float = DEFAULT_TOL):
 
 def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
     return hull_weights(vertices, mu, tol) is not None
-
-
-def max_outside_weight(vertices: np.ndarray, inside: np.ndarray, mu,
-                       tol: float = DEFAULT_TOL):
-    """Largest total weight outside the marked vertex subset over all convex
-    decompositions of mu. Returns None when mu is not in the hull at all.
-
-    `inside` is a boolean mask over vertex rows.
-    """
-    V = np.atleast_2d(np.asarray(vertices, dtype=float))
-    mu = np.asarray(mu, dtype=float)
-    n, k = V.shape
-    c = np.where(np.asarray(inside, dtype=bool), 0.0, -1.0)
-    a_ub = np.vstack([V.T, -V.T])
-    b_ub = np.concatenate([mu + tol, -mu + tol])
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=np.ones((1, n)), b_eq=[1.0],
-                  bounds=[(0, None)] * n, method="highs")
-    if not res.success:
-        return None
-    return float(-res.fun)
 
 
 def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
@@ -143,27 +134,19 @@ def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
     a_eq[:, :k] = P_in
     a_eq[:, k] = -1.0
     b_eq = np.zeros(P_in.shape[0])
-    rows = []
-    rhs = []
-    for p in P_out:
-        row = np.zeros(n_var)
-        row[:k] = p
-        row[k] = -1.0
-        rows.append(row)
-        rhs.append(-margin)
-    for i in range(k):
-        row = np.zeros(n_var)
-        row[i] = 1.0
-        row[k + 1 + i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(n_var)
-        row[i] = -1.0
-        row[k + 1 + i] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
+    m = P_out.shape[0]
+    a_ub = np.zeros((m + 2 * k, n_var))
+    b_ub = np.zeros(m + 2 * k)
+    a_ub[:m, :k] = P_out  # v.p - c <= -margin for each outside point
+    a_ub[:m, k] = -1.0
+    b_ub[:m] = -margin
+    # then |v_i| <= u_i as the row pair v_i - u_i <= 0, -v_i - u_i <= 0
+    rows = m + np.arange(2 * k)
+    cols = np.repeat(np.arange(k), 2)
+    a_ub[rows, cols] = np.tile([1.0, -1.0], k)
+    a_ub[rows, k + 1 + cols] = -1.0
     bounds = [(None, None)] * (k + 1) + [(0, None)] * k
-    res = linprog(c_obj, A_ub=np.array(rows), b_ub=np.array(rhs),
+    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub,
                   A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         return None
@@ -175,31 +158,13 @@ def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray,
     """Whether two vertex hulls share a point (within tol)."""
     A = np.atleast_2d(np.asarray(vertices_a, dtype=float))
     B = np.atleast_2d(np.asarray(vertices_b, dtype=float))
-    na, k = A.shape
-    nb = B.shape[0]
-    # variables: [lam_a, lam_b, s]; minimize s with |A^T la - B^T lb| <= s
-    n_var = na + nb + 1
-    c = np.zeros(n_var)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * k, n_var))
-    a_ub[:k, :na] = A.T
-    a_ub[:k, na:na + nb] = -B.T
-    a_ub[:k, -1] = -1.0
-    a_ub[k:, :na] = -A.T
-    a_ub[k:, na:na + nb] = B.T
-    a_ub[k:, -1] = -1.0
-    a_eq = np.zeros((2, n_var))
+    na, nb = A.shape[0], B.shape[0]
+    # variables [lam_a, lam_b]: minimize s with |A^T la - B^T lb| <= s
+    a_eq = np.zeros((2, na + nb))
     a_eq[0, :na] = 1.0
-    a_eq[1, na:na + nb] = 1.0
-    for extra in ({}, _TIGHT):
-        res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * k), A_eq=a_eq,
-                      b_eq=[1.0, 1.0], bounds=[(0, None)] * n_var,
-                      method="highs", **extra)
-        if not res.success:  # pragma: no cover
-            raise RuntimeError(f"hull intersection LP failed: {res.message}")
-        gap = float(res.x[-1])
-        if gap <= tol or not _near_miss(gap):
-            break
+    a_eq[1, na:] = 1.0
+    _, gap = _min_slack(np.hstack([A.T, -B.T]), np.zeros(A.shape[1]), a_eq,
+                        [1.0, 1.0], lambda x: (None, float(x[-1])), tol)
     return gap <= tol
 
 

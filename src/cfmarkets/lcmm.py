@@ -177,12 +177,13 @@ class LcmmCost(CostModel):
 
     def _adopt(self, q, eta) -> bool:
         """Store `eta` as the solution at q when `_kkt` certifies it within
-        solve_tol; otherwise store nothing, so `solve(q)` computes one. A
-        caller that knows a near-optimal bundle (a price-preserving
-        re-anchor keeps the old one optimal) saves the solve."""
+        solve_tol, and return whether it was stored. A q that already has a
+        solution keeps it, and nothing is stored. A caller that knows a
+        near-optimal bundle (a price-preserving re-anchor keeps the old one
+        optimal) saves the solve."""
         q = _as_vector(q, self.dim, "q")
         if q.tobytes() in self._cache:
-            return True
+            return False
         gap, residual = self._kkt(q, eta)
         if not (gap <= self.solve_tol and residual <= self.solve_tol):
             return False

@@ -197,16 +197,19 @@ def face_check(space: OutcomeSpace, obs: Observation, x,
     Brute-force sampled check: every probe point of the cell hull must admit
     no convex decomposition over all vertices that puts more than tol weight
     outside the cell. Sound at polytope test scale (probes are vertices and
-    pairwise midpoints), documented as a sampled check.
+    pairwise midpoints), documented as a sampled check. The largest outside
+    weight is minus the least value of a decomposition that values each
+    vertex outside the cell at -1 and each one inside at 0.
     """
     obs.validate(space)
     cell = obs.cell(x)
-    inside = np.array([obs.of(w) == x for w in space.outcomes])
+    values = np.array([0.0 if obs.of(w) == x else -1.0
+                       for w in space.outcomes])
     for mu in probe_points(space, cell):
-        outside = geometry.max_outside_weight(space.payoff, inside, mu, tol)
-        if outside is None:  # numerically outside the hull; skip
+        found = geometry.min_weighted_value(space.payoff, values, mu, tol)
+        if found is None:  # numerically outside the hull; skip
             continue
-        if outside > max(tol, 1e-7):
+        if -found[0] > max(tol, 1e-7):
             return False
     return True
 

@@ -246,8 +246,8 @@ def _parse_scenario(raw) -> Scenario:
         sc.switch_boundary = raw.get("switch_boundary", "after")
         sc.traders = [_build_trader(t, obs, settlement, model)
                       for t in raw.get("traders", [])]
-        check_sudden_inputs(obs, sc.traders, sc.switch_time, settlement,
-                            sc.switch_boundary)
+        check_sudden_inputs(model, obs, sc.traders, sc.switch_time,
+                            settlement, sc.switch_boundary)
     else:
         if not isinstance(model, LcmmCost):
             raise ScenarioError("gradual protocol needs an LCMM market")

@@ -92,7 +92,9 @@ class TraderAgent:
         c = model.trade_cost(q, r)
         if c <= self.budget:
             return r
-        # shrink until affordable; convexity makes this monotone
+        # the trade cost along t*r is convex in t and 0 at t = 0, so the
+        # affordable t form an interval containing 0 and not 1: bisect
+        # for its upper end, keeping lo affordable
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -165,12 +167,19 @@ class JitArbitrageur(TraderAgent):
         return self._cap(model, q, seq.bundle)
 
 
-def check_sudden_inputs(obs: Observation, traders, switch_time: float,
-                        outcome, switch_boundary: str = "after") -> None:
+def _after_switch(now: float, switch_time: float, boundary: str) -> bool:
+    """Whether a trade at `now` prices under the switched cost."""
+    return now >= switch_time if boundary == "after" else now > switch_time
+
+
+def check_sudden_inputs(model: CostModel, obs: Observation, traders,
+                        switch_time: float, outcome,
+                        switch_boundary: str = "after") -> None:
     """Raise ValueError for a sudden-revelation run that cannot be carried
     out as specified: an unknown switch boundary, a switch time that is not
-    finite, or an arbitrageur that contradicts the settlement or acts before
-    the switch."""
+    finite, an arbitrageur that contradicts the settlement or acts before
+    the switch, or a belief trader that trades under the switched cost with
+    a belief in no cell's hull (the switched cost has no state there)."""
     if switch_boundary not in ("after", "before"):
         raise ValueError("switch_boundary must be 'after' or 'before'")
     if not np.isfinite(switch_time):
@@ -183,6 +192,15 @@ def check_sudden_inputs(obs: Observation, traders, switch_time: float,
             if tr.times and tr.times[0] < switch_time:
                 # acting before the observation is announced is disallowed
                 raise ValueError("arbitrageur may only act at/after the switch")
+        if isinstance(tr, BeliefTrader) and any(
+                _after_switch(t, switch_time, switch_boundary)
+                for t in tr.times):
+            mu = _as_vector(tr.mu, model.dim, "belief")
+            if not any(model.space.hull(obs.cell(x)).contains(
+                    mu, model.domain_tol) for x in obs.realizations):
+                raise ValueError(f"belief trader {tr.name!r} trades after "
+                                 "the switch with a belief in no "
+                                 "revelation cell")
 
 
 def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
@@ -197,7 +215,8 @@ def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
     under the original cost).
     """
     obs.validate(model.space)
-    check_sudden_inputs(obs, traders, switch_time, outcome, switch_boundary)
+    check_sudden_inputs(model, obs, traders, switch_time, outcome,
+                        switch_boundary)
     rng = np.random.default_rng(seed)
     q = _as_vector(s_ini, model.dim, "s_ini")
     ledger = Ledger()
@@ -208,9 +227,7 @@ def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
 
     def maybe_switch(now: float):
         nonlocal current, switched
-        due = (now >= switch_time if switch_boundary == "after"
-               else now > switch_time)
-        if switched or not due:
+        if switched or not _after_switch(now, switch_time, switch_boundary):
             return
         plan = plan_switch(model, obs, q)
         ledger.plan = plan

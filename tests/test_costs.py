@@ -134,6 +134,19 @@ def test_divergence_inf_outside_hull(model):
     assert model.divergence(mu, np.zeros(model.dim)) == INF
 
 
+def test_non_finite_belief_is_rejected(model):
+    # a NaN compares false with every bound, so it must not reach them
+    for bad in (np.nan, np.inf):
+        mu = np.full(model.dim, 0.5)
+        mu[0] = bad
+        for ask in (model.conjugate,
+                    lambda m: model.divergence(m, np.zeros(model.dim))):
+            with pytest.raises(ValueError, match="mu must be finite"):
+                ask(mu)
+    with pytest.raises(ValueError, match="mu must have length"):
+        model.conjugate(np.zeros(model.dim + 1))
+
+
 def test_trade_cost_telescopes(model):
     rng = np.random.default_rng(1)
     q = rng.uniform(-1, 1, model.dim)
@@ -333,29 +346,32 @@ def test_restricted_cost_rejects_empty_event():
 # Frank-Wolfe line search
 
 
-def bisect_80_times(deriv, gamma_max):
-    lo, hi = 0.0, gamma_max
-    if deriv(hi) <= 0.0:
-        return hi
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+@pytest.mark.parametrize("deriv, root", [
+    (lambda g: g - 0.3, 0.3),
+    # the shape of an entropy derivative along a Frank-Wolfe step
+    (lambda g: float(np.log((0.1 + g) / (1.1 - g)) - np.log(1.0 / 3.0)), 0.2),
+], ids=["linear", "logit"])
+def test_line_search_finds_the_root_in_few_evaluations(deriv, root):
+    calls = []
+
+    def counted(gamma):
+        calls.append(gamma)
+        return deriv(gamma)
+
+    assert abs(_line_search(counted, 1.0) - root) <= 1e-12
+    assert len(calls) <= 12
 
 
-def test_line_search_stops_once_the_bisection_stalls():
+def test_line_search_takes_the_full_step_when_still_descending():
     calls = []
 
     def deriv(gamma):
         calls.append(gamma)
-        return gamma - 0.3
+        return gamma - 2.0
 
-    got = _line_search(deriv, 1.0)
-    assert len(calls) <= 60  # 80 bisection steps make 81
-    assert got == bisect_80_times(lambda g: g - 0.3, 1.0)
+    assert _line_search(deriv, 0.7) == 0.7
+    assert _line_search(lambda g: 0.0, 0.4) == 0.4
+    assert calls == [0.7]
 
 
 # ---------------------------------------------------------------------------

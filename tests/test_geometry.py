@@ -44,23 +44,30 @@ def test_single_vertex_hull():
     assert not geometry.hull_contains(V, np.array([0.9, 0.0]))
 
 
-def test_max_outside_weight_on_face_is_zero():
+def outside_weight(inside, mu):
+    """Largest weight off the marked vertices over convex decompositions of
+    mu, from `min_weighted_value` with value -1 off them and 0 on them."""
+    found = geometry.min_weighted_value(SQUARE, np.where(inside, 0.0, -1.0),
+                                        mu)
+    return None if found is None else -found[0]
+
+
+def test_outside_weight_on_face_is_zero():
     inside = np.array([False, False, True, True])  # first coordinate = 1
-    out = geometry.max_outside_weight(SQUARE, inside, np.array([1.0, 0.3]))
+    out = outside_weight(inside, np.array([1.0, 0.3]))
     assert out == pytest.approx(0.0, abs=1e-8)
 
 
-def test_max_outside_weight_interior_point():
+def test_outside_weight_interior_point():
     inside = np.array([False, False, True, True])
-    out = geometry.max_outside_weight(SQUARE, inside, np.array([0.5, 0.5]))
+    out = outside_weight(inside, np.array([0.5, 0.5]))
     # weight on the first-coordinate-1 vertices must equal the coordinate
     assert out == pytest.approx(0.5, abs=1e-8)
 
 
-def test_max_outside_weight_none_when_not_in_hull():
+def test_outside_weight_none_when_not_in_hull():
     inside = np.array([True, True, True, True])
-    assert geometry.max_outside_weight(SQUARE, inside,
-                                       np.array([2.0, 0.0])) is None
+    assert outside_weight(inside, np.array([2.0, 0.0])) is None
 
 
 def test_min_weighted_value():
@@ -114,6 +121,55 @@ def test_hulls_intersect():
     low = SQUARE[[0, 2]]  # second coordinate 0
     high = SQUARE[[1, 3]]  # second coordinate 1
     assert not geometry.hulls_intersect(low, high)
+
+
+def loop_separating_rows(P_out, k, margin):
+    """The separating-direction inequality rows, one Python row at a time."""
+    rows, rhs = [], []
+    for p in P_out:
+        rows.append(np.concatenate([p, [-1.0], np.zeros(k)]))
+        rhs.append(-margin)
+    for i in range(k):
+        for sign in (1.0, -1.0):
+            row = np.zeros(2 * k + 1)
+            row[i] = sign
+            row[k + 1 + i] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+    return np.array(rows), np.array(rhs)
+
+
+def min_slack_rows(M, r):
+    """|M x - r| <= s as explicit rows over [x, s]."""
+    k = M.shape[0]
+    slack = -np.ones((k, 1))
+    return (np.vstack([np.hstack([M, slack]), np.hstack([-M, slack])]),
+            np.concatenate([r, -r]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lps_are_assembled_as_written_out(seed):
+    # every LP these helpers send to HiGHS, against its rows written out
+    rng = np.random.default_rng(seed)
+    k = 2 + seed % 3
+    A, B = rng.normal(size=(3, k)), rng.normal(size=(2, k))
+    mu = rng.normal(size=k)
+    real, sent = geometry.linprog, []
+
+    def recording(*args, **kwargs):
+        sent.append(kwargs)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(geometry, "linprog", recording):
+        geometry.separating_direction(A, B, margin=0.5)
+        geometry.best_hull_weights(A, mu)
+        geometry.hulls_intersect(A, B)
+    expected = [loop_separating_rows(B, k, 0.5), min_slack_rows(A.T, mu),
+                min_slack_rows(np.hstack([A.T, -B.T]), np.zeros(k))]
+    assert len(sent) == 3  # no near miss at these random points
+    for kwargs, (a_ub, b_ub) in zip(sent, expected):
+        assert np.array_equal(kwargs["A_ub"], a_ub)
+        assert np.array_equal(kwargs["b_ub"], b_ub)
 
 
 # ---------------------------------------------------------------------------

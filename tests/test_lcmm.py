@@ -108,6 +108,23 @@ def test_certificate_rejects_perturbed_eta():
     assert m._kkt(q, zero)[1] > 0.3
 
 
+def test_adopt_reports_only_a_stored_bundle():
+    m = medal_count_model(2)
+    q = np.array([0.3, -0.2, 0.1, 0.4, -0.5])
+    sol = m.solve(q)
+    bad = sol.eta + np.array([0.5, 0.0])
+    gap, residual = m._kkt(q, bad)
+    assert gap > 0.3 and residual > 0.4
+    # q already has a solution: it is kept, whatever the offered bundle
+    assert not m._adopt(q, bad)
+    assert not m._adopt(q, sol.eta)
+    assert m.solve(q) is sol
+    # a fresh model stores a certified bundle and reports it
+    fresh = medal_count_model(2)
+    assert fresh._adopt(q, sol.eta)
+    assert np.array_equal(fresh.solve(q).eta, sol.eta)
+
+
 def test_solve_random_states_match_eta_grid_oracle():
     rng = np.random.default_rng(1)
     for n in (1, 2):

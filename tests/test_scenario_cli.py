@@ -323,6 +323,7 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "traders: [{kind: belief, times: [1.4], belief: [.nan, 0.5]}]",
     "initial_state: [1.0e308, 0.0]",
     "initial_state: [1.0e10, 0.0]",
+    "traders: [{kind: belief, times: [1.5], belief: [0.5, 0.5]}]",
 ])
 def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     key = line.split(":")[0]
@@ -348,6 +349,49 @@ def test_cmd_run_rejects_bad_override_with_exit_2(capsys, name, flags):
     assert main(["run", scn(name)] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_off_cell_belief_after_the_switch_exits_2(tmp_path, capsys):
+    # (0.5, 0.5) is in the price space but in neither coordinate cell, so
+    # the switched cost has no state for it
+    text = Path(scn("square_sudden.scn")).read_text()
+    text += "  - {kind: belief, name: b2, times: [1.5], belief: [0.5, 0.5]}\n"
+    path = tmp_path / "off_cell.scn"
+    path.write_text(text)
+    for argv in (["run", str(path)], ["check", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "'b2'" in err and "no revelation cell" in err
+    # before the switch the same belief trades under the original cost
+    path.write_text(text.replace("times: [1.5], belief: [0.5",
+                                 "times: [0.5], belief: [0.5"))
+    assert main(["run", str(path)]) == 0
+
+
+def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
+                                                          capsys):
+    # one exact line search is a brentq root-find: 1,002 derivative
+    # evaluations for these 97 line searches (5,351 by bisection)
+    import cfmarkets._solvers as solvers
+    real, counts = solvers._line_search, {"searches": 0, "evaluations": 0}
+
+    def counted(deriv, gamma_max):
+        counts["searches"] += 1
+
+        def evaluated(gamma):
+            counts["evaluations"] += 1
+            return deriv(gamma)
+
+        return real(evaluated, gamma_max)
+
+    monkeypatch.setattr(solvers, "_line_search", counted)
+    for name, path in bundled_scenarios().items():
+        cmd_run(str(path),
+                allow_inconsistent=name == "square_count_impossible.scn")
+    capsys.readouterr()
+    assert counts["searches"] == 97
+    assert counts["evaluations"] <= 1100
 
 
 def test_check_has_no_tolerance_flag(capsys):

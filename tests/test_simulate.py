@@ -138,6 +138,25 @@ def test_jit_realization_must_match_settlement():
         run_protocol1(m, np.zeros(2), obs, [jit], 1.0, (1, 1))
 
 
+def test_off_cell_belief_after_the_switch_is_rejected_before_any_trade(
+        monkeypatch):
+    m = square()
+    obs = observe_coordinate(m.space, 0)
+    traded = []
+    monkeypatch.setattr(NoiseTrader, "bundle",
+                        lambda self, *a: traded.append(a) or np.zeros(2))
+    off = BeliefTrader("b", [1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match="no revelation cell"):
+        run_protocol1(m, np.zeros(2), obs, [NoiseTrader("n", [0.5]), off],
+                      1.0, (1, 1))
+    assert traded == []
+    # at the switch instant with the "before" boundary it prices under the
+    # original cost, where the belief is a price
+    ledger = run_protocol1(m, np.zeros(2), obs, [off], 1.0, (1, 1),
+                           switch_boundary="before")
+    assert np.allclose(m.price(ledger.final_state).center, [0.5, 0.5])
+
+
 def test_inconsistent_plan_raises_without_override():
     m = square()
     obs = observe_sum(m.space)
