@@ -65,8 +65,14 @@ class PriceSet:
 
     @classmethod
     def point(cls, p) -> "PriceSet":
-        p = np.asarray(p, dtype=float)
-        return cls(p, p)
+        """One read-only copy of p, shared as lo and hi; a point needs no
+        interval check."""
+        p = np.array(p, dtype=float).reshape(-1)
+        p.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "lo", p)
+        object.__setattr__(out, "hi", p)
+        return out
 
     @property
     def center(self) -> np.ndarray:
@@ -125,8 +131,23 @@ class ClosedForm(NamedTuple):
     fixed_coords: dict = {}
 
 
+def _floored(d: float) -> float:
+    """A divergence with roundoff below its theoretical floor 0 cut off."""
+    return 0.0 if -1e-9 < d < 0.0 else d
+
+
 class CostModel:
-    """Abstract convex cost over a finite-outcome market."""
+    """Abstract convex cost over a finite-outcome market.
+
+    The public `cost`, `price` and `conjugate` check their input once, at
+    the boundary. Below them sit private kernels on trusted input, finite
+    float arrays of length `dim`: `_mu(q)` the price point (the centre of
+    the price set), `_cost(q)` and `_conj(mu)`, which is inf off the price
+    space. A composite's kernels call its base's kernels, so a solver that
+    calls a kernel in its inner loop validates nothing there. The defaults
+    here fall back to the public methods, so a kind without kernels works
+    unchanged, only without the saving.
+    """
 
     kind = "abstract"
     strictly_convex = False
@@ -159,10 +180,23 @@ class CostModel:
             return INF
         mu = _as_vector(mu, self.dim, "mu")
         q = _as_vector(q, self.dim, "q")
-        d = r + self.cost(q) - float(q @ mu)
-        if -1e-9 < d < 0.0:  # roundoff below the theoretical floor
-            d = 0.0
-        return d
+        return _floored(r + self.cost(q) - float(q @ mu))
+
+    # -- kernels on trusted arrays (see the class docstring) ---------------
+    def _mu(self, q) -> np.ndarray:
+        return self.price(q).center
+
+    def _cost(self, q) -> float:
+        return self.cost(q)
+
+    def _conj(self, mu) -> float:
+        return self.conjugate(mu)
+
+    def _div(self, mu, q) -> float:
+        r = self._conj(mu)
+        if not np.isfinite(r):
+            return INF
+        return _floored(r + self._cost(q) - float(q @ mu))
 
     def trade_cost(self, q, r) -> float:
         q = _as_vector(q, self.dim, "q")
@@ -197,15 +231,21 @@ class LmsrCost(CostModel):
             raise ValueError("lmsr requires a complete (simplex) market")
 
     def cost(self, q) -> float:
-        q = _as_vector(q, self.dim, "q")
-        return _logsumexp(q)
+        return self._cost(_as_vector(q, self.dim, "q"))
 
     def price(self, q) -> PriceSet:
-        q = _as_vector(q, self.dim, "q")
-        return PriceSet.point(_softmax(q))
+        return PriceSet.point(self._mu(_as_vector(q, self.dim, "q")))
 
     def conjugate(self, mu) -> float:
-        mu = _as_vector(mu, self.dim, "mu")
+        return self._conj(_as_vector(mu, self.dim, "mu"))
+
+    def _cost(self, q) -> float:
+        return _logsumexp(q)
+
+    def _mu(self, q) -> np.ndarray:
+        return _softmax(q)
+
+    def _conj(self, mu) -> float:
         if np.any(mu < -self.domain_tol) or abs(mu.sum() - 1.0) > self.domain_tol:
             return INF
         m = np.clip(mu, 0.0, None)
@@ -252,15 +292,21 @@ class IndependentBinaryCost(CostModel):
             raise ValueError("product-lmsr requires the full binary cube")
 
     def cost(self, q) -> float:
-        q = _as_vector(q, self.dim, "q")
-        return float(np.sum(np.logaddexp(0.0, q)))
+        return self._cost(_as_vector(q, self.dim, "q"))
 
     def price(self, q) -> PriceSet:
-        q = _as_vector(q, self.dim, "q")
-        return PriceSet.point(expit(q))
+        return PriceSet.point(self._mu(_as_vector(q, self.dim, "q")))
 
     def conjugate(self, mu) -> float:
-        mu = _as_vector(mu, self.dim, "mu")
+        return self._conj(_as_vector(mu, self.dim, "mu"))
+
+    def _cost(self, q) -> float:
+        return float(np.sum(np.logaddexp(0.0, q)))
+
+    def _mu(self, q) -> np.ndarray:
+        return expit(q)
+
+    def _conj(self, mu) -> float:
         if np.any(mu < -self.domain_tol) or np.any(mu > 1.0 + self.domain_tol):
             return INF
         m = np.clip(mu, 0.0, 1.0)
@@ -601,6 +647,8 @@ class ScaledCost(CostModel):
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
 
+    # cost and price hand q / alpha to the base's public method, whose
+    # check also catches the overflow of q / alpha near the float maximum
     def cost(self, q) -> float:
         q = _as_vector(q, self.dim, "q")
         return self.alpha * self.base.cost(q / self.alpha)
@@ -610,7 +658,16 @@ class ScaledCost(CostModel):
         return self.base.price(q / self.alpha)
 
     def conjugate(self, mu) -> float:
-        return self.alpha * self.base.conjugate(mu)
+        return self._conj(_as_vector(mu, self.dim, "mu"))
+
+    def _cost(self, q) -> float:
+        return self.alpha * self.base._cost(q / self.alpha)
+
+    def _mu(self, q) -> np.ndarray:
+        return self.base._mu(q / self.alpha)
+
+    def _conj(self, mu) -> float:
+        return self.alpha * self.base._conj(mu)
 
     def conjugate_grad(self, mu) -> np.ndarray:
         return self.alpha * self.base.conjugate_grad(mu)
@@ -637,6 +694,7 @@ class ShiftedCost(CostModel):
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
 
+    # as in ScaledCost, the base's public check also catches an overflow
     def cost(self, q) -> float:
         q = _as_vector(q, self.dim, "q")
         return self.base.cost(q + self.shift)
@@ -646,10 +704,18 @@ class ShiftedCost(CostModel):
         return self.base.price(q + self.shift)
 
     def conjugate(self, mu) -> float:
-        r = self.base.conjugate(mu)
+        return self._conj(_as_vector(mu, self.dim, "mu"))
+
+    def _cost(self, q) -> float:
+        return self.base._cost(q + self.shift)
+
+    def _mu(self, q) -> np.ndarray:
+        return self.base._mu(q + self.shift)
+
+    def _conj(self, mu) -> float:
+        r = self.base._conj(mu)
         if not np.isfinite(r):
             return INF
-        mu = _as_vector(mu, self.dim, "mu")
         return r - float(self.shift @ mu)
 
     def conjugate_grad(self, mu) -> np.ndarray:

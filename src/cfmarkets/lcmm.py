@@ -100,18 +100,27 @@ class LcmmCost(CostModel):
         mu = _as_vector(mu, self.dim, "mu")
         total = 0.0
         for g, c in zip(self._slices, self.block_costs):
-            r = c.conjugate(mu[g])
+            r = c._conj(mu[g])
             if not np.isfinite(r):
                 return INF
             total += r
         return total
 
     def direct_sum_divergence(self, mu, q) -> float:
-        mu = _as_vector(mu, self.dim, "mu")
-        q = _as_vector(q, self.dim, "q")
+        return self._ddiv(_as_vector(mu, self.dim, "mu"),
+                          _as_vector(q, self.dim, "q"))
+
+    # -- direct-sum kernels on trusted arrays ------------------------------
+    def _dmu(self, q) -> np.ndarray:
+        mu = np.empty(self.dim)
+        for g, c in zip(self._slices, self.block_costs):
+            mu[g] = c._mu(q[g])
+        return mu
+
+    def _ddiv(self, mu, q) -> float:
         total = 0.0
         for g, c in zip(self._slices, self.block_costs):
-            d = c.divergence(mu[g], q[g])
+            d = c._div(mu[g], q[g])
             if not np.isfinite(d):
                 return INF
             total += d
@@ -151,8 +160,7 @@ class LcmmCost(CostModel):
         base = q + self.A @ eta - eta[j] * a
 
         def g(t):
-            mu = self.direct_sum_price(base + t * a).center
-            return float(a @ mu) - self.b_c[j]
+            return float(a @ self._dmu(base + t * a)) - self.b_c[j]
 
         lo, hi = 0.0, 1.0
         if g(lo) >= 0.0:
@@ -196,8 +204,8 @@ class LcmmCost(CostModel):
         q = _as_vector(q, self.dim, "q")
         eta = np.asarray(eta, dtype=float).reshape(-1)
         shifted = q + self.A @ eta
-        mu = self.direct_sum_price(shifted).center
-        return (self.direct_sum_divergence(mu, shifted)
+        mu = self._dmu(shifted)
+        return (self._ddiv(mu, shifted)
                 + float((self.A.T @ mu - self.b_c) @ eta))
 
     def _kkt(self, q, eta):
@@ -210,8 +218,7 @@ class LcmmCost(CostModel):
         alone misses a negative g_i: its complementary-slackness term g.eta
         can then be negative.
         """
-        mu = self.direct_sum_price(q + self.A @ eta).center
-        grad = self.A.T @ mu - self.b_c
+        grad = self.A.T @ self._dmu(q + self.A @ eta) - self.b_c
         return (self.certificate_gap(q, eta),
                 float(np.abs(np.minimum(eta, grad)).max(initial=0.0)))
 
@@ -258,7 +265,7 @@ def lcmm_divergence(model: LcmmCost, mu, q) -> float:
     sol = model.solve(q)
     q = _as_vector(q, model.dim, "q")
     comp = float((model.A.T @ mu - model.b_c) @ sol.eta)
-    return model.direct_sum_divergence(mu, q + sol.delta) + comp
+    return model._ddiv(mu, q + sol.delta) + comp
 
 
 def certificate_check(model: LcmmCost, q, eta) -> bool:
@@ -267,7 +274,7 @@ def certificate_check(model: LcmmCost, q, eta) -> bool:
     if eta.min(initial=0.0) < -1e-12:
         raise ValueError("eta must be nonnegative")
     q = _as_vector(q, model.dim, "q")
-    mu = model.direct_sum_price(q + model.A @ eta).center
+    mu = model._dmu(q + model.A @ eta)
     if not model.space.hull().contains(mu, CERTIFICATE_TOL):
         return False
     gap, residual = model._kkt(q, eta)

@@ -178,8 +178,10 @@ def check_sudden_inputs(model: CostModel, obs: Observation, traders,
     """Raise ValueError for a sudden-revelation run that cannot be carried
     out as specified: an unknown switch boundary, a switch time that is not
     finite, an arbitrageur that contradicts the settlement or acts before
-    the switch, or a belief trader that trades under the switched cost with
-    a belief in no cell's hull (the switched cost has no state there)."""
+    the switch, or a belief trader that trades with a belief outside the
+    price space (no state has that price, and its trade would clip), or
+    under the switched cost with a belief in no cell's hull (the switched
+    cost has no state there)."""
     if switch_boundary not in ("after", "before"):
         raise ValueError("switch_boundary must be 'after' or 'before'")
     if not np.isfinite(switch_time):
@@ -192,15 +194,18 @@ def check_sudden_inputs(model: CostModel, obs: Observation, traders,
             if tr.times and tr.times[0] < switch_time:
                 # acting before the observation is announced is disallowed
                 raise ValueError("arbitrageur may only act at/after the switch")
-        if isinstance(tr, BeliefTrader) and any(
-                _after_switch(t, switch_time, switch_boundary)
-                for t in tr.times):
-            mu = _as_vector(tr.mu, model.dim, "belief")
-            if not any(model.space.hull(obs.cell(x)).contains(
-                    mu, model.domain_tol) for x in obs.realizations):
-                raise ValueError(f"belief trader {tr.name!r} trades after "
-                                 "the switch with a belief in no "
-                                 "revelation cell")
+        if not (isinstance(tr, BeliefTrader) and tr.times):
+            continue
+        mu = _as_vector(tr.mu, model.dim, "belief")
+        if not model.space.hull().contains(mu, model.domain_tol):
+            raise ValueError(f"belief trader {tr.name!r} holds a belief "
+                             "outside the price space")
+        if any(_after_switch(t, switch_time, switch_boundary)
+               for t in tr.times) and not any(
+                model.space.hull(obs.cell(x)).contains(mu, model.domain_tol)
+                for x in obs.realizations):
+            raise ValueError(f"belief trader {tr.name!r} trades after the "
+                             "switch with a belief in no revelation cell")
 
 
 def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,

@@ -6,8 +6,8 @@ from scipy.special import logsumexp
 from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
                        ScaledCost, ShiftedCost, finite_difference_price,
-                       membership, observe_coordinate, plan_switch,
-                       simplex_market, single_binary_market,
+                       medal_count_model, membership, observe_coordinate,
+                       plan_switch, simplex_market, single_binary_market,
                        single_security_market, square_market, util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
 from cfmarkets.costs import _logsumexp
@@ -405,3 +405,59 @@ def test_shifted_cost_transports_divergence():
                                                 abs=1e-12)
     assert np.allclose(s.price(s.state_with_price(mu)).center, mu, atol=1e-9)
     assert s.divergence(np.array([2.0, 0.0]), q) == INF
+
+
+# ---------------------------------------------------------------------------
+# Trusted kernels under the public surface
+
+
+def _kernel_models():
+    shifts = {"lmsr": np.array([0.3, -1.2, 0.5]), "square": np.array([0.6, -0.9])}
+    for name, make in (("lmsr", lmsr), ("square", square)):
+        base = make()
+        yield name, base
+        yield f"scaled-{name}", ScaledCost(base, 0.37)
+        yield f"shifted-{name}", ShiftedCost(base, shifts[name])
+        yield f"scaled-shifted-{name}", ScaledCost(
+            ShiftedCost(base, shifts[name]), 0.61)
+
+
+KERNEL_MODELS = dict(_kernel_models())
+
+
+@pytest.mark.parametrize("name", list(KERNEL_MODELS))
+def test_kernels_agree_with_the_public_methods_bit_for_bit(name):
+    model = KERNEL_MODELS[name]
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        q = rng.normal(0.0, 3.0, model.dim)
+        mu = rng.dirichlet(np.ones(model.space.n_outcomes)) @ model.space.payoff
+        assert np.array_equal(model._mu(q), model.price(q).center)
+        assert model._cost(q) == model.cost(q)
+        assert model._conj(mu) == model.conjugate(mu)
+        assert model._div(mu, q) == model.divergence(mu, q)
+    off = model.space.payoff.max(axis=0) + 1.0
+    assert model._conj(off) == INF and model.conjugate(off) == INF
+
+
+def test_price_set_point_shares_one_read_only_copy():
+    p = np.array([0.25, 0.75])
+    ps = PriceSet.point(p)
+    p[0] = 1.0  # the caller's array is not the price set's
+    assert ps.lo is ps.hi and not ps.lo.flags.writeable
+    assert np.array_equal(ps.center, [0.25, 0.75]) and ps.is_point
+
+
+@pytest.mark.parametrize("make", [lambda: ScaledCost(lmsr(), 0.5),
+                                  lambda: medal_count_model(2)],
+                         ids=["scaled", "lcmm"])
+def test_public_methods_still_validate_their_input(make):
+    m = make()
+    methods = [m.cost, m.price] + ([m.solve] if hasattr(m, "solve") else [])
+    for ask in methods:
+        nan = np.zeros(m.dim)
+        nan[0] = np.nan
+        with pytest.raises(ValueError, match="q must be finite"):
+            ask(nan)
+        with pytest.raises(ValueError, match=f"q must have length {m.dim}"):
+            ask(np.zeros(m.dim + 1))

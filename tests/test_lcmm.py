@@ -153,6 +153,23 @@ def test_cold_solves_of_scaled_medal_models_are_certified(n):
         assert sol.certificate_gap == gap
 
 
+def test_cold_solve_calls_only_the_block_kernels(monkeypatch):
+    # the solver's inner loop runs on trusted arrays: no block's public
+    # (validating) price, and a pinned number of price-point kernels
+    calls = {"price": 0, "_mu": 0}
+    for cls in (IndependentBinaryCost, LmsrCost):
+        for name in calls:
+            def counted(self, q, _orig=getattr(cls, name), _name=name):
+                calls[_name] += 1
+                return _orig(self, q)
+            monkeypatch.setattr(cls, name, counted)
+    m = medal_count_model(3)
+    sol = m.solve(np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.2, 0.7]))
+    assert sol.converged and sol.eta[1] > 0.0
+    # 12 direct-sum price points over the 4 blocks
+    assert calls == {"price": 0, "_mu": 48}
+
+
 def medal_with_count_mass_constraint(floor):
     """medal(2) plus the constraint that the count-block prices sum to at
     least `floor`; at floor 1 it holds for every price and is redundant."""

@@ -157,6 +157,16 @@ def test_off_cell_belief_after_the_switch_is_rejected_before_any_trade(
     assert np.allclose(m.price(ledger.final_state).center, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("times", [[0.5], [1.5]], ids=["before", "after"])
+def test_belief_outside_the_price_space_is_rejected(times):
+    # before the switch such a belief used to clip: it bought [120, 0]
+    m = square()
+    obs = observe_coordinate(m.space, 0)
+    with pytest.raises(ValueError, match="outside the price space"):
+        run_protocol1(m, np.zeros(2), obs,
+                      [BeliefTrader("b", times, [2.0, 0.5])], 1.0, (1, 1))
+
+
 def test_inconsistent_plan_raises_without_override():
     m = square()
     obs = observe_sum(m.space)
