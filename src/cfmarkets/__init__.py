@@ -19,13 +19,12 @@ from .lcmm import (ArbitrageSolution, LcmmCost, TightnessResult,
                    certificate_check, lcmm_divergence, medal_count_model,
                    tightness_check)
 from .markets import (BlockStructure, ExposureWitness, Observation,
-                      OutcomeSpace, exposure_witness, face_check,
-                      independent_binary_market, membership,
-                      observe_block_payoff, observe_coordinate,
-                      observe_identity, observe_partition, observe_sum,
-                      probe_points, simplex_market, single_binary_market,
-                      single_security_market, square_market,
-                      trivial_observation)
+                      OutcomeSpace, exposure_witness,
+                      independent_binary_market, observe_block_payoff,
+                      observe_coordinate, observe_identity, observe_partition,
+                      observe_sum, probe_points, simplex_market,
+                      single_binary_market, single_security_market,
+                      square_market, trivial_observation)
 from .scenario import Scenario, ScenarioError, bundled_scenarios, \
     load_scenario
 from .simulate import (BeliefTrader, InconsistentPlanError, JitArbitrageur,
@@ -34,8 +33,7 @@ from .simulate import (BeliefTrader, InconsistentPlanError, JitArbitrageur,
                        wc_loss_bound)
 from .switching import (ConsistencyVerdict, DesiderataReport, DesiderataRow,
                         FeasibilityResult, SwitchPlan, check_desiderata,
-                        consistency_check, feasibility_precheck, plan_switch,
-                        shift_state)
+                        consistency_check, feasibility_precheck, plan_switch)
 from .utility import (EventUtility, OptimizingSequence, conditional_price,
                       excess_util, optimizing_sequence, util_belief,
                       util_event)

@@ -427,8 +427,6 @@ class RestrictedCost(CostModel):
         super().__init__(base.space)
         self.base = base
         self.event = tuple(outcomes)
-        if len(self.event) == 0:
-            raise ValueError("event must be nonempty")
         self.hull = base.space.hull(self.event)
         self.vertices = self.hull.vertices
         self.strictly_convex = base.strictly_convex
@@ -463,7 +461,7 @@ class RestrictedCost(CostModel):
         mu = _as_vector(mu, self.dim, "mu")
         if not self.hull.contains(mu, self.domain_tol):
             return INF
-        return self.base.conjugate(mu)
+        return self.base._conj(mu)
 
     def conjugate_grad(self, mu) -> np.ndarray:
         return self.base.conjugate_grad(mu)
@@ -543,8 +541,8 @@ class SwitchedCost(CostModel):
         mu = _as_vector(mu, self.dim, "mu")
         cells = self.containing_cells(mu)
         if cells and self.consistent:
-            return self.base.conjugate(mu) - max(self.offsets[x] for x in cells)
-        candidates = [self.base.conjugate(mu) - self.offsets[x] for x in cells]
+            return self.base._conj(mu) - max(self.offsets[x] for x in cells)
+        candidates = [self.base._conj(mu) - self.offsets[x] for x in cells]
         out = self._roof(mu)
         if out is not None:  # back from divergence units to R(mu) - b_x
             candidates.append(out[0] + float(self.switch_state @ mu)
@@ -592,7 +590,7 @@ class SwitchedCost(CostModel):
         for x in self.realizations:
             pts = probe_points(self.space, self.cell_models[x].event)
             chunks.append(pts)
-            values.extend(self.base.conjugate(p) + cs - float(s @ p)
+            values.extend(self.base._conj(p) + cs - float(s @ p)
                           - self.offsets[x] for p in pts)
             owners.extend([x] * len(pts))
         return np.vstack(chunks), np.array(values), owners

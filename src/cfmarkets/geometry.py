@@ -1,9 +1,9 @@
 """Small dense linear-feasibility helpers over vertex hulls.
 
-Everything here works on an explicit vertex list V (n x K): convex weight
-recovery and hull overlap (one min-slack LP, `_min_slack`), separating
-directions, and minimum-value convex combinations. Instances are desk-scale,
-so a dense LP per query is fine.
+Everything here works on an explicit vertex list V (n x K): hull membership
+and hull overlap (one min-slack LP, `_min_slack`), separating directions,
+and minimum-value convex combinations. Instances are desk-scale, so a dense
+LP per query is fine.
 `Hull` answers membership and overlap for simplex and sub-cube faces in
 closed form and sends every other vertex set to these LPs.
 """
@@ -56,36 +56,23 @@ def _min_slack(m, r, a_eq, b_eq, read, tol: float = 0.0):
     return answer, miss
 
 
-def best_hull_weights(vertices: np.ndarray, mu: np.ndarray):
-    """Convex weights over `vertices` minimizing the L-inf reconstruction error.
-
-    Returns (weights, residual). Always feasible: the slack variable absorbs
-    any mismatch, so `residual` tells the caller how far mu is from the hull.
-    """
+def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
+    """Whether mu is within L-inf distance tol of the vertices' hull: the
+    least L-inf error of a convex combination of the vertices, from the
+    min-slack LP and recomputed from its weights."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     mu = np.asarray(mu, dtype=float)
     n = V.shape[0]
     if n == 1:
-        return np.array([1.0]), float(np.max(np.abs(V[0] - mu), initial=0.0))
+        return float(np.max(np.abs(V[0] - mu), initial=0.0)) <= tol
 
-    def weights(x):
+    def residual(x):
         lam = np.clip(x[:n], 0.0, None)
         lam /= lam.sum()
-        return lam, float(np.max(np.abs(V.T @ lam - mu), initial=0.0))
+        return None, float(np.max(np.abs(V.T @ lam - mu), initial=0.0))
 
-    return _min_slack(V.T, mu, np.ones((1, n)), [1.0], weights)
-
-
-def hull_weights(vertices, mu, tol: float = DEFAULT_TOL):
-    """Convex weights reconstructing mu within tol, or None if infeasible."""
-    lam, residual = best_hull_weights(vertices, mu)
-    if residual > tol:
-        return None
-    return lam
-
-
-def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
-    return hull_weights(vertices, mu, tol) is not None
+    _, miss = _min_slack(V.T, mu, np.ones((1, n)), [1.0], residual)
+    return miss <= tol
 
 
 def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
@@ -117,7 +104,7 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
 def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
                          margin: float = 1.0):
     """Direction v with v.p constant on inside_points and at least `margin`
-    above every outside point. Returns (v, margin) or None if infeasible.
+    above every outside point, or None if there is none.
 
     Among feasible v the L1-smallest is returned, which keeps witnesses tidy.
     """
@@ -125,7 +112,7 @@ def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
     P_out = np.atleast_2d(np.asarray(outside_points, dtype=float))
     k = P_in.shape[1]
     if P_out.size == 0:
-        return np.zeros(k), margin
+        return np.zeros(k)
     # variables: [v (k), c (1), u (k)]; minimize sum u, |v| <= u
     n_var = 2 * k + 1
     c_obj = np.zeros(n_var)
@@ -150,7 +137,7 @@ def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
                   A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if not res.success:
         return None
-    return res.x[:k].copy(), margin
+    return res.x[:k].copy()
 
 
 def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray,

@@ -106,10 +106,6 @@ class LcmmCost(CostModel):
             total += r
         return total
 
-    def direct_sum_divergence(self, mu, q) -> float:
-        return self._ddiv(_as_vector(mu, self.dim, "mu"),
-                          _as_vector(q, self.dim, "q"))
-
     # -- direct-sum kernels on trusted arrays ------------------------------
     def _dmu(self, q) -> np.ndarray:
         mu = np.empty(self.dim)

@@ -79,6 +79,8 @@ class OutcomeSpace:
         built once per event."""
         key = None if outcomes is None else tuple(outcomes)
         if key not in self._hulls:
+            if key == ():
+                raise ValueError("event must be nonempty")
             self._hulls[key] = geometry.Hull(self.vertices(key),
                                              self._complete)
         return self._hulls[key]
@@ -164,21 +166,6 @@ class ExposureWitness:
             raise ValueError("margin must be positive")
 
 
-def membership(space: OutcomeSpace, mu, outcomes=None, tol: float = 1e-9):
-    """Convex weights over the event's payoff vertices reconstructing mu.
-
-    Returns a dict outcome -> weight, or None when mu is outside the hull
-    (within the L-inf tolerance).
-    """
-    event = tuple(outcomes) if outcomes is not None else space.outcomes
-    if len(event) == 0:
-        raise ValueError("event must be nonempty")
-    lam = geometry.hull_weights(space.vertices(event), mu, tol)
-    if lam is None:
-        return None
-    return {w: float(l) for w, l in zip(event, lam)}
-
-
 def probe_points(space: OutcomeSpace, outcomes=None) -> np.ndarray:
     """Vertices of an event hull plus all pairwise midpoints."""
     V = space.vertices(outcomes)
@@ -188,30 +175,6 @@ def probe_points(space: OutcomeSpace, outcomes=None) -> np.ndarray:
         for j in range(i + 1, n):
             points.append(((V[i] + V[j]) / 2.0)[None, :])
     return np.vstack(points)
-
-
-def face_check(space: OutcomeSpace, obs: Observation, x,
-               tol: float = 1e-9) -> bool:
-    """Whether the hull of cell x is a face of the full price space.
-
-    Brute-force sampled check: every probe point of the cell hull must admit
-    no convex decomposition over all vertices that puts more than tol weight
-    outside the cell. Sound at polytope test scale (probes are vertices and
-    pairwise midpoints), documented as a sampled check. The largest outside
-    weight is minus the least value of a decomposition that values each
-    vertex outside the cell at -1 and each one inside at 0.
-    """
-    obs.validate(space)
-    cell = obs.cell(x)
-    values = np.array([0.0 if obs.of(w) == x else -1.0
-                       for w in space.outcomes])
-    for mu in probe_points(space, cell):
-        found = geometry.min_weighted_value(space.payoff, values, mu, tol)
-        if found is None:  # numerically outside the hull; skip
-            continue
-        if -found[0] > max(tol, 1e-7):
-            return False
-    return True
 
 
 def _face_witness(hull: geometry.Hull) -> np.ndarray | None:
@@ -257,11 +220,10 @@ def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
                     and vin.min() >= vout.max() + EXPOSURE_MARGIN):
                 candidate = None
         if candidate is None:
-            found = geometry.separating_direction(
+            candidate = geometry.separating_direction(
                 space.vertices(cell),
                 space.vertices(others) if others else np.empty((0, space.dim)),
                 EXPOSURE_MARGIN)
-            candidate = None if found is None else found[0]
         out[x] = (None if candidate is None
                   else ExposureWitness(candidate, EXPOSURE_MARGIN))
     obs._exposure[id(space)] = (space, out)  # holding space keeps its id

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, ShiftedCost, SwitchedCost, _as_vector
+from .costs import CostModel, SwitchedCost, _as_vector
 from .markets import Observation, OutcomeSpace, exposure_witness, probe_points
 from .utility import util_event
 
@@ -127,8 +127,9 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
     """
     m_old, s_old = old
     m_new, s_new = new
-    if m_old.space is not m_new.space and \
-            m_old.space.outcomes != m_new.space.outcomes:
+    if m_old.space is not m_new.space and not (
+            m_old.space.outcomes == m_new.space.outcomes
+            and np.array_equal(m_old.space.payoff, m_new.space.payoff)):
         raise ValueError("models must share an outcome space")
     obs.validate(m_old.space)
     s_old = _as_vector(s_old, m_old.dim, "old state")
@@ -180,16 +181,3 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
                                     details=details)
     rows["EXUTIL"] = DesiderataRow("EXUTIL", ex_dev <= tol, ex_dev)
     return DesiderataReport(rows)
-
-
-def shift_state(m: CostModel, s_new, s) -> CostModel:
-    """Re-anchor a model so the state s plays the role of s_new.
-
-    The returned model satisfies C'(q) = C(q + s_new - s); every desideratum
-    verdict is identical between (C, s_new) and (C', s).
-    """
-    s_new = _as_vector(s_new, m.dim, "s_new")
-    s = _as_vector(s, m.dim, "s")
-    if np.array_equal(s_new, s):
-        return m
-    return ShiftedCost(m, s_new - s)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import markets
 # project_onto_hull is bound here only for perfbench's tracer test, which
 # expects a `utility.project_onto_hull` binding; nothing here calls it
 from .costs import CostModel, RestrictedCost, _as_vector, \
@@ -64,7 +63,8 @@ def conditional_price(m: CostModel, event, q):
 def excess_util(m: CostModel, mu, event, q) -> float:
     """Utility of belief mu beyond the utility of knowing only the event."""
     event = tuple(event)
-    if markets.membership(m.space, mu, event, tol=MEMBERSHIP_TOL) is None:
+    mu = _as_vector(mu, m.dim, "mu")
+    if not m.space.hull(event).contains(mu, MEMBERSHIP_TOL):
         raise ValueError("belief must lie in the event's price hull")
     return util_belief(m, mu, q) - util_event(m, event, q).value
 

@@ -2,7 +2,9 @@
 
 Everything in this module is computed from first principles with its own
 formulas and plain grid search / refinement; nothing here calls back into
-the solver paths it is used to verify.
+the solver paths it is used to verify. `face_check` decides exposure with
+the convex-combination LP, not with the separating direction that
+`exposure_witness` solves for.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from itertools import product
 
 import numpy as np
 from scipy.special import logsumexp
+
+from cfmarkets import Observation, OutcomeSpace, geometry, probe_points
 
 
 # ---------------------------------------------------------------------------
@@ -125,3 +129,31 @@ def square_count_violation(s, grid: int = 200001) -> float:
     own = float(binary_entropy_sum(np.array([0.5, 0.5]))) - b1
     roof = 0.5 * (0.0 - b0) + 0.5 * (0.0 - b2)  # R = 0 at both corners
     return own - roof
+
+
+# ---------------------------------------------------------------------------
+# Faces: a sampled check of what `exposure_witness` decides exactly
+
+
+def face_check(space: OutcomeSpace, obs: Observation, x,
+               tol: float = 1e-9) -> bool:
+    """Whether the hull of cell x is a face of the full price space.
+
+    Brute-force sampled check: every probe point of the cell hull must admit
+    no convex decomposition over all vertices that puts more than tol weight
+    outside the cell. Sound at polytope test scale (probes are vertices and
+    pairwise midpoints), documented as a sampled check. The largest outside
+    weight is minus the least value of a decomposition that values each
+    vertex outside the cell at -1 and each one inside at 0.
+    """
+    obs.validate(space)
+    cell = obs.cell(x)
+    values = np.array([0.0 if obs.of(w) == x else -1.0
+                       for w in space.outcomes])
+    for mu in probe_points(space, cell):
+        found = geometry.min_weighted_value(space.payoff, values, mu, tol)
+        if found is None:  # numerically outside the hull; skip
+            continue
+        if -found[0] > max(tol, 1e-7):
+            return False
+    return True

@@ -6,7 +6,7 @@ from scipy.special import logsumexp
 from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
                        ScaledCost, ShiftedCost, finite_difference_price,
-                       medal_count_model, membership, observe_coordinate,
+                       geometry, medal_count_model, observe_coordinate,
                        plan_switch, simplex_market, single_binary_market,
                        single_security_market, square_market, util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
@@ -289,7 +289,7 @@ def test_util_event_closed_forms_never_project(projections):
     for m, event in cases:
         res = util_event(m, event, q[:m.dim])
         assert res.residual == 0.0 and res.converged
-        assert membership(m.space, res.minimizer, event, tol=1e-9) is not None
+        assert geometry.hull_contains(m.space.vertices(event), res.minimizer)
 
 
 def switched_square():

@@ -15,20 +15,19 @@ SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
 
 def test_best_hull_weights_center():
-    lam, residual = geometry.best_hull_weights(SQUARE, np.array([0.5, 0.5]))
-    assert residual <= 1e-9
-    assert lam.sum() == pytest.approx(1.0)
-    assert np.allclose(SQUARE.T @ lam, [0.5, 0.5], atol=1e-9)
+    assert geometry.hull_contains(SQUARE, np.array([0.5, 0.5]), tol=1e-9)
 
 
 def test_best_hull_weights_outside_reports_residual():
-    lam, residual = geometry.best_hull_weights(SQUARE, np.array([1.5, 0.5]))
-    assert residual == pytest.approx(0.5, abs=1e-8)
+    # (1.5, 0.5) is 0.5 from the square in L-inf, so tol decides at 0.5
+    outside = np.array([1.5, 0.5])
+    assert geometry.hull_contains(SQUARE, outside, tol=0.5 + 1e-8)
+    assert not geometry.hull_contains(SQUARE, outside, tol=0.5 - 1e-8)
 
 
 def test_hull_weights_none_outside():
-    assert geometry.hull_weights(SQUARE, np.array([-0.1, 0.5])) is None
-    assert geometry.hull_weights(SQUARE, np.array([0.25, 0.75])) is not None
+    assert not geometry.hull_contains(SQUARE, np.array([-0.1, 0.5]))
+    assert geometry.hull_contains(SQUARE, np.array([0.25, 0.75]))
 
 
 def test_hull_contains_vertices_and_edges():
@@ -94,13 +93,12 @@ def test_min_weighted_value_none_outside():
 
 
 def test_separating_direction_face():
-    found = geometry.separating_direction(SQUARE[2:], SQUARE[:2], margin=1.0)
-    assert found is not None
-    v, margin = found
+    v = geometry.separating_direction(SQUARE[2:], SQUARE[:2], margin=1.0)
+    assert v is not None
     vin = SQUARE[2:] @ v
     vout = SQUARE[:2] @ v
     assert np.ptp(vin) <= 1e-8
-    assert vin.min() >= vout.max() + margin - 1e-8
+    assert vin.min() >= vout.max() + 1.0 - 1e-8
 
 
 def test_separating_direction_infeasible_for_diagonal():
@@ -110,8 +108,8 @@ def test_separating_direction_infeasible_for_diagonal():
 
 
 def test_separating_direction_empty_outside():
-    v, margin = geometry.separating_direction(SQUARE, np.empty((0, 2)))
-    assert np.allclose(v, 0.0)
+    v = geometry.separating_direction(SQUARE, np.empty((0, 2)))
+    assert np.array_equal(v, np.zeros(2))
 
 
 def test_hulls_intersect():
@@ -162,7 +160,7 @@ def test_lps_are_assembled_as_written_out(seed):
 
     with mock.patch.object(geometry, "linprog", recording):
         geometry.separating_direction(A, B, margin=0.5)
-        geometry.best_hull_weights(A, mu)
+        geometry.hull_contains(A, mu)
         geometry.hulls_intersect(A, B)
     expected = [loop_separating_rows(B, k, 0.5), min_slack_rows(A.T, mu),
                 min_slack_rows(np.hstack([A.T, -B.T]), np.zeros(k))]

@@ -75,9 +75,13 @@ def test_direct_sum_conjugate_and_divergence():
                 + 0.6 * np.log(0.6) + 0.4 * np.log(0.4))
     assert m.direct_sum_conjugate(mu) == pytest.approx(expected, abs=1e-12)
     assert m.direct_sum_conjugate(np.array([2.0, 0.5, 0.5])) == np.inf
-    q = np.zeros(m.dim)
-    d = m.direct_sum_divergence(mu, q)
-    assert d == pytest.approx(expected + m.direct_sum_cost(q), abs=1e-12)
+    # the direct-sum divergence from the public pieces is the sum of the
+    # blocks' own divergences
+    q = np.array([0.3, -1.2, 0.7])
+    d = m.direct_sum_conjugate(mu) + m.direct_sum_cost(q) - float(q @ mu)
+    blockwise = sum(c.divergence(mu[list(g)], q[list(g)])
+                    for g, c in zip(m.blocks, m.block_costs))
+    assert d == pytest.approx(blockwise, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

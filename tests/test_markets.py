@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockStructure, Observation, OutcomeSpace, face_check,
+from cfmarkets import (BlockStructure, Observation, OutcomeSpace,
                        exposure_witness, independent_binary_market,
-                       membership, observe_block_payoff, observe_coordinate,
-                       observe_identity, observe_partition, observe_sum,
-                       probe_points, simplex_market, single_binary_market,
-                       single_security_market, square_market,
-                       trivial_observation)
+                       medal_count_model, observe_block_payoff,
+                       observe_coordinate, observe_identity, observe_partition,
+                       observe_sum, probe_points, simplex_market,
+                       single_binary_market, single_security_market,
+                       square_market, trivial_observation)
+
+from oracles import face_check
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +105,20 @@ def test_block_structure_validation():
 # Hull membership and probes
 
 
-def test_membership_weights():
+def test_event_hull_membership():
     sp = square_market()
-    w = membership(sp, np.array([0.5, 0.5]))
-    assert w is not None
-    assert sum(w.values()) == pytest.approx(1.0)
-    assert membership(sp, np.array([1.2, 0.5])) is None
+    assert sp.hull().contains(np.array([0.5, 0.5]))
+    assert not sp.hull().contains(np.array([1.2, 0.5]))
     cell = ((1, 0), (1, 1))
-    w = membership(sp, np.array([1.0, 0.25]), cell)
-    assert w[(1, 1)] == pytest.approx(0.25, abs=1e-8)
-    assert membership(sp, np.array([0.5, 0.5]), cell) is None
+    assert sp.hull(cell).contains(np.array([1.0, 0.25]))
+    assert not sp.hull(cell).contains(np.array([0.5, 0.5]))
+
+
+def test_empty_event_hull_is_rejected():
+    sp = square_market()
+    for event in ((), []):
+        with pytest.raises(ValueError, match="event must be nonempty"):
+            sp.hull(event)
 
 
 def test_probe_points_count():
@@ -140,6 +146,37 @@ def test_face_check_rejects_interior_diagonal():
     assert not face_check(sp, obs, 1.0)  # middle cell crosses the interior
     assert face_check(sp, obs, 0.0)
     assert face_check(sp, obs, 2.0)
+
+
+def agreement_cases():
+    """(space, observation) pairs: sum, identity, trivial, each coordinate
+    and six seeded random labellings of five spaces."""
+    spaces = [square_market(), independent_binary_market(3),
+              simplex_market(4), medal_count_model(2).space,
+              single_security_market((0, 1, 2))]
+    for seed, sp in enumerate(spaces):
+        rng = np.random.default_rng(seed)
+        yield sp, observe_sum(sp)
+        yield sp, observe_identity(sp)
+        yield sp, trivial_observation(sp)
+        for i in range(sp.dim):
+            yield sp, observe_coordinate(sp, i)
+        for _ in range(6):
+            labels = rng.integers(0, 3, sp.n_outcomes).tolist()
+            yield sp, Observation(dict(zip(sp.outcomes, labels)))
+
+
+def test_exposure_witness_agrees_with_the_sampled_face_check():
+    # every face of a polytope is exposed, so the exact witness and the
+    # sampled face check answer the same question
+    cells = 0
+    for sp, obs in agreement_cases():
+        witnesses = exposure_witness(sp, obs)
+        for x in obs.realizations:
+            assert (witnesses[x] is not None) == face_check(sp, obs, x), \
+                (obs.name, x)
+            cells += 1
+    assert cells >= 140
 
 
 def test_exposure_witness_coordinate_cells():

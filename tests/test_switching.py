@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
-                       RestrictedCost, ScaledCost, Schedule, SwitchedCost,
+                       OutcomeSpace, RestrictedCost, ScaledCost, Schedule,
+                       ShiftedCost, SwitchedCost,
                        bundled_scenarios, check_desiderata, consistency_check,
                        excess_util, feasibility_precheck, geometry,
                        load_scenario, medal_count_model, model_at, new_state,
                        observe_block_payoff, observe_coordinate,
                        observe_identity, observe_partition, observe_sum,
                        partial_decrease_audit, plan_switch, run_protocol1,
-                       shift_state, simplex_market, square_market, util_event)
+                       simplex_market, square_market, util_event)
 from cfmarkets.switching import _cell_samples
 
 from oracles import square_count_violation
@@ -550,6 +551,21 @@ def test_desiderata_rejects_mismatched_spaces():
                          coord0(m))
 
 
+def test_desiderata_rejects_a_mirrored_price_space():
+    # same outcomes, payoffs 1 - payoff: a different price space
+    m = square()
+    mirror = OutcomeSpace(m.space.outcomes, 1.0 - m.space.payoff)
+    other = IndependentBinaryCost(mirror)
+    with pytest.raises(ValueError, match="models must share an outcome space"):
+        check_desiderata((m, np.zeros(2)), (other, np.zeros(2)), coord0(m))
+    equal = IndependentBinaryCost(OutcomeSpace(m.space.outcomes,
+                                               m.space.payoff))
+    report = check_desiderata((m, np.zeros(2)), (equal, np.zeros(2)),
+                              coord0(m))
+    # an equal space built anew is the same space: the same prices
+    assert report.row("PRICE").passed and report.row("CONDPRICE").passed
+
+
 # ---------------------------------------------------------------------------
 # State shifting
 
@@ -558,11 +574,11 @@ def test_shift_state_divergence_identity():
     m = square()
     s = np.array([0.1, 0.9])
     s_new = np.array([-0.4, 0.3])
-    shifted = shift_state(m, s_new, s)
+    shifted = ShiftedCost(m, s_new - s)
     mu = np.array([0.6, 0.2])
     assert shifted.divergence(mu, s) == pytest.approx(
         m.divergence(mu, s_new), abs=1e-12)
-    assert shift_state(m, s, s) is m
+    assert ShiftedCost(m, s - s).divergence(mu, s) == m.divergence(mu, s)
 
 
 def test_shift_state_preserves_desiderata_verdicts():
@@ -571,6 +587,7 @@ def test_shift_state_preserves_desiderata_verdicts():
     s_new = np.array([1.0, 0.7])
     obs = coord0(m)
     direct = check_desiderata((m, s_new), (m, s_new), obs)
-    via_shift = check_desiderata((m, s_new), (shift_state(m, s_new, s), s), obs)
+    via_shift = check_desiderata((m, s_new), (ShiftedCost(m, s_new - s), s),
+                                 obs)
     for name in direct.rows:
         assert direct.row(name).passed == via_shift.row(name).passed

@@ -164,6 +164,15 @@ def test_excess_util():
         excess_util(m, np.array([0.5, 0.5]), cell, q)  # not in the cell hull
 
 
+@pytest.mark.parametrize("mu", [[1.0, 0.3, 0.0], [1.0], [1.0, np.nan]],
+                         ids=["length-3", "length-1", "nan"])
+def test_excess_util_rejects_a_malformed_belief(mu):
+    m = square()
+    cell = (((1, 0)), ((1, 1)))
+    with pytest.raises(ValueError, match="mu must"):
+        excess_util(m, np.array(mu), cell, np.zeros(2))
+
+
 def test_optimizing_sequence_converges():
     m = lmsr3()
     seq = optimizing_sequence(m, (0, 1), np.zeros(3), n_steps=100)
