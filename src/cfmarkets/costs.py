@@ -198,6 +198,11 @@ class CostModel:
             return INF
         return _floored(r + self._cost(q) - float(q @ mu))
 
+    def _conjs(self, mus) -> np.ndarray:
+        """R at each row of a stack of price points, one row at a time; a
+        kind that prices a stack at once overrides it."""
+        return np.array([self.conjugate(mu) for mu in mus], dtype=float)
+
     def trade_cost(self, q, r) -> float:
         q = _as_vector(q, self.dim, "q")
         r = _as_vector(r, self.dim, "r")
@@ -439,7 +444,10 @@ class RestrictedCost(CostModel):
         """Bregman projection of q onto the event's hull: the maximizer mu
         of q.mu - R(mu), with `value` R(mu) - q.mu = -C_E(q). A closed form
         is exact (gap 0, converged, 0 iterations)."""
-        q = _as_vector(q, self.dim, "q")
+        return self._project(_as_vector(q, self.dim, "q"))
+
+    def _project(self, q) -> ProjectionResult:
+        """`project` on a trusted q."""
         if self._closed is None:
             return project_onto_hull(self.vertices, self.base.conjugate,
                                      self.base.conjugate_grad, q)
@@ -493,8 +501,11 @@ class SwitchedCost(CostModel):
     own consistency (`violation`): when it is `consistent` the roof inside a
     cell is that cell's R(mu) - b_x, returned in closed form. Off the cells,
     and at every price of an inconsistent switch, `_roof` bounds it by a
-    sampled convex-combination LP, which undercuts the in-cell value exactly
-    when the switch is inconsistent.
+    convex-combination LP over sampled probe points (cell vertices and
+    pairwise midpoints), one LP for a whole stack of prices. The sampled
+    roof lies on or above the exact one, so an undercut it finds is real
+    and an "inconsistent" verdict is sound; on cells that are not exposed a
+    "consistent" verdict is only as good as the samples.
     """
 
     kind = "switched"
@@ -519,60 +530,86 @@ class SwitchedCost(CostModel):
             self.cell_models[x], self.offsets[x] = cell, max(b, 0.0)
 
     def cost(self, q) -> float:
+        # through each cell's public `cost`, which perfbench's sudden_mc
+        # workload must reach (`costs.restricted.cost.calls`)
         q = _as_vector(q, self.dim, "q")
         return max(self.offsets[x] + self.cell_models[x].cost(q)
                    for x in self.realizations)
 
     def price(self, q) -> PriceSet:
         q = _as_vector(q, self.dim, "q")
-        solved = [self.cell_models[x].solve(q) for x in self.realizations]
-        vals = [self.offsets[x] + c
-                for x, (c, _) in zip(self.realizations, solved)]
+        solved = [self.cell_models[x]._project(q) for x in self.realizations]
+        vals = [self.offsets[x] - res.value
+                for x, res in zip(self.realizations, solved)]
         top = max(vals)
-        prices = [p for v, (_, p) in zip(vals, solved) if v >= top - 1e-9]
+        prices = [res.mu for v, res in zip(vals, solved) if v >= top - 1e-9]
         return PriceSet(np.min(prices, axis=0), np.max(prices, axis=0))
 
     def containing_cells(self, mu) -> list:
-        mu = _as_vector(mu, self.dim, "mu")
+        return self._cells(_as_vector(mu, self.dim, "mu"))
+
+    def _cells(self, mu) -> list:
         return [x for x in self.realizations
                 if self.cell_models[x].hull.contains(mu, self.domain_tol)]
 
     def conjugate(self, mu) -> float:
-        mu = _as_vector(mu, self.dim, "mu")
-        cells = self.containing_cells(mu)
-        if cells and self.consistent:
-            return self.base._conj(mu) - max(self.offsets[x] for x in cells)
-        candidates = [self.base._conj(mu) - self.offsets[x] for x in cells]
-        out = self._roof(mu)
-        if out is not None:  # back from divergence units to R(mu) - b_x
-            candidates.append(out[0] + float(self.switch_state @ mu)
-                              - self._cost_at_switch)
-        return min(candidates, default=INF)
+        return float(self._conjs(_as_vector(mu, self.dim, "mu")[None, :])[0])
+
+    def _conjs(self, mus) -> np.ndarray:
+        """The roof at each row of a stack: R(mu) - max b_x, in closed form,
+        inside the cells of a consistent switch; inf off the price space;
+        elsewhere the least of the in-cell values R(mu) - b_x and the sampled
+        roof, with every such row in one `_roof` call, which raises if that
+        roof fails on the price space."""
+        out = np.full(len(mus), INF)
+        sampled = []  # (row, in-cell candidates)
+        for j, mu in enumerate(mus):
+            cells = self._cells(mu)
+            if cells and self.consistent:
+                out[j] = self.base._conj(mu) - max(self.offsets[x]
+                                                   for x in cells)
+            elif cells or self.space.hull().contains(mu, self.domain_tol):
+                sampled.append((j, [self.base._conj(mu) - self.offsets[x]
+                                    for x in cells]))
+        if sampled:
+            found = self._roof(mus[[j for j, _ in sampled]])
+            if found is None:  # each row passed the price-space test above
+                raise RuntimeError("the roof LP failed inside the price space")
+            s, cs = self.switch_state, self._cost_at_switch
+            for i, (j, candidates) in enumerate(sampled):
+                # from divergence units to R(mu) - b_x
+                candidates.append(found[0][i] + float(s @ mus[j]) - cs)
+                out[j] = min(candidates)
+        return out
 
     @cached_property
-    def violation(self) -> tuple[float, dict | None]:
-        """(worst, witness) of the roof test: (inf, the pair) for overlapping
-        cells; (0.0, None), with no LP, when every cell is exposed, which
-        makes the switch consistent at every state (arXiv 1407.8161); else
-        the worst probe value D(p || s) - b_x less the sampled roof
-        `_roof(p)`, both in divergence units."""
+    def violation(self) -> tuple[float, dict | None, str]:
+        """(worst, witness, path) of the roof test, with the path that
+        decided it: (inf, the pair, "overlap") for overlapping cells;
+        (0.0, None, "exposed"), with no LP, when every cell is exposed,
+        which makes the switch consistent at every state (arXiv
+        1407.8161); else "sampled": the worst probe value D(p || s) - b_x
+        less the sampled roof at p, both in divergence units, from one
+        `_roof` LP over every probe point."""
         for x, y in combinations(self.realizations, 2):
             if self.cell_models[x].hull.intersects(self.cell_models[y].hull,
                                                    tol=1e-9):
-                return INF, {"overlap": (x, y)}
+                return INF, {"overlap": (x, y)}, "overlap"
         if all(exposure_witness(self.space, self.observation).values()):
-            return 0.0, None
-        worst, witness = 0.0, None
-        for p, v, x in zip(*self._roof_samples):
-            out = self._roof(p)
-            if out is None:  # pragma: no cover - p is itself a candidate
-                continue
-            low, weights = out
-            if v - low > worst:
-                worst = v - low
-                witness = {"mu": p.copy(), "realization": x, "value": v,
-                           "roof_value": low, "weights": weights.copy()}
-        return worst, witness
+            return 0.0, None, "exposed"
+        points, values, owners = self._roof_samples
+        found = self._roof(points)
+        if found is None:  # pragma: no cover - each probe is a candidate
+            raise RuntimeError("the roof LP failed at its own probe points")
+        low, weights = found
+        under = values - low
+        j = int(np.argmax(under))
+        if under[j] <= 0.0:
+            return 0.0, None, "sampled"
+        return float(under[j]), {
+            "mu": points[j].copy(), "realization": owners[j],
+            "value": values[j], "roof_value": low[j],
+            "weights": weights[j].copy()}, "sampled"
 
     @property
     def consistent(self) -> bool:
@@ -595,19 +632,21 @@ class SwitchedCost(CostModel):
             owners.extend([x] * len(pts))
         return np.vstack(chunks), np.array(values), owners
 
-    def _roof(self, mu):
-        """Sampled convex roof at mu, in divergence units: (value, weights)
-        of the cheapest convex combination of probe points that matches mu,
-        or None off their hull."""
+    def _roof(self, mus):
+        """Sampled convex roof at each row of a stack, in divergence units:
+        (values, weights) of the cheapest convex combinations of probe
+        points that match the rows, from one LP on desk-scale probe sets, or
+        None when a row is off their hull."""
         points, values, _ = self._roof_samples
-        return geometry.min_weighted_value(points, values, mu, self.domain_tol)
+        return geometry.min_weighted_value(points, values, mus,
+                                           self.domain_tol)
 
     def conjugate_grad(self, mu) -> np.ndarray:
         return self.base.conjugate_grad(mu)
 
     def state_with_price(self, mu) -> np.ndarray:
         mu = _as_vector(mu, self.dim, "mu")
-        cells = self.containing_cells(mu)
+        cells = self._cells(mu)
         if not cells:
             raise ValueError("mu is not in any revelation cell")
         model = self.cell_models[cells[0]]

@@ -3,12 +3,17 @@
 Everything here works on an explicit vertex list V (n x K): hull membership
 and hull overlap (one min-slack LP, `_min_slack`), separating directions,
 and minimum-value convex combinations. Instances are desk-scale, so a dense
-LP per query is fine.
+LP per query is fine; `min_weighted_value` takes a whole stack of query
+points as block-diagonal LPs (one on desk-scale probe sets), because
+scipy's per-call overhead, not HiGHS, is most of a small LP's time. The
+switched cost's sampled convex roof is its one library caller.
 `Hull` answers membership and overlap for simplex and sub-cube faces in
 closed form and sends every other vertex set to these LPs.
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,11 +23,18 @@ DEFAULT_TOL = 1e-9
 # At its default feasibility tolerance (1e-7) HiGHS may round a convex weight
 # of 1e-8 to zero, so a point just inside a hull reads as just outside it.
 # A miss of at most _RESOLVE_BELOW is solved once more at the tightest
-# tolerances HiGHS takes; larger misses are real.
+# tolerances HiGHS takes; larger misses are real. `min_weighted_value` always
+# solves at them: at 1e-7 its optimum could use far more than its own +- tol
+# of slack, and a point's minimum would then move by ~1e-10 with the other
+# blocks of its stack.
 _RESOLVE_ABOVE = 1e-12
 _RESOLVE_BELOW = 1e-6
 _TIGHT = {"options": {"primal_feasibility_tolerance": 1e-10,
                       "dual_feasibility_tolerance": 1e-10}}
+# A stack of points goes to HiGHS in LPs whose dense inequality matrix holds
+# at most this many entries (512 KB), so memory stays bounded however many
+# points a stack has: J blocks of 2K x n take 2K * n * J^2 entries.
+_STACK_ENTRIES = 2 ** 16
 
 
 def _near_miss(residual: float) -> bool:
@@ -79,8 +91,14 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
                        tol: float = DEFAULT_TOL):
     """Minimize sum(w * values) over convex weights w with P^T w = mu (+- tol).
 
-    Returns (min_value, weights) or None when mu is not in the hull of points.
-    Non-finite values drop their points from the program.
+    `mu` is one point (K,) or a stack (J, K). A stack is solved as
+    block-diagonal LPs, as many blocks to an LP as `_STACK_ENTRIES` allows
+    (all of them on desk-scale probe sets): block j holds its own weights,
+    its own convexity row and its own rows P^T w_j = mu_j (+- tol), and the
+    objectives add up, so each block's minimum is the one its point alone
+    has. A single point is the one-block case, the LP of one point. Returns (min_value, weights), as (J,) values and
+    (J, n) weights for a stack, or None when some point is not in the hull
+    of points. Non-finite values drop their points from the program.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.asarray(values, dtype=float)
@@ -88,17 +106,28 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
     if not keep.any():
         return None
     P, v = P[keep], v[keep]
-    n, k = P.shape
-    a_ub = np.vstack([P.T, -P.T])
+    n = len(v)
     mu = np.asarray(mu, dtype=float)
-    b_ub = np.concatenate([mu + tol, -mu + tol])
-    res = linprog(v, A_ub=a_ub, b_ub=b_ub, A_eq=np.ones((1, n)), b_eq=[1.0],
-                  bounds=[(0, None)] * n, method="highs")
-    if not res.success:
-        return None
-    w = np.zeros(keep.shape[0])
-    w[keep] = np.clip(res.x, 0.0, None)
-    return float(res.fun), w
+    mus = np.atleast_2d(mu)
+    found, w = np.empty(len(mus)), np.zeros((len(mus), keep.shape[0]))
+    rows = np.vstack([P.T, -P.T])  # one point's inequality rows
+    step = max(1, isqrt(_STACK_ENTRIES // rows.size))
+    for i in range(0, len(mus), step):
+        block = mus[i:i + step]
+        J = len(block)
+        res = linprog(np.tile(v, J), A_ub=np.kron(np.eye(J), rows),
+                      b_ub=np.hstack([block + tol, -block + tol]).ravel(),
+                      A_eq=np.kron(np.eye(J), np.ones((1, n))),
+                      b_eq=np.ones(J), bounds=[(0, None)] * (J * n),
+                      method="highs", **_TIGHT)
+        if not res.success:
+            return None
+        x = res.x.reshape(J, n)
+        found[i:i + J] = x @ v
+        w[i:i + J, keep] = np.clip(x, 0.0, None)
+    if mu.ndim == 1:
+        return float(found[0]), w[0]
+    return found, w
 
 
 def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,

@@ -22,6 +22,7 @@ from .utility import util_event
 class ConsistencyVerdict:
     consistent: bool
     worst_violation: float
+    path: str  # what decided it: "overlap", "exposed" or "sampled"
     witness: dict | None = None
     switched: SwitchedCost | None = None  # the switch that was checked
 
@@ -74,11 +75,12 @@ def plan_switch(m: CostModel, obs: Observation, s) -> SwitchPlan:
 def consistency_check(m: CostModel, obs: Observation, s) -> ConsistencyVerdict:
     """Whether the offset conjugates admit a consistent convex roof: the
     switch's `SwitchedCost.consistent`, the one threshold `cfmarkets run`
-    and `check` share. The verdict carries the switch it checked."""
+    and `check` share. The verdict carries the switch it checked and the
+    path of `SwitchedCost.violation` that decided it."""
     sw = SwitchedCost(m, obs, s)
-    worst, witness = sw.violation
+    worst, witness, path = sw.violation
     ok = sw.consistent
-    return ConsistencyVerdict(ok, worst, None if ok else witness, sw)
+    return ConsistencyVerdict(ok, worst, path, None if ok else witness, sw)
 
 
 @dataclass
@@ -165,13 +167,15 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
         dec_worst = max(dec_worst, u_new - u_old)
 
         # D_old(mu||s_old) - D_new(mu||s_new) less C_old(s_old) - C_new(s_new),
-        # a constant that cancels in the spread
-        diffs = [m_old.conjugate(mu) - m_new.conjugate(mu)
-                 - float((s_old - s_new) @ mu)
-                 for mu in _cell_samples(m_old.space, cell, n_random, rng)]
-        diffs = [d for d in diffs if np.isfinite(d)]
-        if diffs:
-            ex_dev = max(ex_dev, float(max(diffs) - min(diffs)))
+        # a constant that cancels in the spread; each model prices the
+        # samples as one stack (a switched cost: one roof LP per cell)
+        samples = _cell_samples(m_old.space, cell, n_random, rng)
+        shift = [float((s_old - s_new) @ mu) for mu in samples]
+        with np.errstate(invalid="ignore"):  # inf - inf is dropped below
+            diffs = m_old._conjs(samples) - m_new._conjs(samples) - shift
+        diffs = diffs[np.isfinite(diffs)]
+        if diffs.size:
+            ex_dev = max(ex_dev, float(diffs.max() - diffs.min()))
         details[x] = {"util_old": u_old, "util_new": u_new}
 
     rows["CONDPRICE"] = DesiderataRow("CONDPRICE", cp_dev <= tol, cp_dev)

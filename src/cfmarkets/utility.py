@@ -43,7 +43,8 @@ def util_belief(m: CostModel, mu, q) -> float:
 def util_event(m: CostModel, event, q) -> EventUtility:
     """Minimum divergence from state q to the event's price hull, at the
     projection `RestrictedCost(m, event)` makes."""
-    res = RestrictedCost(m, event).project(q)
+    q = _as_vector(q, m.dim, "q")
+    res = RestrictedCost(m, event)._project(q)
     return EventUtility(m.divergence(res.mu, q), res.mu, res.gap,
                         res.converged, multiple=not m.strictly_convex)
 

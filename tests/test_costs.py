@@ -448,12 +448,15 @@ def test_price_set_point_shares_one_read_only_copy():
     assert np.array_equal(ps.center, [0.25, 0.75]) and ps.is_point
 
 
-@pytest.mark.parametrize("make", [lambda: ScaledCost(lmsr(), 0.5),
-                                  lambda: medal_count_model(2)],
-                         ids=["scaled", "lcmm"])
+@pytest.mark.parametrize("make", [
+    lambda: ScaledCost(lmsr(), 0.5), lambda: medal_count_model(2),
+    lambda: RestrictedCost(square(), [(0, 0), (1, 1)])],
+    ids=["scaled", "lcmm", "restricted"])
 def test_public_methods_still_validate_their_input(make):
     m = make()
-    methods = [m.cost, m.price] + ([m.solve] if hasattr(m, "solve") else [])
+    methods = [m.cost, m.price] + [getattr(m, name)
+                                   for name in ("solve", "project")
+                                   if hasattr(m, name)]
     for ask in methods:
         nan = np.zeros(m.dim)
         nan[0] = np.nan

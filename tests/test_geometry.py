@@ -1,15 +1,18 @@
+import sys
 from functools import partial
 from itertools import combinations
+from math import isqrt
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfmarkets import (IndependentBinaryCost, LmsrCost, geometry,
-                       independent_binary_market, observe_coordinate,
-                       observe_partition, observe_sum, plan_switch,
-                       probe_points, simplex_market, square_market)
+from cfmarkets import (IndependentBinaryCost, LmsrCost, Observation,
+                       SwitchedCost, geometry, independent_binary_market,
+                       observe_coordinate, observe_partition, observe_sum,
+                       plan_switch, probe_points, simplex_market,
+                       square_market)
 
 SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
@@ -92,6 +95,74 @@ def test_min_weighted_value_none_outside():
                                        np.array([1.5, 0.5])) is None
 
 
+def assert_stack_matches_single_points(points, values, stack):
+    found, weights = geometry.min_weighted_value(points, values, stack)
+    assert found.shape == (len(stack),)
+    assert weights.shape == (len(stack), len(points))
+    for mu, value, w in zip(stack, found, weights):
+        alone = geometry.min_weighted_value(points, values, mu)
+        assert abs(value - alone[0]) <= 1e-12
+        # each block's weights are its own convex decomposition of its row
+        assert abs(w.sum() - 1.0) <= 1e-9
+        assert np.max(np.abs(points.T @ w - mu)) <= 1e-7
+        assert np.all(w[~np.isfinite(values)] == 0.0)
+
+
+def test_min_weighted_value_stack_matches_single_points():
+    rng = np.random.default_rng(13)
+    square_sum = (IndependentBinaryCost(square_market()), observe_sum)
+    cube = IndependentBinaryCost(independent_binary_market(3))
+    labellings = [Observation({w: int(rng.integers(3))
+                               for w in cube.space.outcomes}).validate(
+                                   cube.space) for _ in range(3)]
+    switches = ([SwitchedCost(square_sum[0], square_sum[1](square_sum[0].space),
+                              rng.uniform(-2, 2, 2)) for _ in range(50)]
+                + [SwitchedCost(cube, obs, rng.uniform(-2, 2, 3))
+                   for obs in labellings])
+    for sw in switches:
+        points, values, _ = sw._roof_samples
+        # the probe set itself, as `violation` stacks it, and inner points
+        inner = rng.dirichlet(np.ones(len(sw.space.payoff)), size=5)
+        assert_stack_matches_single_points(
+            points, values, np.vstack([points, inner @ sw.space.payoff]))
+    # a non-finite value drops its point from every block
+    values = np.array([np.inf, 1.0, 2.0, 0.5])
+    segment = np.linspace(0.0, 1.0, 7)
+    stack = SQUARE[1] + segment[:, None] * (SQUARE[3] - SQUARE[1])
+    assert_stack_matches_single_points(SQUARE, values, stack)
+
+
+def test_large_stack_is_split_into_bounded_lps(monkeypatch):
+    # independent_binary(5)/sum has 142 probe points, so `violation` stacks
+    # 142 rows of 142 weights each; they go to HiGHS in LPs of a bounded
+    # size, not as one dense program of 1,420 x 20,164
+    m = IndependentBinaryCost(independent_binary_market(5))
+    sw = SwitchedCost(m, observe_sum(m.space), np.linspace(-1.0, 1.0, 5))
+    points, values, _ = sw._roof_samples
+    n = len(points)
+    real, sizes = geometry.linprog, []
+
+    def recording(c, **kwargs):
+        if sys._getframe(1).f_code.co_name == "min_weighted_value":
+            sizes.append(kwargs["A_ub"].size)
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(geometry, "linprog", recording)
+    worst, _, path = sw.violation
+    assert n == 142 and path == "sampled"
+    per_lp = isqrt(geometry._STACK_ENTRIES // (2 * 5 * n))
+    assert len(sizes) == -(-n // per_lp) > 1
+    assert max(sizes) <= geometry._STACK_ENTRIES
+    # the split stack agrees with its rows' one-point LPs
+    found, _ = geometry.min_weighted_value(points, values, points,
+                                           sw.domain_tol)
+    for j in range(0, n, 20):
+        alone, _ = geometry.min_weighted_value(points, values, points[j],
+                                               sw.domain_tol)
+        assert abs(found[j] - alone) <= 1e-12
+    assert worst == pytest.approx(float(np.max(values - found)), abs=1e-15)
+
+
 def test_separating_direction_face():
     v = geometry.separating_direction(SQUARE[2:], SQUARE[:2], margin=1.0)
     assert v is not None
@@ -145,6 +216,28 @@ def min_slack_rows(M, r):
             np.concatenate([r, -r]))
 
 
+def loop_roof_rows(P, values, mus, tol):
+    """The stacked min-weighted-value LP, one Python row at a time: block j
+    owns the weights j*n to j*n + n - 1, the rows of its point (P^T w_j at
+    most mu_j + tol, then -P^T w_j at most -mu_j + tol) and one convexity
+    row."""
+    n, k = P.shape
+    J = len(mus)
+    ub, b_ub, eq = [], [], []
+    for j in range(J):
+        for sign in (1.0, -1.0):
+            for i in range(k):
+                row = np.zeros(J * n)
+                row[j * n:(j + 1) * n] = sign * P[:, i]
+                ub.append(row)
+                b_ub.append(sign * mus[j][i] + tol)
+        row = np.zeros(J * n)
+        row[j * n:(j + 1) * n] = 1.0
+        eq.append(row)
+    return (np.array(ub), np.array(b_ub), np.array(eq),
+            np.concatenate([values] * J))
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_lps_are_assembled_as_written_out(seed):
     # every LP these helpers send to HiGHS, against its rows written out
@@ -152,22 +245,35 @@ def test_lps_are_assembled_as_written_out(seed):
     k = 2 + seed % 3
     A, B = rng.normal(size=(3, k)), rng.normal(size=(2, k))
     mu = rng.normal(size=k)
+    values = rng.normal(size=3)
+    stack = rng.dirichlet(np.ones(3), size=2 + seed) @ A
     real, sent = geometry.linprog, []
 
     def recording(*args, **kwargs):
-        sent.append(kwargs)
+        sent.append((args, kwargs))
         return real(*args, **kwargs)
 
     with mock.patch.object(geometry, "linprog", recording):
         geometry.separating_direction(A, B, margin=0.5)
         geometry.hull_contains(A, mu)
         geometry.hulls_intersect(A, B)
+        geometry.min_weighted_value(A, values, stack[0])
+        geometry.min_weighted_value(A, values, stack)
+    roofs = [loop_roof_rows(A, values, mus, geometry.DEFAULT_TOL)
+             for mus in (stack[:1], stack)]
     expected = [loop_separating_rows(B, k, 0.5), min_slack_rows(A.T, mu),
                 min_slack_rows(np.hstack([A.T, -B.T]), np.zeros(k))]
-    assert len(sent) == 3  # no near miss at these random points
-    for kwargs, (a_ub, b_ub) in zip(sent, expected):
+    expected += [roof[:2] for roof in roofs]
+    assert len(sent) == 5  # no near miss at these random points
+    for (_, kwargs), (a_ub, b_ub) in zip(sent, expected):
         assert np.array_equal(kwargs["A_ub"], a_ub)
         assert np.array_equal(kwargs["b_ub"], b_ub)
+    # a single point is the one-block stack: one convexity row, objective
+    # the values themselves
+    for (args, kwargs), (_, _, a_eq, c) in zip(sent[3:], roofs):
+        assert np.array_equal(args[0], c)
+        assert np.array_equal(kwargs["A_eq"], a_eq)
+        assert np.array_equal(kwargs["b_eq"], np.ones(len(a_eq)))
 
 
 # ---------------------------------------------------------------------------

@@ -304,17 +304,101 @@ def test_consistency_check_and_roof_conjugate_share_one_roof(roof_lps,
     assert len(roof_calls) == roof_lps()
 
 
+@pytest.mark.parametrize("observe, s", [
+    (coord0, [0.3, 0.9]), (lambda m: observe_sum(m.space), [1.0, 0.0])],
+    ids=["consistent", "inconsistent"])
+def test_stacked_conjugate_filters_rows_off_the_price_space(observe, s,
+                                                            roof_lps):
+    m = square()
+    sw = SwitchedCost(m, observe(m), np.array(s))
+    sw.violation  # the check's own LPs, before counting
+    stack = np.array([[0.5, 0.5], [1.5, 0.5], [0.0, 0.3], [0.2, 0.8],
+                      [-0.1, 0.0], [1.0, 1.0]])
+    before = roof_lps()
+    out = sw._conjs(stack)
+    # the two rows off the square read inf and do not sink the others,
+    # which share one roof LP
+    assert roof_lps() - before == 1
+    off = np.isinf(out)
+    assert off.tolist() == [False, True, False, False, True, False]
+    assert np.array_equal(out, [sw.conjugate(mu) for mu in stack])
+
+
+def test_stacked_conjugate_raises_when_the_roof_fails(monkeypatch):
+    m = square()
+    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    monkeypatch.setattr(SwitchedCost, "_roof", lambda self, mus: None)
+    # an off-space row alone needs no roof
+    assert sw._conjs(np.array([[1.5, 0.5]]))[0] == np.inf
+    with pytest.raises(RuntimeError, match="roof LP failed"):
+        sw._conjs(np.array([[1.5, 0.5], [0.2, 0.8]]))
+    with pytest.raises(RuntimeError, match="roof LP failed"):
+        sw.conjugate(np.array([0.5, 0.5]))
+
+
+def test_sampled_violation_is_one_roof_lp(roof_lps, roof_calls):
+    m = square()
+    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    worst, witness, path = sw.violation
+    # every probe point of every cell in one stacked LP
+    assert roof_lps() == 1 and roof_calls == [sw]
+    assert path == "sampled" and not sw.consistent
+    assert worst == pytest.approx(sampled_roof_violation(sw), abs=1e-12)
+    assert witness["value"] - witness["roof_value"] == worst
+
+
+def test_impossible_count_audit_makes_one_roof_lp_per_cell(roof_lps,
+                                                           monkeypatch):
+    sc = load_scenario(bundled_scenarios()["square_count_impossible.scn"])
+    plan = plan_switch(sc.model, sc.observation, sc.initial_state)
+    assert plan.consistency.path == "sampled"
+    assert not plan.consistency.consistent
+    per_cell = []  # roof LPs of each stack the audit itself prices
+    real = SwitchedCost._conjs
+
+    def counted(self, mus):
+        before = roof_lps()
+        out = real(self, mus)
+        if sys._getframe(1).f_code.co_name == "check_desiderata":
+            per_cell.append(roof_lps() - before)
+        return out
+
+    monkeypatch.setattr(SwitchedCost, "_conjs", counted)
+    check_desiderata((sc.model, plan.switch_state),
+                     (plan.switched, plan.switch_state), sc.observation,
+                     tol=sc.tol, seed=sc.seed, price_informational=True)
+    assert len(per_cell) == len(sc.observation.realizations)
+    assert max(per_cell) == 1
+
+
+DIAGONALS = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
+
+
+@pytest.mark.parametrize("observe, path, verdicts", [
+    (coord0, "exposed", (True, True)),
+    (lambda m: observe_sum(m.space), "sampled", (True, False)),
+    (lambda m: observe_partition(m.space, DIAGONALS), "overlap",
+     (False, False)),
+], ids=["square/coordinate(0)", "square/sum", "square/diagonals"])
+def test_verdict_records_the_deciding_path(observe, path, verdicts):
+    m = square()
+    for s, consistent in zip(([0.0, 0.0], [1.0, 0.0]), verdicts):
+        v = consistency_check(m, observe(m), np.array(s))
+        assert (v.path, v.consistent) == (path, consistent)
+        assert v.switched.violation[2] == path
+
+
 def test_switched_price_solves_each_cell_once(monkeypatch):
     m = square()
     sw = plan_switch(m, coord0(m), np.array([0.4, -1.1])).switched
     solved = []
-    real = RestrictedCost.solve
+    real = RestrictedCost._project  # the cells' solve on a checked q
 
     def counted(self, q):
         solved.append(self.event)
         return real(self, q)
 
-    monkeypatch.setattr(RestrictedCost, "solve", counted)
+    monkeypatch.setattr(RestrictedCost, "_project", counted)
     cells = sorted(c.event for c in sw.cell_models.values())
     # a tie at the switch state, then a single winning cell on each side
     for q in (sw.switch_state, [2.0, 0.3], [-1.0, 0.5]):
