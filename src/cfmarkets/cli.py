@@ -73,6 +73,20 @@ def _trade_records(ledger):
                       cost_delta=rec.cost, trader=rec.trader)
 
 
+def _settle(sc: Scenario, ledger, model, records, failures):
+    """The loss-bound check against `model` at the initial state, its
+    failure message, and the settlement record."""
+    bound = wc_loss_bound(model, sc.initial_state)
+    ok, slack = verify_loss(ledger, bound, tol=sc.tol)
+    records.append(_record(ts=None, kind="check", check="loss_bound",
+                           value=slack, **{"pass": ok}))
+    if not ok:
+        failures.append(f"maker loss exceeded the worst-case bound by {-slack:.3g}")
+    records.append(_record(ts=None, kind="settlement",
+                           state=ledger.final_state, value=ledger.maker_loss,
+                           **{"pass": ok}))
+
+
 def _run_sudden(sc: Scenario, allow_inconsistent: bool):
     records = []
     failures = []
@@ -117,34 +131,16 @@ def _run_sudden(sc: Scenario, allow_inconsistent: bool):
             if enabled and not row.passed:
                 failures.append(f"desideratum {name} failed "
                                 f"(worst deviation {row.worst:.3g})")
-    bound = wc_loss_bound(sc.model, sc.initial_state)
-    ok, slack = verify_loss(ledger, bound, tol=sc.tol)
-    records.append(_record(ts=None, kind="check", check="loss_bound",
-                           value=slack, **{"pass": ok}))
-    if not ok:
-        failures.append(f"maker loss exceeded the worst-case bound by {-slack:.3g}")
-    records.append(_record(ts=None, kind="settlement",
-                           state=ledger.final_state, value=ledger.maker_loss,
-                           **{"pass": ok}))
+    _settle(sc, ledger, sc.model, records, failures)
     return records, failures
 
 
 def _run_gradual(sc: Scenario):
-    records = []
-    failures = []
     ledger = run_protocol2(sc.model, sc.schedule, sc.initial_state, sc.t0,
                            sc.requests, sc.settlement, seed=sc.seed)
-    records.extend(_trade_records(ledger))
-    bound = wc_loss_bound(model_at(sc.model, sc.schedule, sc.t0),
-                          sc.initial_state)
-    ok, slack = verify_loss(ledger, bound, tol=sc.tol)
-    records.append(_record(ts=None, kind="check", check="loss_bound",
-                           value=slack, **{"pass": ok}))
-    if not ok:
-        failures.append(f"maker loss exceeded the worst-case bound by {-slack:.3g}")
-    records.append(_record(ts=None, kind="settlement",
-                           state=ledger.final_state, value=ledger.maker_loss,
-                           **{"pass": ok}))
+    records, failures = list(_trade_records(ledger)), []
+    _settle(sc, ledger, model_at(sc.model, sc.schedule, sc.t0), records,
+            failures)
     return records, failures
 
 

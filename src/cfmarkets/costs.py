@@ -17,10 +17,9 @@ outside the price space, and comparisons treat it as maximal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, product
-from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -118,19 +117,6 @@ def _softmax(z) -> np.ndarray:
     return e / e.sum()
 
 
-class ClosedForm(NamedTuple):
-    """Closed form of a cost restricted to an event E.
-
-    `cost(q)` is C_E(q) = sup over mu in M(E) of [q.mu - R(mu)] and
-    `price(q)` its maximizer, the conditional price. `fixed_coords` lists the
-    coordinates a binary-cube face pins, with their values.
-    """
-
-    cost: Callable
-    price: Callable
-    fixed_coords: dict = {}
-
-
 def _floored(d: float) -> float:
     """A divergence with roundoff below its theoretical floor 0 cut off."""
     return 0.0 if -1e-9 < d < 0.0 else d
@@ -175,12 +161,8 @@ class CostModel:
         raise NotImplementedError(f"{self.kind}: no conjugate gradient")
 
     def divergence(self, mu, q) -> float:
-        r = self.conjugate(mu)
-        if not np.isfinite(r):
-            return INF
-        mu = _as_vector(mu, self.dim, "mu")
-        q = _as_vector(q, self.dim, "q")
-        return _floored(r + self.cost(q) - float(q @ mu))
+        return self._div(_as_vector(mu, self.dim, "mu"),
+                         _as_vector(q, self.dim, "q"))
 
     # -- kernels on trusted arrays (see the class docstring) ---------------
     def _mu(self, q) -> np.ndarray:
@@ -212,9 +194,12 @@ class CostModel:
         """A state whose price (set) contains mu; optional per kind."""
         raise NotImplementedError(f"{self.kind}: no closed-form state inverse")
 
-    def restrict(self, event) -> ClosedForm | None:
-        """Closed form of the cost restricted to `event`, or None when this
-        kind has none and the restriction needs a Frank-Wolfe projection."""
+    def restrict(self, event):
+        """The Bregman projection onto `event`'s hull as one trusted
+        callable, q -> ProjectionResult: the maximizer mu of q.mu - R(mu)
+        (the conditional price) with value R(mu) - q.mu = -C_E(q); a closed
+        form reports gap 0, converged, 0 iterations. None when this kind
+        has no projector, and `RestrictedCost` runs Frank-Wolfe."""
         return None
 
 
@@ -264,16 +249,16 @@ class LmsrCost(CostModel):
         m = np.clip(np.asarray(mu, dtype=float), 0.0, None)
         return np.log(np.clip(m, np.exp(-_STATE_CLIP), None))
 
-    def restrict(self, event) -> ClosedForm:
-        """Any event: log-sum-exp and softmax over the event's securities."""
+    def restrict(self, event):
+        """Any event: softmax and log-sum-exp over the event's securities."""
         idx = np.unique([self.space.index(w) for w in event])
 
-        def price(q):
+        def project(q):
             p = np.zeros(self.dim)
             p[idx] = _softmax(q[idx])
-            return p
+            return ProjectionResult(p, -_logsumexp(q[idx]), 0.0, True, 0)
 
-        return ClosedForm(lambda q: _logsumexp(q[idx]), price)
+        return project
 
 
 class IndependentBinaryCost(CostModel):
@@ -326,26 +311,24 @@ class IndependentBinaryCost(CostModel):
         q = np.log(np.clip(m, _LOG_CLIP, None)) - np.log(np.clip(1.0 - m, _LOG_CLIP, None))
         return np.clip(q, -_STATE_CLIP, _STATE_CLIP)
 
-    def restrict(self, event) -> ClosedForm | None:
-        """Sub-cube faces: linear in the pinned coordinates, binary LMSR in
-        the free ones. Other events have no closed form."""
+    def restrict(self, event):
+        """Sub-cube faces: binary LMSR in the free coordinates, linear in
+        the pinned ones. Other events have no closed form."""
         hull = self.space.hull(event)
         if hull.kind != "box":
             return None
         fixed, free = hull.pinned, hull.free
 
-        def cost(q):
-            pinned = sum(x * q[i] for i, x in fixed.items())
-            return float(pinned + np.sum(np.logaddexp(0.0, q[free])))
-
-        def price(q):
+        def project(q):
             p = np.empty(self.dim)
             p[free] = expit(q[free])
             for i, x in fixed.items():
                 p[i] = x
-            return p
+            c = sum(x * q[i] for i, x in fixed.items()) + np.sum(
+                np.logaddexp(0.0, q[free]))
+            return ProjectionResult(p, -float(c), 0.0, True, 0)
 
-        return ClosedForm(cost, price, fixed)
+        return project
 
 
 class PiecewiseLinearCost(CostModel):
@@ -422,8 +405,10 @@ class RestrictedCost(CostModel):
     C_E(q) = sup over mu in the hull of E's payoffs of [q.mu - R(mu)], and
     the maximizer is the conditional price. Bounded-loss and arbitrage-free
     for outcomes in E. `project` is the library's one Bregman projection:
-    the base's `restrict(E)` supplies a closed form where its kind has one;
-    otherwise it runs away-step Frank-Wolfe over the event's hull.
+    it calls the base's projector, `restrict(E)`, where the kind has one,
+    and otherwise runs away-step Frank-Wolfe over the event's hull.
+    `fixed_coords` lists the coordinates a sub-cube face with a projector
+    pins, with their values.
     """
 
     kind = "restricted"
@@ -436,9 +421,9 @@ class RestrictedCost(CostModel):
         self.vertices = self.hull.vertices
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
-        self._closed = base.restrict(self.event)
-        self.fixed_coords = (dict(self._closed.fixed_coords)
-                             if self._closed is not None else {})
+        self._projector = base.restrict(self.event)
+        self.fixed_coords = (dict(self.hull.pinned) if self.hull.kind == "box"
+                             and self._projector is not None else {})
 
     def project(self, q) -> ProjectionResult:
         """Bregman projection of q onto the event's hull: the maximizer mu
@@ -448,22 +433,16 @@ class RestrictedCost(CostModel):
 
     def _project(self, q) -> ProjectionResult:
         """`project` on a trusted q."""
-        if self._closed is None:
+        if self._projector is None:
             return project_onto_hull(self.vertices, self.base.conjugate,
                                      self.base.conjugate_grad, q)
-        return ProjectionResult(self._closed.price(q), -self._closed.cost(q),
-                                0.0, True, 0)
-
-    def solve(self, q) -> tuple[float, np.ndarray]:
-        """C_E(q) and the conditional price, from one projection."""
-        res = self.project(q)
-        return -res.value, res.mu
+        return self._projector(q)
 
     def cost(self, q) -> float:
-        return self.solve(q)[0]
+        return -self.project(q).value
 
     def price(self, q) -> PriceSet:
-        return PriceSet.point(self.solve(q)[1])
+        return PriceSet.point(self.project(q).mu)
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
@@ -475,7 +454,7 @@ class RestrictedCost(CostModel):
         return self.base.conjugate_grad(mu)
 
     def state_with_price(self, mu) -> np.ndarray:
-        if self._closed is None:
+        if self._projector is None:
             raise NotImplementedError(
                 "no closed-form state inverse for generic events")
         q = self.base.state_with_price(mu)
@@ -483,7 +462,7 @@ class RestrictedCost(CostModel):
             q[i] = 0.0
         return q
 
-    def restrict(self, event) -> ClosedForm | None:
+    def restrict(self, event):
         if set(event) <= set(self.event):
             return self.base.restrict(event)
         return None
@@ -498,14 +477,16 @@ class SwitchedCost(CostModel):
     the observation and s and solves each cell once at s, for its offset and
     its conditional price. The conjugate is the convex roof of the offset
     conjugates R(mu) - b_x and is never materialized. The switch decides its
-    own consistency (`violation`): when it is `consistent` the roof inside a
-    cell is that cell's R(mu) - b_x, returned in closed form. Off the cells,
-    and at every price of an inconsistent switch, `_roof` bounds it by a
-    convex-combination LP over sampled probe points (cell vertices and
-    pairwise midpoints), one LP for a whole stack of prices. The sampled
+    own consistency (`violation`): when it is `consistent`, and inside an
+    exposed cell of any switch, the roof inside a cell is that cell's
+    R(mu) - b_x, returned in closed form. Elsewhere (off the cells, and
+    inside the non-exposed cells of an inconsistent switch) `_roof` bounds
+    it by a convex-combination LP over sampled probe points (cell vertices
+    and pairwise midpoints), one LP for a whole stack of prices. The sampled
     roof lies on or above the exact one, so an undercut it finds is real
     and an "inconsistent" verdict is sound; on cells that are not exposed a
-    "consistent" verdict is only as good as the samples.
+    "consistent" verdict is only as good as the samples. Restricted to an
+    event E inside cell x, every switch is b_x + C_E (`restrict`).
     """
 
     kind = "switched"
@@ -523,8 +504,8 @@ class SwitchedCost(CostModel):
         self.cell_models, self.offsets, self.conditional_prices = {}, {}, {}
         for x in self.realizations:
             cell = RestrictedCost(base, observation.cell(x))
-            c_x, self.conditional_prices[x] = cell.solve(self.switch_state)
-            b = cs - c_x
+            res = cell._project(self.switch_state)  # value -C_x(s)
+            b, self.conditional_prices[x] = cs + res.value, res.mu
             if b < -1e-8:
                 raise ValueError(f"negative switch offset for {x!r}: {b}")
             self.cell_models[x], self.offsets[x] = cell, max(b, 0.0)
@@ -557,15 +538,18 @@ class SwitchedCost(CostModel):
 
     def _conjs(self, mus) -> np.ndarray:
         """The roof at each row of a stack: R(mu) - max b_x, in closed form,
-        inside the cells of a consistent switch; inf off the price space;
-        elsewhere the least of the in-cell values R(mu) - b_x and the sampled
-        roof, with every such row in one `_roof` call, which raises if that
-        roof fails on the price space."""
+        inside the cells of a consistent switch and where every cell that
+        holds the row is exposed (its roof mixes only its own probes); inf
+        off the price space; elsewhere the least of the in-cell values
+        R(mu) - b_x and the sampled roof, with every such row in one `_roof`
+        call, which raises if that roof fails on the price space."""
         out = np.full(len(mus), INF)
         sampled = []  # (row, in-cell candidates)
         for j, mu in enumerate(mus):
             cells = self._cells(mu)
-            if cells and self.consistent:
+            if cells and (self.consistent or all(
+                    exposure_witness(self.space, self.observation)[x]
+                    for x in cells)):
                 out[j] = self.base._conj(mu) - max(self.offsets[x]
                                                    for x in cells)
             elif cells or self.space.hull().contains(mu, self.domain_tol):
@@ -656,13 +640,22 @@ class SwitchedCost(CostModel):
             q[i] = self.switch_state[i] + (_STATE_CLIP if x > 0.5 else -_STATE_CLIP)
         return q
 
-    def restrict(self, event) -> ClosedForm | None:
-        # inside one cell the conjugate of a consistent switch is the base's
-        # less the cell offset: same maximizer, value raised by the offset
+    def restrict(self, event):
+        """Inside cell x, for every kind of cell: the base's own projection
+        onto the event (the cell's, when it is the whole cell), its value
+        less b_x. Frank-Wolfe never runs over the roof."""
         for x in self.realizations:
-            if set(event) <= set(self.cell_models[x].event):
-                inner, b = self.base.restrict(event), self.offsets[x]
-                return inner and inner._replace(cost=lambda q: b + inner.cost(q))
+            cell = self.cell_models[x]
+            if set(event) <= set(cell.event):
+                if tuple(event) != cell.event:
+                    cell = RestrictedCost(self.base, event)
+                b = self.offsets[x]
+
+                def project(q):
+                    res = cell._project(q)
+                    return replace(res, value=res.value - b)
+
+                return project
         return None
 
 
@@ -712,10 +705,17 @@ class ScaledCost(CostModel):
     def state_with_price(self, mu) -> np.ndarray:
         return self.alpha * self.base.state_with_price(mu)
 
-    def restrict(self, event) -> ClosedForm | None:
+    def restrict(self, event):
+        """The base's projection at q / a, its value and gap times a."""
         inner, a = self.base.restrict(event), self.alpha
-        return inner and inner._replace(cost=lambda q: a * inner.cost(q / a),
-                                        price=lambda q: inner.price(q / a))
+        if inner is None:
+            return None
+
+        def project(q):
+            res = inner(q / a)
+            return replace(res, value=a * res.value, gap=a * res.gap)
+
+        return project
 
 
 class ShiftedCost(CostModel):
@@ -761,10 +761,10 @@ class ShiftedCost(CostModel):
     def state_with_price(self, mu) -> np.ndarray:
         return self.base.state_with_price(mu) - self.shift
 
-    def restrict(self, event) -> ClosedForm | None:
+    def restrict(self, event):
+        """The base's projection at q + shift."""
         inner, d = self.base.restrict(event), self.shift
-        return inner and inner._replace(cost=lambda q: inner.cost(q + d),
-                                        price=lambda q: inner.price(q + d))
+        return None if inner is None else lambda q: inner(q + d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costs import ScaledCost, _as_vector
-from .lcmm import ArbitrageSolution, LcmmCost
+from .lcmm import ArbitrageSolution, LcmmCost, tightness_check
 from .markets import observe_block_payoff
 from .switching import DesiderataReport, check_desiderata
-from .utility import util_event
 
 AUDIT_TOL = 1e-6  # partial_decrease_audit's desiderata and drop tolerance
 
@@ -176,9 +175,8 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
     per-realization utility drop equals (1 - alpha_g) times the time-t block
     divergence from the realization to the arbitrage-adjusted block state.
     Strict decrease additionally requires a differentiable, tight block.
+    The measured drops are the per-cell utilities the DECUTIL row records.
     """
-    from .lcmm import tightness_check
-
     schedule.validate(model)
     for g2 in range(len(model.blocks.blocks)):
         if g2 != g and abs(schedule.beta(g2, t_new) - schedule.beta(g2, t)) > 1e-12:
@@ -195,10 +193,8 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
     shifted_block = (q + ts.solution.delta)[idx]
     drops = {}
     drop_ok = True
-    for x in obs.realizations:
-        cell = obs.cell(x)
-        measured = (util_event(m_old, cell, q).value
-                    - util_event(m_new, cell, ts.q).value)
+    for x, utils in report.row("DECUTIL").details.items():
+        measured = utils["util_old"] - utils["util_new"]
         predicted = (1.0 - alpha) * c_t.divergence(np.asarray(x), shifted_block)
         drops[x] = (measured, predicted)
         if abs(measured - predicted) > AUDIT_TOL:

@@ -20,6 +20,8 @@ from .markets import Observation
 from .switching import SwitchPlan, plan_switch
 from .utility import optimizing_sequence, util_event
 
+JIT_STEPS = 60  # optimizing_sequence steps behind each JitArbitrageur trade
+
 
 class InconsistentPlanError(RuntimeError):
     """Raised when a protocol would trade through an inconsistent switch."""
@@ -152,18 +154,16 @@ class JitArbitrageur(TraderAgent):
 
     kind = "jit"
 
-    def __init__(self, name, times, obs: Observation, x, n_steps: int = 60,
-                 budget=None):
+    def __init__(self, name, times, obs: Observation, x, budget=None):
         super().__init__(name, times, budget)
         self.obs = obs
         self.x = x
-        self.n_steps = n_steps
 
     def bundle(self, model, q, t, rng):
         cell = self.obs.cell(self.x)
         if util_event(model, cell, q).value <= 1e-12:
             return np.zeros(model.dim)
-        seq = optimizing_sequence(model, cell, q, self.n_steps)
+        seq = optimizing_sequence(model, cell, q, JIT_STEPS)
         return self._cap(model, q, seq.bundle)
 
 

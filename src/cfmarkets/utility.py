@@ -6,8 +6,8 @@ trader can guarantee knowing the outcome lies in E) is the smallest
 divergence to the event's price hull, attained at the conditional price
 vector: the Bregman projection of the state onto M(E). That projection is
 the maximizer of the restricted cost C_E, so `RestrictedCost.project` makes
-it: in closed form where the cost kind has one, otherwise by away-step
-Frank-Wolfe over the event's payoff vertices.
+it: through the cost kind's projector (`restrict`) where it has one,
+otherwise by away-step Frank-Wolfe over the event's payoff vertices.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .costs import CostModel, RestrictedCost, _as_vector, \
 MEMBERSHIP_TOL = 1e-7  # L-inf slack of excess_util's belief-in-event test
 STEP_CAP = 1.0  # longest step optimizing_sequence tries along a direction
 GAIN_TOL = 1e-12  # smallest payoff gain that keeps optimizing_sequence going
+SEARCH_ITERS = 60  # ternary-search steps of each optimizing_sequence line search
 
 
 @dataclass
@@ -114,7 +115,7 @@ def optimizing_sequence(m: CostModel, event, q,
     for _ in range(n_steps):
         cand_gain, cand_r = 0.0, None
         for d in directions:
-            t = _line_search_payoff(m, V, q0, c0, r, d, STEP_CAP)
+            t = _line_search_payoff(m, V, q0, c0, r, d)
             if t <= 0.0:
                 continue
             g = _guaranteed_payoff(m, V, q0, c0, r + t * d)
@@ -131,10 +132,11 @@ def optimizing_sequence(m: CostModel, event, q,
     return out
 
 
-def _line_search_payoff(m, V, q0, c0, r, d, cap, iters: int = 60) -> float:
-    """Ternary search for the step maximizing the guaranteed payoff along d."""
-    lo, hi = 0.0, cap
-    for _ in range(iters):
+def _line_search_payoff(m, V, q0, c0, r, d) -> float:
+    """Ternary search on [0, STEP_CAP] for the step maximizing the
+    guaranteed payoff along d."""
+    lo, hi = 0.0, STEP_CAP
+    for _ in range(SEARCH_ITERS):
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
         g1 = _guaranteed_payoff(m, V, q0, c0, r + m1 * d)

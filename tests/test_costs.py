@@ -134,6 +134,14 @@ def test_divergence_inf_outside_hull(model):
     assert model.divergence(mu, np.zeros(model.dim)) == INF
 
 
+def test_divergence_checks_the_state_also_off_the_price_space(model):
+    mu = model.space.payoff.max(axis=0) + 1.0
+    q = np.zeros(model.dim)
+    q[0] = np.nan
+    with pytest.raises(ValueError, match="q must be finite"):
+        model.divergence(mu, q)
+
+
 def test_non_finite_belief_is_rejected(model):
     # a NaN compares false with every bound, so it must not reach them
     for bad in (np.nan, np.inf):
@@ -227,8 +235,8 @@ def test_restricted_simplex_mode(projections):
     assert cell.cost(q) == pytest.approx(np.logaddexp(q[0], q[1]), abs=1e-12)
     p = cell.price(q).center
     assert p[2] == 0.0 and p.sum() == pytest.approx(1.0)
-    assert cell.solve(q)[0] == cell.cost(q)
-    assert np.array_equal(cell.solve(q)[1], p)
+    res = cell.project(q)
+    assert -res.value == cell.cost(q) and np.array_equal(res.mu, p)
     assert cell.conjugate(np.array([0.5, 0.5, 0.0])) == pytest.approx(
         -np.log(2), abs=1e-12)
     assert cell.conjugate(np.array([0.3, 0.3, 0.4])) == INF  # outside the cell
@@ -311,7 +319,8 @@ def test_restricted_delegating_kinds_match_projection(make_base, event,
     projections.forbidden = True
     cell = RestrictedCost(base, event)
     q = np.array([0.4, -1.1, 0.7])[:base.dim]
-    value, mu = cell.solve(q)
+    own = cell.project(q)
+    value, mu = -own.value, own.mu
     res = project_onto_hull(cell.vertices, base.conjugate,
                             base.conjugate_grad, q)
     assert np.allclose(mu, res.mu, atol=1e-7)
@@ -329,7 +338,7 @@ def test_restricted_solve_evaluates_the_conjugate_once_per_projection(
         return real(mu)
 
     m.conjugate = counted  # the projection reads the base's binding
-    value, mu = diag.solve(np.array([0.5, -0.7]))
+    value = diag.cost(np.array([0.5, -0.7]))
     assert projections.calls == 1 and len(calls) == 1
     assert value == -diag.project(np.array([0.5, -0.7])).value
 

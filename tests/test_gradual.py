@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockSchedule, Schedule, constant_schedule,
+from cfmarkets import (BlockSchedule, RestrictedCost, Schedule,
+                       constant_schedule,
                        divergence_decomposition, medal_count_model, model_at,
                        new_state, observe_block_payoff,
                        partial_decrease_audit, util_event)
@@ -263,6 +264,31 @@ def test_partial_decrease_audit_second_block():
     assert audit.report.row("PRICE").passed
     assert audit.report.row("CONDPRICE").passed
     assert audit.report.row("EXUTIL").passed
+
+
+def test_partial_decrease_audit_reads_its_drops_off_the_report(monkeypatch):
+    m = medal_count_model(2)
+    sched = decaying_schedule(m, {1: 0.4})
+    q = np.array([0.2, -0.5, 0.1, 0.4, -0.2])
+    projections = []
+    real = RestrictedCost._project
+
+    def counted(self, q):
+        projections.append(self.event)
+        return real(self, q)
+
+    monkeypatch.setattr(RestrictedCost, "_project", counted)
+    audit = partial_decrease_audit(m, sched, 1, q, 0.5, 1.5)
+    obs = observe_block_payoff(m.space, m.blocks.blocks[1])
+    # one projection per model and realization: the report's own
+    assert len(projections) == 2 * len(obs.realizations)
+    ts = new_state(m, sched, q, 0.5, 1.5)
+    m_old, m_new = model_at(m, sched, 0.5), model_at(m, sched, 1.5)
+    for x in obs.realizations:
+        cell = obs.cell(x)
+        measured = (util_event(m_old, cell, q).value
+                    - util_event(m_new, cell, ts.q).value)
+        assert audit.drops[x][0] == measured
 
 
 def test_partial_decrease_audit_rejects_other_moving_blocks():

@@ -2,7 +2,9 @@
 
 Every module-level import in `src/cfmarkets/*.py` (the package `__init__`,
 which re-exports, aside) must be used in its module. A binding whose line
-carries `# noqa: F401` is exempt.
+carries `# noqa: F401` is exempt. Every module-level private name and every
+private method defined in `src/cfmarkets/*.py` must be referenced somewhere
+in the package, so a helper nothing calls any more does not linger.
 """
 
 import ast
@@ -44,3 +46,65 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_definitions(source: str) -> list:
+    """Module-level private names and private methods the source defines,
+    each as (name, line)."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found.extend((t.id, node.lineno) for t in targets
+                         if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((f.name, f.lineno) for f in node.body
+                         if isinstance(f, ast.FunctionDef))
+    return [(name, line) for name, line in found if _private(name)]
+
+
+def references(source: str) -> set:
+    """Every name the source reads, as a variable, an attribute or an
+    imported name."""
+    refs = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            refs.update(alias.name for alias in n.names)
+    return refs
+
+
+def unreferenced_private_names(sources: dict) -> list:
+    """(file, name, line) of each private definition that no source reads."""
+    refs = set().union(*(references(s) for s in sources.values()))
+    return [(file, name, line) for file, source in sources.items()
+            for name, line in private_definitions(source)
+            if name not in refs]
+
+
+def test_the_check_finds_an_unreferenced_private_name():
+    sources = {
+        "a.py": ("_LIMIT = 3\n_UNUSED = 4\n\ndef _helper():\n"
+                 "    return _LIMIT\n\nclass Box:\n"
+                 "    def _kept(self):\n        return 1\n"
+                 "    def _dead(self):\n        return self._kept()\n"
+                 "    def __len__(self):\n        return 0\n"),
+        "b.py": "from a import _helper\n",
+    }
+    assert unreferenced_private_names(sources) == [
+        ("a.py", "_UNUSED", 2), ("a.py", "_dead", 10)]
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []

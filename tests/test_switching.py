@@ -8,11 +8,13 @@ from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
                        ShiftedCost, SwitchedCost,
                        bundled_scenarios, check_desiderata, consistency_check,
                        excess_util, feasibility_precheck, geometry,
+                       independent_binary_market,
                        load_scenario, medal_count_model, model_at, new_state,
                        observe_block_payoff, observe_coordinate,
                        observe_identity, observe_partition, observe_sum,
                        partial_decrease_audit, plan_switch, run_protocol1,
                        simplex_market, square_market, util_event)
+from cfmarkets.costs import CONSISTENCY_TOL
 from cfmarkets.switching import _cell_samples
 
 from oracles import square_count_violation
@@ -221,13 +223,13 @@ def test_exposed_switch_is_consistent_at_large_states(roof_lps):
 def test_plan_switch_solves_each_cell_once(monkeypatch):
     m = square()
     solved = []
-    real = RestrictedCost.solve
+    real = RestrictedCost._project
 
     def counted(self, q):
         solved.append(self.event)
         return real(self, q)
 
-    monkeypatch.setattr(RestrictedCost, "solve", counted)
+    monkeypatch.setattr(RestrictedCost, "_project", counted)
     plan = plan_switch(m, coord0(m), np.array([0.3, -0.2]))
     assert sorted(solved) == sorted(c.event
                                     for c in plan.cell_models.values())
@@ -274,6 +276,30 @@ def test_roof_lp_prices_off_cell_and_inconsistent_plans():
     value = plan.switched.conjugate(w["mu"])
     assert value == roof_lp(plan.switched, w["mu"])
     assert value < in_cell - 0.05
+
+
+def test_util_event_on_a_generic_cell_projects_with_the_base(monkeypatch):
+    import cfmarkets.costs
+
+    m = square()
+    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    assert not sw.consistent
+    owners = []  # the model whose conjugate each Frank-Wolfe run reads
+    real = cfmarkets.costs.project_onto_hull
+
+    def recorded(vertices, conj, conj_grad, q):
+        owners.append(conj.__self__)
+        return real(vertices, conj, conj_grad, q)
+
+    monkeypatch.setattr(cfmarkets.costs, "project_onto_hull", recorded)
+    x, q = 1, np.array([0.4, -0.3])
+    cell = sw.observation.cell(x)
+    got = util_event(sw, cell, q)
+    assert owners and not any(isinstance(o, SwitchedCost) for o in owners)
+    base_cell = RestrictedCost(m, cell)
+    assert np.array_equal(got.minimizer, base_cell.project(q).mu)
+    assert RestrictedCost(sw, cell).cost(q) == (sw.offsets[x]
+                                                + base_cell.cost(q))
 
 
 @pytest.fixture
@@ -334,6 +360,38 @@ def test_stacked_conjugate_raises_when_the_roof_fails(monkeypatch):
         sw._conjs(np.array([[1.5, 0.5], [0.2, 0.8]]))
     with pytest.raises(RuntimeError, match="roof LP failed"):
         sw.conjugate(np.array([0.5, 0.5]))
+
+
+def test_exposed_corners_of_an_inconsistent_switch_need_no_roof_lp(roof_lps):
+    m = square()
+    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    assert not sw.consistent
+    before = roof_lps()
+    # the cells {(0, 0)} and {(1, 1)} are exposed: their roof is R - b_x
+    for corner, x in (([0.0, 0.0], 0), ([1.0, 1.0], 2)):
+        mu = np.array(corner)
+        assert sw.conjugate(mu) == m.conjugate(mu) - sw.offsets[x]
+    assert roof_lps() == before
+
+
+def test_sampled_roof_on_an_exposed_face_is_not_below_its_closed_form():
+    space = independent_binary_market(3)
+    m = IndependentBinaryCost(space)
+    face = [w for w in space.outcomes if w[0] == 1]
+    rest = [w for w in space.outcomes if w[0] == 0]
+    # the face x0 = 1 is exposed; the sum labels of x0 = 0 are not all
+    obs = observe_partition(space, [face] + [
+        [w for w in rest if w[1] + w[2] == k] for k in range(3)])
+    sw = SwitchedCost(m, obs, np.array([0.0, 1.0, 0.0]))
+    assert not sw.consistent and sw.violation[2] == "sampled"
+    x = obs.of(face[0])
+    rng = np.random.default_rng(5)
+    mus = np.column_stack([np.ones(100), rng.uniform(size=(100, 2))])
+    low, _ = sw._roof(mus)
+    roof = low + mus @ sw.switch_state - sw._cost_at_switch
+    closed = np.array([m.conjugate(mu) for mu in mus]) - sw.offsets[x]
+    assert np.min(roof - closed) >= -CONSISTENCY_TOL
+    assert np.array_equal(sw._conjs(mus), closed)
 
 
 def test_sampled_violation_is_one_roof_lp(roof_lps, roof_calls):
@@ -411,14 +469,16 @@ def test_negative_switch_offset_is_a_value_error(monkeypatch):
     m = square()
     obs = coord0(m)
     s = np.array([0.3, -0.2])
-    real = RestrictedCost.solve
+    real = RestrictedCost._project
 
     def inflated(self, q):
         # one cell's cost above C(s) gives that cell a negative offset
-        c, mu = real(self, q)
-        return (c + 1.0 if self.event == obs.cell(1.0) else c), mu
+        res = real(self, q)
+        if self.event == obs.cell(1.0):
+            res.value -= 1.0  # the value is -C_x(q)
+        return res
 
-    monkeypatch.setattr(RestrictedCost, "solve", inflated)
+    monkeypatch.setattr(RestrictedCost, "_project", inflated)
     with pytest.raises(ValueError, match="negative switch offset for 1.0"):
         SwitchedCost(m, obs, s)
     with pytest.raises(ValueError, match="negative switch offset for 1.0"):

@@ -67,10 +67,10 @@ def test_util_event_is_the_restricted_cost_projection(case):
     res = RestrictedCost(m, event).project(q)
     got = util_event(m, event, q)
     assert np.array_equal(got.minimizer, res.mu)
-    # reference dispatch: the kind's closed form, else Frank-Wolfe with m's
+    # reference dispatch: the kind's projector, else Frank-Wolfe with m's
     # own conjugate over the event's payoff vertices
-    closed = m.restrict(event)
-    own = (closed.price(q) if closed is not None else
+    projector = m.restrict(event)
+    own = (projector(q).mu if projector is not None else
            project_onto_hull(m.space.vertices(event), m.conjugate,
                              m.conjugate_grad, q).mu)
     assert np.array_equal(got.minimizer, own)
