@@ -1,11 +1,14 @@
-"""Golden records: `cfmarkets run` on every bundled scenario at its own seed.
+"""Golden records: `cfmarkets run` and `check` on every bundled scenario.
 
-Each file in tests/golden/ holds the record stream of one case; the impossible
-count scenario runs both with and without --allow-inconsistent. Exit codes
-must match exactly, non-numeric fields exactly and numbers within 1e-9.
-A difference is a behaviour change to explain, not a fixture to refresh.
-After an intended change, this rewrites the lines that no longer match and
-leaves every other line and file as it is:
+Each `<case>.jsonl` in tests/golden/ holds the record stream of one `run`
+case at the scenario's own seed; the impossible count scenario runs both
+with and without --allow-inconsistent. Exit codes must match exactly,
+non-numeric fields exactly and numbers within 1e-9. Beside it,
+`<case>.stderr` holds the `FAIL:` lines `run` writes and `<case>.check` the
+report of `cfmarkets check`, both byte for byte. A difference is a behaviour
+change to explain, not a fixture to refresh. After an intended change, this
+rewrites the lines that no longer match and leaves every other line and
+file as it is:
 
     PYTHONPATH=src python tests/test_golden_records.py
 """
@@ -19,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from cfmarkets import bundled_scenarios
-from cfmarkets.cli import cmd_run
+from cfmarkets.cli import cmd_check, cmd_run
 
 GOLDEN = Path(__file__).parent / "golden"
 NUM_TOL = 1e-9
@@ -37,15 +40,19 @@ EXIT_CODES = {
     "square_sudden": 0,
 }
 
+# case name -> expected exit code of `cfmarkets check`
+CHECK_EXIT_CODES = dict.fromkeys(EXIT_CODES, 0) | {
+    "square_count_impossible": 1}
 
-def _run(case: str):
+
+def _call(cmd, case: str):
+    """(exit code, stdout, stderr) of `cmd` on the case's scenario."""
     scenario, _, flag = case.partition(".")
     paths = {Path(p).stem: p for p in bundled_scenarios().values()}
     with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()):
-        code = cmd_run(str(paths[scenario]),
-                       allow_inconsistent=flag == "allow")
-    return code, out.getvalue()
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cmd(str(paths[scenario]), allow_inconsistent=flag == "allow")
+    return code, out.getvalue(), err.getvalue()
 
 
 def _assert_close(got, want, where):
@@ -73,13 +80,26 @@ def test_every_bundled_scenario_has_a_golden_case():
 
 @pytest.mark.parametrize("case", sorted(EXIT_CODES))
 def test_records_match_golden(case):
-    code, text = _run(case)
+    code, text, _ = _call(cmd_run, case)
     assert code == EXIT_CODES[case]
     want = (GOLDEN / f"{case}.jsonl").read_text().splitlines()
     got = text.splitlines()
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
         _assert_close(json.loads(g), json.loads(w), f"{case}:{i + 1}")
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CODES))
+def test_run_fail_lines_match_golden(case):
+    _, _, err = _call(cmd_run, case)
+    assert err == (GOLDEN / f"{case}.stderr").read_text()
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_EXIT_CODES))
+def test_check_report_matches_golden(case):
+    code, out, err = _call(cmd_check, case)
+    assert (code, err) == (CHECK_EXIT_CODES[case], "")
+    assert out == (GOLDEN / f"{case}.check").read_text()
 
 
 def _matches(got_line, want_line):
@@ -94,7 +114,13 @@ if __name__ == "__main__":
     # a golden line that still matches is kept, so drift below NUM_TOL never
     # reaches the fixtures and only the cases that changed are rewritten
     for case in sorted(EXIT_CODES):
-        code, text = _run(case)
+        code, text, err = _call(cmd_run, case)
+        _, report, _ = _call(cmd_check, case)
+        for path, want in ((GOLDEN / f"{case}.stderr", err),
+                           (GOLDEN / f"{case}.check", report)):
+            if not path.exists() or path.read_text() != want:
+                path.write_text(want)
+                print(path.name, "rewritten")
         path = GOLDEN / f"{case}.jsonl"
         want = path.read_text().splitlines() if path.exists() else []
         got = text.splitlines()
