@@ -14,10 +14,10 @@ Run:  python3 demos/02_sudden_revelation.py
 import numpy as np
 
 from cfmarkets import (IndependentBinaryCost, JitArbitrageur, NoiseTrader,
-                       check_desiderata, consistency_check,
-                       feasibility_precheck, observe_coordinate, observe_sum,
-                       plan_switch, run_protocol1, square_market, util_event,
-                       verify_loss, wc_loss_bound)
+                       check_desiderata, consistency_check, exposure_witness,
+                       observe_coordinate, observe_sum, plan_switch,
+                       run_protocol1, square_market, util_event, verify_loss,
+                       wc_loss_bound)
 
 
 def section(title):
@@ -29,25 +29,27 @@ obs = observe_coordinate(m.space, 0)  # reveal the first security's payoff
 
 section("Building the switched cost")
 s = np.array([0.6, -0.3])
-plan = plan_switch(m, obs, s)
+sw = plan_switch(m, obs, s)  # the switched cost, with its own verdict
 for x in obs.realizations:
-    print(f"cell x={x}: offset b={plan.offsets[x]:.6f}, "
-          f"conditional price {np.round(plan.conditional_prices[x], 4)}")
-print("switched cost at the switch state:", round(plan.switched.cost(s), 6),
+    print(f"cell x={x}: offset b={sw.offsets[x]:.6f}, "
+          f"conditional price {np.round(sw.conditional_prices[x], 4)}")
+print("switched cost at the switch state:", round(sw.cost(s), 6),
       "= original cost", round(m.cost(s), 6))
-p = plan.switched.price(s)
+print("consistent:", sw.consistency.consistent,
+      f"(decided by the {sw.consistency.path!r} path)")
+p = sw.price(s)
 print("post-switch spread:", np.round(p.lo, 4), "to", np.round(p.hi, 4),
       "-- the revealed coordinate opens to [0,1]")
 
 section("The desiderata audit")
-report = check_desiderata((m, s), (plan.switched, s), obs, n_random=100,
+report = check_desiderata((m, s), (sw, s), obs, n_random=100,
                           price_informational=True)
 for name, row in report.rows.items():
     tag = " (informational)" if row.informational else ""
     print(f"{name:10s} worst deviation {row.worst:.3e} "
           f"{'pass' if row.passed else 'FAIL'}{tag}")
 for x in obs.realizations:
-    u = util_event(plan.switched, obs.cell(x), s).value
+    u = util_event(sw, obs.cell(x), s).value
     print(f"post-switch Util(X={x}) = {u:.2e}  (knowing pays nothing)")
 
 section("A full trading run with a just-in-time arbitrageur")
@@ -62,8 +64,11 @@ print(f"within the worst-case bound: {ok} (slack {slack:.4f})")
 
 section("An observation that cannot be closed consistently")
 count = observe_sum(m.space)  # reveal how many securities paid off
-print("feasibility precheck:", feasibility_precheck(m.space, count).status,
-      "-- the middle cell is not an argmax set of any linear functional")
+witnesses = exposure_witness(m.space, count)
+print("cells without an exposure witness:",
+      [x for x, w in witnesses.items() if w is None],
+      "-- the middle cell is not an argmax set of any linear functional,",
+      "so consistency depends on the state")
 bad_state = np.array([1.0, 0.0])
 verdict = consistency_check(m, count, bad_state)
 print(f"at s={bad_state}: consistent={verdict.consistent}, "

@@ -8,10 +8,10 @@ certificates, gradual per-block liquidity decrease, protocol simulation with
 worst-case loss verification, and a scenario CLI.
 """
 
-from .costs import (CostModel, ExponentialFamilyCost, IndependentBinaryCost,
-                    LmsrCost, PiecewiseLinearCost, PriceSet, RestrictedCost,
-                    ScaledCost, ShiftedCost, SwitchedCost,
-                    finite_difference_price)
+from .costs import (ConsistencyVerdict, CostModel, ExponentialFamilyCost,
+                    IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
+                    PriceSet, RestrictedCost, ScaledCost, ShiftedCost,
+                    SwitchedCost, finite_difference_price)
 from .gradual import (BlockSchedule, PartialDecreaseAudit, Schedule,
                       TimedState, constant_schedule, divergence_decomposition,
                       model_at, new_state, partial_decrease_audit)
@@ -31,9 +31,8 @@ from .simulate import (BeliefTrader, InconsistentPlanError, JitArbitrageur,
                        Ledger, NoiseTrader, TradeRecord, TradeRequest,
                        TraderAgent, run_protocol1, run_protocol2, verify_loss,
                        wc_loss_bound)
-from .switching import (ConsistencyVerdict, DesiderataReport, DesiderataRow,
-                        FeasibilityResult, SwitchPlan, check_desiderata,
-                        consistency_check, feasibility_precheck, plan_switch)
+from .switching import (DesiderataReport, DesiderataRow, check_desiderata,
+                        consistency_check, plan_switch)
 from .utility import (EventUtility, OptimizingSequence, conditional_price,
                       excess_util, optimizing_sequence, util_belief,
                       util_event)

@@ -468,6 +468,18 @@ class RestrictedCost(CostModel):
         return None
 
 
+@dataclass
+class ConsistencyVerdict:
+    consistent: bool
+    worst_violation: float
+    path: str  # what decided it: "overlap", "exposed" or "sampled"
+    witness: dict | None = None
+    switched: SwitchedCost | None = None  # the switch that was checked
+
+    def __bool__(self):
+        return self.consistent
+
+
 class SwitchedCost(CostModel):
     """Post-revelation cost: pointwise max of offset restricted costs.
 
@@ -477,16 +489,18 @@ class SwitchedCost(CostModel):
     the observation and s and solves each cell once at s, for its offset and
     its conditional price. The conjugate is the convex roof of the offset
     conjugates R(mu) - b_x and is never materialized. The switch decides its
-    own consistency (`violation`): when it is `consistent`, and inside an
-    exposed cell of any switch, the roof inside a cell is that cell's
-    R(mu) - b_x, returned in closed form. Elsewhere (off the cells, and
-    inside the non-exposed cells of an inconsistent switch) `_roof` bounds
-    it by a convex-combination LP over sampled probe points (cell vertices
-    and pairwise midpoints), one LP for a whole stack of prices. The sampled
+    own `consistency`: when it is consistent, and inside an exposed cell of
+    any switch, the roof inside a cell is that cell's R(mu) - b_x, returned
+    in closed form. Elsewhere (off the cells, and inside the non-exposed
+    cells of an inconsistent switch) `_roof` bounds it by a
+    convex-combination LP over sampled probe points (cell vertices and
+    pairwise midpoints), one LP for a whole stack of prices. The sampled
     roof lies on or above the exact one, so an undercut it finds is real
     and an "inconsistent" verdict is sound; on cells that are not exposed a
     "consistent" verdict is only as good as the samples. Restricted to an
-    event E inside cell x, every switch is b_x + C_E (`restrict`).
+    event E inside cell x, every switch is b_x + C_E (`restrict`). The
+    switch is also the plan of a sudden-revelation run: `plan_switch`
+    returns it and it prices every trade after the switch.
     """
 
     kind = "switched"
@@ -526,9 +540,6 @@ class SwitchedCost(CostModel):
         prices = [res.mu for v, res in zip(vals, solved) if v >= top - 1e-9]
         return PriceSet(np.min(prices, axis=0), np.max(prices, axis=0))
 
-    def containing_cells(self, mu) -> list:
-        return self._cells(_as_vector(mu, self.dim, "mu"))
-
     def _cells(self, mu) -> list:
         return [x for x in self.realizations
                 if self.cell_models[x].hull.contains(mu, self.domain_tol)]
@@ -547,7 +558,8 @@ class SwitchedCost(CostModel):
         sampled = []  # (row, in-cell candidates)
         for j, mu in enumerate(mus):
             cells = self._cells(mu)
-            if cells and (self.consistent or all(
+            # the verdict only for rows in a cell: an off-cell row needs none
+            if cells and (self.consistency.consistent or all(
                     exposure_witness(self.space, self.observation)[x]
                     for x in cells)):
                 out[j] = self.base._conj(mu) - max(self.offsets[x]
@@ -566,8 +578,19 @@ class SwitchedCost(CostModel):
                 out[j] = min(candidates)
         return out
 
+    @property
+    def consistency(self) -> ConsistencyVerdict:
+        """The verdict on this switch at `CONSISTENCY_TOL`, with the path of
+        the roof test that decided it. Built afresh from the cached
+        `_violation` on each read, so the verdict's `switched` makes no
+        reference cycle."""
+        worst, witness, path = self._violation
+        ok = worst <= CONSISTENCY_TOL
+        return ConsistencyVerdict(ok, worst, path, None if ok else witness,
+                                  self)
+
     @cached_property
-    def violation(self) -> tuple[float, dict | None, str]:
+    def _violation(self) -> tuple[float, dict | None, str]:
         """(worst, witness, path) of the roof test, with the path that
         decided it: (inf, the pair, "overlap") for overlapping cells;
         (0.0, None, "exposed"), with no LP, when every cell is exposed,
@@ -594,10 +617,6 @@ class SwitchedCost(CostModel):
             "mu": points[j].copy(), "realization": owners[j],
             "value": values[j], "roof_value": low[j],
             "weights": weights[j].copy()}, "sampled"
-
-    @property
-    def consistent(self) -> bool:
-        return self.violation[0] <= CONSISTENCY_TOL
 
     @cached_property
     def _roof_samples(self):

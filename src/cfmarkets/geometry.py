@@ -21,14 +21,11 @@ from scipy.optimize import linprog
 DEFAULT_TOL = 1e-9
 
 # At its default feasibility tolerance (1e-7) HiGHS may round a convex weight
-# of 1e-8 to zero, so a point just inside a hull reads as just outside it.
-# A miss of at most _RESOLVE_BELOW is solved once more at the tightest
-# tolerances HiGHS takes; larger misses are real. `min_weighted_value` always
-# solves at them: at 1e-7 its optimum could use far more than its own +- tol
-# of slack, and a point's minimum would then move by ~1e-10 with the other
-# blocks of its stack.
-_RESOLVE_ABOVE = 1e-12
-_RESOLVE_BELOW = 1e-6
+# of 1e-8 to zero, so a point just inside a hull reads as just outside it,
+# and a min-value optimum could use far more than its own +- tol of slack, so
+# a point's minimum would move by ~1e-10 with the other blocks of its stack.
+# The membership, overlap and min-value LPs solve once, at the tightest
+# tolerances HiGHS takes.
 _TIGHT = {"options": {"primal_feasibility_tolerance": 1e-10,
                       "dual_feasibility_tolerance": 1e-10}}
 # A stack of points goes to HiGHS in LPs whose dense inequality matrix holds
@@ -37,17 +34,9 @@ _TIGHT = {"options": {"primal_feasibility_tolerance": 1e-10,
 _STACK_ENTRIES = 2 ** 16
 
 
-def _near_miss(residual: float) -> bool:
-    return _RESOLVE_ABOVE < residual <= _RESOLVE_BELOW
-
-
-def _min_slack(m, r, a_eq, b_eq, read, tol: float = 0.0):
-    """Minimize the slack s over nonnegative x with |m x - r| <= s and
-    a_eq x = b_eq, the slack as the last LP variable.
-
-    `read(solution)` returns (answer, miss). A near miss above `tol` is
-    solved once more at `_TIGHT`. Returns the last (answer, miss).
-    """
+def _min_slack(m, r, a_eq, b_eq) -> np.ndarray:
+    """The nonnegative x with a_eq x = b_eq that minimizes the slack s with
+    |m x - r| <= s, solved at `_TIGHT`, with s as its last entry."""
     k, n = m.shape
     c = np.zeros(n + 1)
     c[-1] = 1.0
@@ -56,16 +45,12 @@ def _min_slack(m, r, a_eq, b_eq, read, tol: float = 0.0):
     a_ub[k:, :n] = -m
     a_ub[:, -1] = -1.0
     a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
-    for extra in ({}, _TIGHT):
-        res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([r, -r]), A_eq=a_eq,
-                      b_eq=b_eq, bounds=[(0, None)] * (n + 1),
-                      method="highs", **extra)
-        if not res.success:  # pragma: no cover - the slack makes this feasible
-            raise RuntimeError(f"min-slack LP failed: {res.message}")
-        answer, miss = read(res.x)
-        if miss <= tol or not _near_miss(miss):
-            break
-    return answer, miss
+    res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([r, -r]), A_eq=a_eq,
+                  b_eq=b_eq, bounds=[(0, None)] * (n + 1), method="highs",
+                  **_TIGHT)
+    if not res.success:  # pragma: no cover - the slack makes this feasible
+        raise RuntimeError(f"min-slack LP failed: {res.message}")
+    return res.x
 
 
 def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
@@ -77,14 +62,9 @@ def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
     n = V.shape[0]
     if n == 1:
         return float(np.max(np.abs(V[0] - mu), initial=0.0)) <= tol
-
-    def residual(x):
-        lam = np.clip(x[:n], 0.0, None)
-        lam /= lam.sum()
-        return None, float(np.max(np.abs(V.T @ lam - mu), initial=0.0))
-
-    _, miss = _min_slack(V.T, mu, np.ones((1, n)), [1.0], residual)
-    return miss <= tol
+    lam = np.clip(_min_slack(V.T, mu, np.ones((1, n)), [1.0])[:n], 0.0, None)
+    lam /= lam.sum()
+    return float(np.max(np.abs(V.T @ lam - mu), initial=0.0)) <= tol
 
 
 def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
@@ -96,9 +76,10 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
     (all of them on desk-scale probe sets): block j holds its own weights,
     its own convexity row and its own rows P^T w_j = mu_j (+- tol), and the
     objectives add up, so each block's minimum is the one its point alone
-    has. A single point is the one-block case, the LP of one point. Returns (min_value, weights), as (J,) values and
-    (J, n) weights for a stack, or None when some point is not in the hull
-    of points. Non-finite values drop their points from the program.
+    has. A single point is the one-block case, the LP of one point. Returns
+    (min_value, weights), as (J,) values and (J, n) weights for a stack, or
+    None when some point is not in the hull of points. Non-finite values
+    drop their points from the program.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.asarray(values, dtype=float)
@@ -179,9 +160,9 @@ def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray,
     a_eq = np.zeros((2, na + nb))
     a_eq[0, :na] = 1.0
     a_eq[1, na:] = 1.0
-    _, gap = _min_slack(np.hstack([A.T, -B.T]), np.zeros(A.shape[1]), a_eq,
-                        [1.0, 1.0], lambda x: (None, float(x[-1])), tol)
-    return gap <= tol
+    gap = _min_slack(np.hstack([A.T, -B.T]), np.zeros(A.shape[1]), a_eq,
+                     [1.0, 1.0])[-1]
+    return float(gap) <= tol
 
 
 _EQ_TOL = 1e-12  # payoff entries this close count as equal

@@ -7,6 +7,7 @@ is the convex hull of those rows; M(E) restricts the hull to an event E.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -265,10 +266,18 @@ def single_security_market(values) -> OutcomeSpace:
     return OutcomeSpace(values, np.array(values, dtype=float)[:, None])
 
 
+def _checked_index(i, n: int, what: str) -> int:
+    """i as an index into n items. A bool, a non-integral number or an index
+    outside [0, n) is a ValueError, never silently cast or wrapped."""
+    if (isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Real)
+            or not float(i).is_integer() or not 0 <= i < n):
+        raise ValueError(f"{what} {i!r} is not an integer in [0, {n})")
+    return int(i)
+
+
 def observe_coordinate(space: OutcomeSpace, i: int) -> Observation:
     """Observation revealing security i's payoff."""
-    if not 0 <= i < space.dim:
-        raise ValueError(f"coordinate index {i} is not in [0, {space.dim})")
+    i = _checked_index(i, space.dim, "coordinate index")
     return Observation({w: float(space.payoff_of(w)[i]) for w in space.outcomes},
                        name=f"coordinate {i}")
 
@@ -300,7 +309,7 @@ def trivial_observation(space: OutcomeSpace) -> Observation:
 
 def observe_block_payoff(space: OutcomeSpace, block) -> Observation:
     """Observation revealing the payoffs of the securities in `block`."""
-    block = tuple(block)
+    block = tuple(_checked_index(i, space.dim, "block index") for i in block)
     return Observation(
         {w: tuple(float(v) for v in space.payoff_of(w)[list(block)])
          for w in space.outcomes},

@@ -31,10 +31,10 @@ from .costs import (CostModel, IndependentBinaryCost, LmsrCost,
                     PiecewiseLinearCost)
 from .gradual import BlockSchedule, Schedule
 from .lcmm import LcmmCost, medal_count_model
-from .markets import (Observation, OutcomeSpace, independent_binary_market,
-                      observe_block_payoff, observe_coordinate,
-                      observe_identity, observe_partition, observe_sum,
-                      simplex_market, single_binary_market,
+from .markets import (Observation, OutcomeSpace, _checked_index,
+                      independent_binary_market, observe_block_payoff,
+                      observe_coordinate, observe_identity, observe_partition,
+                      observe_sum, simplex_market, single_binary_market,
                       square_market, trivial_observation)
 from .simulate import (BeliefTrader, JitArbitrageur, NoiseTrader,
                        TradeRequest, check_sudden_inputs)
@@ -126,7 +126,7 @@ def build_observation(spec, space: OutcomeSpace) -> Observation:
         spec = {"kind": spec}
     kind = spec.get("kind")
     if kind == "coordinate":
-        return observe_coordinate(space, int(spec.get("index", 0)))
+        return observe_coordinate(space, spec.get("index", 0))
     if kind == "sum":
         return observe_sum(space)
     if kind == "identity":
@@ -174,9 +174,7 @@ def _build_trader(spec, obs, settlement, model):
 def _build_schedule(spec, model: LcmmCost, t0: float) -> Schedule:
     per_block = [BlockSchedule() for _ in model.blocks]
     for entry in spec or []:
-        g = int(entry["block"])
-        if not 0 <= g < len(per_block):
-            raise ScenarioError(f"schedule names unknown block {g}")
+        g = _checked_index(entry["block"], len(per_block), "schedule block")
         per_block[g] = BlockSchedule(entry.get("kind", "constant"),
                                      rate=float(entry.get("rate", 0.0)),
                                      floor=float(entry.get("floor", 1e-3)))

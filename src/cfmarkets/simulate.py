@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, _as_vector
+from .costs import CostModel, SwitchedCost, _as_vector
 from .gradual import Schedule, model_at, new_state
 from .lcmm import LcmmCost
 from .markets import Observation
-from .switching import SwitchPlan, plan_switch
+from .switching import plan_switch
 from .utility import optimizing_sequence, util_event
 
 JIT_STEPS = 60  # optimizing_sequence steps behind each JitArbitrageur trade
@@ -26,7 +26,7 @@ JIT_STEPS = 60  # optimizing_sequence steps behind each JitArbitrageur trade
 class InconsistentPlanError(RuntimeError):
     """Raised when a protocol would trade through an inconsistent switch."""
 
-    def __init__(self, plan: SwitchPlan):
+    def __init__(self, plan: SwitchedCost):
         self.plan = plan
         super().__init__(
             f"switch plan is inconsistent (worst violation "
@@ -55,7 +55,7 @@ class Ledger:
     trader_pnl: dict = field(default_factory=dict)
     maker_loss: float = 0.0
     final_state: np.ndarray | None = None
-    plan: SwitchPlan | None = None
+    plan: SwitchedCost | None = None  # the switch, once it happened
 
     def record_trade(self, time, trader, bundle, cost, before, after, model):
         self.records.append(TradeRecord(time, trader, np.asarray(bundle),
@@ -235,12 +235,13 @@ def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
         if switched or not _after_switch(now, switch_time, switch_boundary):
             return
         plan = plan_switch(model, obs, q)
+        consistent = plan.consistency.consistent
         ledger.plan = plan
         ledger.events.append({"time": switch_time, "event": "switch",
-                              "consistent": plan.consistency.consistent})
-        if not plan.consistency.consistent and not allow_inconsistent:
+                              "consistent": consistent})
+        if not consistent and not allow_inconsistent:
             raise InconsistentPlanError(plan)
-        current = plan.switched
+        current = plan
         switched = True
 
     for t, _, tr in events:

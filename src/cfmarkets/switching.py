@@ -13,32 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, SwitchedCost, _as_vector
-from .markets import Observation, OutcomeSpace, exposure_witness, probe_points
+from .costs import ConsistencyVerdict, CostModel, SwitchedCost, _as_vector
+from .markets import Observation, OutcomeSpace, probe_points
 from .utility import util_event
-
-
-@dataclass
-class ConsistencyVerdict:
-    consistent: bool
-    worst_violation: float
-    path: str  # what decided it: "overlap", "exposed" or "sampled"
-    witness: dict | None = None
-    switched: SwitchedCost | None = None  # the switch that was checked
-
-    def __bool__(self):
-        return self.consistent
-
-
-@dataclass
-class SwitchPlan:
-    observation: Observation
-    switch_state: np.ndarray
-    offsets: dict
-    cell_models: dict
-    switched: SwitchedCost
-    conditional_prices: dict
-    consistency: ConsistencyVerdict
 
 
 @dataclass
@@ -62,47 +39,18 @@ class DesiderataReport:
         return all(r.passed for r in self.rows.values() if not r.informational)
 
 
-def plan_switch(m: CostModel, obs: Observation, s) -> SwitchPlan:
-    """Build the post-revelation cost for observation `obs` at state s: the
-    one `SwitchedCost` that `consistency_check` built and judged, whose
-    offsets b_x = C(s) - C_x(s) are each cell's divergence from s."""
-    verdict = consistency_check(m, obs, s)
-    sw = verdict.switched
-    return SwitchPlan(obs, sw.switch_state, sw.offsets, sw.cell_models, sw,
-                      sw.conditional_prices, verdict)
+def plan_switch(m: CostModel, obs: Observation, s) -> SwitchedCost:
+    """The post-revelation cost for observation `obs` at state s, with
+    offsets b_x = C(s) - C_x(s), each cell's divergence from s: the switch
+    `consistency_check` built and judged, so its verdict is already known."""
+    return consistency_check(m, obs, s).switched
 
 
 def consistency_check(m: CostModel, obs: Observation, s) -> ConsistencyVerdict:
     """Whether the offset conjugates admit a consistent convex roof: the
-    switch's `SwitchedCost.consistent`, the one threshold `cfmarkets run`
-    and `check` share. The verdict carries the switch it checked and the
-    path of `SwitchedCost.violation` that decided it."""
-    sw = SwitchedCost(m, obs, s)
-    worst, witness, path = sw.violation
-    ok = sw.consistent
-    return ConsistencyVerdict(ok, worst, path, None if ok else witness, sw)
-
-
-@dataclass
-class FeasibilityResult:
-    status: str  # "guaranteed" | "unknown"
-    witnesses: dict
-
-    def __bool__(self):
-        return self.status == "guaranteed"
-
-
-def feasibility_precheck(space: OutcomeSpace, obs: Observation) -> FeasibilityResult:
-    """State-independent sufficient condition for a fully consistent switch.
-
-    Guaranteed when every cell is exposed (the argmax set of some linear
-    functional of payoffs). The condition is sufficient, not necessary, so
-    the negative answer is "unknown" rather than "impossible".
-    """
-    witnesses = exposure_witness(space, obs)
-    status = ("guaranteed" if all(w is not None for w in witnesses.values())
-              else "unknown")
-    return FeasibilityResult(status, witnesses)
+    `SwitchedCost.consistency` of the switch at s, the one threshold
+    `cfmarkets run` and `check` share. The verdict carries that switch."""
+    return SwitchedCost(m, obs, s).consistency
 
 
 def _cell_samples(space: OutcomeSpace, cell, n_random: int,

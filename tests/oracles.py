@@ -4,7 +4,8 @@ Everything in this module is computed from first principles with its own
 formulas and plain grid search / refinement; nothing here calls back into
 the solver paths it is used to verify. `face_check` decides exposure with
 the convex-combination LP, not with the separating direction that
-`exposure_witness` solves for.
+`exposure_witness` solves for. `switched_best_response` maximizes over the
+switched cost's cells, not over its sampled convex roof.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from itertools import product
 
 import numpy as np
 from scipy.special import logsumexp
+
+from scipy.optimize import minimize
 
 from cfmarkets import Observation, OutcomeSpace, geometry, probe_points
 
@@ -157,3 +160,41 @@ def face_check(space: OutcomeSpace, obs: Observation, x,
         if -found[0] > max(tol, 1e-7):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Switched costs: the exact best response, off the sampled roof
+
+BOX = 120.0  # state bound of the search, the library's logit clip
+
+
+def switched_best_response(sw, mu, q):
+    """The belief-mu trader's best trade from state q on the switched cost
+    sw, as (profit, target state), from the epigraph program
+
+        max mu.z - t  s.t.  t >= b_x + C_x(z) for every cell x,  |z_i| <= BOX
+
+    solved by SLSQP. Each constraint's gradient is (-p_x(z), 1), with p_x
+    the cell's conditional price (Danskin). The program never looks at the
+    sampled roof: its optimum mu.z - t is the exact conjugate R_sw(mu) (a
+    local solver can only fall short of it), so the profit is
+    D_sw(mu || q) = R_sw(mu) + C_sw(q) - mu.q.
+    """
+    mu, q = np.asarray(mu, dtype=float), np.asarray(q, dtype=float)
+    cells = [(sw.offsets[x], sw.cell_models[x]) for x in sw.realizations]
+
+    def solved(z):
+        return [(b, cell._project(z[:-1])) for b, cell in cells]
+
+    cons = {"type": "ineq",
+            "fun": lambda z: np.array([z[-1] - b + res.value
+                                       for b, res in solved(z)]),
+            "jac": lambda z: np.array([np.append(-res.mu, 1.0)
+                                       for _, res in solved(z)])}
+    start = np.append(q, sw.cost(q))
+    res = minimize(lambda z: z[-1] - mu @ z[:-1], start,
+                   jac=lambda z: np.append(-mu, 1.0), constraints=[cons],
+                   bounds=[(-BOX, BOX)] * len(q) + [(None, None)],
+                   method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
+    z = res.x[:-1]
+    return float(mu @ (z - q) - (sw.cost(z) - sw.cost(q))), z

@@ -96,9 +96,9 @@ def test_02_switched_cost_worked_example():
             q = np.array(q)
             expected = (max(0.0, q[0] - s[0]) + np.log1p(np.exp(s[0]))
                         + np.log1p(np.exp(q[1])))
-            worst = max(worst, abs(plan.switched.cost(q) - expected))
+            worst = max(worst, abs(plan.cost(q) - expected))
         for q2 in np.linspace(-2, 2, 9):
-            p = plan.switched.price(np.array([s[0], q2]))
+            p = plan.price(np.array([s[0], q2]))
             sig = 1 / (1 + np.exp(-q2))
             assert abs(p.lo[0] - 0.0) <= 1e-8 and abs(p.hi[0] - 1.0) <= 1e-8
             assert abs(p.lo[1] - sig) <= 1e-8 and abs(p.hi[1] - sig) <= 1e-8
@@ -111,7 +111,7 @@ def test_03_desiderata_on_square_coordinate():
     obs = observe_coordinate(m.space, 0)
     for s in (np.zeros(2), np.array([0.5, 0.4]), np.array([-1.2, 0.9])):
         plan = plan_switch(m, obs, s)
-        report = check_desiderata((m, s), (plan.switched, s), obs,
+        report = check_desiderata((m, s), (plan, s), obs,
                                   n_random=100, seed=0,
                                   price_informational=True)
         assert report.row("ZEROUTIL").worst <= 1e-8

@@ -291,7 +291,7 @@ def test_util_event_closed_forms_never_project(projections):
              (ScaledCost(lmsr(), 0.4), (1, 2)),
              (ShiftedCost(sq, np.array([0.6, -0.9])), face),
              (RestrictedCost(sq, face), (((1, 1)),)),
-             (plan.switched, face), (plan.switched, (((1, 1)),))]
+             (plan, face), (plan, (((1, 1)),))]
     projections.forbidden = True
     q = np.array([0.3, -0.4, 0.8])
     for m, event in cases:
@@ -303,7 +303,7 @@ def test_util_event_closed_forms_never_project(projections):
 def switched_square():
     sq = square()
     return plan_switch(sq, observe_coordinate(sq.space, 0),
-                       np.array([0.3, -0.4])).switched
+                       np.array([0.3, -0.4]))
 
 
 @pytest.mark.parametrize("make_base, event", [

@@ -148,7 +148,8 @@ def test_large_stack_is_split_into_bounded_lps(monkeypatch):
         return real(c, **kwargs)
 
     monkeypatch.setattr(geometry, "linprog", recording)
-    worst, _, path = sw.violation
+    v = sw.consistency
+    worst, path = v.worst_violation, v.path
     assert n == 142 and path == "sampled"
     per_lp = isqrt(geometry._STACK_ENTRIES // (2 * 5 * n))
     assert len(sizes) == -(-n // per_lp) > 1
@@ -434,12 +435,12 @@ def test_face_cells_make_no_lp(make, lps):
     # the membership and overlap questions of the switched cost and the
     # consistency check
     for mu in probe_points(m.space):
-        plan.switched.containing_cells(mu)
+        plan._cells(mu)
         for cell in plan.cell_models.values():
             cell.conjugate(mu)
     for a, b in combinations(plan.cell_models.values(), 2):
         a.hull.intersects(b.hull)
-    corner = plan.switched.state_with_price(m.space.payoff[0])
+    corner = plan.state_with_price(m.space.payoff[0])
     assert np.all(np.isfinite(corner))
     assert lps == []
 

@@ -305,10 +305,18 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "market: lmsr(0)",
     "switch_time: soon",
     "observation: {kind: coordinate, index: 5}",
+    "observation: {kind: coordinate, index: 1.7}",
+    "observation: {kind: coordinate, index: true}",
+    "observation: {kind: block, indices: [0.5]}",
+    "observation: {kind: block, indices: [true]}",
+    "observation: {kind: block, indices: [5]}",
     "requests: [{time: 1.0, bundle: [0.5, 0, 0]}, "
     "{time: 0.5, bundle: [0.5, 0, 0]}]",
     "requests: [{time: soon, bundle: [0.5, 0, 0]}]",
     "schedules: [{block: 0, kind: exponential, rate: -1.0}]",
+    "schedules: [{block: 0.9, kind: exponential, rate: 0.1}]",
+    "schedules: [{block: true, kind: exponential, rate: 0.1}]",
+    "schedules: [{block: 5, kind: exponential, rate: 0.1}]",
     "schedules: [{block: 0, kind: exponential, rate: .nan}]",
     "schedules: [{block: 0, kind: quadratic}]",
     "schedules: [{block: 0, kind: linear-to-floor, rate: 0.1, floor: 1.5}]",

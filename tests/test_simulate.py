@@ -5,7 +5,7 @@ from cfmarkets import (BeliefTrader, BlockSchedule, IndependentBinaryCost,
                        InconsistentPlanError, JitArbitrageur, LmsrCost,
                        NoiseTrader, Schedule, TradeRequest, constant_schedule,
                        medal_count_model, observe_coordinate, observe_sum,
-                       run_protocol1, run_protocol2, simplex_market,
+                       plan_switch, run_protocol1, run_protocol2, simplex_market,
                        square_market, trivial_observation, verify_loss,
                        wc_loss_bound)
 
@@ -68,6 +68,21 @@ def test_belief_trader_moves_price_to_belief():
     tr = BeliefTrader("b", [0.5], mu)
     r = tr.bundle(m, np.zeros(2), 0.5, np.random.default_rng(0))
     assert np.allclose(m.price(r).center, mu, atol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="with no closed-form state inverse "
+                   "the belief trader falls back to Powell, which stops at "
+                   "the zero trade on the switch's kink (ROADMAP item 2)")
+def test_belief_trader_earns_the_switched_divergence():
+    m = square()
+    s = np.zeros(2)
+    sw = plan_switch(m, observe_sum(m.space), s)
+    mu = np.array([0.2, 0.8])
+    r = BeliefTrader("b", [0.5], mu).bundle(sw, s, 0.5,
+                                            np.random.default_rng(0))
+    # D_sw(mu || s), from the exact best response of the oracles
+    assert float(mu @ r) - sw.trade_cost(s, r) == pytest.approx(0.385489514,
+                                                                abs=1e-8)
 
 
 def test_budget_caps_trade_cost():

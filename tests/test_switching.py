@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
-                       OutcomeSpace, RestrictedCost, ScaledCost, Schedule,
+                       NoiseTrader, OutcomeSpace, RestrictedCost, ScaledCost, Schedule,
                        ShiftedCost, SwitchedCost,
                        bundled_scenarios, check_desiderata, consistency_check,
-                       excess_util, feasibility_precheck, geometry,
+                       excess_util, exposure_witness, geometry,
                        independent_binary_market,
                        load_scenario, medal_count_model, model_at, new_state,
                        observe_block_payoff, observe_coordinate,
@@ -17,7 +17,7 @@ from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
 from cfmarkets.costs import CONSISTENCY_TOL
 from cfmarkets.switching import _cell_samples
 
-from oracles import square_count_violation
+from oracles import square_count_violation, switched_best_response
 
 
 def square():
@@ -64,7 +64,7 @@ def test_switched_cost_formula_and_anchoring():
     for _ in range(3):
         s = rng.uniform(-1.5, 1.5, 2)
         plan = plan_switch(m, coord0(m), s)
-        sw = plan.switched
+        sw = plan
         # the switched cost agrees with the original exactly at the switch state
         assert sw.cost(s) == pytest.approx(m.cost(s), abs=1e-12)
         for _ in range(5):
@@ -81,7 +81,7 @@ def test_switched_spread_at_switch_state():
     m = square()
     s = np.array([0.4, -1.1])
     plan = plan_switch(m, coord0(m), s)
-    p = plan.switched.price(s)
+    p = plan.price(s)
     assert p.lo[0] == pytest.approx(0.0, abs=1e-9)
     assert p.hi[0] == pytest.approx(1.0, abs=1e-9)
     sigma = 1 / (1 + np.exp(s[1]))
@@ -96,7 +96,7 @@ def test_switched_conjugate_consistent_case():
     m = square()
     s = np.array([0.3, 0.9])
     plan = plan_switch(m, coord0(m), s)
-    sw = plan.switched
+    sw = plan
     rng = np.random.default_rng(2)
     for x in (0.0, 1.0):
         V = plan.cell_models[x].vertices
@@ -120,7 +120,7 @@ def test_switched_preserves_excess_utility():
         t = rng.uniform(0.05, 0.95)
         mu = np.array([1.0, t])
         before = excess_util(m, mu, cell, s)
-        after = excess_util(plan.switched, mu, cell, s)
+        after = excess_util(plan, mu, cell, s)
         assert after == pytest.approx(before, abs=1e-6)
 
 
@@ -129,7 +129,7 @@ def test_switched_zero_util_per_cell():
     s = np.array([1.3, -0.2])
     plan = plan_switch(m, coord0(m), s)
     for x in (0.0, 1.0):
-        u = util_event(plan.switched, plan.cell_models[x].event, s).value
+        u = util_event(plan, plan.cell_models[x].event, s).value
         assert u == pytest.approx(0.0, abs=1e-8)
 
 
@@ -161,8 +161,8 @@ def roof_lp(sw, mu):
 def test_consistent_in_cell_conjugate_is_exact_and_below_roof_lp(name):
     m, observe, s = CONSISTENT_PLANS[name]()
     plan = plan_switch(m, observe(m), np.array(s))
-    sw = plan.switched
-    assert plan.consistency.consistent and sw.consistent
+    sw = plan
+    assert plan.consistency.consistent
     rng = np.random.default_rng(11)
     for x, cell in plan.cell_models.items():
         lam = rng.dirichlet(np.ones(cell.vertices.shape[0]), size=50)
@@ -194,19 +194,19 @@ def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
     m, observe, s = CONSISTENT_PLANS[name]()
     obs = observe(m)
     plan = plan_switch(m, obs, np.array(s))
-    exposed = bool(feasibility_precheck(m.space, obs))
+    exposed = all(exposure_witness(m.space, obs).values())
     if exposed:
         assert roof_lps() == 0  # exposure decides the check
     else:
         assert roof_lps() > 0  # the consistency check itself samples
     before = roof_lps()
     report = check_desiderata((m, plan.switch_state),
-                              (plan.switched, plan.switch_state), obs,
+                              (plan, plan.switch_state), obs,
                               price_informational=True)
     assert report.all_pass
     assert roof_lps() == before
     if exposed:
-        assert "_roof_samples" not in vars(plan.switched)  # never built
+        assert "_roof_samples" not in vars(plan)  # never built
 
 
 def test_exposed_switch_is_consistent_at_large_states(roof_lps):
@@ -233,7 +233,21 @@ def test_plan_switch_solves_each_cell_once(monkeypatch):
     plan = plan_switch(m, coord0(m), np.array([0.3, -0.2]))
     assert sorted(solved) == sorted(c.event
                                     for c in plan.cell_models.values())
-    assert plan.consistency.switched is plan.switched
+    assert plan.consistency.switched is plan
+
+
+def test_the_plan_is_the_switch_that_prices_every_later_trade():
+    m = square()
+    obs = coord0(m)
+    plan = plan_switch(m, obs, np.array([0.3, -0.2]))
+    assert isinstance(plan, SwitchedCost) and plan.consistency.switched is plan
+    traders = [NoiseTrader("noise", [0.5, 1.0, 1.5, 2.5], 1.0)]
+    ledger = run_protocol1(m, np.zeros(2), obs, traders, switch_time=1.0,
+                           outcome=(1, 1), seed=3)
+    later = [r for r in ledger.records if r.time >= 1.0]
+    assert isinstance(ledger.plan, SwitchedCost) and len(later) == 3
+    assert all(r.model is ledger.plan for r in later)
+    assert all(r.model is m for r in ledger.records if r.time < 1.0)
 
 
 def sampled_roof_violation(sw):
@@ -250,7 +264,8 @@ def test_exposure_verdict_agrees_with_sampled_roof_lp():
     for path in bundled_scenarios().values():
         sc = load_scenario(path)
         obs = sc.observation
-        if obs is None or not feasibility_precheck(sc.model.space, obs):
+        if obs is None or not all(exposure_witness(sc.model.space,
+                                                   obs).values()):
             continue
         for _ in range(20):
             s = rng.uniform(-3, 3, sc.model.dim)
@@ -264,18 +279,48 @@ def test_exposure_verdict_agrees_with_sampled_roof_lp():
 def test_roof_lp_prices_off_cell_and_inconsistent_plans():
     m = square()
     # off the cells of a consistent plan the roof LP decides the value
-    sw = plan_switch(m, coord0(m), np.array([0.3, 0.9])).switched
+    sw = plan_switch(m, coord0(m), np.array([0.3, 0.9]))
     mid = np.array([0.5, 0.5])
-    assert sw.containing_cells(mid) == []
+    assert sw._cells(mid) == []
     assert sw.conjugate(mid) == roof_lp(sw, mid)
     # inside a cell of an inconsistent plan the roof undercuts the cell value
     plan = plan_switch(m, observe_sum(m.space), np.array([1.0, 0.0]))
     w = plan.consistency.witness
-    assert not plan.consistency.consistent and not plan.switched.consistent
+    assert not plan.consistency.consistent
     in_cell = m.conjugate(w["mu"]) - plan.offsets[w["realization"]]
-    value = plan.switched.conjugate(w["mu"])
-    assert value == roof_lp(plan.switched, w["mu"])
+    value = plan.conjugate(w["mu"])
+    assert value == roof_lp(plan, w["mu"])
     assert value < in_cell - 0.05
+
+
+@pytest.mark.parametrize("s, mu, profit", [
+    ([0.0, 0.0], [0.2, 0.8], 0.385489514),
+    ([1.0, 0.0], [0.2, 0.8], 0.747349121),
+    ([1.0, 0.0], [0.7, 0.3], 0.026425364),
+], ids=["consistent", "inconsistent-a", "inconsistent-b"])
+def test_exact_best_response_earns_the_switched_divergence(s, mu, profit):
+    m = square()
+    s, mu = np.array(s), np.array(mu)
+    sw = plan_switch(m, observe_sum(m.space), s)
+    got, _ = switched_best_response(sw, mu, s)
+    assert got == pytest.approx(sw.divergence(mu, s), abs=1e-8)
+    assert got == pytest.approx(profit, abs=1e-9)
+
+
+@pytest.mark.parametrize("s", [[0.0, 0.0], [1.0, 0.0]],
+                         ids=["consistent", "inconsistent"])
+def test_sampled_roof_is_never_below_the_exact_conjugate(s):
+    m = square()
+    s = np.array(s)
+    sw = plan_switch(m, observe_sum(m.space), s)
+    rng = np.random.default_rng(17)
+    # beside random beliefs, two where the sampled roof is known to sit
+    # strictly above the exact conjugate: in the sum cell and just off it
+    mus = np.vstack([rng.uniform(0.05, 0.95, size=(8, 2)),
+                     [[0.4, 0.6], [0.204, 0.79]]])
+    for mu in mus:
+        exact, _ = switched_best_response(sw, mu, s)  # D_sw from the cells
+        assert sw.divergence(mu, s) >= exact - 1e-9, mu
 
 
 def test_util_event_on_a_generic_cell_projects_with_the_base(monkeypatch):
@@ -283,7 +328,7 @@ def test_util_event_on_a_generic_cell_projects_with_the_base(monkeypatch):
 
     m = square()
     sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
-    assert not sw.consistent
+    assert not sw.consistency.consistent
     owners = []  # the model whose conjugate each Frank-Wolfe run reads
     real = cfmarkets.costs.project_onto_hull
 
@@ -323,7 +368,7 @@ def test_consistency_check_and_roof_conjugate_share_one_roof(roof_lps,
     assert not v.consistent
     # every roof LP of the check is one `_roof` call
     assert len(roof_calls) == roof_lps() > 0
-    sw = plan_switch(m, coord0(m), np.array([0.3, 0.9])).switched
+    sw = plan_switch(m, coord0(m), np.array([0.3, 0.9]))
     before = len(roof_calls)
     sw.conjugate(np.array([0.5, 0.5]))  # off the cells: the LP path
     assert roof_calls[before:] == [sw]
@@ -337,7 +382,7 @@ def test_stacked_conjugate_filters_rows_off_the_price_space(observe, s,
                                                             roof_lps):
     m = square()
     sw = SwitchedCost(m, observe(m), np.array(s))
-    sw.violation  # the check's own LPs, before counting
+    sw.consistency  # the check's own LPs, before counting
     stack = np.array([[0.5, 0.5], [1.5, 0.5], [0.0, 0.3], [0.2, 0.8],
                       [-0.1, 0.0], [1.0, 1.0]])
     before = roof_lps()
@@ -365,7 +410,7 @@ def test_stacked_conjugate_raises_when_the_roof_fails(monkeypatch):
 def test_exposed_corners_of_an_inconsistent_switch_need_no_roof_lp(roof_lps):
     m = square()
     sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
-    assert not sw.consistent
+    assert not sw.consistency.consistent
     before = roof_lps()
     # the cells {(0, 0)} and {(1, 1)} are exposed: their roof is R - b_x
     for corner, x in (([0.0, 0.0], 0), ([1.0, 1.0], 2)):
@@ -383,7 +428,7 @@ def test_sampled_roof_on_an_exposed_face_is_not_below_its_closed_form():
     obs = observe_partition(space, [face] + [
         [w for w in rest if w[1] + w[2] == k] for k in range(3)])
     sw = SwitchedCost(m, obs, np.array([0.0, 1.0, 0.0]))
-    assert not sw.consistent and sw.violation[2] == "sampled"
+    assert sw.consistency.path == "sampled" and not sw.consistency
     x = obs.of(face[0])
     rng = np.random.default_rng(5)
     mus = np.column_stack([np.ones(100), rng.uniform(size=(100, 2))])
@@ -397,10 +442,11 @@ def test_sampled_roof_on_an_exposed_face_is_not_below_its_closed_form():
 def test_sampled_violation_is_one_roof_lp(roof_lps, roof_calls):
     m = square()
     sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
-    worst, witness, path = sw.violation
+    v = sw.consistency
+    worst, witness, path = v.worst_violation, v.witness, v.path
     # every probe point of every cell in one stacked LP
     assert roof_lps() == 1 and roof_calls == [sw]
-    assert path == "sampled" and not sw.consistent
+    assert path == "sampled" and not v.consistent
     assert worst == pytest.approx(sampled_roof_violation(sw), abs=1e-12)
     assert witness["value"] - witness["roof_value"] == worst
 
@@ -423,7 +469,7 @@ def test_impossible_count_audit_makes_one_roof_lp_per_cell(roof_lps,
 
     monkeypatch.setattr(SwitchedCost, "_conjs", counted)
     check_desiderata((sc.model, plan.switch_state),
-                     (plan.switched, plan.switch_state), sc.observation,
+                     (plan, plan.switch_state), sc.observation,
                      tol=sc.tol, seed=sc.seed, price_informational=True)
     assert len(per_cell) == len(sc.observation.realizations)
     assert max(per_cell) == 1
@@ -443,12 +489,12 @@ def test_verdict_records_the_deciding_path(observe, path, verdicts):
     for s, consistent in zip(([0.0, 0.0], [1.0, 0.0]), verdicts):
         v = consistency_check(m, observe(m), np.array(s))
         assert (v.path, v.consistent) == (path, consistent)
-        assert v.switched.violation[2] == path
+        assert v.switched.consistency.path == path
 
 
 def test_switched_price_solves_each_cell_once(monkeypatch):
     m = square()
-    sw = plan_switch(m, coord0(m), np.array([0.4, -1.1])).switched
+    sw = plan_switch(m, coord0(m), np.array([0.4, -1.1]))
     solved = []
     real = RestrictedCost._project  # the cells' solve on a checked q
 
@@ -490,7 +536,7 @@ def test_desiderata_switched_cost_calls_do_not_grow_with_samples(
     m = square()
     obs = coord0(m)
     s = np.array([0.5, 0.4])
-    sw = plan_switch(m, obs, s).switched
+    sw = plan_switch(m, obs, s)
     calls = []
     real = SwitchedCost.cost
 
@@ -535,7 +581,7 @@ def test_exutil_matches_divergence_reference_on_bundled_plans():
                                seed=sc.seed, allow_inconsistent=True,
                                switch_boundary=sc.switch_boundary)
         old = (sc.model, ledger.plan.switch_state)
-        new = (ledger.plan.switched, ledger.plan.switch_state)
+        new = (ledger.plan, ledger.plan.switch_state)
         report = check_desiderata(old, new, sc.observation, tol=sc.tol,
                                   seed=sc.seed, price_informational=True)
         assert report.row("EXUTIL").worst == pytest.approx(
@@ -614,27 +660,25 @@ def test_consistency_check_overlapping_cells():
 
 
 # ---------------------------------------------------------------------------
-# Feasibility precheck
+# Exposure: the state-independent sufficient condition
 
 
 def test_feasibility_coordinate_guaranteed():
     m = square()
-    fr = feasibility_precheck(m.space, coord0(m))
-    assert fr.status == "guaranteed"
-    assert bool(fr)
+    witnesses = exposure_witness(m.space, coord0(m))
+    assert all(w is not None for w in witnesses.values())
 
 
 def test_feasibility_count_unknown():
     m = square()
-    fr = feasibility_precheck(m.space, observe_sum(m.space))
-    assert fr.status == "unknown"
-    assert fr.witnesses[1.0] is None
+    witnesses = exposure_witness(m.space, observe_sum(m.space))
+    assert witnesses[1.0] is None
 
 
 def test_feasibility_simplex_partition_guaranteed():
     sp = simplex_market(4)
-    fr = feasibility_precheck(sp, observe_partition(sp, [[0, 1], [2, 3]]))
-    assert fr.status == "guaranteed"
+    witnesses = exposure_witness(sp, observe_partition(sp, [[0, 1], [2, 3]]))
+    assert all(w is not None for w in witnesses.values())
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +702,7 @@ def test_desiderata_switch_passes_with_informational_price():
     m = square()
     s = np.array([0.5, 0.4])
     plan = plan_switch(m, coord0(m), s)
-    report = check_desiderata((m, s), (plan.switched, s), coord0(m),
+    report = check_desiderata((m, s), (plan, s), coord0(m),
                               price_informational=True)
     assert report.all_pass
     # the switch opens a spread on the revealed coordinate, so the raw

@@ -45,7 +45,7 @@ def projection_cases():
     sq = square()
     face = (((1, 0)), ((1, 1)))
     switched = plan_switch(sq, observe_coordinate(sq.space, 0),
-                           np.array([0.3, -0.4])).switched
+                           np.array([0.3, -0.4]))
     medal = medal_count_model(2)
     medal_cell = observe_block_payoff(medal.space, (0,)).cell((1.0,))
     return [
