@@ -51,8 +51,10 @@ section("Tightness: when block prices pin beliefs")
 for g in range(len(m.blocks)):
     res = tightness_check(m, g)
     print(f"block {g} {m.blocks.blocks[g]}: {res.status}")
-print("(binary blocks are tight by a constructive +-1 witness; tight blocks"
-      "\n are the ones whose liquidity can be lowered without side effects)")
+print("(every realization of these blocks is exposed: some linear function"
+      "\n of the block payoffs is largest there alone, so fixing the block's"
+      "\n prices pins beliefs; tight blocks are the ones whose liquidity can"
+      "\n be lowered without side effects)")
 
 section("Worst-case loss is still bounded")
 print("bound at 0:", round(wc_loss_bound(m, np.zeros(m.dim)), 6),

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,6 +34,8 @@ INF = float("inf")
 _LOG_CLIP = 1e-300  # keeps entropy gradients finite at the hull boundary
 _STATE_CLIP = 120.0  # logit magnitude used when inverting boundary prices
 CONSISTENCY_TOL = 1e-7  # roof undercut above which a switch is inconsistent
+FD_STEP = 1e-6  # finite_difference_price's step
+FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
 
 
 def _as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
@@ -274,11 +276,8 @@ class IndependentBinaryCost(CostModel):
 
     def __init__(self, space: OutcomeSpace):
         super().__init__(space)
-        expected = sorted(product((0, 1), repeat=space.dim))
-        got = sorted(tuple(int(round(v)) for v in row) for row in space.payoff)
-        ok = (space.n_outcomes == 2 ** space.dim and got == expected
-              and np.allclose(space.payoff, np.round(space.payoff), atol=1e-12))
-        if not ok:
+        hull = space.hull()
+        if not (hull.kind == "box" and hull.free.size == space.dim):
             raise ValueError("product-lmsr requires the full binary cube")
 
     def cost(self, q) -> float:
@@ -599,8 +598,7 @@ class SwitchedCost(CostModel):
         less the sampled roof at p, both in divergence units, from one
         `_roof` LP over every probe point."""
         for x, y in combinations(self.realizations, 2):
-            if self.cell_models[x].hull.intersects(self.cell_models[y].hull,
-                                                   tol=1e-9):
+            if self.cell_models[x].hull.intersects(self.cell_models[y].hull):
                 return INF, {"overlap": (x, y)}, "overlap"
         if all(exposure_witness(self.space, self.observation).values()):
             return 0.0, None, "exposed"
@@ -790,12 +788,11 @@ class ShiftedCost(CostModel):
 # Numerical oracles
 
 
-def finite_difference_price(m: CostModel, q, h: float = 1e-6,
-                            kink_tol: float = 1e-7) -> PriceSet:
+def finite_difference_price(m: CostModel, q) -> PriceSet:
     """One-sided finite-difference price oracle with kink detection.
 
     A coordinate is a kink when the one-sided slopes differ by more than
-    kink_tol; the interval then spans the two slopes.
+    FD_KINK_TOL; the interval then spans the two slopes.
     """
     q = _as_vector(q, m.dim, "q")
     c0 = m.cost(q)
@@ -803,10 +800,10 @@ def finite_difference_price(m: CostModel, q, h: float = 1e-6,
     hi = np.empty(m.dim)
     for i in range(m.dim):
         e = np.zeros(m.dim)
-        e[i] = h
-        up = (m.cost(q + e) - c0) / h
-        dn = (c0 - m.cost(q - e)) / h
-        if abs(up - dn) > kink_tol:
+        e[i] = FD_STEP
+        up = (m.cost(q + e) - c0) / FD_STEP
+        dn = (c0 - m.cost(q - e)) / FD_STEP
+        if abs(up - dn) > FD_KINK_TOL:
             lo[i], hi[i] = min(dn, up), max(dn, up)
         else:
             lo[i] = hi[i] = 0.5 * (dn + up)

@@ -150,9 +150,8 @@ def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
     return res.x[:k].copy()
 
 
-def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray,
-                    tol: float = DEFAULT_TOL) -> bool:
-    """Whether two vertex hulls share a point (within tol)."""
+def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray) -> bool:
+    """Whether two vertex hulls share a point (within DEFAULT_TOL)."""
     A = np.atleast_2d(np.asarray(vertices_a, dtype=float))
     B = np.atleast_2d(np.asarray(vertices_b, dtype=float))
     na, nb = A.shape[0], B.shape[0]
@@ -162,7 +161,7 @@ def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray,
     a_eq[1, na:] = 1.0
     gap = _min_slack(np.hstack([A.T, -B.T]), np.zeros(A.shape[1]), a_eq,
                      [1.0, 1.0])[-1]
-    return float(gap) <= tol
+    return float(gap) <= DEFAULT_TOL
 
 
 _EQ_TOL = 1e-12  # payoff entries this close count as equal
@@ -181,8 +180,8 @@ class Hull:
     vertices come from a `complete` market (payoffs distinct unit vectors),
     where every event is a simplex face. Membership and overlap of boxes and
     simplices are decided in closed form, with the meaning `hull_contains`
-    and `hulls_intersect` give them (an L-inf residual of at most tol);
-    generic hulls go to those LPs.
+    and `hulls_intersect` give them (an L-inf residual of at most tol, and
+    of at most DEFAULT_TOL for overlap); generic hulls go to those LPs.
     """
 
     def __init__(self, vertices, complete: bool = False):
@@ -223,18 +222,17 @@ class Hull:
         # some point with coordinates in [max(f - tol, 0), f + tol] sums to 1
         return bool(np.maximum(f - tol, 0.0).sum() <= 1.0 <= (f + tol).sum())
 
-    def intersects(self, other: "Hull", tol: float = DEFAULT_TOL) -> bool:
-        """Whether the two hulls share a point (within L-inf distance tol)."""
+    def intersects(self, other: "Hull") -> bool:
+        """Whether the two hulls share a point (within L-inf distance
+        DEFAULT_TOL)."""
         if self.kind == other.kind == "box":
             shared = self.pinned.keys() & other.pinned.keys()
-            return all(abs(self.pinned[i] - other.pinned[i]) <= tol
+            return all(abs(self.pinned[i] - other.pinned[i]) <= DEFAULT_TOL
                        for i in shared)
         if self.kind == other.kind == "simplex":
-            # disjoint simplex faces are max(1/|a|, 1/|b|) apart in L-inf
-            a, b = self.free, other.free
-            return bool(np.intersect1d(a, b).size
-                        or max(1.0 / a.size, 1.0 / b.size) <= tol)
+            # disjoint faces are max(1/|a|, 1/|b|) >> DEFAULT_TOL apart
+            return bool(np.intersect1d(self.free, other.free).size)
         for one, rest in ((self, other), (other, self)):
             if one.vertices.shape[0] == 1 and rest.kind != "generic":
-                return rest.contains(one.vertices[0], tol)
-        return hulls_intersect(self.vertices, other.vertices, tol)
+                return rest.contains(one.vertices[0])
+        return hulls_intersect(self.vertices, other.vertices)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .costs import ScaledCost, _as_vector
 from .lcmm import ArbitrageSolution, LcmmCost, tightness_check
-from .markets import observe_block_payoff
+from .markets import _checked_index, observe_block_payoff
 from .switching import DesiderataReport, check_desiderata
 
 AUDIT_TOL = 1e-6  # partial_decrease_audit's desiderata and drop tolerance
@@ -74,8 +74,8 @@ class Schedule:
         return self.beta(g, t_new) / self.beta(g, t)
 
 
-def constant_schedule(model: LcmmCost, t0: float = 0.0) -> Schedule:
-    return Schedule(tuple(BlockSchedule() for _ in model.blocks), t0)
+def constant_schedule(model: LcmmCost) -> Schedule:
+    return Schedule(tuple(BlockSchedule() for _ in model.blocks))
 
 
 @dataclass
@@ -177,6 +177,7 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
     Strict decrease additionally requires a differentiable, tight block.
     The measured drops are the per-cell utilities the DECUTIL row records.
     """
+    g = _checked_index(g, len(model.blocks), "block index")
     schedule.validate(model)
     for g2 in range(len(model.blocks.blocks)):
         if g2 != g and abs(schedule.beta(g2, t_new) - schedule.beta(g2, t)) > 1e-12:

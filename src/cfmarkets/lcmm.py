@@ -25,8 +25,9 @@ from scipy.optimize import brentq, linprog
 
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
                     _as_vector)
-from .markets import BlockStructure, OutcomeSpace, independent_binary_market, \
-    simplex_market
+from .markets import (BlockStructure, OutcomeSpace, _checked_index,
+                      exposure_witness, independent_binary_market,
+                      observe_identity, simplex_market)
 
 INF = float("inf")
 CERTIFICATE_TOL = 1e-7  # certificate_check's gap and hull-membership slack
@@ -266,7 +267,7 @@ def lcmm_divergence(model: LcmmCost, mu, q) -> float:
 
 def certificate_check(model: LcmmCost, q, eta) -> bool:
     """Whether eta is an optimal arbitrage bundle at q."""
-    eta = np.asarray(eta, dtype=float).reshape(-1)
+    eta = _as_vector(eta, model.A.shape[1], "eta")
     if eta.min(initial=0.0) < -1e-12:
         raise ValueError("eta must be nonnegative")
     q = _as_vector(q, model.dim, "q")
@@ -301,8 +302,12 @@ def medal_count_model(n: int) -> LcmmCost:
 
 @dataclass
 class TightnessResult:
-    status: str  # "tight" | "not_tight" | "tight_by_binary"
-    witness: dict | None = None
+    """`tightness_check`'s answer for one block. `witness` maps each block
+    realization to its `ExposureWitness`, in block coordinates, or None;
+    "not_tight" comes with a `counterexample` belief."""
+
+    status: str  # "tight" | "not_tight" | "unknown"
+    witness: dict
     counterexample: dict | None = None
 
     def __bool__(self):
@@ -310,55 +315,48 @@ class TightnessResult:
 
 
 def _block_realizations(model: LcmmCost, g: int):
-    V = model.space.payoff[:, model._slices[g]]
-    seen: dict = {}
-    for row in V:
-        seen.setdefault(tuple(np.round(row, 12)), np.asarray(row))
-    return list(seen.values())
+    """Block g's distinct payoff rows, keyed by their entries rounded to 12
+    places, as an outcome space, and the outcomes of each key's cell."""
+    rows, cells = {}, {}
+    for w, row in zip(model.space.outcomes,
+                      model.space.payoff[:, model._slices[g]]):
+        key = tuple(np.round(row, 12).tolist())
+        rows.setdefault(key, row)
+        cells.setdefault(key, []).append(w)
+    return OutcomeSpace(tuple(rows), np.array(list(rows.values()))), cells
 
 
 def tightness_check(model: LcmmCost, g: int) -> TightnessResult:
     """Whether fixing block g's prices to a realization pins beliefs to the
-    conditional hull.
+    conditional hull (Dudik, Lahaie, Pennock & Rothschild, EC 2013).
 
-    Binary-payoff blocks are tight by a constructive argument (the witness is
-    the +-1 separating vector per realization). Otherwise a brute-force
-    sampled check searches for a coherent belief matching the block
-    realization without lying in the conditional hull.
+    A realization x exposed among the block's realizations has a witness v
+    with v.x >= v.x' + margin for every other realization x', so a belief
+    whose block part is x puts no weight outside x's cell: "tight" when
+    every realization has one. For each realization without one,
+    TIGHTNESS_SAMPLES random LPs search for a coherent belief that matches x
+    outside x's conditional hull: "not_tight" when one is found, else
+    "unknown", since samples prove nothing.
     """
-    idx = model._slices[g]
-    V_block = model.space.payoff[:, idx]
-    xs = _block_realizations(model, g)
-    if len(xs) == 1:
-        return TightnessResult("tight", witness={"realizations": 1})
-    if np.all((np.abs(V_block) < 1e-12) | (np.abs(V_block - 1.0) < 1e-12)):
-        witness = {}
-        for x in xs:
-            v = np.zeros(model.dim)
-            v[idx] = np.where(x > 0.5, 1.0, -1.0)
-            witness[tuple(x)] = v
-        return TightnessResult("tight_by_binary", witness=witness)
+    g = _checked_index(g, len(model.blocks), "block index")
+    block, cells = _block_realizations(model, g)
+    witness = exposure_witness(block, observe_identity(block))
+    if all(witness.values()):
+        return TightnessResult("tight", witness)
     rng = np.random.default_rng(0)
     P = model.space.payoff
     n = P.shape[0]
-    samples = {}
-    for x in xs:
-        cell = [w for w, row in zip(model.space.outcomes, V_block)
-                if np.max(np.abs(row - x), initial=0.0) < 1e-9]
-        hull = model.space.hull(cell)
-        found = []
+    a_eq = np.vstack([np.ones(n), P[:, model._slices[g]].T])
+    for key, x in zip(block.outcomes, block.payoff):
+        if witness[key] is not None:
+            continue
+        hull = model.space.hull(cells[key])
         for _ in range(TIGHTNESS_SAMPLES):
-            c = rng.standard_normal(n)
-            res = linprog(c, A_eq=np.vstack([np.ones(n), V_block.T]),
+            res = linprog(rng.standard_normal(n), A_eq=a_eq,
                           b_eq=np.concatenate([[1.0], x]),
                           bounds=[(0, None)] * n, method="highs")
-            if not res.success:
-                continue
-            mu = P.T @ res.x
-            if not hull.contains(mu, TIGHTNESS_TOL):
+            if res.success and not hull.contains(P.T @ res.x, TIGHTNESS_TOL):
                 return TightnessResult(
-                    "not_tight",
-                    counterexample={"realization": tuple(x), "mu": mu})
-            found.append(mu)
-        samples[tuple(x)] = found
-    return TightnessResult("tight", witness={"samples": samples})
+                    "not_tight", witness,
+                    counterexample={"realization": key, "mu": P.T @ res.x})
+    return TightnessResult("unknown", witness)

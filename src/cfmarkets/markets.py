@@ -235,12 +235,12 @@ def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
 # Builders
 
 
-def simplex_market(n: int, names=()) -> OutcomeSpace:
+def simplex_market(n: int) -> OutcomeSpace:
     """Complete market over n mutually exclusive outcomes (one security
     paying 1 per outcome)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return OutcomeSpace(tuple(range(n)), np.eye(n), names)
+    return OutcomeSpace(tuple(range(n)), np.eye(n))
 
 
 def independent_binary_market(n: int) -> OutcomeSpace:

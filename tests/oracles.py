@@ -5,7 +5,9 @@ formulas and plain grid search / refinement; nothing here calls back into
 the solver paths it is used to verify. `face_check` decides exposure with
 the convex-combination LP, not with the separating direction that
 `exposure_witness` solves for. `switched_best_response` maximizes over the
-switched cost's cells, not over its sampled convex roof.
+switched cost's cells, not over its sampled convex roof. `max_outside_weight`
+decides whether a block realization is extreme with a convex-combination LP
+over the outcomes, not with a separating direction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from itertools import product
 import numpy as np
 from scipy.special import logsumexp
 
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from cfmarkets import Observation, OutcomeSpace, geometry, probe_points
 
@@ -198,3 +200,23 @@ def switched_best_response(sw, mu, q):
                    method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
     z = res.x[:-1]
     return float(mu @ (z - q) - (sw.cost(z) - sw.cost(q))), z
+
+
+# ---------------------------------------------------------------------------
+# Block tightness
+
+
+def max_outside_weight(model, g, x) -> float:
+    """The most weight a belief whose block-g part is x can put on outcomes
+    outside x's cell: max of sum over w outside the cell of lam_w, over lam
+    in the simplex with V_g^T lam = x. It is 0 exactly when x is an extreme
+    point of block g's realizations."""
+    V = model.space.payoff[:, list(model.blocks.blocks[g])]
+    x = np.asarray(x, dtype=float)
+    outside = (np.max(np.abs(V - x), axis=1) > 1e-9).astype(float)
+    n = V.shape[0]
+    res = linprog(-outside, A_eq=np.vstack([np.ones(n), V.T]),
+                  b_eq=np.concatenate([[1.0], x]), bounds=[(0, None)] * n,
+                  method="highs")
+    assert res.success, res.message
+    return float(-res.fun)

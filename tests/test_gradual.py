@@ -248,7 +248,7 @@ def test_partial_decrease_audit_passes_on_binary_block():
                                    0.0, 1.0)
     assert audit.passed
     assert audit.alpha == pytest.approx(np.exp(-0.5))
-    assert audit.tightness.status == "tight_by_binary"
+    assert audit.tightness.status == "tight"
     for x, (measured, predicted) in audit.drops.items():
         assert measured == pytest.approx(predicted, abs=1e-6)
         assert measured > 0.0  # liquidity strictly decreased

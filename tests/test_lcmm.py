@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockStructure, ExponentialFamilyCost,
+from cfmarkets import (BlockSchedule, BlockStructure, ExponentialFamilyCost,
                        IndependentBinaryCost, LcmmCost, LmsrCost,
-                       OutcomeSpace, ScaledCost, certificate_check,
+                       OutcomeSpace, ScaledCost, Schedule, certificate_check,
                        independent_binary_market, lcmm_divergence,
-                       medal_count_model, simplex_market,
-                       single_security_market, tightness_check)
+                       medal_count_model, partial_decrease_audit,
+                       simplex_market, single_security_market,
+                       tightness_check)
 
-from oracles import medal_eta_grid_value
+from oracles import max_outside_weight, medal_eta_grid_value
 
 
 def unconstrained_two_block_model():
@@ -264,18 +265,19 @@ def test_binary_blocks_are_tight_by_construction():
     m = medal_count_model(2)
     for g in (0, 1):
         res = tightness_check(m, g)
-        assert res.status == "tight_by_binary"
+        assert res.status == "tight"
         assert bool(res)
-        for x, v in res.witness.items():
-            # the witness separates the realization's outcomes by sign
-            idx = m._slices[g][0]
-            assert v[idx] == (1.0 if x[0] > 0.5 else -1.0)
+        assert set(res.witness) == {(0.0,), (1.0,)}
+        for x, w in res.witness.items():
+            # +-1 in block coordinates: the sign of the realization's payoff
+            assert w.vector.tolist() == [1.0 if x[0] > 0.5 else -1.0]
 
 
 def test_count_block_is_tight():
     m = medal_count_model(2)
     res = tightness_check(m, 2)
-    assert res.status in ("tight", "tight_by_binary")
+    assert res.status == "tight"
+    assert all(res.witness.values())
 
 
 def test_value_block_is_not_tight():
@@ -289,6 +291,8 @@ def test_value_block_is_not_tight():
     # the indicator security, which the single consistent outcome cannot
     assert ce["mu"][0] == pytest.approx(1.0, abs=1e-6)
     assert ce["mu"][1] > 1e-3
+    # the extreme realizations are exposed; only (1.0,) has no witness
+    assert [x for x, w in res.witness.items() if w is None] == [(1.0,)]
 
 
 def test_single_realization_block_is_trivially_tight():
@@ -300,3 +304,84 @@ def test_single_realization_block_is_trivially_tight():
              IndependentBinaryCost(independent_binary_market(1))]
     model = LcmmCost(space, blocks, costs, np.zeros((2, 0)), np.zeros(0))
     assert tightness_check(model, 0).status == "tight"
+
+
+def test_non_extreme_realization_without_counterexample_is_unknown():
+    # one block over payoffs (0, 1, 2): the realization 1 is not extreme, yet
+    # every belief matching it lies in its cell, so no sample refutes it
+    space = single_security_market((0.0, 1.0, 2.0))
+    model = LcmmCost(space, BlockStructure(((0,),)),
+                     [ExponentialFamilyCost(space)], np.zeros((1, 0)),
+                     np.zeros(0))
+    res = tightness_check(model, 0)
+    assert res.status == "unknown"
+    assert bool(res)
+    assert res.counterexample is None
+    assert res.witness[(1.0,)] is None
+    assert res.witness[(0.0,)] is not None
+    assert res.witness[(2.0,)] is not None
+
+
+def random_two_block_model(seed: int) -> LcmmCost:
+    """Unconstrained two-block model over 3-6 outcomes with payoffs in
+    {0, 1, 2}; payoff rows may repeat, so cells may hold several outcomes."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 3, size=2)
+    dim = int(sizes.sum())
+    payoff = rng.integers(0, 3, size=(int(rng.integers(3, 7)), dim))
+    space = OutcomeSpace(tuple(range(len(payoff))), payoff.astype(float))
+    blocks = BlockStructure((tuple(range(sizes[0])),
+                             tuple(range(sizes[0], dim))))
+    costs = []
+    for g in blocks:
+        rows = np.unique(payoff[:, list(g)], axis=0).astype(float)
+        costs.append(ExponentialFamilyCost(
+            OutcomeSpace(tuple(range(len(rows))), rows)))
+    return LcmmCost(space, blocks, costs, np.zeros((dim, 0)), np.zeros(0))
+
+
+TIGHTNESS_CASES = ([(f"medal{n}", lambda n=n: medal_count_model(n))
+                    for n in (1, 2, 3)]
+                   + [("value-block", unconstrained_two_block_model)]
+                   + [(f"random{seed}",
+                       lambda seed=seed: random_two_block_model(seed))
+                      for seed in range(30)])
+
+
+@pytest.mark.parametrize("build", [b for _, b in TIGHTNESS_CASES],
+                         ids=[name for name, _ in TIGHTNESS_CASES])
+def test_witness_exactly_when_no_weight_can_leave_the_cell(build):
+    m = build()
+    for g in range(len(m.blocks)):
+        res = tightness_check(m, g)
+        for x, w in res.witness.items():
+            extreme = max_outside_weight(m, g, x) <= 1e-9
+            assert (w is not None) == extreme, (g, x)
+        if res.status == "tight":
+            assert all(res.witness.values())
+        elif res.status == "not_tight":
+            ce = res.counterexample
+            idx = list(m.blocks.blocks[g])
+            assert res.witness[ce["realization"]] is None
+            assert np.allclose(ce["mu"][idx], ce["realization"], atol=1e-7)
+        else:
+            assert res.status == "unknown" and res.counterexample is None
+            assert not all(res.witness.values())
+
+
+@pytest.mark.parametrize("g", [True, -1, 3, 1.5])
+def test_block_index_is_checked(g):
+    m = medal_count_model(2)
+    with pytest.raises(ValueError, match="block index"):
+        tightness_check(m, g)
+    sched = Schedule(tuple(BlockSchedule() for _ in m.blocks))
+    with pytest.raises(ValueError, match="block index"):
+        partial_decrease_audit(m, sched, g, np.zeros(m.dim), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("eta", [[np.nan, 0.0], [0.0, np.inf], [0.0],
+                                 [0.0, 0.0, 0.0]])
+def test_certificate_check_rejects_a_malformed_eta(eta):
+    m = medal_count_model(1)
+    with pytest.raises(ValueError, match="eta must"):
+        certificate_check(m, np.zeros(m.dim), eta)

@@ -4,7 +4,10 @@ Every module-level import in `src/cfmarkets/*.py` (the package `__init__`,
 which re-exports, aside) must be used in its module. A binding whose line
 carries `# noqa: F401` is exempt. Every module-level private name and every
 private method defined in `src/cfmarkets/*.py` must be referenced somewhere
-in the package, so a helper nothing calls any more does not linger.
+in the package, so a helper nothing calls any more does not linger. Every
+module-level UPPER_CASE constant must be read (as a variable or an
+attribute, not only imported) somewhere in the package, so a tolerance or
+a clip that a deletion left behind is caught.
 """
 
 import ast
@@ -108,3 +111,42 @@ def test_the_check_finds_an_unreferenced_private_name():
 def test_every_private_name_is_referenced_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_names(sources) == []
+
+
+def unread_constants(sources: dict) -> list:
+    """(file, name, line) of each module-level UPPER_CASE constant that no
+    source reads as a variable or an attribute."""
+    reads = set()
+    for source in sources.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                reads.add(n.attr)
+    found = []
+    for file, source in sources.items():
+        for node in ast.parse(source).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            found.extend((file, t.id, node.lineno) for t in targets
+                         if isinstance(t, ast.Name) and t.id.isupper()
+                         and t.id not in reads)
+    return found
+
+
+def test_the_check_finds_an_unread_constant():
+    sources = {
+        "a.py": ("TIGHTNESS_SAMPLES = 20\n_LOG_CLIP = 1e-300\n"
+                 "SAMPLES: int = 3\nsteps = 4\n\n"
+                 "def f():\n    return SAMPLES + steps\n"),
+        "b.py": ("import a\nfrom a import TIGHTNESS_SAMPLES\n"
+                 "LIMIT = a.SAMPLES\nprint(LIMIT)\n"),
+    }
+    assert unread_constants(sources) == [
+        ("a.py", "TIGHTNESS_SAMPLES", 1), ("a.py", "_LOG_CLIP", 2)]
+
+
+def test_every_constant_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []
