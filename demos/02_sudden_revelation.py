@@ -42,10 +42,9 @@ print("post-switch spread:", np.round(p.lo, 4), "to", np.round(p.hi, 4),
       "-- the revealed coordinate opens to [0,1]")
 
 section("The desiderata audit")
-report = check_desiderata((m, s), (sw, s), obs, n_random=100,
-                          price_informational=True)
+report = check_desiderata((m, s), (sw, s), obs, n_random=100)
 for name, row in report.rows.items():
-    tag = " (informational)" if row.informational else ""
+    tag = " (informational)" if name == "PRICE" else ""
     print(f"{name:10s} worst deviation {row.worst:.3e} "
           f"{'pass' if row.passed else 'FAIL'}{tag}")
 for x in obs.realizations:

@@ -1,12 +1,11 @@
 """Command-line surface: run scenario protocols and static checks.
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, 2 the scenario
-could not be parsed; in `check` a "not_tight" block fails and an "unknown"
-one passes, like "feasibility: unknown". Output records are line-delimited
-with the fixed field set {ts, kind, state, price_center, spread,
-cost_delta, trader, check, value, pass} in strict JSON, with non-finite
-numbers written as null; identical scenario and seed produce byte-identical
-output.
+could not be parsed; in `check` a "not_tight" block fails. Output records
+are line-delimited with the fixed field set {ts, kind, state,
+price_center, spread, cost_delta, trader, check, value, pass} in strict
+JSON, with non-finite numbers written as null; identical scenario and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -123,11 +122,11 @@ def _run_sudden(sc: Scenario, allow_inconsistent: bool):
                                **{"pass": consistent}))
         report = check_desiderata((sc.model, plan.switch_state),
                                   (plan, plan.switch_state),
-                                  sc.observation, tol=sc.tol, seed=sc.seed,
-                                  price_informational=True)
+                                  sc.observation, tol=sc.tol, seed=sc.seed)
         for name, row in report.rows.items():
-            enabled = not row.informational and (
-                consistent or name not in ("EXUTIL", "CONDPRICE", "DECUTIL"))
+            # PRICE is not gated: the switch opens a spread on the revealed
+            # coordinates; an inconsistent switch is held to ZEROUTIL alone
+            enabled = name != "PRICE" and (consistent or name == "ZEROUTIL")
             records.append(_record(ts=sc.switch_time, kind="check",
                                    check=name, value=row.worst,
                                    **{"pass": row.passed}))
@@ -215,7 +214,7 @@ def cmd_check(path, allow_inconsistent: bool = False) -> int:
         for g in range(len(sc.model.blocks.blocks)):
             res = tightness_check(sc.model, g)
             print(f"block {g} {sc.model.blocks.blocks[g]}: {res.status}")
-            ok = ok and bool(res)  # "unknown" passes
+            ok = ok and bool(res)
         bound = wc_loss_bound(model_at(sc.model, sc.schedule, sc.t0),
                               sc.initial_state)
     print(f"worst-case loss bound: {bound:.9f}")

@@ -660,7 +660,8 @@ class SwitchedCost(CostModel):
     def restrict(self, event):
         """Inside cell x, for every kind of cell: the base's own projection
         onto the event (the cell's, when it is the whole cell), its value
-        less b_x. Frank-Wolfe never runs over the roof."""
+        less b_x. Frank-Wolfe never runs over the roof: an event that spans
+        cells raises ValueError."""
         for x in self.realizations:
             cell = self.cell_models[x]
             if set(event) <= set(cell.event):
@@ -673,7 +674,7 @@ class SwitchedCost(CostModel):
                     return replace(res, value=res.value - b)
 
                 return project
-        return None
+        raise ValueError(f"event {tuple(event)!r} spans the switch's cells")
 
 
 class ScaledCost(CostModel):

@@ -18,10 +18,10 @@ or the root of g_j.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq
 
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
                     _as_vector)
@@ -31,8 +31,7 @@ from .markets import (BlockStructure, OutcomeSpace, _checked_index,
 
 INF = float("inf")
 CERTIFICATE_TOL = 1e-7  # certificate_check's gap and hull-membership slack
-TIGHTNESS_SAMPLES = 20  # sampled coherent beliefs per block realization
-TIGHTNESS_TOL = 1e-7  # hull-membership slack of the sampled tightness check
+TIGHTNESS_TOL = 1e-7  # residual and hull-membership slack of tightness_check
 _MAX_CYCLES = 50  # coordinate sweeps before a solve stops unconverged
 _ETA_BOUND = 2.0 ** 40  # largest multiplier the bracket doubling tries
 
@@ -306,7 +305,7 @@ class TightnessResult:
     realization to its `ExposureWitness`, in block coordinates, or None;
     "not_tight" comes with a `counterexample` belief."""
 
-    status: str  # "tight" | "not_tight" | "unknown"
+    status: str  # "tight" | "not_tight"
     witness: dict
     counterexample: dict | None = None
 
@@ -332,31 +331,37 @@ def tightness_check(model: LcmmCost, g: int) -> TightnessResult:
 
     A realization x exposed among the block's realizations has a witness v
     with v.x >= v.x' + margin for every other realization x', so a belief
-    whose block part is x puts no weight outside x's cell: "tight" when
-    every realization has one. For each realization without one,
-    TIGHTNESS_SAMPLES random LPs search for a coherent belief that matches x
-    outside x's conditional hull: "not_tight" when one is found, else
-    "unknown", since samples prove nothing.
+    whose block part is x puts no weight outside x's cell. Otherwise the
+    coherent beliefs whose block part is x mix x's cell with the beliefs nu
+    over the other outcomes that average to x on the block. Each vertex of
+    that polytope solves [1; V_g^T] nu = [1; x] on at most rank-many
+    distinct off-cell payoff rows, so every support up to that size is
+    solved: "not_tight" at the first nonnegative solution whose belief lies
+    outside x's conditional hull, with that belief as the counterexample;
+    otherwise "tight", which is exact. The supports number sum over
+    k <= 1 + |g| of C(m, k) in the m distinct off-cell payoff rows.
     """
     g = _checked_index(g, len(model.blocks), "block index")
     block, cells = _block_realizations(model, g)
     witness = exposure_witness(block, observe_identity(block))
-    if all(witness.values()):
-        return TightnessResult("tight", witness)
-    rng = np.random.default_rng(0)
-    P = model.space.payoff
-    n = P.shape[0]
-    a_eq = np.vstack([np.ones(n), P[:, model._slices[g]].T])
     for key, x in zip(block.outcomes, block.payoff):
         if witness[key] is not None:
             continue
+        cell = set(cells[key])
+        rows = np.unique(model.space.payoff[[w not in cell for w in
+                                             model.space.outcomes]], axis=0)
+        M = np.vstack([np.ones(len(rows)), rows[:, model._slices[g]].T])
+        rhs = np.concatenate([[1.0], x])
         hull = model.space.hull(cells[key])
-        for _ in range(TIGHTNESS_SAMPLES):
-            res = linprog(rng.standard_normal(n), A_eq=a_eq,
-                          b_eq=np.concatenate([[1.0], x]),
-                          bounds=[(0, None)] * n, method="highs")
-            if res.success and not hull.contains(P.T @ res.x, TIGHTNESS_TOL):
-                return TightnessResult(
-                    "not_tight", witness,
-                    counterexample={"realization": key, "mu": P.T @ res.x})
-    return TightnessResult("unknown", witness)
+        for k in range(1, np.linalg.matrix_rank(M) + 1):
+            for support in map(list, combinations(range(len(rows)), k)):
+                nu = np.linalg.lstsq(M[:, support], rhs, rcond=None)[0]
+                if (nu.min() < 0.0 or np.abs(M[:, support] @ nu - rhs).max()
+                        > TIGHTNESS_TOL):
+                    continue
+                mu = nu @ rows[support]
+                if not hull.contains(mu, TIGHTNESS_TOL):
+                    return TightnessResult(
+                        "not_tight", witness,
+                        counterexample={"realization": key, "mu": mu})
+    return TightnessResult("tight", witness)

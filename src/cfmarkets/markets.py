@@ -22,7 +22,6 @@ class OutcomeSpace:
 
     outcomes: tuple
     payoff: np.ndarray  # (n_outcomes, K)
-    security_names: tuple = ()
 
     def __post_init__(self):
         payoff = np.atleast_2d(np.asarray(self.payoff, dtype=float))
@@ -40,11 +39,6 @@ class OutcomeSpace:
         payoff.setflags(write=False)
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         object.__setattr__(self, "payoff", payoff)
-        names = tuple(self.security_names) or tuple(
-            f"s{i}" for i in range(payoff.shape[1]))
-        if len(names) != payoff.shape[1]:
-            raise ValueError("security_names length mismatch")
-        object.__setattr__(self, "security_names", names)
         object.__setattr__(self, "_index",
                            {w: i for i, w in enumerate(self.outcomes)})
         whole = geometry.Hull(payoff)

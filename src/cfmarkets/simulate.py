@@ -78,8 +78,6 @@ class Ledger:
 
 
 class TraderAgent:
-    kind = "agent"
-
     def __init__(self, name: str, times, budget: float | None = None):
         self.name = name
         self.times = tuple(sorted(float(t) for t in times))
@@ -110,8 +108,6 @@ class TraderAgent:
 class BeliefTrader(TraderAgent):
     """Risk-neutral trader moving the state to its belief's price state."""
 
-    kind = "belief"
-
     def __init__(self, name, times, mu, budget=None):
         super().__init__(name, times, budget)
         self.mu = np.asarray(mu, dtype=float)
@@ -138,8 +134,6 @@ class BeliefTrader(TraderAgent):
 class NoiseTrader(TraderAgent):
     """Seeded bounded random bundles."""
 
-    kind = "noise"
-
     def __init__(self, name, times, scale: float = 1.0, budget=None):
         super().__init__(name, times, budget)
         self.scale = float(scale)
@@ -151,8 +145,6 @@ class NoiseTrader(TraderAgent):
 
 class JitArbitrageur(TraderAgent):
     """Knows the realization; chases the guaranteed payoff greedily."""
-
-    kind = "jit"
 
     def __init__(self, name, times, obs: Observation, x, budget=None):
         super().__init__(name, times, budget)

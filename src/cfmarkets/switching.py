@@ -23,7 +23,6 @@ class DesiderataRow:
     name: str
     passed: bool
     worst: float
-    informational: bool = False
     details: dict = field(default_factory=dict)
 
 
@@ -33,10 +32,6 @@ class DesiderataReport:
 
     def row(self, name: str) -> DesiderataRow:
         return self.rows[name]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.passed for r in self.rows.values() if not r.informational)
 
 
 def plan_switch(m: CostModel, obs: Observation, s) -> SwitchedCost:
@@ -65,8 +60,7 @@ def _cell_samples(space: OutcomeSpace, cell, n_random: int,
 
 
 def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
-                     n_random: int = 32, seed: int = 0,
-                     price_informational: bool = False) -> DesiderataReport:
+                     n_random: int = 32, seed: int = 0) -> DesiderataReport:
     """Audit the five update desiderata between (model, state) pairs.
 
     old/new are (CostModel, state) tuples over the same outcome space.
@@ -74,6 +68,9 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
     agree), ZEROUTIL (no post-update utility for any realization), DECUTIL
     (utility decreased wherever it was positive), EXUTIL (divergence change
     constant on each cell, so within-cell preferences are untouched).
+    Each row is measured and reported, never gated here: callers choose the
+    rows that must pass (a switch opens a spread on the revealed
+    coordinates, so `cfmarkets run` does not gate PRICE).
     """
     m_old, s_old = old
     m_new, s_new = new
@@ -90,8 +87,7 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
     p_old, p_new = m_old.price(s_old), m_new.price(s_new)
     dev = max(float(np.max(np.abs(p_old.lo - p_new.lo), initial=0.0)),
               float(np.max(np.abs(p_old.hi - p_new.hi), initial=0.0)))
-    rows["PRICE"] = DesiderataRow("PRICE", dev <= tol, dev,
-                                  informational=price_informational)
+    rows["PRICE"] = DesiderataRow("PRICE", dev <= tol, dev)
 
     cp_dev = 0.0
     zero_worst = 0.0

@@ -7,7 +7,10 @@ the convex-combination LP, not with the separating direction that
 `exposure_witness` solves for. `switched_best_response` maximizes over the
 switched cost's cells, not over its sampled convex roof. `max_outside_weight`
 decides whether a block realization is extreme with a convex-combination LP
-over the outcomes, not with a separating direction.
+over the outcomes, not with a separating direction. `fiber_escape` looks
+for a coherent belief that leaves a realization's cell at random LP
+vertices, not by enumerating supports, and tests membership with its own
+feasibility LP (`hull_member`), not with `geometry.Hull`.
 """
 
 from __future__ import annotations
@@ -220,3 +223,39 @@ def max_outside_weight(model, g, x) -> float:
                   method="highs")
     assert res.success, res.message
     return float(-res.fun)
+
+
+def hull_member(rows, mu) -> bool:
+    """Whether mu is a convex combination of the rows: a feasibility LP
+    with HiGHS's default tolerances."""
+    rows = np.asarray(rows, dtype=float)
+    k = rows.shape[0]
+    res = linprog(np.zeros(k), A_eq=np.vstack([np.ones(k), rows.T]),
+                  b_eq=np.concatenate([[1.0], mu]), bounds=[(0, None)] * k,
+                  method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def fiber_escape(model, g, x, draws: int, seed: int):
+    """A coherent belief whose block-g part is x and which lies outside the
+    hull of x's cell, or None: the beliefs at `draws` random-objective
+    vertices of {lam in the simplex : V_g^T lam = x}, each tested against
+    the cell's payoff rows with `hull_member`. None proves nothing; a
+    belief returned is a real counterexample to tightness."""
+    P = model.space.payoff
+    V = P[:, list(model.blocks.blocks[g])]
+    x = np.asarray(x, dtype=float)
+    cell = P[np.max(np.abs(V - x), axis=1) <= 1e-9]
+    n = P.shape[0]
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        res = linprog(rng.standard_normal(n),
+                      A_eq=np.vstack([np.ones(n), V.T]),
+                      b_eq=np.concatenate([[1.0], x]), bounds=[(0, None)] * n,
+                      method="highs")
+        assert res.success, res.message
+        mu = P.T @ res.x
+        if not hull_member(cell, mu):
+            return mu
+    return None

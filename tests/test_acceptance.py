@@ -112,8 +112,7 @@ def test_03_desiderata_on_square_coordinate():
     for s in (np.zeros(2), np.array([0.5, 0.4]), np.array([-1.2, 0.9])):
         plan = plan_switch(m, obs, s)
         report = check_desiderata((m, s), (plan, s), obs,
-                                  n_random=100, seed=0,
-                                  price_informational=True)
+                                  n_random=100, seed=0)
         assert report.row("ZEROUTIL").worst <= 1e-8
         assert report.row("EXUTIL").worst <= 1e-6
         assert report.row("CONDPRICE").worst <= 1e-7

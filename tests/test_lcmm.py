@@ -9,7 +9,8 @@ from cfmarkets import (BlockSchedule, BlockStructure, ExponentialFamilyCost,
                        simplex_market, single_security_market,
                        tightness_check)
 
-from oracles import max_outside_weight, medal_eta_grid_value
+from oracles import (fiber_escape, hull_member, max_outside_weight,
+                     medal_eta_grid_value)
 
 
 def unconstrained_two_block_model():
@@ -306,20 +307,29 @@ def test_single_realization_block_is_trivially_tight():
     assert tightness_check(model, 0).status == "tight"
 
 
-def test_non_extreme_realization_without_counterexample_is_unknown():
+def test_non_extreme_realization_whose_beliefs_stay_in_its_cell_is_tight():
     # one block over payoffs (0, 1, 2): the realization 1 is not extreme, yet
-    # every belief matching it lies in its cell, so no sample refutes it
+    # every belief matching it lies in its cell
     space = single_security_market((0.0, 1.0, 2.0))
     model = LcmmCost(space, BlockStructure(((0,),)),
                      [ExponentialFamilyCost(space)], np.zeros((1, 0)),
                      np.zeros(0))
     res = tightness_check(model, 0)
-    assert res.status == "unknown"
+    assert res.status == "tight"
     assert bool(res)
     assert res.counterexample is None
     assert res.witness[(1.0,)] is None
     assert res.witness[(0.0,)] is not None
     assert res.witness[(2.0,)] is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_medal_realization_is_exposed(n):
+    # the CLI and the audit check only medal models: no support is solved
+    m = medal_count_model(n)
+    for g in range(len(m.blocks)):
+        res = tightness_check(m, g)
+        assert res.status == "tight" and all(res.witness.values())
 
 
 def random_two_block_model(seed: int) -> LcmmCost:
@@ -345,28 +355,46 @@ TIGHTNESS_CASES = ([(f"medal{n}", lambda n=n: medal_count_model(n))
                    + [("value-block", unconstrained_two_block_model)]
                    + [(f"random{seed}",
                        lambda seed=seed: random_two_block_model(seed))
-                      for seed in range(30)])
+                      for seed in (*range(30), 49, 183)])
 
 
 @pytest.mark.parametrize("build", [b for _, b in TIGHTNESS_CASES],
                          ids=[name for name, _ in TIGHTNESS_CASES])
 def test_witness_exactly_when_no_weight_can_leave_the_cell(build):
     m = build()
+    P = m.space.payoff
     for g in range(len(m.blocks)):
         res = tightness_check(m, g)
+        idx = list(m.blocks.blocks[g])
         for x, w in res.witness.items():
             extreme = max_outside_weight(m, g, x) <= 1e-9
             assert (w is not None) == extreme, (g, x)
         if res.status == "tight":
-            assert all(res.witness.values())
-        elif res.status == "not_tight":
-            ce = res.counterexample
-            idx = list(m.blocks.blocks[g])
-            assert res.witness[ce["realization"]] is None
-            assert np.allclose(ce["mu"][idx], ce["realization"], atol=1e-7)
+            for x, w in res.witness.items():
+                if w is None:
+                    assert fiber_escape(m, g, x, 200, seed=0) is None, (g, x)
         else:
-            assert res.status == "unknown" and res.counterexample is None
-            assert not all(res.witness.values())
+            assert res.status == "not_tight"
+            x, mu = res.counterexample["realization"], res.counterexample["mu"]
+            assert res.witness[x] is None
+            assert np.allclose(mu[idx], x, atol=1e-7)
+            assert hull_member(P, mu)  # coherent
+            cell = P[np.max(np.abs(P[:, idx] - x), axis=1) <= 1e-9]
+            assert not hull_member(cell, mu)
+
+
+@pytest.mark.parametrize("seed, g, x, mu", [
+    (49, 1, (1.0,), [1.5, 1.0]),
+    (183, 0, (1.0, 0.0), [1.0, 0.0, 2.0, 1.5]),
+])
+def test_non_exposed_realization_with_an_escaping_belief_is_not_tight(
+        seed, g, x, mu):
+    # e.g. seed 49: weights 1/2 on payoffs (2, 0) and (1, 2) match block
+    # part 1 with (1.5, 1), outside that cell's hull
+    res = tightness_check(random_two_block_model(seed), g)
+    assert res.status == "not_tight" and not bool(res)
+    assert res.counterexample["realization"] == x
+    assert np.allclose(res.counterexample["mu"], mu, atol=1e-12)
 
 
 @pytest.mark.parametrize("g", [True, -1, 3, 1.5])

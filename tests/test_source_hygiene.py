@@ -7,7 +7,9 @@ private method defined in `src/cfmarkets/*.py` must be referenced somewhere
 in the package, so a helper nothing calls any more does not linger. Every
 module-level UPPER_CASE constant must be read (as a variable or an
 attribute, not only imported) somewhere in the package, so a tolerance or
-a clip that a deletion left behind is caught.
+a clip that a deletion left behind is caught. No `default_rng(...)` call
+may take a literal argument, so every random draw in the library comes
+from a seed that its caller passed in.
 """
 
 import ast
@@ -150,3 +152,35 @@ def test_the_check_finds_an_unread_constant():
 def test_every_constant_is_read_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def literal_seeds(source: str) -> list:
+    """Lines of the `default_rng(...)` calls that take a literal argument."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if not (isinstance(n, ast.Call) and "default_rng" in (
+                getattr(n.func, "attr", None), getattr(n.func, "id", None))):
+            continue
+        for arg in [*n.args, *(k.value for k in n.keywords)]:
+            try:
+                ast.literal_eval(arg)
+            except ValueError:
+                continue
+            found.append(n.lineno)
+            break
+    return found
+
+
+def test_the_check_finds_a_literal_seed():
+    source = ("import numpy as np\nfrom numpy.random import default_rng\n\n"
+              "def draws(seed, rng=None):\n"
+              "    a = np.random.default_rng(seed)\n"
+              "    b = np.random.default_rng(0)\n"
+              "    c = default_rng(seed=[1, -2])\n"
+              "    return a, b, c, rng.default_rng(seed + 1)\n")
+    assert literal_seeds(source) == [6, 7]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_library_draw_has_a_fixed_seed(path):
+    assert literal_seeds(path.read_text()) == []

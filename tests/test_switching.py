@@ -201,9 +201,9 @@ def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
         assert roof_lps() > 0  # the consistency check itself samples
     before = roof_lps()
     report = check_desiderata((m, plan.switch_state),
-                              (plan, plan.switch_state), obs,
-                              price_informational=True)
-    assert report.all_pass
+                              (plan, plan.switch_state), obs)
+    assert all(report.row(name).passed
+               for name in ("CONDPRICE", "ZEROUTIL", "DECUTIL", "EXUTIL"))
     assert roof_lps() == before
     if exposed:
         assert "_roof_samples" not in vars(plan)  # never built
@@ -470,7 +470,7 @@ def test_impossible_count_audit_makes_one_roof_lp_per_cell(roof_lps,
     monkeypatch.setattr(SwitchedCost, "_conjs", counted)
     check_desiderata((sc.model, plan.switch_state),
                      (plan, plan.switch_state), sc.observation,
-                     tol=sc.tol, seed=sc.seed, price_informational=True)
+                     tol=sc.tol, seed=sc.seed)
     assert len(per_cell) == len(sc.observation.realizations)
     assert max(per_cell) == 1
 
@@ -548,8 +548,7 @@ def test_desiderata_switched_cost_calls_do_not_grow_with_samples(
     counts = []
     for n_random in (8, 64):
         calls.clear()
-        check_desiderata((m, s), (sw, s), obs, n_random=n_random,
-                         price_informational=True)
+        check_desiderata((m, s), (sw, s), obs, n_random=n_random)
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -583,7 +582,7 @@ def test_exutil_matches_divergence_reference_on_bundled_plans():
         old = (sc.model, ledger.plan.switch_state)
         new = (ledger.plan, ledger.plan.switch_state)
         report = check_desiderata(old, new, sc.observation, tol=sc.tol,
-                                  seed=sc.seed, price_informational=True)
+                                  seed=sc.seed)
         assert report.row("EXUTIL").worst == pytest.approx(
             divergence_exutil(old, new, sc.observation, seed=sc.seed),
             abs=1e-12), sc.name
@@ -702,13 +701,12 @@ def test_desiderata_switch_passes_with_informational_price():
     m = square()
     s = np.array([0.5, 0.4])
     plan = plan_switch(m, coord0(m), s)
-    report = check_desiderata((m, s), (plan, s), coord0(m),
-                              price_informational=True)
-    assert report.all_pass
+    report = check_desiderata((m, s), (plan, s), coord0(m))
+    assert all(report.row(name).passed
+               for name in ("CONDPRICE", "ZEROUTIL", "DECUTIL", "EXUTIL"))
     # the switch opens a spread on the revealed coordinate, so the raw
-    # price-set comparison fails and is reported as informational only
+    # price-set comparison fails, and callers do not gate on it
     assert not report.row("PRICE").passed
-    assert report.row("PRICE").informational
     assert report.row("ZEROUTIL").worst <= 1e-8
     assert report.row("CONDPRICE").worst <= 1e-7
     assert report.row("EXUTIL").worst <= 1e-6

@@ -5,9 +5,9 @@ from cfmarkets import (IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
                        RestrictedCost, ScaledCost, ShiftedCost,
                        conditional_price, excess_util, medal_count_model,
                        observe_block_payoff, observe_coordinate,
-                       optimizing_sequence, plan_switch, simplex_market,
-                       single_binary_market, square_market, util_belief,
-                       util_event)
+                       observe_partition, observe_sum, optimizing_sequence,
+                       plan_switch, simplex_market, single_binary_market,
+                       square_market, util_belief, util_event)
 from cfmarkets._solvers import project_onto_hull
 
 from oracles import (grid_minimax_util, lmsr_cost_vec, piecewise_cost_vec,
@@ -83,6 +83,21 @@ def test_util_event_full_space_is_zero():
     m = lmsr3()
     res = util_event(m, m.space.outcomes, np.array([0.5, -0.5, 0.0]))
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("build, s, q", [
+    (lambda m: observe_coordinate(m.space, 0), [0.3, -0.2], [0.5, 0.1]),
+    (lambda m: observe_sum(m.space), [0.3, -0.2], [0.5, 0.1]),
+    (lambda m: observe_partition(m.space, [[0, 1], [2, 3]]), [0.0] * 4,
+     [0.3, 0.0, 0.0, 0.0]),
+], ids=["square-coordinate", "square-sum", "lmsr4-partition"])
+def test_switch_refuses_an_event_that_spans_its_cells(build, s, q):
+    # the whole space's exact utility is 0; projecting onto it would need
+    # Frank-Wolfe over the switch's sampled roof
+    m = square() if len(s) == 2 else LmsrCost(simplex_market(4))
+    sw = plan_switch(m, build(m), np.array(s))
+    with pytest.raises(ValueError, match="spans the switch's cells"):
+        util_event(sw, sw.space.outcomes, np.array(q))
 
 
 def test_conditional_price_lmsr_renormalizes():
