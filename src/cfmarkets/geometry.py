@@ -1,12 +1,15 @@
 """Small dense linear-feasibility helpers over vertex hulls.
 
-Everything here works on an explicit vertex list V (n x K): hull membership
-and hull overlap (one min-slack LP, `_min_slack`), separating directions,
-and minimum-value convex combinations. Instances are desk-scale, so a dense
-LP per query is fine; `min_weighted_value` takes a whole stack of query
-points as block-diagonal LPs (one on desk-scale probe sets), because
-scipy's per-call overhead, not HiGHS, is most of a small LP's time. The
-switched cost's sampled convex roof is its one library caller.
+Everything here works on an explicit vertex list V (n x K), with two LP
+shapes: minimum-value convex combinations, which also answer hull
+membership (every value 0) and overlap (membership of 0 in the hull of the
+differences), and separating directions. Each answers None only when HiGHS
+proves it infeasible, and raises RuntimeError on any other stop. Instances
+are desk-scale, so a dense LP per query is fine; `min_weighted_value` takes
+a whole stack of query points as block-diagonal LPs (one on desk-scale
+probe sets), because scipy's per-call overhead, not HiGHS, is most of a
+small LP's time. Its library callers are the switched cost's sampled convex
+roof and `hull_contains`.
 `Hull` answers membership and overlap for simplex and sub-cube faces in
 closed form and sends every other vertex set to these LPs.
 """
@@ -24,8 +27,8 @@ DEFAULT_TOL = 1e-9
 # of 1e-8 to zero, so a point just inside a hull reads as just outside it,
 # and a min-value optimum could use far more than its own +- tol of slack, so
 # a point's minimum would move by ~1e-10 with the other blocks of its stack.
-# The membership, overlap and min-value LPs solve once, at the tightest
-# tolerances HiGHS takes.
+# The min-value LP, and so membership and overlap, solves once, at the
+# tightest tolerances HiGHS takes.
 _TIGHT = {"options": {"primal_feasibility_tolerance": 1e-10,
                       "dual_feasibility_tolerance": 1e-10}}
 # A stack of points goes to HiGHS in LPs whose dense inequality matrix holds
@@ -34,37 +37,25 @@ _TIGHT = {"options": {"primal_feasibility_tolerance": 1e-10,
 _STACK_ENTRIES = 2 ** 16
 
 
-def _min_slack(m, r, a_eq, b_eq) -> np.ndarray:
-    """The nonnegative x with a_eq x = b_eq that minimizes the slack s with
-    |m x - r| <= s, solved at `_TIGHT`, with s as its last entry."""
-    k, n = m.shape
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    a_ub = np.zeros((2 * k, n + 1))
-    a_ub[:k, :n] = m
-    a_ub[k:, :n] = -m
-    a_ub[:, -1] = -1.0
-    a_eq = np.hstack([a_eq, np.zeros((a_eq.shape[0], 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=np.concatenate([r, -r]), A_eq=a_eq,
-                  b_eq=b_eq, bounds=[(0, None)] * (n + 1), method="highs",
-                  **_TIGHT)
-    if not res.success:  # pragma: no cover - the slack makes this feasible
-        raise RuntimeError(f"min-slack LP failed: {res.message}")
+def _solution(res):
+    """The LP's solution, or None when HiGHS proves it infeasible; any other
+    stop raises, so it is never read as "outside" or "not exposed"."""
+    if res.status == 2:
+        return None
+    if not res.success:
+        raise RuntimeError(f"HiGHS stopped without an answer: {res.message}")
     return res.x
 
 
 def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
     """Whether mu is within L-inf distance tol of the vertices' hull: the
-    least L-inf error of a convex combination of the vertices, from the
-    min-slack LP and recomputed from its weights."""
+    min-value LP with every value 0 is feasible. Raises RuntimeError when
+    HiGHS stops without deciding."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     mu = np.asarray(mu, dtype=float)
-    n = V.shape[0]
-    if n == 1:
+    if V.shape[0] == 1:
         return float(np.max(np.abs(V[0] - mu), initial=0.0)) <= tol
-    lam = np.clip(_min_slack(V.T, mu, np.ones((1, n)), [1.0])[:n], 0.0, None)
-    lam /= lam.sum()
-    return float(np.max(np.abs(V.T @ lam - mu), initial=0.0)) <= tol
+    return min_weighted_value(V, np.zeros(len(V)), mu, tol) is not None
 
 
 def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
@@ -78,19 +69,16 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
     objectives add up, so each block's minimum is the one its point alone
     has. A single point is the one-block case, the LP of one point. Returns
     (min_value, weights), as (J,) values and (J, n) weights for a stack, or
-    None when some point is not in the hull of points. Non-finite values
-    drop their points from the program.
+    None when HiGHS proves some point off the hull of points; any other
+    HiGHS stop raises RuntimeError. The values must be finite (scipy
+    raises ValueError otherwise).
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     v = np.asarray(values, dtype=float)
-    keep = np.isfinite(v)
-    if not keep.any():
-        return None
-    P, v = P[keep], v[keep]
     n = len(v)
     mu = np.asarray(mu, dtype=float)
     mus = np.atleast_2d(mu)
-    found, w = np.empty(len(mus)), np.zeros((len(mus), keep.shape[0]))
+    found, w = np.empty(len(mus)), np.empty((len(mus), n))
     rows = np.vstack([P.T, -P.T])  # one point's inequality rows
     step = max(1, isqrt(_STACK_ENTRIES // rows.size))
     for i in range(0, len(mus), step):
@@ -101,11 +89,12 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
                       A_eq=np.kron(np.eye(J), np.ones((1, n))),
                       b_eq=np.ones(J), bounds=[(0, None)] * (J * n),
                       method="highs", **_TIGHT)
-        if not res.success:
+        x = _solution(res)
+        if x is None:
             return None
-        x = res.x.reshape(J, n)
+        x = x.reshape(J, n)
         found[i:i + J] = x @ v
-        w[i:i + J, keep] = np.clip(x, 0.0, None)
+        w[i:i + J] = np.clip(x, 0.0, None)
     if mu.ndim == 1:
         return float(found[0]), w[0]
     return found, w
@@ -114,7 +103,8 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
 def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
                          margin: float = 1.0):
     """Direction v with v.p constant on inside_points and at least `margin`
-    above every outside point, or None if there is none.
+    above every outside point, or None when HiGHS proves there is none; any
+    other HiGHS stop raises RuntimeError.
 
     Among feasible v the L1-smallest is returned, which keeps witnesses tidy.
     """
@@ -145,23 +135,18 @@ def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
     bounds = [(None, None)] * (k + 1) + [(0, None)] * k
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub,
                   A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return res.x[:k].copy()
+    x = _solution(res)
+    return None if x is None else x[:k]
 
 
 def hulls_intersect(vertices_a: np.ndarray, vertices_b: np.ndarray) -> bool:
-    """Whether two vertex hulls share a point (within DEFAULT_TOL)."""
+    """Whether two vertex hulls share a point (within L-inf distance
+    DEFAULT_TOL): `hull_contains` of 0 in the hull of the differences
+    a_i - b_j, which raises RuntimeError when HiGHS stops without deciding."""
     A = np.atleast_2d(np.asarray(vertices_a, dtype=float))
     B = np.atleast_2d(np.asarray(vertices_b, dtype=float))
-    na, nb = A.shape[0], B.shape[0]
-    # variables [lam_a, lam_b]: minimize s with |A^T la - B^T lb| <= s
-    a_eq = np.zeros((2, na + nb))
-    a_eq[0, :na] = 1.0
-    a_eq[1, na:] = 1.0
-    gap = _min_slack(np.hstack([A.T, -B.T]), np.zeros(A.shape[1]), a_eq,
-                     [1.0, 1.0])[-1]
-    return float(gap) <= DEFAULT_TOL
+    diffs = (A[:, None, :] - B[None, :, :]).reshape(-1, A.shape[1])
+    return hull_contains(diffs, np.zeros(A.shape[1]))
 
 
 _EQ_TOL = 1e-12  # payoff entries this close count as equal
@@ -181,7 +166,8 @@ class Hull:
     where every event is a simplex face. Membership and overlap of boxes and
     simplices are decided in closed form, with the meaning `hull_contains`
     and `hulls_intersect` give them (an L-inf residual of at most tol, and
-    of at most DEFAULT_TOL for overlap); generic hulls go to those LPs.
+    of at most DEFAULT_TOL for overlap); generic hulls go to those LPs,
+    which raise RuntimeError when HiGHS stops without deciding.
     """
 
     def __init__(self, vertices, complete: bool = False):

@@ -124,6 +124,8 @@ def build_observation(spec, space: OutcomeSpace) -> Observation:
         return trivial_observation(space)
     if isinstance(spec, str):
         spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        raise ScenarioError("observation must be a name or a mapping")
     kind = spec.get("kind")
     if kind == "coordinate":
         return observe_coordinate(space, spec.get("index", 0))
@@ -142,8 +144,12 @@ def build_observation(spec, space: OutcomeSpace) -> Observation:
 
 
 def _build_trader(spec, obs, settlement, model):
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"trader {spec!r} is not a mapping")
     kind = spec.get("kind")
     name = spec.get("name", kind)
+    if "name" in spec and not isinstance(name, str):
+        raise ScenarioError(f"trader name {name!r} is not a string")
     times = spec.get("times", [])
     budget = spec.get("budget")
     if budget is not None and (isinstance(budget, bool)
@@ -187,8 +193,10 @@ def load_scenario(path) -> Scenario:
             raw = yaml.safe_load(fh)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario: {e}") from e
-    except yaml.YAMLError as e:
+    except (yaml.YAMLError, UnicodeDecodeError) as e:
         raise ScenarioError(f"scenario is not valid YAML: {e}") from e
+    except RecursionError:
+        raise ScenarioError("scenario is nested too deeply") from None
     return parse_scenario(raw)
 
 

@@ -137,6 +137,9 @@ class NoiseTrader(TraderAgent):
     def __init__(self, name, times, scale: float = 1.0, budget=None):
         super().__init__(name, times, budget)
         self.scale = float(scale)
+        if not 0.0 <= 2.0 * self.scale < np.inf:  # rng.uniform's range
+            raise ValueError("noise scale must be >= 0 with 2 * scale "
+                             f"finite, not {scale!r}")
 
     def bundle(self, model, q, t, rng):
         r = rng.uniform(-self.scale, self.scale, size=model.dim)

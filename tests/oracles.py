@@ -10,7 +10,9 @@ decides whether a block realization is extreme with a convex-combination LP
 over the outcomes, not with a separating direction. `fiber_escape` looks
 for a coherent belief that leaves a realization's cell at random LP
 vertices, not by enumerating supports, and tests membership with its own
-feasibility LP (`hull_member`), not with `geometry.Hull`.
+feasibility LP (`hull_member`), not with `geometry.Hull`. `hull_member` and
+`hulls_meet` are plain feasibility LPs over convex weights, the independent
+references for `geometry.hull_contains` and `geometry.hulls_intersect`.
 """
 
 from __future__ import annotations
@@ -233,6 +235,22 @@ def hull_member(rows, mu) -> bool:
     res = linprog(np.zeros(k), A_eq=np.vstack([np.ones(k), rows.T]),
                   b_eq=np.concatenate([[1.0], mu]), bounds=[(0, None)] * k,
                   method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def hulls_meet(a, b) -> bool:
+    """Whether the hulls of the rows of a and of b share a point: a
+    feasibility LP over both weight vectors, a^T la = b^T lb, with HiGHS's
+    default tolerances."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    na, nb = len(a), len(b)
+    convex = np.zeros((2, na + nb))
+    convex[0, :na] = convex[1, na:] = 1.0
+    res = linprog(np.zeros(na + nb),
+                  A_eq=np.vstack([convex, np.hstack([a.T, -b.T])]),
+                  b_eq=np.concatenate([[1.0, 1.0], np.zeros(a.shape[1])]),
+                  bounds=[(0, None)] * (na + nb), method="highs")
     assert res.status in (0, 2), res.message
     return res.status == 0
 

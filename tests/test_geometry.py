@@ -7,12 +7,15 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import OptimizeResult
 
 from cfmarkets import (IndependentBinaryCost, LmsrCost, Observation,
                        SwitchedCost, geometry, independent_binary_market,
                        observe_coordinate, observe_partition, observe_sum,
                        plan_switch, probe_points, simplex_market,
                        square_market)
+
+from oracles import hull_member, hulls_meet
 
 SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
@@ -82,11 +85,10 @@ def test_min_weighted_value():
     assert out[0] == pytest.approx(0.0, abs=1e-8)  # mix the two zero corners
 
 
-def test_min_weighted_value_drops_nonfinite():
-    values = np.array([np.inf, 1.0, 1.0, np.inf])
-    out = geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]))
-    assert out[0] == pytest.approx(1.0, abs=1e-8)
-    assert out[1][0] == 0.0  # the dropped point carries no weight
+def test_min_weighted_value_rejects_nonfinite():
+    values = np.array([np.inf, 1.0, 1.0, 0.0])
+    with pytest.raises(ValueError):
+        geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]))
 
 
 def test_min_weighted_value_none_outside():
@@ -105,7 +107,6 @@ def assert_stack_matches_single_points(points, values, stack):
         # each block's weights are its own convex decomposition of its row
         assert abs(w.sum() - 1.0) <= 1e-9
         assert np.max(np.abs(points.T @ w - mu)) <= 1e-7
-        assert np.all(w[~np.isfinite(values)] == 0.0)
 
 
 def test_min_weighted_value_stack_matches_single_points():
@@ -125,11 +126,6 @@ def test_min_weighted_value_stack_matches_single_points():
         inner = rng.dirichlet(np.ones(len(sw.space.payoff)), size=5)
         assert_stack_matches_single_points(
             points, values, np.vstack([points, inner @ sw.space.payoff]))
-    # a non-finite value drops its point from every block
-    values = np.array([np.inf, 1.0, 2.0, 0.5])
-    segment = np.linspace(0.0, 1.0, 7)
-    stack = SQUARE[1] + segment[:, None] * (SQUARE[3] - SQUARE[1])
-    assert_stack_matches_single_points(SQUARE, values, stack)
 
 
 def test_large_stack_is_split_into_bounded_lps(monkeypatch):
@@ -143,7 +139,9 @@ def test_large_stack_is_split_into_bounded_lps(monkeypatch):
     real, sizes = geometry.linprog, []
 
     def recording(c, **kwargs):
-        if sys._getframe(1).f_code.co_name == "min_weighted_value":
+        # the roof's LPs; the overlap scan's membership LPs come from
+        # `min_weighted_value` too, by way of `hull_contains`
+        if sys._getframe(2).f_code.co_name == "_roof":
             sizes.append(kwargs["A_ub"].size)
         return real(c, **kwargs)
 
@@ -193,6 +191,73 @@ def test_hulls_intersect():
     assert not geometry.hulls_intersect(low, high)
 
 
+# moves far above the LPs' 1e-9 tolerance, so no answer sits on a knife edge
+OFFSETS = (0.0, 1e-4, 1e-2, 1.0)
+
+
+def test_hull_contains_matches_oracle():
+    # random vertex sets with a convex combination (on a face when some of
+    # its weights are 0), moved by an offset in a random direction
+    rng = np.random.default_rng(5)
+    answers = []
+    for _ in range(200):
+        k, n = int(rng.integers(2, 5)), int(rng.integers(1, 7))
+        V = rng.normal(size=(n, k))
+        w = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+        w[0] += w.sum() == 0.0
+        mu = w / w.sum() @ V + rng.choice(OFFSETS) * rng.normal(size=k)
+        answers.append(hull_member(V, mu))
+        assert geometry.hull_contains(V, mu) == answers[-1]
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_hulls_intersect_matches_oracle():
+    # random pairs, some made to touch at a point of the first hull, then
+    # the second moved by an offset in a random direction
+    rng = np.random.default_rng(6)
+    answers = []
+    for _ in range(150):
+        k = int(rng.integers(2, 5))
+        A = rng.normal(size=(int(rng.integers(1, 6)), k))
+        B = rng.normal(size=(int(rng.integers(1, 6)), k))
+        if rng.random() < 0.3:
+            B[0] = rng.dirichlet(np.ones(len(A))) @ A
+        B += rng.choice(OFFSETS) * rng.normal(size=k)
+        answers.append(hulls_meet(A, B))
+        assert geometry.hulls_intersect(A, B) == answers[-1]
+    assert 0 < sum(answers) < len(answers)
+
+
+def highs_stop(status):
+    return OptimizeResult(status=status, success=False, x=None,
+                          message=f"status {status}")
+
+
+@pytest.mark.parametrize("status", [1, 4], ids=["iteration limit",
+                                                "numerical trouble"])
+def test_a_highs_stop_raises(status):
+    # only a proof of infeasibility reads as "outside" or "not exposed"
+    with mock.patch.object(geometry, "linprog",
+                           return_value=highs_stop(status)):
+        with pytest.raises(RuntimeError):
+            geometry.min_weighted_value(SQUARE, np.ones(4), SQUARE[0])
+        with pytest.raises(RuntimeError):
+            geometry.hull_contains(SQUARE, SQUARE[0])
+        with pytest.raises(RuntimeError):
+            geometry.hulls_intersect(SQUARE[:2], SQUARE[2:])
+        with pytest.raises(RuntimeError):
+            geometry.separating_direction(SQUARE[2:], SQUARE[:2])
+
+
+def test_an_infeasible_lp_is_outside():
+    with mock.patch.object(geometry, "linprog", return_value=highs_stop(2)):
+        assert geometry.min_weighted_value(SQUARE, np.ones(4),
+                                           SQUARE[0]) is None
+        assert geometry.hull_contains(SQUARE, SQUARE[0]) is False
+        assert geometry.hulls_intersect(SQUARE[:2], SQUARE[2:]) is False
+        assert geometry.separating_direction(SQUARE[2:], SQUARE[:2]) is None
+
+
 def loop_separating_rows(P_out, k, margin):
     """The separating-direction inequality rows, one Python row at a time."""
     rows, rhs = [], []
@@ -207,14 +272,6 @@ def loop_separating_rows(P_out, k, margin):
             rows.append(row)
             rhs.append(0.0)
     return np.array(rows), np.array(rhs)
-
-
-def min_slack_rows(M, r):
-    """|M x - r| <= s as explicit rows over [x, s]."""
-    k = M.shape[0]
-    slack = -np.ones((k, 1))
-    return (np.vstack([np.hstack([M, slack]), np.hstack([-M, slack])]),
-            np.concatenate([r, -r]))
 
 
 def loop_roof_rows(P, values, mus, tol):
@@ -260,18 +317,22 @@ def test_lps_are_assembled_as_written_out(seed):
         geometry.hulls_intersect(A, B)
         geometry.min_weighted_value(A, values, stack[0])
         geometry.min_weighted_value(A, values, stack)
-    roofs = [loop_roof_rows(A, values, mus, geometry.DEFAULT_TOL)
-             for mus in (stack[:1], stack)]
-    expected = [loop_separating_rows(B, k, 0.5), min_slack_rows(A.T, mu),
-                min_slack_rows(np.hstack([A.T, -B.T]), np.zeros(k))]
-    expected += [roof[:2] for roof in roofs]
+    # membership is the zero-valued one-point LP; overlap is membership of
+    # 0 in the hull of the differences a_i - b_j
+    diffs = np.array([a - b for a in A for b in B])
+    tol = geometry.DEFAULT_TOL
+    roofs = [loop_roof_rows(A, np.zeros(3), [mu], tol),
+             loop_roof_rows(diffs, np.zeros(len(diffs)), [np.zeros(k)], tol),
+             loop_roof_rows(A, values, stack[:1], tol),
+             loop_roof_rows(A, values, stack, tol)]
+    expected = [loop_separating_rows(B, k, 0.5)] + [r[:2] for r in roofs]
     assert len(sent) == 5  # no near miss at these random points
     for (_, kwargs), (a_ub, b_ub) in zip(sent, expected):
         assert np.array_equal(kwargs["A_ub"], a_ub)
         assert np.array_equal(kwargs["b_ub"], b_ub)
     # a single point is the one-block stack: one convexity row, objective
     # the values themselves
-    for (args, kwargs), (_, _, a_eq, c) in zip(sent[3:], roofs):
+    for (args, kwargs), (_, _, a_eq, c) in zip(sent[1:], roofs):
         assert np.array_equal(args[0], c)
         assert np.array_equal(kwargs["A_eq"], a_eq)
         assert np.array_equal(kwargs["b_eq"], np.ones(len(a_eq)))

@@ -177,6 +177,12 @@ def test_load_scenario_io_errors(tmp_path):
     bad.write_text("seed: [unclosed\n")
     with pytest.raises(ScenarioError):
         load_scenario(bad)
+    bad.write_bytes(b"\xff\xfeseed: 1\n")  # not UTF-8
+    with pytest.raises(ScenarioError):
+        load_scenario(bad)
+    bad.write_text("seed: " + "[" * 2000 + "]" * 2000 + "\n")
+    with pytest.raises(ScenarioError):  # deeper than PyYAML can compose
+        load_scenario(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +338,17 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "initial_state: [1.0e308, 0.0]",
     "initial_state: [1.0e10, 0.0]",
     "traders: [{kind: belief, times: [1.5], belief: [0.5, 0.5]}]",
+    "traders: [5]",
+    "traders: [noise]",
+    "observation: 5",
+    "observation: [coordinate]",
+    "traders: [{kind: noise, name: [1], times: [0.5]}]",
+    "traders: [{kind: noise, times: [0.5], scale: .nan}]",
+    "traders: [{kind: noise, times: [0.5], scale: .inf}]",
+    "traders: [{kind: noise, times: [0.5], scale: 1.0e308}]",
+    "requests: [{time: 0.5, kind: noise, scale: .nan}]",
+    "requests: [{time: 0.5, kind: noise, scale: .inf}]",
+    "requests: [{time: 0.5, kind: noise, scale: 1.0e308}]",
 ])
 def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     key = line.split(":")[0]

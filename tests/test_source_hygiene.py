@@ -9,7 +9,9 @@ module-level UPPER_CASE constant must be read (as a variable or an
 attribute, not only imported) somewhere in the package, so a tolerance or
 a clip that a deletion left behind is caught. No `default_rng(...)` call
 may take a literal argument, so every random draw in the library comes
-from a seed that its caller passed in.
+from a seed that its caller passed in. Every `linprog(...)` call sits in
+`geometry.min_weighted_value` or `geometry.separating_direction`, so every
+LP has one shape of two and one failure rule.
 """
 
 import ast
@@ -184,3 +186,44 @@ def test_the_check_finds_a_literal_seed():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_library_draw_has_a_fixed_seed(path):
     assert literal_seeds(path.read_text()) == []
+
+
+LP_BUILDERS = {("geometry.py", "min_weighted_value"),
+               ("geometry.py", "separating_direction")}
+
+
+def linprog_calls(source: str) -> list:
+    """(function, line) of each `linprog(...)` call, with the innermost
+    function that encloses it (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "linprog" in (
+                    getattr(child.func, "attr", None),
+                    getattr(child.func, "id", None)):
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_finds_an_lp_outside_geometry():
+    source = ("from scipy import optimize\nfrom scipy.optimize import linprog\n"
+              "\ndef min_weighted_value(c):\n    return linprog(c)\n\n"
+              "class Slack:\n    def _solve(self, c):\n"
+              "        return optimize.linprog(c)\n\n"
+              "res = linprog([1.0])\n")
+    assert linprog_calls(source) == [("min_weighted_value", 5), ("_solve", 9),
+                                     (None, 11)]
+
+
+def test_every_lp_is_built_in_geometry():
+    stray = [(p.name, owner, line) for p in MODULES
+             for owner, line in linprog_calls(p.read_text())
+             if (p.name, owner) not in LP_BUILDERS]
+    assert stray == []
