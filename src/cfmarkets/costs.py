@@ -183,8 +183,10 @@ class CostModel:
         return _floored(r + self._cost(q) - float(q @ mu))
 
     def _conjs(self, mus) -> np.ndarray:
-        """R at each row of a stack of price points, one row at a time; a
-        kind that prices a stack at once overrides it."""
+        """R at each row of a (J, K) stack of finite price points, inf off
+        the price space, one row at a time through `conjugate`. The LMSR,
+        product-LMSR and switched kinds override it with array operations
+        whose rows equal their one-row `_conj` bit for bit."""
         return np.array([self.conjugate(mu) for mu in mus], dtype=float)
 
     def trade_cost(self, q, r) -> float:
@@ -243,6 +245,15 @@ class LmsrCost(CostModel):
         m = np.clip(mu, 0.0, None)
         return float(np.sum(xlogy(m, m)))
 
+    def _conjs(self, mus) -> np.ndarray:
+        mus = np.ascontiguousarray(mus, dtype=float)
+        off = ((mus < -self.domain_tol).any(axis=1)
+               | (np.abs(mus.sum(axis=1) - 1.0) > self.domain_tol))
+        m = np.clip(mus, 0.0, None)
+        out = np.sum(xlogy(m, m), axis=1)
+        out[off] = INF
+        return out
+
     def conjugate_grad(self, mu) -> np.ndarray:
         m = np.clip(np.asarray(mu, dtype=float), _LOG_CLIP, None)
         return np.log(m) + 1.0
@@ -300,6 +311,15 @@ class IndependentBinaryCost(CostModel):
             return INF
         m = np.clip(mu, 0.0, 1.0)
         return float(np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m)))
+
+    def _conjs(self, mus) -> np.ndarray:
+        mus = np.ascontiguousarray(mus, dtype=float)
+        off = ((mus < -self.domain_tol)
+               | (mus > 1.0 + self.domain_tol)).any(axis=1)
+        m = np.clip(mus, 0.0, 1.0)
+        out = np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m), axis=1)
+        out[off] = INF
+        return out
 
     def conjugate_grad(self, mu) -> np.ndarray:
         m = np.clip(np.asarray(mu, dtype=float), _LOG_CLIP, 1.0 - 1e-16)
@@ -543,38 +563,65 @@ class SwitchedCost(CostModel):
         return [x for x in self.realizations
                 if self.cell_models[x].hull.contains(mu, self.domain_tol)]
 
+    def _closed(self, cells) -> bool:
+        """Whether R(mu) - max b_x is the roof at a price held by `cells`:
+        in a consistent switch, or where each of those cells is exposed."""
+        return self.consistency.consistent or all(
+            exposure_witness(self.space, self.observation)[x] for x in cells)
+
     def conjugate(self, mu) -> float:
-        return float(self._conjs(_as_vector(mu, self.dim, "mu")[None, :])[0])
+        mu = _as_vector(mu, self.dim, "mu")
+        # one price takes the point tests, which cost far less than a
+        # stack's array set-up, and `_priced`'s closed form where it holds
+        cells = self._cells(mu)
+        if cells and self._closed(cells):
+            return self.base._conj(mu) - max(self.offsets[x] for x in cells)
+        inside = np.array([[x in cells] for x in self.realizations])
+        return float(self._priced(mu[None, :], inside)[0])
 
     def _conjs(self, mus) -> np.ndarray:
-        """The roof at each row of a stack: R(mu) - max b_x, in closed form,
+        """The roof at each row of a stack (see `_priced`), with each
+        cell's membership asked once for the whole stack."""
+        mus = np.ascontiguousarray(mus, dtype=float)
+        return self._priced(mus, np.array(
+            [self.cell_models[x].hull.contains_rows(mus, self.domain_tol)
+             for x in self.realizations]))
+
+    def _priced(self, mus, inside) -> np.ndarray:
+        """The roof at each row of a stack, given the X x J mask `inside`
+        of the cells that hold each row: R(mu) - max b_x, in closed form,
         inside the cells of a consistent switch and where every cell that
         holds the row is exposed (its roof mixes only its own probes); inf
-        off the price space; elsewhere the least of the in-cell values
-        R(mu) - b_x and the sampled roof, with every such row in one `_roof`
-        call, which raises if that roof fails on the price space."""
-        out = np.full(len(mus), INF)
-        sampled = []  # (row, in-cell candidates)
-        for j, mu in enumerate(mus):
-            cells = self._cells(mu)
-            # the verdict only for rows in a cell: an off-cell row needs none
-            if cells and (self.consistency.consistent or all(
-                    exposure_witness(self.space, self.observation)[x]
-                    for x in cells)):
-                out[j] = self.base._conj(mu) - max(self.offsets[x]
-                                                   for x in cells)
-            elif cells or self.space.hull().contains(mu, self.domain_tol):
-                sampled.append((j, [self.base._conj(mu) - self.offsets[x]
-                                    for x in cells]))
-        if sampled:
-            found = self._roof(mus[[j for j, _ in sampled]])
+        off the price space; elsewhere the least of R(mu) - max b_x and the
+        sampled roof, with every such row in one `_roof` call, which raises
+        if that roof fails on the price space. The rows are priced as
+        array operations over the mask."""
+        held = inside.any(axis=0)
+        b = np.array([self.offsets[x] for x in self.realizations])
+        top = np.where(inside, b[:, None], -INF).max(axis=0)
+        in_cell = np.full(len(mus), INF)
+        in_cell[held] = self.base._conjs(mus[held]) - top[held]
+        closed = held.copy()
+        # the verdict only for rows in a cell: an off-cell row needs none
+        if held.any():
+            hidden = np.array([not self._closed([x])
+                               for x in self.realizations])
+            closed &= ~(inside & hidden[:, None]).any(axis=0)
+        out = np.where(closed, in_cell, INF)
+        sampled = ~closed
+        if not held.all():
+            sampled[~held] = self.space.hull().contains_rows(
+                mus[~held], self.domain_tol)
+        if sampled.any():
+            rows = mus[sampled]
+            found = self._roof(rows)
             if found is None:  # each row passed the price-space test above
                 raise RuntimeError("the roof LP failed inside the price space")
             s, cs = self.switch_state, self._cost_at_switch
-            for i, (j, candidates) in enumerate(sampled):
-                # from divergence units to R(mu) - b_x
-                candidates.append(found[0][i] + float(s @ mus[j]) - cs)
-                out[j] = min(candidates)
+            # from divergence units to R(mu) - b_x
+            roof = found[0] + np.array([float(s @ mu) for mu in rows]) - cs
+            out[sampled] = np.where(roof < in_cell[sampled], roof,
+                                    in_cell[sampled])
         return out
 
     @property

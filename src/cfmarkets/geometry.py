@@ -49,12 +49,16 @@ def _solution(res):
 
 def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
     """Whether mu is within L-inf distance tol of the vertices' hull: the
-    min-value LP with every value 0 is feasible. Raises RuntimeError when
-    HiGHS stops without deciding."""
+    min-value LP with every value 0 is feasible. A vertex within tol of mu
+    is itself a feasible point, so that answers True with no LP, and a
+    single vertex that is not answers False; any other point goes to the
+    LP, which raises RuntimeError when HiGHS stops without deciding."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     mu = np.asarray(mu, dtype=float)
+    if np.any(np.max(np.abs(V - mu), axis=1, initial=0.0) <= tol):
+        return True
     if V.shape[0] == 1:
-        return float(np.max(np.abs(V[0] - mu), initial=0.0)) <= tol
+        return False
     return min_weighted_value(V, np.zeros(len(V)), mu, tol) is not None
 
 
@@ -168,6 +172,8 @@ class Hull:
     and `hulls_intersect` give them (an L-inf residual of at most tol, and
     of at most DEFAULT_TOL for overlap); generic hulls go to those LPs,
     which raise RuntimeError when HiGHS stops without deciding.
+    Membership has a point form, `contains`, and a stack form,
+    `contains_rows`, with the same answers.
     """
 
     def __init__(self, vertices, complete: bool = False):
@@ -192,6 +198,8 @@ class Hull:
         self.pinned = ({} if self.kind == "generic" else
                        {int(i): float(V[0, i])
                         for i in np.setdiff1d(np.arange(k), self.free)})
+        self._pin_at = np.fromiter(self.pinned, dtype=int,
+                                   count=len(self.pinned))
 
     def contains(self, mu, tol: float = DEFAULT_TOL) -> bool:
         """Whether mu is within L-inf distance tol of the hull."""
@@ -207,6 +215,24 @@ class Hull:
             return bool(np.all(f <= 1.0 + tol))
         # some point with coordinates in [max(f - tol, 0), f + tol] sums to 1
         return bool(np.maximum(f - tol, 0.0).sum() <= 1.0 <= (f + tol).sum())
+
+    def contains_rows(self, mus, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """`contains` at each row of a (J, K) stack, as a (J,) bool array:
+        the same closed-form rule as array operations on a box or simplex,
+        and `hull_contains` row by row on a generic hull. One point is
+        cheaper through `contains`."""
+        mus = np.ascontiguousarray(mus, dtype=float)
+        if self.kind == "generic":
+            return np.array([hull_contains(self.vertices, mu, tol)
+                             for mu in mus], dtype=bool)
+        at = self._pin_at
+        f = mus[:, self.free]
+        ok = ~((np.abs(mus[:, at] - self.vertices[0, at]) > tol).any(axis=1)
+               | (f < -tol).any(axis=1))
+        if self.kind == "box":
+            return ok & (f <= 1.0 + tol).all(axis=1)
+        return (ok & (np.maximum(f - tol, 0.0).sum(axis=1) <= 1.0)
+                & (1.0 <= (f + tol).sum(axis=1)))
 
     def intersects(self, other: "Hull") -> bool:
         """Whether the two hulls share a point (within L-inf distance

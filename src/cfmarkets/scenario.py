@@ -39,6 +39,14 @@ from .markets import (Observation, OutcomeSpace, _checked_index,
 from .simulate import (BeliefTrader, JitArbitrageur, NoiseTrader,
                        TradeRequest, check_sudden_inputs)
 
+try:  # libyaml's parser, where PyYAML was built with it
+    from yaml import CSafeLoader as SafeLoader
+except ImportError:  # the same documents, parsed in pure Python
+    from yaml import SafeLoader
+
+
+MAX_OUTCOMES = 256  # largest outcome count a named market builder makes
+
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario content."""
@@ -100,6 +108,13 @@ def build_market(spec) -> CostModel:
         raise ScenarioError(f"bad market name {spec!r}")
     name, arg = m.group(1), m.group(2)
     n = int(arg) if arg else None
+    if n is not None and name in ("lmsr", "independent_binary",
+                                  "medal_counts"):
+        # lmsr(n) has n outcomes and the others 2^n, checked before anything
+        # is built; the capped exponent keeps a huge n cheap
+        if (n if name == "lmsr" else 2 ** min(n, 64)) > MAX_OUTCOMES:
+            raise ScenarioError(f"market {spec.strip()!r} has more than "
+                                f"{MAX_OUTCOMES} outcomes")
     if name == "square":
         return IndependentBinaryCost(square_market())
     if name == "binary":
@@ -187,10 +202,21 @@ def _build_schedule(spec, model: LcmmCost, t0: float) -> Schedule:
     return Schedule(tuple(per_block), t0)
 
 
+# libyaml composes nested nodes by C recursion, and a file nested some
+# 20,000 levels deep overflows the C stack and kills the process. A file
+# nests at most one level per character, so a longer one goes to the
+# pure-Python parser, which raises RecursionError instead.
+_LIBYAML_MAX_CHARS = 8192
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            text = fh.read()
+        if len(text) > _LIBYAML_MAX_CHARS:
+            raw = yaml.load(text, Loader=yaml.SafeLoader)
+        else:
+            raw = yaml.load(text, Loader=SafeLoader)
     except OSError as e:
         raise ScenarioError(f"cannot read scenario: {e}") from e
     except (yaml.YAMLError, UnicodeDecodeError) as e:
@@ -211,6 +237,10 @@ def parse_scenario(raw) -> Scenario:
         raise ScenarioError(f"missing field {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:
         raise ScenarioError(str(e)) from None
+    except RecursionError:
+        # libyaml composes a short file nested a few thousand levels deep,
+        # and the fields' reprs and _hashable recurse through it
+        raise ScenarioError("scenario is nested too deeply") from None
 
 
 def _parse_scenario(raw) -> Scenario:

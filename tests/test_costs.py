@@ -6,7 +6,8 @@ from scipy.special import logsumexp
 from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
                        ScaledCost, ShiftedCost, finite_difference_price,
-                       geometry, medal_count_model, observe_coordinate,
+                       geometry, independent_binary_market,
+                       medal_count_model, observe_coordinate,
                        plan_switch, simplex_market, single_binary_market,
                        single_security_market, square_market, util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
@@ -447,6 +448,39 @@ def test_kernels_agree_with_the_public_methods_bit_for_bit(name):
         assert model._div(mu, q) == model.divergence(mu, q)
     off = model.space.payoff.max(axis=0) + 1.0
     assert model._conj(off) == INF and model.conjugate(off) == INF
+
+
+def _kernel_stack(model, rng):
+    """Seeded price points of a model: random points of its price space,
+    its vertices, the all-0 and all-1 rows, and copies of them moved on
+    and off the domain by +-1e-10 and +-1e-8 along one coordinate."""
+    V = model.space.payoff
+    base = np.vstack([rng.dirichlet(np.ones(len(V)), size=20) @ V, V,
+                      np.zeros(model.dim), np.ones(model.dim)])
+    moved = []
+    for step in (1e-10, -1e-10, 1e-8, -1e-8):
+        shifted = base.copy()
+        shifted[np.arange(len(base)), rng.integers(model.dim, size=len(base))
+                ] += step
+        moved.append(shifted)
+    return np.vstack([base] + moved)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LmsrCost(simplex_market(2)), lmsr,
+    lambda: LmsrCost(simplex_market(10)), square,
+    lambda: IndependentBinaryCost(independent_binary_market(9))],
+    ids=["lmsr(2)", "lmsr(3)", "lmsr(10)", "square", "cube(9)"])
+def test_stacked_conjugate_equals_the_row_kernel_bit_for_bit(make):
+    model = make()
+    stack = _kernel_stack(model, np.random.default_rng(5))
+    out = model._conjs(stack)
+    want = [model._conj(mu) for mu in stack]
+    assert np.array_equal(out, want)
+    # the stack reaches both sides of the domain test
+    assert np.isinf(out).any() and np.isfinite(out).any()
+    assert np.array_equal(model._conjs(np.asfortranarray(stack)), want)
+    assert model._conjs(np.empty((0, model.dim))).shape == (0,)
 
 
 def test_price_set_point_shares_one_read_only_copy():

@@ -11,9 +11,10 @@ from scipy.optimize import OptimizeResult
 
 from cfmarkets import (IndependentBinaryCost, LmsrCost, Observation,
                        SwitchedCost, geometry, independent_binary_market,
-                       observe_coordinate, observe_partition, observe_sum,
-                       plan_switch, probe_points, simplex_market,
-                       square_market)
+                       medal_count_model, observe_coordinate,
+                       observe_partition, observe_sum, plan_switch,
+                       probe_points, simplex_market, square_market,
+                       wc_loss_bound)
 
 from oracles import hull_member, hulls_meet
 
@@ -242,7 +243,7 @@ def test_a_highs_stop_raises(status):
         with pytest.raises(RuntimeError):
             geometry.min_weighted_value(SQUARE, np.ones(4), SQUARE[0])
         with pytest.raises(RuntimeError):
-            geometry.hull_contains(SQUARE, SQUARE[0])
+            geometry.hull_contains(SQUARE, np.array([0.5, 0.5]))
         with pytest.raises(RuntimeError):
             geometry.hulls_intersect(SQUARE[:2], SQUARE[2:])
         with pytest.raises(RuntimeError):
@@ -253,7 +254,7 @@ def test_an_infeasible_lp_is_outside():
     with mock.patch.object(geometry, "linprog", return_value=highs_stop(2)):
         assert geometry.min_weighted_value(SQUARE, np.ones(4),
                                            SQUARE[0]) is None
-        assert geometry.hull_contains(SQUARE, SQUARE[0]) is False
+        assert geometry.hull_contains(SQUARE, np.array([0.5, 0.5])) is False
         assert geometry.hulls_intersect(SQUARE[:2], SQUARE[2:]) is False
         assert geometry.separating_direction(SQUARE[2:], SQUARE[:2]) is None
 
@@ -504,6 +505,80 @@ def test_face_cells_make_no_lp(make, lps):
     corner = plan.state_with_price(m.space.payoff[0])
     assert np.all(np.isfinite(corner))
     assert lps == []
+
+
+TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.2], [0.3, 1.0]])  # a generic hull
+
+
+def test_a_vertex_query_on_a_generic_hull_makes_no_lp(lps):
+    # a vertex within tol of mu is a feasible point of the membership LP
+    for v in TRIANGLE:
+        for step in (0.0, 1e-10, -1e-10):
+            assert geometry.hull_contains(TRIANGLE, v + step)
+    assert geometry.Hull(TRIANGLE).contains(TRIANGLE[1])
+    assert lps == []
+    # a point off every vertex still asks the LP, inside or outside
+    assert geometry.hull_contains(TRIANGLE, TRIANGLE.mean(axis=0))
+    assert not geometry.hull_contains(TRIANGLE, TRIANGLE[0] - 1e-8)
+    assert len(lps) == 2
+    # one vertex decides alone, either way
+    assert not geometry.hull_contains(TRIANGLE[:1], TRIANGLE[0] - 1e-8)
+    assert len(lps) == 2
+
+
+def test_hulls_that_share_a_vertex_intersect_without_an_lp(lps):
+    other = np.array([[1.0, 0.2], [2.0, 2.0], [3.0, 0.5]])
+    assert geometry.hulls_intersect(TRIANGLE, other)
+    assert geometry.hulls_intersect(other, TRIANGLE)
+    assert geometry.Hull(TRIANGLE).intersects(geometry.Hull(other))
+    assert lps == []
+
+
+def test_worst_case_loss_of_a_medal_market_makes_no_lp(lps):
+    # each payoff vertex is a vertex of its own space's hull
+    m = medal_count_model(2)
+    assert m.space.hull().kind == "generic"
+    assert wc_loss_bound(m, np.zeros(m.dim)) > 0
+    assert lps == []
+
+
+def _stack_hulls():
+    """Every box and simplex event of the square and of lmsr(4), a 3-cube
+    face, and one generic hull (each of its rows is an LP)."""
+    square, lm = square_market(), simplex_market(4)
+    cube = independent_binary_market(3)
+    for space in (square, lm):
+        for k in range(1, space.n_outcomes + 1):
+            for event in combinations(space.outcomes, k):
+                if space.hull(event).kind != "generic":
+                    yield space.hull(event)
+    yield cube.hull(tuple(w for w in cube.outcomes if w[1] == 1))
+    yield geometry.Hull(TRIANGLE)
+
+
+@pytest.mark.parametrize("tol", [geometry.DEFAULT_TOL, 1e-6])
+def test_stacked_membership_equals_the_point_form(tol):
+    rng = np.random.default_rng(3)
+    seen = {}
+    for hull in _stack_hulls():
+        V = hull.vertices
+        base = np.vstack([V, rng.dirichlet(np.ones(len(V)), size=4) @ V,
+                          rng.uniform(-0.2, 1.2, size=(4, V.shape[1]))])
+        moved = [base]
+        # steps around each multiple of tol that a k-coordinate face's
+        # bounds allow (k <= 4 here)
+        for step in tol * np.array([0.5, -0.5, 1.5, -1.5, 3.0, -3.0, 6.0,
+                                    -6.0, 1e3, -1e3]):
+            shifted = base.copy()
+            shifted[np.arange(len(base)),
+                    rng.integers(V.shape[1], size=len(base))] += step
+            moved.append(shifted)
+        stack = np.vstack(moved)
+        got = hull.contains_rows(stack, tol)
+        assert got.dtype == bool
+        assert got.tolist() == [hull.contains(mu, tol) for mu in stack]
+        seen.setdefault(hull.kind, set()).update(got.tolist())
+    assert seen == dict.fromkeys(("box", "simplex", "generic"), {True, False})
 
 
 def test_generic_cell_still_uses_lp(lps):

@@ -8,13 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import cfmarkets
 from cfmarkets import (IndependentBinaryCost, LcmmCost, LmsrCost,
                        PiecewiseLinearCost, ScenarioError, bundled_scenarios,
                        load_scenario)
 from cfmarkets.cli import RECORD_FIELDS, cmd_check, cmd_run, main
-from cfmarkets.scenario import (build_market, build_observation,
+from cfmarkets import scenario
+from cfmarkets.scenario import (MAX_OUTCOMES, build_market, build_observation,
                                 parse_scenario)
 
 
@@ -185,6 +187,45 @@ def test_load_scenario_io_errors(tmp_path):
         load_scenario(bad)
 
 
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML without libyaml")
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_libyaml_and_pure_python_parse_the_same_document(name):
+    text = Path(scn(name)).read_text(encoding="utf-8")
+    assert (yaml.load(text, Loader=yaml.CSafeLoader)
+            == yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_loader_follows_what_is_installed_and_the_file_length(
+        tmp_path, monkeypatch):
+    used = []
+    real = yaml.load
+
+    def load(stream, Loader):
+        used.append(Loader)
+        return real(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", load)
+    load_scenario(scn("square_sudden.scn"))
+    long = tmp_path / "long.scn"
+    long.write_text(Path(scn("square_sudden.scn")).read_text()
+                    + "#" * scenario._LIBYAML_MAX_CHARS + "\n")
+    assert load_scenario(long).seed == 7
+    fast = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert used == [fast, yaml.SafeLoader]
+
+
+def test_a_file_nested_past_the_c_stack_exits_2(tmp_path):
+    # libyaml would compose this by C recursion until the process dies
+    deep = tmp_path / "deep.scn"
+    deep.write_text("seed: " + "[" * 30000 + "]" * 30000 + "\n")
+    src = Path(cfmarkets.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "cfmarkets", "check",
+                           str(deep)], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # cmd_run / cmd_check exit codes
 
@@ -309,6 +350,8 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "initial_state: [.inf, 0.0]",
     "traders: [{kind: noise, times: [0.5], budget: -1.0}]",
     "market: lmsr(0)",
+    "market: lmsr(100000)",
+    "market: independent_binary(40)",
     "switch_time: soon",
     "observation: {kind: coordinate, index: 5}",
     "observation: {kind: coordinate, index: 1.7}",
@@ -359,6 +402,38 @@ def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     bad.write_text("\n".join(fields.values()) + "\n")
     assert main(["run", str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["protocol", "settlement", "name"])
+def test_a_short_file_with_a_deeply_nested_field_exits_2(tmp_path, capsys,
+                                                         key):
+    # libyaml composes it, and the field's repr or _hashable recurses
+    fields = dict(SUDDEN_FIELDS)
+    fields[key] = f"{key}: " + "[" * 1500 + "]" * 1500
+    bad = tmp_path / "deep.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    assert len(bad.read_text()) <= scenario._LIBYAML_MAX_CHARS
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        load_scenario(bad)
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert (capsys.readouterr().err
+                == "error: scenario is nested too deeply\n")
+
+
+@pytest.mark.parametrize("market", ["lmsr(100000)", "independent_binary(40)",
+                                    "medal_counts(9)", "lmsr(257)"])
+def test_oversized_market_exits_2_before_it_is_built(tmp_path, capsys,
+                                                     market):
+    fields = dict(SUDDEN_FIELDS, market=f"market: {market}")
+    bad = tmp_path / "big.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"more than {MAX_OUTCOMES} outcomes" in err
+    assert build_market("independent_binary(8)").space.n_outcomes == 256
 
 
 @pytest.mark.parametrize("name, flags", [

@@ -11,7 +11,11 @@ a clip that a deletion left behind is caught. No `default_rng(...)` call
 may take a literal argument, so every random draw in the library comes
 from a seed that its caller passed in. Every `linprog(...)` call sits in
 `geometry.min_weighted_value` or `geometry.separating_direction`, so every
-LP has one shape of two and one failure rule.
+LP has one shape of two and one failure rule. Every `yaml.load` or
+`load_all` call passes `Loader=SafeLoader` or `CSafeLoader`, no name is
+imported from yaml under one of those names unless it is one of them, and
+nothing calls `unsafe_load` or `full_load`, so a scenario file can build
+no Python object but plain data.
 """
 
 import ast
@@ -227,3 +231,65 @@ def test_every_lp_is_built_in_geometry():
              for owner, line in linprog_calls(p.read_text())
              if (p.name, owner) not in LP_BUILDERS]
     assert stray == []
+
+
+SAFE_LOADERS = {"SafeLoader", "CSafeLoader"}
+UNSAFE_LOADS = {"unsafe_load", "unsafe_load_all", "full_load",
+                "full_load_all"}
+
+
+def _identifier(node):
+    return getattr(node, "attr", None) or getattr(node, "id", None)
+
+
+def unsafe_yaml_loads(source: str) -> list:
+    """Lines of each `yaml.load`/`load_all` call whose Loader is not named
+    SafeLoader or CSafeLoader, each `unsafe_load`/`full_load` call, and each
+    `from yaml import X as SafeLoader` (or CSafeLoader) with another X."""
+    tree = ast.parse(source)
+    from_yaml = {alias.asname or alias.name: alias.name
+                 for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.module == "yaml"
+                 for alias in n.names}
+    found = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) and n.module == "yaml"
+             and any(alias.asname in SAFE_LOADERS
+                     and alias.name not in SAFE_LOADERS
+                     for alias in n.names)]
+    for n in ast.walk(tree):
+        if not isinstance(n, ast.Call):
+            continue
+        name = _identifier(n.func)
+        if isinstance(n.func, ast.Name):
+            name = from_yaml.get(name)
+        elif not (isinstance(n.func.value, ast.Name)
+                  and n.func.value.id == "yaml"):
+            name = None
+        if name in UNSAFE_LOADS:
+            found.append(n.lineno)
+        elif name in ("load", "load_all"):
+            loader = [k.value for k in n.keywords if k.arg == "Loader"]
+            loader += n.args[1:2]
+            if not (loader and _identifier(loader[0]) in SAFE_LOADERS):
+                found.append(n.lineno)
+    return sorted(found)
+
+
+def test_the_check_finds_an_unsafe_yaml_load():
+    source = ("import yaml\nfrom yaml import load, full_load\n"
+              "from yaml import Loader as SafeLoader\n"
+              "from yaml import CSafeLoader as SafeLoader\n"
+              "a = yaml.load(t, Loader=yaml.SafeLoader)\n"
+              "b = yaml.load(t, Loader=SafeLoader)\n"
+              "c = yaml.load_all(t, yaml.CSafeLoader)\n"
+              "d = yaml.load(t, Loader=yaml.Loader)\n"
+              "e = yaml.load(t)\n"
+              "f = load(t, Loader=yaml.UnsafeLoader)\n"
+              "g = yaml.unsafe_load(t)\nh = full_load(t)\n"
+              "i = json.load(t)\nj = yaml.safe_load(t)\n")
+    assert unsafe_yaml_loads(source) == [3, 8, 9, 10, 11, 12]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_yaml_load_is_safe(path):
+    assert unsafe_yaml_loads(path.read_text()) == []

@@ -395,6 +395,85 @@ def test_stacked_conjugate_filters_rows_off_the_price_space(observe, s,
     assert np.array_equal(out, [sw.conjugate(mu) for mu in stack])
 
 
+def loop_conjs(sw, mus):
+    """The switched conjugate of a stack written out one row at a time:
+    the cells that hold a row, R(mu) less their largest offset where the
+    switch is consistent or they are all exposed, and otherwise the least
+    in-cell value and the sampled roof, from one `_roof` call over every
+    such row (so the roof LP is the one the stack sends)."""
+    exposed = exposure_witness(sw.space, sw.observation)
+    out, sampled = np.full(len(mus), np.inf), []
+    for j, mu in enumerate(mus):
+        cells = [x for x in sw.realizations
+                 if sw.cell_models[x].hull.contains(mu, sw.domain_tol)]
+        values = [sw.base._conj(mu) - sw.offsets[x] for x in cells]
+        if cells and (sw.consistency.consistent
+                      or all(exposed[x] for x in cells)):
+            out[j] = sw.base._conj(mu) - max(sw.offsets[x] for x in cells)
+        elif cells or sw.space.hull().contains(mu, sw.domain_tol):
+            sampled.append((j, values))
+    if sampled:
+        low = sw._roof(mus[[j for j, _ in sampled]])[0]
+        for i, (j, values) in enumerate(sampled):
+            roof = low[i] + float(sw.switch_state @ mus[j]) - sw._cost_at_switch
+            out[j] = min(values + [roof])
+    return out
+
+
+@pytest.mark.parametrize("make, s", [
+    (lambda: (square(), coord0), [0.3, 0.9]),
+    (lambda: (square(), lambda m: observe_sum(m.space)), [1.0, 0.0]),
+    (lambda: (LmsrCost(simplex_market(4)),
+              lambda m: observe_partition(m.space, [[0, 1], [2, 3]])),
+     [0.3, -0.2, 0.1, 0.0]),
+    # cells that cross at the centre, where a row is held by both
+    (lambda: (square(), lambda m: observe_partition(
+        m.space, [[(0, 0), (1, 1)], [(0, 1), (1, 0)]])), [0.9, -0.4])],
+    ids=["square/coordinate(0)", "square/sum", "lmsr(4)/partition",
+         "square/diagonals"])
+def test_stacked_conjugate_equals_the_row_conjugate(make, s):
+    m, observe = make()
+    sw = SwitchedCost(m, observe(m), np.array(s))
+    rng = np.random.default_rng(4)
+    # the audit's samples of every cell, points between the cells and at
+    # the centre of the payoffs, points moved on and off the cells, and two
+    # points off the price space
+    samples = np.vstack([_cell_samples(m.space, sw.cell_models[x].event, 32,
+                                       rng) for x in sw.realizations])
+    between = np.vstack([
+        rng.dirichlet(np.ones(m.space.n_outcomes), 10) @ m.space.payoff,
+        m.space.payoff.mean(axis=0)])
+    moved = samples[::3] + rng.choice([-1e-8, -1e-10, 1e-10, 1e-8],
+                                      size=samples[::3].shape)
+    off = m.space.payoff.max(axis=0) + [[1.0], [-2.0]]
+    stack = np.vstack([samples, between, moved, off])
+    out = sw._conjs(stack)
+    assert np.array_equal(out, loop_conjs(sw, stack))
+    # one price at a time equals the reference on that one row; a one-row
+    # roof LP may differ from the stacked one in the last bit
+    rows = np.array([sw.conjugate(mu) for mu in stack])
+    assert np.array_equal(rows, [loop_conjs(sw, mu[None, :])[0]
+                                 for mu in stack])
+    assert np.array_equal(np.isinf(out), np.isinf(rows))
+    assert np.allclose(out, rows, rtol=0.0, atol=1e-12)
+    assert np.isinf(out).any() and np.isfinite(out).any()
+
+
+def test_one_price_asks_each_cell_once(monkeypatch):
+    m = square()
+    sw = SwitchedCost(m, observe_partition(
+        m.space, [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]), np.array([0.9, -0.4]))
+    sw.consistency  # the overlap verdict's own questions, before counting
+    asked = []
+    real = geometry.hull_contains
+    monkeypatch.setattr(geometry, "hull_contains",
+                        lambda *a, **k: asked.append(1) or real(*a, **k))
+    mu = np.array([0.3, 0.3])  # on the generic diagonal cell, sampled
+    value = sw.conjugate(mu)
+    assert len(asked) == 1  # the anti-diagonal is a simplex: no LP
+    assert value == loop_conjs(sw, mu[None, :])[0]
+
+
 def test_stacked_conjugate_raises_when_the_roof_fails(monkeypatch):
     m = square()
     sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
