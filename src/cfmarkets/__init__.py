@@ -10,8 +10,8 @@ worst-case loss verification, and a scenario CLI.
 
 from .costs import (ConsistencyVerdict, CostModel, ExponentialFamilyCost,
                     IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
-                    PriceSet, RestrictedCost, ScaledCost, ShiftedCost,
-                    SwitchedCost, finite_difference_price)
+                    PriceSet, RestrictedCost, ScaledCost, SwitchedCost,
+                    finite_difference_price)
 from .gradual import (BlockSchedule, PartialDecreaseAudit, Schedule,
                       TimedState, constant_schedule, divergence_decomposition,
                       model_at, new_state, partial_decrease_audit)

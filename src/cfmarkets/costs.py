@@ -131,10 +131,12 @@ class CostModel:
     the boundary. Below them sit private kernels on trusted input, finite
     float arrays of length `dim`: `_mu(q)` the price point (the centre of
     the price set), `_cost(q)` and `_conj(mu)`, which is inf off the price
-    space. A composite's kernels call its base's kernels, so a solver that
-    calls a kernel in its inner loop validates nothing there. The defaults
-    here fall back to the public methods, so a kind without kernels works
-    unchanged, only without the saving.
+    space. `_conjs(mus)` is `_conj` at every row of a stack; a kind with a
+    closed-form conjugate writes it once, there, and its `_conj` is the
+    one-row stack. A composite's kernels call its base's kernels, so a
+    solver that calls a kernel in its inner loop validates nothing there.
+    The defaults here fall back to the public methods, so a kind without
+    kernels works unchanged, only without the saving.
     """
 
     kind = "abstract"
@@ -184,9 +186,9 @@ class CostModel:
 
     def _conjs(self, mus) -> np.ndarray:
         """R at each row of a (J, K) stack of finite price points, inf off
-        the price space, one row at a time through `conjugate`. The LMSR,
-        product-LMSR and switched kinds override it with array operations
-        whose rows equal their one-row `_conj` bit for bit."""
+        the price space, one row at a time through `conjugate`. The LMSR
+        and product-LMSR kinds override it with their closed form as array
+        operations, and the switched kind with its roof over a cell mask."""
         return np.array([self.conjugate(mu) for mu in mus], dtype=float)
 
     def trade_cost(self, q, r) -> float:
@@ -240,10 +242,7 @@ class LmsrCost(CostModel):
         return _softmax(q)
 
     def _conj(self, mu) -> float:
-        if np.any(mu < -self.domain_tol) or abs(mu.sum() - 1.0) > self.domain_tol:
-            return INF
-        m = np.clip(mu, 0.0, None)
-        return float(np.sum(xlogy(m, m)))
+        return float(self._conjs(mu[None, :])[0])
 
     def _conjs(self, mus) -> np.ndarray:
         mus = np.ascontiguousarray(mus, dtype=float)
@@ -307,10 +306,7 @@ class IndependentBinaryCost(CostModel):
         return expit(q)
 
     def _conj(self, mu) -> float:
-        if np.any(mu < -self.domain_tol) or np.any(mu > 1.0 + self.domain_tol):
-            return INF
-        m = np.clip(mu, 0.0, 1.0)
-        return float(np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m)))
+        return float(self._conjs(mu[None, :])[0])
 
     def _conjs(self, mus) -> np.ndarray:
         mus = np.ascontiguousarray(mus, dtype=float)
@@ -781,55 +777,6 @@ class ScaledCost(CostModel):
             return replace(res, value=a * res.value, gap=a * res.gap)
 
         return project
-
-
-class ShiftedCost(CostModel):
-    """State-translated cost C'(q) = C(q + shift); divergences transport
-    exactly: D'(mu || q) = D(mu || q + shift)."""
-
-    kind = "shifted"
-
-    def __init__(self, base: CostModel, shift):
-        super().__init__(base.space)
-        self.base = base
-        self.shift = _as_vector(shift, base.space.dim, "shift")
-        self.strictly_convex = base.strictly_convex
-        self.differentiable = base.differentiable
-
-    # as in ScaledCost, the base's public check also catches an overflow
-    def cost(self, q) -> float:
-        q = _as_vector(q, self.dim, "q")
-        return self.base.cost(q + self.shift)
-
-    def price(self, q) -> PriceSet:
-        q = _as_vector(q, self.dim, "q")
-        return self.base.price(q + self.shift)
-
-    def conjugate(self, mu) -> float:
-        return self._conj(_as_vector(mu, self.dim, "mu"))
-
-    def _cost(self, q) -> float:
-        return self.base._cost(q + self.shift)
-
-    def _mu(self, q) -> np.ndarray:
-        return self.base._mu(q + self.shift)
-
-    def _conj(self, mu) -> float:
-        r = self.base._conj(mu)
-        if not np.isfinite(r):
-            return INF
-        return r - float(self.shift @ mu)
-
-    def conjugate_grad(self, mu) -> np.ndarray:
-        return self.base.conjugate_grad(mu) - self.shift
-
-    def state_with_price(self, mu) -> np.ndarray:
-        return self.base.state_with_price(mu) - self.shift
-
-    def restrict(self, event):
-        """The base's projection at q + shift."""
-        inner, d = self.base.restrict(event), self.shift
-        return None if inner is None else lambda q: inner(q + d)
 
 
 # ---------------------------------------------------------------------------

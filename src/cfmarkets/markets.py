@@ -263,8 +263,9 @@ def single_security_market(values) -> OutcomeSpace:
 def _checked_index(i, n: int, what: str) -> int:
     """i as an index into n items. A bool, a non-integral number or an index
     outside [0, n) is a ValueError, never silently cast or wrapped."""
+    # the range first: float(i) overflows on a huge integer
     if (isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Real)
-            or not float(i).is_integer() or not 0 <= i < n):
+            or not 0 <= i < n or not float(i).is_integer()):
         raise ValueError(f"{what} {i!r} is not an integer in [0, {n})")
     return int(i)
 

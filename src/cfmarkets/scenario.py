@@ -20,6 +20,7 @@ Numbers are decimal; matrices are row lists.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -83,6 +84,28 @@ class Scenario:
                                 "tolerance")
 
 
+def _number(v, what: str) -> float:
+    """v as a finite float. A bool, a string, anything else that is not an
+    int or a float, and a value that is not finite or does not fit in a
+    float are a ScenarioError naming the field."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ScenarioError(f"{what} must be a number")
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ScenarioError(f"{what} must be a finite number")
+    return x
+
+
+def _numbers(v, what: str) -> np.ndarray:
+    """A list of numbers, each read by `_number`, as a float array."""
+    if not isinstance(v, (list, tuple)):
+        raise ScenarioError(f"{what} must be a list of numbers")
+    return np.array([_number(x, what) for x in v], dtype=float)
+
+
 def _hashable(v):
     if isinstance(v, list):
         return tuple(_hashable(x) for x in v)
@@ -108,6 +131,8 @@ def build_market(spec) -> CostModel:
         raise ScenarioError(f"bad market name {spec!r}")
     name, arg = m.group(1), m.group(2)
     n = int(arg) if arg else None
+    if n is not None and name in ("square", "binary"):
+        raise ScenarioError(f"market {name!r} takes no argument")
     if n is not None and name in ("lmsr", "independent_binary",
                                   "medal_counts"):
         # lmsr(n) has n outcomes and the others 2^n, checked before anything
@@ -165,21 +190,19 @@ def _build_trader(spec, obs, settlement, model):
     name = spec.get("name", kind)
     if "name" in spec and not isinstance(name, str):
         raise ScenarioError(f"trader name {name!r} is not a string")
-    times = spec.get("times", [])
+    times = _numbers(spec.get("times", []), f"trader {name!r}: times")
     budget = spec.get("budget")
     if budget is not None and (isinstance(budget, bool)
                                or not isinstance(budget, (int, float))
                                or not budget >= 0):
         raise ScenarioError(f"trader {name!r}: budget must be a number >= 0")
     if kind == "noise":
-        return NoiseTrader(name, times, scale=float(spec.get("scale", 1.0)),
-                           budget=budget)
+        scale = _number(spec.get("scale", 1.0), f"trader {name!r}: scale")
+        return NoiseTrader(name, times, scale=scale, budget=budget)
     if kind == "belief":
-        mu = np.array(spec["belief"], dtype=float)
+        mu = _numbers(spec["belief"], f"trader {name!r}: belief")
         if mu.shape != (model.dim,):
             raise ScenarioError(f"trader {name!r}: belief has the wrong length")
-        if not np.all(np.isfinite(mu)):
-            raise ScenarioError(f"trader {name!r}: belief must be finite")
         if not model.space.hull().contains(mu, model.domain_tol):
             raise ScenarioError(f"trader {name!r}: belief is outside the "
                                 "price space")
@@ -196,9 +219,10 @@ def _build_schedule(spec, model: LcmmCost, t0: float) -> Schedule:
     per_block = [BlockSchedule() for _ in model.blocks]
     for entry in spec or []:
         g = _checked_index(entry["block"], len(per_block), "schedule block")
-        per_block[g] = BlockSchedule(entry.get("kind", "constant"),
-                                     rate=float(entry.get("rate", 0.0)),
-                                     floor=float(entry.get("floor", 1e-3)))
+        per_block[g] = BlockSchedule(
+            entry.get("kind", "constant"),
+            rate=_number(entry.get("rate", 0.0), "schedule rate"),
+            floor=_number(entry.get("floor", 1e-3), "schedule floor"))
     return Schedule(tuple(per_block), t0)
 
 
@@ -235,7 +259,8 @@ def parse_scenario(raw) -> Scenario:
         raise
     except KeyError as e:
         raise ScenarioError(f"missing field {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
+        # OverflowError: an explicit market's payoff too large for a float
         raise ScenarioError(str(e)) from None
     except RecursionError:
         # libyaml composes a short file nested a few thousand levels deep,
@@ -262,23 +287,18 @@ def _parse_scenario(raw) -> Scenario:
     settlement = _hashable(raw.get("settlement"))
     if settlement not in space.outcomes:
         raise ScenarioError(f"settlement {settlement!r} is not an outcome")
-    try:
-        s0 = np.array(raw.get("initial_state", np.zeros(space.dim)),
-                      dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioError("initial_state must be a list of numbers") from None
+    s0 = _numbers(raw.get("initial_state", [0.0] * space.dim),
+                  "initial_state")
     if s0.shape != (space.dim,):
         raise ScenarioError("initial_state has the wrong length")
-    if not np.all(np.isfinite(s0)):
-        raise ScenarioError("initial_state must be finite")
-    tol = float(raw.get("tolerance", 1e-6))
+    tol = _number(raw.get("tolerance", 1e-6), "tolerance")
     sc = Scenario(name=str(raw.get("name", "scenario")), seed=seed, tol=tol,
                   protocol=protocol, model=model, observation=obs,
                   initial_state=s0, settlement=settlement, raw=raw)
     if protocol == "sudden":
         if "switch_time" not in raw:
             raise ScenarioError("sudden protocol needs switch_time")
-        sc.switch_time = float(raw["switch_time"])
+        sc.switch_time = _number(raw["switch_time"], "switch_time")
         sc.switch_boundary = raw.get("switch_boundary", "after")
         sc.traders = [_build_trader(t, obs, settlement, model)
                       for t in raw.get("traders", [])]
@@ -287,21 +307,19 @@ def _parse_scenario(raw) -> Scenario:
     else:
         if not isinstance(model, LcmmCost):
             raise ScenarioError("gradual protocol needs an LCMM market")
-        sc.t0 = float(raw.get("t0", 0.0))
-        if not np.isfinite(sc.t0):
-            raise ScenarioError("t0 must be finite")
+        sc.t0 = _number(raw.get("t0", 0.0), "t0")
         sc.schedule = _build_schedule(raw.get("schedules"), model, sc.t0)
         sc.requests = []
         last = sc.t0
         for entry in raw.get("requests", []):
-            time = float(entry["time"])
-            if not last <= time < float("inf"):
-                raise ScenarioError("request times must be finite, "
-                                    "non-decreasing and not before t0")
+            time = _number(entry["time"], "request time")
+            if time < last:
+                raise ScenarioError("request times must be non-decreasing "
+                                    "and not before t0")
             last = time
             trader = str(entry.get("trader", "t"))
             if "bundle" in entry:
-                bundle = np.array(entry["bundle"], dtype=float)
+                bundle = _numbers(entry["bundle"], "request bundle")
                 if bundle.shape != (space.dim,):
                     raise ScenarioError("request bundle has the wrong length")
                 sc.requests.append(TradeRequest(time, trader, bundle=bundle))

@@ -81,6 +81,8 @@ class TraderAgent:
     def __init__(self, name: str, times, budget: float | None = None):
         self.name = name
         self.times = tuple(sorted(float(t) for t in times))
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError(f"trader {name!r}: trade times must be finite")
         self.budget = budget
 
     def bundle(self, model: CostModel, q, t, rng) -> np.ndarray:

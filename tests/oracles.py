@@ -13,6 +13,9 @@ vertices, not by enumerating supports, and tests membership with its own
 feasibility LP (`hull_member`), not with `geometry.Hull`. `hull_member` and
 `hulls_meet` are plain feasibility LPs over convex weights, the independent
 references for `geometry.hull_contains` and `geometry.hulls_intersect`.
+`lmsr_conjugate` and `product_lmsr_conjugate` are the closed-form conjugates
+written one row at a time, each with its own domain test; the library writes
+them once, as numpy passes over a stack of rows.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from scipy.optimize import linprog, minimize
 
@@ -44,6 +47,28 @@ def product_lmsr_cost_vec(Q: np.ndarray) -> np.ndarray:
 def piecewise_cost_vec(Q: np.ndarray) -> np.ndarray:
     """C(q) = max(0, q) for a single security, rowwise."""
     return np.maximum(0.0, Q[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# Closed-form conjugates, one row at a time
+
+
+def lmsr_conjugate(mu: np.ndarray, tol: float) -> float:
+    """R(mu) = sum_i mu_i ln mu_i within tol of the probability simplex,
+    inf off it, for one row."""
+    if np.any(mu < -tol) or abs(mu.sum() - 1.0) > tol:
+        return float("inf")
+    m = np.clip(mu, 0.0, None)
+    return float(np.sum(xlogy(m, m)))
+
+
+def product_lmsr_conjugate(mu: np.ndarray, tol: float) -> float:
+    """R(mu) = sum_i [mu_i ln mu_i + (1 - mu_i) ln(1 - mu_i)] within tol of
+    the unit cube, inf off it, for one row."""
+    if np.any(mu < -tol) or np.any(mu > 1.0 + tol):
+        return float("inf")
+    m = np.clip(mu, 0.0, 1.0)
+    return float(np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ from scipy.special import logsumexp
 
 from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
-                       ScaledCost, ShiftedCost, finite_difference_price,
+                       ScaledCost, finite_difference_price,
                        geometry, independent_binary_market,
                        medal_count_model, observe_coordinate,
                        plan_switch, simplex_market, single_binary_market,
                        single_security_market, square_market, util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
 from cfmarkets.costs import _logsumexp
+from oracles import lmsr_conjugate, product_lmsr_conjugate
 
 INF = float("inf")
 
@@ -290,7 +291,6 @@ def test_util_event_closed_forms_never_project(projections):
                        np.array([0.3, -0.4]))
     cases = [(lmsr(), (0, 2)), (sq, face),
              (ScaledCost(lmsr(), 0.4), (1, 2)),
-             (ShiftedCost(sq, np.array([0.6, -0.9])), face),
              (RestrictedCost(sq, face), (((1, 1)),)),
              (plan, face), (plan, (((1, 1)),))]
     projections.forbidden = True
@@ -309,10 +309,8 @@ def switched_square():
 
 @pytest.mark.parametrize("make_base, event", [
     (lambda: ScaledCost(lmsr(), 0.37), (0, 2)),
-    (lambda: ShiftedCost(square(), np.array([0.6, -0.9])),
-     (((1, 0)), ((1, 1)))),
     (switched_square, (((1, 0)), ((1, 1)))),
-], ids=["scaled", "shifted", "switched"])
+], ids=["scaled", "switched"])
 def test_restricted_delegating_kinds_match_projection(make_base, event,
                                                       projections):
     # the base's closed form is used, and agrees with the projection
@@ -385,7 +383,7 @@ def test_line_search_takes_the_full_step_when_still_descending():
 
 
 # ---------------------------------------------------------------------------
-# Scaled and shifted costs
+# Scaled costs
 
 
 def test_scaled_cost_properties():
@@ -404,32 +402,15 @@ def test_scaled_cost_properties():
         ScaledCost(m, 0.0)
 
 
-def test_shifted_cost_transports_divergence():
-    m = square()
-    shift = np.array([0.6, -0.9])
-    s = ShiftedCost(m, shift)
-    q = np.array([0.1, 0.2])
-    mu = np.array([0.4, 0.7])
-    assert s.cost(q) == pytest.approx(m.cost(q + shift), abs=1e-12)
-    assert s.divergence(mu, q) == pytest.approx(m.divergence(mu, q + shift),
-                                                abs=1e-12)
-    assert np.allclose(s.price(s.state_with_price(mu)).center, mu, atol=1e-9)
-    assert s.divergence(np.array([2.0, 0.0]), q) == INF
-
-
 # ---------------------------------------------------------------------------
 # Trusted kernels under the public surface
 
 
 def _kernel_models():
-    shifts = {"lmsr": np.array([0.3, -1.2, 0.5]), "square": np.array([0.6, -0.9])}
     for name, make in (("lmsr", lmsr), ("square", square)):
         base = make()
         yield name, base
         yield f"scaled-{name}", ScaledCost(base, 0.37)
-        yield f"shifted-{name}", ShiftedCost(base, shifts[name])
-        yield f"scaled-shifted-{name}", ScaledCost(
-            ShiftedCost(base, shifts[name]), 0.61)
 
 
 KERNEL_MODELS = dict(_kernel_models())
@@ -453,12 +434,15 @@ def test_kernels_agree_with_the_public_methods_bit_for_bit(name):
 def _kernel_stack(model, rng):
     """Seeded price points of a model: random points of its price space,
     its vertices, the all-0 and all-1 rows, and copies of them moved on
-    and off the domain by +-1e-10 and +-1e-8 along one coordinate."""
+    and off the domain along one coordinate: by +-1e-10 and +-1e-8, and by
+    1% less and 1% more than the domain tolerance either way."""
     V = model.space.payoff
     base = np.vstack([rng.dirichlet(np.ones(len(V)), size=20) @ V, V,
                       np.zeros(model.dim), np.ones(model.dim)])
     moved = []
-    for step in (1e-10, -1e-10, 1e-8, -1e-8):
+    tol = model.domain_tol
+    for step in (1e-10, -1e-10, 1e-8, -1e-8, 0.99 * tol, -0.99 * tol,
+                 1.01 * tol, -1.01 * tol):
         shifted = base.copy()
         shifted[np.arange(len(base)), rng.integers(model.dim, size=len(base))
                 ] += step
@@ -466,17 +450,31 @@ def _kernel_stack(model, rng):
     return np.vstack([base] + moved)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: LmsrCost(simplex_market(2)), lmsr,
-    lambda: LmsrCost(simplex_market(10)), square,
-    lambda: IndependentBinaryCost(independent_binary_market(9))],
-    ids=["lmsr(2)", "lmsr(3)", "lmsr(10)", "square", "cube(9)"])
-def test_stacked_conjugate_equals_the_row_kernel_bit_for_bit(make):
-    model = make()
+def _closed_form_models():
+    for k in (1, 2, 3, 4, 5, 6, 7, 8, 10):
+        yield f"lmsr({k})", lambda k=k: LmsrCost(simplex_market(k))
+    for k in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+        yield ("square" if k == 2 else f"cube({k})",
+               lambda k=k: IndependentBinaryCost(independent_binary_market(k)))
+
+
+CLOSED_FORM_MODELS = dict(_closed_form_models())
+ROW_CONJUGATES = {"lmsr": lmsr_conjugate,
+                  "product-lmsr": product_lmsr_conjugate}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_MODELS))
+def test_stacked_conjugate_equals_the_row_kernel_bit_for_bit(name):
+    # the row kernel is the per-row formula of tests/oracles.py, with its
+    # own domain test; `_conj`, `_conjs` and `conjugate` must all match it
+    model = CLOSED_FORM_MODELS[name]()
     stack = _kernel_stack(model, np.random.default_rng(5))
+    row = ROW_CONJUGATES[model.kind]
+    want = [row(mu, model.domain_tol) for mu in stack]
     out = model._conjs(stack)
-    want = [model._conj(mu) for mu in stack]
     assert np.array_equal(out, want)
+    assert np.array_equal([model._conj(mu) for mu in stack], want)
+    assert np.array_equal([model.conjugate(mu) for mu in stack], want)
     # the stack reaches both sides of the domain test
     assert np.isinf(out).any() and np.isfinite(out).any()
     assert np.array_equal(model._conjs(np.asfortranarray(stack)), want)

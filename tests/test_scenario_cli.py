@@ -54,7 +54,8 @@ def test_build_market_names():
     explicit = build_market({"outcomes": ["a", "b"],
                              "payoff": [[1, 0], [0, 1]], "cost": "lmsr"})
     assert isinstance(explicit, LmsrCost)
-    for bad in ("lmsr", "medal_counts", "unknown_market", "lmsr(x)"):
+    for bad in ("lmsr", "medal_counts", "unknown_market", "lmsr(x)",
+                "square(7)", "binary(3)"):
         with pytest.raises(ScenarioError):
             build_market(bad)
     with pytest.raises(ScenarioError):
@@ -328,6 +329,7 @@ def test_cmd_run_malformed_scenario(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+BIG = "1" + "0" * 400  # a 401-digit integer, past the float maximum
 SUDDEN_FIELDS = {"seed": "seed: 1", "protocol": "protocol: sudden",
                  "market": "market: square",
                  "observation": "observation: {kind: coordinate, index: 0}",
@@ -392,16 +394,46 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "requests: [{time: 0.5, kind: noise, scale: .nan}]",
     "requests: [{time: 0.5, kind: noise, scale: .inf}]",
     "requests: [{time: 0.5, kind: noise, scale: 1.0e308}]",
-])
+    # a number field takes an int or a float that is finite as a float:
+    # never a bool, a string or an integer too large for a float
+    "tolerance: yes",
+    f"tolerance: {BIG}",
+    'switch_time: "1.0"',
+    f"switch_time: {BIG}",
+    'initial_state: ["0.5", "0"]',
+    f"initial_state: [{BIG}, 0]",
+    "initial_state: 0.5",
+    f"traders: [{{kind: noise, times: [0.5], scale: {BIG}}}]",
+    "traders: [{kind: noise, times: [0.5], scale: '1'}]",
+    f"traders: [{{kind: noise, times: [{BIG}]}}]",
+    "traders: [{kind: noise, times: ['0.5']}]",
+    "traders: [{kind: noise, times: [0.2, .nan]}]",
+    "traders: [{kind: noise, times: [0.2, .inf]}]",
+    "traders: [{kind: noise, times: [0.2, -.inf]}]",
+    "traders: [{kind: belief, times: [0.5], belief: ['0.5', '0.5']}]",
+    f"observation: {{kind: coordinate, index: {BIG}}}",
+    f"market: {{outcomes: [a, b], payoff: [[{BIG}, 0], [0, 1]]}}",
+    "market: square(7)",
+    "market: binary(3)",
+    't0: "0"',
+    "t0: .inf",
+    "requests: [{time: 0.5, bundle: [.nan, 0, 0]}]",
+    "requests: [{time: 0.5, bundle: [true, 0, 0]}]",
+    "requests: [{time: '0.5', bundle: [0.5, 0, 0]}]",
+    "schedules: [{block: 0, kind: exponential, rate: '0.1'}]",
+    "schedules: [{block: 0, kind: exponential, rate: yes}]",
+], ids=lambda line: line.replace(BIG, "BIG"))
 def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
     key = line.split(":")[0]
-    fields = dict(GRADUAL_FIELDS if key in ("schedules", "requests")
+    fields = dict(GRADUAL_FIELDS if key in ("schedules", "requests", "t0")
                   else SUDDEN_FIELDS)
     fields[key] = line
     bad = tmp_path / "bad.scn"
     bad.write_text("\n".join(fields.values()) + "\n")
-    assert main(["run", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["protocol", "settlement", "name"])

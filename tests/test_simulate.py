@@ -145,6 +145,17 @@ def test_non_finite_switch_time_rejected(switch_time):
                       switch_time, (1, 1))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_trader_rejects_a_non_finite_trade_time(bad):
+    obs = observe_sum(square().space)
+    for make in (lambda times: NoiseTrader("n", times),
+                 lambda times: BeliefTrader("b", times, [0.5, 0.5]),
+                 lambda times: JitArbitrageur("a", times, obs, 2.0)):
+        with pytest.raises(ValueError, match="trade times must be finite"):
+            make([0.2, bad])
+        assert make([0.7, 0.2]).times == (0.2, 0.7)
+
+
 def test_jit_realization_must_match_settlement():
     m = square()
     obs = observe_coordinate(m.space, 0)

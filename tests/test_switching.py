@@ -5,7 +5,7 @@ import pytest
 
 from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
                        NoiseTrader, OutcomeSpace, RestrictedCost, ScaledCost, Schedule,
-                       ShiftedCost, SwitchedCost,
+                       SwitchedCost,
                        bundled_scenarios, check_desiderata, consistency_check,
                        excess_util, exposure_witness, geometry,
                        independent_binary_market,
@@ -829,30 +829,3 @@ def test_desiderata_rejects_a_mirrored_price_space():
                               coord0(m))
     # an equal space built anew is the same space: the same prices
     assert report.row("PRICE").passed and report.row("CONDPRICE").passed
-
-
-# ---------------------------------------------------------------------------
-# State shifting
-
-
-def test_shift_state_divergence_identity():
-    m = square()
-    s = np.array([0.1, 0.9])
-    s_new = np.array([-0.4, 0.3])
-    shifted = ShiftedCost(m, s_new - s)
-    mu = np.array([0.6, 0.2])
-    assert shifted.divergence(mu, s) == pytest.approx(
-        m.divergence(mu, s_new), abs=1e-12)
-    assert ShiftedCost(m, s - s).divergence(mu, s) == m.divergence(mu, s)
-
-
-def test_shift_state_preserves_desiderata_verdicts():
-    m = square()
-    s = np.array([0.2, -0.5])
-    s_new = np.array([1.0, 0.7])
-    obs = coord0(m)
-    direct = check_desiderata((m, s_new), (m, s_new), obs)
-    via_shift = check_desiderata((m, s_new), (ShiftedCost(m, s_new - s), s),
-                                 obs)
-    for name in direct.rows:
-        assert direct.row(name).passed == via_shift.row(name).passed

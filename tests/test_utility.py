@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cfmarkets import (IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
-                       RestrictedCost, ScaledCost, ShiftedCost,
-                       conditional_price, excess_util, medal_count_model,
+                       RestrictedCost, ScaledCost, conditional_price, excess_util, medal_count_model,
                        observe_block_payoff, observe_coordinate,
                        observe_partition, observe_sum, optimizing_sequence,
                        plan_switch, simplex_market, single_binary_market,
@@ -52,15 +51,14 @@ def projection_cases():
         (lmsr3(), (0, 2), np.array([0.3, -0.4, 0.8])),
         (sq, face, np.array([0.3, -0.4])),
         (ScaledCost(lmsr3(), 0.4), (1, 2), np.array([0.3, -0.4, 0.8])),
-        (ShiftedCost(sq, np.array([0.6, -0.9])), face, np.array([0.2, 0.1])),
         (switched, face, np.array([0.5, -0.2])),
         (sq, (((0, 1)), ((1, 0))), np.array([0.5, -0.7])),
         (medal, medal_cell, np.array([0.4, -0.3, 0.2, -0.5, 0.1])),
     ]
 
 
-@pytest.mark.parametrize("case", range(7), ids=[
-    "lmsr", "product", "scaled", "shifted", "switched-in-cell",
+@pytest.mark.parametrize("case", range(6), ids=[
+    "lmsr", "product", "scaled", "switched-in-cell",
     "square-diagonal", "medal-cell"])
 def test_util_event_is_the_restricted_cost_projection(case):
     m, event, q = projection_cases()[case]
@@ -76,7 +74,7 @@ def test_util_event_is_the_restricted_cost_projection(case):
     assert np.array_equal(got.minimizer, own)
     assert got.residual == res.gap and got.converged == res.converged
     assert got.value == m.divergence(res.mu, q)
-    assert got.converged and (res.iterations > 0) == (case >= 5)
+    assert got.converged and (res.iterations > 0) == (case >= 4)
 
 
 def test_util_event_full_space_is_zero():
@@ -141,10 +139,6 @@ def test_util_event_scaled_and_shifted_closed_forms():
     scaled = ScaledCost(base, a)
     assert util_event(scaled, event, a * q).value == pytest.approx(
         a * util_event(base, event, q).value, abs=1e-12)
-    shift = np.array([0.3, 0.0, -0.6])
-    shifted = ShiftedCost(base, shift)
-    assert util_event(shifted, event, q - shift).value == pytest.approx(
-        util_event(base, event, q).value, abs=1e-12)
 
 
 def test_util_event_piecewise_interval_price():
