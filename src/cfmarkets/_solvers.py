@@ -3,7 +3,9 @@
 Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, 2015) with an exact line
 search: the directional derivative along each step is nondecreasing, so the
 step is its root, found by `brentq`, or the full step when the derivative is
-still nonpositive there.
+still nonpositive there. `brentq` is imported inside `_line_search`, so
+scipy.optimize loads on the first line search that needs a root, not with
+this module: a run whose projections are all closed forms never loads it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 _GAP_TOL = 1e-9  # Frank-Wolfe duality gap at which a projection stops
 _MAX_ITER = 1000
@@ -31,6 +32,8 @@ def _line_search(deriv, gamma_max: float) -> float:
     `deriv(gamma)` must be the directional derivative, negative at 0."""
     if deriv(gamma_max) <= 0.0:
         return gamma_max
+    from scipy.optimize import brentq
+
     return brentq(deriv, 0.0, gamma_max, xtol=1e-15, disp=False)
 
 

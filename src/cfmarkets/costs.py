@@ -22,7 +22,6 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit, xlogy
 
 from . import geometry
@@ -409,6 +408,8 @@ class ExponentialFamilyCost(CostModel):
         mu = _as_vector(mu, self.dim, "mu")
         if not self.space.hull().contains(mu, self.domain_tol):
             return INF
+        from scipy.optimize import minimize  # loaded by the first BFGS solve
+
         res = minimize(lambda q: self.cost(q) - mu @ q, np.zeros(self.dim),
                        method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
         return float(-res.fun)

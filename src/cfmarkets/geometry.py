@@ -12,16 +12,24 @@ small LP's time. Its library callers are the switched cost's sampled convex
 roof and `hull_contains`.
 `Hull` answers membership and overlap for simplex and sub-cube faces in
 closed form and sends every other vertex set to these LPs.
+
+`linprog` is scipy.optimize's own function, bound lazily (PEP 562): the
+module `__getattr__` imports it on the first LP and stores it in the module,
+so importing geometry does not import scipy.optimize, and a run that makes
+no LP never loads it. The two LP builders read `linprog` from the module at
+call time, so a binding that replaced it (a test's patch, a tracer's
+wrapper) is the one they call.
 """
 
 from __future__ import annotations
 
+import sys
 from math import isqrt
 
 import numpy as np
-from scipy.optimize import linprog
 
 DEFAULT_TOL = 1e-9
+_MODULE = sys.modules[__name__]  # the LP builders call `_MODULE.linprog`
 
 # At its default feasibility tolerance (1e-7) HiGHS may round a convex weight
 # of 1e-8 to zero, so a point just inside a hull reads as just outside it,
@@ -35,6 +43,16 @@ _TIGHT = {"options": {"primal_feasibility_tolerance": 1e-10,
 # at most this many entries (512 KB), so memory stays bounded however many
 # points a stack has: J blocks of 2K x n take 2K * n * J^2 entries.
 _STACK_ENTRIES = 2 ** 16
+
+
+def __getattr__(name):
+    """Import scipy.optimize's `linprog` on its first use and bind it here,
+    so later lookups find it in the module and skip this hook."""
+    if name != "linprog":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import linprog
+    globals()["linprog"] = linprog
+    return linprog
 
 
 def _solution(res):
@@ -88,11 +106,12 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
     for i in range(0, len(mus), step):
         block = mus[i:i + step]
         J = len(block)
-        res = linprog(np.tile(v, J), A_ub=np.kron(np.eye(J), rows),
-                      b_ub=np.hstack([block + tol, -block + tol]).ravel(),
-                      A_eq=np.kron(np.eye(J), np.ones((1, n))),
-                      b_eq=np.ones(J), bounds=[(0, None)] * (J * n),
-                      method="highs", **_TIGHT)
+        res = _MODULE.linprog(
+            np.tile(v, J), A_ub=np.kron(np.eye(J), rows),
+            b_ub=np.hstack([block + tol, -block + tol]).ravel(),
+            A_eq=np.kron(np.eye(J), np.ones((1, n))),
+            b_eq=np.ones(J), bounds=[(0, None)] * (J * n),
+            method="highs", **_TIGHT)
         x = _solution(res)
         if x is None:
             return None
@@ -137,8 +156,8 @@ def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
     a_ub[rows, cols] = np.tile([1.0, -1.0], k)
     a_ub[rows, k + 1 + cols] = -1.0
     bounds = [(None, None)] * (k + 1) + [(0, None)] * k
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub,
-                  A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
+    res = _MODULE.linprog(c_obj, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                          bounds=bounds, method="highs")
     x = _solution(res)
     return None if x is None else x[:k]
 

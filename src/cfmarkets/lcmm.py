@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
                     _as_vector)
@@ -167,6 +166,8 @@ class LcmmCost(CostModel):
                 eta[j] = hi
                 return False
             lo, hi = hi, 2.0 * hi
+        from scipy.optimize import brentq  # loaded by the first root-find
+
         eta[j] = brentq(g, lo, hi, xtol=1e-15, disp=False)
         return True
 

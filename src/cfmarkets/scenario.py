@@ -115,8 +115,14 @@ def _hashable(v):
 def build_market(spec) -> CostModel:
     """Build a cost model from a builder name or an explicit description."""
     if isinstance(spec, dict):
+        payoff = spec["payoff"]
+        if not isinstance(payoff, (list, tuple)):
+            raise ScenarioError("market payoff must be a list of rows")
+        rows = [_numbers(row, "market payoff") for row in payoff]
+        if len({len(row) for row in rows}) > 1:
+            raise ScenarioError("market payoff rows must have the same length")
         space = OutcomeSpace(tuple(_hashable(w) for w in spec["outcomes"]),
-                             np.array(spec["payoff"], dtype=float))
+                             np.array(rows))
         kind = spec.get("cost", "lmsr")
         builders = {"lmsr": LmsrCost, "product-lmsr": IndependentBinaryCost,
                     "piecewise-linear": PiecewiseLinearCost}

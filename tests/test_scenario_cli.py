@@ -436,6 +436,29 @@ def test_cmd_run_rejects_bad_field_with_exit_2(tmp_path, capsys, line):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("payoff, problem", [
+    ("[['1', '0'], ['0', '1']]", "must be a number"),
+    (f"[[{BIG}, 0], [0, 1]]", "must be a finite number"),
+    ("5", "must be a list of rows"),
+    ("[[1, 0], [0]]", "rows must have the same length"),
+], ids=["strings", "BIG", "scalar", "ragged"])
+def test_an_explicit_payoff_is_read_by_the_number_reader(tmp_path, capsys,
+                                                         payoff, problem):
+    # settles on outcome a, so only the payoff can fail the file; the
+    # last run checks that the same file with number rows passes
+    fields = dict(SUDDEN_FIELDS, settlement="settlement: a",
+                  market=f"market: {{outcomes: [a, b], payoff: {payoff}}}")
+    bad = tmp_path / "payoff.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: market payoff {problem}\n")
+    fields["market"] = "market: {outcomes: [a, b], payoff: [[1, 0], [0, 1]]}"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    assert main(["check", str(bad)]) == 0
+
+
 @pytest.mark.parametrize("key", ["protocol", "settlement", "name"])
 def test_a_short_file_with_a_deeply_nested_field_exits_2(tmp_path, capsys,
                                                          key):

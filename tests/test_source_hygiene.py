@@ -15,7 +15,11 @@ LP has one shape of two and one failure rule. Every `yaml.load` or
 `load_all` call passes `Loader=SafeLoader` or `CSafeLoader`, no name is
 imported from yaml under one of those names unless it is one of them, and
 nothing calls `unsafe_load` or `full_load`, so a scenario file can build
-no Python object but plain data.
+no Python object but plain data. No import of scipy.optimize, or of a name
+from it, runs when a module loads (at module level or in a class body):
+each one sits in the function that first needs the solver, or behind
+geometry's `__getattr__`, so a run that makes no LP, root-find or
+minimization never loads scipy.optimize.
 """
 
 import ast
@@ -293,3 +297,56 @@ def test_the_check_finds_an_unsafe_yaml_load():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_yaml_load_is_safe(path):
     assert unsafe_yaml_loads(path.read_text()) == []
+
+
+def _in_optimize(module: str) -> bool:
+    return module == "scipy.optimize" or module.startswith("scipy.optimize.")
+
+
+def eager_optimize_imports(source: str) -> list:
+    """Lines of each import of scipy.optimize, of a submodule or of a name
+    from it that runs when the module loads: anywhere outside a function
+    body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                hit = any(_in_optimize(alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                hit = _in_optimize(child.module) or (
+                    child.module == "scipy"
+                    and any(alias.name == "optimize" for alias in child.names))
+            else:
+                hit = False
+            if hit:
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_check_finds_an_eager_scipy_optimize_import():
+    source = ("import numpy as np\nimport scipy.optimize\n"
+              "from scipy.optimize import brentq\n"
+              "from scipy import optimize, special\n"
+              "import scipy.optimize._linprog as lp\n"
+              "from scipy.special import expit\n"
+              "try:\n    from scipy.optimize import linprog\n"
+              "except ImportError:\n    pass\n"
+              "class Solver:\n    from scipy.optimize import minimize\n\n"
+              "    def solve(self):\n"
+              "        from scipy.optimize import minimize\n"
+              "        return minimize\n\n"
+              "def root():\n    from scipy.optimize import brentq\n"
+              "    return brentq\n"
+              "from .optimize import step\n")
+    assert eager_optimize_imports(source) == [2, 3, 4, 5, 8, 12]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_imports_scipy_optimize_when_it_loads(path):
+    assert eager_optimize_imports(path.read_text()) == []
