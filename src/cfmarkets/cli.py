@@ -95,8 +95,7 @@ def _run_sudden(sc: Scenario, allow_inconsistent: bool):
         ledger = run_protocol1(sc.model, sc.initial_state, sc.observation,
                                sc.traders, sc.switch_time, sc.settlement,
                                seed=sc.seed,
-                               allow_inconsistent=allow_inconsistent,
-                               switch_boundary=sc.switch_boundary)
+                               allow_inconsistent=allow_inconsistent)
     except InconsistentPlanError as e:
         v = e.plan.consistency
         records.append(_record(ts=sc.switch_time, kind="switch",

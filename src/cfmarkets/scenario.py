@@ -15,7 +15,11 @@ gradual), trader scripts, a settlement outcome, and a mandatory seed, e.g.:
       - {kind: noise, name: n1, times: [0.2, 0.6], scale: 1.0}
       - {kind: jit, name: a1, times: [1.1]}
 
-Numbers are decimal; matrices are row lists.
+The top-level fields are `name`, `seed`, `tolerance`, `market`, `protocol`,
+`observation`, `initial_state` and `settlement`; a sudden scenario adds
+`switch_time` and `traders`, a gradual one `t0`, `schedules` and
+`requests`. Any other top-level key is a ScenarioError. Numbers are
+decimal; matrices are row lists.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ class Scenario:
     initial_state: np.ndarray
     settlement: object
     switch_time: float | None = None
-    switch_boundary: str = "after"
     traders: list = field(default_factory=list)
     schedule: Schedule | None = None
     t0: float = 0.0
@@ -115,21 +118,26 @@ def _hashable(v):
 def build_market(spec) -> CostModel:
     """Build a cost model from a builder name or an explicit description."""
     if isinstance(spec, dict):
+        outcomes = spec["outcomes"]
+        if not isinstance(outcomes, list):
+            raise ScenarioError("market outcomes must be a list")
         payoff = spec["payoff"]
         if not isinstance(payoff, (list, tuple)):
             raise ScenarioError("market payoff must be a list of rows")
         rows = [_numbers(row, "market payoff") for row in payoff]
         if len({len(row) for row in rows}) > 1:
             raise ScenarioError("market payoff rows must have the same length")
-        space = OutcomeSpace(tuple(_hashable(w) for w in spec["outcomes"]),
+        space = OutcomeSpace(tuple(_hashable(w) for w in outcomes),
                              np.array(rows))
         kind = spec.get("cost", "lmsr")
+        if not isinstance(kind, str):
+            raise ScenarioError("market cost must be a name")
         builders = {"lmsr": LmsrCost, "product-lmsr": IndependentBinaryCost,
                     "piecewise-linear": PiecewiseLinearCost}
         try:
             return builders[kind](space)
         except KeyError:
-            raise ScenarioError(f"unknown cost kind {kind!r}") from None
+            raise ScenarioError(f"unknown market cost {kind!r}") from None
     if not isinstance(spec, str):
         raise ScenarioError("market must be a name or a mapping")
     m = re.fullmatch(r"(\w+)(?:\((\d+)\))?", spec.strip())
@@ -256,6 +264,12 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(raw)
 
 
+# every top-level field _parse_scenario reads; any other key is an error
+_FIELDS = frozenset({"name", "seed", "tolerance", "market", "protocol",
+                     "observation", "initial_state", "settlement",
+                     "switch_time", "traders", "t0", "schedules", "requests"})
+
+
 def parse_scenario(raw) -> Scenario:
     """Build a Scenario from a parsed document. Any field that is missing,
     malformed or rejected by a library builder raises ScenarioError."""
@@ -277,6 +291,9 @@ def parse_scenario(raw) -> Scenario:
 def _parse_scenario(raw) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a key/value document")
+    unknown = sorted(raw.keys() - _FIELDS, key=repr)
+    if unknown:
+        raise ScenarioError(f"unknown field {', '.join(map(repr, unknown))}")
     try:
         seed = raw["seed"]
         protocol = raw["protocol"]
@@ -305,11 +322,10 @@ def _parse_scenario(raw) -> Scenario:
         if "switch_time" not in raw:
             raise ScenarioError("sudden protocol needs switch_time")
         sc.switch_time = _number(raw["switch_time"], "switch_time")
-        sc.switch_boundary = raw.get("switch_boundary", "after")
         sc.traders = [_build_trader(t, obs, settlement, model)
                       for t in raw.get("traders", [])]
         check_sudden_inputs(model, obs, sc.traders, sc.switch_time,
-                            settlement, sc.switch_boundary)
+                            settlement)
     else:
         if not isinstance(model, LcmmCost):
             raise ScenarioError("gradual protocol needs an LCMM market")

@@ -164,23 +164,14 @@ class JitArbitrageur(TraderAgent):
         return self._cap(model, q, seq.bundle)
 
 
-def _after_switch(now: float, switch_time: float, boundary: str) -> bool:
-    """Whether a trade at `now` prices under the switched cost."""
-    return now >= switch_time if boundary == "after" else now > switch_time
-
-
 def check_sudden_inputs(model: CostModel, obs: Observation, traders,
-                        switch_time: float, outcome,
-                        switch_boundary: str = "after") -> None:
+                        switch_time: float, outcome) -> None:
     """Raise ValueError for a sudden-revelation run that cannot be carried
-    out as specified: an unknown switch boundary, a switch time that is not
-    finite, an arbitrageur that contradicts the settlement or acts before
-    the switch, or a belief trader that trades with a belief outside the
-    price space (no state has that price, and its trade would clip), or
-    under the switched cost with a belief in no cell's hull (the switched
-    cost has no state there)."""
-    if switch_boundary not in ("after", "before"):
-        raise ValueError("switch_boundary must be 'after' or 'before'")
+    out as specified: a switch time that is not finite, an arbitrageur that
+    contradicts the settlement or acts before the switch, or a belief trader
+    that trades with a belief outside the price space (no state has that
+    price, and its trade would clip), or at or after switch_time with a
+    belief in no cell's hull (the switched cost has no state there)."""
     if not np.isfinite(switch_time):
         raise ValueError("switch_time must be finite")
     x_true = obs.of(outcome)
@@ -197,57 +188,50 @@ def check_sudden_inputs(model: CostModel, obs: Observation, traders,
         if not model.space.hull().contains(mu, model.domain_tol):
             raise ValueError(f"belief trader {tr.name!r} holds a belief "
                              "outside the price space")
-        if any(_after_switch(t, switch_time, switch_boundary)
-               for t in tr.times) and not any(
+        if tr.times[-1] >= switch_time and not any(
                 model.space.hull(obs.cell(x)).contains(mu, model.domain_tol)
                 for x in obs.realizations):
             raise ValueError(f"belief trader {tr.name!r} trades after the "
                              "switch with a belief in no revelation cell")
 
 
+def _trade(ledger: Ledger, model: CostModel, q, events, rng) -> np.ndarray:
+    """Trade the (time, index, trader) events from q under `model`."""
+    for t, _, tr in events:
+        r = tr.bundle(model, q, t, rng)
+        c = model.trade_cost(q, r)
+        ledger.record_trade(t, tr.name, r, c, q, q + r, model)
+        q = q + r
+    return q
+
+
 def run_protocol1(model: CostModel, s_ini, obs: Observation, traders,
                   switch_time: float, outcome, seed: int = 0,
-                  allow_inconsistent: bool = False,
-                  switch_boundary: str = "after") -> Ledger:
+                  allow_inconsistent: bool = False) -> Ledger:
     """Sudden-revelation run: trade, switch at switch_time, trade, settle.
 
-    Trades strictly before switch_time price under the original cost; trades
-    at or after it price under the switched cost (switch_boundary="before"
-    moves the boundary so that trades exactly at switch_time still price
-    under the original cost).
+    Trades strictly before switch_time price under the original cost; the
+    maker switches once, at the state they reach, and every trade at or
+    after switch_time prices under the switched cost. A run with no trade
+    after the switch still switches, so the ledger always holds the plan.
     """
     obs.validate(model.space)
-    check_sudden_inputs(model, obs, traders, switch_time, outcome,
-                        switch_boundary)
+    check_sudden_inputs(model, obs, traders, switch_time, outcome)
     rng = np.random.default_rng(seed)
     q = _as_vector(s_ini, model.dim, "s_ini")
     ledger = Ledger()
     events = sorted(((t, i, tr) for i, tr in enumerate(traders)
                      for t in tr.times), key=lambda e: (e[0], e[1]))
-    current = model
-    switched = False
-
-    def maybe_switch(now: float):
-        nonlocal current, switched
-        if switched or not _after_switch(now, switch_time, switch_boundary):
-            return
-        plan = plan_switch(model, obs, q)
-        consistent = plan.consistency.consistent
-        ledger.plan = plan
-        ledger.events.append({"time": switch_time, "event": "switch",
-                              "consistent": consistent})
-        if not consistent and not allow_inconsistent:
-            raise InconsistentPlanError(plan)
-        current = plan
-        switched = True
-
-    for t, _, tr in events:
-        maybe_switch(t)
-        r = tr.bundle(current, q, t, rng)
-        c = current.trade_cost(q, r)
-        ledger.record_trade(t, tr.name, r, c, q, q + r, current)
-        q = q + r
-    maybe_switch(np.inf)
+    n_before = sum(t < switch_time for t, _, _ in events)  # a sorted prefix
+    q = _trade(ledger, model, q, events[:n_before], rng)
+    plan = plan_switch(model, obs, q)
+    consistent = plan.consistency.consistent
+    ledger.plan = plan
+    ledger.events.append({"time": switch_time, "event": "switch",
+                          "consistent": consistent})
+    if not consistent and not allow_inconsistent:
+        raise InconsistentPlanError(plan)
+    q = _trade(ledger, plan, q, events[n_before:], rng)
     ledger.final_state = q
     ledger.settle(model.space, outcome)
     return ledger

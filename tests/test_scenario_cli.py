@@ -459,6 +459,47 @@ def test_an_explicit_payoff_is_read_by_the_number_reader(tmp_path, capsys,
     assert main(["check", str(bad)]) == 0
 
 
+@pytest.mark.parametrize("market, error", [
+    ("{outcomes: 5, payoff: [[1, 0], [0, 1]]}",
+     "market outcomes must be a list"),
+    ("{outcomes: [a, b], payoff: [[1, 0], [0, 1]], cost: [x]}",
+     "market cost must be a name"),
+    ("{outcomes: [a, b], payoff: [[1, 0], [0, 1]], cost: 5}",
+     "market cost must be a name"),
+    ("{outcomes: [a, b], payoff: [[1, 0], [0, 1]], cost: quadratic}",
+     "unknown market cost 'quadratic'"),
+], ids=["outcomes-int", "cost-list", "cost-int", "cost-unknown"])
+def test_an_explicit_market_names_the_field_that_fails(tmp_path, capsys,
+                                                       market, error):
+    fields = dict(SUDDEN_FIELDS, settlement="settlement: a",
+                  market=f"market: {market}")
+    bad = tmp_path / "market.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("lines, error", [
+    (["switch_boundary: before"], "unknown field 'switch_boundary'"),
+    (["tolerence: 1.0e-3"], "unknown field 'tolerence'"),
+    (["5: x"], "unknown field 5"),
+    # keys of mixed types are listed in the order of their reprs
+    (["zz: 1", "3: 2", "null: 1"], "unknown field 'zz', 3, None"),
+], ids=["switch_boundary", "typo", "int-key", "mixed-keys"])
+def test_an_unknown_top_level_field_exits_2(tmp_path, capsys, lines, error):
+    bad = tmp_path / "unknown.scn"
+    bad.write_text("\n".join([*SUDDEN_FIELDS.values(), *lines]) + "\n")
+    with pytest.raises(ScenarioError, match="unknown field"):
+        load_scenario(bad)
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+    # the same file without the extra lines runs
+    bad.write_text("\n".join(SUDDEN_FIELDS.values()) + "\n")
+    assert main(["run", str(bad)]) == 0
+
+
 @pytest.mark.parametrize("key", ["protocol", "settlement", "name"])
 def test_a_short_file_with_a_deeply_nested_field_exits_2(tmp_path, capsys,
                                                          key):

@@ -176,10 +176,10 @@ def test_off_cell_belief_after_the_switch_is_rejected_before_any_trade(
         run_protocol1(m, np.zeros(2), obs, [NoiseTrader("n", [0.5]), off],
                       1.0, (1, 1))
     assert traded == []
-    # at the switch instant with the "before" boundary it prices under the
-    # original cost, where the belief is a price
-    ledger = run_protocol1(m, np.zeros(2), obs, [off], 1.0, (1, 1),
-                           switch_boundary="before")
+    # before the switch it prices under the original cost, where the belief
+    # is a price
+    ledger = run_protocol1(m, np.zeros(2), obs,
+                           [BeliefTrader("b", [0.5], [0.5, 0.5])], 1.0, (1, 1))
     assert np.allclose(m.price(ledger.final_state).center, [0.5, 0.5])
 
 
@@ -206,20 +206,27 @@ def test_inconsistent_plan_raises_without_override():
     assert ledger.events[0]["event"] == "switch"
 
 
-def test_switch_boundary_controls_pricing_at_the_instant():
+def test_a_trade_at_the_switch_instant_prices_under_the_plan():
     m = square()
     obs = observe_coordinate(m.space, 0)
     traders = [NoiseTrader("n", [1.0], 1.0)]  # trades exactly at switch time
-    after = run_protocol1(m, np.zeros(2), obs, traders, 1.0, (0, 0), seed=5,
-                          switch_boundary="after")
-    before = run_protocol1(m, np.zeros(2), obs, traders, 1.0, (0, 0), seed=5,
-                           switch_boundary="before")
-    assert np.array_equal(after.records[0].bundle, before.records[0].bundle)
+    ledger = run_protocol1(m, np.zeros(2), obs, traders, 1.0, (0, 0), seed=5)
+    rec = ledger.records[0]
+    assert rec.model is ledger.plan
+    assert rec.cost == ledger.plan.trade_cost(rec.state_before, rec.bundle)
     # switched pricing (a max of offset cell costs) differs from the original
-    assert after.records[0].cost != before.records[0].cost
-    with pytest.raises(ValueError):
-        run_protocol1(m, np.zeros(2), obs, traders, 1.0, (0, 0),
-                      switch_boundary="during")
+    assert rec.cost != m.trade_cost(rec.state_before, rec.bundle)
+
+
+def test_a_run_with_every_trade_before_the_switch_still_switches():
+    m = square()
+    obs = observe_coordinate(m.space, 0)
+    traders = [NoiseTrader("n", [0.2, 0.6], 1.0),
+               BeliefTrader("b", [0.9], [0.5, 0.5])]
+    ledger = run_protocol1(m, np.zeros(2), obs, traders, 1.0, (1, 1), seed=3)
+    assert all(rec.model is m for rec in ledger.records)
+    assert [e["event"] for e in ledger.events] == ["switch"]
+    assert np.array_equal(ledger.plan.switch_state, ledger.final_state)
 
 
 def test_trivial_observation_run_matches_no_switch_run():

@@ -656,8 +656,7 @@ def test_exutil_matches_divergence_reference_on_bundled_plans():
             continue
         ledger = run_protocol1(sc.model, sc.initial_state, sc.observation,
                                sc.traders, sc.switch_time, sc.settlement,
-                               seed=sc.seed, allow_inconsistent=True,
-                               switch_boundary=sc.switch_boundary)
+                               seed=sc.seed, allow_inconsistent=True)
         old = (sc.model, ledger.plan.switch_state)
         new = (ledger.plan, ledger.plan.switch_state)
         report = check_desiderata(old, new, sc.observation, tol=sc.tol,
