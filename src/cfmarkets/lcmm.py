@@ -12,7 +12,9 @@ price at q + A eta and g = A^T mu - b_c, the gap (direct-sum divergence plus
 complementary slackness g . eta) and the projected-gradient residual
 max_i |min(eta_i, g_i)| both vanish at eta*. `solve` finds eta* one
 multiplier at a time: g_j is nondecreasing in eta_j, so each coordinate is 0
-or the root of g_j.
+or the root of g_j. The certificate and the value read one evaluation of the
+direct sum at q + A eta (its price and each block's cost), kept for the last
+state evaluated, so a certified point prices the direct sum once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
-                    _as_vector)
+                    _as_vector, _floored)
 from .markets import (BlockStructure, OutcomeSpace, _checked_index,
                       exposure_witness, independent_binary_market,
                       observe_identity, simplex_market)
@@ -79,6 +81,7 @@ class LcmmCost(CostModel):
         self.differentiable = all(c.differentiable for c in self.block_costs)
         self._slices = [np.array(g, dtype=int) for g in blocks.blocks]
         self._cache: dict = {}
+        self._last = (None, None, None)  # `_at`'s (state bytes, mu, costs)
 
     # -- direct-sum surface ------------------------------------------------
     def direct_sum_cost(self, q) -> float:
@@ -112,14 +115,32 @@ class LcmmCost(CostModel):
             mu[g] = c._mu(q[g])
         return mu
 
-    def _ddiv(self, mu, q) -> float:
+    def _ddiv(self, mu, q, costs) -> float:
+        """D_sum(mu || q) from each block's cost at q, in block order: the
+        sum of `CostModel._div`'s terms, inf at the first that is not
+        finite."""
         total = 0.0
-        for g, c in zip(self._slices, self.block_costs):
-            d = c._div(mu[g], q[g])
+        for g, c, cost in zip(self._slices, self.block_costs, costs):
+            r = c._conj(mu[g])
+            if not np.isfinite(r):
+                return INF
+            d = _floored(r + cost - float(q[g] @ mu[g]))
             if not np.isfinite(d):
                 return INF
             total += d
         return total
+
+    def _at(self, shifted):
+        """(mu, costs) at a shifted state q + A eta: the direct-sum price and
+        each block's public `cost`. The last answer is kept, keyed by the
+        bytes of `shifted`, so the gap, residual and value of one certified
+        point share a single evaluation."""
+        key = shifted.tobytes()
+        if self._last[0] != key:
+            costs = [c.cost(shifted[g])
+                     for g, c in zip(self._slices, self.block_costs)]
+            self._last = (key, self._dmu(shifted), costs)
+        return self._last[1], self._last[2]
 
     # -- arbitrage minimization --------------------------------------------
     def solve(self, q) -> ArbitrageSolution:
@@ -173,7 +194,7 @@ class LcmmCost(CostModel):
 
     def _remember(self, q, eta, gap, converged) -> ArbitrageSolution:
         delta = self.A @ eta
-        value = self.direct_sum_cost(q + delta) - float(self.b_c @ eta)
+        value = float(sum(self._at(q + delta)[1])) - float(self.b_c @ eta)
         sol = ArbitrageSolution(eta, delta, value, gap, converged)
         if len(self._cache) > 256:
             self._cache.clear()
@@ -197,12 +218,14 @@ class LcmmCost(CostModel):
 
     def certificate_gap(self, q, eta) -> float:
         """Direct-sum divergence at q + A eta plus the complementary-slackness
-        term (A^T mu - b_c) . eta, mu the direct-sum price there."""
+        term (A^T mu - b_c) . eta, mu the direct-sum price there. Both read
+        `_at`, whose block costs go through the public `cost`: a state whose
+        block scaling overflows raises `q must be finite`."""
         q = _as_vector(q, self.dim, "q")
         eta = np.asarray(eta, dtype=float).reshape(-1)
         shifted = q + self.A @ eta
-        mu = self._dmu(shifted)
-        return (self._ddiv(mu, shifted)
+        mu, costs = self._at(shifted)
+        return (self._ddiv(mu, shifted, costs)
                 + float((self.A.T @ mu - self.b_c) @ eta))
 
     def _kkt(self, q, eta):
@@ -211,13 +234,14 @@ class LcmmCost(CostModel):
 
         gap is `certificate_gap`; residual is the projected-gradient
         residual max_i |min(eta_i, g_i)| of the eta-minimization,
-        g = A^T mu - b_c with mu the direct-sum price at q + A eta. The gap
-        alone misses a negative g_i: its complementary-slackness term g.eta
-        can then be negative.
+        g = A^T mu - b_c with mu the direct-sum price at q + A eta, read from
+        the `_at` evaluation the gap has just made. The gap alone misses a
+        negative g_i: its complementary-slackness term g.eta can then be
+        negative.
         """
-        grad = self.A.T @ self._dmu(q + self.A @ eta) - self.b_c
-        return (self.certificate_gap(q, eta),
-                float(np.abs(np.minimum(eta, grad)).max(initial=0.0)))
+        gap = self.certificate_gap(q, eta)
+        grad = self.A.T @ self._at(q + self.A @ eta)[0] - self.b_c
+        return gap, float(np.abs(np.minimum(eta, grad)).max(initial=0.0))
 
     # -- cost-model surface ------------------------------------------------
     def cost(self, q) -> float:
@@ -262,7 +286,10 @@ def lcmm_divergence(model: LcmmCost, mu, q) -> float:
     sol = model.solve(q)
     q = _as_vector(q, model.dim, "q")
     comp = float((model.A.T @ mu - model.b_c) @ sol.eta)
-    return model._ddiv(mu, q + sol.delta) + comp
+    shifted = q + sol.delta
+    costs = (c._cost(shifted[g])
+             for g, c in zip(model._slices, model.block_costs))
+    return model._ddiv(mu, shifted, costs) + comp
 
 
 def certificate_check(model: LcmmCost, q, eta) -> bool:
@@ -271,7 +298,7 @@ def certificate_check(model: LcmmCost, q, eta) -> bool:
     if eta.min(initial=0.0) < -1e-12:
         raise ValueError("eta must be nonnegative")
     q = _as_vector(q, model.dim, "q")
-    mu = model._dmu(q + model.A @ eta)
+    mu = model._at(q + model.A @ eta)[0]
     if not model.space.hull().contains(mu, CERTIFICATE_TOL):
         return False
     gap, residual = model._kkt(q, eta)

@@ -18,7 +18,8 @@ gradual), trader scripts, a settlement outcome, and a mandatory seed, e.g.:
 The top-level fields are `name`, `seed`, `tolerance`, `market`, `protocol`,
 `observation`, `initial_state` and `settlement`; a sudden scenario adds
 `switch_time` and `traders`, a gradual one `t0`, `schedules` and
-`requests`. Any other top-level key is a ScenarioError. Numbers are
+`requests`. Any other top-level key is a ScenarioError, and so is a key a
+trader under `traders` or a `schedules` entry does not read. Numbers are
 decimal; matrices are row lists.
 """
 
@@ -115,6 +116,31 @@ def _hashable(v):
     return v
 
 
+def _known(spec, fields, error: str):
+    """spec, after checking that a mapping holds no key outside `fields`.
+    Other keys raise ScenarioError `error` followed by the keys, in the
+    order of their reprs (YAML keys need not be strings)."""
+    if isinstance(spec, dict):
+        unknown = sorted(spec.keys() - fields, key=repr)
+        if unknown:
+            raise ScenarioError(f"{error} {', '.join(map(repr, unknown))}")
+    return spec
+
+
+_COLLECTIONS = (list, dict, set)  # the YAML values that are not scalars
+
+
+def _outcome(w):
+    """An explicit market outcome, a scalar or a list of scalars, as a
+    hashable value."""
+    if not isinstance(w, _COLLECTIONS):
+        return w
+    if isinstance(w, list) and not any(isinstance(x, _COLLECTIONS)
+                                       for x in w):
+        return tuple(w)
+    raise ScenarioError("market outcomes must be names or lists of names")
+
+
 def build_market(spec) -> CostModel:
     """Build a cost model from a builder name or an explicit description."""
     if isinstance(spec, dict):
@@ -127,7 +153,7 @@ def build_market(spec) -> CostModel:
         rows = [_numbers(row, "market payoff") for row in payoff]
         if len({len(row) for row in rows}) > 1:
             raise ScenarioError("market payoff rows must have the same length")
-        space = OutcomeSpace(tuple(_hashable(w) for w in outcomes),
+        space = OutcomeSpace(tuple(_outcome(w) for w in outcomes),
                              np.array(rows))
         kind = spec.get("cost", "lmsr")
         if not isinstance(kind, str):
@@ -197,6 +223,13 @@ def build_observation(spec, space: OutcomeSpace) -> Observation:
     raise ScenarioError(f"unknown observation kind {kind!r}")
 
 
+# the keys `_build_trader` reads from a trader and `_build_schedule` from a
+# schedule entry
+_TRADER_FIELDS = frozenset({"kind", "name", "times", "budget", "scale",
+                            "belief", "realization"})
+_SCHEDULE_FIELDS = frozenset({"block", "kind", "rate", "floor"})
+
+
 def _build_trader(spec, obs, settlement, model):
     if not isinstance(spec, dict):
         raise ScenarioError(f"trader {spec!r} is not a mapping")
@@ -232,6 +265,7 @@ def _build_trader(spec, obs, settlement, model):
 def _build_schedule(spec, model: LcmmCost, t0: float) -> Schedule:
     per_block = [BlockSchedule() for _ in model.blocks]
     for entry in spec or []:
+        _known(entry, _SCHEDULE_FIELDS, "unknown schedule field")
         g = _checked_index(entry["block"], len(per_block), "schedule block")
         per_block[g] = BlockSchedule(
             entry.get("kind", "constant"),
@@ -261,6 +295,11 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"scenario is not valid YAML: {e}") from e
     except RecursionError:
         raise ScenarioError("scenario is nested too deeply") from None
+    except ValueError as e:
+        # a scalar PyYAML resolves but cannot build: an integer past
+        # Python's digit limit, or a date such as 2020-13-01
+        raise ScenarioError(
+            f"scenario has a value YAML cannot read: {e}") from None
     return parse_scenario(raw)
 
 
@@ -291,9 +330,7 @@ def parse_scenario(raw) -> Scenario:
 def _parse_scenario(raw) -> Scenario:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a key/value document")
-    unknown = sorted(raw.keys() - _FIELDS, key=repr)
-    if unknown:
-        raise ScenarioError(f"unknown field {', '.join(map(repr, unknown))}")
+    _known(raw, _FIELDS, "unknown field")
     try:
         seed = raw["seed"]
         protocol = raw["protocol"]
@@ -322,7 +359,9 @@ def _parse_scenario(raw) -> Scenario:
         if "switch_time" not in raw:
             raise ScenarioError("sudden protocol needs switch_time")
         sc.switch_time = _number(raw["switch_time"], "switch_time")
-        sc.traders = [_build_trader(t, obs, settlement, model)
+        sc.traders = [_build_trader(_known(t, _TRADER_FIELDS,
+                                           "unknown trader field"),
+                                    obs, settlement, model)
                       for t in raw.get("traders", [])]
         check_sudden_inputs(model, obs, sc.traders, sc.switch_time,
                             settlement)

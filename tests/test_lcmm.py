@@ -5,7 +5,7 @@ from cfmarkets import (BlockSchedule, BlockStructure, ExponentialFamilyCost,
                        IndependentBinaryCost, LcmmCost, LmsrCost,
                        OutcomeSpace, ScaledCost, Schedule, certificate_check,
                        independent_binary_market, lcmm_divergence,
-                       medal_count_model, partial_decrease_audit,
+                       medal_count_model, model_at, partial_decrease_audit,
                        simplex_market, single_security_market,
                        tightness_check)
 
@@ -159,21 +159,115 @@ def test_cold_solves_of_scaled_medal_models_are_certified(n):
         assert sol.certificate_gap == gap
 
 
-def test_cold_solve_calls_only_the_block_kernels(monkeypatch):
-    # the solver's inner loop runs on trusted arrays: no block's public
-    # (validating) price, and a pinned number of price-point kernels
-    calls = {"price": 0, "_mu": 0}
+def count_block_calls(monkeypatch, *names):
+    """Counts of calls to the named methods of medal_count_model's two block
+    kinds, filled in as they are called."""
+    calls = dict.fromkeys(names, 0)
     for cls in (IndependentBinaryCost, LmsrCost):
-        for name in calls:
+        for name in names:
             def counted(self, q, _orig=getattr(cls, name), _name=name):
                 calls[_name] += 1
                 return _orig(self, q)
             monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+def test_cold_solve_calls_only_the_block_kernels(monkeypatch):
+    # the solver's inner loop runs on trusted arrays: no block's public
+    # (validating) price, and a pinned number of price-point kernels
+    calls = count_block_calls(monkeypatch, "price", "_mu")
     m = medal_count_model(3)
     sol = m.solve(np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.2, 0.7]))
     assert sol.converged and sol.eta[1] > 0.0
-    # 12 direct-sum price points over the 4 blocks
-    assert calls == {"price": 0, "_mu": 48}
+    # 11 direct-sum price points over the 4 blocks
+    assert calls == {"price": 0, "_mu": 44}
+
+
+def test_a_certified_point_costs_each_block_once(monkeypatch):
+    # the gap, the residual and the value of the solution share one
+    # evaluation: one public cost per block, and no kernel cost beside the
+    # one inside it
+    m = medal_count_model(3)
+    q = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.2, 0.7])
+    calls = count_block_calls(monkeypatch, "cost", "_cost")
+    assert m.solve(q).converged
+    assert calls == {"cost": 4, "_cost": 4}
+
+
+def scaled_medal_model(n):
+    """medal(n) at t = 0.8 under a schedule that scales every block."""
+    m = medal_count_model(n)
+    schedule = Schedule(tuple(BlockSchedule("exponential", rate=0.3 + 0.2 * g)
+                              for g in range(len(m.blocks))))
+    scaled = model_at(m, schedule, 0.8)
+    assert all(c.kind == "scaled" for c in scaled.block_costs)
+    return scaled
+
+
+def reference_gap(m, q, eta):
+    """The certificate gap block by block through each block's `_div`."""
+    shifted = q + m.A @ eta
+    mu = m._dmu(shifted)
+    d = 0.0
+    for g, c in zip(m._slices, m.block_costs):
+        term = c._div(mu[g], shifted[g])
+        if not np.isfinite(term):
+            d = np.inf
+            break
+        d += term
+    return d + float((m.A.T @ mu - m.b_c) @ eta)
+
+
+@pytest.mark.parametrize("build", [lambda: medal_count_model(2),
+                                   lambda: medal_count_model(3),
+                                   lambda: scaled_medal_model(2)],
+                         ids=["medal2", "medal3", "medal2-scaled"])
+def test_gap_and_value_equal_the_blockwise_formulas_bit_for_bit(build):
+    m = build()
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        q = rng.normal(0.0, 2.0, m.dim)
+        eta = rng.exponential(1.0, m.A.shape[1])
+        assert m.certificate_gap(q, eta) == reference_gap(m, q, eta)
+        sol = m.solve(q)
+        assert sol.value == (m.direct_sum_cost(q + m.A @ sol.eta)
+                             - float(m.b_c @ sol.eta))
+
+
+def test_the_kept_evaluation_never_answers_for_another_state():
+    rng = np.random.default_rng(5)
+    m = medal_count_model(2)
+    p1, p2, p3 = [(rng.normal(0.0, 2.0, m.dim), rng.exponential(1.0, 2))
+                  for _ in range(3)]
+    got = [m.certificate_gap(*p1), m.certificate_gap(*p2)]
+    sol = m.solve(p3[0])
+    shifted = p3[0] + np.array([0.5, 0.0, 0.0, 0.0, 0.0])
+    got += [m._adopt(shifted, sol.eta), m.certificate_gap(*p1)]
+    fresh = [medal_count_model(2).certificate_gap(*p1),
+             medal_count_model(2).certificate_gap(*p2),
+             medal_count_model(2)._adopt(shifted, sol.eta),
+             medal_count_model(2).certificate_gap(*p1)]
+    assert got == fresh
+    assert got[0] != got[1]
+    cold = medal_count_model(2).solve(p3[0])
+    assert (sol.value, sol.certificate_gap) == (cold.value,
+                                                cold.certificate_gap)
+    assert np.array_equal(sol.eta, cold.eta)
+
+
+def test_a_block_scale_that_overflows_the_state_raises():
+    # q / alpha overflows in the scaled block: the solve and the certificate
+    # both read the public block cost, which rejects the state
+    m = medal_count_model(1)
+    costs = [ScaledCost(m.block_costs[0], 1e-300), m.block_costs[1]]
+    tiny = LcmmCost(m.space, m.blocks, costs, m.A, m.b_c)
+    q = np.array([1e10, 0.0, 0.0])
+    with np.errstate(over="ignore"):
+        for call in (lambda: tiny.solve(q),
+                     lambda: tiny.certificate_gap(q, np.zeros(2)),
+                     lambda: certificate_check(tiny, q, np.zeros(2))):
+            with pytest.raises(ValueError, match="q must be finite"):
+                call()
 
 
 def medal_with_count_mass_constraint(floor):

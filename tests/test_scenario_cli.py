@@ -468,7 +468,12 @@ def test_an_explicit_payoff_is_read_by_the_number_reader(tmp_path, capsys,
      "market cost must be a name"),
     ("{outcomes: [a, b], payoff: [[1, 0], [0, 1]], cost: quadratic}",
      "unknown market cost 'quadratic'"),
-], ids=["outcomes-int", "cost-list", "cost-int", "cost-unknown"])
+    ("{outcomes: [{a: 1}, b, c], payoff: [[1,0,0],[0,1,0],[0,0,1]], "
+     "cost: lmsr}", "market outcomes must be names or lists of names"),
+    ("{outcomes: [a, [b, [c]]], payoff: [[1, 0], [0, 1]]}",
+     "market outcomes must be names or lists of names"),
+], ids=["outcomes-int", "cost-list", "cost-int", "cost-unknown",
+        "outcome-mapping", "outcome-nested-list"])
 def test_an_explicit_market_names_the_field_that_fails(tmp_path, capsys,
                                                        market, error):
     fields = dict(SUDDEN_FIELDS, settlement="settlement: a",
@@ -498,6 +503,44 @@ def test_an_unknown_top_level_field_exits_2(tmp_path, capsys, lines, error):
     # the same file without the extra lines runs
     bad.write_text("\n".join(SUDDEN_FIELDS.values()) + "\n")
     assert main(["run", str(bad)]) == 0
+
+
+@pytest.mark.parametrize("line, error", [
+    ("traders: [{kind: jit, name: a1, time: [1.1]}]",
+     "unknown trader field 'time'"),
+    ("traders: [{kind: noise, name: n, times: [0.5], sclae: 2, 7: x}]",
+     "unknown trader field 'sclae', 7"),
+    ("schedules: [{block: 0, kind: exponential, rates: 0.5}]",
+     "unknown schedule field 'rates'"),
+], ids=["trader-time", "trader-two-keys", "schedule-rates"])
+def test_an_unknown_trader_or_schedule_field_exits_2(tmp_path, capsys, line,
+                                                     error):
+    key = line.split(":")[0]
+    fields = dict(GRADUAL_FIELDS if key == "schedules" else SUDDEN_FIELDS)
+    fields[key] = line
+    bad = tmp_path / "unknown.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+def test_a_yaml_value_python_cannot_build_exits_2(tmp_path, capsys):
+    # PyYAML resolves both scalars, then int() and date() refuse them
+    digits = "7" * 5000
+    with pytest.raises(ValueError) as limit:
+        int(digits)
+    for line, cause in ((f"seed: {digits}", str(limit.value)),
+                        ("seed: 2020-13-01", "month must be in 1..12")):
+        bad = tmp_path / "value.scn"
+        bad.write_text("\n".join({**SUDDEN_FIELDS, "seed": line}.values())
+                       + "\n")
+        for command in ("run", "check"):
+            assert main([command, str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert err == ("error: scenario has a value YAML cannot read: "
+                           f"{cause}\n")
+            assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("key", ["protocol", "settlement", "name"])

@@ -22,7 +22,9 @@ geometry's `__getattr__`, so a run that makes no LP, root-find or
 minimization never loads scipy.optimize. The top-level keys
 `scenario._parse_scenario` reads from a scenario document are exactly
 `scenario._FIELDS`, the set it accepts, so a field it reads is never
-rejected as unknown and a field it stops reading is.
+rejected as unknown and a field it stops reading is; the same holds for
+the keys `_build_trader` reads from a trader (`_TRADER_FIELDS`) and
+`_build_schedule` from a schedule entry (`_SCHEDULE_FIELDS`).
 """
 
 import ast
@@ -355,8 +357,10 @@ def test_no_module_imports_scipy_optimize_when_it_loads(path):
     assert eager_optimize_imports(path.read_text()) == []
 
 
-def raw_keys_read(source: str) -> set:
-    """The top-level scenario keys `_parse_scenario` reads from `raw`: by
+def raw_keys_read(source: str, function="_parse_scenario",
+                  name="raw") -> set:
+    """The keys `function` reads from the mapping `name`, by default the
+    top-level scenario keys `_parse_scenario` reads from `raw`: by
     `raw[...]`, `raw.get(...)` or `... in raw`. A key that is not a
     literal appears as its source text."""
     def key(node):
@@ -365,11 +369,11 @@ def raw_keys_read(source: str) -> set:
         return ast.unparse(node)
 
     def is_raw(node):
-        return isinstance(node, ast.Name) and node.id == "raw"
+        return isinstance(node, ast.Name) and node.id == name
 
     body = next(node for node in ast.parse(source).body
                 if isinstance(node, ast.FunctionDef)
-                and node.name == "_parse_scenario")
+                and node.name == function)
     found = set()
     for node in ast.walk(body):
         if isinstance(node, ast.Subscript) and is_raw(node.value):
@@ -406,3 +410,7 @@ def test_the_check_finds_every_raw_key_read():
 def test_the_accepted_scenario_fields_are_the_fields_read():
     source = (SRC / "scenario.py").read_text()
     assert raw_keys_read(source) == cfmarkets.scenario._FIELDS
+    assert (raw_keys_read(source, "_build_trader", "spec")
+            == cfmarkets.scenario._TRADER_FIELDS)
+    assert (raw_keys_read(source, "_build_schedule", "entry")
+            == cfmarkets.scenario._SCHEDULE_FIELDS)
