@@ -112,26 +112,25 @@ def _run_sudden(sc: Scenario, allow_inconsistent: bool):
 
     records.extend(_trade_records(ledger))
     plan = ledger.plan
-    if plan is not None:
-        verdict = plan.consistency
-        consistent = verdict.consistent
-        records.append(_record(ts=sc.switch_time, kind="switch",
-                               state=plan.switch_state, check="consistency",
-                               value=verdict.worst_violation,
-                               **{"pass": consistent}))
-        report = check_desiderata((sc.model, plan.switch_state),
-                                  (plan, plan.switch_state),
-                                  sc.observation, tol=sc.tol, seed=sc.seed)
-        for name, row in report.rows.items():
-            # PRICE is not gated: the switch opens a spread on the revealed
-            # coordinates; an inconsistent switch is held to ZEROUTIL alone
-            enabled = name != "PRICE" and (consistent or name == "ZEROUTIL")
-            records.append(_record(ts=sc.switch_time, kind="check",
-                                   check=name, value=row.worst,
-                                   **{"pass": row.passed}))
-            if enabled and not row.passed:
-                failures.append(f"desideratum {name} failed "
-                                f"(worst deviation {row.worst:.3g})")
+    verdict = plan.consistency
+    consistent = verdict.consistent
+    records.append(_record(ts=sc.switch_time, kind="switch",
+                           state=plan.switch_state, check="consistency",
+                           value=verdict.worst_violation,
+                           **{"pass": consistent}))
+    report = check_desiderata((sc.model, plan.switch_state),
+                              (plan, plan.switch_state),
+                              sc.observation, tol=sc.tol, seed=sc.seed)
+    for name, row in report.rows.items():
+        # PRICE is not gated: the switch opens a spread on the revealed
+        # coordinates; an inconsistent switch is held to ZEROUTIL alone
+        enabled = name != "PRICE" and (consistent or name == "ZEROUTIL")
+        records.append(_record(ts=sc.switch_time, kind="check",
+                               check=name, value=row.worst,
+                               **{"pass": row.passed}))
+        if enabled and not row.passed:
+            failures.append(f"desideratum {name} failed "
+                            f"(worst deviation {row.worst:.3g})")
     _settle(sc, ledger, sc.model, records, failures)
     return records, failures
 

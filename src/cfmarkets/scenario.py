@@ -18,9 +18,9 @@ gradual), trader scripts, a settlement outcome, and a mandatory seed, e.g.:
 The top-level fields are `name`, `seed`, `tolerance`, `market`, `protocol`,
 `observation`, `initial_state` and `settlement`; a sudden scenario adds
 `switch_time` and `traders`, a gradual one `t0`, `schedules` and
-`requests`. Any other top-level key is a ScenarioError, and so is a key a
-trader under `traders` or a `schedules` entry does not read. Numbers are
-decimal; matrices are row lists.
+`requests`. Every mapping (the top level, a market, an observation, a
+trader, a schedule, a request) takes exactly the keys its reader asks for;
+any other key is a ScenarioError. Numbers are decimal; matrices are row lists.
 """
 
 from __future__ import annotations
@@ -116,15 +116,39 @@ def _hashable(v):
     return v
 
 
-def _known(spec, fields, error: str):
-    """spec, after checking that a mapping holds no key outside `fields`.
-    Other keys raise ScenarioError `error` followed by the keys, in the
-    order of their reprs (YAML keys need not be strings)."""
-    if isinstance(spec, dict):
-        unknown = sorted(spec.keys() - fields, key=repr)
-        if unknown:
-            raise ScenarioError(f"{error} {', '.join(map(repr, unknown))}")
-    return spec
+class _Fields(dict):
+    """A scenario mapping named `what` (empty at the top level), read in a
+    `with` block that records each key it asks for by `[...]`, `get` or
+    `in`. A `spec` that is not a mapping is a ScenarioError, and so is any
+    key the block did not ask for once it ends without an error: `unknown
+    <what> field` and the keys in repr order (YAML keys need not be str)."""
+
+    def __init__(self, spec, what: str):
+        if not isinstance(spec, dict):
+            raise ScenarioError(f"{what} {spec!r} is not a mapping")
+        super().__init__(spec)
+        self.field, self.read = f"{what} field".lstrip(), set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, *default):
+        self.read.add(key)
+        return super().get(key, *default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, error, *_):
+        unknown = sorted(self.keys() - self.read, key=repr)
+        if error is None and unknown:
+            raise ScenarioError(f"unknown {self.field} "
+                                f"{', '.join(map(repr, unknown))}")
 
 
 _COLLECTIONS = (list, dict, set)  # the YAML values that are not scalars
@@ -144,26 +168,27 @@ def _outcome(w):
 def build_market(spec) -> CostModel:
     """Build a cost model from a builder name or an explicit description."""
     if isinstance(spec, dict):
-        outcomes = spec["outcomes"]
-        if not isinstance(outcomes, list):
-            raise ScenarioError("market outcomes must be a list")
-        payoff = spec["payoff"]
-        if not isinstance(payoff, (list, tuple)):
-            raise ScenarioError("market payoff must be a list of rows")
-        rows = [_numbers(row, "market payoff") for row in payoff]
-        if len({len(row) for row in rows}) > 1:
-            raise ScenarioError("market payoff rows must have the same length")
-        space = OutcomeSpace(tuple(_outcome(w) for w in outcomes),
-                             np.array(rows))
-        kind = spec.get("cost", "lmsr")
-        if not isinstance(kind, str):
-            raise ScenarioError("market cost must be a name")
-        builders = {"lmsr": LmsrCost, "product-lmsr": IndependentBinaryCost,
-                    "piecewise-linear": PiecewiseLinearCost}
-        try:
-            return builders[kind](space)
-        except KeyError:
-            raise ScenarioError(f"unknown market cost {kind!r}") from None
+        with _Fields(spec, "market") as spec:
+            outcomes = spec["outcomes"]
+            if not isinstance(outcomes, list):
+                raise ScenarioError("market outcomes must be a list")
+            payoff = spec["payoff"]
+            if not isinstance(payoff, (list, tuple)):
+                raise ScenarioError("market payoff must be a list of rows")
+            rows = [_numbers(row, "market payoff") for row in payoff]
+            if len({len(row) for row in rows}) > 1:
+                raise ScenarioError("market payoff rows must have the same length")
+            space = OutcomeSpace(tuple(_outcome(w) for w in outcomes),
+                                 np.array(rows))
+            kind = spec.get("cost", "lmsr")
+            if not isinstance(kind, str):
+                raise ScenarioError("market cost must be a name")
+            builders = {"lmsr": LmsrCost, "product-lmsr": IndependentBinaryCost,
+                        "piecewise-linear": PiecewiseLinearCost}
+            try:
+                return builders[kind](space)
+            except KeyError:
+                raise ScenarioError(f"unknown market cost {kind!r}") from None
     if not isinstance(spec, str):
         raise ScenarioError("market must be a name or a mapping")
     m = re.fullmatch(r"(\w+)(?:\((\d+)\))?", spec.strip())
@@ -206,33 +231,25 @@ def build_observation(spec, space: OutcomeSpace) -> Observation:
         spec = {"kind": spec}
     if not isinstance(spec, dict):
         raise ScenarioError("observation must be a name or a mapping")
-    kind = spec.get("kind")
-    if kind == "coordinate":
-        return observe_coordinate(space, spec.get("index", 0))
-    if kind == "sum":
-        return observe_sum(space)
-    if kind == "identity":
-        return observe_identity(space)
-    if kind == "trivial":
-        return trivial_observation(space)
-    if kind == "partition":
-        groups = [[_hashable(w) for w in grp] for grp in spec["groups"]]
-        return observe_partition(space, groups)
-    if kind == "block":
-        return observe_block_payoff(space, spec["indices"])
-    raise ScenarioError(f"unknown observation kind {kind!r}")
+    with _Fields(spec, "observation") as spec:
+        kind = spec.get("kind")
+        if kind == "coordinate":
+            return observe_coordinate(space, spec.get("index", 0))
+        if kind == "sum":
+            return observe_sum(space)
+        if kind == "identity":
+            return observe_identity(space)
+        if kind == "trivial":
+            return trivial_observation(space)
+        if kind == "partition":
+            groups = [[_hashable(w) for w in grp] for grp in spec["groups"]]
+            return observe_partition(space, groups)
+        if kind == "block":
+            return observe_block_payoff(space, spec["indices"])
+        raise ScenarioError(f"unknown observation kind {kind!r}")
 
 
-# the keys `_build_trader` reads from a trader and `_build_schedule` from a
-# schedule entry
-_TRADER_FIELDS = frozenset({"kind", "name", "times", "budget", "scale",
-                            "belief", "realization"})
-_SCHEDULE_FIELDS = frozenset({"block", "kind", "rate", "floor"})
-
-
-def _build_trader(spec, obs, settlement, model):
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"trader {spec!r} is not a mapping")
+def _build_trader(spec: _Fields, obs, settlement, model):
     kind = spec.get("kind")
     name = spec.get("name", kind)
     if "name" in spec and not isinstance(name, str):
@@ -265,12 +282,13 @@ def _build_trader(spec, obs, settlement, model):
 def _build_schedule(spec, model: LcmmCost, t0: float) -> Schedule:
     per_block = [BlockSchedule() for _ in model.blocks]
     for entry in spec or []:
-        _known(entry, _SCHEDULE_FIELDS, "unknown schedule field")
-        g = _checked_index(entry["block"], len(per_block), "schedule block")
-        per_block[g] = BlockSchedule(
-            entry.get("kind", "constant"),
-            rate=_number(entry.get("rate", 0.0), "schedule rate"),
-            floor=_number(entry.get("floor", 1e-3), "schedule floor"))
+        with _Fields(entry, "schedule") as entry:
+            g = _checked_index(entry["block"], len(per_block),
+                               "schedule block")
+            per_block[g] = BlockSchedule(
+                entry.get("kind", "constant"),
+                rate=_number(entry.get("rate", 0.0), "schedule rate"),
+                floor=_number(entry.get("floor", 1e-3), "schedule floor"))
     return Schedule(tuple(per_block), t0)
 
 
@@ -303,17 +321,14 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(raw)
 
 
-# every top-level field _parse_scenario reads; any other key is an error
-_FIELDS = frozenset({"name", "seed", "tolerance", "market", "protocol",
-                     "observation", "initial_state", "settlement",
-                     "switch_time", "traders", "t0", "schedules", "requests"})
-
-
 def parse_scenario(raw) -> Scenario:
     """Build a Scenario from a parsed document. Any field that is missing,
     malformed or rejected by a library builder raises ScenarioError."""
     try:
-        return _parse_scenario(raw)
+        if not isinstance(raw, dict):
+            raise ScenarioError("scenario must be a key/value document")
+        with _Fields(raw, "") as doc:
+            return _parse_scenario(doc)
     except ScenarioError:
         raise
     except KeyError as e:
@@ -327,16 +342,10 @@ def parse_scenario(raw) -> Scenario:
         raise ScenarioError("scenario is nested too deeply") from None
 
 
-def _parse_scenario(raw) -> Scenario:
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a key/value document")
-    _known(raw, _FIELDS, "unknown field")
-    try:
-        seed = raw["seed"]
-        protocol = raw["protocol"]
-        market_spec = raw["market"]
-    except KeyError as e:
-        raise ScenarioError(f"missing required field {e.args[0]!r}") from None
+def _parse_scenario(raw: _Fields) -> Scenario:
+    seed = raw["seed"]
+    protocol = raw["protocol"]
+    market_spec = raw["market"]
     if protocol not in ("sudden", "gradual"):
         raise ScenarioError(f"unknown protocol {protocol!r}")
     model = build_market(market_spec)
@@ -354,15 +363,14 @@ def _parse_scenario(raw) -> Scenario:
     tol = _number(raw.get("tolerance", 1e-6), "tolerance")
     sc = Scenario(name=str(raw.get("name", "scenario")), seed=seed, tol=tol,
                   protocol=protocol, model=model, observation=obs,
-                  initial_state=s0, settlement=settlement, raw=raw)
+                  initial_state=s0, settlement=settlement, raw=dict(raw))
     if protocol == "sudden":
         if "switch_time" not in raw:
             raise ScenarioError("sudden protocol needs switch_time")
         sc.switch_time = _number(raw["switch_time"], "switch_time")
-        sc.traders = [_build_trader(_known(t, _TRADER_FIELDS,
-                                           "unknown trader field"),
-                                    obs, settlement, model)
-                      for t in raw.get("traders", [])]
+        for spec in raw.get("traders", []):
+            with _Fields(spec, "trader") as spec:
+                sc.traders.append(_build_trader(spec, obs, settlement, model))
         check_sudden_inputs(model, obs, sc.traders, sc.switch_time,
                             settlement)
     else:
@@ -370,23 +378,23 @@ def _parse_scenario(raw) -> Scenario:
             raise ScenarioError("gradual protocol needs an LCMM market")
         sc.t0 = _number(raw.get("t0", 0.0), "t0")
         sc.schedule = _build_schedule(raw.get("schedules"), model, sc.t0)
-        sc.requests = []
         last = sc.t0
         for entry in raw.get("requests", []):
-            time = _number(entry["time"], "request time")
-            if time < last:
-                raise ScenarioError("request times must be non-decreasing "
-                                    "and not before t0")
-            last = time
-            trader = str(entry.get("trader", "t"))
-            if "bundle" in entry:
-                bundle = _numbers(entry["bundle"], "request bundle")
-                if bundle.shape != (space.dim,):
-                    raise ScenarioError("request bundle has the wrong length")
-                sc.requests.append(TradeRequest(time, trader, bundle=bundle))
-            else:
-                agent = _build_trader(entry, obs, settlement, model)
-                sc.requests.append(TradeRequest(time, trader, agent=agent))
+            with _Fields(entry, "request") as entry:
+                time = _number(entry["time"], "request time")
+                if time < last:
+                    raise ScenarioError("request times must be non-decreasing "
+                                        "and not before t0")
+                last = time
+                trader = str(entry.get("trader", "t"))
+                bundle = agent = None
+                if "bundle" in entry:
+                    bundle = _numbers(entry["bundle"], "request bundle")
+                    if bundle.shape != (space.dim,):
+                        raise ScenarioError("request bundle has the wrong length")
+                else:
+                    agent = _build_trader(entry, obs, settlement, model)
+                sc.requests.append(TradeRequest(time, trader, bundle, agent))
     return sc
 
 

@@ -69,10 +69,8 @@ class Ledger:
         for rec in self.records:
             self.payouts[rec.trader] = (self.payouts.get(rec.trader, 0.0)
                                         + float(rec.bundle @ rho))
-        traders = set(self.costs) | set(self.payouts)
-        for name in traders:
-            self.trader_pnl[name] = (self.payouts.get(name, 0.0)
-                                     - self.costs.get(name, 0.0))
+        for name, cost in self.costs.items():  # in first-trade order
+            self.trader_pnl[name] = self.payouts[name] - cost
         self.maker_loss = (sum(self.payouts.values())
                            - sum(self.costs.values()))
 

@@ -294,6 +294,19 @@ def test_cmd_run_overlapping_cells(tmp_path, capsys):
     assert "realizations 0 and 1 overlap" in capsys.readouterr().out
 
 
+def test_a_failed_desideratum_exits_1_with_strict_records(capsys):
+    # at a tolerance of 1e-300 the audit's roundoff fails a desideratum;
+    # the run still writes every record and settles
+    assert main(["run", scn("square_sudden.scn"), "--tol", "1e-300"]) == 1
+    out, err = capsys.readouterr()
+    assert any(line.startswith("FAIL: desideratum ")
+               for line in err.splitlines())
+    assert "Traceback" not in err
+    recs = [json.loads(line, parse_constant=_reject_constant)
+            for line in out.splitlines()]
+    assert recs[-1]["kind"] == "settlement"
+
+
 def test_cmd_run_exposed_switch_at_clipped_state(tmp_path, capsys):
     # a boundary belief drives the state to the logit clip, [120, 0], before
     # a coordinate revelation: exposed cells are consistent at any state
@@ -523,6 +536,91 @@ def test_an_unknown_trader_or_schedule_field_exits_2(tmp_path, capsys, line,
     for command in ("run", "check"):
         assert main([command, str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {error}\n"
+
+
+EXPLICIT = "market: {outcomes: [a, b], payoff: [[1, 0], [0, 1]]"
+
+
+@pytest.mark.parametrize("protocol, lines, error", [
+    ("sudden", ["t0: 0.0"], "unknown field 't0'"),
+    ("gradual", ["switch_time: 1.0"], "unknown field 'switch_time'"),
+    ("gradual", ["traders: []"], "unknown field 'traders'"),
+    ("sudden", ["settlement: a", EXPLICIT + ", costs: lmsr}"],
+     "unknown market field 'costs'"),
+    ("sudden", ["settlement: a", EXPLICIT + ", cost: lmsr, name: m}"],
+     "unknown market field 'name'"),
+    ("sudden", ["observation: {kind: coordinate, index: 0, indx: 1}"],
+     "unknown observation field 'indx'"),
+    ("sudden", ["observation: {kind: sum, index: 0}"],
+     "unknown observation field 'index'"),
+    ("sudden", ["traders: [{kind: noise, times: [0.5], belief: [1, 0]}]"],
+     "unknown trader field 'belief'"),
+    ("sudden", ["traders: [{kind: belief, times: [0.5], belief: [0.5, 0.5], "
+                "scale: 2}]"], "unknown trader field 'scale'"),
+    ("gradual", ["schedules: [{block: 0, kind: constant, time: 1.0}]"],
+     "unknown schedule field 'time'"),
+    ("gradual", ["requests: [{time: 0.5, bundle: [0.5, 0, 0], kind: noise}]"],
+     "unknown request field 'kind'"),
+    ("gradual", ["requests: [{time: 0.5, kind: noise, scale: 0.5, "
+                 "belief: [0.5, 0.5, 1.0]}]"],
+     "unknown request field 'belief'"),
+], ids=["top-level-t0-in-sudden", "switch_time-in-gradual",
+        "traders-in-gradual", "market", "market-name", "observation",
+        "index-on-sum", "belief-on-noise", "scale-on-belief", "schedule",
+        "request-bundle", "request-agent"])
+def test_a_key_its_reader_does_not_ask_for_exits_2(tmp_path, capsys,
+                                                    protocol, lines, error):
+    fields = dict(SUDDEN_FIELDS if protocol == "sudden" else GRADUAL_FIELDS)
+    for line in lines:
+        fields[line.split(":")[0]] = line
+    bad = tmp_path / "unknown.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("protocol, line, error", [
+    ("gradual", "requests: [5]", "request 5 is not a mapping"),
+    ("gradual", "requests: [{bundle: [0.5, 0, 0]}]", "missing field 'time'"),
+    ("gradual", "schedules: [[0, constant]]",
+     "schedule [0, 'constant'] is not a mapping"),
+    ("gradual", "schedules: [{kind: constant}]", "missing field 'block'"),
+    ("sudden", "traders: [noise]", "trader 'noise' is not a mapping"),
+], ids=["request-scalar", "request-time", "schedule-list", "schedule-block",
+        "trader-name"])
+def test_an_entry_that_is_not_a_mapping_or_misses_a_field_exits_2(
+        tmp_path, capsys, protocol, line, error):
+    fields = dict(SUDDEN_FIELDS if protocol == "sudden" else GRADUAL_FIELDS)
+    fields[line.split(":")[0]] = line
+    bad = tmp_path / "entry.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("key", ["seed", "protocol", "market"])
+def test_a_missing_top_level_field_is_named_like_any_other(tmp_path, capsys,
+                                                           key):
+    fields = dict(SUDDEN_FIELDS)
+    del fields[key]
+    bad = tmp_path / "missing.scn"
+    bad.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: missing field {key!r}\n"
+
+
+def test_a_malformed_value_is_reported_before_an_unknown_key(tmp_path,
+                                                             capsys):
+    # the keys are checked when their mapping has been read in full
+    fields = dict(SUDDEN_FIELDS, seed="seed: -3")
+    bad = tmp_path / "both.scn"
+    bad.write_text("\n".join([*fields.values(), "tolerence: 1.0e-3"]) + "\n")
+    assert main(["run", str(bad)]) == 2
+    assert (capsys.readouterr().err
+            == "error: seed must be a non-negative integer\n")
 
 
 def test_a_yaml_value_python_cannot_build_exits_2(tmp_path, capsys):

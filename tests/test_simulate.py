@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +12,10 @@ from cfmarkets import (BeliefTrader, BlockSchedule, IndependentBinaryCost,
                        NoiseTrader, Schedule, TradeRequest, constant_schedule,
                        medal_count_model, observe_coordinate, observe_sum,
                        plan_switch, run_protocol1, run_protocol2, simplex_market,
-                       square_market, trivial_observation, verify_loss,
-                       wc_loss_bound)
+                       square_market, trivial_observation, util_event,
+                       verify_loss, wc_loss_bound)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def square():
@@ -56,6 +64,30 @@ def test_wc_loss_bound_lmsr_uniform():
     m = LmsrCost(simplex_market(4))
     assert wc_loss_bound(m, np.zeros(4)) == pytest.approx(np.log(4),
                                                           abs=1e-12)
+
+
+def test_trader_pnl_is_in_first_trade_order_under_any_hash_seed():
+    # six names whose set order differs between hash seeds; each trades
+    # once, in the reverse of their sorted order
+    code = ("import json\n"
+            "from cfmarkets import (IndependentBinaryCost, NoiseTrader,\n"
+            "    observe_coordinate, run_protocol1, square_market)\n"
+            "m = IndependentBinaryCost(square_market())\n"
+            "names = ['n5', 'n4', 'n3', 'n2', 'n1', 'n0']\n"
+            "traders = [NoiseTrader(n, [0.1 * (i + 1)], 0.5)\n"
+            "           for i, n in enumerate(names)]\n"
+            "ledger = run_protocol1(m, [0.0, 0.0],\n"
+            "    observe_coordinate(m.space, 0), traders, 1.0, (1, 1))\n"
+            "print(json.dumps([list(ledger.trader_pnl),\n"
+            "    list(dict.fromkeys(r.trader for r in ledger.records))]))\n")
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        pnl_order, first_trades = json.loads(proc.stdout)
+        assert pnl_order == first_trades == ["n5", "n4", "n3", "n2", "n1",
+                                             "n0"]
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +158,24 @@ def test_jit_profit_after_switch_is_nonnegative_and_tiny():
     # the switch zeroes the revealed cell's utility, so knowing the
     # realization pays nothing beyond roundoff
     assert abs(ledger.trader_pnl.get("a1", 0.0)) <= 1e-8
+
+
+def test_jit_trades_away_the_utility_a_post_switch_trade_opens():
+    # the noise trade after the switch moves the state off the switch
+    # state, so the revealed cell pays again and the arbitrageur takes it
+    m = square()
+    obs = observe_coordinate(m.space, 0)
+    traders = [NoiseTrader("n1", [1.2], 1.0),
+               JitArbitrageur("a1", [1.5], obs, 1.0)]
+    ledger = run_protocol1(m, np.zeros(2), obs, traders, 1.0, (1, 1), seed=2)
+    rec = ledger.records[-1]
+    assert rec.trader == "a1" and rec.model is ledger.plan
+    cell = obs.cell(1.0)
+    util = util_event(ledger.plan, cell, rec.state_before).value
+    assert util > 1e-12
+    guaranteed = min(float(rec.bundle @ m.space.payoff_of(w))
+                     for w in cell) - rec.cost
+    assert 0 < guaranteed <= util + 1e-9
 
 
 def test_jit_before_switch_rejected():

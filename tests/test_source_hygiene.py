@@ -19,12 +19,7 @@ no Python object but plain data. No import of scipy.optimize, or of a name
 from it, runs when a module loads (at module level or in a class body):
 each one sits in the function that first needs the solver, or behind
 geometry's `__getattr__`, so a run that makes no LP, root-find or
-minimization never loads scipy.optimize. The top-level keys
-`scenario._parse_scenario` reads from a scenario document are exactly
-`scenario._FIELDS`, the set it accepts, so a field it reads is never
-rejected as unknown and a field it stops reading is; the same holds for
-the keys `_build_trader` reads from a trader (`_TRADER_FIELDS`) and
-`_build_schedule` from a schedule entry (`_SCHEDULE_FIELDS`).
+minimization never loads scipy.optimize.
 """
 
 import ast
@@ -355,62 +350,3 @@ def test_the_check_finds_an_eager_scipy_optimize_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_scipy_optimize_when_it_loads(path):
     assert eager_optimize_imports(path.read_text()) == []
-
-
-def raw_keys_read(source: str, function="_parse_scenario",
-                  name="raw") -> set:
-    """The keys `function` reads from the mapping `name`, by default the
-    top-level scenario keys `_parse_scenario` reads from `raw`: by
-    `raw[...]`, `raw.get(...)` or `... in raw`. A key that is not a
-    literal appears as its source text."""
-    def key(node):
-        if isinstance(node, ast.Constant):
-            return node.value
-        return ast.unparse(node)
-
-    def is_raw(node):
-        return isinstance(node, ast.Name) and node.id == name
-
-    body = next(node for node in ast.parse(source).body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == function)
-    found = set()
-    for node in ast.walk(body):
-        if isinstance(node, ast.Subscript) and is_raw(node.value):
-            found.add(key(node.slice))
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get" and is_raw(node.func.value)):
-            found.add(key(node.args[0]))
-        elif isinstance(node, ast.Compare):
-            found.update(key(left) for left, op, right
-                         in zip([node.left, *node.comparators], node.ops,
-                                node.comparators)
-                         if isinstance(op, (ast.In, ast.NotIn))
-                         and is_raw(right))
-    return found
-
-
-def test_the_check_finds_every_raw_key_read():
-    source = ("def _parse_scenario(raw, spec):\n"
-              "    seed = raw['seed']\n"
-              "    name = raw.get('name', 'x')\n"
-              "    if 'switch_time' in raw and 't0' not in raw:\n"
-              "        pass\n"
-              "    spec.get('kind')\n"
-              "    'index' in spec\n"
-              "    raw.items()\n"
-              "    return raw[field]\n"
-              "def elsewhere(raw):\n"
-              "    return raw['ignored']\n")
-    assert raw_keys_read(source) == {"seed", "name", "switch_time", "t0",
-                                     "field"}
-
-
-def test_the_accepted_scenario_fields_are_the_fields_read():
-    source = (SRC / "scenario.py").read_text()
-    assert raw_keys_read(source) == cfmarkets.scenario._FIELDS
-    assert (raw_keys_read(source, "_build_trader", "spec")
-            == cfmarkets.scenario._TRADER_FIELDS)
-    assert (raw_keys_read(source, "_build_schedule", "entry")
-            == cfmarkets.scenario._SCHEDULE_FIELDS)
