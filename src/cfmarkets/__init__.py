@@ -8,10 +8,9 @@ certificates, gradual per-block liquidity decrease, protocol simulation with
 worst-case loss verification, and a scenario CLI.
 """
 
-from .costs import (ConsistencyVerdict, CostModel, ExponentialFamilyCost,
-                    IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
-                    PriceSet, RestrictedCost, ScaledCost, SwitchedCost,
-                    finite_difference_price)
+from .costs import (ConsistencyVerdict, CostModel, IndependentBinaryCost,
+                    LmsrCost, PiecewiseLinearCost, PriceSet, RestrictedCost,
+                    ScaledCost, SwitchedCost, finite_difference_price)
 from .gradual import (BlockSchedule, PartialDecreaseAudit, Schedule,
                       TimedState, constant_schedule, divergence_decomposition,
                       model_at, new_state, partial_decrease_audit)

@@ -385,36 +385,6 @@ class PiecewiseLinearCost(CostModel):
         return np.zeros(1)
 
 
-class ExponentialFamilyCost(CostModel):
-    """Log-partition cost over arbitrary payoff vectors.
-
-    C(q) = ln sum_w exp(rho(w).q). Generalizes the LMSR to non-identity
-    payoffs; the conjugate has no closed form and is evaluated numerically.
-    """
-
-    kind = "exp-family"
-    strictly_convex = False
-    differentiable = True
-
-    def cost(self, q) -> float:
-        q = _as_vector(q, self.dim, "q")
-        return _logsumexp(self.space.payoff @ q)
-
-    def price(self, q) -> PriceSet:
-        q = _as_vector(q, self.dim, "q")
-        return PriceSet.point(_softmax(self.space.payoff @ q) @ self.space.payoff)
-
-    def conjugate(self, mu) -> float:
-        mu = _as_vector(mu, self.dim, "mu")
-        if not self.space.hull().contains(mu, self.domain_tol):
-            return INF
-        from scipy.optimize import minimize  # loaded by the first BFGS solve
-
-        res = minimize(lambda q: self.cost(q) - mu @ q, np.zeros(self.dim),
-                       method="BFGS", options={"gtol": 1e-12, "maxiter": 500})
-        return float(-res.fun)
-
-
 class RestrictedCost(CostModel):
     """Cost of the base market restricted to an event E.
 
@@ -685,9 +655,6 @@ class SwitchedCost(CostModel):
         points, values, _ = self._roof_samples
         return geometry.min_weighted_value(points, values, mus,
                                            self.domain_tol)
-
-    def conjugate_grad(self, mu) -> np.ndarray:
-        return self.base.conjugate_grad(mu)
 
     def state_with_price(self, mu) -> np.ndarray:
         mu = _as_vector(mu, self.dim, "mu")

@@ -249,11 +249,17 @@ def build_observation(spec, space: OutcomeSpace) -> Observation:
         raise ScenarioError(f"unknown observation kind {kind!r}")
 
 
-def _build_trader(spec: _Fields, obs, settlement, model):
-    kind = spec.get("kind")
-    name = spec.get("name", kind)
-    if "name" in spec and not isinstance(name, str):
+def _name(spec: _Fields, key: str, default):
+    """A trader's name: `spec[key]`, which must be a string, or `default`
+    when the key is absent."""
+    name = spec.get(key, default)
+    if key in spec and not isinstance(name, str):
         raise ScenarioError(f"trader name {name!r} is not a string")
+    return name
+
+
+def _build_trader(spec: _Fields, name: str, obs, settlement, model):
+    kind = spec.get("kind")
     times = _numbers(spec.get("times", []), f"trader {name!r}: times")
     budget = spec.get("budget")
     if budget is not None and (isinstance(budget, bool)
@@ -365,12 +371,12 @@ def _parse_scenario(raw: _Fields) -> Scenario:
                   protocol=protocol, model=model, observation=obs,
                   initial_state=s0, settlement=settlement, raw=dict(raw))
     if protocol == "sudden":
-        if "switch_time" not in raw:
-            raise ScenarioError("sudden protocol needs switch_time")
         sc.switch_time = _number(raw["switch_time"], "switch_time")
         for spec in raw.get("traders", []):
             with _Fields(spec, "trader") as spec:
-                sc.traders.append(_build_trader(spec, obs, settlement, model))
+                name = _name(spec, "name", spec.get("kind"))
+                sc.traders.append(_build_trader(spec, name, obs, settlement,
+                                                model))
         check_sudden_inputs(model, obs, sc.traders, sc.switch_time,
                             settlement)
     else:
@@ -386,14 +392,15 @@ def _parse_scenario(raw: _Fields) -> Scenario:
                     raise ScenarioError("request times must be non-decreasing "
                                         "and not before t0")
                 last = time
-                trader = str(entry.get("trader", "t"))
+                trader = _name(entry, "trader", "t")
                 bundle = agent = None
                 if "bundle" in entry:
                     bundle = _numbers(entry["bundle"], "request bundle")
                     if bundle.shape != (space.dim,):
                         raise ScenarioError("request bundle has the wrong length")
                 else:
-                    agent = _build_trader(entry, obs, settlement, model)
+                    agent = _build_trader(entry, trader, obs, settlement,
+                                          model)
                 sc.requests.append(TradeRequest(time, trader, bundle, agent))
     return sc
 

@@ -15,7 +15,9 @@ feasibility LP (`hull_member`), not with `geometry.Hull`. `hull_member` and
 references for `geometry.hull_contains` and `geometry.hulls_intersect`.
 `lmsr_conjugate` and `product_lmsr_conjugate` are the closed-form conjugates
 written one row at a time, each with its own domain test; the library writes
-them once, as numpy passes over a stack of rows.
+them once, as numpy passes over a stack of rows. `LogPartitionCost` is a
+block cost over payoff rows that are not 0/1, for LCMM tests: a closed-form
+cost and price, and a conjugate only where a test reaches it.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-from scipy.special import logsumexp, xlogy
+from scipy.special import logsumexp, softmax, xlogy
 
-from scipy.optimize import linprog, minimize
+from scipy.optimize import brentq, linprog, minimize
 
-from cfmarkets import Observation, OutcomeSpace, geometry, probe_points
+from cfmarkets import (CostModel, Observation, OutcomeSpace, PriceSet,
+                       geometry, probe_points)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,51 @@ def switched_best_response(sw, mu, q):
                    method="SLSQP", options={"ftol": 1e-14, "maxiter": 500})
     z = res.x[:-1]
     return float(mu @ (z - q) - (sw.cost(z) - sw.cost(q))), z
+
+
+# ---------------------------------------------------------------------------
+# A block cost over any payoff rows
+
+
+class LogPartitionCost(CostModel):
+    """C(q) = ln sum_w exp(rho(w).q) over the space's payoff rows, priced by
+    the softmax-weighted payoffs. Its conjugate is written only for a single
+    security, the one case an LCMM test reaches: -ln k at an end of the
+    value range that k outcomes hold, and q.mu - C(q) inside it, at the root
+    q of the increasing price. Other dimensions raise NotImplementedError.
+    """
+
+    kind = "log-partition"
+
+    def cost(self, q) -> float:
+        return float(logsumexp(self.space.payoff @ np.asarray(q, dtype=float)))
+
+    def price(self, q) -> PriceSet:
+        payoff = self.space.payoff
+        return PriceSet.point(softmax(payoff @ np.asarray(q, dtype=float))
+                              @ payoff)
+
+    def conjugate(self, mu) -> float:
+        if self.dim != 1:
+            raise NotImplementedError("log-partition: one security only")
+        values, m = self.space.payoff[:, 0], float(np.reshape(mu, -1)[0])
+        tol = self.domain_tol
+        if not values.min() - tol <= m <= values.max() + tol:
+            return float("inf")
+        for end in (values.min(), values.max()):
+            if abs(m - end) <= tol:
+                return float(-np.log(np.count_nonzero(values == end)))
+
+        def excess(t):
+            return float(self.price([t]).lo[0]) - m
+
+        lo, hi = -1.0, 1.0
+        while excess(lo) > 0.0:
+            lo *= 2.0
+        while excess(hi) < 0.0:
+            hi *= 2.0
+        t = brentq(excess, lo, hi, xtol=1e-15)
+        return t * m - self.cost([t])
 
 
 # ---------------------------------------------------------------------------

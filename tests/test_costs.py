@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from cfmarkets import (ExponentialFamilyCost, IndependentBinaryCost, LmsrCost,
-                       PiecewiseLinearCost, PriceSet, RestrictedCost,
-                       ScaledCost, finite_difference_price,
-                       geometry, independent_binary_market,
-                       medal_count_model, observe_coordinate,
-                       plan_switch, simplex_market, single_binary_market,
-                       single_security_market, square_market, util_event)
+from cfmarkets import (IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
+                       PriceSet, RestrictedCost, ScaledCost,
+                       finite_difference_price, geometry,
+                       independent_binary_market, medal_count_model,
+                       observe_coordinate, plan_switch, simplex_market,
+                       single_binary_market, single_security_market,
+                       square_market, util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
 from cfmarkets.costs import _logsumexp
 from oracles import lmsr_conjugate, product_lmsr_conjugate
@@ -97,17 +97,6 @@ def test_piecewise_closed_forms():
     assert m.conjugate([1.5]) == INF
     with pytest.raises(ValueError):
         PiecewiseLinearCost(single_security_market((0, 2)))
-
-
-def test_exp_family_matches_lmsr_on_simplex():
-    m = ExponentialFamilyCost(simplex_market(3))
-    ref = lmsr()
-    q = np.array([0.2, -0.4, 0.9])
-    assert m.cost(q) == pytest.approx(ref.cost(q), abs=1e-12)
-    assert np.allclose(m.price(q).center, ref.price(q).center, atol=1e-12)
-    mu = np.array([0.25, 0.25, 0.5])
-    assert m.conjugate(mu) == pytest.approx(ref.conjugate(mu), abs=1e-7)
-    assert m.conjugate(np.array([1.0, 1.0, -1.0])) == INF
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +296,13 @@ def switched_square():
                        np.array([0.3, -0.4]))
 
 
-@pytest.mark.parametrize("make_base, event", [
-    (lambda: ScaledCost(lmsr(), 0.37), (0, 2)),
-    (switched_square, (((1, 0)), ((1, 1)))),
+@pytest.mark.parametrize("make_base, event, gradient", [
+    (lambda: ScaledCost(lmsr(), 0.37), (0, 2), lambda m: m.conjugate_grad),
+    # inside a cell the roof is R - b_x, whose gradient is the base's
+    (switched_square, (((1, 0)), ((1, 1))), lambda m: m.base.conjugate_grad),
 ], ids=["scaled", "switched"])
 def test_restricted_delegating_kinds_match_projection(make_base, event,
-                                                      projections):
+                                                      gradient, projections):
     # the base's closed form is used, and agrees with the projection
     base = make_base()
     projections.forbidden = True
@@ -320,10 +310,17 @@ def test_restricted_delegating_kinds_match_projection(make_base, event,
     q = np.array([0.4, -1.1, 0.7])[:base.dim]
     own = cell.project(q)
     value, mu = -own.value, own.mu
-    res = project_onto_hull(cell.vertices, base.conjugate,
-                            base.conjugate_grad, q)
+    res = project_onto_hull(cell.vertices, base.conjugate, gradient(base), q)
     assert np.allclose(mu, res.mu, atol=1e-7)
     assert value == pytest.approx(-res.value, abs=1e-7)
+
+
+def test_the_switched_roof_has_no_conjugate_gradient():
+    # Frank-Wolfe never runs over a switch (`restrict` projects every
+    # in-cell event and refuses a spanning one), and off the cells the
+    # base's gradient is not the roof's
+    with pytest.raises(NotImplementedError, match="switched"):
+        switched_square().conjugate_grad(np.array([0.5, 0.5]))
 
 
 def test_restricted_solve_evaluates_the_conjugate_once_per_projection(

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockSchedule, BlockStructure, ExponentialFamilyCost,
-                       IndependentBinaryCost, LcmmCost, LmsrCost,
-                       OutcomeSpace, ScaledCost, Schedule, certificate_check,
-                       independent_binary_market, lcmm_divergence,
-                       medal_count_model, model_at, partial_decrease_audit,
-                       simplex_market, single_security_market,
-                       tightness_check)
+from cfmarkets import (BlockSchedule, BlockStructure, IndependentBinaryCost,
+                       LcmmCost, LmsrCost, OutcomeSpace, ScaledCost, Schedule,
+                       certificate_check, independent_binary_market,
+                       lcmm_divergence, medal_count_model, model_at,
+                       partial_decrease_audit, simplex_market,
+                       single_security_market, tightness_check)
 
-from oracles import (fiber_escape, hull_member, max_outside_weight,
-                     medal_eta_grid_value)
+from oracles import (LogPartitionCost, fiber_escape, hull_member,
+                     max_outside_weight, medal_eta_grid_value)
 
 
 def unconstrained_two_block_model():
@@ -20,7 +19,7 @@ def unconstrained_two_block_model():
     payoff = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
     space = OutcomeSpace(outcomes, payoff)
     blocks = BlockStructure(((0,), (1,)))
-    costs = [ExponentialFamilyCost(single_security_market((0.0, 1.0, 2.0))),
+    costs = [LogPartitionCost(single_security_market((0.0, 1.0, 2.0))),
              IndependentBinaryCost(independent_binary_market(1))]
     return LcmmCost(space, blocks, costs, np.zeros((2, 0)), np.zeros(0))
 
@@ -395,7 +394,7 @@ def test_single_realization_block_is_trivially_tight():
     payoff = np.array([[1.0, 0.0], [1.0, 1.0]])
     space = OutcomeSpace(outcomes, payoff)
     blocks = BlockStructure(((0,), (1,)))
-    costs = [ExponentialFamilyCost(single_security_market((1.0, 2.0))),
+    costs = [LogPartitionCost(single_security_market((1.0, 2.0))),
              IndependentBinaryCost(independent_binary_market(1))]
     model = LcmmCost(space, blocks, costs, np.zeros((2, 0)), np.zeros(0))
     assert tightness_check(model, 0).status == "tight"
@@ -406,7 +405,7 @@ def test_non_extreme_realization_whose_beliefs_stay_in_its_cell_is_tight():
     # every belief matching it lies in its cell
     space = single_security_market((0.0, 1.0, 2.0))
     model = LcmmCost(space, BlockStructure(((0,),)),
-                     [ExponentialFamilyCost(space)], np.zeros((1, 0)),
+                     [LogPartitionCost(space)], np.zeros((1, 0)),
                      np.zeros(0))
     res = tightness_check(model, 0)
     assert res.status == "tight"
@@ -439,7 +438,7 @@ def random_two_block_model(seed: int) -> LcmmCost:
     costs = []
     for g in blocks:
         rows = np.unique(payoff[:, list(g)], axis=0).astype(float)
-        costs.append(ExponentialFamilyCost(
+        costs.append(LogPartitionCost(
             OutcomeSpace(tuple(range(len(rows))), rows)))
     return LcmmCost(space, blocks, costs, np.zeros((dim, 0)), np.zeros(0))
 

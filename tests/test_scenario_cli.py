@@ -564,10 +564,13 @@ EXPLICIT = "market: {outcomes: [a, b], payoff: [[1, 0], [0, 1]]"
     ("gradual", ["requests: [{time: 0.5, kind: noise, scale: 0.5, "
                  "belief: [0.5, 0.5, 1.0]}]"],
      "unknown request field 'belief'"),
+    # an agent on a request is named by the request's `trader`
+    ("gradual", ["requests: [{time: 0.5, trader: n1, kind: noise, "
+                 "scale: 0.5, name: x}]"], "unknown request field 'name'"),
 ], ids=["top-level-t0-in-sudden", "switch_time-in-gradual",
         "traders-in-gradual", "market", "market-name", "observation",
         "index-on-sum", "belief-on-noise", "scale-on-belief", "schedule",
-        "request-bundle", "request-agent"])
+        "request-bundle", "request-agent", "request-agent-name"])
 def test_a_key_its_reader_does_not_ask_for_exits_2(tmp_path, capsys,
                                                     protocol, lines, error):
     fields = dict(SUDDEN_FIELDS if protocol == "sudden" else GRADUAL_FIELDS)
@@ -587,8 +590,10 @@ def test_a_key_its_reader_does_not_ask_for_exits_2(tmp_path, capsys,
      "schedule [0, 'constant'] is not a mapping"),
     ("gradual", "schedules: [{kind: constant}]", "missing field 'block'"),
     ("sudden", "traders: [noise]", "trader 'noise' is not a mapping"),
+    ("gradual", "requests: [{time: 0.5, trader: [1, 2], bundle: [0.5, 0, 0]}]",
+     "trader name [1, 2] is not a string"),
 ], ids=["request-scalar", "request-time", "schedule-list", "schedule-block",
-        "trader-name"])
+        "trader-name", "request-trader"])
 def test_an_entry_that_is_not_a_mapping_or_misses_a_field_exits_2(
         tmp_path, capsys, protocol, line, error):
     fields = dict(SUDDEN_FIELDS if protocol == "sudden" else GRADUAL_FIELDS)
@@ -600,7 +605,8 @@ def test_an_entry_that_is_not_a_mapping_or_misses_a_field_exits_2(
         assert capsys.readouterr().err == f"error: {error}\n"
 
 
-@pytest.mark.parametrize("key", ["seed", "protocol", "market"])
+@pytest.mark.parametrize("key", ["seed", "protocol", "market",
+                                 "switch_time"])
 def test_a_missing_top_level_field_is_named_like_any_other(tmp_path, capsys,
                                                            key):
     fields = dict(SUDDEN_FIELDS)

@@ -104,7 +104,7 @@ def test_belief_trader_moves_price_to_belief():
 
 @pytest.mark.xfail(strict=True, reason="with no closed-form state inverse "
                    "the belief trader falls back to Powell, which stops at "
-                   "the zero trade on the switch's kink (ROADMAP item 2)")
+                   "the zero trade on the switch's kink (ROADMAP item 1)")
 def test_belief_trader_earns_the_switched_divergence():
     m = square()
     s = np.zeros(2)

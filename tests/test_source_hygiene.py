@@ -19,7 +19,9 @@ no Python object but plain data. No import of scipy.optimize, or of a name
 from it, runs when a module loads (at module level or in a class body):
 each one sits in the function that first needs the solver, or behind
 geometry's `__getattr__`, so a run that makes no LP, root-find or
-minimization never loads scipy.optimize.
+minimization never loads scipy.optimize. The scipy.optimize names the
+modules import, at any depth, are exactly the solvers listed in
+`OPTIMIZE_NAMES`, so no new optimizer enters the library unseen.
 """
 
 import ast
@@ -350,3 +352,44 @@ def test_the_check_finds_an_eager_scipy_optimize_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_module_imports_scipy_optimize_when_it_loads(path):
     assert eager_optimize_imports(path.read_text()) == []
+
+
+# every scipy.optimize name a module imports; simulate's `minimize` is the
+# belief trader's Powell fallback, until ROADMAP item 1 replaces it
+OPTIMIZE_NAMES = {"geometry": {"linprog"}, "_solvers": {"brentq"},
+                  "lcmm": {"brentq"}, "simulate": {"minimize"}}
+
+
+def optimize_names(source: str) -> set:
+    """The names a module imports from scipy.optimize or a submodule of it,
+    at any depth, with "scipy.optimize" for the module itself."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            found.update(alias.name for alias in n.names
+                         if _in_optimize(alias.name))
+        elif isinstance(n, ast.ImportFrom) and not n.level:
+            if _in_optimize(n.module):
+                found.update(alias.name for alias in n.names)
+            elif n.module == "scipy" and any(alias.name == "optimize"
+                                             for alias in n.names):
+                found.add("scipy.optimize")
+    return found
+
+
+def test_the_check_finds_every_scipy_optimize_name():
+    source = ("import numpy as np\nfrom scipy import optimize, special\n"
+              "from scipy.optimize._linprog import linprog as lp\n"
+              "from scipy.special import expit\nfrom .optimize import step\n"
+              "class Solver:\n    def solve(self):\n"
+              "        def inner():\n"
+              "            from scipy.optimize import minimize, brentq\n"
+              "        import scipy.optimize.linesearch\n")
+    assert optimize_names(source) == {"scipy.optimize", "linprog", "minimize",
+                                      "brentq", "scipy.optimize.linesearch"}
+
+
+def test_scipy_optimize_names_are_the_known_solvers():
+    found = {p.stem: optimize_names(p.read_text())
+             for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == OPTIMIZE_NAMES
