@@ -12,8 +12,8 @@ from .costs import (ConsistencyVerdict, CostModel, IndependentBinaryCost,
                     LmsrCost, PiecewiseLinearCost, PriceSet, RestrictedCost,
                     ScaledCost, SwitchedCost, finite_difference_price)
 from .gradual import (BlockSchedule, PartialDecreaseAudit, Schedule,
-                      TimedState, constant_schedule, divergence_decomposition,
-                      model_at, new_state, partial_decrease_audit)
+                      TimedState, divergence_decomposition, model_at,
+                      new_state, partial_decrease_audit)
 from .lcmm import (ArbitrageSolution, LcmmCost, TightnessResult,
                    certificate_check, lcmm_divergence, medal_count_model,
                    tightness_check)
@@ -22,8 +22,7 @@ from .markets import (BlockStructure, ExposureWitness, Observation,
                       independent_binary_market, observe_block_payoff,
                       observe_coordinate, observe_identity, observe_partition,
                       observe_sum, probe_points, simplex_market,
-                      single_binary_market, single_security_market,
-                      square_market, trivial_observation)
+                      single_binary_market, square_market, trivial_observation)
 from .scenario import Scenario, ScenarioError, bundled_scenarios, \
     load_scenario
 from .simulate import (BeliefTrader, InconsistentPlanError, JitArbitrageur,

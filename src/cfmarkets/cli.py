@@ -1,11 +1,11 @@
 """Command-line surface: run scenario protocols and static checks.
 
-Exit codes: 0 all enabled checks pass, 1 a check failed, 2 the scenario
-could not be parsed; in `check` a "not_tight" block fails. Output records
-are line-delimited with the fixed field set {ts, kind, state,
-price_center, spread, cost_delta, trader, check, value, pass} in strict
-JSON, with non-finite numbers written as null; identical scenario and seed
-produce byte-identical output.
+Exit codes: 0 all enabled checks pass, 1 a check failed or the reader
+closed stdout early, 2 the scenario could not be parsed; in `check` a
+"not_tight" block fails. Output records are line-delimited with the fixed
+field set {ts, kind, state, price_center, spread, cost_delta, trader,
+check, value, pass} in strict JSON, with non-finite numbers written as
+null; identical scenario and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -198,11 +199,11 @@ def cmd_check(path, allow_inconsistent: bool = False) -> int:
               f"({verdict.path}; worst violation "
               f"{verdict.worst_violation:.6g})")
         if not verdict.consistent:
-            if verdict.witness and "mu" in verdict.witness:
+            if "mu" in verdict.witness:
                 mu = [round(float(v), 6) for v in verdict.witness["mu"]]
                 print(f"  witness: mu={mu} for realization "
                       f"{verdict.witness['realization']!r}")
-            elif verdict.witness:
+            else:
                 x, y = verdict.witness["overlap"]
                 print(f"  witness: the cells of realizations {x!r} and "
                       f"{y!r} overlap")
@@ -235,13 +236,24 @@ def main(argv=None) -> int:
     check_p.add_argument("scenario")
     check_p.add_argument("--allow-inconsistent", action="store_true")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.scenario, out=args.out, seed=args.seed,
-                       tol=args.tol,
-                       allow_inconsistent=args.allow_inconsistent,
-                       fmt=args.format)
-    return cmd_check(args.scenario,
-                     allow_inconsistent=args.allow_inconsistent)
+    try:
+        if args.command == "run":
+            code = cmd_run(args.scenario, out=args.out, seed=args.seed,
+                           tol=args.tol,
+                           allow_inconsistent=args.allow_inconsistent,
+                           fmt=args.format)
+        else:
+            code = cmd_check(args.scenario,
+                             allow_inconsistent=args.allow_inconsistent)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: exit 1, with stdout on the null device
+        # so that the interpreter's own last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

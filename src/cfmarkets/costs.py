@@ -37,7 +37,7 @@ FD_STEP = 1e-6  # finite_difference_price's step
 FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
 
 
-def _as_vector(x, dim: int, name: str = "vector") -> np.ndarray:
+def _as_vector(x, dim: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape[0] != dim:
         raise ValueError(f"{name} must have length {dim}")
@@ -81,18 +81,6 @@ class PriceSet:
     @property
     def spread(self) -> np.ndarray:
         return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return bool(np.max(self.spread, initial=0.0) <= 1e-12)
-
-    def contains(self, mu, tol: float = 1e-9) -> bool:
-        mu = np.asarray(mu, dtype=float)
-        return bool(np.all(mu >= self.lo - tol) and np.all(mu <= self.hi + tol))
-
-    def agrees_with(self, other: "PriceSet", tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.lo - other.lo), initial=0.0) <= tol
-                    and np.max(np.abs(self.hi - other.hi), initial=0.0) <= tol)
 
 
 def _logsumexp(a) -> float:
@@ -404,7 +392,6 @@ class RestrictedCost(CostModel):
         self.base = base
         self.event = tuple(outcomes)
         self.hull = base.space.hull(self.event)
-        self.vertices = self.hull.vertices
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
         self._projector = base.restrict(self.event)
@@ -420,7 +407,7 @@ class RestrictedCost(CostModel):
     def _project(self, q) -> ProjectionResult:
         """`project` on a trusted q."""
         if self._projector is None:
-            return project_onto_hull(self.vertices, self.base.conjugate,
+            return project_onto_hull(self.hull.vertices, self.base.conjugate,
                                      self.base.conjugate_grad, q)
         return self._projector(q)
 
@@ -436,9 +423,6 @@ class RestrictedCost(CostModel):
             return INF
         return self.base._conj(mu)
 
-    def conjugate_grad(self, mu) -> np.ndarray:
-        return self.base.conjugate_grad(mu)
-
     def state_with_price(self, mu) -> np.ndarray:
         if self._projector is None:
             raise NotImplementedError(
@@ -449,9 +433,12 @@ class RestrictedCost(CostModel):
         return q
 
     def restrict(self, event):
-        if set(event) <= set(self.event):
-            return self.base.restrict(event)
-        return None
+        """Inside this cost's event: the base restricted to `event`, so
+        Frank-Wolfe never runs over a restricted cost. An event that leaves
+        this one raises ValueError."""
+        if not set(event) <= set(self.event):
+            raise ValueError(f"event {tuple(event)!r} leaves {self.event!r}")
+        return RestrictedCost(self.base, event)._project
 
 
 @dataclass
@@ -459,8 +446,8 @@ class ConsistencyVerdict:
     consistent: bool
     worst_violation: float
     path: str  # what decided it: "overlap", "exposed" or "sampled"
-    witness: dict | None = None
-    switched: SwitchedCost | None = None  # the switch that was checked
+    witness: dict | None  # where the roof fails; None when consistent
+    switched: SwitchedCost  # the switch that was checked
 
     def __bool__(self):
         return self.consistent

@@ -74,14 +74,9 @@ class Schedule:
         return self.beta(g, t_new) / self.beta(g, t)
 
 
-def constant_schedule(model: LcmmCost) -> Schedule:
-    return Schedule(tuple(BlockSchedule() for _ in model.blocks))
-
-
 @dataclass
 class TimedState:
     q: np.ndarray
-    t: float
     solution: ArbitrageSolution
 
 
@@ -127,7 +122,7 @@ def new_state(model: LcmmCost, schedule: Schedule, q, t: float,
         a = schedule.alpha(g, t, t_new)
         q_new[idx] = a * (q[idx] + sol.delta[idx]) - sol.delta[idx]
     model_at(model, schedule, t_new)._adopt(q_new, sol.eta)
-    return TimedState(q_new, t_new, sol)
+    return TimedState(q_new, sol)
 
 
 def divergence_decomposition(model: LcmmCost, schedule: Schedule, mu, q,

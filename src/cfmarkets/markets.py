@@ -148,17 +148,15 @@ class BlockStructure:
 
 @dataclass(frozen=True)
 class ExposureWitness:
-    """Linear functional whose argmax over payoffs is exactly one cell."""
+    """Linear functional whose argmax over payoffs is exactly one cell,
+    with a gap of `EXPOSURE_MARGIN` to every other payoff."""
 
     vector: np.ndarray
-    margin: float
 
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=float).copy()
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
-        if not self.margin > 0:
-            raise ValueError("margin must be positive")
 
 
 def probe_points(space: OutcomeSpace, outcomes=None) -> np.ndarray:
@@ -220,7 +218,7 @@ def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
                 space.vertices(others) if others else np.empty((0, space.dim)),
                 EXPOSURE_MARGIN)
         out[x] = (None if candidate is None
-                  else ExposureWitness(candidate, EXPOSURE_MARGIN))
+                  else ExposureWitness(candidate))
     obs._exposure[id(space)] = (space, out)  # holding space keeps its id
     return dict(out)
 
@@ -252,12 +250,6 @@ def square_market() -> OutcomeSpace:
 def single_binary_market() -> OutcomeSpace:
     """One binary security paying 0 or 1."""
     return OutcomeSpace((0, 1), np.array([[0.0], [1.0]]))
-
-
-def single_security_market(values) -> OutcomeSpace:
-    """One security paying one of the given distinct values."""
-    values = tuple(values)
-    return OutcomeSpace(values, np.array(values, dtype=float)[:, None])
 
 
 def _checked_index(i, n: int, what: str) -> int:

@@ -262,9 +262,7 @@ def _build_trader(spec: _Fields, name: str, obs, settlement, model):
     kind = spec.get("kind")
     times = _numbers(spec.get("times", []), f"trader {name!r}: times")
     budget = spec.get("budget")
-    if budget is not None and (isinstance(budget, bool)
-                               or not isinstance(budget, (int, float))
-                               or not budget >= 0):
+    if budget is not None and _number(budget, f"trader {name!r}: budget") < 0:
         raise ScenarioError(f"trader {name!r}: budget must be a number >= 0")
     if kind == "noise":
         scale = _number(spec.get("scale", 1.0), f"trader {name!r}: scale")

@@ -32,8 +32,8 @@ class EventUtility:
     value: float
     minimizer: np.ndarray
     residual: float
-    converged: bool = True
-    multiple: bool = False
+    converged: bool
+    multiple: bool
 
 
 def util_belief(m: CostModel, mu, q) -> float:
@@ -47,7 +47,7 @@ def util_event(m: CostModel, event, q) -> EventUtility:
     q = _as_vector(q, m.dim, "q")
     res = RestrictedCost(m, event)._project(q)
     return EventUtility(m.divergence(res.mu, q), res.mu, res.gap,
-                        res.converged, multiple=not m.strictly_convex)
+                        res.converged, not m.strictly_convex)
 
 
 def conditional_price(m: CostModel, event, q):

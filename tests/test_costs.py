@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
-from cfmarkets import (IndependentBinaryCost, LmsrCost, PiecewiseLinearCost,
-                       PriceSet, RestrictedCost, ScaledCost,
-                       finite_difference_price, geometry,
+from cfmarkets import (IndependentBinaryCost, LmsrCost, OutcomeSpace,
+                       PiecewiseLinearCost, PriceSet, RestrictedCost,
+                       ScaledCost, finite_difference_price, geometry,
                        independent_binary_market, medal_count_model,
                        observe_coordinate, plan_switch, simplex_market,
-                       single_binary_market, single_security_market,
-                       square_market, util_event)
+                       single_binary_market, square_market, util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
 from cfmarkets.costs import _logsumexp
 from oracles import lmsr_conjugate, product_lmsr_conjugate
@@ -37,10 +36,10 @@ def test_price_set_basics():
     p = PriceSet(np.array([0.0, 0.5]), np.array([1.0, 0.5]))
     assert np.allclose(p.center, [0.5, 0.5])
     assert np.allclose(p.spread, [1.0, 0.0])
-    assert not p.is_point
-    assert p.contains([0.3, 0.5])
-    assert not p.contains([0.3, 0.6])
-    assert PriceSet.point([0.5]).is_point
+    assert np.max(p.spread) > 1e-12
+    for mu, inside in (([0.3, 0.5], True), ([0.3, 0.6], False)):
+        assert np.all((p.lo - 1e-9 <= mu) & (mu <= p.hi + 1e-9)) == inside
+    assert np.all(PriceSet.point([0.5]).spread == 0.0)
     with pytest.raises(ValueError):
         PriceSet(np.array([1.0]), np.array([0.0]))
 
@@ -96,7 +95,7 @@ def test_piecewise_closed_forms():
     assert m.conjugate([0.5]) == 0.0
     assert m.conjugate([1.5]) == INF
     with pytest.raises(ValueError):
-        PiecewiseLinearCost(single_security_market((0, 2)))
+        PiecewiseLinearCost(OutcomeSpace((0, 2), [[0.0], [2.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +159,9 @@ def test_finite_difference_price_matches(model):
     rng = np.random.default_rng(2)
     for _ in range(5):
         q = rng.uniform(-1.5, 1.5, model.dim)
-        fd = finite_difference_price(model, q)
-        assert fd.agrees_with(model.price(q), tol=1e-5)
+        fd, p = finite_difference_price(model, q), model.price(q)
+        assert np.max(np.abs(fd.lo - p.lo)) <= 1e-5
+        assert np.max(np.abs(fd.hi - p.hi)) <= 1e-5
 
 
 def test_finite_difference_detects_kink():
@@ -310,7 +310,8 @@ def test_restricted_delegating_kinds_match_projection(make_base, event,
     q = np.array([0.4, -1.1, 0.7])[:base.dim]
     own = cell.project(q)
     value, mu = -own.value, own.mu
-    res = project_onto_hull(cell.vertices, base.conjugate, gradient(base), q)
+    res = project_onto_hull(cell.hull.vertices, base.conjugate,
+                            gradient(base), q)
     assert np.allclose(mu, res.mu, atol=1e-7)
     assert value == pytest.approx(-res.value, abs=1e-7)
 
@@ -345,6 +346,30 @@ def test_restricted_cost_rejects_empty_event():
         RestrictedCost(m, ())
     with pytest.raises(ValueError):
         util_event(m, (), np.zeros(2))
+
+
+@pytest.mark.parametrize("outer, inner", [
+    ((((0, 0)), ((0, 1))), (((0, 1)),)),  # a face: the base's closed form
+    ((((0, 1)), ((1, 0))), (((0, 1)), ((1, 0)))),  # the diagonal: Frank-Wolfe
+], ids=["face", "diagonal"])
+def test_a_restricted_cost_restricts_inside_its_event_as_its_base(outer,
+                                                                 inner):
+    sq, q = square(), np.array([0.3, -0.2])
+    got = RestrictedCost(RestrictedCost(sq, outer), inner).project(q)
+    want = RestrictedCost(sq, inner).project(q)
+    assert np.array_equal(got.mu, want.mu) and got.value == want.value
+    assert got.converged and np.isfinite(got.value)
+
+
+def test_a_restricted_cost_refuses_an_event_outside_its_own():
+    # Frank-Wolfe over the inner cost would read R = inf at (1, 1) and
+    # report C = -inf as converged
+    sq = square()
+    outer = RestrictedCost(sq, (((0, 0)), ((0, 1))))
+    with pytest.raises(ValueError, match="leaves"):
+        RestrictedCost(outer, (((0, 1)), ((1, 1))))
+    with pytest.raises(ValueError, match="leaves"):
+        outer.restrict((((1, 1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +508,8 @@ def test_price_set_point_shares_one_read_only_copy():
     ps = PriceSet.point(p)
     p[0] = 1.0  # the caller's array is not the price set's
     assert ps.lo is ps.hi and not ps.lo.flags.writeable
-    assert np.array_equal(ps.center, [0.25, 0.75]) and ps.is_point
+    assert np.array_equal(ps.center, [0.25, 0.75])
+    assert np.all(ps.spread == 0.0)
 
 
 @pytest.mark.parametrize("make", [

@@ -6,7 +6,7 @@ from cfmarkets import (BlockSchedule, BlockStructure, IndependentBinaryCost,
                        certificate_check, independent_binary_market,
                        lcmm_divergence, medal_count_model, model_at,
                        partial_decrease_audit, simplex_market,
-                       single_security_market, tightness_check)
+                       tightness_check)
 
 from oracles import (LogPartitionCost, fiber_escape, hull_member,
                      max_outside_weight, medal_eta_grid_value)
@@ -19,7 +19,8 @@ def unconstrained_two_block_model():
     payoff = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
     space = OutcomeSpace(outcomes, payoff)
     blocks = BlockStructure(((0,), (1,)))
-    costs = [LogPartitionCost(single_security_market((0.0, 1.0, 2.0))),
+    costs = [LogPartitionCost(OutcomeSpace((0.0, 1.0, 2.0),
+                                           [[0.0], [1.0], [2.0]])),
              IndependentBinaryCost(independent_binary_market(1))]
     return LcmmCost(space, blocks, costs, np.zeros((2, 0)), np.zeros(0))
 
@@ -394,7 +395,7 @@ def test_single_realization_block_is_trivially_tight():
     payoff = np.array([[1.0, 0.0], [1.0, 1.0]])
     space = OutcomeSpace(outcomes, payoff)
     blocks = BlockStructure(((0,), (1,)))
-    costs = [LogPartitionCost(single_security_market((1.0, 2.0))),
+    costs = [LogPartitionCost(OutcomeSpace((1.0, 2.0), [[1.0], [2.0]])),
              IndependentBinaryCost(independent_binary_market(1))]
     model = LcmmCost(space, blocks, costs, np.zeros((2, 0)), np.zeros(0))
     assert tightness_check(model, 0).status == "tight"
@@ -403,7 +404,7 @@ def test_single_realization_block_is_trivially_tight():
 def test_non_extreme_realization_whose_beliefs_stay_in_its_cell_is_tight():
     # one block over payoffs (0, 1, 2): the realization 1 is not extreme, yet
     # every belief matching it lies in its cell
-    space = single_security_market((0.0, 1.0, 2.0))
+    space = OutcomeSpace((0.0, 1.0, 2.0), [[0.0], [1.0], [2.0]])
     model = LcmmCost(space, BlockStructure(((0,),)),
                      [LogPartitionCost(space)], np.zeros((1, 0)),
                      np.zeros(0))

@@ -6,8 +6,9 @@ from cfmarkets import (BlockStructure, Observation, OutcomeSpace,
                        medal_count_model, observe_block_payoff,
                        observe_coordinate, observe_identity, observe_partition,
                        observe_sum, probe_points, simplex_market,
-                       single_binary_market, single_security_market,
-                       square_market, trivial_observation)
+                       single_binary_market, square_market,
+                       trivial_observation)
+from cfmarkets.markets import EXPOSURE_MARGIN
 
 from oracles import face_check
 
@@ -42,8 +43,6 @@ def test_builders():
     assert np.allclose(simplex_market(3).payoff, np.eye(3))
     assert independent_binary_market(3).n_outcomes == 8
     assert single_binary_market().payoff[:, 0].tolist() == [0.0, 1.0]
-    sp = single_security_market((0, 1, 2))
-    assert sp.payoff[:, 0].tolist() == [0.0, 1.0, 2.0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def agreement_cases():
     and six seeded random labellings of five spaces."""
     spaces = [square_market(), independent_binary_market(3),
               simplex_market(4), medal_count_model(2).space,
-              single_security_market((0, 1, 2))]
+              OutcomeSpace((0, 1, 2), [[0.0], [1.0], [2.0]])]
     for seed, sp in enumerate(spaces):
         rng = np.random.default_rng(seed)
         yield sp, observe_sum(sp)
@@ -187,7 +186,7 @@ def test_exposure_witness_coordinate_cells():
         vin = sp.vertices(tuple(o for o in sp.outcomes if o[0] == x)) @ w.vector
         vout = sp.vertices(tuple(o for o in sp.outcomes if o[0] != x)) @ w.vector
         assert np.ptp(vin) <= 1e-9
-        assert vin.min() >= vout.max() + w.margin - 1e-9
+        assert vin.min() >= vout.max() + EXPOSURE_MARGIN - 1e-9
 
 
 def test_exposure_witness_sum_middle_cell_not_exposed():

@@ -105,7 +105,7 @@ def test_parse_scenario_errors():
     # a trade of size `tolerance` still moves an entry of 1e3
     assert parse_scenario({**base, "initial_state": [1.0e3, 0.0]}
                           ).initial_state[0] == 1.0e3
-    for budget in (-1.0, float("nan"), "lots", True):
+    for budget in (-1.0, float("nan"), float("inf"), "lots", True):
         with pytest.raises(ScenarioError):
             parse_scenario({**base, "traders": [
                 {"kind": "noise", "times": [0.5], "budget": budget}]})
@@ -364,6 +364,7 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "initial_state: [.nan, 0.0]",
     "initial_state: [.inf, 0.0]",
     "traders: [{kind: noise, times: [0.5], budget: -1.0}]",
+    "traders: [{kind: noise, times: [0.5], budget: .inf}]",
     "market: lmsr(0)",
     "market: lmsr(100000)",
     "market: independent_binary(40)",
@@ -783,6 +784,29 @@ def test_python_dash_m_runs_the_cli(capsys):
                           capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected.encode()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered",
+                                                       "unbuffered"])
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_reader_that_closes_stdout_gets_exit_1_and_no_traceback(
+        command, unbuffered):
+    # buffered, the write fails at the last flush; unbuffered, at the first
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(cfmarkets.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with subprocess.Popen(
+            [sys.executable, "-m", "cfmarkets", command,
+             scn("square_sudden.scn")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        proc.stdout.close()  # the reader is gone before the first line
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert code == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_cmd_run_csv_format(tmp_path):

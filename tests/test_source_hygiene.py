@@ -21,7 +21,10 @@ each one sits in the function that first needs the solver, or behind
 geometry's `__getattr__`, so a run that makes no LP, root-find or
 minimization never loads scipy.optimize. The scipy.optimize names the
 modules import, at any depth, are exactly the solvers listed in
-`OPTIMIZE_NAMES`, so no new optimizer enters the library unseen.
+`OPTIMIZE_NAMES`, so no new optimizer enters the library unseen. Every
+name the package `__init__` exports is read outside `tests/`: in a library
+module (beyond its own `def` or `class`), a demo or the benchmark, so an
+export only the tests call does not linger.
 """
 
 import ast
@@ -32,6 +35,7 @@ import pytest
 import cfmarkets
 
 SRC = Path(cfmarkets.__file__).resolve().parent
+REPO = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -355,7 +359,7 @@ def test_no_module_imports_scipy_optimize_when_it_loads(path):
 
 
 # every scipy.optimize name a module imports; simulate's `minimize` is the
-# belief trader's Powell fallback, until ROADMAP item 1 replaces it
+# belief trader's Powell fallback, until ROADMAP item 3 replaces it
 OPTIMIZE_NAMES = {"geometry": {"linprog"}, "_solvers": {"brentq"},
                   "lcmm": {"brentq"}, "simulate": {"minimize"}}
 
@@ -393,3 +397,33 @@ def test_scipy_optimize_names_are_the_known_solvers():
     found = {p.stem: optimize_names(p.read_text())
              for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == OPTIMIZE_NAMES
+
+
+def unread_exports(init_source: str, sources: dict) -> list:
+    """Names the package `__init__` imports from its modules that no other
+    source reads, in import order."""
+    exported = [alias.asname or alias.name
+                for n in ast.parse(init_source).body
+                if isinstance(n, ast.ImportFrom) and n.level == 1
+                for alias in n.names]
+    refs = set().union(*(references(s) for s in sources.values()))
+    return [name for name in exported if name not in refs]
+
+
+def test_the_check_finds_an_unread_export():
+    init = ("from .a import (Box, helper,\n    unused)\n"
+            "from .b import Used as Alias, spare\nimport os\n")
+    sources = {
+        "a.py": ("class Box:\n    pass\n\ndef helper():\n    return Box()\n"
+                 "\ndef unused():\n    return 0\n"),
+        "b.py": "from .a import helper\n\ndef spare():\n    return 1\n",
+        "demo.py": "import cf\nprint(cf.Alias)\n",
+    }
+    assert unread_exports(init, sources) == ["unused", "spare"]
+
+
+def test_every_export_is_read_outside_the_tests():
+    paths = [*MODULES, *sorted(REPO.glob("demos/*.py")),
+             *sorted(REPO.glob("perfbench/*.py"))]
+    sources = {str(p): p.read_text() for p in paths}
+    assert unread_exports((SRC / "__init__.py").read_text(), sources) == []

@@ -17,7 +17,8 @@ from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
 from cfmarkets.costs import CONSISTENCY_TOL
 from cfmarkets.switching import _cell_samples
 
-from oracles import square_count_violation, switched_best_response
+from oracles import (product_lmsr_conjugate, square_count_violation,
+                     switched_best_response)
 
 
 def square():
@@ -89,7 +90,7 @@ def test_switched_spread_at_switch_state():
     assert p.hi[1] == pytest.approx(1 - sigma, abs=1e-9)
     # the spread covers every cell's conditional price
     for x, cp in plan.conditional_prices.items():
-        assert p.contains(cp, tol=1e-8)
+        assert np.all((p.lo - 1e-8 <= cp) & (cp <= p.hi + 1e-8))
 
 
 def test_switched_conjugate_consistent_case():
@@ -99,7 +100,7 @@ def test_switched_conjugate_consistent_case():
     sw = plan
     rng = np.random.default_rng(2)
     for x in (0.0, 1.0):
-        V = plan.cell_models[x].vertices
+        V = plan.cell_models[x].hull.vertices
         for _ in range(10):
             lam = rng.dirichlet(np.ones(V.shape[0]))
             mu = lam @ V
@@ -165,8 +166,9 @@ def test_consistent_in_cell_conjugate_is_exact_and_below_roof_lp(name):
     assert plan.consistency.consistent
     rng = np.random.default_rng(11)
     for x, cell in plan.cell_models.items():
-        lam = rng.dirichlet(np.ones(cell.vertices.shape[0]), size=50)
-        for mu in lam @ cell.vertices:
+        V = cell.hull.vertices
+        lam = rng.dirichlet(np.ones(V.shape[0]), size=50)
+        for mu in lam @ V:
             value = sw.conjugate(mu)
             # the closed form is the in-cell offset conjugate to roundoff,
             # and the LP over exact samples never lies below it
@@ -734,6 +736,37 @@ def test_consistency_check_overlapping_cells():
     v = consistency_check(m, obs, np.zeros(2))
     assert not v.consistent
     assert "overlap" in v.witness
+
+
+# a 5-cube sum switch whose sampled roof hides a real undercut: no probe of
+# cell 3 lies at (0, .75, .75, .75, .75)
+CUBE5_STATE = [1.6691908191636107, -1.8416284933431886, 0.11435705304008659,
+               -0.1626564684583851, -1.7506016834004976]
+
+
+def cube5_sum_switch():
+    m = IndependentBinaryCost(independent_binary_market(5))
+    return SwitchedCost(m, observe_sum(m.space), CUBE5_STATE)
+
+
+def test_a_two_cell_mixture_undercuts_the_5_cube_sum_switch():
+    sw = cube5_sum_switch()
+    b = sw.offsets
+    mu = np.array([0.0, 0.5, 0.5, 0.5, 0.5])
+    low, high = np.zeros(5), np.array([0.0, 0.75, 0.75, 0.75, 0.75])
+    assert np.array_equal(low / 3 + 2 * high / 3, mu)
+    # R(mu) - b_2 against the mixture of R - b_0 at `low` and R - b_3 at
+    # `high`, with weights 1/3 and 2/3: the roof lies at or below the mixture
+    in_cell = product_lmsr_conjugate(mu, 0.0) - b[2.0]
+    mixture = ((product_lmsr_conjugate(low, 0.0) - b[0.0]) / 3
+               + 2 * (product_lmsr_conjugate(high, 0.0) - b[3.0]) / 3)
+    assert in_cell - mixture >= 0.18
+
+
+@pytest.mark.xfail(strict=True, reason="the sampled roof misses the 0.18 "
+                   "undercut of the two-cell mixture (ROADMAP item 1)")
+def test_the_5_cube_sum_switch_is_inconsistent():
+    assert not cube5_sum_switch().consistency.consistent
 
 
 # ---------------------------------------------------------------------------
