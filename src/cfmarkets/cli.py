@@ -1,7 +1,9 @@
 """Command-line surface: run scenario protocols and static checks.
 
-Exit codes: 0 all enabled checks pass, 1 a check failed or the reader
-closed stdout early, 2 the scenario could not be parsed; in `check` a
+Exit codes: 0 all enabled checks pass, 1 a check failed, the reader
+closed stdout early or the output could not be written (a `--out` path
+that cannot be opened, a full device: `error: cannot write output: ...`
+on stderr), 2 the scenario could not be parsed; in `check` a
 "not_tight" block fails. Output records are line-delimited with the fixed
 field set {ts, kind, state, price_center, spread, cost_delta, trader,
 check, value, pass} in strict JSON, with non-finite numbers written as
@@ -246,12 +248,16 @@ def main(argv=None) -> int:
             code = cmd_check(args.scenario,
                              allow_inconsistent=args.allow_inconsistent)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: exit 1, with stdout on the null device
-        # so that the interpreter's own last flush cannot fail again
+    except OSError as e:
+        # the output could not be written: exit 1, with stdout on the null
+        # device so that the interpreter's own last flush cannot fail
+        # again; a reader that closed stdout asked for no more, so a broken
+        # pipe goes unreported
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: cannot write output: {e}", file=sys.stderr)
         return 1
     return code
 

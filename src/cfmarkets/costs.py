@@ -464,10 +464,12 @@ class SwitchedCost(CostModel):
     conjugates R(mu) - b_x and is never materialized. The switch decides its
     own `consistency`: when it is consistent, and inside an exposed cell of
     any switch, the roof inside a cell is that cell's R(mu) - b_x, returned
-    in closed form. Elsewhere (off the cells, and inside the non-exposed
-    cells of an inconsistent switch) `_roof` bounds it by a
+    in closed form; which cells are so (`_exact`) is decided once, on the
+    first price that lies in a cell. Elsewhere (off the cells, and inside
+    the non-exposed cells of an inconsistent switch) `_roof` bounds it by a
     convex-combination LP over sampled probe points (cell vertices and
-    pairwise midpoints), one LP for a whole stack of prices. The sampled
+    pairwise midpoints), one LP for a whole stack of prices. One price is a
+    one-row stack: `conjugate` is `_conjs` at a single row. The sampled
     roof lies on or above the exact one, so an undercut it finds is real
     and an "inconsistent" verdict is sound; on cells that are not exposed a
     "consistent" verdict is only as good as the samples. Restricted to an
@@ -513,43 +515,25 @@ class SwitchedCost(CostModel):
         prices = [res.mu for v, res in zip(vals, solved) if v >= top - 1e-9]
         return PriceSet(np.min(prices, axis=0), np.max(prices, axis=0))
 
-    def _cells(self, mu) -> list:
-        return [x for x in self.realizations
-                if self.cell_models[x].hull.contains(mu, self.domain_tol)]
-
-    def _closed(self, cells) -> bool:
-        """Whether R(mu) - max b_x is the roof at a price held by `cells`:
-        in a consistent switch, or where each of those cells is exposed."""
-        return self.consistency.consistent or all(
-            exposure_witness(self.space, self.observation)[x] for x in cells)
-
     def conjugate(self, mu) -> float:
-        mu = _as_vector(mu, self.dim, "mu")
-        # one price takes the point tests, which cost far less than a
-        # stack's array set-up, and `_priced`'s closed form where it holds
-        cells = self._cells(mu)
-        if cells and self._closed(cells):
-            return self.base._conj(mu) - max(self.offsets[x] for x in cells)
-        inside = np.array([[x in cells] for x in self.realizations])
-        return float(self._priced(mu[None, :], inside)[0])
+        return float(self._conjs(_as_vector(mu, self.dim, "mu")[None, :])[0])
+
+    def _held(self, mus) -> np.ndarray:
+        """The X x J mask of the cells whose hull holds each row of a
+        stack, with each cell's membership asked once for the whole
+        stack."""
+        return np.array([self.cell_models[x].hull.contains_rows(
+            mus, self.domain_tol) for x in self.realizations])
 
     def _conjs(self, mus) -> np.ndarray:
-        """The roof at each row of a stack (see `_priced`), with each
-        cell's membership asked once for the whole stack."""
+        """The roof at each row of a stack: R(mu) - max b_x over the cells
+        that hold the row, in closed form, where each of those cells is
+        `_exact`; inf off the price space; elsewhere the least of
+        R(mu) - max b_x and the sampled roof, with every such row in one
+        `_roof` call, which raises if that roof fails on the price space.
+        The rows are priced as array operations over the `_held` mask."""
         mus = np.ascontiguousarray(mus, dtype=float)
-        return self._priced(mus, np.array(
-            [self.cell_models[x].hull.contains_rows(mus, self.domain_tol)
-             for x in self.realizations]))
-
-    def _priced(self, mus, inside) -> np.ndarray:
-        """The roof at each row of a stack, given the X x J mask `inside`
-        of the cells that hold each row: R(mu) - max b_x, in closed form,
-        inside the cells of a consistent switch and where every cell that
-        holds the row is exposed (its roof mixes only its own probes); inf
-        off the price space; elsewhere the least of R(mu) - max b_x and the
-        sampled roof, with every such row in one `_roof` call, which raises
-        if that roof fails on the price space. The rows are priced as
-        array operations over the mask."""
+        inside = self._held(mus)
         held = inside.any(axis=0)
         b = np.array([self.offsets[x] for x in self.realizations])
         top = np.where(inside, b[:, None], -INF).max(axis=0)
@@ -558,9 +542,7 @@ class SwitchedCost(CostModel):
         closed = held.copy()
         # the verdict only for rows in a cell: an off-cell row needs none
         if held.any():
-            hidden = np.array([not self._closed([x])
-                               for x in self.realizations])
-            closed &= ~(inside & hidden[:, None]).any(axis=0)
+            closed &= ~(inside & ~self._exact[:, None]).any(axis=0)
         out = np.where(closed, in_cell, INF)
         sampled = ~closed
         if not held.all():
@@ -577,6 +559,17 @@ class SwitchedCost(CostModel):
             out[sampled] = np.where(roof < in_cell[sampled], roof,
                                     in_cell[sampled])
         return out
+
+    @cached_property
+    def _exact(self) -> np.ndarray:
+        """Per cell, whether R(mu) - b_x is the roof inside it: in every
+        cell of a consistent switch, and in an exposed cell of any switch
+        (its roof mixes only its own probes). Decided on the first read,
+        which `_conjs` makes only for a row that lies in a cell."""
+        if self.consistency.consistent:
+            return np.ones(len(self.realizations), dtype=bool)
+        exposed = exposure_witness(self.space, self.observation)
+        return np.array([exposed[x] is not None for x in self.realizations])
 
     @property
     def consistency(self) -> ConsistencyVerdict:
@@ -645,10 +638,11 @@ class SwitchedCost(CostModel):
 
     def state_with_price(self, mu) -> np.ndarray:
         mu = _as_vector(mu, self.dim, "mu")
-        cells = self._cells(mu)
-        if not cells:
+        held = self._held(mu[None, :])[:, 0]
+        if not held.any():
             raise ValueError("mu is not in any revelation cell")
-        model = self.cell_models[cells[0]]
+        # the first realization whose cell holds mu
+        model = self.cell_models[self.realizations[int(np.argmax(held))]]
         q = model.state_with_price(mu)
         # push fixed coordinates past the switch state so this cell wins the max
         for i, x in model.fixed_coords.items():
@@ -657,18 +651,19 @@ class SwitchedCost(CostModel):
 
     def restrict(self, event):
         """Inside cell x, for every kind of cell: the base's own projection
-        onto the event (the cell's, when it is the whole cell), its value
-        less b_x. Frank-Wolfe never runs over the roof: an event that spans
-        cells raises ValueError."""
+        onto the event (the cell's, when it is the whole cell, else the
+        one the cell's `restrict` builds), its value less b_x. Frank-Wolfe
+        never runs over the roof: an event that spans cells raises
+        ValueError."""
         for x in self.realizations:
             cell = self.cell_models[x]
             if set(event) <= set(cell.event):
-                if tuple(event) != cell.event:
-                    cell = RestrictedCost(self.base, event)
+                inner = (cell._project if tuple(event) == cell.event
+                         else cell.restrict(event))
                 b = self.offsets[x]
 
                 def project(q):
-                    res = cell._project(q)
+                    res = inner(q)
                     return replace(res, value=res.value - b)
 
                 return project

@@ -191,8 +191,8 @@ class Hull:
     and `hulls_intersect` give them (an L-inf residual of at most tol, and
     of at most DEFAULT_TOL for overlap); generic hulls go to those LPs,
     which raise RuntimeError when HiGHS stops without deciding.
-    Membership has a point form, `contains`, and a stack form,
-    `contains_rows`, with the same answers.
+    Membership is decided on a stack of points, `contains_rows`; one point,
+    `contains`, is the stack's single row.
     """
 
     def __init__(self, vertices, complete: bool = False):
@@ -221,25 +221,15 @@ class Hull:
                                    count=len(self.pinned))
 
     def contains(self, mu, tol: float = DEFAULT_TOL) -> bool:
-        """Whether mu is within L-inf distance tol of the hull."""
-        if self.kind == "generic":
-            return hull_contains(self.vertices, mu, tol)
-        mu = np.asarray(mu, dtype=float)
-        if any(abs(mu[i] - c) > tol for i, c in self.pinned.items()):
-            return False
-        f = mu[self.free]
-        if np.any(f < -tol):
-            return False
-        if self.kind == "box":
-            return bool(np.all(f <= 1.0 + tol))
-        # some point with coordinates in [max(f - tol, 0), f + tol] sums to 1
-        return bool(np.maximum(f - tol, 0.0).sum() <= 1.0 <= (f + tol).sum())
+        """Whether mu is within L-inf distance tol of the hull: the
+        one-row stack of `contains_rows`."""
+        return bool(self.contains_rows(np.asarray(mu, dtype=float)[None, :],
+                                       tol)[0])
 
     def contains_rows(self, mus, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """`contains` at each row of a (J, K) stack, as a (J,) bool array:
-        the same closed-form rule as array operations on a box or simplex,
-        and `hull_contains` row by row on a generic hull. One point is
-        cheaper through `contains`."""
+        """Membership of each row of a (J, K) stack, as a (J,) bool array:
+        the closed-form rule as array operations on a box or simplex, and
+        `hull_contains` row by row on a generic hull."""
         mus = np.ascontiguousarray(mus, dtype=float)
         if self.kind == "generic":
             return np.array([hull_contains(self.vertices, mu, tol)
@@ -250,6 +240,7 @@ class Hull:
                | (f < -tol).any(axis=1))
         if self.kind == "box":
             return ok & (f <= 1.0 + tol).all(axis=1)
+        # some point with coordinates in [max(f - tol, 0), f + tol] sums to 1
         return (ok & (np.maximum(f - tol, 0.0).sum(axis=1) <= 1.0)
                 & (1.0 <= (f + tol).sum(axis=1)))
 

@@ -281,11 +281,13 @@ def observe_identity(space: OutcomeSpace) -> Observation:
 
 
 def observe_partition(space: OutcomeSpace, groups) -> Observation:
-    """Observation from an explicit list of outcome groups."""
+    """Observation from an explicit list of outcome groups; an outcome in
+    two groups raises ValueError."""
     label = {}
     for x, group in enumerate(groups):
         for w in group:
-            label[w] = x
+            if label.setdefault(w, x) != x:
+                raise ValueError(f"outcome {w!r} is in two partition groups")
     return Observation(label, name="partition").validate(space)
 
 

@@ -497,7 +497,7 @@ def test_face_cells_make_no_lp(make, lps):
     # the membership and overlap questions of the switched cost and the
     # consistency check
     for mu in probe_points(m.space):
-        plan._cells(mu)
+        plan._held(mu[None, :])
         for cell in plan.cell_models.values():
             cell.conjugate(mu)
     for a, b in combinations(plan.cell_models.values(), 2):

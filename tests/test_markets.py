@@ -73,6 +73,8 @@ def test_observe_sum_and_identity_and_partition():
     assert observe_identity(sp).cell((1, 1)) == ((1, 1),)
     obs = observe_partition(sp, [[(0, 0), (0, 1)], [(1, 0), (1, 1)]])
     assert obs.realizations == (0, 1)
+    with pytest.raises(ValueError, match=r"outcome \(0, 1\) is in two"):
+        observe_partition(sp, [[(0, 0), (0, 1)], [(0, 1), (1, 0), (1, 1)]])
     assert trivial_observation(sp).realizations == (0,)
 
 

@@ -398,6 +398,8 @@ GRADUAL_FIELDS = {"seed": "seed: 1", "protocol": "protocol: gradual",
     "initial_state: [1.0e10, 0.0]",
     "traders: [{kind: belief, times: [1.5], belief: [0.5, 0.5]}]",
     "traders: [5]",
+    "observation: {kind: partition, groups: [[[0, 0], [0, 1]], "
+    "[[0, 1], [1, 0], [1, 1]]]}",
     "traders: [noise]",
     "observation: 5",
     "observation: [coordinate]",
@@ -808,6 +810,32 @@ def test_a_reader_that_closes_stdout_gets_exit_1_and_no_traceback(
     assert code == 1, err
     assert "Traceback" not in err and "Exception ignored" not in err
 
+
+@pytest.mark.parametrize("command, out", [
+    ("run", "missing/x.jsonl"), ("run", "."), ("run", None),
+    ("check", None)], ids=["missing-dir", "directory", "full-run",
+                           "full-check"])
+def test_output_that_cannot_be_written_exits_1_and_no_traceback(
+        command, out, tmp_path):
+    # `--out` in a missing directory or at a directory; else stdout on a
+    # device that is always full
+    args, stdout = [command, scn("square_sudden.scn")], os.devnull
+    if out is None:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full device")
+        stdout = "/dev/full"
+    else:
+        args += ["--out", str(tmp_path / out)]
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(cfmarkets.__file__).resolve().parents[1]))
+    with open(stdout, "w") as fh:
+        proc = subprocess.run([sys.executable, "-m", "cfmarkets", *args],
+                              env=env, stdout=fh, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 def test_cmd_run_csv_format(tmp_path):
     out = tmp_path / "run.csv"

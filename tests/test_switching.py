@@ -283,7 +283,7 @@ def test_roof_lp_prices_off_cell_and_inconsistent_plans():
     # off the cells of a consistent plan the roof LP decides the value
     sw = plan_switch(m, coord0(m), np.array([0.3, 0.9]))
     mid = np.array([0.5, 0.5])
-    assert sw._cells(mid) == []
+    assert not sw._held(mid[None, :]).any()
     assert sw.conjugate(mid) == roof_lp(sw, mid)
     # inside a cell of an inconsistent plan the roof undercuts the cell value
     plan = plan_switch(m, observe_sum(m.space), np.array([1.0, 0.0]))
@@ -293,6 +293,30 @@ def test_roof_lp_prices_off_cell_and_inconsistent_plans():
     value = plan.conjugate(w["mu"])
     assert value == roof_lp(plan, w["mu"])
     assert value < in_cell - 0.05
+
+
+def test_state_with_price_refuses_a_price_off_the_cells():
+    m = square()
+    sw = plan_switch(m, coord0(m), np.array([0.3, 0.9]))
+    # between the faces x0 = 0 and x0 = 1: no cell holds it
+    with pytest.raises(ValueError, match="not in any revelation cell"):
+        sw.state_with_price(np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_state_with_price_inverts_in_the_first_cell_that_holds_mu(
+        first, monkeypatch):
+    m = square()
+    diagonals = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
+    groups = diagonals[first:] + diagonals[:first]
+    sw = SwitchedCost(m, observe_partition(m.space, groups), np.zeros(2))
+    asked = []
+    monkeypatch.setattr(RestrictedCost, "state_with_price",
+                        lambda self, mu: asked.append(self.event)
+                        or np.zeros(2))
+    # both diagonals pass through the centre
+    sw.state_with_price(np.array([0.5, 0.5]))
+    assert asked == [tuple(groups[0])]
 
 
 @pytest.mark.parametrize("s, mu, profit", [
