@@ -1,13 +1,14 @@
 """Command-line surface: run scenario protocols and static checks.
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, the reader
-closed stdout early or the output could not be written (a `--out` path
-that cannot be opened, a full device: `error: cannot write output: ...`
-on stderr), 2 the scenario could not be parsed; in `check` a
-"not_tight" block fails. Output records are line-delimited with the fixed
-field set {ts, kind, state, price_center, spread, cost_delta, trader,
-check, value, pass} in strict JSON, with non-finite numbers written as
-null; identical scenario and seed produce byte-identical output.
+closed stdout early, the output could not be written (a `--out` path
+that cannot be opened, a full device) or an LP stopped without an
+answer, each of the last two with one `error: ...` line on stderr, 2
+the scenario could not be parsed; in `check` a "not_tight" block fails.
+Output records are line-delimited with the fixed field set {ts, kind,
+state, price_center, spread, cost_delta, trader, check, value, pass} in
+strict JSON, with non-finite numbers written as null; identical scenario
+and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -258,6 +259,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         if not isinstance(e, BrokenPipeError):
             print(f"error: cannot write output: {e}", file=sys.stderr)
+        return 1
+    except RuntimeError as e:  # an LP stopped without an answer
+        print(f"error: {e}", file=sys.stderr)
         return 1
     return code
 

@@ -462,14 +462,14 @@ class SwitchedCost(CostModel):
     the observation and s and solves each cell once at s, for its offset and
     its conditional price. The conjugate is the convex roof of the offset
     conjugates R(mu) - b_x and is never materialized. The switch decides its
-    own `consistency`: when it is consistent, and inside an exposed cell of
-    any switch, the roof inside a cell is that cell's R(mu) - b_x, returned
-    in closed form; which cells are so (`_exact`) is decided once, on the
-    first price that lies in a cell. Elsewhere (off the cells, and inside
-    the non-exposed cells of an inconsistent switch) `_roof` bounds it by a
-    convex-combination LP over sampled probe points (cell vertices and
-    pairwise midpoints), one LP for a whole stack of prices. One price is a
-    one-row stack: `conjugate` is `_conjs` at a single row. The sampled
+    own `consistency` when it is built, and with it which cells are exact
+    (`_exact`), from one exposure read: when it is consistent, and inside
+    an exposed cell of any switch, the roof inside a cell is that cell's
+    R(mu) - b_x, returned in closed form. Elsewhere (off the cells, and
+    inside the non-exposed cells of an inconsistent switch) `_roof` bounds
+    it by a convex-combination LP over sampled probe points (cell vertices
+    and pairwise midpoints), one LP for a whole stack of prices. One price
+    is a one-row stack: `conjugate` is `_conjs` at a single row. The sampled
     roof lies on or above the exact one, so an undercut it finds is real
     and an "inconsistent" verdict is sound; on cells that are not exposed a
     "consistent" verdict is only as good as the samples. Restricted to an
@@ -498,6 +498,11 @@ class SwitchedCost(CostModel):
             if b < -1e-8:
                 raise ValueError(f"negative switch offset for {x!r}: {b}")
             self.cell_models[x], self.offsets[x] = cell, max(b, 0.0)
+        self._b = np.array([self.offsets[x] for x in self.realizations])
+        exposed = exposure_witness(self.space, observation)
+        self._violation = self._judge(exposed)
+        self._exact = (self._violation[0] <= CONSISTENCY_TOL) | np.array(
+            [exposed[x] is not None for x in self.realizations])
 
     def cost(self, q) -> float:
         # through each cell's public `cost`, which perfbench's sudden_mc
@@ -535,16 +540,10 @@ class SwitchedCost(CostModel):
         mus = np.ascontiguousarray(mus, dtype=float)
         inside = self._held(mus)
         held = inside.any(axis=0)
-        b = np.array([self.offsets[x] for x in self.realizations])
-        top = np.where(inside, b[:, None], -INF).max(axis=0)
-        in_cell = np.full(len(mus), INF)
-        in_cell[held] = self.base._conjs(mus[held]) - top[held]
-        closed = held.copy()
-        # the verdict only for rows in a cell: an off-cell row needs none
-        if held.any():
-            closed &= ~(inside & ~self._exact[:, None]).any(axis=0)
-        out = np.where(closed, in_cell, INF)
-        sampled = ~closed
+        top = np.where(inside, self._b[:, None], -INF).max(axis=0)
+        out = np.full(len(mus), INF)
+        out[held] = self.base._conjs(mus[held]) - top[held]
+        sampled = (inside & ~self._exact[:, None]).any(axis=0)
         if not held.all():
             sampled[~held] = self.space.hull().contains_rows(
                 mus[~held], self.domain_tol)
@@ -556,59 +555,44 @@ class SwitchedCost(CostModel):
             s, cs = self.switch_state, self._cost_at_switch
             # from divergence units to R(mu) - b_x
             roof = found[0] + np.array([float(s @ mu) for mu in rows]) - cs
-            out[sampled] = np.where(roof < in_cell[sampled], roof,
-                                    in_cell[sampled])
+            out[sampled] = np.where(roof < out[sampled], roof, out[sampled])
         return out
-
-    @cached_property
-    def _exact(self) -> np.ndarray:
-        """Per cell, whether R(mu) - b_x is the roof inside it: in every
-        cell of a consistent switch, and in an exposed cell of any switch
-        (its roof mixes only its own probes). Decided on the first read,
-        which `_conjs` makes only for a row that lies in a cell."""
-        if self.consistency.consistent:
-            return np.ones(len(self.realizations), dtype=bool)
-        exposed = exposure_witness(self.space, self.observation)
-        return np.array([exposed[x] is not None for x in self.realizations])
 
     @property
     def consistency(self) -> ConsistencyVerdict:
         """The verdict on this switch at `CONSISTENCY_TOL`, with the path of
-        the roof test that decided it. Built afresh from the cached
-        `_violation` on each read, so the verdict's `switched` makes no
-        reference cycle."""
+        the roof test that decided it. Built afresh on each read from
+        `_violation`, which the constructor decided, so the verdict's
+        `switched` makes no reference cycle."""
         worst, witness, path = self._violation
         ok = worst <= CONSISTENCY_TOL
         return ConsistencyVerdict(ok, worst, path, None if ok else witness,
                                   self)
 
-    @cached_property
-    def _violation(self) -> tuple[float, dict | None, str]:
-        """(worst, witness, path) of the roof test, with the path that
-        decided it: (inf, the pair, "overlap") for overlapping cells;
-        (0.0, None, "exposed"), with no LP, when every cell is exposed,
-        which makes the switch consistent at every state (arXiv
-        1407.8161); else "sampled": the worst probe value D(p || s) - b_x
-        less the sampled roof at p, both in divergence units, from one
-        `_roof` LP over every probe point."""
+    def _judge(self, exposed) -> tuple[float, dict | None, str]:
+        """(worst, witness, path) of the roof test, given each cell's
+        exposure witness, with the path that decided it: (inf, the pair,
+        "overlap") for overlapping cells; (0.0, None, "exposed"), with no
+        LP, when every cell is exposed, which makes the switch consistent
+        at every state (arXiv 1407.8161); else "sampled": the worst probe
+        value D(p || s) - b_x less the sampled roof at p, both in
+        divergence units, from one `_roof` LP over every probe point."""
         for x, y in combinations(self.realizations, 2):
             if self.cell_models[x].hull.intersects(self.cell_models[y].hull):
                 return INF, {"overlap": (x, y)}, "overlap"
-        if all(exposure_witness(self.space, self.observation).values()):
+        if all(exposed.values()):
             return 0.0, None, "exposed"
         points, values, owners = self._roof_samples
         found = self._roof(points)
         if found is None:  # pragma: no cover - each probe is a candidate
             raise RuntimeError("the roof LP failed at its own probe points")
-        low, weights = found
-        under = values - low
+        under = values - found[0]
         j = int(np.argmax(under))
         if under[j] <= 0.0:
             return 0.0, None, "sampled"
         return float(under[j]), {
             "mu": points[j].copy(), "realization": owners[j],
-            "value": values[j], "roof_value": low[j],
-            "weights": weights[j].copy()}, "sampled"
+            "value": values[j], "roof_value": found[0][j]}, "sampled"
 
     @cached_property
     def _roof_samples(self):

@@ -187,10 +187,12 @@ class Hull:
     A single unit vector is a box with every coordinate pinned, unless the
     vertices come from a `complete` market (payoffs distinct unit vectors),
     where every event is a simplex face. Membership and overlap of boxes and
-    simplices are decided in closed form, with the meaning `hull_contains`
-    and `hulls_intersect` give them (an L-inf residual of at most tol, and
-    of at most DEFAULT_TOL for overlap); generic hulls go to those LPs,
-    which raise RuntimeError when HiGHS stops without deciding.
+    simplices are decided in closed form by the exact-arithmetic rule (an
+    L-inf residual of at most tol, DEFAULT_TOL for overlap); HiGHS, at its
+    1e-10 feasibility tolerance, may answer "in" where a simplex sum misses
+    1 by rounding (about 1e-16). Generic hulls go to the LPs of
+    `hull_contains` and `hulls_intersect`, which raise RuntimeError when
+    HiGHS stops without deciding.
     Membership is decided on a stack of points, `contains_rows`; one point,
     `contains`, is the stack's single row.
     """

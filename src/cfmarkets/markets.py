@@ -98,10 +98,8 @@ class Observation:
             cells.setdefault(x, []).append(outcome)
         object.__setattr__(self, "_cells",
                            {x: tuple(ws) for x, ws in cells.items()})
-
-    @property
-    def realizations(self) -> tuple:
-        return tuple(sorted(self._cells, key=repr))
+        object.__setattr__(self, "realizations",
+                           tuple(sorted(cells, key=repr)))
 
     def cell(self, x) -> tuple:
         try:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -91,9 +92,17 @@ class Scenario:
 def _number(v, what: str) -> float:
     """v as a finite float. A bool, a string, anything else that is not an
     int or a float, and a value that is not finite or does not fit in a
-    float are a ScenarioError naming the field."""
+    float are a ScenarioError naming the field; a number with an exponent
+    that YAML left as text gets a note on why."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ScenarioError(f"{what} must be a number")
+        note = ""
+        if isinstance(v, str) and "e" in v.lower():
+            with suppress(ValueError):
+                float(v)
+                note = (f", not the text {v!r}: YAML reads an exponent as a "
+                        "number only with a decimal point and a signed "
+                        "exponent, such as 1.0e-6")
+        raise ScenarioError(f"{what} must be a number{note}")
     try:
         x = float(v)
     except OverflowError:

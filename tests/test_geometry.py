@@ -134,9 +134,6 @@ def test_large_stack_is_split_into_bounded_lps(monkeypatch):
     # 142 rows of 142 weights each; they go to HiGHS in LPs of a bounded
     # size, not as one dense program of 1,420 x 20,164
     m = IndependentBinaryCost(independent_binary_market(5))
-    sw = SwitchedCost(m, observe_sum(m.space), np.linspace(-1.0, 1.0, 5))
-    points, values, _ = sw._roof_samples
-    n = len(points)
     real, sizes = geometry.linprog, []
 
     def recording(c, **kwargs):
@@ -147,6 +144,9 @@ def test_large_stack_is_split_into_bounded_lps(monkeypatch):
         return real(c, **kwargs)
 
     monkeypatch.setattr(geometry, "linprog", recording)
+    sw = SwitchedCost(m, observe_sum(m.space), np.linspace(-1.0, 1.0, 5))
+    points, values, _ = sw._roof_samples
+    n = len(points)
     v = sw.consistency
     worst, path = v.worst_violation, v.path
     assert n == 142 and path == "sampled"

@@ -837,6 +837,62 @@ def test_output_that_cannot_be_written_exits_1_and_no_traceback(
     assert "Traceback" not in proc.stderr
     assert "Exception ignored" not in proc.stderr
 
+
+# HiGHS stops without an answer on the roof LP at this state (status 15);
+# at 1.0e+17 the same file is a clean inconsistent switch
+SOLVER_STOP = """\
+name: solver_stop
+seed: 1
+market: square
+protocol: sudden
+observation: {kind: sum}
+initial_state: [1.0e+20, -1.0e+20]
+tolerance: 1.0e+5
+switch_time: 1.0
+settlement: [0, 1]
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_a_solver_stop_exits_1_with_an_error_line_and_no_traceback(
+        command, tmp_path):
+    path = tmp_path / "stop.scn"
+    path.write_text(SOLVER_STOP)
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(cfmarkets.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "cfmarkets", command,
+                           str(path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: HiGHS stopped without an answer")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["1e-6", "1E5", "1.0e6", "1e+300"])
+def test_a_yaml_exponent_read_as_text_is_explained(tmp_path, capsys, text):
+    # YAML 1.1 reads these as strings; "1.0e-6" is a number
+    fields = dict(SUDDEN_FIELDS, tolerance=f"tolerance: {text}")
+    path = tmp_path / "exponent.scn"
+    path.write_text("\n".join(fields.values()) + "\n")
+    for command in ("run", "check"):
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: tolerance must be a number, not the text "
+                       f"'{text}': YAML reads an exponent as a number only "
+                       "with a decimal point and a signed exponent, such as "
+                       "1.0e-6\n")
+    fields["tolerance"] = "tolerance: 1.0e-6"
+    path.write_text("\n".join(fields.values()) + "\n")
+    assert main(["check", str(path)]) == 0
+    # text that is no number, or has no exponent, gets no hint
+    for line in ('t0: "0"', "t0: e5"):
+        fields = dict(GRADUAL_FIELDS, t0=line)
+        path.write_text("\n".join(fields.values()) + "\n")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == "error: t0 must be a number\n"
+
+
 def test_cmd_run_csv_format(tmp_path):
     out = tmp_path / "run.csv"
     assert cmd_run(scn("medal1_gradual.scn"), out=str(out), fmt="csv") == 0

@@ -524,6 +524,27 @@ def test_exposed_corners_of_an_inconsistent_switch_need_no_roof_lp(roof_lps):
     assert roof_lps() == before
 
 
+def test_a_switch_decides_its_verdict_and_exact_cells_when_built(
+        roof_lps, monkeypatch):
+    m = square()
+    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    assert roof_lps() == 1  # the verdict's one roof LP
+    assert sw._exact.tolist() == [True, False, True]
+    assert not sw.consistency.consistent
+    corners = np.array([[0.0, 0.0], [1.0, 1.0]])
+    assert sw._conjs(corners).tolist() == [
+        m.conjugate(mu) - sw.offsets[x] for mu, x in zip(corners, (0, 2))]
+    sw.conjugate(corners[1])
+    assert roof_lps() == 1
+    # every cell of a coordinate switch is exposed: no LP, no probe set
+    lps, real = [], geometry.linprog
+    monkeypatch.setattr(geometry, "linprog",
+                        lambda *a, **kw: lps.append(a) or real(*a, **kw))
+    sw = SwitchedCost(m, coord0(m), np.array([0.3, 0.9]))
+    assert sw.consistency.path == "exposed" and sw._exact.all()
+    assert lps == [] and "_roof_samples" not in vars(sw)
+
+
 def test_sampled_roof_on_an_exposed_face_is_not_below_its_closed_form():
     space = independent_binary_market(3)
     m = IndependentBinaryCost(space)
