@@ -43,7 +43,7 @@ print("post-switch spread:", np.round(p.lo, 4), "to", np.round(p.hi, 4),
 
 section("The desiderata audit")
 report = check_desiderata((m, s), (sw, s), obs, n_random=100)
-for name, row in report.rows.items():
+for name, row in report.items():
     tag = " (informational)" if name == "PRICE" else ""
     print(f"{name:10s} worst deviation {row.worst:.3e} "
           f"{'pass' if row.passed else 'FAIL'}{tag}")

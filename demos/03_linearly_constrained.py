@@ -23,7 +23,7 @@ def section(title):
 
 m = medal_count_model(2)
 section("Two events plus their count")
-print("securities:", m.dim, "| blocks:", m.blocks.blocks)
+print("securities:", m.dim, "| blocks:", m.blocks)
 print("constraint direction (both signs):", m.A[:, 0],
       "-- event prices must sum to the expected count")
 
@@ -50,7 +50,7 @@ print("D(mu || q) via R + C - q.mu :",
 section("Tightness: when block prices pin beliefs")
 for g in range(len(m.blocks)):
     res = tightness_check(m, g)
-    print(f"block {g} {m.blocks.blocks[g]}: {res.status}")
+    print(f"block {g} {m.blocks[g]}: {res.status}")
 print("(every realization of these blocks is exposed: some linear function"
       "\n of the block payoffs is largest there alone, so fixing the block's"
       "\n prices pins beliefs; tight blocks are the ones whose liquidity can"

@@ -30,7 +30,7 @@ sched = Schedule((BlockSchedule("exponential", rate=0.5),  # the event block
 
 section("Time updates preserve prices and shrink utility")
 q = np.array([0.8, -0.2, 0.4])
-obs = observe_block_payoff(m.space, m.blocks.blocks[0])
+obs = observe_block_payoff(m.space, m.blocks[0])
 cell = obs.cell((1.0,))
 state, t = q, 0.0
 print(" t    beta    price(event)   Util(event=1)")

@@ -17,8 +17,7 @@ from .gradual import (BlockSchedule, PartialDecreaseAudit, Schedule,
 from .lcmm import (ArbitrageSolution, LcmmCost, TightnessResult,
                    certificate_check, lcmm_divergence, medal_count_model,
                    tightness_check)
-from .markets import (BlockStructure, ExposureWitness, Observation,
-                      OutcomeSpace, exposure_witness,
+from .markets import (Observation, OutcomeSpace, exposure_witness,
                       independent_binary_market, observe_block_payoff,
                       observe_coordinate, observe_identity, observe_partition,
                       observe_sum, probe_points, simplex_market,
@@ -29,8 +28,8 @@ from .simulate import (BeliefTrader, InconsistentPlanError, JitArbitrageur,
                        Ledger, NoiseTrader, TradeRecord, TradeRequest,
                        TraderAgent, run_protocol1, run_protocol2, verify_loss,
                        wc_loss_bound)
-from .switching import (DesiderataReport, DesiderataRow, check_desiderata,
-                        consistency_check, plan_switch)
+from .switching import (DesiderataRow, check_desiderata, consistency_check,
+                        plan_switch)
 from .utility import (EventUtility, OptimizingSequence, conditional_price,
                       excess_util, optimizing_sequence, util_belief,
                       util_event)

@@ -125,7 +125,7 @@ def _run_sudden(sc: Scenario, allow_inconsistent: bool):
     report = check_desiderata((sc.model, plan.switch_state),
                               (plan, plan.switch_state),
                               sc.observation, tol=sc.tol, seed=sc.seed)
-    for name, row in report.rows.items():
+    for name, row in report.items():
         # PRICE is not gated: the switch opens a spread on the revealed
         # coordinates; an inconsistent switch is held to ZEROUTIL alone
         enabled = name != "PRICE" and (consistent or name == "ZEROUTIL")
@@ -192,7 +192,7 @@ def cmd_check(path, allow_inconsistent: bool = False) -> int:
         for x in sc.observation.realizations:
             w = witnesses[x]
             tag = ("exposed, witness "
-                   f"{[round(float(v), 3) for v in w.vector]}"
+                   f"{[round(float(v), 3) for v in w]}"
                    if w is not None else "no exposure witness")
             print(f"  cell {x!r}: {tag}")
         verdict = consistency_check(sc.model, sc.observation,
@@ -213,9 +213,9 @@ def cmd_check(path, allow_inconsistent: bool = False) -> int:
             ok = allow_inconsistent
         bound = wc_loss_bound(sc.model, sc.initial_state)
     else:
-        for g in range(len(sc.model.blocks.blocks)):
+        for g in range(len(sc.model.blocks)):
             res = tightness_check(sc.model, g)
-            print(f"block {g} {sc.model.blocks.blocks[g]}: {res.status}")
+            print(f"block {g} {sc.model.blocks[g]}: {res.status}")
             ok = ok and bool(res)
         bound = wc_loss_bound(model_at(sc.model, sc.schedule, sc.t0),
                               sc.initial_state)

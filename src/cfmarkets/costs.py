@@ -580,7 +580,7 @@ class SwitchedCost(CostModel):
         for x, y in combinations(self.realizations, 2):
             if self.cell_models[x].hull.intersects(self.cell_models[y].hull):
                 return INF, {"overlap": (x, y)}, "overlap"
-        if all(exposed.values()):
+        if all(w is not None for w in exposed.values()):
             return 0.0, None, "exposed"
         points, values, owners = self._roof_samples
         found = self._roof(points)

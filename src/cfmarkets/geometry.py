@@ -81,7 +81,7 @@ def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
 
 
 def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
-                       tol: float = DEFAULT_TOL):
+                       tol: float):
     """Minimize sum(w * values) over convex weights w with P^T w = mu (+- tol).
 
     `mu` is one point (K,) or a stack (J, K). A stack is solved as
@@ -124,7 +124,7 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
 
 
 def separating_direction(inside_points: np.ndarray, outside_points: np.ndarray,
-                         margin: float = 1.0):
+                         margin: float):
     """Direction v with v.p constant on inside_points and at least `margin`
     above every outside point, or None when HiGHS proves there is none; any
     other HiGHS stop raises RuntimeError.
@@ -228,7 +228,7 @@ class Hull:
         return bool(self.contains_rows(np.asarray(mu, dtype=float)[None, :],
                                        tol)[0])
 
-    def contains_rows(self, mus, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def contains_rows(self, mus, tol: float) -> np.ndarray:
         """Membership of each row of a (J, K) stack, as a (J,) bool array:
         the closed-form rule as array operations on a box or simplex, and
         `hull_contains` row by row on a generic hull."""

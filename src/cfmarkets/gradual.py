@@ -20,7 +20,7 @@ import numpy as np
 from .costs import ScaledCost, _as_vector
 from .lcmm import ArbitrageSolution, LcmmCost, tightness_check
 from .markets import _checked_index, observe_block_payoff
-from .switching import DesiderataReport, check_desiderata
+from .switching import check_desiderata
 
 AUDIT_TOL = 1e-6  # partial_decrease_audit's desiderata and drop tolerance
 
@@ -66,8 +66,6 @@ class Schedule:
         return self
 
     def beta(self, g: int, t: float) -> float:
-        if t < self.t0:
-            raise ValueError("time before schedule start")
         return self.per_block[g].value(t - self.t0)
 
     def alpha(self, g: int, t: float, t_new: float) -> float:
@@ -154,7 +152,7 @@ def divergence_decomposition(model: LcmmCost, schedule: Schedule, mu, q,
 
 @dataclass
 class PartialDecreaseAudit:
-    report: DesiderataReport
+    report: dict  # `check_desiderata`'s rows, by name
     drops: dict  # realization -> (measured, predicted)
     tightness: object
     alpha: float
@@ -174,11 +172,11 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
     """
     g = _checked_index(g, len(model.blocks), "block index")
     schedule.validate(model)
-    for g2 in range(len(model.blocks.blocks)):
+    for g2 in range(len(model.blocks)):
         if g2 != g and abs(schedule.beta(g2, t_new) - schedule.beta(g2, t)) > 1e-12:
             raise ValueError("only block g's schedule may change on (t, t_new]")
     q = _as_vector(q, model.dim, "q")
-    obs = observe_block_payoff(model.space, model.blocks.blocks[g])
+    obs = observe_block_payoff(model.space, model.blocks[g])
     ts = new_state(model, schedule, q, t, t_new)
     m_old = model_at(model, schedule, t)
     m_new = model_at(model, schedule, t_new)
@@ -189,7 +187,7 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
     shifted_block = (q + ts.solution.delta)[idx]
     drops = {}
     drop_ok = True
-    for x, utils in report.row("DECUTIL").details.items():
+    for x, utils in report["DECUTIL"].details.items():
         measured = utils["util_old"] - utils["util_new"]
         predicted = (1.0 - alpha) * c_t.divergence(np.asarray(x), shifted_block)
         drops[x] = (measured, predicted)
@@ -197,9 +195,8 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
             drop_ok = False
     tight = tightness_check(model, g)
     need_strict = bool(tight) and model.block_costs[g].differentiable
-    rows_ok = (report.row("CONDPRICE").passed and report.row("EXUTIL").passed
-               and report.row("PRICE").passed)
+    rows_ok = all(report[k].passed for k in ("CONDPRICE", "EXUTIL", "PRICE"))
     if need_strict and alpha < 1.0:
-        rows_ok = rows_ok and report.row("DECUTIL").passed
+        rows_ok = rows_ok and report["DECUTIL"].passed
     return PartialDecreaseAudit(report, drops, tight, alpha,
                                 rows_ok and drop_ok)

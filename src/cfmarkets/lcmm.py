@@ -26,9 +26,9 @@ import numpy as np
 
 from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
                     _as_vector, _floored)
-from .markets import (BlockStructure, OutcomeSpace, _checked_index,
-                      exposure_witness, independent_binary_market,
-                      observe_identity, simplex_market)
+from .markets import (OutcomeSpace, _checked_index, exposure_witness,
+                      independent_binary_market, observe_identity,
+                      simplex_market)
 
 INF = float("inf")
 CERTIFICATE_TOL = 1e-7  # certificate_check's gap and hull-membership slack
@@ -47,21 +47,27 @@ class ArbitrageSolution:
 
 
 class LcmmCost(CostModel):
-    """Cost model combining block costs under linear belief constraints."""
+    """Cost model combining block costs under linear belief constraints;
+    `blocks` partitions the security indices, one index group per cost."""
 
     kind = "lcmm"
     differentiable = True
     solve_tol = 1e-9  # certificate gap at which a solve is converged
 
-    def __init__(self, space: OutcomeSpace, blocks: BlockStructure,
-                 block_costs, A, b_c):
+    def __init__(self, space: OutcomeSpace, blocks, block_costs, A, b_c):
         super().__init__(space)
-        blocks.validate_cover(space.dim)
-        self.blocks = blocks
+        self.blocks = blocks = tuple(tuple(int(i) for i in g) for g in blocks)
+        flat = sorted(i for g in blocks for i in g)
+        if not blocks or not all(blocks):
+            raise ValueError("blocks must be non-empty")
+        if len(flat) != len(set(flat)):
+            raise ValueError("blocks must be disjoint")
+        if flat != list(range(space.dim)):
+            raise ValueError("blocks must cover all security indices")
         self.block_costs = tuple(block_costs)
-        if len(self.block_costs) != len(blocks.blocks):
+        if len(self.block_costs) != len(blocks):
             raise ValueError("one cost per block required")
-        for g, c in zip(blocks.blocks, self.block_costs):
+        for g, c in zip(blocks, self.block_costs):
             if c.dim != len(g):
                 raise ValueError("block cost dimension mismatch")
         A = np.asarray(A, dtype=float)
@@ -79,7 +85,7 @@ class LcmmCost(CostModel):
         self.b_c = b_c
         self.strictly_convex = all(c.strictly_convex for c in self.block_costs)
         self.differentiable = all(c.differentiable for c in self.block_costs)
-        self._slices = [np.array(g, dtype=int) for g in blocks.blocks]
+        self._slices = [np.array(g, dtype=int) for g in blocks]
         self._cache: dict = {}
         self._last = (None, None, None)  # `_at`'s (state bytes, mu, costs)
 
@@ -317,8 +323,7 @@ def medal_count_model(n: int) -> LcmmCost:
         payoff[i, :n] = w
         payoff[i, n + sum(w)] = 1.0
     space = OutcomeSpace(outcomes, payoff)
-    blocks = BlockStructure(tuple((i,) for i in range(n))
-                            + (tuple(range(n, dim)),))
+    blocks = tuple((i,) for i in range(n)) + (tuple(range(n, dim)),)
     block_costs = [IndependentBinaryCost(independent_binary_market(1))
                    for _ in range(n)]
     block_costs.append(LmsrCost(simplex_market(n + 1)))
@@ -330,8 +335,8 @@ def medal_count_model(n: int) -> LcmmCost:
 @dataclass
 class TightnessResult:
     """`tightness_check`'s answer for one block. `witness` maps each block
-    realization to its `ExposureWitness`, in block coordinates, or None;
-    "not_tight" comes with a `counterexample` belief."""
+    realization to its read-only witness vector, in block coordinates, or
+    None; "not_tight" comes with a `counterexample` belief."""
 
     status: str  # "tight" | "not_tight"
     witness: dict

@@ -1,4 +1,4 @@
-"""Finite outcome spaces, payoff geometry, observations, and block structure.
+"""Finite outcome spaces, payoff geometry, observations, and exposure.
 
 A market is specified by a finite outcome set and a payoff matrix: row omega
 gives the payoff of each of the K securities if omega occurs. The price space M
@@ -86,7 +86,6 @@ class Observation:
     """Labeling of outcomes into an exhaustive, disjoint family of cells."""
 
     label: dict  # outcome -> realization
-    name: str = ""
     # id(space) -> (space, witnesses) built by `exposure_witness`; private
     _exposure: dict = field(default_factory=dict, init=False, compare=False,
                             repr=False)
@@ -114,47 +113,6 @@ class Observation:
         if set(self.label) != set(space.outcomes):
             raise ValueError("observation must label every outcome exactly")
         return self
-
-
-@dataclass(frozen=True)
-class BlockStructure:
-    """Partition of security indices into blocks."""
-
-    blocks: tuple
-
-    def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in g) for g in self.blocks)
-        if not blocks or any(len(g) == 0 for g in blocks):
-            raise ValueError("blocks must be non-empty")
-        flat = [i for g in blocks for i in g]
-        if len(flat) != len(set(flat)):
-            raise ValueError("blocks must be disjoint")
-        object.__setattr__(self, "blocks", blocks)
-
-    def validate_cover(self, dim: int):
-        flat = sorted(i for g in self.blocks for i in g)
-        if flat != list(range(dim)):
-            raise ValueError("blocks must cover all security indices")
-        return self
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __len__(self):
-        return len(self.blocks)
-
-
-@dataclass(frozen=True)
-class ExposureWitness:
-    """Linear functional whose argmax over payoffs is exactly one cell,
-    with a gap of `EXPOSURE_MARGIN` to every other payoff."""
-
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "vector", v)
 
 
 def probe_points(space: OutcomeSpace, outcomes=None) -> np.ndarray:
@@ -186,13 +144,14 @@ EXPOSURE_MARGIN = 1.0  # gap of every witness between its cell and the rest
 
 
 def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
-    """Separating direction per cell, or None for cells that are not exposed.
+    """Read-only separating direction per cell, or None where not exposed.
 
     A cell is exposed when it is exactly the argmax set of some linear
-    function of payoffs. Simplex and sub-cube faces (`OutcomeSpace.hull`) have
-    constructive witnesses; otherwise a linear feasibility problem decides.
-    Exposure does not depend on the state, so the observation keeps the
-    answer per space and every later call returns a copy of it.
+    function of payoffs (with a gap of `EXPOSURE_MARGIN` to the rest).
+    Simplex and sub-cube faces (`OutcomeSpace.hull`) have constructive
+    witnesses; otherwise a linear feasibility problem decides. Exposure
+    does not depend on the state, so the observation keeps the answer per
+    space and every later call returns a copy of it.
     """
     hit = obs._exposure.get(id(space))
     if hit is not None:
@@ -215,8 +174,9 @@ def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
                 space.vertices(cell),
                 space.vertices(others) if others else np.empty((0, space.dim)),
                 EXPOSURE_MARGIN)
-        out[x] = (None if candidate is None
-                  else ExposureWitness(candidate))
+        if candidate is not None:
+            candidate.setflags(write=False)
+        out[x] = candidate
     obs._exposure[id(space)] = (space, out)  # holding space keeps its id
     return dict(out)
 
@@ -263,19 +223,19 @@ def _checked_index(i, n: int, what: str) -> int:
 def observe_coordinate(space: OutcomeSpace, i: int) -> Observation:
     """Observation revealing security i's payoff."""
     i = _checked_index(i, space.dim, "coordinate index")
-    return Observation({w: float(space.payoff_of(w)[i]) for w in space.outcomes},
-                       name=f"coordinate {i}")
+    return Observation({w: float(space.payoff_of(w)[i])
+                        for w in space.outcomes})
 
 
 def observe_sum(space: OutcomeSpace) -> Observation:
     """Observation revealing the sum of all payoffs."""
     return Observation({w: float(space.payoff_of(w).sum())
-                        for w in space.outcomes}, name="sum")
+                        for w in space.outcomes})
 
 
 def observe_identity(space: OutcomeSpace) -> Observation:
     """Observation revealing the outcome itself."""
-    return Observation({w: w for w in space.outcomes}, name="identity")
+    return Observation({w: w for w in space.outcomes})
 
 
 def observe_partition(space: OutcomeSpace, groups) -> Observation:
@@ -286,12 +246,12 @@ def observe_partition(space: OutcomeSpace, groups) -> Observation:
         for w in group:
             if label.setdefault(w, x) != x:
                 raise ValueError(f"outcome {w!r} is in two partition groups")
-    return Observation(label, name="partition").validate(space)
+    return Observation(label).validate(space)
 
 
 def trivial_observation(space: OutcomeSpace) -> Observation:
     """Single-cell observation (nothing is revealed)."""
-    return Observation({w: 0 for w in space.outcomes}, name="trivial")
+    return Observation({w: 0 for w in space.outcomes})
 
 
 def observe_block_payoff(space: OutcomeSpace, block) -> Observation:
@@ -299,5 +259,4 @@ def observe_block_payoff(space: OutcomeSpace, block) -> Observation:
     block = tuple(_checked_index(i, space.dim, "block index") for i in block)
     return Observation(
         {w: tuple(float(v) for v in space.payoff_of(w)[list(block)])
-         for w in space.outcomes},
-        name=f"block {block}")
+         for w in space.outcomes})

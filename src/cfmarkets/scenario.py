@@ -44,7 +44,7 @@ from .markets import (Observation, OutcomeSpace, _checked_index,
                       observe_sum, simplex_market, single_binary_market,
                       square_market, trivial_observation)
 from .simulate import (BeliefTrader, JitArbitrageur, NoiseTrader,
-                       TradeRequest, check_sudden_inputs)
+                       TradeRequest, _check_agent, check_sudden_inputs)
 
 try:  # libyaml's parser, where PyYAML was built with it
     from yaml import CSafeLoader as SafeLoader
@@ -408,6 +408,7 @@ def _parse_scenario(raw: _Fields) -> Scenario:
                 else:
                     agent = _build_trader(entry, trader, obs, settlement,
                                           model)
+                    _check_agent(model, agent, settlement)
                 sc.requests.append(TradeRequest(time, trader, bundle, agent))
     return sc
 

@@ -162,33 +162,38 @@ class JitArbitrageur(TraderAgent):
         return self._cap(model, q, seq.bundle)
 
 
-def check_sudden_inputs(model: CostModel, obs: Observation, traders,
-                        switch_time: float, outcome) -> None:
-    """Raise ValueError for a sudden-revelation run that cannot be carried
-    out as specified: a switch time that is not finite, an arbitrageur that
-    contradicts the settlement or acts before the switch, or a belief trader
-    that trades with a belief outside the price space (no state has that
-    price, and its trade would clip), or at or after switch_time with a
-    belief in no cell's hull (the switched cost has no state there)."""
-    if not np.isfinite(switch_time):
-        raise ValueError("switch_time must be finite")
-    x_true = obs.of(outcome)
-    for tr in traders:
-        if isinstance(tr, JitArbitrageur):
-            if tr.x != x_true:
-                raise ValueError("arbitrageur realization contradicts settlement")
-            if tr.times and tr.times[0] < switch_time:
-                # acting before the observation is announced is disallowed
-                raise ValueError("arbitrageur may only act at/after the switch")
-        if not (isinstance(tr, BeliefTrader) and tr.times):
-            continue
+def _check_agent(model: CostModel, tr: TraderAgent | None, outcome) -> None:
+    """Raise ValueError for an agent of either protocol whose realization
+    contradicts the settlement, or whose belief lies outside the price
+    space (no state has that price, and its trade would clip)."""
+    if isinstance(tr, JitArbitrageur) and tr.x != tr.obs.of(outcome):
+        raise ValueError("arbitrageur realization contradicts settlement")
+    if isinstance(tr, BeliefTrader):
         mu = _as_vector(tr.mu, model.dim, "belief")
         if not model.space.hull().contains(mu, model.domain_tol):
             raise ValueError(f"belief trader {tr.name!r} holds a belief "
                              "outside the price space")
-        if tr.times[-1] >= switch_time and not any(
-                model.space.hull(obs.cell(x)).contains(mu, model.domain_tol)
-                for x in obs.realizations):
+
+
+def check_sudden_inputs(model: CostModel, obs: Observation, traders,
+                        switch_time: float, outcome) -> None:
+    """Raise ValueError for a sudden-revelation run that cannot be carried
+    out as specified: a switch time that is not finite, a trader that fails
+    `_check_agent`, an arbitrageur that acts before the switch, or a belief
+    trader that trades at or after switch_time with a belief in no cell's
+    hull (the switched cost has no state there)."""
+    if not np.isfinite(switch_time):
+        raise ValueError("switch_time must be finite")
+    for tr in traders:
+        _check_agent(model, tr, outcome)
+        if not tr.times:
+            continue
+        if isinstance(tr, JitArbitrageur) and tr.times[0] < switch_time:
+            # acting before the observation is announced is disallowed
+            raise ValueError("arbitrageur may only act at/after the switch")
+        if (isinstance(tr, BeliefTrader) and tr.times[-1] >= switch_time
+                and not any(model.space.hull(obs.cell(x)).contains(
+                    tr.mu, model.domain_tol) for x in obs.realizations)):
             raise ValueError(f"belief trader {tr.name!r} trades after the "
                              "switch with a belief in no revelation cell")
 
@@ -245,9 +250,13 @@ class TradeRequest:
 
 def run_protocol2(model: LcmmCost, schedule: Schedule, s0, t0: float,
                   requests, outcome, seed: int = 0) -> Ledger:
-    """Gradual-decrease run: advance the state along the schedules before
-    each request, trade at the request's time, settle."""
+    """Gradual-decrease run: `_check_agent` every request's agent, then
+    advance the state along the schedules before each request, trade at
+    the request's time, settle."""
     schedule.validate(model)
+    requests = list(requests)
+    for req in requests:
+        _check_agent(model, req.agent, outcome)
     rng = np.random.default_rng(seed)
     q = _as_vector(s0, model.dim, "s0")
     t = float(t0)

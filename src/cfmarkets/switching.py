@@ -20,18 +20,9 @@ from .utility import util_event
 
 @dataclass
 class DesiderataRow:
-    name: str
     passed: bool
     worst: float
     details: dict = field(default_factory=dict)
-
-
-@dataclass
-class DesiderataReport:
-    rows: dict
-
-    def row(self, name: str) -> DesiderataRow:
-        return self.rows[name]
 
 
 def plan_switch(m: CostModel, obs: Observation, s) -> SwitchedCost:
@@ -60,14 +51,15 @@ def _cell_samples(space: OutcomeSpace, cell, n_random: int,
 
 
 def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
-                     n_random: int = 32, seed: int = 0) -> DesiderataReport:
+                     n_random: int = 32, seed: int = 0) -> dict:
     """Audit the five update desiderata between (model, state) pairs.
 
     old/new are (CostModel, state) tuples over the same outcome space.
-    Rows: PRICE (price sets agree), CONDPRICE (per-cell conditional prices
-    agree), ZEROUTIL (no post-update utility for any realization), DECUTIL
-    (utility decreased wherever it was positive), EXUTIL (divergence change
-    constant on each cell, so within-cell preferences are untouched).
+    Rows, a `DesiderataRow` by name: PRICE (price sets agree), CONDPRICE
+    (per-cell conditional prices agree), ZEROUTIL (no post-update utility
+    for any realization), DECUTIL (utility decreased wherever it was
+    positive), EXUTIL (divergence change constant on each cell, so
+    within-cell preferences are untouched).
     Each row is measured and reported, never gated here: callers choose the
     rows that must pass (a switch opens a spread on the revealed
     coordinates, so `cfmarkets run` does not gate PRICE).
@@ -87,7 +79,7 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
     p_old, p_new = m_old.price(s_old), m_new.price(s_new)
     dev = max(float(np.max(np.abs(p_old.lo - p_new.lo), initial=0.0)),
               float(np.max(np.abs(p_old.hi - p_new.hi), initial=0.0)))
-    rows["PRICE"] = DesiderataRow("PRICE", dev <= tol, dev)
+    rows["PRICE"] = DesiderataRow(dev <= tol, dev)
 
     cp_dev = 0.0
     zero_worst = 0.0
@@ -122,10 +114,8 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
             ex_dev = max(ex_dev, float(diffs.max() - diffs.min()))
         details[x] = {"util_old": u_old, "util_new": u_new}
 
-    rows["CONDPRICE"] = DesiderataRow("CONDPRICE", cp_dev <= tol, cp_dev)
-    rows["ZEROUTIL"] = DesiderataRow("ZEROUTIL", zero_worst <= tol, zero_worst,
-                                     details=details)
-    rows["DECUTIL"] = DesiderataRow("DECUTIL", dec_ok, dec_worst,
-                                    details=details)
-    rows["EXUTIL"] = DesiderataRow("EXUTIL", ex_dev <= tol, ex_dev)
-    return DesiderataReport(rows)
+    rows["CONDPRICE"] = DesiderataRow(cp_dev <= tol, cp_dev)
+    rows["ZEROUTIL"] = DesiderataRow(zero_worst <= tol, zero_worst, details)
+    rows["DECUTIL"] = DesiderataRow(dec_ok, dec_worst, details)
+    rows["EXUTIL"] = DesiderataRow(ex_dev <= tol, ex_dev)
+    return rows

@@ -289,7 +289,7 @@ def max_outside_weight(model, g, x) -> float:
     outside x's cell: max of sum over w outside the cell of lam_w, over lam
     in the simplex with V_g^T lam = x. It is 0 exactly when x is an extreme
     point of block g's realizations."""
-    V = model.space.payoff[:, list(model.blocks.blocks[g])]
+    V = model.space.payoff[:, list(model.blocks[g])]
     x = np.asarray(x, dtype=float)
     outside = (np.max(np.abs(V - x), axis=1) > 1e-9).astype(float)
     n = V.shape[0]
@@ -335,7 +335,7 @@ def fiber_escape(model, g, x, draws: int, seed: int):
     the cell's payoff rows with `hull_member`. None proves nothing; a
     belief returned is a real counterexample to tightness."""
     P = model.space.payoff
-    V = P[:, list(model.blocks.blocks[g])]
+    V = P[:, list(model.blocks[g])]
     x = np.asarray(x, dtype=float)
     cell = P[np.max(np.abs(V - x), axis=1) <= 1e-9]
     n = P.shape[0]

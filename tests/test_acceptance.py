@@ -113,9 +113,9 @@ def test_03_desiderata_on_square_coordinate():
         plan = plan_switch(m, obs, s)
         report = check_desiderata((m, s), (plan, s), obs,
                                   n_random=100, seed=0)
-        assert report.row("ZEROUTIL").worst <= 1e-8
-        assert report.row("EXUTIL").worst <= 1e-6
-        assert report.row("CONDPRICE").worst <= 1e-7
+        assert report["ZEROUTIL"].worst <= 1e-8
+        assert report["EXUTIL"].worst <= 1e-6
+        assert report["CONDPRICE"].worst <= 1e-7
     done(3, "ZeroUtil<=1e-8, ExUtil<=1e-6 (100 samples/cell), CondPrice<=1e-7")
 
 

@@ -54,7 +54,7 @@ def outside_weight(inside, mu):
     """Largest weight off the marked vertices over convex decompositions of
     mu, from `min_weighted_value` with value -1 off them and 0 on them."""
     found = geometry.min_weighted_value(SQUARE, np.where(inside, 0.0, -1.0),
-                                        mu)
+                                        mu, geometry.DEFAULT_TOL)
     return None if found is None else -found[0]
 
 
@@ -78,32 +78,37 @@ def test_outside_weight_none_when_not_in_hull():
 
 def test_min_weighted_value():
     values = SQUARE.sum(axis=1)  # 0, 1, 1, 2: affine, so constant mixtures
-    out = geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]))
+    out = geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]),
+                                      geometry.DEFAULT_TOL)
     assert out is not None
     assert out[0] == pytest.approx(1.0, abs=1e-8)
     values = np.array([0.0, 1.0, 1.0, 0.0])
-    out = geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]))
+    out = geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]),
+                                      geometry.DEFAULT_TOL)
     assert out[0] == pytest.approx(0.0, abs=1e-8)  # mix the two zero corners
 
 
 def test_min_weighted_value_rejects_nonfinite():
     values = np.array([np.inf, 1.0, 1.0, 0.0])
     with pytest.raises(ValueError):
-        geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]))
+        geometry.min_weighted_value(SQUARE, values, np.array([0.5, 0.5]),
+                                    geometry.DEFAULT_TOL)
 
 
 def test_min_weighted_value_none_outside():
     values = SQUARE.sum(axis=1)
-    assert geometry.min_weighted_value(SQUARE, values,
-                                       np.array([1.5, 0.5])) is None
+    assert geometry.min_weighted_value(SQUARE, values, np.array([1.5, 0.5]),
+                                       geometry.DEFAULT_TOL) is None
 
 
 def assert_stack_matches_single_points(points, values, stack):
-    found, weights = geometry.min_weighted_value(points, values, stack)
+    found, weights = geometry.min_weighted_value(points, values, stack,
+                                                 geometry.DEFAULT_TOL)
     assert found.shape == (len(stack),)
     assert weights.shape == (len(stack), len(points))
     for mu, value, w in zip(stack, found, weights):
-        alone = geometry.min_weighted_value(points, values, mu)
+        alone = geometry.min_weighted_value(points, values, mu,
+                                            geometry.DEFAULT_TOL)
         assert abs(value - alone[0]) <= 1e-12
         # each block's weights are its own convex decomposition of its row
         assert abs(w.sum() - 1.0) <= 1e-9
@@ -179,7 +184,7 @@ def test_separating_direction_infeasible_for_diagonal():
 
 
 def test_separating_direction_empty_outside():
-    v = geometry.separating_direction(SQUARE, np.empty((0, 2)))
+    v = geometry.separating_direction(SQUARE, np.empty((0, 2)), margin=1.0)
     assert np.array_equal(v, np.zeros(2))
 
 
@@ -241,22 +246,24 @@ def test_a_highs_stop_raises(status):
     with mock.patch.object(geometry, "linprog",
                            return_value=highs_stop(status)):
         with pytest.raises(RuntimeError):
-            geometry.min_weighted_value(SQUARE, np.ones(4), SQUARE[0])
+            geometry.min_weighted_value(SQUARE, np.ones(4), SQUARE[0],
+                                        geometry.DEFAULT_TOL)
         with pytest.raises(RuntimeError):
             geometry.hull_contains(SQUARE, np.array([0.5, 0.5]))
         with pytest.raises(RuntimeError):
             geometry.hulls_intersect(SQUARE[:2], SQUARE[2:])
         with pytest.raises(RuntimeError):
-            geometry.separating_direction(SQUARE[2:], SQUARE[:2])
+            geometry.separating_direction(SQUARE[2:], SQUARE[:2], margin=1.0)
 
 
 def test_an_infeasible_lp_is_outside():
     with mock.patch.object(geometry, "linprog", return_value=highs_stop(2)):
-        assert geometry.min_weighted_value(SQUARE, np.ones(4),
-                                           SQUARE[0]) is None
+        assert geometry.min_weighted_value(SQUARE, np.ones(4), SQUARE[0],
+                                           geometry.DEFAULT_TOL) is None
         assert geometry.hull_contains(SQUARE, np.array([0.5, 0.5])) is False
         assert geometry.hulls_intersect(SQUARE[:2], SQUARE[2:]) is False
-        assert geometry.separating_direction(SQUARE[2:], SQUARE[:2]) is None
+        assert geometry.separating_direction(SQUARE[2:], SQUARE[:2],
+                                             margin=1.0) is None
 
 
 def loop_separating_rows(P_out, k, margin):
@@ -316,8 +323,8 @@ def test_lps_are_assembled_as_written_out(seed):
         geometry.separating_direction(A, B, margin=0.5)
         geometry.hull_contains(A, mu)
         geometry.hulls_intersect(A, B)
-        geometry.min_weighted_value(A, values, stack[0])
-        geometry.min_weighted_value(A, values, stack)
+        geometry.min_weighted_value(A, values, stack[0], geometry.DEFAULT_TOL)
+        geometry.min_weighted_value(A, values, stack, geometry.DEFAULT_TOL)
     # membership is the zero-valued one-point LP; overlap is membership of
     # 0 in the hull of the differences a_i - b_j
     diffs = np.array([a - b for a in A for b in B])

@@ -224,7 +224,7 @@ def test_divergence_decomposition_identity():
 def test_block_utility_decays_monotonically():
     m = medal_count_model(1)
     sched = decaying_schedule(m, {0: 0.8})
-    obs = observe_block_payoff(m.space, m.blocks.blocks[0])
+    obs = observe_block_payoff(m.space, m.blocks[0])
     cell = obs.cell((1.0,))
     q = np.array([0.7, -0.2, 0.3])
     utils = []
@@ -263,9 +263,9 @@ def test_partial_decrease_audit_second_block():
                                    np.array([0.2, -0.5, 0.1, 0.4, -0.2]),
                                    0.5, 1.5)
     assert audit.passed
-    assert audit.report.row("PRICE").passed
-    assert audit.report.row("CONDPRICE").passed
-    assert audit.report.row("EXUTIL").passed
+    assert audit.report["PRICE"].passed
+    assert audit.report["CONDPRICE"].passed
+    assert audit.report["EXUTIL"].passed
 
 
 def test_partial_decrease_audit_reads_its_drops_off_the_report(monkeypatch):
@@ -281,7 +281,7 @@ def test_partial_decrease_audit_reads_its_drops_off_the_report(monkeypatch):
 
     monkeypatch.setattr(RestrictedCost, "_project", counted)
     audit = partial_decrease_audit(m, sched, 1, q, 0.5, 1.5)
-    obs = observe_block_payoff(m.space, m.blocks.blocks[1])
+    obs = observe_block_payoff(m.space, m.blocks[1])
     # one projection per model and realization: the report's own
     assert len(projections) == 2 * len(obs.realizations)
     ts = new_state(m, sched, q, 0.5, 1.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockSchedule, BlockStructure, IndependentBinaryCost,
+from cfmarkets import (BlockSchedule, IndependentBinaryCost,
                        LcmmCost, LmsrCost, OutcomeSpace, ScaledCost, Schedule,
                        certificate_check, independent_binary_market,
                        lcmm_divergence, medal_count_model, model_at,
@@ -18,7 +18,7 @@ def unconstrained_two_block_model():
     outcomes = (0, 1, 2)
     payoff = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]])
     space = OutcomeSpace(outcomes, payoff)
-    blocks = BlockStructure(((0,), (1,)))
+    blocks = ((0,), (1,))
     costs = [LogPartitionCost(OutcomeSpace((0.0, 1.0, 2.0),
                                            [[0.0], [1.0], [2.0]])),
              IndependentBinaryCost(independent_binary_market(1))]
@@ -352,6 +352,28 @@ def test_state_with_price_roundtrip():
     assert np.allclose(m.direct_sum_price(q).center, mu, atol=1e-9)
 
 
+def test_blocks_are_a_partition_of_the_securities():
+    space = independent_binary_market(3)
+    costs = [IndependentBinaryCost(independent_binary_market(1)),
+             IndependentBinaryCost(independent_binary_market(2))]
+
+    def build(blocks):
+        return LcmmCost(space, blocks, costs, np.zeros((3, 0)), np.zeros(0))
+
+    m = build([[0], np.array([1, 2])])
+    assert m.blocks == ((0,), (1, 2))
+    assert all(type(i) is int for g in m.blocks for i in g)
+    with pytest.raises(ValueError, match="blocks must be disjoint"):
+        build(((0,), (0, 1)))
+    for empty in (((0,), ()), ()):
+        with pytest.raises(ValueError, match="blocks must be non-empty"):
+            build(empty)
+    for short in (((0,), (1,)), ((0,), (1, 3))):
+        with pytest.raises(ValueError,
+                           match="blocks must cover all security indices"):
+            build(short)
+
+
 # ---------------------------------------------------------------------------
 # Tightness
 
@@ -365,14 +387,21 @@ def test_binary_blocks_are_tight_by_construction():
         assert set(res.witness) == {(0.0,), (1.0,)}
         for x, w in res.witness.items():
             # +-1 in block coordinates: the sign of the realization's payoff
-            assert w.vector.tolist() == [1.0 if x[0] > 0.5 else -1.0]
+            assert w.tolist() == [1.0 if x[0] > 0.5 else -1.0]
+
+
+def test_a_tightness_witness_is_a_read_only_vector():
+    w = tightness_check(medal_count_model(2), 2).witness[(0.0, 1.0, 0.0)]
+    assert isinstance(w, np.ndarray) and w.shape == (3,)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 5.0
 
 
 def test_count_block_is_tight():
     m = medal_count_model(2)
     res = tightness_check(m, 2)
     assert res.status == "tight"
-    assert all(res.witness.values())
+    assert all(w is not None for w in res.witness.values())
 
 
 def test_value_block_is_not_tight():
@@ -394,7 +423,7 @@ def test_single_realization_block_is_trivially_tight():
     outcomes = (0, 1)
     payoff = np.array([[1.0, 0.0], [1.0, 1.0]])
     space = OutcomeSpace(outcomes, payoff)
-    blocks = BlockStructure(((0,), (1,)))
+    blocks = ((0,), (1,))
     costs = [LogPartitionCost(OutcomeSpace((1.0, 2.0), [[1.0], [2.0]])),
              IndependentBinaryCost(independent_binary_market(1))]
     model = LcmmCost(space, blocks, costs, np.zeros((2, 0)), np.zeros(0))
@@ -405,7 +434,7 @@ def test_non_extreme_realization_whose_beliefs_stay_in_its_cell_is_tight():
     # one block over payoffs (0, 1, 2): the realization 1 is not extreme, yet
     # every belief matching it lies in its cell
     space = OutcomeSpace((0.0, 1.0, 2.0), [[0.0], [1.0], [2.0]])
-    model = LcmmCost(space, BlockStructure(((0,),)),
+    model = LcmmCost(space, ((0,),),
                      [LogPartitionCost(space)], np.zeros((1, 0)),
                      np.zeros(0))
     res = tightness_check(model, 0)
@@ -423,7 +452,8 @@ def test_every_medal_realization_is_exposed(n):
     m = medal_count_model(n)
     for g in range(len(m.blocks)):
         res = tightness_check(m, g)
-        assert res.status == "tight" and all(res.witness.values())
+        assert res.status == "tight" and all(
+            w is not None for w in res.witness.values())
 
 
 def random_two_block_model(seed: int) -> LcmmCost:
@@ -434,8 +464,7 @@ def random_two_block_model(seed: int) -> LcmmCost:
     dim = int(sizes.sum())
     payoff = rng.integers(0, 3, size=(int(rng.integers(3, 7)), dim))
     space = OutcomeSpace(tuple(range(len(payoff))), payoff.astype(float))
-    blocks = BlockStructure((tuple(range(sizes[0])),
-                             tuple(range(sizes[0], dim))))
+    blocks = (tuple(range(sizes[0])), tuple(range(sizes[0], dim)))
     costs = []
     for g in blocks:
         rows = np.unique(payoff[:, list(g)], axis=0).astype(float)
@@ -459,7 +488,7 @@ def test_witness_exactly_when_no_weight_can_leave_the_cell(build):
     P = m.space.payoff
     for g in range(len(m.blocks)):
         res = tightness_check(m, g)
-        idx = list(m.blocks.blocks[g])
+        idx = list(m.blocks[g])
         for x, w in res.witness.items():
             extreme = max_outside_weight(m, g, x) <= 1e-9
             assert (w is not None) == extreme, (g, x)

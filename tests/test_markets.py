@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockStructure, Observation, OutcomeSpace,
+from cfmarkets import (Observation, OutcomeSpace,
                        exposure_witness, independent_binary_market,
                        medal_count_model, observe_block_payoff,
                        observe_coordinate, observe_identity, observe_partition,
@@ -86,23 +86,6 @@ def test_observe_block_payoff_labels_are_tuples():
 
 
 # ---------------------------------------------------------------------------
-# Block structure
-
-
-def test_block_structure_validation():
-    bs = BlockStructure(((0,), (1, 2)))
-    bs.validate_cover(3)
-    assert len(bs) == 2
-    assert list(bs) == [(0,), (1, 2)]
-    with pytest.raises(ValueError):
-        BlockStructure(((0,), (0, 1)))
-    with pytest.raises(ValueError):
-        BlockStructure(((0,), ()))
-    with pytest.raises(ValueError):
-        BlockStructure(((0,),)).validate_cover(2)
-
-
-# ---------------------------------------------------------------------------
 # Hull membership and probes
 
 
@@ -175,7 +158,7 @@ def test_exposure_witness_agrees_with_the_sampled_face_check():
         witnesses = exposure_witness(sp, obs)
         for x in obs.realizations:
             assert (witnesses[x] is not None) == face_check(sp, obs, x), \
-                (obs.name, x)
+                (obs.label, x)
             cells += 1
     assert cells >= 140
 
@@ -185,10 +168,20 @@ def test_exposure_witness_coordinate_cells():
     out = exposure_witness(sp, observe_coordinate(sp, 0))
     for x, w in out.items():
         assert w is not None
-        vin = sp.vertices(tuple(o for o in sp.outcomes if o[0] == x)) @ w.vector
-        vout = sp.vertices(tuple(o for o in sp.outcomes if o[0] != x)) @ w.vector
+        vin = sp.vertices(tuple(o for o in sp.outcomes if o[0] == x)) @ w
+        vout = sp.vertices(tuple(o for o in sp.outcomes if o[0] != x)) @ w
         assert np.ptp(vin) <= 1e-9
         assert vin.min() >= vout.max() + EXPOSURE_MARGIN - 1e-9
+
+
+def test_exposure_witness_is_a_read_only_vector():
+    sp = square_market()
+    w = exposure_witness(sp, observe_coordinate(sp, 0))[1.0]
+    assert isinstance(w, np.ndarray) and w.shape == (sp.dim,)
+    with pytest.raises(ValueError, match="read-only"):
+        w[0] = 5.0
+    # the kept answer is unchanged
+    assert exposure_witness(sp, observe_coordinate(sp, 0))[1.0][0] != 5.0
 
 
 def test_exposure_witness_sum_middle_cell_not_exposed():

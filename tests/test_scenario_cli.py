@@ -715,6 +715,24 @@ def test_off_cell_belief_after_the_switch_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
 
 
+def test_a_gradual_jit_that_contradicts_the_settlement_exits_2(tmp_path,
+                                                              capsys):
+    text = ("name: gradual jit\nseed: 1\nmarket: medal_counts(1)\n"
+            "protocol: gradual\nobservation: {kind: block, indices: [0]}\n"
+            "settlement: [1]\nrequests:\n"
+            "  - {time: 0.5, trader: a, kind: jit, realization: [0.0]}\n")
+    path = tmp_path / "gradual_jit.scn"
+    path.write_text(text)
+    for argv in (["run", str(path)], ["check", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: arbitrageur realization contradicts "
+                       "settlement\n")
+    # the realization the settlement reveals trades as before
+    path.write_text(text.replace("realization: [0.0]", "realization: [1.0]"))
+    assert main(["run", str(path)]) == 0
+
+
 def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
                                                           capsys):
     # one exact line search is a brentq root-find: 1,002 derivative

@@ -10,7 +10,8 @@ import pytest
 from cfmarkets import (BeliefTrader, BlockSchedule, IndependentBinaryCost,
                        InconsistentPlanError, JitArbitrageur, LmsrCost,
                        NoiseTrader, Schedule, TradeRequest, medal_count_model,
-                       observe_coordinate, observe_sum, plan_switch,
+                       observe_block_payoff, observe_coordinate, observe_sum,
+                       plan_switch,
                        run_protocol1, run_protocol2, simplex_market,
                        square_market, trivial_observation, util_event,
                        verify_loss, wc_loss_bound)
@@ -355,3 +356,24 @@ def test_protocol2_rejects_time_travel():
     with pytest.raises(ValueError):
         run_protocol2(m, constant_schedule(m), np.zeros(3), 0.0, requests,
                       (0,))
+
+
+@pytest.mark.parametrize("agent, error", [
+    (BeliefTrader("b", [], [2.0, 0.5, 0.5]), "outside the price space"),
+    (JitArbitrageur("a", [], observe_block_payoff(
+        medal_count_model(1).space, [0]), (0.0,)),
+     "contradicts settlement")], ids=["belief", "jit"])
+def test_protocol2_checks_its_agents_before_any_trade(monkeypatch, agent,
+                                                      error):
+    # the belief used to trade the clipped bundle [120, -0.693, -0.693]; the
+    # arbitrageur used to pay for a realization the settlement contradicts
+    m = medal_count_model(1)
+    traded = []
+    monkeypatch.setattr(NoiseTrader, "bundle",
+                        lambda self, *a: traded.append(a) or np.zeros(3))
+    requests = [TradeRequest(0.2, "n", agent=NoiseTrader("n", [])),
+                TradeRequest(0.5, "x", agent=agent)]
+    with pytest.raises(ValueError, match=error):
+        run_protocol2(m, constant_schedule(m), np.zeros(3), 0.0, requests,
+                      (1,))
+    assert traded == []

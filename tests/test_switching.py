@@ -196,7 +196,8 @@ def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
     m, observe, s = CONSISTENT_PLANS[name]()
     obs = observe(m)
     plan = plan_switch(m, obs, np.array(s))
-    exposed = all(exposure_witness(m.space, obs).values())
+    exposed = all(w is not None
+                  for w in exposure_witness(m.space, obs).values())
     if exposed:
         assert roof_lps() == 0  # exposure decides the check
     else:
@@ -204,7 +205,7 @@ def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
     before = roof_lps()
     report = check_desiderata((m, plan.switch_state),
                               (plan, plan.switch_state), obs)
-    assert all(report.row(name).passed
+    assert all(report[name].passed
                for name in ("CONDPRICE", "ZEROUTIL", "DECUTIL", "EXUTIL"))
     assert roof_lps() == before
     if exposed:
@@ -266,8 +267,9 @@ def test_exposure_verdict_agrees_with_sampled_roof_lp():
     for path in bundled_scenarios().values():
         sc = load_scenario(path)
         obs = sc.observation
-        if obs is None or not all(exposure_witness(sc.model.space,
-                                                   obs).values()):
+        if obs is None or not all(
+                w is not None
+                for w in exposure_witness(sc.model.space, obs).values()):
             continue
         for _ in range(20):
             s = rng.uniform(-3, 3, sc.model.dim)
@@ -434,7 +436,7 @@ def loop_conjs(sw, mus):
                  if sw.cell_models[x].hull.contains(mu, sw.domain_tol)]
         values = [sw.base._conj(mu) - sw.offsets[x] for x in cells]
         if cells and (sw.consistency.consistent
-                      or all(exposed[x] for x in cells)):
+                      or all(exposed[x] is not None for x in cells)):
             out[j] = sw.base._conj(mu) - max(sw.offsets[x] for x in cells)
         elif cells or sw.space.hull().contains(mu, sw.domain_tol):
             sampled.append((j, values))
@@ -708,7 +710,7 @@ def test_exutil_matches_divergence_reference_on_bundled_plans():
         new = (ledger.plan, ledger.plan.switch_state)
         report = check_desiderata(old, new, sc.observation, tol=sc.tol,
                                   seed=sc.seed)
-        assert report.row("EXUTIL").worst == pytest.approx(
+        assert report["EXUTIL"].worst == pytest.approx(
             divergence_exutil(old, new, sc.observation, seed=sc.seed),
             abs=1e-12), sc.name
         checked += 1
@@ -723,10 +725,10 @@ def test_exutil_matches_divergence_reference_on_partial_decrease():
     q = np.array([0.2, -0.5, 0.1, 0.4, -0.2])
     audit = partial_decrease_audit(m, sched, 1, q, 0.5, 1.5)
     ts = new_state(m, sched, q, 0.5, 1.5)
-    obs = observe_block_payoff(m.space, m.blocks.blocks[1])
+    obs = observe_block_payoff(m.space, m.blocks[1])
     expected = divergence_exutil((model_at(m, sched, 0.5), q),
                                  (model_at(m, sched, 1.5), ts.q), obs)
-    assert audit.report.row("EXUTIL").worst == pytest.approx(expected,
+    assert audit.report["EXUTIL"].worst == pytest.approx(expected,
                                                              abs=1e-12)
 
 
@@ -844,13 +846,13 @@ def test_desiderata_identity_update_preserves_prices():
     m = square()
     s = np.array([0.3, -0.7])
     report = check_desiderata((m, s), (m, s), coord0(m))
-    assert report.row("EXUTIL").worst == pytest.approx(0.0, abs=1e-12)
-    assert report.row("PRICE").passed
-    assert report.row("CONDPRICE").passed
+    assert report["EXUTIL"].worst == pytest.approx(0.0, abs=1e-12)
+    assert report["PRICE"].passed
+    assert report["CONDPRICE"].passed
     # utility is unchanged, so the strict-decrease requirement fails where
     # the cells still carry positive utility
-    assert not report.row("DECUTIL").passed
-    assert not report.row("ZEROUTIL").passed
+    assert not report["DECUTIL"].passed
+    assert not report["ZEROUTIL"].passed
 
 
 def test_desiderata_switch_passes_with_informational_price():
@@ -858,14 +860,14 @@ def test_desiderata_switch_passes_with_informational_price():
     s = np.array([0.5, 0.4])
     plan = plan_switch(m, coord0(m), s)
     report = check_desiderata((m, s), (plan, s), coord0(m))
-    assert all(report.row(name).passed
+    assert all(report[name].passed
                for name in ("CONDPRICE", "ZEROUTIL", "DECUTIL", "EXUTIL"))
     # the switch opens a spread on the revealed coordinate, so the raw
     # price-set comparison fails, and callers do not gate on it
-    assert not report.row("PRICE").passed
-    assert report.row("ZEROUTIL").worst <= 1e-8
-    assert report.row("CONDPRICE").worst <= 1e-7
-    assert report.row("EXUTIL").worst <= 1e-6
+    assert not report["PRICE"].passed
+    assert report["ZEROUTIL"].worst <= 1e-8
+    assert report["CONDPRICE"].worst <= 1e-7
+    assert report["EXUTIL"].worst <= 1e-6
 
 
 def test_desiderata_liquidity_scale_on_identity_observation():
@@ -875,13 +877,13 @@ def test_desiderata_liquidity_scale_on_identity_observation():
     scaled = ScaledCost(m, a)
     obs = observe_identity(m.space)
     report = check_desiderata((m, q), (scaled, a * q), obs)
-    assert report.row("PRICE").passed
-    assert report.row("CONDPRICE").passed
-    assert report.row("DECUTIL").passed  # utilities shrink by the multiplier
-    assert report.row("EXUTIL").passed  # single-outcome cells: no spread
-    assert not report.row("ZEROUTIL").passed  # scaling does not zero utility
+    assert report["PRICE"].passed
+    assert report["CONDPRICE"].passed
+    assert report["DECUTIL"].passed  # utilities shrink by the multiplier
+    assert report["EXUTIL"].passed  # single-outcome cells: no spread
+    assert not report["ZEROUTIL"].passed  # scaling does not zero utility
     for x in obs.realizations:
-        d = report.row("DECUTIL").details[x]
+        d = report["DECUTIL"].details[x]
         assert d["util_new"] == pytest.approx(a * d["util_old"], abs=1e-9)
 
 
@@ -905,4 +907,4 @@ def test_desiderata_rejects_a_mirrored_price_space():
     report = check_desiderata((m, np.zeros(2)), (equal, np.zeros(2)),
                               coord0(m))
     # an equal space built anew is the same space: the same prices
-    assert report.row("PRICE").passed and report.row("CONDPRICE").passed
+    assert report["PRICE"].passed and report["CONDPRICE"].passed
