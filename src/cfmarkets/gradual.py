@@ -167,7 +167,7 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
     excess utility for the block-payoff observation are preserved; the
     per-realization utility drop equals (1 - alpha_g) times the time-t block
     divergence from the realization to the arbitrage-adjusted block state.
-    Strict decrease additionally requires a differentiable, tight block.
+    Strict decrease additionally requires a tight block.
     The measured drops are the per-cell utilities the DECUTIL row records.
     """
     g = _checked_index(g, len(model.blocks), "block index")
@@ -194,9 +194,8 @@ def partial_decrease_audit(model: LcmmCost, schedule: Schedule, g: int, q,
         if abs(measured - predicted) > AUDIT_TOL:
             drop_ok = False
     tight = tightness_check(model, g)
-    need_strict = bool(tight) and model.block_costs[g].differentiable
     rows_ok = all(report[k].passed for k in ("CONDPRICE", "EXUTIL", "PRICE"))
-    if need_strict and alpha < 1.0:
+    if tight and alpha < 1.0:
         rows_ok = rows_ok and report["DECUTIL"].passed
     return PartialDecreaseAudit(report, drops, tight, alpha,
                                 rows_ok and drop_ok)

@@ -12,9 +12,9 @@ price at q + A eta and g = A^T mu - b_c, the gap (direct-sum divergence plus
 complementary slackness g . eta) and the projected-gradient residual
 max_i |min(eta_i, g_i)| both vanish at eta*. `solve` finds eta* one
 multiplier at a time: g_j is nondecreasing in eta_j, so each coordinate is 0
-or the root of g_j. The certificate and the value read one evaluation of the
-direct sum at q + A eta (its price and each block's cost), kept for the last
-state evaluated, so a certified point prices the direct sum once.
+or the root of g_j. The certificate, value, price and divergence at q read
+one evaluation of the direct sum at q + A eta (its price and each block's
+cost), kept for the last state evaluated, so a point prices the sum once.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ class ArbitrageSolution:
 
 class LcmmCost(CostModel):
     """Cost model combining block costs under linear belief constraints;
-    `blocks` partitions the security indices, one index group per cost."""
+    `blocks` partitions the security indices, one index group per cost,
+    and each cost is differentiable: the solve reads its price as a point."""
 
     kind = "lcmm"
-    differentiable = True
     solve_tol = 1e-9  # certificate gap at which a solve is converged
 
     def __init__(self, space: OutcomeSpace, blocks, block_costs, A, b_c):
         super().__init__(space)
-        self.blocks = blocks = tuple(tuple(int(i) for i in g) for g in blocks)
+        self.blocks = blocks = tuple(tuple(_checked_index(
+            i, space.dim, "block index") for i in g) for g in blocks)
         flat = sorted(i for g in blocks for i in g)
         if not blocks or not all(blocks):
             raise ValueError("blocks must be non-empty")
@@ -70,6 +71,8 @@ class LcmmCost(CostModel):
         for g, c in zip(blocks, self.block_costs):
             if c.dim != len(g):
                 raise ValueError("block cost dimension mismatch")
+            if not c.differentiable:
+                raise ValueError(f"block cost {c.kind!r} is not differentiable")
         A = np.asarray(A, dtype=float)
         if A.size == 0:
             A = A.reshape(space.dim, 0)
@@ -84,25 +87,16 @@ class LcmmCost(CostModel):
         self.A = A
         self.b_c = b_c
         self.strictly_convex = all(c.strictly_convex for c in self.block_costs)
-        self.differentiable = all(c.differentiable for c in self.block_costs)
         self._slices = [np.array(g, dtype=int) for g in blocks]
         self._cache: dict = {}
         self._last = (None, None, None)  # `_at`'s (state bytes, mu, costs)
 
     # -- direct-sum surface ------------------------------------------------
     def direct_sum_cost(self, q) -> float:
-        q = _as_vector(q, self.dim, "q")
-        return float(sum(c.cost(q[g]) for g, c in zip(self._slices,
-                                                      self.block_costs)))
+        return float(sum(self._at(_as_vector(q, self.dim, "q"))[1]))
 
     def direct_sum_price(self, q) -> PriceSet:
-        q = _as_vector(q, self.dim, "q")
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for g, c in zip(self._slices, self.block_costs):
-            p = c.price(q[g])
-            lo[g], hi[g] = p.lo, p.hi
-        return PriceSet(lo, hi)
+        return PriceSet.point(self._at(_as_vector(q, self.dim, "q"))[0])
 
     def direct_sum_conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
@@ -137,10 +131,10 @@ class LcmmCost(CostModel):
         return total
 
     def _at(self, shifted):
-        """(mu, costs) at a shifted state q + A eta: the direct-sum price and
-        each block's public `cost`. The last answer is kept, keyed by the
-        bytes of `shifted`, so the gap, residual and value of one certified
-        point share a single evaluation."""
+        """(mu, costs) at a state q + A eta: the direct-sum price and each
+        block's public `cost`. The last answer is kept, keyed by the bytes of
+        `shifted`, so every answer read at one certified point (gap,
+        residual, value, price, divergence) shares a single evaluation."""
         key = shifted.tobytes()
         if self._last[0] != key:
             costs = [c.cost(shifted[g])
@@ -254,9 +248,8 @@ class LcmmCost(CostModel):
         return self.solve(q).value
 
     def price(self, q) -> PriceSet:
-        sol = self.solve(q)
         q = _as_vector(q, self.dim, "q")
-        return self.direct_sum_price(q + sol.delta)
+        return self.direct_sum_price(q + self.solve(q).delta)
 
     def conjugate(self, mu) -> float:
         mu = _as_vector(mu, self.dim, "mu")
@@ -284,18 +277,15 @@ class LcmmCost(CostModel):
 
 
 def lcmm_divergence(model: LcmmCost, mu, q) -> float:
-    """Divergence via the arbitrage decomposition:
+    """Divergence via the arbitrage decomposition, inf off the price space:
     D(mu || q) = D_sum(mu || q + delta*) + (A^T mu - b_c) . eta*."""
     mu = _as_vector(mu, model.dim, "mu")
-    if not np.isfinite(model.conjugate(mu)):
+    if not model.space.hull().contains(mu, model.domain_tol):
         return INF
     sol = model.solve(q)
-    q = _as_vector(q, model.dim, "q")
-    comp = float((model.A.T @ mu - model.b_c) @ sol.eta)
-    shifted = q + sol.delta
-    costs = (c._cost(shifted[g])
-             for g, c in zip(model._slices, model.block_costs))
-    return model._ddiv(mu, shifted, costs) + comp
+    shifted = _as_vector(q, model.dim, "q") + sol.delta
+    return (model._ddiv(mu, shifted, model._at(shifted)[1])
+            + float((model.A.T @ mu - model.b_c) @ sol.eta))
 
 
 def certificate_check(model: LcmmCost, q, eta) -> bool:

@@ -44,7 +44,8 @@ from .markets import (Observation, OutcomeSpace, _checked_index,
                       observe_sum, simplex_market, single_binary_market,
                       square_market, trivial_observation)
 from .simulate import (BeliefTrader, JitArbitrageur, NoiseTrader,
-                       TradeRequest, _check_agent, check_sudden_inputs)
+                       TradeRequest, check_gradual_inputs,
+                       check_sudden_inputs)
 
 try:  # libyaml's parser, where PyYAML was built with it
     from yaml import CSafeLoader as SafeLoader
@@ -267,22 +268,17 @@ def _name(spec: _Fields, key: str, default):
     return name
 
 
-def _build_trader(spec: _Fields, name: str, obs, settlement, model):
+def _build_trader(spec: _Fields, name: str, obs, settlement):
     kind = spec.get("kind")
     times = _numbers(spec.get("times", []), f"trader {name!r}: times")
     budget = spec.get("budget")
-    if budget is not None and _number(budget, f"trader {name!r}: budget") < 0:
-        raise ScenarioError(f"trader {name!r}: budget must be a number >= 0")
+    if budget is not None:
+        budget = _number(budget, f"trader {name!r}: budget")
     if kind == "noise":
         scale = _number(spec.get("scale", 1.0), f"trader {name!r}: scale")
         return NoiseTrader(name, times, scale=scale, budget=budget)
     if kind == "belief":
         mu = _numbers(spec["belief"], f"trader {name!r}: belief")
-        if mu.shape != (model.dim,):
-            raise ScenarioError(f"trader {name!r}: belief has the wrong length")
-        if not model.space.hull().contains(mu, model.domain_tol):
-            raise ScenarioError(f"trader {name!r}: belief is outside the "
-                                "price space")
         return BeliefTrader(name, times, mu, budget=budget)
     if kind == "jit":
         if obs is None:
@@ -382,8 +378,7 @@ def _parse_scenario(raw: _Fields) -> Scenario:
         for spec in raw.get("traders", []):
             with _Fields(spec, "trader") as spec:
                 name = _name(spec, "name", spec.get("kind"))
-                sc.traders.append(_build_trader(spec, name, obs, settlement,
-                                                model))
+                sc.traders.append(_build_trader(spec, name, obs, settlement))
         check_sudden_inputs(model, obs, sc.traders, sc.switch_time,
                             settlement)
     else:
@@ -391,25 +386,18 @@ def _parse_scenario(raw: _Fields) -> Scenario:
             raise ScenarioError("gradual protocol needs an LCMM market")
         sc.t0 = _number(raw.get("t0", 0.0), "t0")
         sc.schedule = _build_schedule(raw.get("schedules"), model, sc.t0)
-        last = sc.t0
         for entry in raw.get("requests", []):
             with _Fields(entry, "request") as entry:
                 time = _number(entry["time"], "request time")
-                if time < last:
-                    raise ScenarioError("request times must be non-decreasing "
-                                        "and not before t0")
-                last = time
                 trader = _name(entry, "trader", "t")
                 bundle = agent = None
                 if "bundle" in entry:
                     bundle = _numbers(entry["bundle"], "request bundle")
-                    if bundle.shape != (space.dim,):
-                        raise ScenarioError("request bundle has the wrong length")
                 else:
-                    agent = _build_trader(entry, trader, obs, settlement,
-                                          model)
-                    _check_agent(model, agent, settlement)
+                    agent = _build_trader(entry, trader, obs, settlement)
                 sc.requests.append(TradeRequest(time, trader, bundle, agent))
+        check_gradual_inputs(model, sc.schedule, sc.t0, sc.requests,
+                             settlement)
     return sc
 
 

@@ -76,12 +76,16 @@ class Ledger:
 
 
 class TraderAgent:
+    """A scripted trader; a budget, finite and >= 0, caps each trade's cost."""
+
     def __init__(self, name: str, times, budget: float | None = None):
         self.name = name
         self.times = tuple(sorted(float(t) for t in times))
         if not np.all(np.isfinite(self.times)):
             raise ValueError(f"trader {name!r}: trade times must be finite")
-        self.budget = budget
+        self.budget = None if budget is None else float(budget)
+        if budget is not None and not 0.0 <= self.budget < np.inf:
+            raise ValueError(f"trader {name!r}: budget must be finite and >= 0")
 
     def bundle(self, model: CostModel, q, t, rng) -> np.ndarray:
         raise NotImplementedError
@@ -164,12 +168,12 @@ class JitArbitrageur(TraderAgent):
 
 def _check_agent(model: CostModel, tr: TraderAgent | None, outcome) -> None:
     """Raise ValueError for an agent of either protocol whose realization
-    contradicts the settlement, or whose belief lies outside the price
-    space (no state has that price, and its trade would clip)."""
+    contradicts the settlement, or whose belief is not a finite vector of
+    the model's length in the price space (elsewhere its trade would clip)."""
     if isinstance(tr, JitArbitrageur) and tr.x != tr.obs.of(outcome):
         raise ValueError("arbitrageur realization contradicts settlement")
     if isinstance(tr, BeliefTrader):
-        mu = _as_vector(tr.mu, model.dim, "belief")
+        mu = _as_vector(tr.mu, model.dim, f"trader {tr.name!r}: belief")
         if not model.space.hull().contains(mu, model.domain_tol):
             raise ValueError(f"belief trader {tr.name!r} holds a belief "
                              "outside the price space")
@@ -248,22 +252,39 @@ class TradeRequest:
     agent: TraderAgent | None = None
 
 
+def check_gradual_inputs(model: LcmmCost, schedule: Schedule, t0: float,
+                         requests, outcome) -> None:
+    """Raise ValueError for a gradual-decrease run that cannot be carried
+    out as specified: a schedule that does not fit the model, request times
+    that decrease or start before t0, a request without exactly one of a
+    bundle and an agent, a bundle that is not a finite vector of the model's
+    length, or an agent that fails `_check_agent`."""
+    schedule.validate(model)
+    times = [float(t0)] + [req.time for req in requests]
+    if not all(a <= b for a, b in zip(times, times[1:])):  # false at a nan
+        raise ValueError("request times must be non-decreasing and not "
+                         "before t0")
+    for req in requests:
+        if (req.bundle is None) == (req.agent is None):
+            raise ValueError(f"request of {req.trader!r} needs exactly one "
+                             "of a bundle and an agent")
+        if req.bundle is not None:
+            _as_vector(req.bundle, model.dim, "request bundle")
+        _check_agent(model, req.agent, outcome)
+
+
 def run_protocol2(model: LcmmCost, schedule: Schedule, s0, t0: float,
                   requests, outcome, seed: int = 0) -> Ledger:
-    """Gradual-decrease run: `_check_agent` every request's agent, then
+    """Gradual-decrease run: `check_gradual_inputs` before any trade, then
     advance the state along the schedules before each request, trade at
     the request's time, settle."""
-    schedule.validate(model)
     requests = list(requests)
-    for req in requests:
-        _check_agent(model, req.agent, outcome)
+    check_gradual_inputs(model, schedule, t0, requests, outcome)
     rng = np.random.default_rng(seed)
     q = _as_vector(s0, model.dim, "s0")
     t = float(t0)
     ledger = Ledger()
     for req in requests:
-        if req.time < t:
-            raise ValueError("request times must be non-decreasing")
         ts = new_state(model, schedule, q, t, req.time)
         if not np.array_equal(ts.q, q):
             ledger.events.append({"time": req.time, "event": "reanchor"})

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from cfmarkets import (BlockSchedule, IndependentBinaryCost,
-                       LcmmCost, LmsrCost, OutcomeSpace, ScaledCost, Schedule,
-                       certificate_check, independent_binary_market,
-                       lcmm_divergence, medal_count_model, model_at,
-                       partial_decrease_audit, simplex_market,
-                       tightness_check)
+                       LcmmCost, LmsrCost, OutcomeSpace, PiecewiseLinearCost,
+                       ScaledCost, Schedule, certificate_check,
+                       independent_binary_market, lcmm_divergence,
+                       medal_count_model, model_at, partial_decrease_audit,
+                       simplex_market, single_binary_market, tightness_check)
 
 from oracles import (LogPartitionCost, fiber_escape, hull_member,
                      max_outside_weight, medal_eta_grid_value)
@@ -67,6 +67,36 @@ def test_direct_sum_matches_blocks():
     p = m.direct_sum_price(q).center
     assert np.allclose(p[:2], 1 / (1 + np.exp(-q[:2])), atol=1e-12)
     assert p[2:].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def scaled_medal_model():
+    m = medal_count_model(2)
+    sched = Schedule((BlockSchedule("exponential", rate=0.7),
+                      BlockSchedule(),
+                      BlockSchedule("linear-to-floor", rate=0.3)))
+    m_t = model_at(m, sched, 1.5)
+    assert [type(c) for c in m_t.block_costs] == [ScaledCost,
+                                                   IndependentBinaryCost,
+                                                   ScaledCost]
+    return m_t
+
+
+@pytest.mark.parametrize("make", [lambda: medal_count_model(2),
+                                  lambda: medal_count_model(3),
+                                  scaled_medal_model],
+                         ids=["medal2", "medal3", "scaled"])
+def test_direct_sum_is_the_blocks_public_price_and_cost(make):
+    m = make()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        q = rng.uniform(-3, 3, m.dim)
+        price = np.empty(m.dim)
+        for g, c in zip(m.blocks, m.block_costs):
+            price[list(g)] = c.price(q[list(g)]).center
+        cost = sum(c.cost(q[list(g)]) for g, c in zip(m.blocks,
+                                                       m.block_costs))
+        assert m.direct_sum_price(q).center.tolist() == price.tolist()
+        assert m.direct_sum_cost(q) == cost
 
 
 def test_direct_sum_conjugate_and_divergence():
@@ -352,6 +382,21 @@ def test_state_with_price_roundtrip():
     assert np.allclose(m.direct_sum_price(q).center, mu, atol=1e-9)
 
 
+def test_block_costs_must_be_differentiable():
+    # with the kinked block the coordinate solve ended unconverged, gap 0.061
+    # at (0.5, 0, 0) and -0.075 at (-0.3, 1, 0.2)
+    space = OutcomeSpace(("a", "b"), [[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    costs = [PiecewiseLinearCost(single_binary_market()),
+             LmsrCost(simplex_market(2))]
+    A = [[1.0, -1.0], [0.0, 0.0], [-1.0, 1.0]]
+    with pytest.raises(ValueError, match="'piecewise-linear' is not "
+                                         "differentiable"):
+        LcmmCost(space, ((0,), (1, 2)), costs, A, np.zeros(2))
+    scaled = ScaledCost(PiecewiseLinearCost(single_binary_market()), 0.5)
+    with pytest.raises(ValueError, match="'scaled' is not differentiable"):
+        LcmmCost(space, ((0,), (1, 2)), [scaled, costs[1]], A, np.zeros(2))
+
+
 def test_blocks_are_a_partition_of_the_securities():
     space = independent_binary_market(3)
     costs = [IndependentBinaryCost(independent_binary_market(1)),
@@ -368,10 +413,14 @@ def test_blocks_are_a_partition_of_the_securities():
     for empty in (((0,), ()), ()):
         with pytest.raises(ValueError, match="blocks must be non-empty"):
             build(empty)
-    for short in (((0,), (1,)), ((0,), (1, 3))):
-        with pytest.raises(ValueError,
-                           match="blocks must cover all security indices"):
-            build(short)
+    with pytest.raises(ValueError,
+                       match="blocks must cover all security indices"):
+        build(((0,), (1,)))
+    # an index is read whole, never truncated or cast from a bool
+    for bad in (((0,), (1, 3)), ((0.7,), (1.2, 2.9)), ((0,), (1, True))):
+        with pytest.raises(ValueError, match="block index .* is not an "
+                                             r"integer in \[0, 3\)"):
+            build(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -733,6 +733,17 @@ def test_a_gradual_jit_that_contradicts_the_settlement_exits_2(tmp_path,
     assert main(["run", str(path)]) == 0
 
 
+def test_a_belief_of_the_wrong_length_names_its_trader(tmp_path, capsys):
+    text = Path(scn("square_sudden.scn")).read_text()
+    text += "  - {kind: belief, name: b1, times: [0.5], belief: [0.5]}\n"
+    path = tmp_path / "short_belief.scn"
+    path.write_text(text)
+    for argv in (["run", str(path)], ["check", str(path)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: trader 'b1': belief must have length 2\n"
+
+
 def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
                                                           capsys):
     # one exact line search is a brentq root-find: 1,002 derivative

@@ -9,7 +9,8 @@ import pytest
 
 from cfmarkets import (BeliefTrader, BlockSchedule, IndependentBinaryCost,
                        InconsistentPlanError, JitArbitrageur, LmsrCost,
-                       NoiseTrader, Schedule, TradeRequest, medal_count_model,
+                       NoiseTrader, Schedule, TradeRequest, TraderAgent,
+                       medal_count_model,
                        observe_block_payoff, observe_coordinate, observe_sum,
                        plan_switch,
                        run_protocol1, run_protocol2, simplex_market,
@@ -128,6 +129,21 @@ def test_budget_caps_trade_cost():
     q = np.zeros(2)
     r = tr.bundle(m, q, 0.5, np.random.default_rng(0))
     assert m.trade_cost(q, r) <= 0.05 + 1e-9
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, float("inf")])
+def test_a_budget_must_be_finite_and_nonnegative(budget):
+    # a nan or negative budget used to be accepted, and protocol 1 then
+    # recorded a zero trade at cost 0
+    obs = observe_sum(square().space)
+    for make in (lambda: NoiseTrader("n", [0.5], 1.0, budget=budget),
+                 lambda: BeliefTrader("b", [0.5], [0.5, 0.5], budget=budget),
+                 lambda: JitArbitrageur("a", [1.5], obs, 2.0, budget=budget),
+                 lambda: TraderAgent("t", [0.5], budget)):
+        with pytest.raises(ValueError, match="budget must be finite and >= 0"):
+            make()
+    assert NoiseTrader("n", [0.5], budget=0).budget == 0.0
+    assert NoiseTrader("n", [0.5]).budget is None
 
 
 def test_noise_trader_is_seeded_and_bounded():
@@ -358,11 +374,50 @@ def test_protocol2_rejects_time_travel():
                       (0,))
 
 
+@pytest.mark.parametrize("late, error", [
+    (TradeRequest(0.5, "x"), "exactly one of a bundle and an agent"),
+    (TradeRequest(0.5, "x", bundle=np.zeros(3), agent=NoiseTrader("x", [])),
+     "exactly one of a bundle and an agent"),
+    (TradeRequest(0.1, "x", bundle=np.zeros(3)),
+     "request times must be non-decreasing and not before t0"),
+    (TradeRequest(0.5, "x", bundle=np.zeros(1)),
+     "request bundle must have length 3"),
+    (TradeRequest(0.5, "x", bundle=[0.0, np.nan, 0.0]),
+     "request bundle must be finite")],
+    ids=["neither", "both", "backwards", "short", "nan"])
+def test_protocol2_checks_its_requests_before_any_trade(late, error):
+    # each used to fail only after the first request had traded: an
+    # AttributeError, the time check when reached, and `r must have length
+    # 3` from trade_cost
+    m = medal_count_model(1)
+    calls = []
+
+    class Counting(NoiseTrader):
+        def bundle(self, *a):
+            calls.append(a)
+            return np.zeros(3)
+
+    requests = [TradeRequest(0.2, "n", agent=Counting("n", [])), late]
+    with pytest.raises(ValueError, match=error):
+        run_protocol2(m, constant_schedule(m), np.zeros(3), 0.0, requests,
+                      (1,))
+    assert calls == []
+    with pytest.raises(ValueError, match="not before t0"):
+        run_protocol2(m, constant_schedule(m), np.zeros(3), 0.3,
+                      requests[:1], (1,))
+    assert calls == []
+    run_protocol2(m, constant_schedule(m), np.zeros(3), 0.0, requests[:1],
+                  (1,))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("agent, error", [
     (BeliefTrader("b", [], [2.0, 0.5, 0.5]), "outside the price space"),
+    (BeliefTrader("b", [], [0.5, 0.5]), "trader 'b': belief must have "
+                                        "length 3"),
     (JitArbitrageur("a", [], observe_block_payoff(
         medal_count_model(1).space, [0]), (0.0,)),
-     "contradicts settlement")], ids=["belief", "jit"])
+     "contradicts settlement")], ids=["belief", "short-belief", "jit"])
 def test_protocol2_checks_its_agents_before_any_trade(monkeypatch, agent,
                                                       error):
     # the belief used to trade the clipped bundle [120, -0.693, -0.693]; the
