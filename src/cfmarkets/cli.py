@@ -2,9 +2,10 @@
 
 Exit codes: 0 all enabled checks pass, 1 a check failed, the reader
 closed stdout early, the output could not be written (a `--out` path
-that cannot be opened, a full device) or an LP stopped without an
-answer, each of the last two with one `error: ...` line on stderr, 2
-the scenario could not be parsed; in `check` a "not_tight" block fails.
+that cannot be opened, a full device), an LP stopped without an answer,
+or a jit trader found no trade that collects its cell's utility, each of
+the last three with one `error: ...` line on stderr, 2 the scenario
+could not be parsed; in `check` a "not_tight" block fails.
 Output records are line-delimited with the fixed field set {ts, kind,
 state, price_center, spread, cost_delta, trader, check, value, pass} in
 strict JSON, with non-finite numbers written as null; identical scenario
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
         if not isinstance(e, BrokenPipeError):
             print(f"error: cannot write output: {e}", file=sys.stderr)
         return 1
-    except RuntimeError as e:  # an LP stopped without an answer
+    except RuntimeError as e:  # an LP stopped, or a jit found no trade
         print(f"error: {e}", file=sys.stderr)
         return 1
     return code

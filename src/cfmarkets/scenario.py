@@ -44,7 +44,7 @@ from .markets import (Observation, OutcomeSpace, _checked_index,
                       observe_sum, simplex_market, single_binary_market,
                       square_market, trivial_observation)
 from .simulate import (BeliefTrader, JitArbitrageur, NoiseTrader,
-                       TradeRequest, check_gradual_inputs,
+                       TradeRequest, _check_settlement, check_gradual_inputs,
                        check_sudden_inputs)
 
 try:  # libyaml's parser, where PyYAML was built with it
@@ -363,8 +363,7 @@ def _parse_scenario(raw: _Fields) -> Scenario:
            if (raw.get("observation") is not None or protocol == "sudden")
            else None)
     settlement = _hashable(raw.get("settlement"))
-    if settlement not in space.outcomes:
-        raise ScenarioError(f"settlement {settlement!r} is not an outcome")
+    _check_settlement(model, settlement)
     s0 = _numbers(raw.get("initial_state", [0.0] * space.dim),
                   "initial_state")
     if s0.shape != (space.dim,):

@@ -18,9 +18,11 @@ from .gradual import Schedule, model_at, new_state
 from .lcmm import LcmmCost
 from .markets import Observation
 from .switching import plan_switch
-from .utility import optimizing_sequence, util_event
+# util_event is bound here only for perfbench's tracer test, which expects
+# a `simulate.util_event` binding; nothing here calls it
+from .utility import UTIL_TOL, optimizing_sequence, util_event  # noqa: F401
 
-JIT_STEPS = 60  # optimizing_sequence steps behind each JitArbitrageur trade
+JIT_STEPS = 60  # most optimizing_sequence trades behind a JitArbitrageur trade
 
 
 class InconsistentPlanError(RuntimeError):
@@ -151,7 +153,10 @@ class NoiseTrader(TraderAgent):
 
 
 class JitArbitrageur(TraderAgent):
-    """Knows the realization; chases the guaranteed payoff greedily."""
+    """Knows the realization; trades the last trade of `optimizing_sequence`
+    on its cell, which must collect Util(E; q) within the projection's gap
+    and UTIL_TOL. Otherwise it raises RuntimeError naming the trader, the
+    cell and Util(E; q), or the projection if that stopped unconverged."""
 
     def __init__(self, name, times, obs: Observation, x, budget=None):
         super().__init__(name, times, budget)
@@ -160,10 +165,28 @@ class JitArbitrageur(TraderAgent):
 
     def bundle(self, model, q, t, rng):
         cell = self.obs.cell(self.x)
-        if util_event(model, cell, q).value <= 1e-12:
-            return np.zeros(model.dim)
         seq = optimizing_sequence(model, cell, q, JIT_STEPS)
+        util = seq.util
+        if util is not None and \
+                seq.payoffs[-1] < util.value - util.residual - UTIL_TOL:
+            if not util.converged:
+                raise RuntimeError(
+                    f"jit trader {self.name!r} has no converged projection "
+                    f"onto cell {cell!r}: it stopped at Util(E; q) = "
+                    f"{util.value:.6g}, gap {util.residual:.3g}")
+            raise RuntimeError(f"jit trader {self.name!r} finds no trade "
+                               f"that collects Util(E; q) = "
+                               f"{util.value:.6g} in cell {cell!r}")
         return self._cap(model, q, seq.bundle)
+
+
+def _check_settlement(model: CostModel, outcome) -> None:
+    """Raise ValueError for a settlement `space.index`, and so
+    `Ledger.settle`, does not know."""
+    try:
+        model.space.index(outcome)
+    except (KeyError, TypeError):
+        raise ValueError(f"settlement {outcome!r} is not an outcome") from None
 
 
 def _check_agent(model: CostModel, tr: TraderAgent | None, outcome) -> None:
@@ -182,10 +205,12 @@ def _check_agent(model: CostModel, tr: TraderAgent | None, outcome) -> None:
 def check_sudden_inputs(model: CostModel, obs: Observation, traders,
                         switch_time: float, outcome) -> None:
     """Raise ValueError for a sudden-revelation run that cannot be carried
-    out as specified: a switch time that is not finite, a trader that fails
-    `_check_agent`, an arbitrageur that acts before the switch, or a belief
-    trader that trades at or after switch_time with a belief in no cell's
-    hull (the switched cost has no state there)."""
+    out as specified: a settlement that is not an outcome, a switch time
+    that is not finite, a trader that fails `_check_agent`, an arbitrageur
+    that acts before the switch, or a belief trader that trades at or after
+    switch_time with a belief in no cell's hull (the switched cost has no
+    state there)."""
+    _check_settlement(model, outcome)
     if not np.isfinite(switch_time):
         raise ValueError("switch_time must be finite")
     for tr in traders:
@@ -255,10 +280,12 @@ class TradeRequest:
 def check_gradual_inputs(model: LcmmCost, schedule: Schedule, t0: float,
                          requests, outcome) -> None:
     """Raise ValueError for a gradual-decrease run that cannot be carried
-    out as specified: a schedule that does not fit the model, request times
-    that decrease or start before t0, a request without exactly one of a
-    bundle and an agent, a bundle that is not a finite vector of the model's
-    length, or an agent that fails `_check_agent`."""
+    out as specified: a settlement that is not an outcome, a schedule that
+    does not fit the model, request times that decrease or start before t0,
+    a request without exactly one of a bundle and an agent, a bundle that is
+    not a finite vector of the model's length, or an agent that fails
+    `_check_agent`."""
+    _check_settlement(model, outcome)
     schedule.validate(model)
     times = [float(t0)] + [req.time for req in requests]
     if not all(a <= b for a, b in zip(times, times[1:])):  # false at a nan

@@ -7,7 +7,8 @@ divergence to the event's price hull, attained at the conditional price
 vector: the Bregman projection of the state onto M(E). That projection is
 the maximizer of the restricted cost C_E, so `RestrictedCost.project` makes
 it: through the cost kind's projector (`restrict`) where it has one,
-otherwise by away-step Frank-Wolfe over the event's payoff vertices.
+otherwise by away-step Frank-Wolfe over the event's payoff vertices. An
+optimizing sequence trades to states priced ever nearer that projection.
 """
 
 from __future__ import annotations
@@ -22,9 +23,7 @@ from .costs import CostModel, RestrictedCost, _as_vector, \
     project_onto_hull  # noqa: F401
 
 MEMBERSHIP_TOL = 1e-7  # L-inf slack of excess_util's belief-in-event test
-STEP_CAP = 1.0  # longest step optimizing_sequence tries along a direction
-GAIN_TOL = 1e-12  # smallest payoff gain that keeps optimizing_sequence going
-SEARCH_ITERS = 60  # ternary-search steps of each optimizing_sequence line search
+UTIL_TOL = 1e-9  # shortfall from Util(E; q) at which optimizing_sequence stops
 
 
 @dataclass
@@ -74,79 +73,51 @@ def excess_util(m: CostModel, mu, event, q) -> float:
 @dataclass
 class OptimizingSequence:
     states: list = field(default_factory=list)
-    trace: list = field(default_factory=list)  # Util(E; q_i) after each step
-    payoffs: list = field(default_factory=list)  # guaranteed payoff so far
+    trace: list = field(default_factory=list)  # Util(E; q_i) at each state
+    payoffs: list = field(default_factory=list)  # of each trade q_i - q_0
     bundle: np.ndarray | None = None
-
-
-def _guaranteed_payoff(m: CostModel, vertices, q0, c0, r) -> float:
-    return float(np.min(vertices @ r) - (m.cost(q0 + r) - c0))
+    util: EventUtility | None = None  # at q_0, the projection traded toward
 
 
 def optimizing_sequence(m: CostModel, event, q,
                         n_steps: int) -> OptimizingSequence:
-    """Greedy trading run of a trader who knows the outcome lies in E.
+    """Trades straight to states priced near the Bregman projection mu_E of
+    q onto E's hull, by a trader who knows the outcome lies in E.
 
-    Each step line-searches the guaranteed payoff along the event-bundle
-    direction and the coordinate directions, accepting the best improving
-    move. The divergence trace Util(E; q_i) is non-increasing across accepted
-    steps and tends to zero for smooth strictly convex costs.
+    Trade k is r_k = state_with_price(mu_k) - q, with mu_k =
+    (1 - 10^-k) mu_E + 10^-k c_E and c_E the mean of E's vertices. Its
+    guaranteed payoff, the least rho.r_k over E's vertices less the trade's
+    cost, tends to Util(E; q) by minimax (arXiv 1407.8161). The sequence
+    stops at the first trade, the zero trade included, within UTIL_TOL of
+    Util(E; q), after n_steps trades, or short of Util(E; q) at a mu_k the
+    cost has no state for.
     """
     event = tuple(event)
     if not event or n_steps < 1:
         raise ValueError("need a nonempty event and n_steps >= 1")
     q0 = _as_vector(q, m.dim, "q")
-    out = OptimizingSequence()
     if set(event) == set(m.space.outcomes):
-        out.bundle = np.zeros(m.dim)
-        return out  # knowing E carries no information; already optimal
+        # knowing E carries no information; already optimal
+        return OptimizingSequence(bundle=np.zeros(m.dim))
+    util = util_event(m, event, q0)
+    out = OptimizingSequence([q0.copy()], [util.value], [0.0],
+                             np.zeros(m.dim), util)
+    target = util.value - UTIL_TOL
+    if target <= 0.0:
+        return out  # the zero trade already collects Util(E; q)
     V = m.space.vertices(event)
     c0 = m.cost(q0)
-    directions = [V.mean(axis=0)]
-    for i in range(m.dim):
-        e = np.zeros(m.dim)
-        e[i] = 1.0
-        directions.extend([e, -e])
-    r = np.zeros(m.dim)
-    best = 0.0
-    out.states.append(q0.copy())
-    out.trace.append(util_event(m, event, q0).value)
-    out.payoffs.append(0.0)
-    for _ in range(n_steps):
-        cand_gain, cand_r = 0.0, None
-        for d in directions:
-            t = _line_search_payoff(m, V, q0, c0, r, d)
-            if t <= 0.0:
-                continue
-            g = _guaranteed_payoff(m, V, q0, c0, r + t * d)
-            if g - best > cand_gain:
-                cand_gain, cand_r = g - best, r + t * d
-        if cand_r is None or cand_gain <= GAIN_TOL:
+    for k in range(1, n_steps + 1):
+        eps = 10.0 ** -k
+        mu = (1.0 - eps) * util.minimizer + eps * V.mean(axis=0)
+        try:
+            r = m.state_with_price(mu) - q0
+        except NotImplementedError:
             break
-        r = cand_r
-        best += cand_gain
         out.states.append(q0 + r)
         out.trace.append(util_event(m, event, q0 + r).value)
-        out.payoffs.append(best)
-    out.bundle = r
+        out.payoffs.append(float(np.min(V @ r) - (m.cost(q0 + r) - c0)))
+        out.bundle = r
+        if out.payoffs[-1] >= target:
+            break
     return out
-
-
-def _line_search_payoff(m, V, q0, c0, r, d) -> float:
-    """Ternary search on [0, STEP_CAP] for the step maximizing the
-    guaranteed payoff along d."""
-    lo, hi = 0.0, STEP_CAP
-    for _ in range(SEARCH_ITERS):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        g1 = _guaranteed_payoff(m, V, q0, c0, r + m1 * d)
-        g2 = _guaranteed_payoff(m, V, q0, c0, r + m2 * d)
-        if g1 < g2:
-            lo = m1
-        else:
-            hi = m2
-    t = 0.5 * (lo + hi)
-    if _guaranteed_payoff(m, V, q0, c0, r + t * d) <= \
-            _guaranteed_payoff(m, V, q0, c0, r) + 1e-15:
-        return 0.0
-    return t

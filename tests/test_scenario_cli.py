@@ -733,6 +733,33 @@ def test_a_gradual_jit_that_contradicts_the_settlement_exits_2(tmp_path,
     assert main(["run", str(path)]) == 0
 
 
+MIDDLE_CELL_JIT = """\
+name: jit in the square/sum middle cell
+seed: 1
+market: square
+protocol: sudden
+observation: {kind: sum}
+initial_state: [0.0, 0.0]
+switch_time: 1.0
+settlement: [0, 1]
+traders:
+  - {kind: noise, name: n1, times: [1.2], scale: 1.0}
+  - {kind: jit, name: a1, times: [1.5]}
+"""
+
+
+def test_a_jit_with_no_trade_worth_its_cell_exits_1(tmp_path, capsys):
+    # the middle cell has no closed-form state inverse, so no trade there
+    # is known to collect Util(E; q)
+    path = tmp_path / "middle_cell_jit.scn"
+    path.write_text(MIDDLE_CELL_JIT)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: jit trader 'a1' finds no trade")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert main(["check", str(path)]) == 0  # check makes no trade
+
+
 def test_a_belief_of_the_wrong_length_names_its_trader(tmp_path, capsys):
     text = Path(scn("square_sudden.scn")).read_text()
     text += "  - {kind: belief, name: b1, times: [0.5], belief: [0.5]}\n"
