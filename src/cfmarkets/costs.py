@@ -35,6 +35,7 @@ _STATE_CLIP = 120.0  # logit magnitude used when inverting boundary prices
 CONSISTENCY_TOL = 1e-7  # roof undercut above which a switch is inconsistent
 FD_STEP = 1e-6  # finite_difference_price's step
 FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
+_CACHE_LIMIT = 256  # entries a memo holds; a full memo is cleared first
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
@@ -380,7 +381,11 @@ class RestrictedCost(CostModel):
     the maximizer is the conditional price. Bounded-loss and arbitrage-free
     for outcomes in E. `project` is the library's one Bregman projection:
     it calls the base's projector, `restrict(E)`, where the kind has one,
-    and otherwise runs away-step Frank-Wolfe over the event's hull.
+    and otherwise runs away-step Frank-Wolfe over the event's hull. A
+    Frank-Wolfe answer is solved once per state: the cell keeps it in a
+    memo keyed by the bytes of q, bounded by _CACHE_LIMIT, with its `mu`
+    read-only, and a state it has seen is read from there. A closed-form
+    projection costs less than the lookup and is not kept.
     `fixed_coords` lists the coordinates a sub-cube face with a projector
     pins, with their values.
     """
@@ -397,6 +402,7 @@ class RestrictedCost(CostModel):
         self._projector = base.restrict(self.event)
         self.fixed_coords = (dict(self.hull.pinned) if self.hull.kind == "box"
                              and self._projector is not None else {})
+        self._solved: dict = {}  # q bytes -> Frank-Wolfe ProjectionResult
 
     def project(self, q) -> ProjectionResult:
         """Bregman projection of q onto the event's hull: the maximizer mu
@@ -406,10 +412,18 @@ class RestrictedCost(CostModel):
 
     def _project(self, q) -> ProjectionResult:
         """`project` on a trusted q."""
-        if self._projector is None:
-            return project_onto_hull(self.hull.vertices, self.base.conjugate,
-                                     self.base.conjugate_grad, q)
-        return self._projector(q)
+        if self._projector is not None:
+            return self._projector(q)
+        key = q.tobytes()
+        res = self._solved.get(key)
+        if res is None:
+            res = project_onto_hull(self.hull.vertices, self.base.conjugate,
+                                    self.base.conjugate_grad, q)
+            res.mu.setflags(write=False)
+            if len(self._solved) >= _CACHE_LIMIT:
+                self._solved.clear()
+            self._solved[key] = res
+        return res
 
     def cost(self, q) -> float:
         return -self.project(q).value

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import ScaledCost, _as_vector
+from .costs import _CACHE_LIMIT, ScaledCost, _as_vector
 from .lcmm import ArbitrageSolution, LcmmCost, tightness_check
 from .markets import _checked_index, observe_block_payoff
 from .switching import check_desiderata
@@ -95,7 +95,7 @@ def model_at(model: LcmmCost, schedule: Schedule, t: float) -> LcmmCost:
         b = schedule.beta(g, t)
         scaled.append(c if b == 1.0 else ScaledCost(c, b))
     m = LcmmCost(model.space, model.blocks, scaled, model.A, model.b_c)
-    if len(schedule._models) > 256:
+    if len(schedule._models) >= _CACHE_LIMIT:
         schedule._models.clear()
     schedule._models[key] = m
     return m

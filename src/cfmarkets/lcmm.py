@@ -24,8 +24,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .costs import (CostModel, IndependentBinaryCost, LmsrCost, PriceSet,
-                    _as_vector, _floored)
+from .costs import (_CACHE_LIMIT, CostModel, IndependentBinaryCost,
+                    LmsrCost, PriceSet, _as_vector, _floored)
 from .markets import (OutcomeSpace, _checked_index, exposure_witness,
                       independent_binary_market, observe_identity,
                       simplex_market)
@@ -193,10 +193,14 @@ class LcmmCost(CostModel):
         return True
 
     def _remember(self, q, eta, gap, converged) -> ArbitrageSolution:
+        """Keep the solution at q. Every later caller at q is handed the
+        same object, so its `eta` and `delta` are made read-only."""
         delta = self.A @ eta
         value = float(sum(self._at(q + delta)[1])) - float(self.b_c @ eta)
+        eta.setflags(write=False)
+        delta.setflags(write=False)
         sol = ArbitrageSolution(eta, delta, value, gap, converged)
-        if len(self._cache) > 256:
+        if len(self._cache) >= _CACHE_LIMIT:
             self._cache.clear()
         self._cache[q.tobytes()] = sol
         return sol

@@ -7,10 +7,11 @@ from cfmarkets import (IndependentBinaryCost, LmsrCost, OutcomeSpace,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
                        ScaledCost, finite_difference_price, geometry,
                        independent_binary_market, medal_count_model,
-                       observe_coordinate, plan_switch, simplex_market,
-                       single_binary_market, square_market, util_event)
+                       observe_coordinate, observe_sum, plan_switch,
+                       simplex_market, single_binary_market, square_market,
+                       util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
-from cfmarkets.costs import _logsumexp
+from cfmarkets.costs import _CACHE_LIMIT, _logsumexp
 from oracles import lmsr_conjugate, product_lmsr_conjugate
 
 INF = float("inf")
@@ -338,6 +339,58 @@ def test_restricted_solve_evaluates_the_conjugate_once_per_projection(
     value = diag.cost(np.array([0.5, -0.7]))
     assert projections.calls == 1 and len(calls) == 1
     assert value == -diag.project(np.array([0.5, -0.7])).value
+
+
+def middle_cell():
+    """The square/sum middle cell: no closed form, so Frank-Wolfe."""
+    sq = square()
+    return RestrictedCost(sq, observe_sum(sq.space).cell(1.0))
+
+
+def test_a_cell_projects_a_repeated_state_once(projections):
+    cell, q = middle_cell(), np.array([0.5, -0.7])
+    first = cell.project(q)
+    again = [cell.cost(q), cell.price(q), cell.project(q.copy())]
+    assert projections.calls == 1
+    assert again[0] == -first.value
+    assert np.array_equal(again[1].center, first.mu)
+    assert again[2] is first
+
+
+def test_a_remembered_projection_is_a_fresh_solve_bit_for_bit():
+    cell, q = middle_cell(), np.array([0.3, 1.1])
+    cell.project(q)
+    kept = cell.project(q)
+    fresh = middle_cell().project(q)
+    assert kept.mu.tobytes() == fresh.mu.tobytes()
+    assert (kept.value, kept.gap, kept.converged, kept.iterations) == (
+        fresh.value, fresh.gap, fresh.converged, fresh.iterations)
+
+
+def test_a_remembered_projection_cannot_be_changed_through_its_answer():
+    cell, q = middle_cell(), np.array([0.5, -0.7])
+    res = cell.project(q)
+    with pytest.raises(ValueError, match="read-only"):
+        res.mu[:] = 100.0
+    assert np.array_equal(cell.project(q).mu, middle_cell().project(q).mu)
+
+
+def test_the_projection_memo_stays_within_its_bound(projections):
+    cell = middle_cell()
+    sizes = []
+    for i in range(300):
+        cell.project(np.array([0.01 * i, -0.5]))
+        sizes.append(len(cell._solved))
+    assert projections.calls == 300
+    assert max(sizes) == _CACHE_LIMIT and sizes[-1] < _CACHE_LIMIT
+
+
+def test_a_closed_form_cell_keeps_no_memo(projections):
+    sq = square()
+    box = RestrictedCost(sq, observe_coordinate(sq.space, 0).cell(1.0))
+    q = np.array([0.5, -0.7])
+    box.cost(q), box.price(q), box.project(q)
+    assert projections.calls == 0 and box._solved == {}
 
 
 def test_restricted_cost_rejects_empty_event():

@@ -161,6 +161,22 @@ def test_adopt_reports_only_a_stored_bundle():
     assert np.array_equal(fresh.solve(q).eta, sol.eta)
 
 
+def test_a_kept_solution_cannot_be_changed_through_its_answer():
+    m = medal_count_model(2)
+    q = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+    price = m.price(q).center
+    sol = m.solve(q)
+    for field in (sol.eta, sol.delta):
+        with pytest.raises(ValueError, match="read-only"):
+            field[:] = 100.0
+    assert np.array_equal(m.price(q).center, price)
+    # an adopted bundle is kept by the same rule
+    fresh = medal_count_model(2)
+    assert fresh._adopt(q, sol.eta.copy())
+    adopted = fresh.solve(q)
+    assert not (adopted.eta.flags.writeable or adopted.delta.flags.writeable)
+
+
 def test_solve_random_states_match_eta_grid_oracle():
     rng = np.random.default_rng(1)
     for n in (1, 2):
