@@ -18,7 +18,7 @@ _GAP_TOL = 1e-9  # Frank-Wolfe duality gap at which a projection stops
 _MAX_ITER = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProjectionResult:
     mu: np.ndarray
     value: float

@@ -36,6 +36,8 @@ CONSISTENCY_TOL = 1e-7  # roof undercut above which a switch is inconsistent
 FD_STEP = 1e-6  # finite_difference_price's step
 FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
 _CACHE_LIMIT = 256  # entries a memo holds; a full memo is cleared first
+_RANK_TOL = 1e-9  # singular values at or below this count as 0
+_MIXTURE_TOL = 1e-6  # how near a dual mixture must come to its probe point
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
@@ -455,11 +457,36 @@ class RestrictedCost(CostModel):
         return RestrictedCost(self.base, event)._project
 
 
+def _statistic_levels(space: OutcomeSpace, observation) -> np.ndarray | None:
+    """The value v_x on each cell x (in `realizations` order) of one linear
+    statistic a.rho of the payoffs whose level sets the cells are, or None
+    when there is no such statistic. a is constant on a cell when it is
+    orthogonal to every difference of the cell's payoffs; the cells' values
+    under all such a must then lie on one line, at distinct points. v is
+    read up to an affine change, which the pointwise bound does not see."""
+    P = space.payoff
+    rows = [P[[space.index(w) for w in observation.cell(x)]]
+            for x in observation.realizations]
+    _, sv, vt = np.linalg.svd(np.vstack([r - r[0] for r in rows]))
+    basis = vt[np.count_nonzero(sv > _RANK_TOL):]
+    if not basis.size:
+        return None
+    u = np.array([r[0] for r in rows]) @ basis.T
+    _, su, ut = np.linalg.svd(u - u[0])
+    if su[0] <= _RANK_TOL or (su.size > 1 and su[1] > _RANK_TOL):
+        return None
+    levels = (u - u[0]) @ ut[0]
+    if np.min(np.diff(np.sort(levels))) <= _RANK_TOL:
+        return None
+    return levels
+
+
 @dataclass
 class ConsistencyVerdict:
     consistent: bool
     worst_violation: float
-    path: str  # what decided it: "overlap", "exposed" or "sampled"
+    # what decided it: "overlap", "exposed", "pointwise" or "sampled"
+    path: str
     witness: dict | None  # where the roof fails; None when consistent
     switched: SwitchedCost  # the switch that was checked
 
@@ -483,10 +510,15 @@ class SwitchedCost(CostModel):
     inside the non-exposed cells of an inconsistent switch) `_roof` bounds
     it by a convex-combination LP over sampled probe points (cell vertices
     and pairwise midpoints), one LP for a whole stack of prices. One price
-    is a one-row stack: `conjugate` is `_conjs` at a single row. The sampled
-    roof lies on or above the exact one, so an undercut it finds is real
-    and an "inconsistent" verdict is sound; on cells that are not exposed a
-    "consistent" verdict is only as good as the samples. Restricted to an
+    is a one-row stack: `conjugate` is `_conjs` at a single row. The verdict
+    tests the roof at the same probe points. Where the cells are the level
+    sets of one linear statistic (a sum observation on a cube), it is
+    decided "pointwise", with no LP: an exact 1-D test at each probe
+    (`_undercut`), whose "inconsistent" is confirmed by a two-cell mixture
+    that meets the probe. Elsewhere it is "sampled", by the roof LP, which
+    lies on or above the exact roof, so an undercut it finds is real. On
+    cells that are not exposed, a "consistent" verdict on either path holds
+    at the probe points only. Restricted to an
     event E inside cell x, every switch is b_x + C_E (`restrict`). The
     switch is also the plan of a sudden-revelation run: `plan_switch`
     returns it and it prices every trade after the switch.
@@ -588,14 +620,26 @@ class SwitchedCost(CostModel):
         exposure witness, with the path that decided it: (inf, the pair,
         "overlap") for overlapping cells; (0.0, None, "exposed"), with no
         LP, when every cell is exposed, which makes the switch consistent
-        at every state (arXiv 1407.8161); else "sampled": the worst probe
-        value D(p || s) - b_x less the sampled roof at p, both in
-        divergence units, from one `_roof` LP over every probe point."""
-        for x, y in combinations(self.realizations, 2):
-            if self.cell_models[x].hull.intersects(self.cell_models[y].hull):
-                return INF, {"overlap": (x, y)}, "overlap"
-        if all(w is not None for w in exposed.values()):
+        at every state (arXiv 1407.8161); "pointwise" (`_pointwise`) when
+        the price space is a cube and the cells are the level sets of one
+        linear statistic; else "sampled": the worst probe value
+        D(p || s) - b_x less the sampled roof at p, both in divergence
+        units, from one `_roof` LP over every probe point. Level sets lie
+        in disjoint hyperplanes a.x = v_x, so they are not scanned for
+        overlap."""
+        every = all(w is not None for w in exposed.values())
+        levels = (None if every or self.space.hull().kind != "box"
+                  else _statistic_levels(self.space, self.observation))
+        if levels is None:
+            for x, y in combinations(self.realizations, 2):
+                if self.cell_models[x].hull.intersects(
+                        self.cell_models[y].hull):
+                    return INF, {"overlap": (x, y)}, "overlap"
+        if every:
             return 0.0, None, "exposed"
+        judged = None if levels is None else self._pointwise(levels)
+        if judged is not None:
+            return judged
         points, values, owners = self._roof_samples
         found = self._roof(points)
         if found is None:  # pragma: no cover - each probe is a candidate
@@ -607,6 +651,86 @@ class SwitchedCost(CostModel):
         return float(under[j]), {
             "mu": points[j].copy(), "realization": owners[j],
             "value": values[j], "roof_value": found[0][j]}, "sampled"
+
+    def _pointwise(self, levels):
+        """(worst, witness, "pointwise"): the largest `_undercut` over the
+        probe points of every cell that are not vertices, each point once,
+        on a cube (where the coordinates a point pins name its smallest
+        face) whose cells are the level sets `levels` of a linear statistic,
+        with a witness naming the worst point, its realization and the two
+        cells of its dual mixture with their weights. None when a worst
+        mixture does not reproduce its point, where the bound need not be
+        the undercut itself."""
+        space = self.space
+        worst, witness = 0.0, None
+        for k, x in enumerate(self.realizations):
+            event = self.cell_models[x].event
+            mids = probe_points(space, event)[len(event):]
+            for p in {p.tobytes(): p for p in mids}.values():
+                bound, mixture = self._undercut(k, p, levels)
+                if bound <= worst:
+                    continue
+                (j, lj, mj), (h, lh, mh) = mixture
+                if (bound > CONSISTENCY_TOL and np.max(np.abs(
+                        lj * mj + lh * mh - p)) > _MIXTURE_TOL):
+                    return None
+                worst, witness = bound, {
+                    "mu": p, "realization": x,
+                    "mixture": {self.realizations[j]: lj,
+                                self.realizations[h]: lh}}
+        return worst, witness, "pointwise"
+
+    def _undercut(self, k, p, levels):
+        """(bound, mixture): an upper bound on the undercut
+        R(p) - b_k - R_sw(p) at a point p of cell k (the k-th realization),
+        where the cells are the level sets `levels` of a linear statistic
+        a.x, with the dual mixture that attains it as
+        ((j, weight, point), (j', weight, point)); (0.0, None) when no cell
+        that meets p's face lies on one side of cell k.
+
+        p is tested within its smallest face F of the price space: a mixture
+        that meets p uses points of F only. Put q0 = grad R(p) on F's free
+        coordinates and 0 on the ones F pins; cell k's cost there is
+        q0.p - R(p) in closed form, and every other cell y that meets F
+        costs C_y(q0) by its own projection onto its part of F. Along
+        q0 + t a each cost moves by v_y t, so the states at which cell k's
+        price is p and cell k wins the max exist (undercut 0) exactly when
+        the 1-D LP in t with rows c_y + v_y t <= c_k + v_k t,
+        c_y = b_y + C_y(q0), is feasible. Its value is
+        max(0, max w (lo_j - hi_j')) over a cell j below k (lo_j =
+        (c_j - c_k) / (v_k - v_j)) and a cell j' above it (hi_j' =
+        (c_k - c_j') / (v_j' - v_k)), with w = (v_k - v_j)(v_j' - v_k) /
+        (v_j' - v_j); that is the mixture value l_j c_j + l_j' c_j' - c_k,
+        l_j = (v_j' - v_k) / (v_j' - v_j) and l_j' = (v_k - v_j) /
+        (v_j' - v_j). Restricting the states can only lower the roof, so
+        the value bounds the undercut from above; when the two cells'
+        projections of q0, so weighted, meet p, it is the undercut."""
+        space, P = self.space, self.space.payoff
+        at = (p == P.min(axis=0)) | (p == P.max(axis=0))
+        face = np.all(P[:, at] == p[at], axis=1)
+        q0 = np.where(at, 0.0, self.base.conjugate_grad(p))
+        c, mus = np.full(len(levels), np.nan), {}
+        c[k] = self._b[k] + float(q0 @ p) - self.base._conj(p)
+        for y, x in enumerate(self.realizations):
+            cell = self.cell_models[x]
+            sub = tuple(w for w in cell.event if face[space.index(w)])
+            if y == k or not sub:
+                continue
+            project = cell._project if sub == cell.event else cell.restrict(sub)
+            res = project(q0)
+            c[y], mus[y] = self._b[y] - res.value, res.mu
+        met = ~np.isnan(c)
+        below = np.flatnonzero(met & (levels < levels[k]))
+        above = np.flatnonzero(met & (levels > levels[k]))
+        if not (below.size and above.size):
+            return 0.0, None
+        vj, vh, vk = levels[below, None], levels[None, above], levels[k]
+        lj, lh = (vh - vk) / (vh - vj), (vk - vj) / (vh - vj)
+        gain = lj * c[below, None] + lh * c[None, above] - c[k]
+        best = np.unravel_index(int(np.argmax(gain)), gain.shape)
+        j, h = int(below[best[0]]), int(above[best[1]])
+        return max(float(gain[best]), 0.0), (
+            (j, float(lj[best]), mus[j]), (h, float(lh[best]), mus[h]))
 
     @cached_property
     def _roof_samples(self):

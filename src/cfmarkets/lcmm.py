@@ -37,7 +37,7 @@ _MAX_CYCLES = 50  # coordinate sweeps before a solve stops unconverged
 _ETA_BOUND = 2.0 ** 40  # largest multiplier the bracket doubling tries
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArbitrageSolution:
     eta: np.ndarray
     delta: np.ndarray

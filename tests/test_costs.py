@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,6 +375,18 @@ def test_a_remembered_projection_cannot_be_changed_through_its_answer():
     with pytest.raises(ValueError, match="read-only"):
         res.mu[:] = 100.0
     assert np.array_equal(cell.project(q).mu, middle_cell().project(q).mu)
+
+
+def test_a_remembered_projection_cannot_be_rewritten():
+    cell, q = middle_cell(), np.array([0.5, -0.7])
+    cost = cell.cost(q)
+    res = cell.project(q)
+    # the value is -C_E(q): a write would move every later cost at q
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.value -= 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.mu = np.zeros(2)
+    assert cell.project(q) is res and cell.cost(q) == cost
 
 
 def test_the_projection_memo_stays_within_its_bound(projections):

@@ -15,6 +15,7 @@ from cfmarkets import (IndependentBinaryCost, LmsrCost, Observation,
                        observe_partition, observe_sum, plan_switch,
                        probe_points, simplex_market, square_market,
                        wc_loss_bound)
+from cfmarkets.costs import CONSISTENCY_TOL
 
 from oracles import hull_member, hulls_meet
 
@@ -135,37 +136,42 @@ def test_min_weighted_value_stack_matches_single_points():
 
 
 def test_large_stack_is_split_into_bounded_lps(monkeypatch):
-    # independent_binary(5)/sum has 142 probe points, so `violation` stacks
-    # 142 rows of 142 weights each; they go to HiGHS in LPs of a bounded
-    # size, not as one dense program of 1,420 x 20,164
+    # independent_binary(5)/sum has 142 probe points, so a roof over all of
+    # them stacks 142 rows of 142 weights each; they go to HiGHS in LPs of a
+    # bounded size, not as one dense program of 1,420 x 20,164
     m = IndependentBinaryCost(independent_binary_market(5))
     real, sizes = geometry.linprog, []
 
     def recording(c, **kwargs):
-        # the roof's LPs; the overlap scan's membership LPs come from
-        # `min_weighted_value` too, by way of `hull_contains`
+        # the roof's LPs only: `min_weighted_value` also serves
+        # `hull_contains`
         if sys._getframe(2).f_code.co_name == "_roof":
             sizes.append(kwargs["A_ub"].size)
         return real(c, **kwargs)
 
     monkeypatch.setattr(geometry, "linprog", recording)
     sw = SwitchedCost(m, observe_sum(m.space), np.linspace(-1.0, 1.0, 5))
-    points, values, _ = sw._roof_samples
-    n = len(points)
     v = sw.consistency
     worst, path = v.worst_violation, v.path
-    assert n == 142 and path == "sampled"
+    # the verdict is pointwise and makes no roof LP; the roof itself is
+    # asked for the whole probe stack at once
+    assert path == "pointwise" and sizes == []
+    points, values, _ = sw._roof_samples
+    n = len(points)
+    found, _ = sw._roof(points)
+    assert n == 142
     per_lp = isqrt(geometry._STACK_ENTRIES // (2 * 5 * n))
     assert len(sizes) == -(-n // per_lp) > 1
     assert max(sizes) <= geometry._STACK_ENTRIES
     # the split stack agrees with its rows' one-point LPs
-    found, _ = geometry.min_weighted_value(points, values, points,
-                                           sw.domain_tol)
     for j in range(0, n, 20):
         alone, _ = geometry.min_weighted_value(points, values, points[j],
                                                sw.domain_tol)
         assert abs(found[j] - alone) <= 1e-12
-    assert worst == pytest.approx(float(np.max(values - found)), abs=1e-15)
+    # the sampled roof lies on or above the exact one, up to the LP's
+    # slack, so no probe is undercut by more than the pointwise test's
+    # exact worst
+    assert float(np.max(values - found)) <= worst + CONSISTENCY_TOL
 
 
 def test_separating_direction_face():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,18 @@ def test_a_kept_solution_cannot_be_changed_through_its_answer():
     assert fresh._adopt(q, sol.eta.copy())
     adopted = fresh.solve(q)
     assert not (adopted.eta.flags.writeable or adopted.delta.flags.writeable)
+
+
+def test_a_kept_solution_cannot_be_rewritten():
+    m = medal_count_model(2)
+    q = np.array([0.3, -0.2, 0.5, 0.1, -0.4])
+    cost = m.cost(q)
+    sol = m.solve(q)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.value -= 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.eta = np.zeros_like(sol.eta)
+    assert m.solve(q) is sol and m.cost(q) == cost
 
 
 def test_solve_random_states_match_eta_grid_oracle():

@@ -895,18 +895,25 @@ def test_output_that_cannot_be_written_exits_1_and_no_traceback(
     assert "Exception ignored" not in proc.stderr
 
 
-# HiGHS stops without an answer on the roof LP at this state (status 15);
-# at 1.0e+17 the same file is a clean inconsistent switch
+# HiGHS stops without an answer on the sampled roof LP at this state (status
+# 15): the face x0 = 1 and the sum levels of x0 = 0 are not the level sets of
+# one linear statistic, so no pointwise test decides this switch
 SOLVER_STOP = """\
 name: solver_stop
 seed: 1
-market: square
+market: independent_binary(3)
 protocol: sudden
-observation: {kind: sum}
-initial_state: [1.0e+20, -1.0e+20]
+observation:
+  kind: partition
+  groups:
+    - [[1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]]
+    - [[0, 0, 0]]
+    - [[0, 0, 1], [0, 1, 0]]
+    - [[0, 1, 1]]
+initial_state: [1.0e+20, -1.0e+20, 0.0]
 tolerance: 1.0e+5
 switch_time: 1.0
-settlement: [0, 1]
+settlement: [0, 1, 1]
 """
 
 
@@ -924,6 +931,45 @@ def test_a_solver_stop_exits_1_with_an_error_line_and_no_traceback(
     assert proc.stderr.startswith("error: HiGHS stopped without an answer")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+LARGE_SUM_STATE = """\
+name: square sum at a large state
+seed: 1
+market: square
+protocol: sudden
+observation: {{kind: sum}}
+initial_state: [{}, {}]
+tolerance: 1.0e+5
+switch_time: 1.0
+settlement: [0, 1]
+"""
+
+
+@pytest.mark.parametrize("state", [("1.0e+18", "-1.0e+18"),
+                                   ("-1.0e+18", "1.0e+18"),
+                                   ("1.0e+20", "-1.0e+20"),
+                                   ("-1.0e+20", "1.0e+20")],
+                         ids=["+1e18", "-1e18", "+1e20", "-1e20"])
+def test_a_sum_switch_at_a_large_state_is_decided_pointwise(state, tmp_path,
+                                                             capsys):
+    # the exact value is about |s_0 - s_1| / 2, past anything an LP solves
+    path = tmp_path / "large.scn"
+    path.write_text(LARGE_SUM_STATE.format(*state))
+    worst = float(state[0].lstrip("-"))
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert (f"consistency at initial state: INCONSISTENT (pointwise; worst "
+            f"violation {worst:.6g})") in out.splitlines()
+    assert "  witness: mu=[0.5, 0.5] for realization 1.0" in out.splitlines()
+    assert err == ""
+    assert main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["check"] == "consistency" and record["pass"] is False
+    assert record["value"] == pytest.approx(worst, rel=1e-12)
+    assert err.startswith("FAIL: inconsistent switch plan")
+    assert "error:" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("text", ["1e-6", "1E5", "1.0e6", "1e+300"])

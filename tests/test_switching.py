@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 
 import numpy as np
@@ -179,16 +180,20 @@ def test_consistent_in_cell_conjugate_is_exact_and_below_roof_lp(name):
 
 @pytest.fixture
 def roof_lps(monkeypatch):
-    """Counts the HiGHS calls made from inside `min_weighted_value`."""
+    """Counts the HiGHS calls made from inside `min_weighted_value`; given a
+    name, only those whose `min_weighted_value` that function called."""
     calls = []
     real = geometry.linprog
 
     def counted(*args, **kwargs):
-        calls.append(sys._getframe(1).f_code.co_name)
+        calls.append((sys._getframe(1).f_code.co_name,
+                      sys._getframe(2).f_code.co_name))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "linprog", counted)
-    return lambda: calls.count("min_weighted_value")
+    return lambda caller=None: sum(
+        1 for lp, by in calls
+        if lp == "min_weighted_value" and caller in (None, by))
 
 
 @pytest.mark.parametrize("name", sorted(CONSISTENT_PLANS))
@@ -196,20 +201,14 @@ def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
     m, observe, s = CONSISTENT_PLANS[name]()
     obs = observe(m)
     plan = plan_switch(m, obs, np.array(s))
-    exposed = all(w is not None
-                  for w in exposure_witness(m.space, obs).values())
-    if exposed:
-        assert roof_lps() == 0  # exposure decides the check
-    else:
-        assert roof_lps() > 0  # the consistency check itself samples
-    before = roof_lps()
+    # exposure decides the check, or on square/sum the pointwise test
+    assert roof_lps() == 0
     report = check_desiderata((m, plan.switch_state),
                               (plan, plan.switch_state), obs)
     assert all(report[name].passed
                for name in ("CONDPRICE", "ZEROUTIL", "DECUTIL", "EXUTIL"))
-    assert roof_lps() == before
-    if exposed:
-        assert "_roof_samples" not in vars(plan)  # never built
+    assert roof_lps() == 0
+    assert "_roof_samples" not in vars(plan)  # never built
 
 
 def test_exposed_switch_is_consistent_at_large_states(roof_lps):
@@ -251,6 +250,20 @@ def test_the_plan_is_the_switch_that_prices_every_later_trade():
     assert isinstance(ledger.plan, SwitchedCost) and len(later) == 3
     assert all(r.model is ledger.plan for r in later)
     assert all(r.model is m for r in ledger.records if r.time < 1.0)
+
+
+def face_and_sum_levels():
+    """independent_binary(3) split into the face x0 = 1 and the sum levels
+    of x0 = 0: no linear statistic has these cells as its level sets, so
+    the verdict takes the sampled path."""
+    space = independent_binary_market(3)
+    face = [w for w in space.outcomes if w[0] == 1]
+    rest = [w for w in space.outcomes if w[0] == 0]
+    return IndependentBinaryCost(space), observe_partition(space, [face] + [
+        [w for w in rest if w[1] + w[2] == k] for k in range(3)])
+
+
+FACE_AND_SUM_INCONSISTENT = [0.0, 1.0, 0.0]
 
 
 def sampled_roof_violation(sw):
@@ -391,16 +404,19 @@ def roof_calls(monkeypatch):
 
 def test_consistency_check_and_roof_conjugate_share_one_roof(roof_lps,
                                                              roof_calls):
+    m, obs = face_and_sum_levels()
+    v = consistency_check(m, obs, np.array(FACE_AND_SUM_INCONSISTENT))
+    assert not v.consistent and v.path == "sampled"
+    # every roof LP of the check is one `_roof` call; the others are the
+    # overlap scan's membership LPs
+    assert len(roof_calls) == roof_lps("_roof") == 1
+    assert roof_lps() == roof_lps("_roof") + roof_lps("hull_contains")
     m = square()
-    v = consistency_check(m, observe_sum(m.space), np.array([1.0, 0.0]))
-    assert not v.consistent
-    # every roof LP of the check is one `_roof` call
-    assert len(roof_calls) == roof_lps() > 0
     sw = plan_switch(m, coord0(m), np.array([0.3, 0.9]))
-    before = len(roof_calls)
+    before, lps, roofs = len(roof_calls), roof_lps(), roof_lps("_roof")
     sw.conjugate(np.array([0.5, 0.5]))  # off the cells: the LP path
     assert roof_calls[before:] == [sw]
-    assert len(roof_calls) == roof_lps()
+    assert roof_lps() - lps == roof_lps("_roof") - roofs == 1
 
 
 @pytest.mark.parametrize("observe, s", [
@@ -530,14 +546,20 @@ def test_a_switch_decides_its_verdict_and_exact_cells_when_built(
         roof_lps, monkeypatch):
     m = square()
     sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
-    assert roof_lps() == 1  # the verdict's one roof LP
+    assert roof_lps() == 0  # the pointwise verdict makes no LP
     assert sw._exact.tolist() == [True, False, True]
     assert not sw.consistency.consistent
     corners = np.array([[0.0, 0.0], [1.0, 1.0]])
     assert sw._conjs(corners).tolist() == [
         m.conjugate(mu) - sw.offsets[x] for mu, x in zip(corners, (0, 2))]
     sw.conjugate(corners[1])
-    assert roof_lps() == 1
+    assert roof_lps() == 0
+    # a sampled verdict is one roof LP, and decides the exact cells too
+    cube, obs = face_and_sum_levels()
+    sw = SwitchedCost(cube, obs, np.array(FACE_AND_SUM_INCONSISTENT))
+    assert roof_lps("_roof") == 1
+    assert sw._exact.tolist() == [True, True, False, True]
+    assert sw.consistency.path == "sampled" and not sw.consistency
     # every cell of a coordinate switch is exposed: no LP, no probe set
     lps, real = [], geometry.linprog
     monkeypatch.setattr(geometry, "linprog",
@@ -548,16 +570,11 @@ def test_a_switch_decides_its_verdict_and_exact_cells_when_built(
 
 
 def test_sampled_roof_on_an_exposed_face_is_not_below_its_closed_form():
-    space = independent_binary_market(3)
-    m = IndependentBinaryCost(space)
-    face = [w for w in space.outcomes if w[0] == 1]
-    rest = [w for w in space.outcomes if w[0] == 0]
     # the face x0 = 1 is exposed; the sum labels of x0 = 0 are not all
-    obs = observe_partition(space, [face] + [
-        [w for w in rest if w[1] + w[2] == k] for k in range(3)])
-    sw = SwitchedCost(m, obs, np.array([0.0, 1.0, 0.0]))
+    m, obs = face_and_sum_levels()
+    sw = SwitchedCost(m, obs, np.array(FACE_AND_SUM_INCONSISTENT))
     assert sw.consistency.path == "sampled" and not sw.consistency
-    x = obs.of(face[0])
+    x = obs.of((1, 0, 0))
     rng = np.random.default_rng(5)
     mus = np.column_stack([np.ones(100), rng.uniform(size=(100, 2))])
     low, _ = sw._roof(mus)
@@ -568,12 +585,12 @@ def test_sampled_roof_on_an_exposed_face_is_not_below_its_closed_form():
 
 
 def test_sampled_violation_is_one_roof_lp(roof_lps, roof_calls):
-    m = square()
-    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    m, obs = face_and_sum_levels()
+    sw = SwitchedCost(m, obs, np.array(FACE_AND_SUM_INCONSISTENT))
     v = sw.consistency
     worst, witness, path = v.worst_violation, v.witness, v.path
     # every probe point of every cell in one stacked LP
-    assert roof_lps() == 1 and roof_calls == [sw]
+    assert roof_lps("_roof") == 1 and roof_calls == [sw]
     assert path == "sampled" and not v.consistent
     assert worst == pytest.approx(sampled_roof_violation(sw), abs=1e-12)
     assert witness["value"] - witness["roof_value"] == worst
@@ -583,7 +600,7 @@ def test_impossible_count_audit_makes_one_roof_lp_per_cell(roof_lps,
                                                            monkeypatch):
     sc = load_scenario(bundled_scenarios()["square_count_impossible.scn"])
     plan = plan_switch(sc.model, sc.observation, sc.initial_state)
-    assert plan.consistency.path == "sampled"
+    assert plan.consistency.path == "pointwise"
     assert not plan.consistency.consistent
     per_cell = []  # roof LPs of each stack the audit itself prices
     real = SwitchedCost._conjs
@@ -606,16 +623,21 @@ def test_impossible_count_audit_makes_one_roof_lp_per_cell(roof_lps,
 DIAGONALS = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
 
 
-@pytest.mark.parametrize("observe, path, verdicts", [
-    (coord0, "exposed", (True, True)),
-    (lambda m: observe_sum(m.space), "sampled", (True, False)),
-    (lambda m: observe_partition(m.space, DIAGONALS), "overlap",
-     (False, False)),
-], ids=["square/coordinate(0)", "square/sum", "square/diagonals"])
-def test_verdict_records_the_deciding_path(observe, path, verdicts):
-    m = square()
-    for s, consistent in zip(([0.0, 0.0], [1.0, 0.0]), verdicts):
-        v = consistency_check(m, observe(m), np.array(s))
+@pytest.mark.parametrize("make, path, verdicts", [
+    (lambda: (square(), coord0(square())), "exposed", (True, True)),
+    (lambda: (square(), observe_sum(square_market())), "pointwise",
+     (True, False)),
+    (lambda: (square(), observe_partition(square_market(), DIAGONALS)),
+     "overlap", (False, False)),
+    (face_and_sum_levels, "sampled", (True, False)),
+], ids=["square/coordinate(0)", "square/sum", "square/diagonals",
+        "cube3/face-and-sum-levels"])
+def test_verdict_records_the_deciding_path(make, path, verdicts):
+    m, obs = make()
+    states = ([0.0] * m.dim, ([1.0, 0.0] if m.dim == 2
+                              else FACE_AND_SUM_INCONSISTENT))
+    for s, consistent in zip(states, verdicts):
+        v = consistency_check(m, obs, np.array(s))
         assert (v.path, v.consistent) == (path, consistent)
         assert v.switched.consistency.path == path
 
@@ -649,7 +671,8 @@ def test_negative_switch_offset_is_a_value_error(monkeypatch):
         # one cell's cost above C(s) gives that cell a negative offset
         res = real(self, q)
         if self.event == obs.cell(1.0):
-            res.value -= 1.0  # the value is -C_x(q)
+            # the value is -C_x(q)
+            return dataclasses.replace(res, value=res.value - 1.0)
         return res
 
     monkeypatch.setattr(RestrictedCost, "_project", inflated)
@@ -786,7 +809,7 @@ def test_consistency_check_overlapping_cells():
 
 
 # a 5-cube sum switch whose sampled roof hides a real undercut: no probe of
-# cell 3 lies at (0, .75, .75, .75, .75)
+# cell 3 lies at (0, .75, .75, .75, .75); the pointwise test finds it
 CUBE5_STATE = [1.6691908191636107, -1.8416284933431886, 0.11435705304008659,
                -0.1626564684583851, -1.7506016834004976]
 
@@ -810,10 +833,164 @@ def test_a_two_cell_mixture_undercuts_the_5_cube_sum_switch():
     assert in_cell - mixture >= 0.18
 
 
-@pytest.mark.xfail(strict=True, reason="the sampled roof misses the 0.18 "
-                   "undercut of the two-cell mixture (ROADMAP item 1)")
-def test_the_5_cube_sum_switch_is_inconsistent():
-    assert not cube5_sum_switch().consistency.consistent
+def test_the_5_cube_sum_switch_is_inconsistent(roof_lps):
+    v = cube5_sum_switch().consistency
+    assert not v.consistent and v.path == "pointwise"
+    # level sets lie in disjoint hyperplanes: no overlap scan, no roof LP
+    assert roof_lps() == 0
+    # the worst probe is the point the two-cell mixture meets, by the same
+    # mixture of the cells of sums 0 and 3
+    assert v.witness["mu"].tolist() == [0.0, 0.5, 0.5, 0.5, 0.5]
+    assert v.witness["realization"] == 2.0
+    assert v.witness["mixture"] == pytest.approx({0.0: 1 / 3, 3.0: 2 / 3},
+                                                 abs=1e-15)
+    assert v.worst_violation == pytest.approx(0.184756124, abs=1e-9)
+
+
+def test_a_weighted_statistic_falls_back_where_its_mixture_misses_the_probe():
+    # the level sets of x0 + x1 + 2 x2: at a midpoint probe the worst dual
+    # mixture may pair cells whose projections do not meet the probe, where
+    # the bound need not be an undercut, and the roof LP decides instead
+    m = IndependentBinaryCost(independent_binary_market(3))
+    levels = {}
+    for w in m.space.outcomes:
+        levels.setdefault(w[0] + w[1] + 2 * w[2], []).append(w)
+    obs = observe_partition(m.space, [levels[v] for v in sorted(levels)])
+    sw = SwitchedCost(m, obs, np.array([1.0, 0.0, 0.0]))
+    v = sw.consistency
+    assert v.path == "sampled" and not v.consistent
+    assert v.worst_violation == pytest.approx(sampled_roof_violation(sw),
+                                              abs=1e-12)
+    v = consistency_check(m, obs, np.array([2.0, -1.0, 0.5]))
+    assert v.path == "pointwise" and not v.consistent
+
+
+# the probes of a cube/sum cell are its vertices and pairwise midpoints; a
+# dense sweep of the 3-cube's cells finds the worst point elsewhere, at the
+# cell's centroid, which no probe is and the mixture of the two corners
+# meets
+CUBE3_STATES = [[1.0, -1.0, 0.0], [0.5, -1.5, 1.0]]
+
+
+def cube3_sum_switch(s):
+    m = IndependentBinaryCost(independent_binary_market(3))
+    return SwitchedCost(m, observe_sum(m.space), s)
+
+
+@pytest.mark.parametrize("s", CUBE3_STATES)
+def test_a_dense_sweep_puts_the_worst_3_cube_sum_point_at_a_centroid(s):
+    sw = cube3_sum_switch(s)
+    g = 12  # a grid of step 1/12 on each triangle, centroid included
+    grid = np.array([(i, j, g - i - j) for i in range(g + 1)
+                     for j in range(g + 1 - i)]) / g
+    cells = {}
+    for x in sw.realizations:
+        V = sw.cell_models[x].hull.vertices
+        cells[x] = np.unique(grid @ V, axis=0) if len(V) == 3 else V
+    own = {x: np.array([product_lmsr_conjugate(mu, 0.0) - sw.offsets[x]
+                        for mu in cells[x]]) for x in cells}
+    points = np.vstack(list(cells.values()))
+    values = np.concatenate(list(own.values()))
+    for x in (1.0, 2.0):
+        # the roof over the grid lies on or above the exact roof, so each
+        # undercut it finds is real
+        roof, _ = geometry.min_weighted_value(points, values, cells[x], 1e-12)
+        under = own[x] - roof
+        worst = int(np.argmax(under))
+        assert np.allclose(cells[x][worst], x / 3, rtol=0, atol=1e-15)
+        assert under[worst] >= sw.consistency.worst_violation + 0.2
+
+
+def test_a_two_cell_mixture_undercuts_the_3_cube_sum_switch_at_a_centroid():
+    sw = cube3_sum_switch(CUBE3_STATES[0])
+    b = sw.offsets
+    mu, corner = np.full(3, 1 / 3), np.ones(3)
+    # R(mu) - b_1 against 2/3 of R - b_0 at the origin and 1/3 of R - b_3
+    # at (1, 1, 1)
+    in_cell = product_lmsr_conjugate(mu, 0.0) - b[1.0]
+    mixture = (2 * (0.0 - b[0.0]) / 3
+               + (product_lmsr_conjugate(corner, 0.0) - b[3.0]) / 3)
+    assert in_cell - mixture >= 0.21
+
+
+@pytest.mark.xfail(strict=True, reason="no probe of a 3-cube sum cell is "
+                   "its centroid, where the 0.21 undercut lies (ROADMAP "
+                   "item 1's open question)")
+def test_the_3_cube_sum_switch_off_the_diagonal_is_inconsistent():
+    assert not cube3_sum_switch(CUBE3_STATES[0]).consistency.consistent
+
+
+def test_the_square_sum_verdict_makes_no_lp_and_no_projection(monkeypatch):
+    import cfmarkets.costs
+
+    m = square()
+    obs = observe_sum(m.space)
+    exposed = exposure_witness(m.space, obs)  # its own LPs, before counting
+    lps, projections = [], []
+    real_lp, real_fw = geometry.linprog, cfmarkets.costs.project_onto_hull
+    monkeypatch.setattr(geometry, "linprog",
+                        lambda *a, **kw: lps.append(1) or real_lp(*a, **kw))
+    monkeypatch.setattr(cfmarkets.costs, "project_onto_hull",
+                        lambda *a: projections.append(1) or real_fw(*a))
+    for s in ([1.0, 0.0], [0.5, 0.5], [-2.0, 1.5], [1e20, -1e20]):
+        sw = SwitchedCost(m, obs, np.array(s))
+        # the middle cell's offset at s is its one Frank-Wolfe solve
+        assert (len(lps), len(projections)) == (0, 1)
+        worst, _, path = sw._judge(exposed)
+        assert (worst, path) == (sw._violation[0], "pointwise")
+        assert (len(lps), len(projections)) == (0, 1)
+        assert "_roof_samples" not in vars(sw)
+        projections.clear()
+
+
+def sum_mixture_undercut(sw, verdict):
+    """The undercut of the worst probe's offset conjugate by the two-cell
+    mixture its witness names, built here: on the probe's smallest face the
+    point of the cell of sum v holds the pinned coordinates and spreads the
+    rest of v evenly over the free ones; each cell's weight comes from the
+    sums alone. Raises unless the two points mix to the probe."""
+    p, k = verdict.witness["mu"], verdict.witness["realization"]
+    j, h = sorted(verdict.witness["mixture"])
+    free = (p > 0.0) & (p < 1.0)
+    pinned = float(p[~free].sum())
+
+    def point(v):
+        mu = p.copy()
+        mu[free] = (v - pinned) / free.sum()
+        assert np.all((0.0 <= mu) & (mu <= 1.0))
+        assert abs(mu.sum() - v) <= 1e-12
+        return mu
+
+    lj, lh = (h - k) / (h - j), (k - j) / (h - j)
+    assert verdict.witness["mixture"] == pytest.approx({j: lj, h: lh},
+                                                       abs=1e-15)
+    assert np.allclose(lj * point(j) + lh * point(h), p, rtol=0, atol=1e-15)
+    b = sw.offsets
+    return (product_lmsr_conjugate(p, 0.0) - b[k]
+            - lj * (product_lmsr_conjugate(point(j), 0.0) - b[j])
+            - lh * (product_lmsr_conjugate(point(h), 0.0) - b[h]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_every_inconsistent_sum_verdict_is_a_two_cell_mixture(n):
+    m = IndependentBinaryCost(independent_binary_market(n))
+    obs = observe_sum(m.space)
+    rng = np.random.default_rng(100 + n)
+    found = 0
+    for _ in range(50):
+        s = rng.uniform(-2.0, 2.0, n)
+        sw = SwitchedCost(m, obs, s)
+        v = sw.consistency
+        assert v.path == "pointwise"
+        if n == 2:  # one probe, (1/2, 1/2), read in closed form
+            assert abs(v.worst_violation
+                       - max(0.0, square_count_violation(s))) <= 1e-10
+        if not v.consistent:
+            found += 1
+            # the reported value is the mixture's undercut: a real one
+            undercut = sum_mixture_undercut(sw, v)
+            assert undercut == pytest.approx(v.worst_violation, abs=1e-12)
+    assert found > 0
 
 
 # ---------------------------------------------------------------------------
