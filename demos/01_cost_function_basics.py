@@ -66,13 +66,14 @@ print("excess of belief beyond the event:",
 section("A knowing trader trades to the conditional price")
 # trade k moves to a state priced (1 - 10^-k) p_E + 10^-k c_E, with c_E the
 # event's vertex mean; its guaranteed payoff is exact
-seq = optimizing_sequence(lmsr, event, q, n_steps=40)
+seq = optimizing_sequence(lmsr, event, q)
+trace = [util_event(lmsr, event, s).value for s in seq.states]
 k = len(seq.payoffs) - 1
 print("divergence to the event at each state:",
-      [round(v, 5) for v in seq.trace[:3]], "...")
+      [round(v, 5) for v in trace[:3]], "...")
 print("guaranteed payoff of trade k climbs to Util(E; q):",
       [round(v, 5) for v in seq.payoffs[:6]], "...", round(seq.payoffs[-1], 6))
-print(f"stops at trade {k}, within {seq.trace[0] - seq.payoffs[-1]:.0e} "
+print(f"stops at trade {k}, within {trace[0] - seq.payoffs[-1]:.0e} "
       "of Util(E; q)")
 
 # -- the maker's worst case --------------------------------------------------

@@ -450,8 +450,11 @@ class RestrictedCost(CostModel):
 
     def restrict(self, event):
         """Inside this cost's event: the base restricted to `event`, so
-        Frank-Wolfe never runs over a restricted cost. An event that leaves
+        Frank-Wolfe never runs over a restricted cost; this cell's own
+        memoized projection when `event` is its event. An event that leaves
         this one raises ValueError."""
+        if tuple(event) == self.event:
+            return self._project
         if not set(event) <= set(self.event):
             raise ValueError(f"event {tuple(event)!r} leaves {self.event!r}")
         return RestrictedCost(self.base, event)._project
@@ -716,8 +719,7 @@ class SwitchedCost(CostModel):
             sub = tuple(w for w in cell.event if face[space.index(w)])
             if y == k or not sub:
                 continue
-            project = cell._project if sub == cell.event else cell.restrict(sub)
-            res = project(q0)
+            res = cell.restrict(sub)(q0)
             c[y], mus[y] = self._b[y] - res.value, res.mu
         met = ~np.isnan(c)
         below = np.flatnonzero(met & (levels < levels[k]))
@@ -773,16 +775,13 @@ class SwitchedCost(CostModel):
 
     def restrict(self, event):
         """Inside cell x, for every kind of cell: the base's own projection
-        onto the event (the cell's, when it is the whole cell, else the
-        one the cell's `restrict` builds), its value less b_x. Frank-Wolfe
-        never runs over the roof: an event that spans cells raises
-        ValueError."""
+        onto the event, as the cell's `restrict` makes it, its value less
+        b_x. Frank-Wolfe never runs over the roof: an event that spans
+        cells raises ValueError."""
         for x in self.realizations:
             cell = self.cell_models[x]
             if set(event) <= set(cell.event):
-                inner = (cell._project if tuple(event) == cell.event
-                         else cell.restrict(event))
-                b = self.offsets[x]
+                inner, b = cell.restrict(event), self.offsets[x]
 
                 def project(q):
                     res = inner(q)

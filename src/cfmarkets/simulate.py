@@ -22,8 +22,6 @@ from .switching import plan_switch
 # a `simulate.util_event` binding; nothing here calls it
 from .utility import UTIL_TOL, optimizing_sequence, util_event  # noqa: F401
 
-JIT_STEPS = 60  # most optimizing_sequence trades behind a JitArbitrageur trade
-
 
 class InconsistentPlanError(RuntimeError):
     """Raised when a protocol would trade through an inconsistent switch."""
@@ -154,9 +152,10 @@ class NoiseTrader(TraderAgent):
 
 class JitArbitrageur(TraderAgent):
     """Knows the realization; trades the last trade of `optimizing_sequence`
-    on its cell, which must collect Util(E; q) within the projection's gap
-    and UTIL_TOL. Otherwise it raises RuntimeError naming the trader, the
-    cell and Util(E; q), or the projection if that stopped unconverged."""
+    on its cell, which projects the cell once, at q. The trade must collect
+    that projection's Util(E; q) within its gap and UTIL_TOL; otherwise it
+    raises RuntimeError naming the trader, the cell and Util(E; q), or the
+    projection if that stopped unconverged."""
 
     def __init__(self, name, times, obs: Observation, x, budget=None):
         super().__init__(name, times, budget)
@@ -165,7 +164,7 @@ class JitArbitrageur(TraderAgent):
 
     def bundle(self, model, q, t, rng):
         cell = self.obs.cell(self.x)
-        seq = optimizing_sequence(model, cell, q, JIT_STEPS)
+        seq = optimizing_sequence(model, cell, q)
         util = seq.util
         if util is not None and \
                 seq.payoffs[-1] < util.value - util.residual - UTIL_TOL:

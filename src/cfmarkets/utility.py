@@ -8,12 +8,13 @@ vector: the Bregman projection of the state onto M(E). That projection is
 the maximizer of the restricted cost C_E, so `RestrictedCost.project` makes
 it: through the cost kind's projector (`restrict`) where it has one,
 otherwise by away-step Frank-Wolfe over the event's payoff vertices. An
-optimizing sequence trades to states priced ever nearer that projection.
+optimizing sequence projects once, then trades to states priced ever nearer
+that projection, at most MAX_TRADES of them, and keeps only its trades.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .costs import CostModel, RestrictedCost, _as_vector, \
 
 MEMBERSHIP_TOL = 1e-7  # L-inf slack of excess_util's belief-in-event test
 UTIL_TOL = 1e-9  # shortfall from Util(E; q) at which optimizing_sequence stops
+MAX_TRADES = 60  # most trades optimizing_sequence makes
 
 
 @dataclass
@@ -32,7 +34,6 @@ class EventUtility:
     minimizer: np.ndarray
     residual: float
     converged: bool
-    multiple: bool
 
 
 def util_belief(m: CostModel, mu, q) -> float:
@@ -46,7 +47,7 @@ def util_event(m: CostModel, event, q) -> EventUtility:
     q = _as_vector(q, m.dim, "q")
     res = RestrictedCost(m, event)._project(q)
     return EventUtility(m.divergence(res.mu, q), res.mu, res.gap,
-                        res.converged, not m.strictly_convex)
+                        res.converged)
 
 
 def conditional_price(m: CostModel, event, q):
@@ -56,9 +57,8 @@ def conditional_price(m: CostModel, event, q):
     conjugate is not strictly convex, in which case the projection may not be
     unique and the solver's limit point is returned.
     """
-    res = util_event(m, event, q)
-    multiple = res.multiple and len(tuple(event)) > 1
-    return res.minimizer, multiple
+    multiple = not m.strictly_convex and len(tuple(event)) > 1
+    return util_event(m, event, q).minimizer, multiple
 
 
 def excess_util(m: CostModel, mu, event, q) -> float:
@@ -72,15 +72,13 @@ def excess_util(m: CostModel, mu, event, q) -> float:
 
 @dataclass
 class OptimizingSequence:
-    states: list = field(default_factory=list)
-    trace: list = field(default_factory=list)  # Util(E; q_i) at each state
-    payoffs: list = field(default_factory=list)  # of each trade q_i - q_0
-    bundle: np.ndarray | None = None
-    util: EventUtility | None = None  # at q_0, the projection traded toward
+    states: list  # q_0, then the state after each trade
+    payoffs: list  # guaranteed payoff of each trade q_i - q_0; 0 for q_0
+    bundle: np.ndarray  # the last trade
+    util: EventUtility | None  # at q_0, traded toward; None for the full event
 
 
-def optimizing_sequence(m: CostModel, event, q,
-                        n_steps: int) -> OptimizingSequence:
+def optimizing_sequence(m: CostModel, event, q) -> OptimizingSequence:
     """Trades straight to states priced near the Bregman projection mu_E of
     q onto E's hull, by a trader who knows the outcome lies in E.
 
@@ -89,25 +87,24 @@ def optimizing_sequence(m: CostModel, event, q,
     guaranteed payoff, the least rho.r_k over E's vertices less the trade's
     cost, tends to Util(E; q) by minimax (arXiv 1407.8161). The sequence
     stops at the first trade, the zero trade included, within UTIL_TOL of
-    Util(E; q), after n_steps trades, or short of Util(E; q) at a mu_k the
-    cost has no state for.
+    Util(E; q), after MAX_TRADES trades, or short of Util(E; q) at a mu_k
+    the cost has no state for. Util is projected once, at q, and not at
+    the states the trades reach.
     """
     event = tuple(event)
-    if not event or n_steps < 1:
-        raise ValueError("need a nonempty event and n_steps >= 1")
+    if not event:
+        raise ValueError("need a nonempty event")
     q0 = _as_vector(q, m.dim, "q")
-    if set(event) == set(m.space.outcomes):
-        # knowing E carries no information; already optimal
-        return OptimizingSequence(bundle=np.zeros(m.dim))
-    util = util_event(m, event, q0)
-    out = OptimizingSequence([q0.copy()], [util.value], [0.0],
-                             np.zeros(m.dim), util)
-    target = util.value - UTIL_TOL
-    if target <= 0.0:
+    # knowing the full event carries no information; already optimal
+    util = None if set(event) == set(m.space.outcomes) \
+        else util_event(m, event, q0)
+    out = OptimizingSequence([q0.copy()], [0.0], np.zeros(m.dim), util)
+    if util is None or util.value <= UTIL_TOL:
         return out  # the zero trade already collects Util(E; q)
+    target = util.value - UTIL_TOL
     V = m.space.vertices(event)
     c0 = m.cost(q0)
-    for k in range(1, n_steps + 1):
+    for k in range(1, MAX_TRADES + 1):
         eps = 10.0 ** -k
         mu = (1.0 - eps) * util.minimizer + eps * V.mean(axis=0)
         try:
@@ -115,7 +112,6 @@ def optimizing_sequence(m: CostModel, event, q,
         except NotImplementedError:
             break
         out.states.append(q0 + r)
-        out.trace.append(util_event(m, event, q0 + r).value)
         out.payoffs.append(float(np.min(V @ r) - (m.cost(q0 + r) - c0)))
         out.bundle = r
         if out.payoffs[-1] >= target:

@@ -23,6 +23,7 @@ from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
                        simplex_market, single_binary_market, square_market,
                        util_event, verify_loss, wc_loss_bound)
 from cfmarkets.cli import cmd_run
+from cfmarkets.utility import MAX_TRADES
 
 from oracles import (grid_minimax_util, lmsr_cost_vec, medal_eta_grid_value,
                      piecewise_cost_vec, product_lmsr_cost_vec,
@@ -284,11 +285,11 @@ def test_10_loss_bounds_over_seeded_runs():
 
 def test_11_optimizing_sequence_convergence():
     m = LmsrCost(simplex_market(3))
-    seq = optimizing_sequence(m, (0, 1), np.zeros(3), n_steps=200)
-    trace = np.array(seq.trace)
+    seq = optimizing_sequence(m, (0, 1), np.zeros(3))
+    trace = np.array([util_event(m, (0, 1), s).value for s in seq.states])
     assert np.all(np.diff(trace) <= 1e-12)
     assert trace[-1] < 1e-3, trace[-1]
-    assert len(trace) <= 201
+    assert len(trace) <= MAX_TRADES + 1
     done(11, f"divergence trace reaches {trace[-1]:.2e} "
              f"in {len(trace) - 1} steps")
 

@@ -359,6 +359,13 @@ def test_a_cell_projects_a_repeated_state_once(projections):
     assert again[2] is first
 
 
+def test_restricting_a_cell_to_its_own_event_reads_its_memo(projections):
+    cell, q = middle_cell(), np.array([0.5, -0.7])
+    first = cell.project(q)
+    assert cell.restrict(cell.event)(q) is first
+    assert projections.calls == 1
+
+
 def test_a_remembered_projection_is_a_fresh_solve_bit_for_bit():
     cell, q = middle_cell(), np.array([0.3, 1.1])
     cell.project(q)

@@ -227,19 +227,24 @@ def jit_cases(case, rng):
                                   "square/coordinate", "lmsr4/partition"])
 def test_jit_trades_collect_the_event_utility(monkeypatch, case):
     # each trade's guaranteed payoff is Util(E; q) within 1e-9, from at
-    # most 50 LCMM solves
-    solves = []
-    remember = LcmmCost._remember
+    # most 50 LCMM solves and one projection of its cell
+    import cfmarkets.utility
+    solves, projections = [], []
+    remember, project = LcmmCost._remember, cfmarkets.utility.util_event
     monkeypatch.setattr(LcmmCost, "_remember", lambda self, *a:
                         solves.append(1) or remember(self, *a))
+    monkeypatch.setattr(cfmarkets.utility, "util_event", lambda *a:
+                        projections.append(1) or project(*a))
     rng = np.random.default_rng(31)
     for model, obs, q in jit_cases(case, rng):
         for x in obs.realizations:
             cell = obs.cell(x)
             util = util_event(model, cell, q).value
             solves.clear()
+            projections.clear()
             r = JitArbitrageur("a", [1.0], obs, x).bundle(model, q, 1.0, rng)
             assert len(solves) <= 50, (case, x)
+            assert len(projections) == 1, (case, x)
             guaranteed = (min(float(r @ model.space.payoff_of(w))
                               for w in cell) - model.trade_cost(q, r))
             assert guaranteed == pytest.approx(util, abs=1e-9), (case, x)

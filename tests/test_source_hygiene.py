@@ -272,7 +272,8 @@ def unsafe_yaml_loads(source: str) -> list:
         name = _identifier(n.func)
         if isinstance(n.func, ast.Name):
             name = from_yaml.get(name)
-        elif not (isinstance(n.func.value, ast.Name)
+        elif not (isinstance(n.func, ast.Attribute)
+                  and isinstance(n.func.value, ast.Name)
                   and n.func.value.id == "yaml"):
             name = None
         if name in UNSAFE_LOADS:
@@ -296,7 +297,8 @@ def test_the_check_finds_an_unsafe_yaml_load():
               "e = yaml.load(t)\n"
               "f = load(t, Loader=yaml.UnsafeLoader)\n"
               "g = yaml.unsafe_load(t)\nh = full_load(t)\n"
-              "i = json.load(t)\nj = yaml.safe_load(t)\n")
+              "i = json.load(t)\nj = yaml.safe_load(t)\n"
+              "k = (a if c else b)(t)\nl = g()(t)\n")
     assert unsafe_yaml_loads(source) == [3, 8, 9, 10, 11, 12]
 
 

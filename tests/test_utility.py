@@ -184,8 +184,8 @@ def test_excess_util_rejects_a_malformed_belief(mu):
 
 def test_optimizing_sequence_converges():
     m = lmsr3()
-    seq = optimizing_sequence(m, (0, 1), np.zeros(3), n_steps=100)
-    trace = np.array(seq.trace)
+    seq = optimizing_sequence(m, (0, 1), np.zeros(3))
+    trace = np.array([util_event(m, (0, 1), s).value for s in seq.states])
     assert np.all(np.diff(trace) <= 1e-12)  # non-increasing divergence
     assert trace[-1] < 1e-6
     payoffs = np.array(seq.payoffs)
@@ -193,18 +193,17 @@ def test_optimizing_sequence_converges():
     # the guaranteed payoff approaches the utility of knowing the event
     assert payoffs[-1] <= trace[0] + 1e-9
     assert payoffs[-1] == pytest.approx(trace[0], abs=1e-3)
-    assert len(seq.states) == len(trace) == len(payoffs)
+    assert len(seq.states) == len(payoffs)
 
 
 def test_optimizing_sequence_full_event_trades_nothing():
     m = lmsr3()
-    seq = optimizing_sequence(m, m.space.outcomes, np.zeros(3), n_steps=10)
+    seq = optimizing_sequence(m, m.space.outcomes, np.zeros(3))
     assert np.allclose(seq.bundle, 0.0)
+    assert len(seq.states) == 1 and seq.payoffs == [0.0] and seq.util is None
 
 
 def test_optimizing_sequence_validation():
     m = lmsr3()
     with pytest.raises(ValueError):
-        optimizing_sequence(m, (), np.zeros(3), n_steps=10)
-    with pytest.raises(ValueError):
-        optimizing_sequence(m, (0,), np.zeros(3), n_steps=0)
+        optimizing_sequence(m, (), np.zeros(3))
