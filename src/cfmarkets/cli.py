@@ -3,8 +3,9 @@
 Exit codes: 0 all enabled checks pass, 1 a check failed, the reader
 closed stdout early, the output could not be written (a `--out` path
 that cannot be opened, a full device), an LP stopped without an answer,
-or a jit trader found no trade that collects its cell's utility, each of
-the last three with one `error: ...` line on stderr, 2 the scenario
+a jit trader found no trade that collects its cell's utility, or a
+belief trader found no state the switch prices at its belief, each of
+the last four with one `error: ...` line on stderr, 2 the scenario
 could not be parsed; in `check` a "not_tight" block fails.
 Output records are line-delimited with the fixed field set {ts, kind,
 state, price_center, spread, cost_delta, trader, check, value, pass} in
@@ -261,7 +262,7 @@ def main(argv=None) -> int:
         if not isinstance(e, BrokenPipeError):
             print(f"error: cannot write output: {e}", file=sys.stderr)
         return 1
-    except RuntimeError as e:  # an LP stopped, or a jit found no trade
+    except RuntimeError as e:  # an LP stopped, or a trader found no trade
         print(f"error: {e}", file=sys.stderr)
         return 1
     return code

@@ -38,6 +38,7 @@ FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
 _CACHE_LIMIT = 256  # entries a memo holds; a full memo is cleared first
 _RANK_TOL = 1e-9  # singular values at or below this count as 0
 _MIXTURE_TOL = 1e-6  # how near a dual mixture must come to its probe point
+_TIE_TOL = 1e-9  # cells within this of a switch's max tie for its price
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
@@ -388,8 +389,6 @@ class RestrictedCost(CostModel):
     memo keyed by the bytes of q, bounded by _CACHE_LIMIT, with its `mu`
     read-only, and a state it has seen is read from there. A closed-form
     projection costs less than the lookup and is not kept.
-    `fixed_coords` lists the coordinates a sub-cube face with a projector
-    pins, with their values.
     """
 
     kind = "restricted"
@@ -402,8 +401,6 @@ class RestrictedCost(CostModel):
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
         self._projector = base.restrict(self.event)
-        self.fixed_coords = (dict(self.hull.pinned) if self.hull.kind == "box"
-                             and self._projector is not None else {})
         self._solved: dict = {}  # q bytes -> Frank-Wolfe ProjectionResult
 
     def project(self, q) -> ProjectionResult:
@@ -439,15 +436,6 @@ class RestrictedCost(CostModel):
             return INF
         return self.base._conj(mu)
 
-    def state_with_price(self, mu) -> np.ndarray:
-        if self._projector is None:
-            raise NotImplementedError(
-                "no closed-form state inverse for generic events")
-        q = self.base.state_with_price(mu)
-        for i in self.fixed_coords:
-            q[i] = 0.0
-        return q
-
     def restrict(self, event):
         """Inside this cost's event: the base restricted to `event`, so
         Frank-Wolfe never runs over a restricted cost; this cell's own
@@ -460,13 +448,12 @@ class RestrictedCost(CostModel):
         return RestrictedCost(self.base, event)._project
 
 
-def _statistic_levels(space: OutcomeSpace, observation) -> np.ndarray | None:
-    """The value v_x on each cell x (in `realizations` order) of one linear
-    statistic a.rho of the payoffs whose level sets the cells are, or None
-    when there is no such statistic. a is constant on a cell when it is
-    orthogonal to every difference of the cell's payoffs; the cells' values
-    under all such a must then lie on one line, at distinct points. v is
-    read up to an affine change, which the pointwise bound does not see."""
+def _statistic_levels(space: OutcomeSpace, observation):
+    """(a, v): a linear statistic a.rho of the payoffs whose level sets the
+    cells are, with its value v_x on each cell x (in `realizations` order)
+    less that on the first; None where there is none. a is constant on a
+    cell when it is orthogonal to every difference of the cell's payoffs;
+    the cells' values under all such a must lie on one line, apart."""
     P = space.payoff
     rows = [P[[space.index(w) for w in observation.cell(x)]]
             for x in observation.realizations]
@@ -481,7 +468,7 @@ def _statistic_levels(space: OutcomeSpace, observation) -> np.ndarray | None:
     levels = (u - u[0]) @ ut[0]
     if np.min(np.diff(np.sort(levels))) <= _RANK_TOL:
         return None
-    return levels
+    return basis.T @ ut[0], levels
 
 
 @dataclass
@@ -521,10 +508,14 @@ class SwitchedCost(CostModel):
     that meets the probe. Elsewhere it is "sampled", by the roof LP, which
     lies on or above the exact roof, so an undercut it finds is real. On
     cells that are not exposed, a "consistent" verdict on either path holds
-    at the probe points only. Restricted to an
-    event E inside cell x, every switch is b_x + C_E (`restrict`). The
-    switch is also the plan of a sudden-revelation run: `plan_switch`
-    returns it and it prices every trade after the switch.
+    at the probe points only. `state_with_price(mu)` moves the base's state
+    q0 for mu along a direction d of the first cell k that holds mu, k's
+    exposure witness or else the statistic, until k wins the max; it raises
+    NotImplementedError naming mu where k has neither, or where the roof
+    undercuts R(mu) - b_k at mu. Restricted to an event E inside cell x,
+    every switch is b_x + C_E (`restrict`). The switch is also the plan of
+    a sudden-revelation run: `plan_switch` returns it and it prices every
+    trade after the switch.
     """
 
     kind = "switched"
@@ -549,9 +540,12 @@ class SwitchedCost(CostModel):
             self.cell_models[x], self.offsets[x] = cell, max(b, 0.0)
         self._b = np.array([self.offsets[x] for x in self.realizations])
         exposed = exposure_witness(self.space, observation)
+        self._witnesses = [exposed[x] for x in self.realizations]
+        self._statistic = (None if all(w is not None for w in self._witnesses)
+                           else _statistic_levels(self.space, observation))
         self._violation = self._judge(exposed)
         self._exact = (self._violation[0] <= CONSISTENCY_TOL) | np.array(
-            [exposed[x] is not None for x in self.realizations])
+            [w is not None for w in self._witnesses])
 
     def cost(self, q) -> float:
         # through each cell's public `cost`, which perfbench's sudden_mc
@@ -565,8 +559,8 @@ class SwitchedCost(CostModel):
         solved = [self.cell_models[x]._project(q) for x in self.realizations]
         vals = [self.offsets[x] - res.value
                 for x, res in zip(self.realizations, solved)]
-        top = max(vals)
-        prices = [res.mu for v, res in zip(vals, solved) if v >= top - 1e-9]
+        top = max(vals) - _TIE_TOL
+        prices = [res.mu for v, res in zip(vals, solved) if v >= top]
         return PriceSet(np.min(prices, axis=0), np.max(prices, axis=0))
 
     def conjugate(self, mu) -> float:
@@ -631,16 +625,15 @@ class SwitchedCost(CostModel):
         in disjoint hyperplanes a.x = v_x, so they are not scanned for
         overlap."""
         every = all(w is not None for w in exposed.values())
-        levels = (None if every or self.space.hull().kind != "box"
-                  else _statistic_levels(self.space, self.observation))
-        if levels is None:
+        stat = self._statistic if self.space.hull().kind == "box" else None
+        if stat is None:
             for x, y in combinations(self.realizations, 2):
                 if self.cell_models[x].hull.intersects(
                         self.cell_models[y].hull):
                     return INF, {"overlap": (x, y)}, "overlap"
         if every:
             return 0.0, None, "exposed"
-        judged = None if levels is None else self._pointwise(levels)
+        judged = None if stat is None else self._pointwise(stat[1])
         if judged is not None:
             return judged
         points, values, owners = self._roof_samples
@@ -761,17 +754,33 @@ class SwitchedCost(CostModel):
                                            self.domain_tol)
 
     def state_with_price(self, mu) -> np.ndarray:
+        """q0 + t d: cell k's cost rises by v_k t, its price staying mu, and
+        cell y's, c_y = b_y + C_y(q0) at t = 0, by at most v_y t for t >= 0
+        (exactly, for any t, on a statistic), v_y the largest d.rho over y;
+        t is the point nearest 0 where k is within _TIE_TOL of the max."""
         mu = _as_vector(mu, self.dim, "mu")
         held = self._held(mu[None, :])[:, 0]
         if not held.any():
             raise ValueError("mu is not in any revelation cell")
-        # the first realization whose cell holds mu
-        model = self.cell_models[self.realizations[int(np.argmax(held))]]
-        q = model.state_with_price(mu)
-        # push fixed coordinates past the switch state so this cell wins the max
-        for i, x in model.fixed_coords.items():
-            q[i] = self.switch_state[i] + (_STATE_CLIP if x > 0.5 else -_STATE_CLIP)
-        return q
+        k = int(np.argmax(held))
+        cells = [self.cell_models[x] for x in self.realizations]
+        where = f"mu = {mu.round(6).tolist()} in cell {cells[k].event!r}"
+        d = self._witnesses[k]
+        if d is None and self._statistic is None:
+            raise NotImplementedError(f"no state prices {where}: the cell "
+                                      "is neither exposed nor a level set")
+        d = self._statistic[0] if d is None else d
+        q0 = self.base.state_with_price(mu)
+        c = self._b - np.array([cell._project(q0).value for cell in cells])
+        v = np.array([(cell.hull.vertices @ d).max() for cell in cells])
+        gaps = list(zip((c - c[k]).tolist(), (v - v[k]).tolist()))
+        lo = max([g / -w for g, w in gaps if w < 0], default=-INF)
+        hi = min([g / -w for g, w in gaps if w > 0], default=INF)
+        t = min(max(0.0, lo), hi)
+        if max(g + w * t for g, w in gaps) > _TIE_TOL:
+            raise NotImplementedError(f"no state prices {where}: the roof "
+                                      "undercuts the cell there")
+        return q0 + t * d
 
     def restrict(self, event):
         """Inside cell x, for every kind of cell: the base's own projection

@@ -110,29 +110,19 @@ class TraderAgent:
 
 
 class BeliefTrader(TraderAgent):
-    """Risk-neutral trader moving the state to its belief's price state."""
+    """Risk-neutral trader who trades to `state_with_price(mu)` and so takes
+    D(mu || q); RuntimeError names it where the cost has no such state."""
 
     def __init__(self, name, times, mu, budget=None):
         super().__init__(name, times, budget)
         self.mu = np.asarray(mu, dtype=float)
 
     def bundle(self, model, q, t, rng):
-        q = np.asarray(q, dtype=float)
         try:
             target = model.state_with_price(self.mu)
-            r = target - q
-        except NotImplementedError:
-            # no closed-form state inverse: maximize expected profit directly
-            from scipy.optimize import minimize
-
-            def neg_profit(r):
-                return model.trade_cost(q, r) - float(self.mu @ r)
-
-            res = minimize(neg_profit, np.zeros(model.dim), method="Powell",
-                           options={"xtol": 1e-10, "ftol": 1e-12,
-                                    "maxiter": 2000})
-            r = res.x
-        return self._cap(model, q, r)
+        except NotImplementedError as e:
+            raise RuntimeError(f"belief trader {self.name!r}: {e}") from None
+        return self._cap(model, q, target - np.asarray(q, dtype=float))
 
 
 class NoiseTrader(TraderAgent):
@@ -152,10 +142,10 @@ class NoiseTrader(TraderAgent):
 
 class JitArbitrageur(TraderAgent):
     """Knows the realization; trades the last trade of `optimizing_sequence`
-    on its cell, which projects the cell once, at q. The trade must collect
-    that projection's Util(E; q) within its gap and UTIL_TOL; otherwise it
-    raises RuntimeError naming the trader, the cell and Util(E; q), or the
-    projection if that stopped unconverged."""
+    on its cell, to a `state_with_price` state, with the cell projected once,
+    at q. The trade must collect that Util(E; q) within its gap and UTIL_TOL;
+    otherwise it raises RuntimeError naming the trader, the cell and
+    Util(E; q), or the projection if that stopped unconverged."""
 
     def __init__(self, name, times, obs: Observation, x, budget=None):
         super().__init__(name, times, budget)

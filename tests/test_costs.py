@@ -240,22 +240,16 @@ def test_restricted_product_mode(projections):
     projections.forbidden = True
     m = square()
     cell = RestrictedCost(m, (((1, 0)), ((1, 1))))
-    assert cell.fixed_coords == {0: 1.0}
     q = np.array([0.7, -0.2])
     assert cell.cost(q) == pytest.approx(q[0] + np.logaddexp(0, q[1]),
                                          abs=1e-12)
     assert np.allclose(cell.price(q).center, [1.0, 1 / (1 + np.exp(0.2))],
                        atol=1e-12)
-    s = cell.state_with_price(np.array([1.0, 0.25]))
-    assert np.allclose(cell.price(s).center, [1.0, 0.25], atol=1e-9)
-    # simplex cells pin no coordinates
-    assert RestrictedCost(lmsr(), (0, 1)).fixed_coords == {}
 
 
 def test_restricted_generic_mode_diagonal(projections):
     m = square()
     diag = RestrictedCost(m, (((0, 1)), ((1, 0))))
-    assert diag.fixed_coords == {}
     q = np.array([0.5, -0.7])
     # C_E(q) = q.mu - R(mu) at the projection; must stay below the full cost
     assert diag.cost(q) <= m.cost(q) + 1e-9
@@ -268,8 +262,6 @@ def test_restricted_generic_mode_diagonal(projections):
         t = rng.uniform()
         mu = np.array([t, 1 - t])
         assert q @ mu - m.conjugate(mu) <= diag.cost(q) + 1e-6
-    with pytest.raises(NotImplementedError):
-        diag.state_with_price(p)
     # util_event falls back to the same projection
     before = projections.calls
     assert np.allclose(util_event(m, diag.event, q).minimizer, p, atol=1e-12)

@@ -739,7 +739,7 @@ seed: 1
 market: square
 protocol: sudden
 observation: {kind: sum}
-initial_state: [0.0, 0.0]
+initial_state: [1.0, 0.0]
 switch_time: 1.0
 settlement: [0, 1]
 traders:
@@ -749,15 +749,30 @@ traders:
 
 
 def test_a_jit_with_no_trade_worth_its_cell_exits_1(tmp_path, capsys):
-    # the middle cell has no closed-form state inverse, so no trade there
-    # is known to collect Util(E; q)
+    # the switch at (1, 0) is inconsistent: the roof undercuts the middle
+    # cell, so no trade there is known to collect Util(E; q)
     path = tmp_path / "middle_cell_jit.scn"
     path.write_text(MIDDLE_CELL_JIT)
-    assert main(["run", str(path)]) == 1
+    assert main(["run", "--allow-inconsistent", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: jit trader 'a1' finds no trade")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert main(["check", str(path)]) == 0  # check makes no trade
+    # check makes no trade
+    assert main(["check", "--allow-inconsistent", str(path)]) == 0
+
+
+def test_a_belief_with_no_state_exits_1(tmp_path, capsys):
+    # (0.5, 0.5) is the inconsistency witness of the switch at (1, 0): the
+    # roof undercuts the middle cell there, so no state prices the belief
+    path = tmp_path / "middle_cell_belief.scn"
+    path.write_text(MIDDLE_CELL_JIT.replace(
+        "{kind: jit, name: a1, times: [1.5]}",
+        "{kind: belief, name: b1, times: [1.5], belief: [0.5, 0.5]}"))
+    assert main(["run", "--allow-inconsistent", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: belief trader 'b1': no state prices mu = "
+                          "[0.5, 0.5] in cell ((0, 1), (1, 0))")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_a_belief_of_the_wrong_length_names_its_trader(tmp_path, capsys):
@@ -773,8 +788,8 @@ def test_a_belief_of_the_wrong_length_names_its_trader(tmp_path, capsys):
 
 def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
                                                           capsys):
-    # one exact line search is a brentq root-find: 450 derivative
-    # evaluations for these 42 line searches; a cell projects each state
+    # one exact line search is a brentq root-find: 73 derivative
+    # evaluations for these 3 line searches; a cell projects each state
     # once, so a state it has projected makes no line search
     import cfmarkets._solvers as solvers
     real, counts = solvers._line_search, {"searches": 0, "evaluations": 0}
@@ -793,8 +808,8 @@ def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
         cmd_run(str(path),
                 allow_inconsistent=name == "square_count_impossible.scn")
     capsys.readouterr()
-    assert counts["searches"] == 42
-    assert counts["evaluations"] <= 500
+    assert counts["searches"] == 3
+    assert counts["evaluations"] <= 80
 
 
 def test_check_has_no_tolerance_flag(capsys):

@@ -108,9 +108,6 @@ def test_belief_trader_moves_price_to_belief():
     assert np.allclose(m.price(r).center, mu, atol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="with no closed-form state inverse "
-                   "the belief trader falls back to Powell, which stops at "
-                   "the zero trade on the switch's kink (ROADMAP item 3)")
 def test_belief_trader_earns_the_switched_divergence():
     m = square()
     s = np.zeros(2)
@@ -121,6 +118,20 @@ def test_belief_trader_earns_the_switched_divergence():
     # D_sw(mu || s), from the exact best response of the oracles
     assert float(mu @ r) - sw.trade_cost(s, r) == pytest.approx(0.385489514,
                                                                 abs=1e-8)
+
+
+def test_a_belief_with_no_state_raises_naming_the_trader():
+    # at s = (1, 0) the roof undercuts the middle cell at its centre, the
+    # verdict's own witness point, so no state prices that belief
+    m = square()
+    s = np.array([1.0, 0.0])
+    sw = plan_switch(m, observe_sum(m.space), s)
+    assert np.array_equal(sw.consistency.witness["mu"], [0.5, 0.5])
+    with pytest.raises(RuntimeError, match=r"belief trader 'b': no state "
+                       r"prices mu = \[0\.5, 0\.5\] in cell \(\(0, 1\), "
+                       r"\(1, 0\)\): the roof undercuts"):
+        BeliefTrader("b", [1.5], [0.5, 0.5]).bundle(
+            sw, s, 1.5, np.random.default_rng(0))
 
 
 def test_budget_caps_trade_cost():
@@ -250,21 +261,28 @@ def test_jit_trades_collect_the_event_utility(monkeypatch, case):
             assert guaranteed == pytest.approx(util, abs=1e-9), (case, x)
 
 
-def square_sum_jit_after_a_noise_trade(**kw):
-    """A consistent square/sum switch at 0, a noise trade after it, then a
-    jit for the middle cell, which has no closed-form state inverse."""
+def square_sum_jit_after_a_noise_trade(s_ini=(0.0, 0.0), **kw):
+    """A square/sum switch at s_ini, consistent at 0, a noise trade after
+    it, then a jit for the middle cell, which is not exposed."""
     m = square()
     obs = observe_sum(m.space)
     traders = [NoiseTrader("n1", [1.2], 1.0),
                JitArbitrageur("a1", [1.5], obs, 1.0)]
-    return m, run_protocol1(m, np.zeros(2), obs, traders, 1.0, (0, 1),
+    return m, run_protocol1(m, np.array(s_ini), obs, traders, 1.0, (0, 1),
                             seed=1, **kw)
+
+
+def inconsistent_square_sum_jit_after_a_noise_trade():
+    """The same at s = (1, 0), where the roof undercuts the middle cell and
+    no state there collects Util(E; q)."""
+    return square_sum_jit_after_a_noise_trade((1.0, 0.0),
+                                              allow_inconsistent=True)
 
 
 def test_a_jit_with_no_trade_worth_its_cell_raises():
     with pytest.raises(RuntimeError, match=r"jit trader 'a1' .* "
-                       r"Util\(E; q\) = 0\.4145.* \(\(0, 1\), \(1, 0\)\)"):
-        square_sum_jit_after_a_noise_trade()
+                       r"Util\(E; q\) = 0\.5048.* \(\(0, 1\), \(1, 0\)\)"):
+        inconsistent_square_sum_jit_after_a_noise_trade()
 
 
 def test_a_jit_short_of_an_unconverged_projection_names_it(monkeypatch):
@@ -276,13 +294,10 @@ def test_a_jit_short_of_an_unconverged_projection_names_it(monkeypatch):
     monkeypatch.setattr(_solvers, "_MAX_ITER", 5)
     with pytest.raises(RuntimeError, match=r"jit trader 'a1' has no "
                        r"converged projection onto cell \(\(0, 1\), \(1, "
-                       r"0\)\): it stopped at Util\(E; q\) = 0\.4145.*, gap"):
-        square_sum_jit_after_a_noise_trade()
+                       r"0\)\): it stopped at Util\(E; q\) = 0\.5048.*, gap"):
+        inconsistent_square_sum_jit_after_a_noise_trade()
 
 
-@pytest.mark.xfail(strict=True, reason="the square/sum middle cell has no "
-                   "state inverse: it waits on the slice projection or the "
-                   "certified switched state (ROADMAP items 2 and 3)")
 def test_the_jit_collects_the_utility_of_a_generic_switched_cell():
     m, ledger = square_sum_jit_after_a_noise_trade()
     rec = ledger.records[-1]

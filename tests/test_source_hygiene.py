@@ -360,10 +360,9 @@ def test_no_module_imports_scipy_optimize_when_it_loads(path):
     assert eager_optimize_imports(path.read_text()) == []
 
 
-# every scipy.optimize name a module imports; simulate's `minimize` is the
-# belief trader's Powell fallback, until ROADMAP item 3 replaces it
+# every scipy.optimize name a module imports
 OPTIMIZE_NAMES = {"geometry": {"linprog"}, "_solvers": {"brentq"},
-                  "lcmm": {"brentq"}, "simulate": {"minimize"}}
+                  "lcmm": {"brentq"}}
 
 
 def optimize_names(source: str) -> set:

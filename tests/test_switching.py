@@ -1,10 +1,12 @@
 import dataclasses
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockSchedule, IndependentBinaryCost, LmsrCost,
+from cfmarkets import (BeliefTrader, BlockSchedule, IndependentBinaryCost,
+                       LmsrCost,
                        NoiseTrader, OutcomeSpace, RestrictedCost, ScaledCost, Schedule,
                        SwitchedCost,
                        bundled_scenarios, check_desiderata, consistency_check,
@@ -319,26 +321,25 @@ def test_state_with_price_refuses_a_price_off_the_cells():
 
 
 @pytest.mark.parametrize("first", [0, 1])
-def test_state_with_price_inverts_in_the_first_cell_that_holds_mu(
-        first, monkeypatch):
+def test_state_with_price_inverts_in_the_first_cell_that_holds_mu(first):
     m = square()
     diagonals = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
     groups = diagonals[first:] + diagonals[:first]
     sw = SwitchedCost(m, observe_partition(m.space, groups), np.zeros(2))
-    asked = []
-    monkeypatch.setattr(RestrictedCost, "state_with_price",
-                        lambda self, mu: asked.append(self.event)
-                        or np.zeros(2))
-    # both diagonals pass through the centre
-    sw.state_with_price(np.array([0.5, 0.5]))
-    assert asked == [tuple(groups[0])]
+    # both diagonals pass through the centre; neither is exposed nor a
+    # level set, so the rule stops at the first, and names it
+    with pytest.raises(NotImplementedError, match=re.escape(
+            f"mu = [0.5, 0.5] in cell {tuple(groups[0])!r}: the cell is "
+            "neither exposed nor a level set")):
+        sw.state_with_price(np.array([0.5, 0.5]))
 
 
 @pytest.mark.parametrize("s, mu, profit", [
     ([0.0, 0.0], [0.2, 0.8], 0.385489514),
     ([1.0, 0.0], [0.2, 0.8], 0.747349121),
     ([1.0, 0.0], [0.7, 0.3], 0.026425364),
-], ids=["consistent", "inconsistent-a", "inconsistent-b"])
+    ([1.0, 0.0], [1.0, 0.0], 0.948153968),
+], ids=["consistent", "inconsistent-a", "inconsistent-b", "inconsistent-c"])
 def test_exact_best_response_earns_the_switched_divergence(s, mu, profit):
     m = square()
     s, mu = np.array(s), np.array(mu)
@@ -346,6 +347,57 @@ def test_exact_best_response_earns_the_switched_divergence(s, mu, profit):
     got, _ = switched_best_response(sw, mu, s)
     assert got == pytest.approx(sw.divergence(mu, s), abs=1e-8)
     assert got == pytest.approx(profit, abs=1e-9)
+    # the belief trader's one trade takes the same
+    r = BeliefTrader("b", [1.5], mu).bundle(sw, s, 1.5,
+                                            np.random.default_rng(0))
+    assert float(mu @ r) - sw.trade_cost(s, r) == pytest.approx(got,
+                                                                abs=1e-8)
+
+
+def named_state_earns_the_divergence(sw, mu, s):
+    """Assert that the state `sw.state_with_price(mu)` names is priced at
+    mu and that the trade to it from s earns D_sw(mu || s) within 1e-9."""
+    q = sw.state_with_price(mu)
+    p = sw.price(q)
+    assert np.all(p.lo - 1e-9 <= mu) and np.all(mu <= p.hi + 1e-9), (s, mu)
+    profit = float(mu @ (q - s)) - sw.trade_cost(s, q - s)
+    assert profit == pytest.approx(sw.divergence(mu, s), abs=1e-9), (s, mu)
+
+
+def test_a_middle_cell_belief_of_a_consistent_square_sum_switch_has_a_state():
+    # the square/sum switch is consistent on the diagonal s1 = s2
+    m = square()
+    obs = observe_sum(m.space)
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        s = np.full(2, rng.uniform(-3.0, 3.0))
+        sw = plan_switch(m, obs, s)
+        assert sw.consistency.consistent
+        u = rng.uniform()
+        named_state_earns_the_divergence(sw, np.array([u, 1.0 - u]), s)
+
+
+def test_every_state_named_on_a_consistent_3_cube_sum_switch_earns_d_sw():
+    m = IndependentBinaryCost(independent_binary_market(3))
+    obs = observe_sum(m.space)
+    rng = np.random.default_rng(43)
+    named = tried = 0
+    while tried < 100:
+        s = rng.normal(0.0, 1.5, 3)
+        sw = plan_switch(m, obs, s)
+        if not sw.consistency.consistent:
+            continue
+        tried += 1
+        x = sw.realizations[rng.integers(len(sw.realizations))]
+        mu = rng.dirichlet(np.ones(len(obs.cell(x)))) @ m.space.vertices(
+            obs.cell(x))
+        try:
+            named_state_earns_the_divergence(sw, mu, s)
+        except NotImplementedError as e:  # the roof undercuts the cell
+            assert "the roof undercuts" in str(e)
+        else:
+            named += 1
+    assert named >= 50  # 76 of the 100 at this seed
 
 
 @pytest.mark.parametrize("s", [[0.0, 0.0], [1.0, 0.0]],
@@ -918,6 +970,17 @@ def test_a_two_cell_mixture_undercuts_the_3_cube_sum_switch_at_a_centroid():
                    "item 1's open question)")
 def test_the_3_cube_sum_switch_off_the_diagonal_is_inconsistent():
     assert not cube3_sum_switch(CUBE3_STATES[0]).consistency.consistent
+
+
+@pytest.mark.parametrize("mu", [1 / 3, 2 / 3])
+def test_no_state_prices_a_3_cube_sum_centroid_that_the_roof_undercuts(mu):
+    # the verdict, from its probes, reads consistent, yet the roof
+    # undercuts the two middle cells at their centroids: no state is named
+    sw = cube3_sum_switch(CUBE3_STATES[0])
+    assert sw.consistency.consistent
+    with pytest.raises(NotImplementedError, match=r"mu = \[0\.\d+, .* the "
+                       "roof undercuts the cell there"):
+        sw.state_with_price(np.full(3, mu))
 
 
 def test_the_square_sum_verdict_makes_no_lp_and_no_projection(monkeypatch):
