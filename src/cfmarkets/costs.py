@@ -37,7 +37,6 @@ FD_STEP = 1e-6  # finite_difference_price's step
 FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
 _CACHE_LIMIT = 256  # entries a memo holds; a full memo is cleared first
 _RANK_TOL = 1e-9  # singular values at or below this count as 0
-_MIXTURE_TOL = 1e-6  # how near a dual mixture must come to its probe point
 _TIE_TOL = 1e-9  # cells within this of a switch's max tie for its price
 
 
@@ -449,9 +448,8 @@ class RestrictedCost(CostModel):
 
 
 def _statistic_levels(space: OutcomeSpace, observation):
-    """(a, v): a linear statistic a.rho of the payoffs whose level sets the
-    cells are, with its value v_x on each cell x (in `realizations` order)
-    less that on the first; None where there is none. a is constant on a
+    """a: a linear statistic a.rho of the payoffs whose level sets the
+    cells are; None where there is none. a is constant on a
     cell when it is orthogonal to every difference of the cell's payoffs;
     the cells' values under all such a must lie on one line, apart."""
     P = space.payoff
@@ -468,14 +466,14 @@ def _statistic_levels(space: OutcomeSpace, observation):
     levels = (u - u[0]) @ ut[0]
     if np.min(np.diff(np.sort(levels))) <= _RANK_TOL:
         return None
-    return basis.T @ ut[0], levels
+    return basis.T @ ut[0]
 
 
 @dataclass
 class ConsistencyVerdict:
     consistent: bool
     worst_violation: float
-    # what decided it: "overlap", "exposed", "pointwise" or "sampled"
+    # what decided it: "overlap", "exposed", "sum" or "sampled"
     path: str
     witness: dict | None  # where the roof fails; None when consistent
     switched: SwitchedCost  # the switch that was checked
@@ -485,7 +483,7 @@ class ConsistencyVerdict:
 
 
 class SwitchedCost(CostModel):
-    """Post-revelation cost: pointwise max of offset restricted costs.
+    """Post-revelation cost: the max of offset restricted costs.
 
     C_sw(q) = max_x [ b_x + C_x(q) ] where C_x restricts the base cost to the
     cell of realization x and b_x = C(s) - C_x(s) is the utility the maker
@@ -500,21 +498,49 @@ class SwitchedCost(CostModel):
     inside the non-exposed cells of an inconsistent switch) `_roof` bounds
     it by a convex-combination LP over sampled probe points (cell vertices
     and pairwise midpoints), one LP for a whole stack of prices. One price
-    is a one-row stack: `conjugate` is `_conjs` at a single row. The verdict
-    tests the roof at the same probe points. Where the cells are the level
-    sets of one linear statistic (a sum observation on a cube), it is
-    decided "pointwise", with no LP: an exact 1-D test at each probe
-    (`_undercut`), whose "inconsistent" is confirmed by a two-cell mixture
-    that meets the probe. Elsewhere it is "sampled", by the roof LP, which
-    lies on or above the exact roof, so an undercut it finds is real. On
-    cells that are not exposed, a "consistent" verdict on either path holds
-    at the probe points only. `state_with_price(mu)` moves the base's state
-    q0 for mu along a direction d of the first cell k that holds mu, k's
-    exposure witness or else the statistic, until k wins the max; it raises
-    NotImplementedError naming mu where k has neither, or where the roof
-    undercuts R(mu) - b_k at mu. Restricted to an event E inside cell x,
-    every switch is b_x + C_E (`restrict`). The switch is also the plan of
-    a sudden-revelation run: `plan_switch` returns it and it prices every
+    is a one-row stack: `conjugate` is `_conjs` at a single row.
+
+    The verdict is "sampled" in general: the roof LP at the same probe
+    points lies on or above the exact roof, so an undercut it finds is
+    real, but a "consistent" verdict holds at the probe points only. It is
+    exact, with no LP, on a product-LMSR base whose cells are the level
+    sets of sum_{i in S} x_i for a support S of size n (`observe_sum` is S
+    = every coordinate), decided "sum" by `_sum`: with c_y the centroid of
+    the cell of sum y (y/n on S, 1/2 off it) and f(y) = b_y - R(c_y), the
+    switch is consistent exactly when f is concave on 0..n, and the worst
+    violation is the largest gap l f(j) + (1 - l) f(h) - f(k), j < k < h,
+    l = (h - k) / (h - j), attained at c_k by the mixture l c_j +
+    (1 - l) c_h. The proof, in three steps:
+
+    1. Two cells suffice. Let p lie in cell k and put q0 = grad R(p). The
+       undercut at p is at most the value of the 1-D LP in t that asks
+       cell k to win the max along q0 + t a (fewer states, a lower roof).
+       Its dual names cells j < k < h and their projections u*, w* of q0;
+       p' = l u* + (1 - l) w* lies in cell k, since an equal-weight level
+       set's hull is the whole slice of the cube at its level (the
+       hypersimplex has integral vertices), and the two-cell undercut at
+       p' is that value plus D_R(p' || p). So the worst undercut over the
+       cell is the largest, over u in H_j and w in H_h, of
+       Phi(u, w) = R(l u + (1 - l) w) - l R(u) - (1 - l) R(w)
+       + l b_j + (1 - l) b_h - b_k.
+    2. Phi is concave. For the separable R its first three terms are
+       -sum_i JS_l(u_i, w_i), an l-weighted Jensen-Shannon divergence of
+       Bernoulli pairs (Lin 1991): the f-divergence of
+       g(t) = l t ln t - (l t + 1 - l) ln(l t + 1 - l), whose
+       g'' = l (1 - l) / (t (l t + 1 - l)) > 0, so it is jointly convex
+       (Csiszar 1967).
+    3. The max sits at the centroids. Permutations of S preserve H_j, H_h
+       and Phi, so averaging a maximiser over them keeps it feasible and
+       does not lower Phi; a coordinate off S adds a Jensen gap of at most
+       0, which is 0 at u_i = w_i.
+
+    `state_with_price(mu)` moves the base's state q0 for mu along a
+    direction d of the first cell k that holds mu, k's exposure witness or
+    else the statistic, until k wins the max; it raises NotImplementedError
+    naming mu where k has neither, or where the roof undercuts R(mu) - b_k
+    at mu. Restricted to an event E inside cell x, every switch is
+    b_x + C_E (`restrict`). The switch is also the plan of a
+    sudden-revelation run: `plan_switch` returns it and it prices every
     trade after the switch.
     """
 
@@ -617,9 +643,10 @@ class SwitchedCost(CostModel):
         exposure witness, with the path that decided it: (inf, the pair,
         "overlap") for overlapping cells; (0.0, None, "exposed"), with no
         LP, when every cell is exposed, which makes the switch consistent
-        at every state (arXiv 1407.8161); "pointwise" (`_pointwise`) when
-        the price space is a cube and the cells are the level sets of one
-        linear statistic; else "sampled": the worst probe value
+        at every state (arXiv 1407.8161); "sum" (`_sum`), exact and with no
+        LP, when the base is product-LMSR and the cells are the level sets
+        of a statistic with equal weights on its support; else "sampled":
+        the worst probe value
         D(p || s) - b_x less the sampled roof at p, both in divergence
         units, from one `_roof` LP over every probe point. Level sets lie
         in disjoint hyperplanes a.x = v_x, so they are not scanned for
@@ -633,7 +660,7 @@ class SwitchedCost(CostModel):
                     return INF, {"overlap": (x, y)}, "overlap"
         if every:
             return 0.0, None, "exposed"
-        judged = None if stat is None else self._pointwise(stat[1])
+        judged = None if stat is None else self._sum(stat)
         if judged is not None:
             return judged
         points, values, owners = self._roof_samples
@@ -648,84 +675,32 @@ class SwitchedCost(CostModel):
             "mu": points[j].copy(), "realization": owners[j],
             "value": values[j], "roof_value": found[0][j]}, "sampled"
 
-    def _pointwise(self, levels):
-        """(worst, witness, "pointwise"): the largest `_undercut` over the
-        probe points of every cell that are not vertices, each point once,
-        on a cube (where the coordinates a point pins name its smallest
-        face) whose cells are the level sets `levels` of a linear statistic,
-        with a witness naming the worst point, its realization and the two
-        cells of its dual mixture with their weights. None when a worst
-        mixture does not reproduce its point, where the bound need not be
-        the undercut itself."""
-        space = self.space
+    def _sum(self, a):
+        """(worst, witness, "sum"): the class docstring's exact verdict, on
+        a product-LMSR base whose cells are the level sets of a statistic
+        `a` with equal weights on its support S; None for any other base
+        or statistic. The witness names the worst centroid c_k, its
+        realization, and the two cells whose centroids mix to it, with
+        their weights."""
+        on = np.abs(a) > _RANK_TOL
+        if self.base.kind != "product-lmsr" or np.ptp(a[on]) > _RANK_TOL:
+            return None
+        n, P = int(on.sum()), self.space.payoff
+        first = [self.space.index(self.cell_models[x].event[0])
+                 for x in self.realizations]
+        by_sum = np.argsort(P[first][:, on].sum(axis=1))
+        xs = [self.realizations[y] for y in by_sum]
+        c = np.where(on, np.arange(n + 1)[:, None] / n, 0.5)
+        f = self._b[by_sum] - self.base._conjs(c)
         worst, witness = 0.0, None
-        for k, x in enumerate(self.realizations):
-            event = self.cell_models[x].event
-            mids = probe_points(space, event)[len(event):]
-            for p in {p.tobytes(): p for p in mids}.values():
-                bound, mixture = self._undercut(k, p, levels)
-                if bound <= worst:
-                    continue
-                (j, lj, mj), (h, lh, mh) = mixture
-                if (bound > CONSISTENCY_TOL and np.max(np.abs(
-                        lj * mj + lh * mh - p)) > _MIXTURE_TOL):
-                    return None
-                worst, witness = bound, {
-                    "mu": p, "realization": x,
-                    "mixture": {self.realizations[j]: lj,
-                                self.realizations[h]: lh}}
-        return worst, witness, "pointwise"
-
-    def _undercut(self, k, p, levels):
-        """(bound, mixture): an upper bound on the undercut
-        R(p) - b_k - R_sw(p) at a point p of cell k (the k-th realization),
-        where the cells are the level sets `levels` of a linear statistic
-        a.x, with the dual mixture that attains it as
-        ((j, weight, point), (j', weight, point)); (0.0, None) when no cell
-        that meets p's face lies on one side of cell k.
-
-        p is tested within its smallest face F of the price space: a mixture
-        that meets p uses points of F only. Put q0 = grad R(p) on F's free
-        coordinates and 0 on the ones F pins; cell k's cost there is
-        q0.p - R(p) in closed form, and every other cell y that meets F
-        costs C_y(q0) by its own projection onto its part of F. Along
-        q0 + t a each cost moves by v_y t, so the states at which cell k's
-        price is p and cell k wins the max exist (undercut 0) exactly when
-        the 1-D LP in t with rows c_y + v_y t <= c_k + v_k t,
-        c_y = b_y + C_y(q0), is feasible. Its value is
-        max(0, max w (lo_j - hi_j')) over a cell j below k (lo_j =
-        (c_j - c_k) / (v_k - v_j)) and a cell j' above it (hi_j' =
-        (c_k - c_j') / (v_j' - v_k)), with w = (v_k - v_j)(v_j' - v_k) /
-        (v_j' - v_j); that is the mixture value l_j c_j + l_j' c_j' - c_k,
-        l_j = (v_j' - v_k) / (v_j' - v_j) and l_j' = (v_k - v_j) /
-        (v_j' - v_j). Restricting the states can only lower the roof, so
-        the value bounds the undercut from above; when the two cells'
-        projections of q0, so weighted, meet p, it is the undercut."""
-        space, P = self.space, self.space.payoff
-        at = (p == P.min(axis=0)) | (p == P.max(axis=0))
-        face = np.all(P[:, at] == p[at], axis=1)
-        q0 = np.where(at, 0.0, self.base.conjugate_grad(p))
-        c, mus = np.full(len(levels), np.nan), {}
-        c[k] = self._b[k] + float(q0 @ p) - self.base._conj(p)
-        for y, x in enumerate(self.realizations):
-            cell = self.cell_models[x]
-            sub = tuple(w for w in cell.event if face[space.index(w)])
-            if y == k or not sub:
-                continue
-            res = cell.restrict(sub)(q0)
-            c[y], mus[y] = self._b[y] - res.value, res.mu
-        met = ~np.isnan(c)
-        below = np.flatnonzero(met & (levels < levels[k]))
-        above = np.flatnonzero(met & (levels > levels[k]))
-        if not (below.size and above.size):
-            return 0.0, None
-        vj, vh, vk = levels[below, None], levels[None, above], levels[k]
-        lj, lh = (vh - vk) / (vh - vj), (vk - vj) / (vh - vj)
-        gain = lj * c[below, None] + lh * c[None, above] - c[k]
-        best = np.unravel_index(int(np.argmax(gain)), gain.shape)
-        j, h = int(below[best[0]]), int(above[best[1]])
-        return max(float(gain[best]), 0.0), (
-            (j, float(lj[best]), mus[j]), (h, float(lh[best]), mus[h]))
+        for j, k, h in combinations(range(n + 1), 3):
+            gap = float(((h - k) * f[j] + (k - j) * f[h]) / (h - j) - f[k])
+            if gap > worst:
+                worst, witness = gap, {
+                    "mu": c[k], "realization": xs[k],
+                    "mixture": {xs[j]: (h - k) / (h - j),
+                                xs[h]: (k - j) / (h - j)}}
+        return worst, witness, "sum"
 
     @cached_property
     def _roof_samples(self):
@@ -769,7 +744,7 @@ class SwitchedCost(CostModel):
         if d is None and self._statistic is None:
             raise NotImplementedError(f"no state prices {where}: the cell "
                                       "is neither exposed nor a level set")
-        d = self._statistic[0] if d is None else d
+        d = self._statistic if d is None else d
         q0 = self.base.state_with_price(mu)
         c = self._b - np.array([cell._project(q0).value for cell in cells])
         v = np.array([(cell.hull.vertices @ d).max() for cell in cells])

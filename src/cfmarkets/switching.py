@@ -1,7 +1,7 @@
 """Implicit submarket closing: switched costs, consistency, desiderata audit.
 
 When an observation's realization becomes public, the maker switches from C
-to the pointwise max of per-cell restricted costs, each offset by the utility
+to the max of per-cell restricted costs, each offset by the utility
 the maker was due for that cell at the switch state. The construction zeroes
 the utility of knowing the realization; whether it also preserves conditional
 prices and excess utility is exactly the consistency question checked here.

@@ -18,10 +18,14 @@ written one row at a time, each with its own domain test; the library writes
 them once, as numpy passes over a stack of rows. `LogPartitionCost` is a
 block cost over payoff rows that are not 0/1, for LCMM tests: a closed-form
 cost and price, and a conjugate only where a test reaches it.
+`sum_switch_violation` reads a sum switch's violation off the explicit
+two-centroid mixtures with its own entropy, not through the library's
+conjugate.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -167,6 +171,41 @@ def square_count_violation(s, grid: int = 200001) -> float:
     own = float(binary_entropy_sum(np.array([0.5, 0.5]))) - b1
     roof = 0.5 * (0.0 - b0) + 0.5 * (0.0 - b2)  # R = 0 at both corners
     return own - roof
+
+
+def sum_switch_violation(b, n_support: int) -> float:
+    """Worst convex-roof violation of a product-LMSR switch whose cells are
+    the level sets of a sum over `n_support` coordinates, from scratch,
+    given the offsets b[y] of the cells of sum y = 0..n_support.
+
+    For j < k < h the centroid of cell k, (k/n', ..., k/n') on the support,
+    is the mixture of the centroids of cells j and h with weights
+    (h - k)/(h - j) and (k - j)/(h - j). The offset conjugate of cell k at
+    its centroid less that mixture of the outer cells' offset conjugates is
+    an undercut; the violation is the worst over every triple, or 0. The
+    coordinates off the support sit at 1/2 in all three points and cancel.
+    Generalises `square_count_violation` (n' = 2).
+    """
+    n = n_support
+
+    def conjugate(point):  # sum of binary negative entropies, 0 ln 0 = 0
+        return sum(t * math.log(t) for c in point for t in (c, 1.0 - c)
+                   if t > 0.0)
+
+    centroid = [[y / n] * n for y in range(n + 1)]
+    worst = 0.0
+    for j in range(n + 1):
+        for k in range(j + 1, n + 1):
+            for h in range(k + 1, n + 1):
+                lj, lh = (h - k) / (h - j), (k - j) / (h - j)
+                mixed = [lj * u + lh * w
+                         for u, w in zip(centroid[j], centroid[h])]
+                assert max(abs(m - c) for m, c in zip(mixed,
+                                                      centroid[k])) <= 1e-12
+                roof = (lj * (conjugate(centroid[j]) - b[j])
+                        + lh * (conjugate(centroid[h]) - b[h]))
+                worst = max(worst, conjugate(centroid[k]) - b[k] - roof)
+    return worst
 
 
 # ---------------------------------------------------------------------------

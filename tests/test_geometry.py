@@ -153,9 +153,9 @@ def test_large_stack_is_split_into_bounded_lps(monkeypatch):
     sw = SwitchedCost(m, observe_sum(m.space), np.linspace(-1.0, 1.0, 5))
     v = sw.consistency
     worst, path = v.worst_violation, v.path
-    # the verdict is pointwise and makes no roof LP; the roof itself is
-    # asked for the whole probe stack at once
-    assert path == "pointwise" and sizes == []
+    # the verdict is the closed-form sum test and makes no roof LP; the
+    # roof itself is asked for the whole probe stack at once
+    assert path == "sum" and sizes == []
     points, values, _ = sw._roof_samples
     n = len(points)
     found, _ = sw._roof(points)
@@ -169,8 +169,8 @@ def test_large_stack_is_split_into_bounded_lps(monkeypatch):
                                                sw.domain_tol)
         assert abs(found[j] - alone) <= 1e-12
     # the sampled roof lies on or above the exact one, up to the LP's
-    # slack, so no probe is undercut by more than the pointwise test's
-    # exact worst
+    # slack, so no probe is undercut by more than the sum test's exact
+    # worst
     assert float(np.max(values - found)) <= worst + CONSISTENCY_TOL
 
 

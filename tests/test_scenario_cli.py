@@ -912,7 +912,8 @@ def test_output_that_cannot_be_written_exits_1_and_no_traceback(
 
 # HiGHS stops without an answer on the sampled roof LP at this state (status
 # 15): the face x0 = 1 and the sum levels of x0 = 0 are not the level sets of
-# one linear statistic, so no pointwise test decides this switch
+# one linear statistic, so the closed-form sum test does not decide this
+# switch
 SOLVER_STOP = """\
 name: solver_stop
 seed: 1
@@ -966,15 +967,15 @@ settlement: [0, 1]
                                    ("1.0e+20", "-1.0e+20"),
                                    ("-1.0e+20", "1.0e+20")],
                          ids=["+1e18", "-1e18", "+1e20", "-1e20"])
-def test_a_sum_switch_at_a_large_state_is_decided_pointwise(state, tmp_path,
-                                                             capsys):
+def test_a_sum_switch_at_a_large_state_is_decided_in_closed_form(
+        state, tmp_path, capsys):
     # the exact value is about |s_0 - s_1| / 2, past anything an LP solves
     path = tmp_path / "large.scn"
     path.write_text(LARGE_SUM_STATE.format(*state))
     worst = float(state[0].lstrip("-"))
     assert main(["check", str(path)]) == 1
     out, err = capsys.readouterr()
-    assert (f"consistency at initial state: INCONSISTENT (pointwise; worst "
+    assert (f"consistency at initial state: INCONSISTENT (sum; worst "
             f"violation {worst:.6g})") in out.splitlines()
     assert "  witness: mu=[0.5, 0.5] for realization 1.0" in out.splitlines()
     assert err == ""
@@ -986,6 +987,44 @@ def test_a_sum_switch_at_a_large_state_is_decided_pointwise(state, tmp_path,
     assert err.startswith("FAIL: inconsistent switch plan")
     assert "error:" not in err and "Traceback" not in err
 
+
+CUBE3_SUM_BELIEF = """\
+name: 3-cube sum revelation with a belief at a centroid
+seed: 1
+market: independent_binary(3)
+protocol: sudden
+observation: {kind: sum}
+initial_state: [1.0, -1.0, 0.0]
+switch_time: 1.0
+settlement: [0, 1, 1]
+traders:
+  - kind: belief
+    name: b1
+    times: [1.5]
+    belief: [0.3333333333333333, 0.3333333333333333, 0.3333333333333333]
+"""
+
+
+def test_a_3_cube_sum_switch_undercut_at_a_centroid_fails_both_commands(
+        tmp_path, capsys):
+    # the roof undercuts the cell of sum 1 at its centroid, where the belief
+    # sits: `check` names that point, and `run` stops at the verdict, before
+    # the belief trader looks for a state
+    path = tmp_path / "cube3_sum.scn"
+    path.write_text(CUBE3_SUM_BELIEF)
+    assert main(["check", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert ("consistency at initial state: INCONSISTENT (sum; worst "
+            "violation 0.212672)") in out.splitlines()
+    assert ("  witness: mu=[0.333333, 0.333333, 0.333333] for realization "
+            "1.0") in out.splitlines()
+    assert err == ""
+    assert main(["run", str(path)]) == 1
+    out, err = capsys.readouterr()
+    (record,) = [json.loads(line) for line in out.splitlines()]
+    assert record["check"] == "consistency" and record["pass"] is False
+    assert err.startswith("FAIL: inconsistent switch plan")
+    assert "error:" not in err and "Traceback" not in err
 
 @pytest.mark.parametrize("text", ["1e-6", "1E5", "1.0e6", "1e+300"])
 def test_a_yaml_exponent_read_as_text_is_explained(tmp_path, capsys, text):

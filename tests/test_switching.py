@@ -21,7 +21,7 @@ from cfmarkets.costs import CONSISTENCY_TOL
 from cfmarkets.switching import _cell_samples
 
 from oracles import (product_lmsr_conjugate, square_count_violation,
-                     switched_best_response)
+                     sum_switch_violation, switched_best_response)
 
 
 def square():
@@ -203,7 +203,7 @@ def test_desiderata_audit_of_consistent_plan_runs_no_roof_lp(name, roof_lps):
     m, observe, s = CONSISTENT_PLANS[name]()
     obs = observe(m)
     plan = plan_switch(m, obs, np.array(s))
-    # exposure decides the check, or on square/sum the pointwise test
+    # exposure decides the check, or on square/sum the closed-form sum test
     assert roof_lps() == 0
     report = check_desiderata((m, plan.switch_state),
                               (plan, plan.switch_state), obs)
@@ -378,26 +378,19 @@ def test_a_middle_cell_belief_of_a_consistent_square_sum_switch_has_a_state():
 
 
 def test_every_state_named_on_a_consistent_3_cube_sum_switch_earns_d_sw():
+    # states on the diagonal s = c 1, where a sum switch is consistent; 200
+    # normal states off it at this seed read inconsistent
     m = IndependentBinaryCost(independent_binary_market(3))
     obs = observe_sum(m.space)
     rng = np.random.default_rng(43)
-    named = tried = 0
-    while tried < 100:
-        s = rng.normal(0.0, 1.5, 3)
+    for _ in range(100):
+        s = np.full(3, rng.normal(0.0, 1.5))
         sw = plan_switch(m, obs, s)
-        if not sw.consistency.consistent:
-            continue
-        tried += 1
+        assert sw.consistency.consistent
         x = sw.realizations[rng.integers(len(sw.realizations))]
         mu = rng.dirichlet(np.ones(len(obs.cell(x)))) @ m.space.vertices(
             obs.cell(x))
-        try:
-            named_state_earns_the_divergence(sw, mu, s)
-        except NotImplementedError as e:  # the roof undercuts the cell
-            assert "the roof undercuts" in str(e)
-        else:
-            named += 1
-    assert named >= 50  # 76 of the 100 at this seed
+        named_state_earns_the_divergence(sw, mu, s)
 
 
 @pytest.mark.parametrize("s", [[0.0, 0.0], [1.0, 0.0]],
@@ -598,7 +591,7 @@ def test_a_switch_decides_its_verdict_and_exact_cells_when_built(
         roof_lps, monkeypatch):
     m = square()
     sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
-    assert roof_lps() == 0  # the pointwise verdict makes no LP
+    assert roof_lps() == 0  # the sum verdict makes no LP
     assert sw._exact.tolist() == [True, False, True]
     assert not sw.consistency.consistent
     corners = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -652,7 +645,7 @@ def test_impossible_count_audit_makes_one_roof_lp_per_cell(roof_lps,
                                                            monkeypatch):
     sc = load_scenario(bundled_scenarios()["square_count_impossible.scn"])
     plan = plan_switch(sc.model, sc.observation, sc.initial_state)
-    assert plan.consistency.path == "pointwise"
+    assert plan.consistency.path == "sum"
     assert not plan.consistency.consistent
     per_cell = []  # roof LPs of each stack the audit itself prices
     real = SwitchedCost._conjs
@@ -677,7 +670,7 @@ DIAGONALS = [[(0, 0), (1, 1)], [(0, 1), (1, 0)]]
 
 @pytest.mark.parametrize("make, path, verdicts", [
     (lambda: (square(), coord0(square())), "exposed", (True, True)),
-    (lambda: (square(), observe_sum(square_market())), "pointwise",
+    (lambda: (square(), observe_sum(square_market())), "sum",
      (True, False)),
     (lambda: (square(), observe_partition(square_market(), DIAGONALS)),
      "overlap", (False, False)),
@@ -861,7 +854,8 @@ def test_consistency_check_overlapping_cells():
 
 
 # a 5-cube sum switch whose sampled roof hides a real undercut: no probe of
-# cell 3 lies at (0, .75, .75, .75, .75); the pointwise test finds it
+# cell 3 lies at (0, .75, .75, .75, .75); the closed form finds a worse one
+# at the centroid of cell 2
 CUBE5_STATE = [1.6691908191636107, -1.8416284933431886, 0.11435705304008659,
                -0.1626564684583851, -1.7506016834004976]
 
@@ -887,22 +881,24 @@ def test_a_two_cell_mixture_undercuts_the_5_cube_sum_switch():
 
 def test_the_5_cube_sum_switch_is_inconsistent(roof_lps):
     v = cube5_sum_switch().consistency
-    assert not v.consistent and v.path == "pointwise"
+    assert not v.consistent and v.path == "sum"
     # level sets lie in disjoint hyperplanes: no overlap scan, no roof LP
     assert roof_lps() == 0
-    # the worst probe is the point the two-cell mixture meets, by the same
-    # mixture of the cells of sums 0 and 3
-    assert v.witness["mu"].tolist() == [0.0, 0.5, 0.5, 0.5, 0.5]
+    # the worst point is the centroid of the cell of sum 2, which the
+    # mixture of the cells of sums 0 and 5 meets; no probe is, and the
+    # probes' worst (0, .5, .5, .5, .5) read 0.184756 only
+    assert v.witness["mu"] == pytest.approx(np.full(5, 0.4), abs=1e-15)
     assert v.witness["realization"] == 2.0
-    assert v.witness["mixture"] == pytest.approx({0.0: 1 / 3, 3.0: 2 / 3},
+    assert v.witness["mixture"] == pytest.approx({0.0: 0.6, 5.0: 0.4},
                                                  abs=1e-15)
-    assert v.worst_violation == pytest.approx(0.184756124, abs=1e-9)
+    assert v.worst_violation == pytest.approx(0.932172247, abs=1e-9)
+    oracle = sum_switch_violation(sum_offsets(v.switched, slice(None)), 5)
+    assert v.worst_violation == pytest.approx(oracle, abs=1e-12)
 
 
-def test_a_weighted_statistic_falls_back_where_its_mixture_misses_the_probe():
-    # the level sets of x0 + x1 + 2 x2: at a midpoint probe the worst dual
-    # mixture may pair cells whose projections do not meet the probe, where
-    # the bound need not be an undercut, and the roof LP decides instead
+def test_a_weighted_statistic_falls_back_to_the_sampled_roof():
+    # the level sets of x0 + x1 + 2 x2: the closed form covers equal
+    # weights only, and the roof LP decides instead
     m = IndependentBinaryCost(independent_binary_market(3))
     levels = {}
     for w in m.space.outcomes:
@@ -914,13 +910,14 @@ def test_a_weighted_statistic_falls_back_where_its_mixture_misses_the_probe():
     assert v.worst_violation == pytest.approx(sampled_roof_violation(sw),
                                               abs=1e-12)
     v = consistency_check(m, obs, np.array([2.0, -1.0, 0.5]))
-    assert v.path == "pointwise" and not v.consistent
+    assert v.path == "sampled" and not v.consistent
+    assert v.worst_violation == pytest.approx(0.0104046, abs=1e-7)
 
 
 # the probes of a cube/sum cell are its vertices and pairwise midpoints; a
 # dense sweep of the 3-cube's cells finds the worst point elsewhere, at the
 # cell's centroid, which no probe is and the mixture of the two corners
-# meets
+# meets, and the closed-form verdict reads that point's undercut
 CUBE3_STATES = [[1.0, -1.0, 0.0], [0.5, -1.5, 1.0]]
 
 
@@ -929,10 +926,15 @@ def cube3_sum_switch(s):
     return SwitchedCost(m, observe_sum(m.space), s)
 
 
-@pytest.mark.parametrize("s", CUBE3_STATES)
-def test_a_dense_sweep_puts_the_worst_3_cube_sum_point_at_a_centroid(s):
+@pytest.mark.parametrize("s, g, h", [(CUBE3_STATES[0], 12, 12),
+                                     (CUBE3_STATES[1], 30, 15)],
+                         ids=["s0", "s1"])
+def test_a_dense_sweep_puts_the_worst_3_cube_sum_point_at_a_centroid(
+        s, g, h):
+    # the roof mixes the points of a grid of step 1/g on each triangle, and
+    # is asked at those of step 1/h (centroids and corners included, h a
+    # multiple of 3), to keep the LPs few
     sw = cube3_sum_switch(s)
-    g = 12  # a grid of step 1/12 on each triangle, centroid included
     grid = np.array([(i, j, g - i - j) for i in range(g + 1)
                      for j in range(g + 1 - i)]) / g
     cells = {}
@@ -943,15 +945,22 @@ def test_a_dense_sweep_puts_the_worst_3_cube_sum_point_at_a_centroid(s):
                         for mu in cells[x]]) for x in cells}
     points = np.vstack(list(cells.values()))
     values = np.concatenate(list(own.values()))
+    found = []
     for x in (1.0, 2.0):
+        rows = np.all(np.abs(cells[x] * h - np.round(cells[x] * h)) <= 1e-9,
+                      axis=1)
         # the roof over the grid lies on or above the exact roof, so each
         # undercut it finds is real
-        roof, _ = geometry.min_weighted_value(points, values, cells[x], 1e-12)
-        under = own[x] - roof
+        roof, _ = geometry.min_weighted_value(points, values, cells[x][rows],
+                                              1e-12)
+        under = own[x][rows] - roof
         worst = int(np.argmax(under))
-        assert np.allclose(cells[x][worst], x / 3, rtol=0, atol=1e-15)
-        assert under[worst] >= sw.consistency.worst_violation + 0.2
-
+        assert np.allclose(cells[x][rows][worst], x / 3, rtol=0, atol=1e-15)
+        found.append(under[worst])
+    # no grid point is undercut by more than the verdict, and the worst
+    # centroid is undercut by exactly that
+    assert max(found) == pytest.approx(sw.consistency.worst_violation,
+                                       abs=1e-9)
 
 def test_a_two_cell_mixture_undercuts_the_3_cube_sum_switch_at_a_centroid():
     sw = cube3_sum_switch(CUBE3_STATES[0])
@@ -965,19 +974,18 @@ def test_a_two_cell_mixture_undercuts_the_3_cube_sum_switch_at_a_centroid():
     assert in_cell - mixture >= 0.21
 
 
-@pytest.mark.xfail(strict=True, reason="no probe of a 3-cube sum cell is "
-                   "its centroid, where the 0.21 undercut lies (ROADMAP "
-                   "item 1's open question)")
 def test_the_3_cube_sum_switch_off_the_diagonal_is_inconsistent():
-    assert not cube3_sum_switch(CUBE3_STATES[0]).consistency.consistent
+    v = cube3_sum_switch(CUBE3_STATES[0]).consistency
+    assert not v.consistent
+    assert v.worst_violation == pytest.approx(0.212672132, abs=1e-9)
 
 
 @pytest.mark.parametrize("mu", [1 / 3, 2 / 3])
 def test_no_state_prices_a_3_cube_sum_centroid_that_the_roof_undercuts(mu):
-    # the verdict, from its probes, reads consistent, yet the roof
-    # undercuts the two middle cells at their centroids: no state is named
+    # the roof undercuts the two middle cells at their centroids: the
+    # verdict reads inconsistent, and no state is named
     sw = cube3_sum_switch(CUBE3_STATES[0])
-    assert sw.consistency.consistent
+    assert not sw.consistency.consistent
     with pytest.raises(NotImplementedError, match=r"mu = \[0\.\d+, .* the "
                        "roof undercuts the cell there"):
         sw.state_with_price(np.full(3, mu))
@@ -1000,18 +1008,18 @@ def test_the_square_sum_verdict_makes_no_lp_and_no_projection(monkeypatch):
         # the middle cell's offset at s is its one Frank-Wolfe solve
         assert (len(lps), len(projections)) == (0, 1)
         worst, _, path = sw._judge(exposed)
-        assert (worst, path) == (sw._violation[0], "pointwise")
+        assert (worst, path) == (sw._violation[0], "sum")
         assert (len(lps), len(projections)) == (0, 1)
         assert "_roof_samples" not in vars(sw)
         projections.clear()
 
 
 def sum_mixture_undercut(sw, verdict):
-    """The undercut of the worst probe's offset conjugate by the two-cell
-    mixture its witness names, built here: on the probe's smallest face the
+    """The undercut of the witness point's offset conjugate by the two-cell
+    mixture its witness names, built here: on the point's smallest face the
     point of the cell of sum v holds the pinned coordinates and spreads the
     rest of v evenly over the free ones; each cell's weight comes from the
-    sums alone. Raises unless the two points mix to the probe."""
+    sums alone. Raises unless the two points mix to the witness point."""
     p, k = verdict.witness["mu"], verdict.witness["realization"]
     j, h = sorted(verdict.witness["mixture"])
     free = (p > 0.0) & (p < 1.0)
@@ -1044,8 +1052,8 @@ def test_every_inconsistent_sum_verdict_is_a_two_cell_mixture(n):
         s = rng.uniform(-2.0, 2.0, n)
         sw = SwitchedCost(m, obs, s)
         v = sw.consistency
-        assert v.path == "pointwise"
-        if n == 2:  # one probe, (1/2, 1/2), read in closed form
+        assert v.path == "sum"
+        if n == 2:  # one middle cell, undercut at its centroid (1/2, 1/2)
             assert abs(v.worst_violation
                        - max(0.0, square_count_violation(s))) <= 1e-10
         if not v.consistent:
@@ -1054,6 +1062,55 @@ def test_every_inconsistent_sum_verdict_is_a_two_cell_mixture(n):
             undercut = sum_mixture_undercut(sw, v)
             assert undercut == pytest.approx(v.worst_violation, abs=1e-12)
     assert found > 0
+
+
+def sum_offsets(sw, support):
+    """The offsets of a sum switch's cells, in the order of their sums over
+    `support`."""
+    P = sw.space.payoff
+    level = {x: P[sw.space.index(sw.cell_models[x].event[0]), support].sum()
+             for x in sw.realizations}
+    return [sw.offsets[x] for x in sorted(level, key=level.get)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_sum_verdict_matches_the_two_centroid_oracle(n):
+    m = IndependentBinaryCost(independent_binary_market(n))
+    obs = observe_sum(m.space)
+    rng = np.random.default_rng(200 + n)
+    for _ in range(50):
+        s = rng.uniform(-3.0, 3.0, n)
+        sw = SwitchedCost(m, obs, s)
+        oracle = sum_switch_violation(sum_offsets(sw, slice(None)), n)
+        assert abs(sw.consistency.worst_violation - oracle) <= 1e-12
+        if n == 2:  # the oracle generalises the square's own
+            assert abs(oracle - max(0.0, square_count_violation(s))) <= 1e-10
+
+
+def test_a_sum_over_part_of_the_coordinates_is_decided_in_closed_form():
+    # the level sets of x0 + x1 + x2 on the 4-cube: x3 is off the support,
+    # and the worst point holds it at 1/2
+    m = IndependentBinaryCost(independent_binary_market(4))
+    levels = {}
+    for w in m.space.outcomes:
+        levels.setdefault(sum(w[:3]), []).append(w)
+    obs = observe_partition(m.space, [levels[v] for v in sorted(levels)])
+    rng = np.random.default_rng(11)
+    found = 0
+    for _ in range(20):
+        sw = SwitchedCost(m, obs, rng.uniform(-3.0, 3.0, 4))
+        v = sw.consistency
+        assert v.path == "sum"
+        oracle = sum_switch_violation(sum_offsets(sw, slice(0, 3)), 3)
+        assert abs(v.worst_violation - oracle) <= 1e-12
+        if not v.consistent:
+            found += 1
+            assert v.witness["mu"][3] == 0.5
+    assert found > 0
+
+
+# ---------------------------------------------------------------------------
+# Exposure: the state-independent sufficient condition
 
 
 # ---------------------------------------------------------------------------
