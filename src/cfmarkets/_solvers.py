@@ -59,12 +59,12 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad,
     for it in range(1, _MAX_ITER + 1):
         mu = V.T @ lam
         g = V @ (conj_grad(mu) - q)
-        s = int(np.argmin(g))
+        s = int(g.argmin())
         gap = float(lam @ g - g[s])
         if gap <= _GAP_TOL:
             break
         active = np.flatnonzero(lam > 1e-15)
-        a = active[int(np.argmax(g[active]))]
+        a = active[int(g[active].argmax())]
         fw_improve = gap
         away_improve = float(g[a] - lam @ g)
         if fw_improve >= away_improve:
@@ -84,7 +84,7 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad,
         gamma = _line_search(deriv, gamma_max)
         if gamma <= 0.0:
             break
-        lam = np.clip(lam + gamma * d, 0.0, None)
+        lam = (lam + gamma * d).clip(0.0, None)
         lam /= lam.sum()
     mu = V.T @ lam
     return ProjectionResult(mu, float(conj(mu) - q @ mu), gap,

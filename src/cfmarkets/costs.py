@@ -44,7 +44,7 @@ def _as_vector(x, dim: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape[0] != dim:
         raise ValueError(f"{name} must have length {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
     return v
 
@@ -59,7 +59,7 @@ class PriceSet:
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).reshape(-1).copy()
         hi = np.asarray(self.hi, dtype=float).reshape(-1).copy()
-        if lo.shape != hi.shape or np.any(hi < lo - 1e-12):
+        if lo.shape != hi.shape or (hi < lo - 1e-12).any():
             raise ValueError("invalid price interval")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -105,7 +105,7 @@ def _logsumexp(a) -> float:
 
 
 def _softmax(z) -> np.ndarray:
-    e = np.exp(z - np.max(z))
+    e = np.exp(z - z.max())
     return e / e.sum()
 
 
@@ -126,7 +126,12 @@ class CostModel:
     one-row stack. A composite's kernels call its base's kernels, so a
     solver that calls a kernel in its inner loop validates nothing there.
     The defaults here fall back to the public methods, so a kind without
-    kernels works unchanged, only without the saving.
+    kernels works unchanged, only without the saving. Kernels call the
+    ndarray method or the ufunc, never numpy's module-level function of the
+    same name (`m.clip(0.0, 1.0)`, not `np.clip(m, 0.0, 1.0)`): both run
+    the same loop, bit for bit, but on desk-scale arrays of 1 to 8 entries
+    the function's dispatch costs more than the arithmetic, about 2 to
+    3 us a call on a 2-core Xeon VM (numpy 2.4).
     """
 
     kind = "abstract"
@@ -238,18 +243,18 @@ class LmsrCost(CostModel):
         mus = np.ascontiguousarray(mus, dtype=float)
         off = ((mus < -self.domain_tol).any(axis=1)
                | (np.abs(mus.sum(axis=1) - 1.0) > self.domain_tol))
-        m = np.clip(mus, 0.0, None)
-        out = np.sum(xlogy(m, m), axis=1)
+        m = mus.clip(0.0, None)
+        out = xlogy(m, m).sum(axis=1)
         out[off] = INF
         return out
 
     def conjugate_grad(self, mu) -> np.ndarray:
-        m = np.clip(np.asarray(mu, dtype=float), _LOG_CLIP, None)
+        m = np.asarray(mu, dtype=float).clip(_LOG_CLIP, None)
         return np.log(m) + 1.0
 
     def state_with_price(self, mu) -> np.ndarray:
-        m = np.clip(np.asarray(mu, dtype=float), 0.0, None)
-        return np.log(np.clip(m, np.exp(-_STATE_CLIP), None))
+        m = np.asarray(mu, dtype=float).clip(0.0, None)
+        return np.log(m.clip(np.exp(-_STATE_CLIP), None))
 
     def restrict(self, event):
         """Any event: softmax and log-sum-exp over the event's securities."""
@@ -290,7 +295,7 @@ class IndependentBinaryCost(CostModel):
         return self._conj(_as_vector(mu, self.dim, "mu"))
 
     def _cost(self, q) -> float:
-        return float(np.sum(np.logaddexp(0.0, q)))
+        return float(np.logaddexp(0.0, q).sum())
 
     def _mu(self, q) -> np.ndarray:
         return expit(q)
@@ -302,19 +307,20 @@ class IndependentBinaryCost(CostModel):
         mus = np.ascontiguousarray(mus, dtype=float)
         off = ((mus < -self.domain_tol)
                | (mus > 1.0 + self.domain_tol)).any(axis=1)
-        m = np.clip(mus, 0.0, 1.0)
-        out = np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m), axis=1)
+        m = mus.clip(0.0, 1.0)
+        out = (xlogy(m, m) + xlogy(1.0 - m, 1.0 - m)).sum(axis=1)
         out[off] = INF
         return out
 
     def conjugate_grad(self, mu) -> np.ndarray:
-        m = np.clip(np.asarray(mu, dtype=float), _LOG_CLIP, 1.0 - 1e-16)
+        m = np.asarray(mu, dtype=float).clip(_LOG_CLIP, 1.0 - 1e-16)
         return np.log(m) - np.log1p(-m)
 
     def state_with_price(self, mu) -> np.ndarray:
-        m = np.clip(np.asarray(mu, dtype=float), 0.0, 1.0)
-        q = np.log(np.clip(m, _LOG_CLIP, None)) - np.log(np.clip(1.0 - m, _LOG_CLIP, None))
-        return np.clip(q, -_STATE_CLIP, _STATE_CLIP)
+        m = np.asarray(mu, dtype=float).clip(0.0, 1.0)
+        q = (np.log(m.clip(_LOG_CLIP, None))
+             - np.log((1.0 - m).clip(_LOG_CLIP, None)))
+        return q.clip(-_STATE_CLIP, _STATE_CLIP)
 
     def restrict(self, event):
         """Sub-cube faces: binary LMSR in the free coordinates, linear in
@@ -329,8 +335,8 @@ class IndependentBinaryCost(CostModel):
             p[free] = expit(q[free])
             for i, x in fixed.items():
                 p[i] = x
-            c = sum(x * q[i] for i, x in fixed.items()) + np.sum(
-                np.logaddexp(0.0, q[free]))
+            c = (sum(x * q[i] for i, x in fixed.items())
+                 + np.logaddexp(0.0, q[free]).sum())
             return ProjectionResult(p, -float(c), 0.0, True, 0)
 
         return project
@@ -464,7 +470,7 @@ def _statistic_levels(space: OutcomeSpace, observation):
     if su[0] <= _RANK_TOL or (su.size > 1 and su[1] > _RANK_TOL):
         return None
     levels = (u - u[0]) @ ut[0]
-    if np.min(np.diff(np.sort(levels))) <= _RANK_TOL:
+    if np.diff(np.sort(levels)).min() <= _RANK_TOL:
         return None
     return basis.T @ ut[0]
 
@@ -505,12 +511,17 @@ class SwitchedCost(CostModel):
     real, but a "consistent" verdict holds at the probe points only. It is
     exact, with no LP, on a product-LMSR base whose cells are the level
     sets of sum_{i in S} x_i for a support S of size n (`observe_sum` is S
-    = every coordinate), decided "sum" by `_sum`: with c_y the centroid of
-    the cell of sum y (y/n on S, 1/2 off it) and f(y) = b_y - R(c_y), the
+    = every coordinate), or of any statistic whose weights on S are equal
+    in magnitude, with x_i read flipped, as 1 - x_i, where its weight's
+    sign differs from the first weight's on S. It is decided "sum" by
+    `_sum`: with c_y the centroid of the cell of (flipped) sum y (y/n on S,
+    1 - y/n where flipped, 1/2 off S) and f(y) = b_y - R(c_y), the
     switch is consistent exactly when f is concave on 0..n, and the worst
     violation is the largest gap l f(j) + (1 - l) f(h) - f(k), j < k < h,
     l = (h - k) / (h - j), attained at c_k by the mixture l c_j +
-    (1 - l) c_h. The proof, in three steps:
+    (1 - l) c_h. The flip is an isometry of the cube that maps the cells
+    onto the level sets of the sum and preserves the separable R, so the
+    proof, given for the sum, holds as it is. It takes three steps:
 
     1. Two cells suffice. Let p lie in cell k and put q0 = grad R(p). The
        undercut at p is at most the value of the 1-D LP in t that asks
@@ -586,8 +597,9 @@ class SwitchedCost(CostModel):
         vals = [self.offsets[x] - res.value
                 for x, res in zip(self.realizations, solved)]
         top = max(vals) - _TIE_TOL
-        prices = [res.mu for v, res in zip(vals, solved) if v >= top]
-        return PriceSet(np.min(prices, axis=0), np.max(prices, axis=0))
+        prices = np.array([res.mu for v, res in zip(vals, solved)
+                           if v >= top])
+        return PriceSet(prices.min(axis=0), prices.max(axis=0))
 
     def conjugate(self, mu) -> float:
         return float(self._conjs(_as_vector(mu, self.dim, "mu")[None, :])[0])
@@ -645,12 +657,11 @@ class SwitchedCost(CostModel):
         LP, when every cell is exposed, which makes the switch consistent
         at every state (arXiv 1407.8161); "sum" (`_sum`), exact and with no
         LP, when the base is product-LMSR and the cells are the level sets
-        of a statistic with equal weights on its support; else "sampled":
-        the worst probe value
-        D(p || s) - b_x less the sampled roof at p, both in divergence
-        units, from one `_roof` LP over every probe point. Level sets lie
-        in disjoint hyperplanes a.x = v_x, so they are not scanned for
-        overlap."""
+        of a statistic with weights equal in magnitude on its support;
+        else "sampled": the worst probe value D(p || s) - b_x less the
+        sampled roof at p, both in divergence units, from one `_roof` LP
+        over every probe point. Level sets lie in disjoint hyperplanes
+        a.x = v_x, so they are not scanned for overlap."""
         every = all(w is not None for w in exposed.values())
         stat = self._statistic if self.space.hull().kind == "box" else None
         if stat is None:
@@ -668,7 +679,7 @@ class SwitchedCost(CostModel):
         if found is None:  # pragma: no cover - each probe is a candidate
             raise RuntimeError("the roof LP failed at its own probe points")
         under = values - found[0]
-        j = int(np.argmax(under))
+        j = int(under.argmax())
         if under[j] <= 0.0:
             return 0.0, None, "sampled"
         return float(under[j]), {
@@ -678,19 +689,23 @@ class SwitchedCost(CostModel):
     def _sum(self, a):
         """(worst, witness, "sum"): the class docstring's exact verdict, on
         a product-LMSR base whose cells are the level sets of a statistic
-        `a` with equal weights on its support S; None for any other base
-        or statistic. The witness names the worst centroid c_k, its
-        realization, and the two cells whose centroids mix to it, with
-        their weights."""
+        `a` with weights equal in magnitude on its support S; None for any
+        other base or statistic. A coordinate whose weight's sign differs
+        from the first weight's on S is read flipped, 1 - x_i, so a
+        one-sign statistic flips nothing whichever sign the SVD gave it.
+        The witness names the worst centroid c_k, its realization, and the
+        two cells whose centroids mix to it, with their weights."""
         on = np.abs(a) > _RANK_TOL
-        if self.base.kind != "product-lmsr" or np.ptp(a[on]) > _RANK_TOL:
+        if (self.base.kind != "product-lmsr"
+                or np.ptp(np.abs(a[on])) > _RANK_TOL):
             return None
+        flip = on & (np.sign(a) != np.sign(a[on][0]))  # |x - 1| is 1 - x
         n, P = int(on.sum()), self.space.payoff
         first = [self.space.index(self.cell_models[x].event[0])
                  for x in self.realizations]
-        by_sum = np.argsort(P[first][:, on].sum(axis=1))
+        by_sum = np.argsort(np.abs(P[first] - flip)[:, on].sum(axis=1))
         xs = [self.realizations[y] for y in by_sum]
-        c = np.where(on, np.arange(n + 1)[:, None] / n, 0.5)
+        c = np.where(on, np.abs(np.arange(n + 1)[:, None] / n - flip), 0.5)
         f = self._b[by_sum] - self.base._conjs(c)
         worst, witness = 0.0, None
         for j, k, h in combinations(range(n + 1), 3):
@@ -737,7 +752,7 @@ class SwitchedCost(CostModel):
         held = self._held(mu[None, :])[:, 0]
         if not held.any():
             raise ValueError("mu is not in any revelation cell")
-        k = int(np.argmax(held))
+        k = int(held.argmax())
         cells = [self.cell_models[x] for x in self.realizations]
         where = f"mu = {mu.round(6).tolist()} in cell {cells[k].event!r}"
         d = self._witnesses[k]

@@ -73,7 +73,7 @@ def hull_contains(vertices, mu, tol: float = DEFAULT_TOL) -> bool:
     LP, which raises RuntimeError when HiGHS stops without deciding."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     mu = np.asarray(mu, dtype=float)
-    if np.any(np.max(np.abs(V - mu), axis=1, initial=0.0) <= tol):
+    if (np.abs(V - mu).max(axis=1, initial=0.0) <= tol).any():
         return True
     if V.shape[0] == 1:
         return False
@@ -117,7 +117,7 @@ def min_weighted_value(points: np.ndarray, values: np.ndarray, mu,
             return None
         x = x.reshape(J, n)
         found[i:i + J] = x @ v
-        w[i:i + J] = np.clip(x, 0.0, None)
+        w[i:i + J] = x.clip(0.0, None)
     if mu.ndim == 1:
         return float(found[0]), w[0]
     return found, w
@@ -205,11 +205,11 @@ class Hull:
         self.kind = "generic"
         self.free = np.arange(k)
         one = np.abs(V - 1.0) < _EQ_TOL
-        if np.all(one | (np.abs(V) < _EQ_TOL)):
+        if (one | (np.abs(V) < _EQ_TOL)).all():
             free = np.flatnonzero(np.ptp(V, axis=0) >= _EQ_TOL)
             patterns = {tuple(row) for row in one[:, free]}
-            units = np.argmax(V, axis=1)
-            unit = (np.all(one.sum(axis=1) == 1)
+            units = V.argmax(axis=1)
+            unit = ((one.sum(axis=1) == 1).all()
                     and len(set(units)) == n)
             cube = n == 2 ** len(free) and len(patterns) == n
             if unit and (complete or not cube):

@@ -31,7 +31,7 @@ class OutcomeSpace:
             raise ValueError("payoff rows must match outcomes")
         if payoff.shape[1] < 1:
             raise ValueError("need at least one security")
-        if not np.all(np.isfinite(payoff)):
+        if not np.isfinite(payoff).all():
             raise ValueError("payoff entries must be finite")
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("duplicate outcome identifiers")

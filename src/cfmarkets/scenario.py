@@ -85,7 +85,7 @@ class Scenario:
             raise ScenarioError("seed must be a non-negative integer")
         if not 0 < self.tol < float("inf"):
             raise ScenarioError("tolerance must be a positive finite number")
-        if np.any(np.spacing(np.abs(self.initial_state)) > self.tol):
+        if (np.spacing(np.abs(self.initial_state)) > self.tol).any():
             raise ScenarioError("initial_state is too large for the "
                                 "tolerance")
 

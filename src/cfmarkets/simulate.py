@@ -81,7 +81,7 @@ class TraderAgent:
     def __init__(self, name: str, times, budget: float | None = None):
         self.name = name
         self.times = tuple(sorted(float(t) for t in times))
-        if not np.all(np.isfinite(self.times)):
+        if not np.isfinite(self.times).all():
             raise ValueError(f"trader {name!r}: trade times must be finite")
         self.budget = None if budget is None else float(budget)
         if budget is not None and not 0.0 <= self.budget < np.inf:

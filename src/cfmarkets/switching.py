@@ -77,8 +77,8 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
     rows = {}
 
     p_old, p_new = m_old.price(s_old), m_new.price(s_new)
-    dev = max(float(np.max(np.abs(p_old.lo - p_new.lo), initial=0.0)),
-              float(np.max(np.abs(p_old.hi - p_new.hi), initial=0.0)))
+    dev = max(float(np.abs(p_old.lo - p_new.lo).max(initial=0.0)),
+              float(np.abs(p_old.hi - p_new.hi).max(initial=0.0)))
     rows["PRICE"] = DesiderataRow(dev <= tol, dev)
 
     cp_dev = 0.0
@@ -92,7 +92,7 @@ def check_desiderata(old, new, obs: Observation, tol: float = 1e-6,
         ev_old = util_event(m_old, cell, s_old)
         ev_new = util_event(m_new, cell, s_new)
         dev = np.abs(ev_old.minimizer - ev_new.minimizer)
-        cp_dev = max(cp_dev, float(np.max(dev, initial=0.0)))
+        cp_dev = max(cp_dev, float(dev.max(initial=0.0)))
 
         u_old, u_new = ev_old.value, ev_new.value
         zero_worst = max(zero_worst, u_new)

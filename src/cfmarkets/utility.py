@@ -112,7 +112,7 @@ def optimizing_sequence(m: CostModel, event, q) -> OptimizingSequence:
         except NotImplementedError:
             break
         out.states.append(q0 + r)
-        out.payoffs.append(float(np.min(V @ r) - (m.cost(q0 + r) - c0)))
+        out.payoffs.append(float((V @ r).min() - (m.cost(q0 + r) - c0)))
         out.bundle = r
         if out.payoffs[-1] >= target:
             break

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from cfmarkets import (IndependentBinaryCost, LmsrCost, OutcomeSpace,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
@@ -13,7 +13,8 @@ from cfmarkets import (IndependentBinaryCost, LmsrCost, OutcomeSpace,
                        simplex_market, single_binary_market, square_market,
                        util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
-from cfmarkets.costs import _CACHE_LIMIT, _logsumexp
+from cfmarkets.costs import (_CACHE_LIMIT, _LOG_CLIP, _STATE_CLIP,
+                             _as_vector, _logsumexp, _softmax)
 from oracles import lmsr_conjugate, product_lmsr_conjugate
 
 INF = float("inf")
@@ -594,3 +595,133 @@ def test_public_methods_still_validate_their_input(make):
             ask(nan)
         with pytest.raises(ValueError, match=f"q must have length {m.dim}"):
             ask(np.zeros(m.dim + 1))
+
+
+# ---------------------------------------------------------------------------
+# The kernels' ndarray methods against the numpy wrappers they replaced:
+# each form runs the same ufunc loop, so results agree bit for bit
+
+
+def wrapper_lmsr_conjs(model, mus):
+    mus = np.ascontiguousarray(mus, dtype=float)
+    off = ((mus < -model.domain_tol).any(axis=1)
+           | (np.abs(mus.sum(axis=1) - 1.0) > model.domain_tol))
+    m = np.clip(mus, 0.0, None)
+    out = np.sum(xlogy(m, m), axis=1)
+    out[off] = INF
+    return out
+
+
+def wrapper_product_conjs(model, mus):
+    mus = np.ascontiguousarray(mus, dtype=float)
+    off = ((mus < -model.domain_tol)
+           | (mus > 1.0 + model.domain_tol)).any(axis=1)
+    m = np.clip(mus, 0.0, 1.0)
+    out = np.sum(xlogy(m, m) + xlogy(1.0 - m, 1.0 - m), axis=1)
+    out[off] = INF
+    return out
+
+
+def wrapper_lmsr_conjugate_grad(mu):
+    m = np.clip(np.asarray(mu, dtype=float), _LOG_CLIP, None)
+    return np.log(m) + 1.0
+
+
+def wrapper_product_conjugate_grad(mu):
+    m = np.clip(np.asarray(mu, dtype=float), _LOG_CLIP, 1.0 - 1e-16)
+    return np.log(m) - np.log1p(-m)
+
+
+def wrapper_lmsr_state(mu):
+    m = np.clip(np.asarray(mu, dtype=float), 0.0, None)
+    return np.log(np.clip(m, np.exp(-_STATE_CLIP), None))
+
+
+def wrapper_product_state(mu):
+    m = np.clip(np.asarray(mu, dtype=float), 0.0, 1.0)
+    q = (np.log(np.clip(m, _LOG_CLIP, None))
+         - np.log(np.clip(1.0 - m, _LOG_CLIP, None)))
+    return np.clip(q, -_STATE_CLIP, _STATE_CLIP)
+
+
+def wrapper_product_cost(q):
+    return float(np.sum(np.logaddexp(0.0, q)))
+
+
+def wrapper_softmax(z):
+    e = np.exp(z - np.max(z))
+    return e / e.sum()
+
+
+WRAPPER_FORMS = {
+    "lmsr": (wrapper_lmsr_conjs, wrapper_lmsr_conjugate_grad,
+             wrapper_lmsr_state),
+    "product-lmsr": (wrapper_product_conjs, wrapper_product_conjugate_grad,
+                     wrapper_product_state),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and a.tobytes() == b.tobytes())
+
+
+def boundary_stack(model, rng):
+    """`_kernel_stack`'s rows, random rows around the price space, and rows
+    whose every entry, or one entry of a point of the price space, is one
+    boundary value: 0, 1, -domain_tol, 1 + domain_tol, the floats just
+    outside and inside each, and 1e-300."""
+    tol = model.domain_tol
+    edges = [0.0, 1.0, -tol, 1.0 + tol, 1e-300]
+    edges += [np.nextafter(e, d) for e in edges[:4] for d in (-INF, INF)]
+    rows = [np.full(model.dim, e) for e in edges]
+    # one boundary value in one coordinate of a point of the price space
+    inside = rng.dirichlet(np.ones(len(model.space.payoff)), size=len(edges))
+    for e, row in zip(edges, inside @ model.space.payoff):
+        row[rng.integers(model.dim)] = e
+        rows.append(row)
+    rows.extend(rng.uniform(-0.1, 1.1, (40, model.dim)))
+    return np.vstack([_kernel_stack(model, rng), rows])
+
+
+@pytest.mark.parametrize("name", ["lmsr(1)", "lmsr(3)", "lmsr(8)", "square",
+                                  "cube(3)", "cube(5)"])
+def test_the_closed_forms_equal_their_wrapper_forms_bit_for_bit(name):
+    model = CLOSED_FORM_MODELS[name]()
+    conjs, grad, state = WRAPPER_FORMS[model.kind]
+    stack = boundary_stack(model, np.random.default_rng(37))
+    out = model._conjs(stack)
+    assert same_bits(out, conjs(model, stack))
+    assert np.isinf(out).any() and np.isfinite(out).any()
+    for mu in stack:
+        assert same_bits(model.conjugate_grad(mu), grad(mu))
+        assert same_bits(model.state_with_price(mu), state(mu))
+    rng = np.random.default_rng(38)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        for q in rng.normal(0.0, scale, (10, model.dim)):
+            if model.kind == "lmsr":
+                assert same_bits(_softmax(q), wrapper_softmax(q))
+                assert same_bits(model._mu(q), wrapper_softmax(q))
+            else:
+                assert model._cost(q).hex() == wrapper_product_cost(q).hex()
+
+
+def test_a_cube_face_projection_equals_its_wrapper_form_bit_for_bit():
+    m = IndependentBinaryCost(independent_binary_market(4))
+    face = [w for w in m.space.outcomes if w[0] == 1 and w[2] == 0]
+    project = m.restrict(face)
+    for q in np.random.default_rng(39).normal(0.0, 4.0, (30, 4)):
+        c = (1.0 * q[0] + 0.0 * q[2]
+             + np.sum(np.logaddexp(0.0, q[[1, 3]])))
+        assert project(q).value.hex() == (-float(c)).hex()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_vector_rejects_every_non_finite_entry(bad):
+    for dim in (1, 3):
+        v = np.zeros(dim)
+        v[-1] = bad
+        for x in (v, v.tolist()):
+            with pytest.raises(ValueError, match="^q must be finite$"):
+                _as_vector(x, dim, "q")

@@ -24,7 +24,12 @@ modules import, at any depth, are exactly the solvers listed in
 `OPTIMIZE_NAMES`, so no new optimizer enters the library unseen. Every
 name the package `__init__` exports is read outside `tests/`: in a library
 module (beyond its own `def` or `class`), a demo or the benchmark, so an
-export only the tests call does not linger.
+export only the tests call does not linger. No module calls numpy's
+module-level function for one of the names in `NUMPY_WRAPPERS`, as
+`np.sum(a, axis=1)`, or imports one from numpy: it calls the ndarray
+method, `a.sum(axis=1)`, which runs the same ufunc loop without the
+wrapper's dispatch, a cost larger than the arithmetic on desk-scale arrays
+(`tests/oracles.py`, the independent reference, keeps the wrapper forms).
 """
 
 import ast
@@ -428,3 +433,42 @@ def test_every_export_is_read_outside_the_tests():
              *sorted(REPO.glob("perfbench/*.py"))]
     sources = {str(p): p.read_text() for p in paths}
     assert unread_exports((SRC / "__init__.py").read_text(), sources) == []
+
+
+# numpy functions with an ndarray method of the same meaning
+NUMPY_WRAPPERS = {"sum", "prod", "mean", "max", "min", "amax", "amin", "all",
+                  "any", "clip", "argmax", "argmin"}
+
+
+def numpy_wrapper_calls(source: str) -> list:
+    """(name, line) of each `np.<name>(...)` or `numpy.<name>(...)` call and
+    each `from numpy import <name>` for a name in NUMPY_WRAPPERS, in line
+    order."""
+    found = []
+    for n in ast.walk(ast.parse(source)):
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and isinstance(n.func.value, ast.Name)
+                and n.func.value.id in ("np", "numpy")
+                and n.func.attr in NUMPY_WRAPPERS):
+            found.append((n.func.attr, n.lineno))
+        elif isinstance(n, ast.ImportFrom) and n.module == "numpy":
+            found.extend((alias.name, n.lineno) for alias in n.names
+                         if alias.name in NUMPY_WRAPPERS)
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_the_check_finds_a_numpy_wrapper_call():
+    source = ("import numpy as np\nimport numpy\n"
+              "from numpy import clip, maximum\n"
+              "a = np.sum(x, axis=1)\nb = x.sum(axis=1)\n"
+              "c = numpy.max(np.abs(x), initial=0.0)\n"
+              "d = np.maximum(x, 0.0) + np.isfinite(x).all()\n"
+              "e = int(np.argmin(g)) + np.ptp(x)\n"
+              "f = np.all(\n    np.isfinite(v))\ng = rng.sum(x)\n")
+    assert numpy_wrapper_calls(source) == [
+        ("clip", 3), ("sum", 4), ("max", 6), ("argmin", 8), ("all", 9)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_calls_a_numpy_wrapper(path):
+    assert numpy_wrapper_calls(path.read_text()) == []

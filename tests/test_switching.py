@@ -1109,6 +1109,71 @@ def test_a_sum_over_part_of_the_coordinates_is_decided_in_closed_form():
     assert found > 0
 
 
+def signed_partition(space, weights):
+    """The level sets of weights.x, in increasing order."""
+    levels = {}
+    for w in space.outcomes:
+        levels.setdefault(float(np.dot(weights, w)), []).append(w)
+    return observe_partition(space, [levels[v] for v in sorted(levels)])
+
+
+@pytest.mark.parametrize("weights", [(1, 1, -1), (1, -1)],
+                         ids=["x0+x1-x2", "x0-x1"])
+def test_a_mixed_sign_sum_is_decided_in_flipped_coordinates(weights):
+    # flipping the coordinates of negative weight maps the cells onto the
+    # level sets of the sum, and the state s onto (s0, s1, -s2): the
+    # verdict is the sum switch's there
+    n, flip = len(weights), np.array(weights, dtype=float)
+    m = IndependentBinaryCost(independent_binary_market(n))
+    obs = signed_partition(m.space, weights)
+    rng = np.random.default_rng(0)
+    found = 0
+    for _ in range(20):
+        s = rng.uniform(-3.0, 3.0, n)
+        v = SwitchedCost(m, obs, s).consistency
+        assert v.path == "sum"
+        flipped = SwitchedCost(m, observe_sum(m.space), s * flip)
+        oracle = sum_switch_violation(sum_offsets(flipped, slice(None)), n)
+        assert abs(v.worst_violation - oracle) <= 1e-12
+        if n == 2:
+            assert abs(oracle - max(0.0, square_count_violation(s * flip))
+                       ) <= 1e-10
+        if not v.consistent:
+            found += 1
+            # the witness is a flipped centroid: its level is the cell's
+            mu = v.witness["mu"]
+            cell = v.switched.cell_models[v.witness["realization"]]
+            level = np.dot(weights, cell.event[0])
+            assert np.dot(weights, mu) == pytest.approx(level, abs=1e-12)
+    assert found > 0
+
+
+def test_the_3_cube_mixed_sign_switch_off_the_diagonal_is_inconsistent():
+    # x0 + x1 - x2 at s = (1, -1, 0), the flip of the 3-cube sum switch
+    # there: the same violation, at the centroid of the level-1 cell
+    m = IndependentBinaryCost(independent_binary_market(3))
+    v = consistency_check(m, signed_partition(m.space, (1, 1, -1)),
+                          np.array(CUBE3_STATES[0]))
+    assert (v.consistent, v.path) == (False, "sum")
+    assert v.worst_violation == pytest.approx(0.212672132, abs=1e-9)
+    assert np.allclose(v.witness["mu"], [2 / 3, 2 / 3, 1 / 3], rtol=0,
+                       atol=1e-15)
+    cell = v.switched.cell_models[v.witness["realization"]]
+    assert sorted(cell.event) == [(0, 1, 0), (1, 0, 0), (1, 1, 1)]
+
+
+def test_a_one_sign_statistic_flips_nothing_whichever_its_sign():
+    # the SVD may return the statistic's all-negative direction; the flip
+    # is read against the first weight's sign, so the verdict is the same
+    sw = cube3_sum_switch(CUBE3_STATES[0])
+    a = sw._statistic
+    assert sw._sum(a)[0] == sw._sum(-a)[0] == sw.consistency.worst_violation
+    for stat in (a, -a):
+        witness = sw._sum(stat)[1]
+        assert np.array_equal(witness["mu"], np.full(3, 1 / 3))
+        assert witness["realization"] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Exposure: the state-independent sufficient condition
 
