@@ -199,9 +199,27 @@ class CostModel:
         """The Bregman projection onto `event`'s hull as one trusted
         callable, q -> ProjectionResult: the maximizer mu of q.mu - R(mu)
         (the conditional price) with value R(mu) - q.mu = -C_E(q); a closed
-        form reports gap 0, converged, 0 iterations. None when this kind
-        has no projector, and `RestrictedCost` runs Frank-Wolfe."""
-        return None
+        form reports gap 0, converged, 0 iterations. This default, for the
+        kinds with no closed form, is the library's one away-step
+        Frank-Wolfe call. It solves a state once and keeps the answer, `mu`
+        read-only, in a memo keyed by q's bytes and cleared at _CACHE_LIMIT
+        entries. It reads the conjugate, its gradient and the solver at each
+        solve, so a patched or traced binding is the one called."""
+        vertices, solved = self.space.hull(event).vertices, {}
+
+        def project(q):
+            key = q.tobytes()
+            res = solved.get(key)
+            if res is None:
+                res = project_onto_hull(vertices, self.conjugate,
+                                        self.conjugate_grad, q)
+                res.mu.setflags(write=False)
+                if len(solved) >= _CACHE_LIMIT:
+                    solved.clear()
+                solved[key] = res
+            return res
+
+        return project
 
 
 class LmsrCost(CostModel):
@@ -257,8 +275,9 @@ class LmsrCost(CostModel):
         return np.log(m.clip(np.exp(-_STATE_CLIP), None))
 
     def restrict(self, event):
-        """Any event: softmax and log-sum-exp over the event's securities."""
-        idx = np.unique([self.space.index(w) for w in event])
+        """Any event: softmax and log-sum-exp over the event's securities,
+        the units its hull's vertices are."""
+        idx = np.unique(self.space.hull(event).vertices.argmax(axis=1))
 
         def project(q):
             p = np.zeros(self.dim)
@@ -327,7 +346,7 @@ class IndependentBinaryCost(CostModel):
         the pinned ones. Other events have no closed form."""
         hull = self.space.hull(event)
         if hull.kind != "box":
-            return None
+            return super().restrict(event)
         fixed, free = hull.pinned, hull.free
 
         def project(q):
@@ -387,13 +406,8 @@ class RestrictedCost(CostModel):
 
     C_E(q) = sup over mu in the hull of E's payoffs of [q.mu - R(mu)], and
     the maximizer is the conditional price. Bounded-loss and arbitrage-free
-    for outcomes in E. `project` is the library's one Bregman projection:
-    it calls the base's projector, `restrict(E)`, where the kind has one,
-    and otherwise runs away-step Frank-Wolfe over the event's hull. A
-    Frank-Wolfe answer is solved once per state: the cell keeps it in a
-    memo keyed by the bytes of q, bounded by _CACHE_LIMIT, with its `mu`
-    read-only, and a state it has seen is read from there. A closed-form
-    projection costs less than the lookup and is not kept.
+    for outcomes in E. `project` is the base's projector, `restrict(E)`,
+    built once with the cell.
     """
 
     kind = "restricted"
@@ -406,7 +420,6 @@ class RestrictedCost(CostModel):
         self.strictly_convex = base.strictly_convex
         self.differentiable = base.differentiable
         self._projector = base.restrict(self.event)
-        self._solved: dict = {}  # q bytes -> Frank-Wolfe ProjectionResult
 
     def project(self, q) -> ProjectionResult:
         """Bregman projection of q onto the event's hull: the maximizer mu
@@ -416,18 +429,7 @@ class RestrictedCost(CostModel):
 
     def _project(self, q) -> ProjectionResult:
         """`project` on a trusted q."""
-        if self._projector is not None:
-            return self._projector(q)
-        key = q.tobytes()
-        res = self._solved.get(key)
-        if res is None:
-            res = project_onto_hull(self.hull.vertices, self.base.conjugate,
-                                    self.base.conjugate_grad, q)
-            res.mu.setflags(write=False)
-            if len(self._solved) >= _CACHE_LIMIT:
-                self._solved.clear()
-            self._solved[key] = res
-        return res
+        return self._projector(q)
 
     def cost(self, q) -> float:
         return -self.project(q).value
@@ -444,13 +446,13 @@ class RestrictedCost(CostModel):
     def restrict(self, event):
         """Inside this cost's event: the base restricted to `event`, so
         Frank-Wolfe never runs over a restricted cost; this cell's own
-        memoized projection when `event` is its event. An event that leaves
-        this one raises ValueError."""
+        projection when `event` is its event. An event that leaves this
+        one raises ValueError."""
         if tuple(event) == self.event:
             return self._project
         if not set(event) <= set(self.event):
             raise ValueError(f"event {tuple(event)!r} leaves {self.event!r}")
-        return RestrictedCost(self.base, event)._project
+        return self.base.restrict(event)
 
 
 def _statistic_levels(space: OutcomeSpace, observation):
@@ -580,7 +582,7 @@ class SwitchedCost(CostModel):
         self._witnesses = [exposed[x] for x in self.realizations]
         self._statistic = (None if all(w is not None for w in self._witnesses)
                            else _statistic_levels(self.space, observation))
-        self._violation = self._judge(exposed)
+        self._violation = self._judge()
         self._exact = (self._violation[0] <= CONSISTENCY_TOL) | np.array(
             [w is not None for w in self._witnesses])
 
@@ -650,11 +652,11 @@ class SwitchedCost(CostModel):
         return ConsistencyVerdict(ok, worst, path, None if ok else witness,
                                   self)
 
-    def _judge(self, exposed) -> tuple[float, dict | None, str]:
-        """(worst, witness, path) of the roof test, given each cell's
-        exposure witness, with the path that decided it: (inf, the pair,
-        "overlap") for overlapping cells; (0.0, None, "exposed"), with no
-        LP, when every cell is exposed, which makes the switch consistent
+    def _judge(self) -> tuple[float, dict | None, str]:
+        """(worst, witness, path) of the roof test, with the path that
+        decided it: (inf, the pair, "overlap") for overlapping cells;
+        (0.0, None, "exposed"), with no LP, when every cell has an exposure
+        witness (`_witnesses`), which makes the switch consistent
         at every state (arXiv 1407.8161); "sum" (`_sum`), exact and with no
         LP, when the base is product-LMSR and the cells are the level sets
         of a statistic with weights equal in magnitude on its support;
@@ -662,14 +664,13 @@ class SwitchedCost(CostModel):
         sampled roof at p, both in divergence units, from one `_roof` LP
         over every probe point. Level sets lie in disjoint hyperplanes
         a.x = v_x, so they are not scanned for overlap."""
-        every = all(w is not None for w in exposed.values())
         stat = self._statistic if self.space.hull().kind == "box" else None
         if stat is None:
             for x, y in combinations(self.realizations, 2):
                 if self.cell_models[x].hull.intersects(
                         self.cell_models[y].hull):
                     return INF, {"overlap": (x, y)}, "overlap"
-        if every:
+        if all(w is not None for w in self._witnesses):
             return 0.0, None, "exposed"
         judged = None if stat is None else self._sum(stat)
         if judged is not None:
@@ -839,8 +840,6 @@ class ScaledCost(CostModel):
     def restrict(self, event):
         """The base's projection at q / a, its value and gap times a."""
         inner, a = self.base.restrict(event), self.alpha
-        if inner is None:
-            return None
 
         def project(q):
             res = inner(q / a)

@@ -5,9 +5,9 @@ divergence D(mu || q). The utility for an event E (the largest payoff a
 trader can guarantee knowing the outcome lies in E) is the smallest
 divergence to the event's price hull, attained at the conditional price
 vector: the Bregman projection of the state onto M(E). That projection is
-the maximizer of the restricted cost C_E, so `RestrictedCost.project` makes
-it: through the cost kind's projector (`restrict`) where it has one,
-otherwise by away-step Frank-Wolfe over the event's payoff vertices. An
+the maximizer of the restricted cost C_E, and the cost's projector
+`restrict(E)` makes it: a closed form where the kind has one, otherwise the
+base class's away-step Frank-Wolfe over the event's payoff vertices. An
 optimizing sequence projects once, then trades to states priced ever nearer
 that projection, at most MAX_TRADES of them, and keeps only its trades.
 """
@@ -20,8 +20,7 @@ import numpy as np
 
 # project_onto_hull is bound here only for perfbench's tracer test, which
 # expects a `utility.project_onto_hull` binding; nothing here calls it
-from .costs import CostModel, RestrictedCost, _as_vector, \
-    project_onto_hull  # noqa: F401
+from .costs import CostModel, _as_vector, project_onto_hull  # noqa: F401
 
 MEMBERSHIP_TOL = 1e-7  # L-inf slack of excess_util's belief-in-event test
 UTIL_TOL = 1e-9  # shortfall from Util(E; q) at which optimizing_sequence stops
@@ -43,9 +42,9 @@ def util_belief(m: CostModel, mu, q) -> float:
 
 def util_event(m: CostModel, event, q) -> EventUtility:
     """Minimum divergence from state q to the event's price hull, at the
-    projection `RestrictedCost(m, event)` makes."""
+    projection `m.restrict(event)` makes."""
     q = _as_vector(q, m.dim, "q")
-    res = RestrictedCost(m, event)._project(q)
+    res = m.restrict(tuple(event))(q)
     return EventUtility(m.divergence(res.mu, q), res.mu, res.gap,
                         res.converged)
 

@@ -9,7 +9,8 @@ from cfmarkets import (IndependentBinaryCost, LmsrCost, OutcomeSpace,
                        PiecewiseLinearCost, PriceSet, RestrictedCost,
                        ScaledCost, finite_difference_price, geometry,
                        independent_binary_market, medal_count_model,
-                       observe_coordinate, observe_sum, plan_switch,
+                       observe_block_payoff, observe_coordinate,
+                       observe_sum, plan_switch,
                        simplex_market, single_binary_market, square_market,
                        util_event)
 from cfmarkets._solvers import _line_search, project_onto_hull
@@ -203,8 +204,9 @@ def test_lmsr_price_sums_to_one_property(qs):
 
 @pytest.fixture
 def projections(monkeypatch):
-    """Counts the Frank-Wolfe projections, all of which `RestrictedCost`
-    makes; once `forbidden` is set, any further projection fails the test."""
+    """Counts the Frank-Wolfe projections, all of which the default
+    projector of `CostModel.restrict` makes; once `forbidden` is set, any
+    further projection fails the test."""
     import cfmarkets.costs
 
     class Projections:
@@ -391,12 +393,17 @@ def test_a_remembered_projection_cannot_be_rewritten():
 
 def test_the_projection_memo_stays_within_its_bound(projections):
     cell = middle_cell()
-    sizes = []
-    for i in range(300):
-        cell.project(np.array([0.01 * i, -0.5]))
-        sizes.append(len(cell._solved))
+    states = [np.array([0.01 * i, -0.5]) for i in range(300)]
+    for q in states[:_CACHE_LIMIT]:
+        cell.project(q)
+    cell.project(states[0])  # a full memo still holds the first state
+    for q in states[_CACHE_LIMIT:]:
+        cell.project(q)  # the first of these clears the full memo
     assert projections.calls == 300
-    assert max(sizes) == _CACHE_LIMIT and sizes[-1] < _CACHE_LIMIT
+    cell.project(states[-1])
+    assert projections.calls == 300
+    cell.project(states[0])
+    assert projections.calls == 301
 
 
 def test_a_closed_form_cell_keeps_no_memo(projections):
@@ -404,7 +411,8 @@ def test_a_closed_form_cell_keeps_no_memo(projections):
     box = RestrictedCost(sq, observe_coordinate(sq.space, 0).cell(1.0))
     q = np.array([0.5, -0.7])
     box.cost(q), box.price(q), box.project(q)
-    assert projections.calls == 0 and box._solved == {}
+    assert projections.calls == 0
+    assert box.project(q) is not box.project(q)
 
 
 def test_restricted_cost_rejects_empty_event():
@@ -437,6 +445,60 @@ def test_a_restricted_cost_refuses_an_event_outside_its_own():
         RestrictedCost(outer, (((0, 1)), ((1, 1))))
     with pytest.raises(ValueError, match="leaves"):
         outer.restrict((((1, 1)),))
+
+
+def medal_cell():
+    """medal(2) and the cell where block 0 pays 1: no closed form."""
+    medal = medal_count_model(2)
+    return medal, observe_block_payoff(medal.space, (0,)).cell((1.0,))
+
+
+@pytest.mark.parametrize("make", [
+    lmsr, square, piecewise, lambda: medal_count_model(2),
+    lambda: ScaledCost(lmsr(), 0.4),
+    lambda: RestrictedCost(square(), (((1, 0)), ((1, 1)))), switched_square,
+], ids=["lmsr", "product-lmsr", "piecewise-linear", "medal2", "scaled",
+        "restricted", "switched"])
+def test_restricting_to_the_empty_event_is_a_value_error(make):
+    m = make()
+    with pytest.raises(ValueError):
+        m.restrict(())
+
+
+def no_closed_form_cases():
+    sq, pw = square(), piecewise()
+    return [(sq, observe_sum(sq.space).cell(1.0)),
+            (sq, (((0, 1)), ((1, 0)))),
+            (pw, pw.space.outcomes),
+            medal_cell()]
+
+
+@pytest.mark.parametrize("case", range(4), ids=[
+    "square-sum-middle", "square-diagonal", "piecewise-linear", "medal-cell"])
+def test_every_kind_restricts_to_a_projector(case):
+    # a kind with no closed form projects by the default's Frank-Wolfe,
+    # with its own conjugate over the event's payoff vertices
+    m, event = no_closed_form_cases()[case]
+    project = m.restrict(event)
+    assert callable(project)
+    for q in np.random.default_rng(case).uniform(-2.0, 2.0, (3, m.dim)):
+        got = project(q)
+        want = project_onto_hull(m.space.vertices(event), m.conjugate,
+                                 m.conjugate_grad, q)
+        assert got.mu.tobytes() == want.mu.tobytes()
+        assert (got.value, got.gap, got.converged, got.iterations) == (
+            want.value, want.gap, want.converged, want.iterations)
+
+
+def test_a_scaled_cost_restricts_as_its_base_at_the_scaled_state():
+    # a C(q / a) restricted is a C_E(q / a): the base's projector, not
+    # Frank-Wolfe over a R
+    medal, event = medal_cell()
+    scaled = ScaledCost(medal, 0.4)
+    for q in np.random.default_rng(7).uniform(-2.0, 2.0, (3, medal.dim)):
+        got, base = scaled.restrict(event)(q), medal.restrict(event)(q / 0.4)
+        assert got.value == pytest.approx(0.4 * base.value, abs=1e-12)
+        assert np.array_equal(got.mu, base.mu) and got.converged
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cfmarkets import (BlockSchedule, RestrictedCost, Schedule,
-                       divergence_decomposition, medal_count_model, model_at,
-                       new_state, observe_block_payoff,
-                       partial_decrease_audit, util_event)
+import cfmarkets.costs
+from cfmarkets import (BlockSchedule, Schedule, divergence_decomposition,
+                       medal_count_model, model_at, new_state,
+                       observe_block_payoff, partial_decrease_audit,
+                       util_event)
 
 
 def decaying_schedule(model, rates, t0=0.0):
@@ -273,16 +274,16 @@ def test_partial_decrease_audit_reads_its_drops_off_the_report(monkeypatch):
     sched = decaying_schedule(m, {1: 0.4})
     q = np.array([0.2, -0.5, 0.1, 0.4, -0.2])
     projections = []
-    real = RestrictedCost._project
+    real = cfmarkets.costs.project_onto_hull
 
-    def counted(self, q):
-        projections.append(self.event)
-        return real(self, q)
+    def counted(*args):
+        projections.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(RestrictedCost, "_project", counted)
+    monkeypatch.setattr(cfmarkets.costs, "project_onto_hull", counted)
     audit = partial_decrease_audit(m, sched, 1, q, 0.5, 1.5)
     obs = observe_block_payoff(m.space, m.blocks[1])
-    # one projection per model and realization: the report's own
+    # one Frank-Wolfe projection per model and realization: the report's own
     assert len(projections) == 2 * len(obs.realizations)
     ts = new_state(m, sched, q, 0.5, 1.5)
     m_old, m_new = model_at(m, sched, 0.5), model_at(m, sched, 1.5)

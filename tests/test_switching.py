@@ -996,7 +996,7 @@ def test_the_square_sum_verdict_makes_no_lp_and_no_projection(monkeypatch):
 
     m = square()
     obs = observe_sum(m.space)
-    exposed = exposure_witness(m.space, obs)  # its own LPs, before counting
+    exposure_witness(m.space, obs)  # its own LPs, kept, before counting
     lps, projections = [], []
     real_lp, real_fw = geometry.linprog, cfmarkets.costs.project_onto_hull
     monkeypatch.setattr(geometry, "linprog",
@@ -1007,7 +1007,7 @@ def test_the_square_sum_verdict_makes_no_lp_and_no_projection(monkeypatch):
         sw = SwitchedCost(m, obs, np.array(s))
         # the middle cell's offset at s is its one Frank-Wolfe solve
         assert (len(lps), len(projections)) == (0, 1)
-        worst, _, path = sw._judge(exposed)
+        worst, _, path = sw._judge()
         assert (worst, path) == (sw._violation[0], "sum")
         assert (len(lps), len(projections)) == (0, 1)
         assert "_roof_samples" not in vars(sw)

@@ -37,6 +37,14 @@ def test_util_event_lmsr_closed_form():
     assert res.residual == 0.0
 
 
+def test_util_event_lmsr_reads_an_outcome_named_twice_once():
+    # the event's hull is generic, and its vertices name the securities
+    m, q = lmsr3(), np.array([0.3, -0.4, 0.8])
+    twice, once = util_event(m, (0, 2, 0), q), util_event(m, (0, 2), q)
+    assert np.array_equal(twice.minimizer, once.minimizer)
+    assert twice.value == once.value and twice.residual == 0.0
+
+
 def projection_cases():
     """(model, event, state) over every way a restricted cost projects: the
     closed forms of each kind, and Frank-Wolfe on the square's diagonal and
@@ -65,10 +73,9 @@ def test_util_event_is_the_restricted_cost_projection(case):
     res = RestrictedCost(m, event).project(q)
     got = util_event(m, event, q)
     assert np.array_equal(got.minimizer, res.mu)
-    # reference dispatch: the kind's projector, else Frank-Wolfe with m's
+    # reference dispatch: the kind's closed form, else Frank-Wolfe with m's
     # own conjugate over the event's payoff vertices
-    projector = m.restrict(event)
-    own = (projector(q).mu if projector is not None else
+    own = (m.restrict(event)(q).mu if case < 4 else
            project_onto_hull(m.space.vertices(event), m.conjugate,
                              m.conjugate_grad, q).mu)
     assert np.array_equal(got.minimizer, own)
