@@ -38,6 +38,7 @@ FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
 _CACHE_LIMIT = 256  # entries a memo holds; a full memo is cleared first
 _RANK_TOL = 1e-9  # singular values at or below this count as 0
 _TIE_TOL = 1e-9  # cells within this of a switch's max tie for its price
+_CERT_TOL = 1e-12  # a Fenchel-Young bound this near R(mu) - b certifies it
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
@@ -276,8 +277,8 @@ class LmsrCost(CostModel):
 
     def restrict(self, event):
         """Any event: softmax and log-sum-exp over the event's securities,
-        the units its hull's vertices are."""
-        idx = np.unique(self.space.hull(event).vertices.argmax(axis=1))
+        the free coordinates of its hull, a simplex face."""
+        idx = self.space.hull(event).free
 
         def project(q):
             p = np.zeros(self.dim)
@@ -502,9 +503,11 @@ class SwitchedCost(CostModel):
     own `consistency` when it is built, and with it which cells are exact
     (`_exact`), from one exposure read: when it is consistent, and inside
     an exposed cell of any switch, the roof inside a cell is that cell's
-    R(mu) - b_x, returned in closed form. Elsewhere (off the cells, and
-    inside the non-exposed cells of an inconsistent switch) `_roof` bounds
-    it by a convex-combination LP over sampled probe points (cell vertices
+    R(mu) - b_x, returned in closed form. Inside the other cells, a
+    Fenchel-Young lower bound mu.q - C_sw(q) certifies that closed form at
+    most prices with no LP (`_certified`). Elsewhere (off the cells, and at
+    the in-cell prices the bound does not settle) `_roof` bounds the roof
+    by a convex-combination LP over sampled probe points (cell vertices
     and pairwise midpoints), one LP for a whole stack of prices. One price
     is a one-row stack: `conjugate` is `_conjs` at a single row.
 
@@ -616,10 +619,12 @@ class SwitchedCost(CostModel):
     def _conjs(self, mus) -> np.ndarray:
         """The roof at each row of a stack: R(mu) - max b_x over the cells
         that hold the row, in closed form, where each of those cells is
-        `_exact`; inf off the price space; elsewhere the least of
-        R(mu) - max b_x and the sampled roof, with every such row in one
-        `_roof` call, which raises if that roof fails on the price space.
-        The rows are priced as array operations over the `_held` mask."""
+        `_exact` or where `_certified` proves the form, one row at a time;
+        inf off the price space; elsewhere the least of R(mu) - max b_x and
+        the sampled roof, with every such row in one `_roof` call, which
+        raises if that roof fails on the price space, and no call when no
+        row is left. The closed forms are array operations over the `_held`
+        mask."""
         mus = np.ascontiguousarray(mus, dtype=float)
         inside = self._held(mus)
         held = inside.any(axis=0)
@@ -630,6 +635,8 @@ class SwitchedCost(CostModel):
         if not held.all():
             sampled[~held] = self.space.hull().contains_rows(
                 mus[~held], self.domain_tol)
+        for j in np.flatnonzero(sampled & held):
+            sampled[j] = not self._certified(mus[j], inside[:, j], out[j])
         if sampled.any():
             rows = mus[sampled]
             found = self._roof(rows)
@@ -744,11 +751,70 @@ class SwitchedCost(CostModel):
         return geometry.min_weighted_value(points, values, mus,
                                            self.domain_tol)
 
+    @cached_property
+    def _lines(self):
+        """Per cell k, the line (d, v) that `_walk` moves along: d is k's
+        exposure witness or else the statistic, and v_y the largest d.rho
+        over cell y's vertices; None where k has neither."""
+        lines = []
+        for d in self._witnesses:
+            d = self._statistic if d is None else d
+            lines.append(None if d is None else (d, np.array(
+                [(self.cell_models[x].hull.vertices @ d).max()
+                 for x in self.realizations])))
+        return lines
+
+    @staticmethod
+    def _walk(c, v, k):
+        """(t, excess) on the line q0 + t d of cell k. c_y bounds
+        b_y + C_y(q0) from above, and cell y's cost rises by at most v_y t
+        for t >= 0 (exactly, for any t, on a statistic). Cell k wins the max
+        on an interval of t, bounded below by the cells whose v_y is below
+        v_k and above by the others; t is its point nearest 0, or its upper
+        end where it is empty, and excess is the most any cell rises above
+        k there. A witness puts every other v_y below v_k, so its t is
+        never negative."""
+        gaps = list(zip((c - c[k]).tolist(), (v - v[k]).tolist()))
+        lo = max([g / -w for g, w in gaps if w < 0], default=-INF)
+        hi = min([g / -w for g, w in gaps if w > 0], default=INF)
+        t = min(max(0.0, lo), hi)
+        return t, max(g + w * t for g, w in gaps)
+
+    def _certified(self, mu, holds, closed) -> bool:
+        """Whether the closed form `closed` = R(mu) - max b over the cells
+        that hold mu (`holds`) is the roof at mu, within _CERT_TOL: the
+        Fenchel-Young bound L = mu.q - C_sw(q) <= R_sw(mu) reaches it at
+        some q = q0 + t d (arXiv 1407.8161). k is the holding cell with the
+        largest offset, so R_sw(mu) <= closed; q0 is the base's state for
+        mu and `_walk` picks t. C_sw(q) <= max_y c_y + v_y t, with c_y from
+        each other cell's projector, plus its Frank-Wolfe gap, and
+        c_k = b_k + C(q0), which bounds C_k from above, so the holding cell
+        is never projected. The bound holds at any q0, so its state need
+        not price mu exactly. False where k has no line or the base no
+        state inverse."""
+        k = int(np.where(holds, self._b, -INF).argmax())
+        if self._lines[k] is None:
+            return False
+        d, v = self._lines[k]
+        try:
+            q0 = self.base.state_with_price(mu)
+        except NotImplementedError:  # the inverse is optional per kind
+            return False
+        c = np.empty(len(self._b))
+        for y, x in enumerate(self.realizations):
+            if y == k:
+                c[y] = self._b[y] + self.base._cost(q0)
+            else:
+                res = self.cell_models[x]._project(q0)
+                c[y] = self._b[y] - res.value + res.gap
+        t, _ = self._walk(c, v, k)
+        bound = float(mu @ (q0 + t * d)) - float((c + v * t).max())
+        return bound >= closed - _CERT_TOL
+
     def state_with_price(self, mu) -> np.ndarray:
-        """q0 + t d: cell k's cost rises by v_k t, its price staying mu, and
-        cell y's, c_y = b_y + C_y(q0) at t = 0, by at most v_y t for t >= 0
-        (exactly, for any t, on a statistic), v_y the largest d.rho over y;
-        t is the point nearest 0 where k is within _TIE_TOL of the max."""
+        """q0 + t d, `_walk`'s t on the line of the first cell k that holds
+        mu, with c_y = b_y + C_y(q0): k's cost rises by v_k t there, its
+        price staying mu, and k is within _TIE_TOL of the max."""
         mu = _as_vector(mu, self.dim, "mu")
         held = self._held(mu[None, :])[:, 0]
         if not held.any():
@@ -756,19 +822,14 @@ class SwitchedCost(CostModel):
         k = int(held.argmax())
         cells = [self.cell_models[x] for x in self.realizations]
         where = f"mu = {mu.round(6).tolist()} in cell {cells[k].event!r}"
-        d = self._witnesses[k]
-        if d is None and self._statistic is None:
+        if self._lines[k] is None:
             raise NotImplementedError(f"no state prices {where}: the cell "
                                       "is neither exposed nor a level set")
-        d = self._statistic if d is None else d
+        d, v = self._lines[k]
         q0 = self.base.state_with_price(mu)
         c = self._b - np.array([cell._project(q0).value for cell in cells])
-        v = np.array([(cell.hull.vertices @ d).max() for cell in cells])
-        gaps = list(zip((c - c[k]).tolist(), (v - v[k]).tolist()))
-        lo = max([g / -w for g, w in gaps if w < 0], default=-INF)
-        hi = min([g / -w for g, w in gaps if w > 0], default=INF)
-        t = min(max(0.0, lo), hi)
-        if max(g + w * t for g, w in gaps) > _TIE_TOL:
+        t, excess = self._walk(c, v, k)
+        if excess > _TIE_TOL:
             raise NotImplementedError(f"no state prices {where}: the roof "
                                       "undercuts the cell there")
         return q0 + t * d

@@ -10,8 +10,9 @@ a whole stack of query points as block-diagonal LPs (one on desk-scale
 probe sets), because scipy's per-call overhead, not HiGHS, is most of a
 small LP's time. Its library callers are the switched cost's sampled convex
 roof and `hull_contains`.
-`Hull` answers membership and overlap for simplex and sub-cube faces in
-closed form and sends every other vertex set to these LPs.
+`Hull` answers membership for simplex and sub-cube faces and for slices
+of the cube, and overlap for the faces, in closed form, and sends every
+other question to these LPs.
 
 `linprog` is scipy.optimize's own function, bound lazily (PEP 562): the
 module `__getattr__` imports it on the first LP and stores it in the module,
@@ -24,7 +25,7 @@ wrapper) is the one they call.
 from __future__ import annotations
 
 import sys
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -182,17 +183,23 @@ class Hull:
       coordinates, with the other coordinates `pinned`;
     - "simplex": distinct unit vectors e_i for i in `free`, every other
       coordinate pinned to 0;
+    - "slice": 0/1 vertices with the same count `level` of ones on the
+      `free` coordinates, all C(|free|, level) of them, with the other
+      coordinates `pinned` (a face of a hypersimplex, such as a level set
+      of the cube's coordinate sum);
     - "generic": anything else (`pinned` empty, `free` every coordinate).
 
     A single unit vector is a box with every coordinate pinned, unless the
     vertices come from a `complete` market (payoffs distinct unit vectors),
-    where every event is a simplex face. Membership and overlap of boxes and
-    simplices are decided in closed form by the exact-arithmetic rule (an
-    L-inf residual of at most tol, DEFAULT_TOL for overlap); HiGHS, at its
-    1e-10 feasibility tolerance, may answer "in" where a simplex sum misses
-    1 by rounding (about 1e-16). Generic hulls go to the LPs of
-    `hull_contains` and `hulls_intersect`, which raise RuntimeError when
-    HiGHS stops without deciding.
+    where every event is a simplex face; unit vectors with every other
+    coordinate 0 are a simplex, not a slice of level 1. Membership of
+    boxes, simplices and slices, and overlap of boxes and of simplices, are
+    decided in closed form by the exact-arithmetic rule (an L-inf residual
+    of at most tol, DEFAULT_TOL for overlap); HiGHS, at its 1e-10
+    feasibility tolerance, may answer "in" where a simplex sum misses 1 by
+    rounding (about 1e-16). Generic hulls, and overlap of any other pair,
+    go to the LPs of `hull_contains` and `hulls_intersect`, which raise
+    RuntimeError when HiGHS stops without deciding.
     Membership is decided on a stack of points, `contains_rows`; one point,
     `contains`, is the stack's single row.
     """
@@ -204,6 +211,7 @@ class Hull:
         self.vertices = V
         self.kind = "generic"
         self.free = np.arange(k)
+        self.level = None  # a slice's count of ones on `free`
         one = np.abs(V - 1.0) < _EQ_TOL
         if (one | (np.abs(V) < _EQ_TOL)).all():
             free = np.flatnonzero(np.ptp(V, axis=0) >= _EQ_TOL)
@@ -216,6 +224,12 @@ class Hull:
                 self.kind, self.free = "simplex", np.unique(units)
             elif cube:
                 self.kind, self.free = "box", free
+            elif len(patterns) == n:
+                ones = one[:, free].sum(axis=1)
+                if ((ones == ones[0]).all()
+                        and n == comb(len(free), int(ones[0]))):
+                    self.kind, self.free = "slice", free
+                    self.level = int(ones[0])
         self.pinned = ({} if self.kind == "generic" else
                        {int(i): float(V[0, i])
                         for i in np.setdiff1d(np.arange(k), self.free)})
@@ -230,8 +244,8 @@ class Hull:
 
     def contains_rows(self, mus, tol: float) -> np.ndarray:
         """Membership of each row of a (J, K) stack, as a (J,) bool array:
-        the closed-form rule as array operations on a box or simplex, and
-        `hull_contains` row by row on a generic hull."""
+        the closed-form rule as array operations on a box, simplex or
+        slice, and `hull_contains` row by row on a generic hull."""
         mus = np.ascontiguousarray(mus, dtype=float)
         if self.kind == "generic":
             return np.array([hull_contains(self.vertices, mu, tol)
@@ -242,9 +256,15 @@ class Hull:
                | (f < -tol).any(axis=1))
         if self.kind == "box":
             return ok & (f <= 1.0 + tol).all(axis=1)
-        # some point with coordinates in [max(f - tol, 0), f + tol] sums to 1
-        return (ok & (np.maximum(f - tol, 0.0).sum(axis=1) <= 1.0)
-                & (1.0 <= (f + tol).sum(axis=1)))
+        if self.kind == "simplex":
+            # some point with coordinates in [max(f - tol, 0), f + tol]
+            # sums to 1
+            return (ok & (np.maximum(f - tol, 0.0).sum(axis=1) <= 1.0)
+                    & (1.0 <= (f + tol).sum(axis=1)))
+        # some point of [max(f - tol, 0), min(f + tol, 1)] sums to level
+        return (ok & (f <= 1.0 + tol).all(axis=1)
+                & (np.maximum(f - tol, 0.0).sum(axis=1) <= self.level)
+                & (self.level <= np.minimum(f + tol, 1.0).sum(axis=1)))
 
     def intersects(self, other: "Hull") -> bool:
         """Whether the two hulls share a point (within L-inf distance

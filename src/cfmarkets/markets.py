@@ -71,13 +71,17 @@ class OutcomeSpace:
 
     def hull(self, outcomes=None) -> geometry.Hull:
         """Hull of the event's payoff vertices (default: all outcomes),
-        built once per event."""
+        built once per event. A repeated outcome counts once, at its first
+        occurrence, so the vertices are distinct."""
         key = None if outcomes is None else tuple(outcomes)
         if key not in self._hulls:
             if key == ():
                 raise ValueError("event must be nonempty")
-            self._hulls[key] = geometry.Hull(self.vertices(key),
-                                             self._complete)
+            once = tuple(dict.fromkeys(key))
+            if once not in self._hulls:
+                self._hulls[once] = geometry.Hull(self.vertices(once),
+                                                  self._complete)
+            self._hulls[key] = self._hulls[once]
         return self._hulls[key]
 
 
@@ -128,8 +132,9 @@ def probe_points(space: OutcomeSpace, outcomes=None) -> np.ndarray:
 
 def _face_witness(hull: geometry.Hull) -> np.ndarray | None:
     """Constructive witness for a face: the indicator of a simplex face's
-    coordinates, or +-1 on the coordinates a sub-cube face pins."""
-    if hull.kind == "generic":
+    coordinates, or +-1 on the coordinates a sub-cube face pins. A slice
+    or a generic hull has none, and an LP decides its exposure."""
+    if hull.kind in ("generic", "slice"):
         return None
     v = np.zeros(hull.vertices.shape[1])
     if hull.kind == "simplex":

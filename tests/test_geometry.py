@@ -479,6 +479,55 @@ def test_hull_kinds():
     assert sq.hull(((1, 0), (1, 1))) is face  # built once per event
     counts = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
     assert geometry.Hull(counts).kind == "generic"
+    cube = independent_binary_market(3)
+    two = cube.hull(tuple(w for w in cube.outcomes if sum(w) == 2))
+    assert two.kind == "slice" and two.level == 2 and two.pinned == {}
+    # level 1 with a coordinate pinned to 1 is a slice, not a simplex
+    face = cube.hull(((1, 0, 1), (1, 1, 0)))
+    assert face.kind == "slice" and face.level == 1
+    assert face.pinned == {0: 1.0} and face.free.tolist() == [1, 2]
+    # not every vertex of its level: generic
+    cube4 = independent_binary_market(4)
+    assert cube4.hull(((1, 1, 0, 0), (0, 0, 1, 1))).kind == "generic"
+
+
+def cube_slices():
+    """Every inner level of the 3- to 6-cube, free or with coordinates
+    pinned: x0 = 1, x0 = 0, or (x0, x1) = (1, 0). Level 1 with every pin 0
+    is a simplex."""
+    for n in range(3, 7):
+        space = independent_binary_market(n)
+        for pins in ({}, {0: 1}, {0: 0}, {0: 1, 1: 0}):
+            for level in range(1, n - len(pins)):
+                yield space.hull(tuple(
+                    w for w in space.outcomes
+                    if all(w[i] == x for i, x in pins.items())
+                    and sum(w) - sum(pins.values()) == level))
+
+
+def test_slice_membership_matches_the_lp():
+    rng = np.random.default_rng(9)
+    seen = set()
+    for hull in cube_slices():
+        assert hull.kind in ("slice", "simplex")
+        V = hull.vertices
+        i, j = rng.choice(len(V), size=2, replace=False)
+        k = hull.free[0]  # a facet of the slice: points with x_k = 0
+        facet = V[V[:, k] == 0.0]
+        points = np.vstack([V[i], (V[i] + V[j]) / 2.0,
+                            rng.dirichlet(np.ones(len(facet))) @ facet,
+                            rng.dirichlet(np.ones(len(V))) @ V])
+        stack = [points]
+        for step in (1e-10, -1e-10, 1e-8, -1e-8):
+            moved = points.copy()
+            moved[np.arange(len(points)),
+                  rng.integers(V.shape[1], size=len(points))] += step
+            stack.append(moved)
+        stack = np.vstack(stack)
+        got = hull.contains_rows(stack, geometry.DEFAULT_TOL)
+        assert got.tolist() == [lp_contains(V, mu) for mu in stack]
+        seen.update(got.tolist())
+    assert seen == {True, False}
 
 
 @pytest.fixture
@@ -557,7 +606,8 @@ def test_worst_case_loss_of_a_medal_market_makes_no_lp(lps):
 
 def _stack_hulls():
     """Every box and simplex event of the square and of lmsr(4), a 3-cube
-    face, and one generic hull (each of its rows is an LP)."""
+    face, a 3-cube slice, and one generic hull (each of its rows is an
+    LP)."""
     square, lm = square_market(), simplex_market(4)
     cube = independent_binary_market(3)
     for space in (square, lm):
@@ -566,6 +616,7 @@ def _stack_hulls():
                 if space.hull(event).kind != "generic":
                     yield space.hull(event)
     yield cube.hull(tuple(w for w in cube.outcomes if w[1] == 1))
+    yield cube.hull(tuple(w for w in cube.outcomes if sum(w) == 2))
     yield geometry.Hull(TRIANGLE)
 
 
@@ -591,7 +642,8 @@ def test_stacked_membership_equals_the_point_form(tol):
         assert got.dtype == bool
         assert got.tolist() == [hull.contains(mu, tol) for mu in stack]
         seen.setdefault(hull.kind, set()).update(got.tolist())
-    assert seen == dict.fromkeys(("box", "simplex", "generic"), {True, False})
+    assert seen == dict.fromkeys(("box", "simplex", "slice", "generic"),
+                                 {True, False})
 
 
 def test_generic_cell_still_uses_lp(lps):

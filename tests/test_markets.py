@@ -98,6 +98,29 @@ def test_event_hull_membership():
     assert not sp.hull(cell).contains(np.array([0.5, 0.5]))
 
 
+def test_a_repeated_outcome_counts_once_in_an_event_hull():
+    sp = simplex_market(3)
+    hull = sp.hull((0, 2, 0))
+    assert hull.kind == "simplex" and hull.free.tolist() == [0, 2]
+    assert hull.pinned == {1: 0.0}
+    assert np.array_equal(hull.vertices, sp.vertices((0, 2)))
+    assert sp.hull((0, 2)) is hull
+    # first-occurrence order
+    assert np.array_equal(sp.hull((2, 0, 2)).vertices, sp.vertices((2, 0)))
+
+
+def test_a_slice_is_exposed_only_by_an_lp():
+    # the cube's sum levels 1 and 2 are slices with no constructive witness;
+    # the LP finds neither exposed, and the corners keep theirs
+    cube = independent_binary_market(3)
+    obs = observe_sum(cube)
+    assert [cube.hull(obs.cell(x)).kind for x in obs.realizations] == [
+        "box", "simplex", "slice", "box"]
+    out = exposure_witness(cube, obs)
+    assert out[1.0] is None and out[2.0] is None
+    assert out[0.0] is not None and out[3.0] is not None
+
+
 def test_empty_event_hull_is_rejected():
     sp = square_market()
     for event in ((), []):

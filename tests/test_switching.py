@@ -484,28 +484,50 @@ def test_stacked_conjugate_filters_rows_off_the_price_space(observe, s,
     assert np.array_equal(out, [sw.conjugate(mu) for mu in stack])
 
 
-def loop_conjs(sw, mus):
-    """The switched conjugate of a stack written out one row at a time:
-    the cells that hold a row, R(mu) less their largest offset where the
-    switch is consistent or they are all exposed, and otherwise the least
-    in-cell value and the sampled roof, from one `_roof` call over every
-    such row (so the roof LP is the one the stack sends)."""
+def closed_forms(sw, mus):
+    """R(mu) less the largest offset of the cells that hold each row of a
+    stack, inf where none does, and whether that value stands without a
+    roof LP: the switch is consistent or those cells are all exposed
+    ("exact"), or else the switch's certificate, asked of that row alone,
+    holds ("certified"); None otherwise."""
     exposed = exposure_witness(sw.space, sw.observation)
-    out, sampled = np.full(len(mus), np.inf), []
-    for j, mu in enumerate(mus):
+    out = []
+    for mu in mus:
         cells = [x for x in sw.realizations
                  if sw.cell_models[x].hull.contains(mu, sw.domain_tol)]
-        values = [sw.base._conj(mu) - sw.offsets[x] for x in cells]
-        if cells and (sw.consistency.consistent
-                      or all(exposed[x] is not None for x in cells)):
-            out[j] = sw.base._conj(mu) - max(sw.offsets[x] for x in cells)
-        elif cells or sw.space.hull().contains(mu, sw.domain_tol):
-            sampled.append((j, values))
+        if not cells:
+            out.append((np.inf, None))
+            continue
+        closed = sw.base._conj(mu) - max(sw.offsets[x] for x in cells)
+        if (sw.consistency.consistent
+                or all(exposed[x] is not None for x in cells)):
+            out.append((closed, "exact"))
+        elif sw._certified(mu, np.array([x in cells for x in
+                                         sw.realizations]), closed):
+            out.append((closed, "certified"))
+        else:
+            out.append((closed, None))
+    return out
+
+
+def loop_conjs(sw, mus, certify=True):
+    """The switched conjugate of a stack written out one row at a time:
+    the closed form where it is exact, or where `certify` and it is
+    certified (`closed_forms`); otherwise the least in-cell value and the
+    sampled roof, from one `_roof` call over every such row (so the roof
+    LP is the one the stack sends)."""
+    out, sampled = np.full(len(mus), np.inf), []
+    for j, (mu, (closed, why)) in enumerate(zip(mus, closed_forms(sw, mus))):
+        if why == "exact" or (certify and why == "certified"):
+            out[j] = closed
+        elif np.isfinite(closed) or sw.space.hull().contains(mu,
+                                                             sw.domain_tol):
+            sampled.append((j, closed))
     if sampled:
         low = sw._roof(mus[[j for j, _ in sampled]])[0]
-        for i, (j, values) in enumerate(sampled):
+        for i, (j, closed) in enumerate(sampled):
             roof = low[i] + float(sw.switch_state @ mus[j]) - sw._cost_at_switch
-            out[j] = min(values + [roof])
+            out[j] = min(closed, roof)
     return out
 
 
@@ -538,6 +560,23 @@ def test_stacked_conjugate_equals_the_row_conjugate(make, s):
     stack = np.vstack([samples, between, moved, off])
     out = sw._conjs(stack)
     assert np.array_equal(out, loop_conjs(sw, stack))
+    # a certified row reads R(mu) - max b, which the roof LP over exact
+    # samples can only undershoot, by HiGHS's tolerance; every other row is
+    # the reference that certifies nothing, bit for bit
+    closed, why = zip(*closed_forms(sw, stack))
+    certified = np.array(why) == "certified"
+    uncertified = loop_conjs(sw, stack, certify=False)
+    assert np.array_equal(out[certified], np.array(closed)[certified])
+    up = out[certified] - uncertified[certified]
+    assert (up >= 0.0).all() and up.max(initial=0.0) <= 4e-9
+    assert np.array_equal(out[~certified], uncertified[~certified])
+    # only the inconsistent sum switch has rows to certify, and it keeps
+    # in-cell rows for the roof too: those about the undercut at (1/2, 1/2)
+    if sw.consistency.path == "sum":
+        left = np.isfinite(closed) & ~np.isin(why, ("exact", "certified"))
+        assert certified.any() and left.any()
+    else:
+        assert not certified.any()
     # one price at a time equals the reference on that one row; a one-row
     # roof LP may differ from the stacked one in the last bit
     rows = np.array([sw.conjugate(mu) for mu in stack])
@@ -567,12 +606,96 @@ def test_stacked_conjugate_raises_when_the_roof_fails(monkeypatch):
     m = square()
     sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
     monkeypatch.setattr(SwitchedCost, "_roof", lambda self, mus: None)
-    # an off-space row alone needs no roof
+    # an off-space row needs no roof, nor does a row the certificate
+    # settles; (0.4, 0.6), near the undercut at (1/2, 1/2), does
     assert sw._conjs(np.array([[1.5, 0.5]]))[0] == np.inf
+    assert np.isfinite(sw._conjs(np.array([[1.5, 0.5], [0.2, 0.8]]))[1])
     with pytest.raises(RuntimeError, match="roof LP failed"):
-        sw._conjs(np.array([[1.5, 0.5], [0.2, 0.8]]))
+        sw._conjs(np.array([[1.5, 0.5], [0.4, 0.6]]))
     with pytest.raises(RuntimeError, match="roof LP failed"):
         sw.conjugate(np.array([0.5, 0.5]))
+
+
+def weighted_levels(space, weights):
+    """The level sets of weights.x on the cube, as an observation."""
+    levels = {}
+    for w in space.outcomes:
+        levels.setdefault(float(np.dot(weights, w)), []).append(w)
+    return observe_partition(space, [levels[v] for v in sorted(levels)])
+
+
+CERTIFIED_SWITCHES = {
+    "square/sum": lambda: (square(), observe_sum, [1.0, 0.0]),
+    "3-cube/sum": lambda: (
+        IndependentBinaryCost(independent_binary_market(3)), observe_sum,
+        [1.0, -1.0, 0.0]),
+    "3-cube/x0+x1+2x2": lambda: (
+        IndependentBinaryCost(independent_binary_market(3)),
+        lambda space: weighted_levels(space, (1, 1, 2)), [1.0, 0.0, -1.0]),
+}
+
+
+def certify(sw, mu):
+    """(whether the switch certifies mu's closed form, that form)."""
+    holds = sw._held(mu[None, :])[:, 0]
+    closed = sw.base._conj(mu) - sw._b[holds].max()
+    return sw._certified(mu, holds, closed), closed
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED_SWITCHES))
+def test_a_certified_row_is_the_exact_roof(name):
+    m, observe, s = CERTIFIED_SWITCHES[name]()
+    s = np.array(s)
+    sw = SwitchedCost(m, observe(m.space), s)
+    assert not sw.consistency
+    inexact = [x for x, e in zip(sw.realizations, sw._exact) if not e]
+    rng = np.random.default_rng(5)
+    certified = 0
+    for i in range(50):
+        V = sw.cell_models[inexact[i % len(inexact)]].hull.vertices
+        mu = rng.dirichlet(np.ones(len(V))) @ V
+        ok, closed = certify(sw, mu)
+        if ok:
+            certified += 1
+            # the SLSQP best response earns D_sw(mu || s), which is
+            # R_sw(mu) + C_sw(s) - mu.s
+            profit, _ = switched_best_response(sw, mu, s)
+            assert profit - sw.cost(s) + float(mu @ s) == pytest.approx(
+                closed, abs=1e-8)
+            assert sw.conjugate(mu) == closed
+    assert certified >= 10
+
+
+@pytest.mark.parametrize("name, mu", [
+    ("square/sum", [0.5, 0.5]), ("3-cube/sum", [1 / 3, 1 / 3, 1 / 3])])
+def test_the_certificate_refuses_an_undercut_point(name, mu):
+    m, observe, s = CERTIFIED_SWITCHES[name]()
+    sw = SwitchedCost(m, observe(m.space), np.array(s))
+    mu = np.array(mu)
+    ok, closed = certify(sw, mu)
+    assert not ok
+    assert sw.conjugate(mu) < closed - CONSISTENCY_TOL  # the roof LP's
+
+
+def test_in_cell_points_away_from_the_undercut_make_no_roof_lp(roof_lps):
+    m = square()
+    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    mus = np.array([[1.0, 0.0], [0.9, 0.1], [0.7, 0.3], [0.2, 0.8],
+                    [0.1, 0.9], [0.0, 1.0]])
+    closed = [m.conjugate(mu) - sw.offsets[1.0] for mu in mus]
+    assert [sw.conjugate(mu) for mu in mus] == closed
+    assert sw._conjs(mus).tolist() == closed
+    assert sw.divergence(mus[1], np.zeros(2)) > 0.0
+    assert roof_lps() == 0
+
+
+def test_the_conjugate_at_a_corner_of_an_undercut_cell_is_exact():
+    # the roof LP read -0.0582549016 here, 1.9e-9 below the exact value
+    m = square()
+    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    value = sw.conjugate(np.array([1.0, 0.0]))
+    assert value == m.conjugate(np.array([1.0, 0.0])) - sw.offsets[1.0]
+    assert value == pytest.approx(-0.0582548997, abs=1e-10)
 
 
 def test_exposed_corners_of_an_inconsistent_switch_need_no_roof_lp(roof_lps):

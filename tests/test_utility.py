@@ -38,7 +38,7 @@ def test_util_event_lmsr_closed_form():
 
 
 def test_util_event_lmsr_reads_an_outcome_named_twice_once():
-    # the event's hull is generic, and its vertices name the securities
+    # the event's hull counts the repeat once: the face over securities 0, 2
     m, q = lmsr3(), np.array([0.3, -0.4, 0.8])
     twice, once = util_event(m, (0, 2, 0), q), util_event(m, (0, 2), q)
     assert np.array_equal(twice.minimizer, once.minimizer)
