@@ -1,11 +1,14 @@
-"""Internal convex solver: conditional-gradient projection over vertex hulls.
+"""Internal convex solvers: conditional-gradient projection over vertex
+hulls, and the bracketed root of a nondecreasing function.
 
 Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, 2015) with an exact line
 search: the directional derivative along each step is nondecreasing, so the
 step is its root, found by `brentq`, or the full step when the derivative is
-still nonpositive there. `brentq` is imported inside `_line_search`, so
-scipy.optimize loads on the first line search that needs a root, not with
-this module: a run whose projections are all closed forms never loads it.
+still nonpositive there. That root-find, `increasing_root`, also serves a
+closed form that needs one, such as product-LMSR's projection onto a slice
+of the cube. `brentq` is imported inside it, so scipy.optimize loads on
+the first root-find, not with this module: a run whose projections need no
+root never loads it.
 """
 
 from __future__ import annotations
@@ -27,14 +30,25 @@ class ProjectionResult:
     iterations: int
 
 
-def _line_search(deriv, gamma_max: float) -> float:
-    """Exact line search for a convex 1-d restriction on [0, gamma_max].
-    `deriv(gamma)` must be the directional derivative, negative at 0."""
-    if deriv(gamma_max) <= 0.0:
-        return gamma_max
+def increasing_root(f, lo: float, hi: float) -> float:
+    """A root of the nondecreasing f in [lo, hi], to about 1e-15: hi where
+    f(hi) <= 0 and lo where f(lo) >= 0, since a bracket computed in floats
+    can miss the root by a rounding, else `brentq`'s."""
+    if f(hi) <= 0.0:
+        return hi
+    if f(lo) >= 0.0:
+        return lo
     from scipy.optimize import brentq
 
-    return brentq(deriv, 0.0, gamma_max, xtol=1e-15, disp=False)
+    return brentq(f, lo, hi, xtol=1e-15, disp=False)
+
+
+def _line_search(deriv, gamma_max: float) -> float:
+    """Exact line search for a convex 1-d restriction on [0, gamma_max]:
+    the root of the directional derivative `deriv`, the full step where it
+    is still nonpositive there, and no step where it is not negative at 0,
+    as rounding can leave it where the gap is near 0."""
+    return increasing_root(deriv, 0.0, gamma_max)
 
 
 def project_onto_hull(vertices: np.ndarray, conj, conj_grad,

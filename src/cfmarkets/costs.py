@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit, xlogy
 
 from . import geometry
-from ._solvers import ProjectionResult, project_onto_hull
+from ._solvers import ProjectionResult, increasing_root, project_onto_hull
 from .markets import OutcomeSpace, exposure_witness, probe_points
 
 INF = float("inf")
@@ -37,7 +37,7 @@ FD_STEP = 1e-6  # finite_difference_price's step
 FD_KINK_TOL = 1e-7  # one-sided slopes further apart than this are a kink
 _CACHE_LIMIT = 256  # entries a memo holds; a full memo is cleared first
 _RANK_TOL = 1e-9  # singular values at or below this count as 0
-_TIE_TOL = 1e-9  # cells within this of a switch's max tie for its price
+_TIE_TOL = 1e-9  # within this of a max is a tie (a switch price, a witness)
 _CERT_TOL = 1e-12  # a Fenchel-Young bound this near R(mu) - b certifies it
 
 
@@ -201,26 +201,34 @@ class CostModel:
         callable, q -> ProjectionResult: the maximizer mu of q.mu - R(mu)
         (the conditional price) with value R(mu) - q.mu = -C_E(q); a closed
         form reports gap 0, converged, 0 iterations. This default, for the
-        kinds with no closed form, is the library's one away-step
-        Frank-Wolfe call. It solves a state once and keeps the answer, `mu`
-        read-only, in a memo keyed by q's bytes and cleared at _CACHE_LIMIT
-        entries. It reads the conjugate, its gradient and the solver at each
-        solve, so a patched or traced binding is the one called."""
-        vertices, solved = self.space.hull(event).vertices, {}
+        events no kind has a closed form for (generic cells, the LCMM's and
+        the piecewise-linear kind's cells), is the library's one away-step
+        Frank-Wolfe call, kept per state by `_memoized`. It reads the
+        conjugate, its gradient and the solver at each solve, so a patched
+        or traced binding is the one called."""
+        vertices = self.space.hull(event).vertices
+        return _memoized(lambda q: project_onto_hull(
+            vertices, self.conjugate, self.conjugate_grad, q))
 
-        def project(q):
-            key = q.tobytes()
-            res = solved.get(key)
-            if res is None:
-                res = project_onto_hull(vertices, self.conjugate,
-                                        self.conjugate_grad, q)
-                res.mu.setflags(write=False)
-                if len(solved) >= _CACHE_LIMIT:
-                    solved.clear()
-                solved[key] = res
-            return res
 
-        return project
+def _memoized(solve):
+    """The projector q -> solve(q) that solves a state once and keeps the
+    answer, `mu` read-only, in a memo keyed by q's bytes and cleared at
+    _CACHE_LIMIT entries."""
+    solved = {}
+
+    def project(q):
+        key = q.tobytes()
+        res = solved.get(key)
+        if res is None:
+            res = solve(q)
+            res.mu.setflags(write=False)
+            if len(solved) >= _CACHE_LIMIT:
+                solved.clear()
+            solved[key] = res
+        return res
+
+    return project
 
 
 class LmsrCost(CostModel):
@@ -343,9 +351,19 @@ class IndependentBinaryCost(CostModel):
         return q.clip(-_STATE_CLIP, _STATE_CLIP)
 
     def restrict(self, event):
-        """Sub-cube faces: binary LMSR in the free coordinates, linear in
-        the pinned ones. Other events have no closed form."""
+        """A closed form for every hull kind of the cube but "generic". A
+        sub-cube face is binary LMSR in the free coordinates, linear in the
+        pinned ones. A slice, with j ones among its n free coordinates (a
+        simplex is the slice j = 1), is Csiszar's I-projection (Ann. Prob.
+        1975): m = expit(q + lam) on the free coordinates, where lam is the
+        root of sum expit(q_i + lam) = j (`_slice_projection`); its value is
+        R(m) - q.m, gap 0, and the answer is kept per state by
+        `_memoized`. A generic hull (the square's main diagonal, most level
+        sets of a statistic with mixed signs or unequal weights) goes to the
+        default's Frank-Wolfe."""
         hull = self.space.hull(event)
+        if hull.kind in ("slice", "simplex"):
+            return _memoized(self._slice_projection(hull))
         if hull.kind != "box":
             return super().restrict(event)
         fixed, free = hull.pinned, hull.free
@@ -360,6 +378,33 @@ class IndependentBinaryCost(CostModel):
             return ProjectionResult(p, -float(c), 0.0, True, 0)
 
         return project
+
+    def _slice_projection(self, hull):
+        """`restrict`'s solve on a slice or simplex hull, q -> result. With
+        q_(j) the j-th largest free q and lam = t - q_(j), the root t lies
+        in [-ln(n - j), q_(j) - q_(j+1) + ln j]. Measured from q_(j), a
+        coordinate's m is fractional only where q_i - q_(j) is moderate, and
+        so exact in floats however large q is; elsewhere the root lies
+        where every term is 0 or 1."""
+        free, j = hull.free, hull.level or 1  # a simplex is level 1
+        k = free.size - j  # q_(j) is the k-th smallest free q, from 0
+        at = np.fromiter(hull.pinned, dtype=int, count=len(hull.pinned))
+        pins = hull.vertices[0, at]
+        lo, up = -float(np.log(k)), float(np.log(j))
+
+        def solve(q):
+            qf = q[free]
+            below, ref = np.sort(qf)[k - 1:k + 1]  # q_(j+1), q_(j)
+            z = qf - ref
+            t = increasing_root(lambda t: float(expit(z + t).sum()) - j,
+                                lo, float(ref - below) + up)
+            m = np.empty(self.dim)
+            m[free] = expit(z + t)
+            m[at] = pins
+            return ProjectionResult(m, float(self._conj(m) - q @ m), 0.0,
+                                    True, 0)
+
+        return solve
 
 
 class PiecewiseLinearCost(CostModel):
@@ -702,7 +747,9 @@ class SwitchedCost(CostModel):
         from the first weight's on S is read flipped, 1 - x_i, so a
         one-sign statistic flips nothing whichever sign the SVD gave it.
         The witness names the worst centroid c_k, its realization, and the
-        two cells whose centroids mix to it, with their weights."""
+        two cells whose centroids mix to it, with their weights: the first
+        such triple in (j, k, h) order among those within _TIE_TOL of the
+        worst, so that rounding does not break a tie that symmetry makes."""
         on = np.abs(a) > _RANK_TOL
         if (self.base.kind != "product-lmsr"
                 or np.ptp(np.abs(a[on])) > _RANK_TOL):
@@ -715,15 +762,15 @@ class SwitchedCost(CostModel):
         xs = [self.realizations[y] for y in by_sum]
         c = np.where(on, np.abs(np.arange(n + 1)[:, None] / n - flip), 0.5)
         f = self._b[by_sum] - self.base._conjs(c)
-        worst, witness = 0.0, None
-        for j, k, h in combinations(range(n + 1), 3):
-            gap = float(((h - k) * f[j] + (k - j) * f[h]) / (h - j) - f[k])
-            if gap > worst:
-                worst, witness = gap, {
-                    "mu": c[k], "realization": xs[k],
-                    "mixture": {xs[j]: (h - k) / (h - j),
-                                xs[h]: (k - j) / (h - j)}}
-        return worst, witness, "sum"
+        gaps = [(float(((h - k) * f[j] + (k - j) * f[h]) / (h - j) - f[k]),
+                 (j, k, h)) for j, k, h in combinations(range(n + 1), 3)]
+        worst = max([g for g, _ in gaps], default=0.0)
+        if worst <= 0.0:
+            return 0.0, None, "sum"
+        j, k, h = next(t for g, t in gaps if g >= worst - _TIE_TOL)
+        return worst, {"mu": c[k], "realization": xs[k],
+                       "mixture": {xs[j]: (h - k) / (h - j),
+                                   xs[h]: (k - j) / (h - j)}}, "sum"
 
     @cached_property
     def _roof_samples(self):

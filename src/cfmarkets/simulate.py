@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costs import CostModel, SwitchedCost, _as_vector
+from .costs import INF, CostModel, SwitchedCost, _as_vector, _floored
 from .gradual import Schedule, model_at, new_state
 from .lcmm import LcmmCost
 from .markets import Observation
@@ -320,7 +320,9 @@ def wc_loss_bound(m: CostModel, s) -> float:
     """Worst-case maker loss from state s: the largest divergence to a
     payoff vertex. Finite because the conjugate is finite on the hull."""
     s = _as_vector(s, m.dim, "s")
-    return max(m.divergence(m.space.payoff_of(w), s) for w in m.space.outcomes)
+    payoff, cs = m.space.payoff, m._cost(s)
+    return max(_floored(r + cs - float(s @ p)) if np.isfinite(r) else INF
+               for r, p in zip(m._conjs(payoff).tolist(), payoff))
 
 
 def verify_loss(ledger: Ledger, bound: float, tol: float = 1e-6):

@@ -19,6 +19,11 @@ from cfmarkets.costs import (_CACHE_LIMIT, _LOG_CLIP, _STATE_CLIP,
 from oracles import lmsr_conjugate, product_lmsr_conjugate
 
 INF = float("inf")
+# cells whose hulls read generic, so product-LMSR projects them by
+# Frank-Wolfe: the square's main diagonal, and the 3-cube cell where
+# x0 + x1 - x2 = 0
+DIAGONAL = ((0, 0), (1, 1))
+MIXED_SIGN_CELL = ((0, 0, 0), (0, 1, 1), (1, 0, 1))
 
 
 def lmsr():
@@ -252,18 +257,18 @@ def test_restricted_product_mode(projections):
 
 def test_restricted_generic_mode_diagonal(projections):
     m = square()
-    diag = RestrictedCost(m, (((0, 1)), ((1, 0))))
+    diag = RestrictedCost(m, DIAGONAL)
     q = np.array([0.5, -0.7])
     # C_E(q) = q.mu - R(mu) at the projection; must stay below the full cost
     assert diag.cost(q) <= m.cost(q) + 1e-9
     assert projections.calls == 1  # the diagonal has no closed form
     p = diag.price(q).center
-    assert p.sum() == pytest.approx(1.0, abs=1e-6)  # diagonal constraint
+    assert p[0] == pytest.approx(p[1], abs=1e-6)  # diagonal constraint
     # supremum definition: no hull point does better
     rng = np.random.default_rng(3)
     for _ in range(20):
         t = rng.uniform()
-        mu = np.array([t, 1 - t])
+        mu = np.array([t, t])
         assert q @ mu - m.conjugate(mu) <= diag.cost(q) + 1e-6
     # util_event falls back to the same projection
     before = projections.calls
@@ -325,7 +330,7 @@ def test_the_switched_roof_has_no_conjugate_gradient():
 def test_restricted_solve_evaluates_the_conjugate_once_per_projection(
         projections):
     m = square()
-    diag = RestrictedCost(m, (((0, 1)), ((1, 0))))
+    diag = RestrictedCost(m, DIAGONAL)
     real, calls = m.conjugate, []
 
     def counted(mu):
@@ -338,49 +343,68 @@ def test_restricted_solve_evaluates_the_conjugate_once_per_projection(
     assert value == -diag.project(np.array([0.5, -0.7])).value
 
 
-def middle_cell():
-    """The square/sum middle cell: no closed form, so Frank-Wolfe."""
+def diagonal_cell():
+    """The square's main diagonal: no closed form, so Frank-Wolfe."""
+    return RestrictedCost(square(), DIAGONAL)
+
+
+@pytest.fixture(params=["diagonal", "slice"])
+def memo_cell(request, monkeypatch):
+    """(cell, solves): a cell that keeps its answers per state, and the
+    list of its solves. The square's main diagonal solves a state by one
+    Frank-Wolfe run, the square/sum middle cell, a slice, by one
+    root-find."""
+    import cfmarkets.costs
+
+    diagonal = request.param == "diagonal"
+    name = "project_onto_hull" if diagonal else "increasing_root"
+    real, solves = getattr(cfmarkets.costs, name), []
+    monkeypatch.setattr(cfmarkets.costs, name,
+                        lambda *a: solves.append(1) or real(*a))
     sq = square()
-    return RestrictedCost(sq, observe_sum(sq.space).cell(1.0))
+    event = DIAGONAL if diagonal else observe_sum(sq.space).cell(1.0)
+    return RestrictedCost(sq, event), solves
 
 
-def test_a_cell_projects_a_repeated_state_once(projections):
-    cell, q = middle_cell(), np.array([0.5, -0.7])
+def test_a_cell_projects_a_repeated_state_once(memo_cell):
+    (cell, solves), q = memo_cell, np.array([0.5, -0.7])
     first = cell.project(q)
     again = [cell.cost(q), cell.price(q), cell.project(q.copy())]
-    assert projections.calls == 1
+    assert len(solves) == 1
     assert again[0] == -first.value
     assert np.array_equal(again[1].center, first.mu)
     assert again[2] is first
 
 
-def test_restricting_a_cell_to_its_own_event_reads_its_memo(projections):
-    cell, q = middle_cell(), np.array([0.5, -0.7])
+def test_restricting_a_cell_to_its_own_event_reads_its_memo(memo_cell):
+    (cell, solves), q = memo_cell, np.array([0.5, -0.7])
     first = cell.project(q)
     assert cell.restrict(cell.event)(q) is first
-    assert projections.calls == 1
+    assert len(solves) == 1
 
 
 def test_a_remembered_projection_is_a_fresh_solve_bit_for_bit():
-    cell, q = middle_cell(), np.array([0.3, 1.1])
+    cell, q = diagonal_cell(), np.array([0.3, 1.1])
     cell.project(q)
     kept = cell.project(q)
-    fresh = middle_cell().project(q)
+    fresh = diagonal_cell().project(q)
     assert kept.mu.tobytes() == fresh.mu.tobytes()
     assert (kept.value, kept.gap, kept.converged, kept.iterations) == (
         fresh.value, fresh.gap, fresh.converged, fresh.iterations)
 
 
-def test_a_remembered_projection_cannot_be_changed_through_its_answer():
-    cell, q = middle_cell(), np.array([0.5, -0.7])
+def test_a_remembered_projection_cannot_be_changed_through_its_answer(
+        memo_cell):
+    (cell, _), q = memo_cell, np.array([0.5, -0.7])
     res = cell.project(q)
     with pytest.raises(ValueError, match="read-only"):
         res.mu[:] = 100.0
-    assert np.array_equal(cell.project(q).mu, middle_cell().project(q).mu)
+    fresh = RestrictedCost(cell.base, cell.event)
+    assert np.array_equal(cell.project(q).mu, fresh.project(q).mu)
 
 
 def test_a_remembered_projection_cannot_be_rewritten():
-    cell, q = middle_cell(), np.array([0.5, -0.7])
+    cell, q = diagonal_cell(), np.array([0.5, -0.7])
     cost = cell.cost(q)
     res = cell.project(q)
     # the value is -C_E(q): a write would move every later cost at q
@@ -391,19 +415,19 @@ def test_a_remembered_projection_cannot_be_rewritten():
     assert cell.project(q) is res and cell.cost(q) == cost
 
 
-def test_the_projection_memo_stays_within_its_bound(projections):
-    cell = middle_cell()
+def test_the_projection_memo_stays_within_its_bound(memo_cell):
+    cell, solves = memo_cell
     states = [np.array([0.01 * i, -0.5]) for i in range(300)]
     for q in states[:_CACHE_LIMIT]:
         cell.project(q)
     cell.project(states[0])  # a full memo still holds the first state
     for q in states[_CACHE_LIMIT:]:
         cell.project(q)  # the first of these clears the full memo
-    assert projections.calls == 300
+    assert len(solves) == 300
     cell.project(states[-1])
-    assert projections.calls == 300
+    assert len(solves) == 300
     cell.project(states[0])
-    assert projections.calls == 301
+    assert len(solves) == 301
 
 
 def test_a_closed_form_cell_keeps_no_memo(projections):
@@ -413,6 +437,82 @@ def test_a_closed_form_cell_keeps_no_memo(projections):
     box.cost(q), box.price(q), box.project(q)
     assert projections.calls == 0
     assert box.project(q) is not box.project(q)
+
+
+def cube_slices():
+    """(model, event, kind) for one slice of every shape on the 2- to
+    8-cube: each count f >= 2 of free coordinates, each level 1 to f - 1
+    on them, and the other n - f coordinates pinned at random places and
+    0/1 values. A level-1 slice whose pins are all 0 reads as a simplex."""
+    rng = np.random.default_rng(40)
+    for n in range(2, 9):
+        m = IndependentBinaryCost(independent_binary_market(n))
+        P = m.space.payoff
+        for f in range(2, n + 1):
+            pinned = rng.permutation(n)[:n - f]
+            values = rng.integers(0, 2, n - f)
+            free = np.setdiff1d(np.arange(n), pinned)
+            for j in range(1, f):
+                on = ((P[:, pinned] == values).all(axis=1)
+                      & (P[:, free].sum(axis=1) == j))
+                event = tuple(w for w, x in zip(m.space.outcomes, on) if x)
+                yield m, event, m.space.hull(event).kind
+
+
+def test_product_lmsr_projects_every_cube_slice_as_frank_wolfe(projections):
+    # the reference is the away-step Frank-Wolfe projection over the
+    # slice's vertices, called here; the slice projector makes no such call
+    rng, kinds = np.random.default_rng(41), []
+    for m, event, kind in cube_slices():
+        kinds.append(kind)
+        hull = m.space.hull(event)
+        project = m.restrict(event)
+        for scale in (1.0, 1.0, 1e18, 1e20):
+            q = scale * rng.uniform(-3.0, 3.0, m.dim)
+            got = project(q)
+            assert projections.calls == 0
+            want = project_onto_hull(hull.vertices, m.conjugate,
+                                     m.conjugate_grad, q)
+            assert abs(got.value - want.value) <= 1e-12 * max(
+                1.0, abs(want.value)), (event, q)
+            assert (got.gap, got.converged, got.iterations) == (0.0, True, 0)
+            assert hull.contains(got.mu)
+            assert not got.mu.flags.writeable
+        projections.calls = 0
+    assert len(kinds) == 84 and set(kinds) == {"simplex", "slice"}
+
+
+def test_a_slice_splits_tied_states_evenly_at_any_scale():
+    # at +-1e18 and +-1e20 every free coordinate ties with others: the
+    # projection gives tied coordinates one price, sums to the level, and
+    # stays in the hull. (Frank-Wolfe is no reference here: its gradient
+    # clamps at the cube's faces, and on the 4-cube slice of level 2 at
+    # (-1e18, 1e18, -1e18, -1e18) it stops at (0.5, 1, 0.25, 0.25), gap 0,
+    # where the projection is (1/3, 1, 1/3, 1/3).)
+    rng = np.random.default_rng(42)
+    for m, event, _ in cube_slices():
+        hull = m.space.hull(event)
+        free = hull.free
+        j = hull.level or 1
+        for scale in (1e18, 1e20):
+            q = scale * rng.choice([-1.0, 1.0], m.dim)
+            got = m.restrict(event)(q)
+            assert hull.contains(got.mu) and np.isfinite(got.value)
+            assert got.mu[free].sum() == pytest.approx(j, abs=1e-12)
+            for v in np.unique(q[free]):
+                assert np.ptp(got.mu[free][q[free] == v]) <= 1e-12
+
+
+def test_the_slice_projection_is_the_i_projection():
+    # m = expit(q + lam) on the free coordinates, with their sum the level,
+    # and the pinned coordinates copied
+    m = IndependentBinaryCost(independent_binary_market(4))
+    event = ((1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1))  # x0 = 1, one more
+    q = np.array([0.3, -1.2, 0.8, 2.0])
+    mu = m.restrict(event)(q).mu
+    lam = np.log(mu[1:] / (1.0 - mu[1:])) - q[1:]
+    assert mu[0] == 1.0 and mu[1:].sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.ptp(lam) <= 1e-12
 
 
 def test_restricted_cost_rejects_empty_event():
@@ -425,7 +525,7 @@ def test_restricted_cost_rejects_empty_event():
 
 @pytest.mark.parametrize("outer, inner", [
     ((((0, 0)), ((0, 1))), (((0, 1)),)),  # a face: the base's closed form
-    ((((0, 1)), ((1, 0))), (((0, 1)), ((1, 0)))),  # the diagonal: Frank-Wolfe
+    (DIAGONAL, DIAGONAL),  # the diagonal: Frank-Wolfe
 ], ids=["face", "diagonal"])
 def test_a_restricted_cost_restricts_inside_its_event_as_its_base(outer,
                                                                  inner):
@@ -467,14 +567,15 @@ def test_restricting_to_the_empty_event_is_a_value_error(make):
 
 def no_closed_form_cases():
     sq, pw = square(), piecewise()
-    return [(sq, observe_sum(sq.space).cell(1.0)),
-            (sq, (((0, 1)), ((1, 0)))),
+    cube = IndependentBinaryCost(independent_binary_market(3))
+    return [(sq, DIAGONAL),
+            (cube, MIXED_SIGN_CELL),
             (pw, pw.space.outcomes),
             medal_cell()]
 
 
 @pytest.mark.parametrize("case", range(4), ids=[
-    "square-sum-middle", "square-diagonal", "piecewise-linear", "medal-cell"])
+    "square-diagonal", "cube3-mixed-sign", "piecewise-linear", "medal-cell"])
 def test_every_kind_restricts_to_a_projector(case):
     # a kind with no closed form projects by the default's Frank-Wolfe,
     # with its own conjugate over the event's payoff vertices
@@ -531,6 +632,13 @@ def test_line_search_takes_the_full_step_when_still_descending():
     assert _line_search(deriv, 0.7) == 0.7
     assert _line_search(lambda g: 0.0, 0.4) == 0.4
     assert calls == [0.7]
+
+
+def test_line_search_takes_no_step_where_it_does_not_descend():
+    # rounding can leave the derivative at 0 nonnegative where the
+    # Frank-Wolfe gap is near 0: no root to bracket, so no step
+    assert _line_search(lambda g: g + 1e-17, 1.0) == 0.0
+    assert _line_search(lambda g: g, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -788,9 +788,9 @@ def test_a_belief_of_the_wrong_length_names_its_trader(tmp_path, capsys):
 
 def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
                                                           capsys):
-    # one exact line search is a brentq root-find: 73 derivative
-    # evaluations for these 3 line searches; a cell projects each state
-    # once, so a state it has projected makes no line search
+    # one exact line search is a brentq root-find; every cell of the
+    # bundled scenarios projects in closed form, the square/sum middle cell
+    # by the slice projection, so none makes a Frank-Wolfe line search
     import cfmarkets._solvers as solvers
     real, counts = solvers._line_search, {"searches": 0, "evaluations": 0}
 
@@ -808,8 +808,47 @@ def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
         cmd_run(str(path),
                 allow_inconsistent=name == "square_count_impossible.scn")
     capsys.readouterr()
-    assert counts["searches"] == 3
-    assert counts["evaluations"] <= 80
+    assert counts["searches"] == 0
+    assert counts["evaluations"] == 0
+
+
+CUBE4_SUM = """name: 4-cube sum revelation with noise and a jit
+seed: 1
+market: independent_binary(4)
+protocol: sudden
+observation: {kind: sum}
+initial_state: [1.772, 0.045, 1.905, -1.677]
+switch_time: 1.0
+settlement: [0, 0, 0, 0]
+traders:
+  - {kind: noise, name: n1, times: [0.5, 1.2, 1.4, 1.6, 1.8], scale: 1.0}
+  - {kind: jit, name: a1, times: [1.1, 1.5, 1.9]}
+"""
+
+
+def test_no_bundled_or_cube_sum_run_reaches_frank_wolfe(tmp_path, monkeypatch,
+                                                        capsys):
+    # every cell of these switches is a face, a simplex or a slice of the
+    # cube, which product-LMSR and LMSR project in closed form, and the
+    # gradual runs switch nothing; the 4-cube sum switch is inconsistent,
+    # so its certificate projects every other cell of each row it is asked
+    # about, each in closed form
+    import cfmarkets.costs
+
+    calls = []
+    real = cfmarkets.costs.project_onto_hull
+    monkeypatch.setattr(cfmarkets.costs, "project_onto_hull",
+                        lambda *a: calls.append(1) or real(*a))
+    cube4 = tmp_path / "cube4.scn"
+    cube4.write_text(CUBE4_SUM)
+    paths = [str(p) for p in bundled_scenarios().values()] + [str(cube4)]
+    for path in paths:
+        for allow in (False, True):
+            cmd_run(path, allow_inconsistent=allow)
+            cmd_check(path, allow_inconsistent=allow)
+            assert not calls, (path, allow)
+    capsys.readouterr()
+    assert cmd_run(str(cube4), allow_inconsistent=True) == 0
 
 
 def test_check_has_no_tolerance_flag(capsys):

@@ -9,12 +9,15 @@ import pytest
 
 from cfmarkets import (BeliefTrader, BlockSchedule, IndependentBinaryCost,
                        InconsistentPlanError, JitArbitrageur, LcmmCost,
-                       LmsrCost, NoiseTrader, Schedule, TradeRequest,
-                       TraderAgent, medal_count_model,
+                       LmsrCost, NoiseTrader, PiecewiseLinearCost,
+                       ScaledCost, Schedule, SwitchedCost, TradeRequest,
+                       TraderAgent, independent_binary_market,
+                       medal_count_model,
                        observe_block_payoff, observe_coordinate,
                        observe_partition, observe_sum, plan_switch,
                        run_protocol1, run_protocol2, simplex_market,
-                       square_market, trivial_observation, util_event,
+                       single_binary_market, square_market,
+                       trivial_observation, util_event,
                        verify_loss, wc_loss_bound)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,6 +73,27 @@ def test_wc_loss_bound_lmsr_uniform():
     m = LmsrCost(simplex_market(4))
     assert wc_loss_bound(m, np.zeros(4)) == pytest.approx(np.log(4),
                                                           abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    square, lambda: LmsrCost(simplex_market(4)),
+    lambda: IndependentBinaryCost(independent_binary_market(5)),
+    lambda: medal_count_model(2),
+    lambda: ScaledCost(LmsrCost(simplex_market(3)), 0.4),
+    lambda: PiecewiseLinearCost(single_binary_market()),
+    # the square/sum switch at (1, 0), whose roof is sampled off the cells
+    lambda: SwitchedCost(square(), observe_sum(square_market()),
+                         np.array([1.0, 0.0])),
+], ids=["square", "lmsr4", "cube5", "medal2", "scaled", "piecewise-linear",
+        "switched"])
+def test_wc_loss_bound_is_the_largest_vertex_divergence_bit_for_bit(make):
+    # one stacked conjugate and one cost give each divergence's own float
+    # operations, in its order
+    m = make()
+    for s in np.random.default_rng(40).uniform(-3.0, 3.0, (40, m.dim)):
+        want = max(m.divergence(m.space.payoff_of(w), s)
+                   for w in m.space.outcomes)
+        assert wc_loss_bound(m, s) == want
 
 
 def test_trader_pnl_is_in_first_trade_order_under_any_hash_seed():
@@ -285,6 +309,19 @@ def test_a_jit_with_no_trade_worth_its_cell_raises():
         inconsistent_square_sum_jit_after_a_noise_trade()
 
 
+def inconsistent_square_diagonal_jit_after_a_noise_trade():
+    """A switch on the square's main diagonal and its other two vertices
+    (the level sets of x0 - x1), inconsistent at s = (0, -1), a noise trade
+    after it, then a jit for the diagonal cell, which has no closed form and
+    where no state collects Util(E; q)."""
+    m = square()
+    obs = observe_partition(m.space, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+    traders = [NoiseTrader("n1", [1.2], 1.0),
+               JitArbitrageur("a1", [1.5], obs, 0)]
+    return run_protocol1(m, np.array([0.0, -1.0]), obs, traders, 1.0, (0, 0),
+                         seed=1, allow_inconsistent=True)
+
+
 def test_a_jit_short_of_an_unconverged_projection_names_it(monkeypatch):
     # a gap tolerance no gap meets stops every Frank-Wolfe projection
     # unconverged at the iteration cap
@@ -293,9 +330,9 @@ def test_a_jit_short_of_an_unconverged_projection_names_it(monkeypatch):
     monkeypatch.setattr(_solvers, "_GAP_TOL", -1.0)
     monkeypatch.setattr(_solvers, "_MAX_ITER", 5)
     with pytest.raises(RuntimeError, match=r"jit trader 'a1' has no "
-                       r"converged projection onto cell \(\(0, 1\), \(1, "
-                       r"0\)\): it stopped at Util\(E; q\) = 0\.5048.*, gap"):
-        inconsistent_square_sum_jit_after_a_noise_trade()
+                       r"converged projection onto cell \(\(0, 0\), \(1, "
+                       r"1\)\): it stopped at Util\(E; q\) = 0\.4652.*, gap"):
+        inconsistent_square_diagonal_jit_after_a_noise_trade()
 
 
 def test_the_jit_collects_the_utility_of_a_generic_switched_cell():

@@ -412,8 +412,10 @@ def test_sampled_roof_is_never_below_the_exact_conjugate(s):
 def test_util_event_on_a_generic_cell_projects_with_the_base(monkeypatch):
     import cfmarkets.costs
 
+    # the level sets of x0 - x1: the main diagonal has no closed form
     m = square()
-    sw = SwitchedCost(m, observe_sum(m.space), np.array([1.0, 0.0]))
+    obs = observe_partition(m.space, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+    sw = SwitchedCost(m, obs, np.array([0.0, -1.0]))
     assert not sw.consistency.consistent
     owners = []  # the model whose conjugate each Frank-Wolfe run reads
     real = cfmarkets.costs.project_onto_hull
@@ -423,7 +425,7 @@ def test_util_event_on_a_generic_cell_projects_with_the_base(monkeypatch):
         return real(vertices, conj, conj_grad, q)
 
     monkeypatch.setattr(cfmarkets.costs, "project_onto_hull", recorded)
-    x, q = 1, np.array([0.4, -0.3])
+    x, q = 0, np.array([0.4, -0.3])
     cell = sw.observation.cell(x)
     got = util_event(sw, cell, q)
     assert owners and not any(isinstance(o, SwitchedCost) for o in owners)
@@ -1128,11 +1130,12 @@ def test_the_square_sum_verdict_makes_no_lp_and_no_projection(monkeypatch):
                         lambda *a: projections.append(1) or real_fw(*a))
     for s in ([1.0, 0.0], [0.5, 0.5], [-2.0, 1.5], [1e20, -1e20]):
         sw = SwitchedCost(m, obs, np.array(s))
-        # the middle cell's offset at s is its one Frank-Wolfe solve
-        assert (len(lps), len(projections)) == (0, 1)
+        # every cell's offset at s is a closed form, the middle cell's
+        # the slice projection
+        assert (len(lps), len(projections)) == (0, 0)
         worst, _, path = sw._judge()
         assert (worst, path) == (sw._violation[0], "sum")
-        assert (len(lps), len(projections)) == (0, 1)
+        assert (len(lps), len(projections)) == (0, 0)
         assert "_roof_samples" not in vars(sw)
         projections.clear()
 
@@ -1273,16 +1276,19 @@ def test_a_mixed_sign_sum_is_decided_in_flipped_coordinates(weights):
 
 def test_the_3_cube_mixed_sign_switch_off_the_diagonal_is_inconsistent():
     # x0 + x1 - x2 at s = (1, -1, 0), the flip of the 3-cube sum switch
-    # there: the same violation, at the centroid of the level-1 cell
+    # there: the same violation, at the centroids of the level-0 and
+    # level-1 cells alike (the state is symmetric), and the witness is the
+    # first of the two, the level-0 cell's, as the sum switch's is its
+    # level-1 cell's, the first of its two
     m = IndependentBinaryCost(independent_binary_market(3))
     v = consistency_check(m, signed_partition(m.space, (1, 1, -1)),
                           np.array(CUBE3_STATES[0]))
     assert (v.consistent, v.path) == (False, "sum")
     assert v.worst_violation == pytest.approx(0.212672132, abs=1e-9)
-    assert np.allclose(v.witness["mu"], [2 / 3, 2 / 3, 1 / 3], rtol=0,
+    assert np.allclose(v.witness["mu"], [1 / 3, 1 / 3, 2 / 3], rtol=0,
                        atol=1e-15)
     cell = v.switched.cell_models[v.witness["realization"]]
-    assert sorted(cell.event) == [(0, 1, 0), (1, 0, 0), (1, 1, 1)]
+    assert sorted(cell.event) == [(0, 0, 0), (0, 1, 1), (1, 0, 1)]
 
 
 def test_a_one_sign_statistic_flips_nothing_whichever_its_sign():

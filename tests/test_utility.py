@@ -60,7 +60,7 @@ def projection_cases():
         (sq, face, np.array([0.3, -0.4])),
         (ScaledCost(lmsr3(), 0.4), (1, 2), np.array([0.3, -0.4, 0.8])),
         (switched, face, np.array([0.5, -0.2])),
-        (sq, (((0, 1)), ((1, 0))), np.array([0.5, -0.7])),
+        (sq, ((0, 0), (1, 1)), np.array([0.5, -0.7])),  # no closed form
         (medal, medal_cell, np.array([0.4, -0.3, 0.2, -0.5, 0.1])),
     ]
 
