@@ -543,7 +543,8 @@ class SwitchedCost(CostModel):
     cell of realization x and b_x = C(s) - C_x(s) is the utility the maker
     forgoes for that cell at the switch state s. The constructor validates
     the observation and s and solves each cell once at s, for its offset and
-    its conditional price. The conjugate is the convex roof of the offset
+    its conditional price; a cell whose solve did not converge raises
+    RuntimeError naming it. The conjugate is the convex roof of the offset
     conjugates R(mu) - b_x and is never materialized. The switch decides its
     own `consistency` when it is built, and with it which cells are exact
     (`_exact`), from one exposure read: when it is consistent, and inside
@@ -621,6 +622,11 @@ class SwitchedCost(CostModel):
         for x in self.realizations:
             cell = RestrictedCost(base, observation.cell(x))
             res = cell._project(self.switch_state)  # value -C_x(s)
+            if not res.converged:
+                raise RuntimeError(
+                    f"the projection onto the cell of {x!r} did not converge "
+                    f"at the switch state (gap {res.gap:.3g} after "
+                    f"{res.iterations} iterations)")
             b, self.conditional_prices[x] = cs + res.value, res.mu
             if b < -1e-8:
                 raise ValueError(f"negative switch offset for {x!r}: {b}")

@@ -17,9 +17,10 @@ other question to these LPs.
 `linprog` is scipy.optimize's own function, bound lazily (PEP 562): the
 module `__getattr__` imports it on the first LP and stores it in the module,
 so importing geometry does not import scipy.optimize, and a run that makes
-no LP never loads it. The two LP builders read `linprog` from the module at
-call time, so a binding that replaced it (a test's patch, a tracer's
-wrapper) is the one they call.
+no LP never loads it. It is the one scipy.optimize name the library uses:
+every root-find is `_solvers.brentq`'s. The two LP builders read `linprog`
+from the module at call time, so a binding that replaced it (a test's
+patch, a tracer's wrapper) is the one they call.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from itertools import combinations, product
 
 import numpy as np
 
+from ._solvers import brentq
 from .costs import (_CACHE_LIMIT, CostModel, IndependentBinaryCost,
                     LmsrCost, PriceSet, _as_vector, _floored)
 from .markets import (OutcomeSpace, _checked_index, exposure_witness,
@@ -170,8 +171,11 @@ class LcmmCost(CostModel):
 
     def _coordinate(self, q, eta, j) -> bool:
         """With the other multipliers fixed, set eta[j] to 0 when
-        g_j(0) >= 0 and otherwise to the root of g_j. False when g_j is
-        still negative at _ETA_BOUND, where eta[j] is then left."""
+        g_j(0) >= 0 and otherwise to the root of g_j, bracketed by doubling
+        and found by `_solvers.brentq`, which is handed the bracket's last
+        two values, g_j(lo) < 0 <= g_j(hi), and evaluates neither again.
+        False when g_j is still negative at _ETA_BOUND, where eta[j] is
+        then left."""
         a = self.A[:, j]
         base = q + self.A @ eta - eta[j] * a
 
@@ -179,17 +183,18 @@ class LcmmCost(CostModel):
             return float(a @ self._dmu(base + t * a)) - self.b_c[j]
 
         lo, hi = 0.0, 1.0
-        if g(lo) >= 0.0:
+        g_lo = g(lo)
+        if g_lo >= 0.0:
             eta[j] = 0.0
             return True
-        while g(hi) < 0.0:
+        g_hi = g(hi)
+        while g_hi < 0.0:
             if hi >= _ETA_BOUND:
                 eta[j] = hi
                 return False
-            lo, hi = hi, 2.0 * hi
-        from scipy.optimize import brentq  # loaded by the first root-find
-
-        eta[j] = brentq(g, lo, hi, xtol=1e-15, disp=False)
+            lo, hi, g_lo = hi, 2.0 * hi, g_hi
+            g_hi = g(hi)
+        eta[j] = brentq(g, lo, hi, g_lo, g_hi)
         return True
 
     def _remember(self, q, eta, gap, converged) -> ArbitrageSolution:

@@ -133,7 +133,8 @@ def probe_points(space: OutcomeSpace, outcomes=None) -> np.ndarray:
 def _face_witness(hull: geometry.Hull) -> np.ndarray | None:
     """Constructive witness for a face: the indicator of a simplex face's
     coordinates, or +-1 on the coordinates a sub-cube face pins. A slice
-    or a generic hull has none, and an LP decides its exposure."""
+    or a generic hull has none: `_inner_slice` settles a cube's inner
+    slices, and an LP decides the exposure of the rest."""
     if hull.kind in ("generic", "slice"):
         return None
     v = np.zeros(hull.vertices.shape[1])
@@ -145,6 +146,25 @@ def _face_witness(hull: geometry.Hull) -> np.ndarray | None:
     return v
 
 
+def _inner_slice(hull: geometry.Hull, whole: geometry.Hull) -> bool:
+    """Whether `hull` is an inner slice of a cube, which no direction
+    exposes: a slice or simplex hull (a simplex is level 1) whose level j
+    has 0 < j < |free|, in a space whose hull is a box.
+
+    Proof. Let v expose the cell. Since 0 < j < |free|, for any two free
+    coordinates some vertex of the slice has a 1 at one and a 0 at the
+    other, and the swap of the two is a vertex too, so in the cell; v.p is
+    constant on the cell, so v is one value lam on every free coordinate.
+    The space is a full box, so the outcomes with the cell's pins and
+    j + 1, or j - 1, ones on the free coordinates exist, and they lie
+    outside the cell, whose vertices all have j. Measured from a cell
+    vertex, one flip up or down, v reads lam and -lam there, and both must
+    be at most -margin: lam <= -margin and lam >= margin, impossible."""
+    level = 1 if hull.kind == "simplex" else hull.level
+    return (whole.kind == "box" and hull.kind in ("slice", "simplex")
+            and 0 < level < hull.free.size)
+
+
 EXPOSURE_MARGIN = 1.0  # gap of every witness between its cell and the rest
 
 
@@ -154,20 +174,26 @@ def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
     A cell is exposed when it is exactly the argmax set of some linear
     function of payoffs (with a gap of `EXPOSURE_MARGIN` to the rest).
     Simplex and sub-cube faces (`OutcomeSpace.hull`) have constructive
-    witnesses; otherwise a linear feasibility problem decides. Exposure
-    does not depend on the state, so the observation keeps the answer per
-    space and every later call returns a copy of it.
+    witnesses, a cube's inner slices have none (`_inner_slice`, with its
+    proof), and a linear feasibility problem decides every other cell.
+    Exposure does not depend on the state, so the observation keeps the
+    answer per space and every later call returns a copy of it.
     """
     hit = obs._exposure.get(id(space))
     if hit is not None:
         return dict(hit[1])
     obs.validate(space)
     out: dict = {}
+    whole = space.hull()
     for x in obs.realizations:
         cell = obs.cell(x)
+        hull = space.hull(cell)
+        if _inner_slice(hull, whole):
+            out[x] = None
+            continue
         cell_set = set(cell)
         others = [w for w in space.outcomes if w not in cell_set]
-        candidate = _face_witness(space.hull(cell))
+        candidate = _face_witness(hull)
         if candidate is not None and others:
             vin = space.vertices(cell) @ candidate
             vout = space.vertices(others) @ candidate

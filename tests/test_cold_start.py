@@ -1,8 +1,11 @@
-"""A cold start loads scipy.optimize only for a run that solves something.
+"""A cold start loads scipy.optimize only for a run that makes an LP.
 
-Importing cfmarkets leaves scipy.optimize unloaded; the first LP, root-find
-or minimization loads it. Each check runs in a fresh interpreter, because
-the test process has long since imported scipy.optimize.
+Importing cfmarkets leaves scipy.optimize unloaded; the first LP loads it.
+Root-finds are the library's own `_solvers.brentq`, and a cube's inner
+slices need no exposure LP, so of the bundled runs only the inconsistent
+count switch run anyway, whose audit makes a roof LP, loads it. Each check
+runs in a fresh interpreter, because the test process has long since
+imported scipy.optimize.
 """
 
 import json
@@ -11,25 +14,26 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 import cfmarkets
 
 SRC = Path(cfmarkets.__file__).resolve().parents[1]
-# bundled runs that make no LP, root-find or minimization
-NO_SOLVER = ["lmsr_partition_sudden.scn", "simplex_identity_check.scn",
-             "square_random_trades.scn", "square_sudden.scn"]
+BUNDLED = sorted(cfmarkets.bundled_scenarios())
+EXIT = {"square_count_impossible.scn": 1}  # the gate refuses its switch
 
 # prints whether scipy.optimize is loaded after `import cfmarkets` and after
-# the exit code of `cmd_run` on each scenario named on the command line
+# the exit code of `cmd_run` on each scenario named on the command line; a
+# name ending in "+allow" runs with `allow_inconsistent`
 PROBE = """
 import contextlib, io, json, sys
 import cfmarkets
 from cfmarkets.cli import cmd_run
 seen = ["scipy.optimize" in sys.modules]
-for name in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cmd_run(str(cfmarkets.bundled_scenarios()[name]))
+for arg in sys.argv[1:]:
+    name, _, allow = arg.partition("+")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = cmd_run(str(cfmarkets.bundled_scenarios()[name]),
+                       allow_inconsistent=bool(allow))
     seen += [code, "scipy.optimize" in sys.modules]
 print(json.dumps(seen))
 """
@@ -48,15 +52,18 @@ def probe(*names):
     return json.loads(fresh_python(PROBE, *names))
 
 
-def test_runs_that_solve_nothing_never_load_scipy_optimize():
-    assert probe(*NO_SOLVER) == [False] + [0, False] * len(NO_SOLVER)
+def test_no_bundled_run_loads_scipy_optimize():
+    # the gradual runs' LCMM roots and the count switches' slice roots are
+    # `_solvers.brentq`'s, and the count cells' exposure needs no LP
+    expected = [False]
+    for name in BUNDLED:
+        expected += [EXIT.get(name, 0), False]
+    assert len(BUNDLED) == 8 and probe(*BUNDLED) == expected
 
 
-@pytest.mark.parametrize("name", ["square_count_symmetric.scn",
-                                  "medal1_gradual.scn"])
-def test_a_run_that_solves_loads_it(name):
-    # the count switch needs an LP, the gradual run a brentq root-find
-    assert probe(name) == [False, 0, True]
+def test_the_inconsistent_count_switch_run_anyway_loads_it():
+    # its desiderata audit makes a roof LP
+    assert probe("square_count_impossible.scn+allow") == [False, 0, True]
 
 
 def test_geometry_binds_scipys_own_linprog_on_first_use():

@@ -8,7 +8,8 @@ from cfmarkets import (Observation, OutcomeSpace,
                        observe_sum, probe_points, simplex_market,
                        single_binary_market, square_market,
                        trivial_observation)
-from cfmarkets.markets import EXPOSURE_MARGIN
+from cfmarkets import geometry
+from cfmarkets.markets import EXPOSURE_MARGIN, _inner_slice
 
 from oracles import face_check
 
@@ -109,9 +110,9 @@ def test_a_repeated_outcome_counts_once_in_an_event_hull():
     assert np.array_equal(sp.hull((2, 0, 2)).vertices, sp.vertices((2, 0)))
 
 
-def test_a_slice_is_exposed_only_by_an_lp():
-    # the cube's sum levels 1 and 2 are slices with no constructive witness;
-    # the LP finds neither exposed, and the corners keep theirs
+def test_a_cubes_inner_slices_are_not_exposed_and_need_no_lp(exposure_lps):
+    # the cube's sum levels 1 and 2 are inner slices, which no direction
+    # exposes (`_inner_slice`); the corners keep their constructive witness
     cube = independent_binary_market(3)
     obs = observe_sum(cube)
     assert [cube.hull(obs.cell(x)).kind for x in obs.realizations] == [
@@ -119,6 +120,7 @@ def test_a_slice_is_exposed_only_by_an_lp():
     out = exposure_witness(cube, obs)
     assert out[1.0] is None and out[2.0] is None
     assert out[0.0] is not None and out[3.0] is not None
+    assert exposure_lps == []
 
 
 def test_empty_event_hull_is_rejected():
@@ -215,8 +217,9 @@ def test_exposure_witness_sum_middle_cell_not_exposed():
     assert out[1.0] is None  # the diagonal is not an argmax set
 
 
-def test_exposure_witness_is_decided_once_per_space(monkeypatch):
-    from cfmarkets import geometry
+@pytest.fixture
+def exposure_lps(monkeypatch):
+    """The arguments of every `separating_direction` call, in order."""
     calls = []
     real = geometry.separating_direction
 
@@ -225,16 +228,79 @@ def test_exposure_witness_is_decided_once_per_space(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(geometry, "separating_direction", counted)
+    return calls
+
+
+def test_exposure_witness_is_decided_once_per_space(exposure_lps):
+    calls = exposure_lps
     sp = square_market()
-    obs = observe_sum(sp)
+    obs = observe_partition(sp, [[(0, 0), (1, 1)], [(1, 0)], [(0, 1)]])
     first = exposure_witness(sp, obs)
-    assert len(calls) == 1  # the diagonal cell needs the LP
-    first[1.0] = "changed by the caller"
+    assert len(calls) == 1  # the main diagonal, a generic cell, needs the LP
+    first[0] = "changed by the caller"
     again = exposure_witness(sp, obs)
-    assert len(calls) == 1 and again is not first and again[1.0] is None
-    assert again[0.0] is first[0.0]
+    assert len(calls) == 1 and again is not first and again[0] is None
+    assert again[1] is first[1]
     exposure_witness(square_market(), obs)  # an equal but new space
     assert len(calls) == 2
+
+
+def cube_partitions(n, count, seed):
+    """`count` seeded partitions of the n-cube: the level sets of the sum
+    over a random set of free coordinates, split by the values of the
+    others, with a random pair of cells merged in about half of them."""
+    sp = independent_binary_market(n)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        pinned = np.flatnonzero(rng.random(n) < 0.3)
+        free = np.setdiff1d(np.arange(n), pinned)
+        label = {w: (tuple(np.array(w)[pinned]), int(np.array(w)[free].sum()))
+                 for w in sp.outcomes}
+        cells = sorted(set(label.values()))
+        if len(cells) > 2 and rng.random() < 0.5:
+            a, b = rng.choice(len(cells), 2, replace=False)
+            label = {w: cells[a] if x == cells[b] else x
+                     for w, x in label.items()}
+        yield Observation(label)
+
+
+def test_the_inner_slice_rule_answers_as_the_lp_does():
+    # on every cell of the sum observation and of 20 seeded partitions of
+    # the 2- to 5-cube, a cell the rule settles is one the LP finds not
+    # exposed, and every cell's witness is None exactly where the LP's is
+    settled = 0
+    for n in range(2, 6):
+        sp = independent_binary_market(n)
+        whole = sp.hull()
+        for obs in [observe_sum(sp), *cube_partitions(n, 20, n)]:
+            witnesses = exposure_witness(sp, obs)
+            for x in obs.realizations:
+                cell = set(obs.cell(x))
+                others = [w for w in sp.outcomes if w not in cell]
+                if not others:
+                    continue
+                lp = geometry.separating_direction(
+                    sp.vertices(obs.cell(x)), sp.vertices(others),
+                    EXPOSURE_MARGIN)
+                if _inner_slice(sp.hull(obs.cell(x)), whole):
+                    assert lp is None, (n, obs.label, x)
+                    settled += 1
+                assert (witnesses[x] is None) == (lp is None), (obs.label, x)
+    assert settled >= 40
+
+
+def test_a_cube_without_its_origin_keeps_the_exposure_lp(exposure_lps):
+    # the space's hull is no box, so the sum's level-1 cell goes to the LP,
+    # which finds it exposed by -(1, 1, 1); level 2 is not exposed
+    corners = [w for w in independent_binary_market(3).outcomes if any(w)]
+    sp = OutcomeSpace(tuple(corners), np.array(corners, dtype=float))
+    assert sp.hull().kind == "generic"
+    obs = observe_sum(sp)
+    assert sp.hull(obs.cell(1.0)).kind == "simplex"
+    out = exposure_witness(sp, obs)
+    assert len(exposure_lps) == 2  # levels 1 and 2; level 3 is a vertex
+    assert np.allclose(out[1.0], [-1.0, -1.0, -1.0], atol=1e-9)
+    assert out[2.0] is None and out[3.0] is not None
 
 
 def test_exposure_witness_simplex_partition():

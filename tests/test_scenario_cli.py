@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -873,7 +874,24 @@ def test_count_switch_at_a_large_symmetric_state_passes_run_and_check(
         capsys.readouterr().out
 
 
-def test_cmd_check_decides_exposure_once(monkeypatch, capsys):
+DIAGONAL_SCN = """\
+name: square main diagonal revelation
+seed: 1
+market: square
+protocol: sudden
+observation:
+  kind: partition
+  groups:
+    - [[0, 0], [1, 1]]
+    - [[1, 0]]
+    - [[0, 1]]
+initial_state: [1.0, 0.0]
+switch_time: 1.0
+settlement: [1, 1]
+"""
+
+
+def test_cmd_check_decides_exposure_once(monkeypatch, capsys, tmp_path):
     from cfmarkets import geometry
     calls = []
     real = geometry.separating_direction
@@ -883,8 +901,29 @@ def test_cmd_check_decides_exposure_once(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(geometry, "separating_direction", counted)
-    assert cmd_check(scn("square_count_impossible.scn")) == 1
-    assert len(calls) == 1  # the precheck's answer serves the switch
+    path = tmp_path / "diagonal.scn"
+    path.write_text(DIAGONAL_SCN)
+    assert cmd_check(str(path)) == 1
+    # the main diagonal is the one cell that needs the LP, and the
+    # precheck's answer serves the switch
+    assert len(calls) == 1
+    assert "cell 0: no exposure witness" in capsys.readouterr().out
+
+
+def test_a_cell_unconverged_at_the_switch_state_exits_1(
+        monkeypatch, capsys, tmp_path):
+    import cfmarkets.costs
+
+    real = cfmarkets.costs.project_onto_hull
+    monkeypatch.setattr(
+        cfmarkets.costs, "project_onto_hull",
+        lambda *args: dataclasses.replace(real(*args), converged=False))
+    path = tmp_path / "diagonal.scn"
+    path.write_text(DIAGONAL_SCN)
+    assert main(["run", str(path), "--allow-inconsistent"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the projection onto the cell of 0 ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -323,12 +323,20 @@ def inconsistent_square_diagonal_jit_after_a_noise_trade():
 
 
 def test_a_jit_short_of_an_unconverged_projection_names_it(monkeypatch):
-    # a gap tolerance no gap meets stops every Frank-Wolfe projection
-    # unconverged at the iteration cap
-    from cfmarkets import _solvers
+    # once the switch is built, a gap tolerance no gap meets stops every
+    # Frank-Wolfe projection unconverged at the iteration cap (the build
+    # itself refuses an unconverged cell)
+    from cfmarkets import _solvers, simulate
 
-    monkeypatch.setattr(_solvers, "_GAP_TOL", -1.0)
-    monkeypatch.setattr(_solvers, "_MAX_ITER", 5)
+    real = simulate.plan_switch
+
+    def then_unconverged(*args):
+        plan = real(*args)
+        monkeypatch.setattr(_solvers, "_GAP_TOL", -1.0)
+        monkeypatch.setattr(_solvers, "_MAX_ITER", 5)
+        return plan
+
+    monkeypatch.setattr(simulate, "plan_switch", then_unconverged)
     with pytest.raises(RuntimeError, match=r"jit trader 'a1' has no "
                        r"converged projection onto cell \(\(0, 0\), \(1, "
                        r"1\)\): it stopped at Util\(E; q\) = 0\.4652.*, gap"):

@@ -18,10 +18,11 @@ nothing calls `unsafe_load` or `full_load`, so a scenario file can build
 no Python object but plain data. No import of scipy.optimize, or of a name
 from it, runs when a module loads (at module level or in a class body):
 each one sits in the function that first needs the solver, or behind
-geometry's `__getattr__`, so a run that makes no LP, root-find or
-minimization never loads scipy.optimize. The scipy.optimize names the
-modules import, at any depth, are exactly the solvers listed in
-`OPTIMIZE_NAMES`, so no new optimizer enters the library unseen. Every
+geometry's `__getattr__`, so a run that makes no LP never loads
+scipy.optimize. The scipy.optimize names the modules import, at any depth,
+are exactly the solvers listed in `OPTIMIZE_NAMES` (`linprog` alone: the
+root-finder is the library's own), so no new optimizer enters the library
+unseen. Every
 name the package `__init__` exports is read outside `tests/`: in a library
 module (beyond its own `def` or `class`), a demo or the benchmark, so an
 export only the tests call does not linger. No module calls numpy's
@@ -366,8 +367,7 @@ def test_no_module_imports_scipy_optimize_when_it_loads(path):
 
 
 # every scipy.optimize name a module imports
-OPTIMIZE_NAMES = {"geometry": {"linprog"}, "_solvers": {"brentq"},
-                  "lcmm": {"brentq"}}
+OPTIMIZE_NAMES = {"geometry": {"linprog"}}
 
 
 def optimize_names(source: str) -> set:

@@ -435,6 +435,22 @@ def test_util_event_on_a_generic_cell_projects_with_the_base(monkeypatch):
                                                 + base_cell.cost(q))
 
 
+def test_a_cell_unconverged_at_the_switch_state_raises(monkeypatch):
+    import cfmarkets.costs
+
+    # the main diagonal projects by Frank-Wolfe, here made to stop short
+    real = cfmarkets.costs.project_onto_hull
+    monkeypatch.setattr(
+        cfmarkets.costs, "project_onto_hull",
+        lambda *args: dataclasses.replace(real(*args), converged=False))
+    m = square()
+    obs = observe_partition(m.space, [[(0, 0), (1, 1)], [(0, 1)], [(1, 0)]])
+    with pytest.raises(RuntimeError, match="cell of 0 did not converge"):
+        SwitchedCost(m, obs, np.array([0.0, -1.0]))
+    # cells in closed form never reach it
+    SwitchedCost(m, observe_sum(m.space), np.array([0.0, -1.0]))
+
+
 @pytest.fixture
 def roof_calls(monkeypatch):
     """Records the switched cost behind each `SwitchedCost._roof` call."""
