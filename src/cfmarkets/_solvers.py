@@ -5,7 +5,7 @@ Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, 2015) with an exact line
 search: the directional derivative along each step is nondecreasing, so the
 step is its root, or the full step when the derivative is still nonpositive
 there. That root-find, `increasing_root`, also serves a closed form that
-needs one, such as product-LMSR's projection onto a slice of the cube, and
+needs one, such as product-LMSR's projection onto a band of the cube, and
 the LCMM's coordinate step reads `brentq` directly. `brentq` is the
 library's one root-finder: Brent's method (Brent 1973) as scipy's
 `brentq.c` implements it, line for line, so its roots are scipy's to the
@@ -112,14 +112,6 @@ def increasing_root(f, lo: float, hi: float) -> float:
     return brentq(f, lo, hi, f_lo, f_hi)
 
 
-def _line_search(deriv, gamma_max: float) -> float:
-    """Exact line search for a convex 1-d restriction on [0, gamma_max]:
-    the root of the directional derivative `deriv`, the full step where it
-    is still nonpositive there, and no step where it is not negative at 0,
-    as rounding can leave it where the gap is near 0."""
-    return increasing_root(deriv, 0.0, gamma_max)
-
-
 def project_onto_hull(vertices: np.ndarray, conj, conj_grad,
                       q: np.ndarray) -> ProjectionResult:
     """Minimize R(mu) - q.mu over the convex hull of `vertices`.
@@ -164,7 +156,11 @@ def project_onto_hull(vertices: np.ndarray, conj, conj_grad,
             point = mu + gamma * Vd
             return float(Vd @ (conj_grad(point) - q))
 
-        gamma = _line_search(deriv, gamma_max)
+        # the exact line search: the root of the nondecreasing derivative,
+        # the full step where it is still nonpositive there, and no step
+        # where it is not negative at 0, as rounding can leave it where the
+        # gap is near 0
+        gamma = increasing_root(deriv, 0.0, gamma_max)
         if gamma <= 0.0:
             break
         lam = (lam + gamma * d).clip(0.0, None)

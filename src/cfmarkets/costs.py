@@ -310,7 +310,7 @@ class IndependentBinaryCost(CostModel):
     def __init__(self, space: OutcomeSpace):
         super().__init__(space)
         hull = space.hull()
-        if not (hull.kind == "box" and hull.free.size == space.dim):
+        if not (hull.is_box and hull.free.size == space.dim):
             raise ValueError("product-lmsr requires the full binary cube")
 
     def cost(self, q) -> float:
@@ -351,60 +351,54 @@ class IndependentBinaryCost(CostModel):
         return q.clip(-_STATE_CLIP, _STATE_CLIP)
 
     def restrict(self, event):
-        """A closed form for every hull kind of the cube but "generic". A
-        sub-cube face is binary LMSR in the free coordinates, linear in the
-        pinned ones. A slice, with j ones among its n free coordinates (a
-        simplex is the slice j = 1), is Csiszar's I-projection (Ann. Prob.
+        """A closed form on every band of the cube (`geometry.Hull`), lo to
+        hi ones among its n free coordinates, kept per state by
+        `_memoized`. With m = expit(q) on the free coordinates, the
+        projection is m itself where lo <= sum m <= hi: binary LMSR in the
+        free coordinates, linear in the pinned ones (every sub-cube face).
+        Below lo (above hi) the bound lo (hi) binds, and the projection is
+        Csiszar's I-projection onto the slice of that level j (Ann. Prob.
         1975): m = expit(q + lam) on the free coordinates, where lam is the
-        root of sum expit(q_i + lam) = j (`_slice_projection`); its value is
-        R(m) - q.m, gap 0, and the answer is kept per state by
-        `_memoized`. A generic hull (the square's main diagonal, most level
-        sets of a statistic with mixed signs or unequal weights) goes to the
-        default's Frank-Wolfe."""
+        root of sum expit(q_i + lam) = j, with value R(m) - q.m and gap 0.
+        With q_(j) the j-th largest free q and lam = t - q_(j), the root t
+        lies in [-ln(n - j), q_(j) - q_(j+1) + ln j]. Measured from q_(j),
+        a coordinate's m is fractional only where q_i - q_(j) is moderate,
+        and so exact in floats however large q is; elsewhere the root lies
+        where every term is 0 or 1. A generic hull (the square's main
+        diagonal, most level sets of a statistic with mixed signs or
+        unequal weights) goes to the default's Frank-Wolfe."""
         hull = self.space.hull(event)
-        if hull.kind in ("slice", "simplex"):
-            return _memoized(self._slice_projection(hull))
-        if hull.kind != "box":
+        if hull.levels is None:
             return super().restrict(event)
-        fixed, free = hull.pinned, hull.free
-
-        def project(q):
-            p = np.empty(self.dim)
-            p[free] = expit(q[free])
-            for i, x in fixed.items():
-                p[i] = x
-            c = (sum(x * q[i] for i, x in fixed.items())
-                 + np.logaddexp(0.0, q[free]).sum())
-            return ProjectionResult(p, -float(c), 0.0, True, 0)
-
-        return project
-
-    def _slice_projection(self, hull):
-        """`restrict`'s solve on a slice or simplex hull, q -> result. With
-        q_(j) the j-th largest free q and lam = t - q_(j), the root t lies
-        in [-ln(n - j), q_(j) - q_(j+1) + ln j]. Measured from q_(j), a
-        coordinate's m is fractional only where q_i - q_(j) is moderate, and
-        so exact in floats however large q is; elsewhere the root lies
-        where every term is 0 or 1."""
-        free, j = hull.free, hull.level or 1  # a simplex is level 1
-        k = free.size - j  # q_(j) is the k-th smallest free q, from 0
-        at = np.fromiter(hull.pinned, dtype=int, count=len(hull.pinned))
-        pins = hull.vertices[0, at]
-        lo, up = -float(np.log(k)), float(np.log(j))
+        (lo, hi), free, at = hull.levels, hull.free, hull._pin_at
+        n, pins = free.size, hull.vertices[0, at]
 
         def solve(q):
             qf = q[free]
+            m = expit(qf)
+            total = m.sum()
+            p = np.empty(self.dim)
+            p[at] = pins
+            if 0 < lo and total <= lo:
+                j = lo
+            elif hi < n and total >= hi:
+                j = hi
+            else:
+                p[free] = m
+                c = (sum(x * q[i] for i, x in hull.pinned.items())
+                     + np.logaddexp(0.0, qf).sum())
+                return ProjectionResult(p, -float(c), 0.0, True, 0)
+            k = n - j  # q_(j) is the k-th smallest free q, from 0
             below, ref = np.sort(qf)[k - 1:k + 1]  # q_(j+1), q_(j)
             z = qf - ref
             t = increasing_root(lambda t: float(expit(z + t).sum()) - j,
-                                lo, float(ref - below) + up)
-            m = np.empty(self.dim)
-            m[free] = expit(z + t)
-            m[at] = pins
-            return ProjectionResult(m, float(self._conj(m) - q @ m), 0.0,
+                                -float(np.log(k)),
+                                float(ref - below) + float(np.log(j)))
+            p[free] = expit(z + t)
+            return ProjectionResult(p, float(self._conj(p) - q @ p), 0.0,
                                     True, 0)
 
-        return solve
+        return _memoized(solve)
 
 
 class PiecewiseLinearCost(CostModel):
@@ -722,7 +716,7 @@ class SwitchedCost(CostModel):
         sampled roof at p, both in divergence units, from one `_roof` LP
         over every probe point. Level sets lie in disjoint hyperplanes
         a.x = v_x, so they are not scanned for overlap."""
-        stat = self._statistic if self.space.hull().kind == "box" else None
+        stat = self._statistic if self.space.hull().is_box else None
         if stat is None:
             for x, y in combinations(self.realizations, 2):
                 if self.cell_models[x].hull.intersects(

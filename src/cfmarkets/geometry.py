@@ -10,9 +10,10 @@ a whole stack of query points as block-diagonal LPs (one on desk-scale
 probe sets), because scipy's per-call overhead, not HiGHS, is most of a
 small LP's time. Its library callers are the switched cost's sampled convex
 roof and `hull_contains`.
-`Hull` answers membership for simplex and sub-cube faces and for slices
-of the cube, and overlap for the faces, in closed form, and sends every
-other question to these LPs.
+`Hull` answers membership and overlap of bands (every 0/1 vector with a
+count of ones in a range on some free coordinates, the others pinned:
+sub-cube faces, simplex faces, slices of the cube) in closed form, and
+sends every other question to these LPs.
 
 `linprog` is scipy.optimize's own function, bound lazily (PEP 562): the
 module `__getattr__` imports it on the first LP and stores it in the module,
@@ -178,31 +179,30 @@ _EQ_TOL = 1e-12  # payoff entries this close count as equal
 
 
 class Hull:
-    """Convex hull of an event's payoff vertices, sorted once into a kind.
+    """Convex hull of an event's payoff vertices, sorted once as a *band*
+    or as generic.
 
-    - "box": 0/1 vertices forming the full sub-cube over the `free`
-      coordinates, with the other coordinates `pinned`;
-    - "simplex": distinct unit vectors e_i for i in `free`, every other
-      coordinate pinned to 0;
-    - "slice": 0/1 vertices with the same count `level` of ones on the
-      `free` coordinates, all C(|free|, level) of them, with the other
-      coordinates `pinned` (a face of a hypersimplex, such as a level set
-      of the cube's coordinate sum);
-    - "generic": anything else (`pinned` empty, `free` every coordinate).
+    A band is every 0/1 vector on the `free` coordinates whose count of
+    ones lies in `levels` = (lo, hi), with the other coordinates `pinned`
+    to one 0/1 value each. Its hull is {f in [0, 1]^free : lo <= sum f <=
+    hi}, whose vertices are integral because the constraint matrix is
+    totally unimodular. A sub-cube face is the band (0, |free|)
+    (`is_box`), a single vertex the band (0, 0) with nothing free, the
+    unit vectors e_i for i in `free` the band (1, 1) with every pin 0, and
+    a level set of the cube's coordinate sum the band (j, j). In a
+    `complete` market (payoffs distinct unit vectors) every event keeps
+    its unit coordinates free at (1, 1), a single outcome too. Any other
+    vertex set is generic: `levels` is None, nothing is pinned and every
+    coordinate is free.
 
-    A single unit vector is a box with every coordinate pinned, unless the
-    vertices come from a `complete` market (payoffs distinct unit vectors),
-    where every event is a simplex face; unit vectors with every other
-    coordinate 0 are a simplex, not a slice of level 1. Membership of
-    boxes, simplices and slices, and overlap of boxes and of simplices, are
-    decided in closed form by the exact-arithmetic rule (an L-inf residual
-    of at most tol, DEFAULT_TOL for overlap); HiGHS, at its 1e-10
-    feasibility tolerance, may answer "in" where a simplex sum misses 1 by
-    rounding (about 1e-16). Generic hulls, and overlap of any other pair,
-    go to the LPs of `hull_contains` and `hulls_intersect`, which raise
-    RuntimeError when HiGHS stops without deciding.
-    Membership is decided on a stack of points, `contains_rows`; one point,
-    `contains`, is the stack's single row.
+    Membership and overlap of bands are decided in closed form by the
+    exact-arithmetic rule (an L-inf residual of at most tol, DEFAULT_TOL
+    for overlap); HiGHS, at its 1e-10 feasibility tolerance, may answer
+    "in" where a level sum misses by rounding (about 1e-16). Generic hulls,
+    and overlap with a generic hull, go to the LPs of `hull_contains` and
+    `hulls_intersect`, which raise RuntimeError when HiGHS stops without
+    deciding. Membership is decided on a stack of points, `contains_rows`;
+    one point, `contains`, is the stack's single row.
     """
 
     def __init__(self, vertices, complete: bool = False):
@@ -210,32 +210,27 @@ class Hull:
         V.setflags(write=False)
         n, k = V.shape
         self.vertices = V
-        self.kind = "generic"
         self.free = np.arange(k)
-        self.level = None  # a slice's count of ones on `free`
+        self.levels = None
         one = np.abs(V - 1.0) < _EQ_TOL
         if (one | (np.abs(V) < _EQ_TOL)).all():
-            free = np.flatnonzero(np.ptp(V, axis=0) >= _EQ_TOL)
-            patterns = {tuple(row) for row in one[:, free]}
-            units = V.argmax(axis=1)
-            unit = ((one.sum(axis=1) == 1).all()
-                    and len(set(units)) == n)
-            cube = n == 2 ** len(free) and len(patterns) == n
-            if unit and (complete or not cube):
-                self.kind, self.free = "simplex", np.unique(units)
-            elif cube:
-                self.kind, self.free = "box", free
-            elif len(patterns) == n:
-                ones = one[:, free].sum(axis=1)
-                if ((ones == ones[0]).all()
-                        and n == comb(len(free), int(ones[0]))):
-                    self.kind, self.free = "slice", free
-                    self.level = int(ones[0])
-        self.pinned = ({} if self.kind == "generic" else
+            free = (np.unique(V.argmax(axis=1)) if complete
+                    else np.flatnonzero(np.ptp(V, axis=0) >= _EQ_TOL))
+            ones = one[:, free].sum(axis=1)
+            lo, hi = int(ones.min()), int(ones.max())
+            if (len({tuple(row) for row in one[:, free]}) == n
+                    == sum(comb(free.size, j) for j in range(lo, hi + 1))):
+                self.free, self.levels = free, (lo, hi)
+        self.pinned = ({} if self.levels is None else
                        {int(i): float(V[0, i])
                         for i in np.setdiff1d(np.arange(k), self.free)})
         self._pin_at = np.fromiter(self.pinned, dtype=int,
                                    count=len(self.pinned))
+
+    @property
+    def is_box(self) -> bool:
+        """Whether the hull is a sub-cube face: the band (0, |free|)."""
+        return self.levels == (0, self.free.size)
 
     def contains(self, mu, tol: float = DEFAULT_TOL) -> bool:
         """Whether mu is within L-inf distance tol of the hull: the
@@ -245,39 +240,40 @@ class Hull:
 
     def contains_rows(self, mus, tol: float) -> np.ndarray:
         """Membership of each row of a (J, K) stack, as a (J,) bool array:
-        the closed-form rule as array operations on a box, simplex or
-        slice, and `hull_contains` row by row on a generic hull."""
+        on a band, the pins within tol and some point of the box
+        [max(f - tol, 0), min(f + tol, 1)] around the free part f with a
+        sum in `levels`, as array operations (a level of 0 or of |free|
+        bounds no such point, so it is not summed); `hull_contains` row by
+        row on a generic hull."""
         mus = np.ascontiguousarray(mus, dtype=float)
-        if self.kind == "generic":
+        if self.levels is None:
             return np.array([hull_contains(self.vertices, mu, tol)
                              for mu in mus], dtype=bool)
-        at = self._pin_at
+        (lo, hi), at = self.levels, self._pin_at
         f = mus[:, self.free]
         ok = ~((np.abs(mus[:, at] - self.vertices[0, at]) > tol).any(axis=1)
-               | (f < -tol).any(axis=1))
-        if self.kind == "box":
-            return ok & (f <= 1.0 + tol).all(axis=1)
-        if self.kind == "simplex":
-            # some point with coordinates in [max(f - tol, 0), f + tol]
-            # sums to 1
-            return (ok & (np.maximum(f - tol, 0.0).sum(axis=1) <= 1.0)
-                    & (1.0 <= (f + tol).sum(axis=1)))
-        # some point of [max(f - tol, 0), min(f + tol, 1)] sums to level
-        return (ok & (f <= 1.0 + tol).all(axis=1)
-                & (np.maximum(f - tol, 0.0).sum(axis=1) <= self.level)
-                & (self.level <= np.minimum(f + tol, 1.0).sum(axis=1)))
+               | (f < -tol).any(axis=1)) & (f <= 1.0 + tol).all(axis=1)
+        if 0 < lo:
+            ok &= lo <= np.minimum(f + tol, 1.0).sum(axis=1)
+        if hi < self.free.size:
+            ok &= np.maximum(f - tol, 0.0).sum(axis=1) <= hi
+        return ok
 
     def intersects(self, other: "Hull") -> bool:
         """Whether the two hulls share a point (within L-inf distance
-        DEFAULT_TOL)."""
-        if self.kind == other.kind == "box":
-            shared = self.pinned.keys() & other.pinned.keys()
-            return all(abs(self.pinned[i] - other.pinned[i]) <= DEFAULT_TOL
-                       for i in shared)
-        if self.kind == other.kind == "simplex":
-            # disjoint faces are max(1/|a|, 1/|b|) >> DEFAULT_TOL apart
-            return bool(np.intersect1d(self.free, other.free).size)
+        DEFAULT_TOL). Two bands do when their shared pins agree and some
+        count s of ones on the coordinates both keep free, 0 <= s <= their
+        number, meets both level ranges, less the ones the other's pins put
+        on the coordinates only one keeps free."""
+        if self.levels is None or other.levels is None:
+            return hulls_intersect(self.vertices, other.vertices)
+        a, b = self.pinned, other.pinned
+        if any(abs(a[i] - b[i]) > DEFAULT_TOL for i in a.keys() & b.keys()):
+            return False
+        low, high = 0, np.intersect1d(self.free, other.free).size
         for one, rest in ((self, other), (other, self)):
-            if one.vertices.shape[0] == 1 and rest.kind != "generic":
-                return rest.contains(one.vertices[0])
-        return hulls_intersect(self.vertices, other.vertices)
+            filled = round(sum(rest.pinned.get(int(i), 0.0)
+                               for i in one.free))
+            lo, hi = one.levels
+            low, high = max(low, lo - filled), min(high, hi - filled)
+        return low <= high

@@ -2,7 +2,8 @@
 
 A market is specified by a finite outcome set and a payoff matrix: row omega
 gives the payoff of each of the K securities if omega occurs. The price space M
-is the convex hull of those rows; M(E) restricts the hull to an event E.
+is the convex hull of those rows; M(E) restricts the hull to an event E,
+a band or generic (`geometry.Hull`), whose exposure `exposure_witness` reads.
 """
 
 from __future__ import annotations
@@ -41,9 +42,12 @@ class OutcomeSpace:
         object.__setattr__(self, "payoff", payoff)
         object.__setattr__(self, "_index",
                            {w: i for i, w in enumerate(self.outcomes)})
-        whole = geometry.Hull(payoff)
-        object.__setattr__(self, "_complete", whole.kind == "simplex")
-        object.__setattr__(self, "_hulls", {None: whole})
+        units = payoff.argmax(axis=1)  # complete: distinct unit vectors
+        complete = (len(set(units.tolist())) == len(units) and np.allclose(
+            payoff, np.eye(payoff.shape[1])[units], rtol=0.0, atol=1e-12))
+        object.__setattr__(self, "_complete", complete)
+        object.__setattr__(self, "_hulls",
+                           {None: geometry.Hull(payoff, complete)})
 
     @property
     def dim(self) -> int:
@@ -131,38 +135,39 @@ def probe_points(space: OutcomeSpace, outcomes=None) -> np.ndarray:
 
 
 def _face_witness(hull: geometry.Hull) -> np.ndarray | None:
-    """Constructive witness for a face: the indicator of a simplex face's
-    coordinates, or +-1 on the coordinates a sub-cube face pins. A slice
-    or a generic hull has none: `_inner_slice` settles a cube's inner
-    slices, and an LP decides the exposure of the rest."""
-    if hull.kind in ("generic", "slice"):
-        return None
+    """Constructive witness for a face: +-1 on the coordinates a sub-cube
+    face pins, or the indicator of the free coordinates of the band (1, 1)
+    with every pin 0 (a simplex face). Any other band or a generic hull has
+    none: `_inner_band` settles a cube's inner bands, and an LP decides the
+    exposure of the rest."""
     v = np.zeros(hull.vertices.shape[1])
-    if hull.kind == "simplex":
-        v[hull.free] = 1.0
-    else:
+    if hull.is_box:
         for i, x in hull.pinned.items():
             v[i] = 1.0 if x > 0.5 else -1.0
+    elif hull.levels == (1, 1) and not any(hull.pinned.values()):
+        v[hull.free] = 1.0
+    else:
+        return None
     return v
 
 
-def _inner_slice(hull: geometry.Hull, whole: geometry.Hull) -> bool:
-    """Whether `hull` is an inner slice of a cube, which no direction
-    exposes: a slice or simplex hull (a simplex is level 1) whose level j
-    has 0 < j < |free|, in a space whose hull is a box.
+def _inner_band(hull: geometry.Hull, whole: geometry.Hull) -> bool:
+    """Whether `hull` is an inner band of a cube, which no direction
+    exposes: a band (lo, hi) on n free coordinates, in a space whose hull
+    is a box, that is no sub-cube face: 0 < hi, lo < n, (lo, hi) != (0, n).
 
-    Proof. Let v expose the cell. Since 0 < j < |free|, for any two free
-    coordinates some vertex of the slice has a 1 at one and a 0 at the
-    other, and the swap of the two is a vertex too, so in the cell; v.p is
-    constant on the cell, so v is one value lam on every free coordinate.
-    The space is a full box, so the outcomes with the cell's pins and
-    j + 1, or j - 1, ones on the free coordinates exist, and they lie
-    outside the cell, whose vertices all have j. Measured from a cell
-    vertex, one flip up or down, v reads lam and -lam there, and both must
-    be at most -margin: lam <= -margin and lam >= margin, impossible."""
-    level = 1 if hull.kind == "simplex" else hull.level
-    return (whole.kind == "box" and hull.kind in ("slice", "simplex")
-            and 0 < level < hull.free.size)
+    Proof. Let v expose the cell: v.p = c on the cell, <= c - margin off
+    it. If lo < hi, a vertex of count lo < n with a 0 at any free
+    coordinate flips there to a vertex of count lo + 1 <= hi, so v is 0 on
+    the free coordinates. If lo = hi = j, 0 < j < n, and the swap of a 1
+    and a 0 between any two free coordinates of a vertex is a vertex, so v
+    is one value lam there. The space is a full box, so one flip down from
+    a vertex of count lo > 0, or up from one of count hi < n, is an outcome
+    off the cell, and one of them exists. There v reads c if lo < hi, and
+    c - lam and c + lam, both, if lo = hi: lam >= margin and -lam >=
+    margin. Either is impossible."""
+    return (whole.is_box and hull.levels is not None and not hull.is_box
+            and 0 < hull.levels[1] and hull.levels[0] < hull.free.size)
 
 
 EXPOSURE_MARGIN = 1.0  # gap of every witness between its cell and the rest
@@ -174,7 +179,7 @@ def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
     A cell is exposed when it is exactly the argmax set of some linear
     function of payoffs (with a gap of `EXPOSURE_MARGIN` to the rest).
     Simplex and sub-cube faces (`OutcomeSpace.hull`) have constructive
-    witnesses, a cube's inner slices have none (`_inner_slice`, with its
+    witnesses, a cube's inner bands have none (`_inner_band`, with its
     proof), and a linear feasibility problem decides every other cell.
     Exposure does not depend on the state, so the observation keeps the
     answer per space and every later call returns a copy of it.
@@ -188,7 +193,7 @@ def exposure_witness(space: OutcomeSpace, obs: Observation) -> dict:
     for x in obs.realizations:
         cell = obs.cell(x)
         hull = space.hull(cell)
-        if _inner_slice(hull, whole):
+        if _inner_band(hull, whole):
             out[x] = None
             continue
         cell_set = set(cell)

@@ -13,7 +13,7 @@ from cfmarkets import (IndependentBinaryCost, LmsrCost, OutcomeSpace,
                        observe_sum, plan_switch,
                        simplex_market, single_binary_market, square_market,
                        util_event)
-from cfmarkets._solvers import _line_search, project_onto_hull
+from cfmarkets._solvers import increasing_root, project_onto_hull
 from cfmarkets.costs import (_CACHE_LIMIT, _LOG_CLIP, _STATE_CLIP,
                              _as_vector, _logsumexp, _softmax)
 from oracles import lmsr_conjugate, product_lmsr_conjugate
@@ -430,20 +430,26 @@ def test_the_projection_memo_stays_within_its_bound(memo_cell):
     assert len(solves) == 301
 
 
-def test_a_closed_form_cell_keeps_no_memo(projections):
+def test_a_box_cell_keeps_a_memo_and_an_lmsr_cell_none(projections):
+    # product-LMSR keeps every band's projections per state, a sub-cube
+    # face's too; LMSR's softmax over a simplex face keeps none
     sq = square()
     box = RestrictedCost(sq, observe_coordinate(sq.space, 0).cell(1.0))
     q = np.array([0.5, -0.7])
     box.cost(q), box.price(q), box.project(q)
     assert projections.calls == 0
-    assert box.project(q) is not box.project(q)
+    assert box.project(q) is box.project(q)
+    face, q = RestrictedCost(lmsr(), (0, 2)), np.array([0.5, -0.7, 0.2])
+    assert face.project(q) is not face.project(q)
 
 
-def cube_slices():
-    """(model, event, kind) for one slice of every shape on the 2- to
-    8-cube: each count f >= 2 of free coordinates, each level 1 to f - 1
-    on them, and the other n - f coordinates pinned at random places and
-    0/1 values. A level-1 slice whose pins are all 0 reads as a simplex."""
+def cube_bands():
+    """(model, event, levels) for one slice (lo = hi) of every shape on
+    the 2- to 8-cube, and every band lo < hi of the 3- and 4-cube. The
+    slices take each count f >= 2 of free coordinates, each level 1 to
+    f - 1 on them, and the other n - f coordinates pinned at random places
+    and 0/1 values; the bands are free, or pinned at x0 = 1, x0 = 0 or
+    (x0, x1) = (1, 0)."""
     rng = np.random.default_rng(40)
     for n in range(2, 9):
         m = IndependentBinaryCost(independent_binary_market(n))
@@ -456,18 +462,32 @@ def cube_slices():
                 on = ((P[:, pinned] == values).all(axis=1)
                       & (P[:, free].sum(axis=1) == j))
                 event = tuple(w for w, x in zip(m.space.outcomes, on) if x)
-                yield m, event, m.space.hull(event).kind
+                yield m, event, (j, j)
+    for n in (3, 4):
+        m = IndependentBinaryCost(independent_binary_market(n))
+        for pins in ({}, {0: 1}, {0: 0}, {0: 1, 1: 0}):
+            f = n - len(pins)
+            for lo in range(f):
+                for hi in range(lo + 1, f + 1):
+                    yield m, tuple(
+                        w for w in m.space.outcomes
+                        if all(w[i] == x for i, x in pins.items())
+                        and lo <= sum(w) - sum(pins.values()) <= hi), (lo, hi)
 
 
-def test_product_lmsr_projects_every_cube_slice_as_frank_wolfe(projections):
+def test_product_lmsr_projects_every_cube_band_as_frank_wolfe(projections):
     # the reference is the away-step Frank-Wolfe projection over the
-    # slice's vertices, called here; the slice projector makes no such call
-    rng, kinds = np.random.default_rng(41), []
-    for m, event, kind in cube_slices():
-        kinds.append(kind)
+    # band's vertices, called here; the band projector makes no such call.
+    # Slices are also checked at states of scale 1e18 and 1e20
+    rng, shapes = np.random.default_rng(41), []
+    for m, event, levels in cube_bands():
         hull = m.space.hull(event)
+        assert hull.levels == levels
+        shapes.append(levels[0] == levels[1])
         project = m.restrict(event)
-        for scale in (1.0, 1.0, 1e18, 1e20):
+        scales = ((1.0, 1.0, 1e18, 1e20) if levels[0] == levels[1]
+                  else (1.0,) * 4)
+        for scale in scales:
             q = scale * rng.uniform(-3.0, 3.0, m.dim)
             got = project(q)
             assert projections.calls == 0
@@ -479,26 +499,29 @@ def test_product_lmsr_projects_every_cube_slice_as_frank_wolfe(projections):
             assert hull.contains(got.mu)
             assert not got.mu.flags.writeable
         projections.calls = 0
-    assert len(kinds) == 84 and set(kinds) == {"simplex", "slice"}
+    assert shapes.count(True) == 84 and shapes.count(False) == 38
 
 
-def test_a_slice_splits_tied_states_evenly_at_any_scale():
+def test_a_band_splits_tied_states_evenly_at_any_scale():
     # at +-1e18 and +-1e20 every free coordinate ties with others: the
-    # projection gives tied coordinates one price, sums to the level, and
-    # stays in the hull. (Frank-Wolfe is no reference here: its gradient
-    # clamps at the cube's faces, and on the 4-cube slice of level 2 at
-    # (-1e18, 1e18, -1e18, -1e18) it stops at (0.5, 1, 0.25, 0.25), gap 0,
-    # where the projection is (1/3, 1, 1/3, 1/3).)
+    # projection gives tied coordinates one price, sums into its levels
+    # (to its level, on a slice), and stays in the hull. (Frank-Wolfe is
+    # no reference here: its gradient clamps at the cube's faces, and on
+    # the 4-cube slice of level 2 at (-1e18, 1e18, -1e18, -1e18) it stops
+    # at (0.5, 1, 0.25, 0.25), gap 0, where the projection is
+    # (1/3, 1, 1/3, 1/3).)
     rng = np.random.default_rng(42)
-    for m, event, _ in cube_slices():
+    for m, event, (lo, hi) in cube_bands():
         hull = m.space.hull(event)
         free = hull.free
-        j = hull.level or 1
         for scale in (1e18, 1e20):
             q = scale * rng.choice([-1.0, 1.0], m.dim)
             got = m.restrict(event)(q)
             assert hull.contains(got.mu) and np.isfinite(got.value)
-            assert got.mu[free].sum() == pytest.approx(j, abs=1e-12)
+            total = got.mu[free].sum()
+            if lo == hi:
+                assert total == pytest.approx(lo, abs=1e-12)
+            assert lo - 1e-12 <= total <= hi + 1e-12
             for v in np.unique(q[free]):
                 assert np.ptp(got.mu[free][q[free] == v]) <= 1e-12
 
@@ -618,7 +641,7 @@ def test_line_search_finds_the_root_in_few_evaluations(deriv, root):
         calls.append(gamma)
         return deriv(gamma)
 
-    assert abs(_line_search(counted, 1.0) - root) <= 1e-12
+    assert abs(increasing_root(counted, 0.0, 1.0) - root) <= 1e-12
     assert len(calls) <= 12
 
 
@@ -629,16 +652,16 @@ def test_line_search_takes_the_full_step_when_still_descending():
         calls.append(gamma)
         return gamma - 2.0
 
-    assert _line_search(deriv, 0.7) == 0.7
-    assert _line_search(lambda g: 0.0, 0.4) == 0.4
+    assert increasing_root(deriv, 0.0, 0.7) == 0.7
+    assert increasing_root(lambda g: 0.0, 0.0, 0.4) == 0.4
     assert calls == [0.7]
 
 
 def test_line_search_takes_no_step_where_it_does_not_descend():
     # rounding can leave the derivative at 0 nonnegative where the
     # Frank-Wolfe gap is near 0: no root to bracket, so no step
-    assert _line_search(lambda g: g + 1e-17, 1.0) == 0.0
-    assert _line_search(lambda g: g, 1.0) == 0.0
+    assert increasing_root(lambda g: g + 1e-17, 0.0, 1.0) == 0.0
+    assert increasing_root(lambda g: g, 0.0, 1.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -425,7 +425,7 @@ def face_points(draw):
 def test_hull_contains_matches_lp(case):
     space, event, mu = case
     hull = space.hull(event)
-    assert hull.kind != "generic"
+    assert hull.levels is not None
     assert hull.contains(mu) == lp_contains(hull.vertices, mu)
 
 
@@ -463,56 +463,76 @@ def test_hull_any_cube_event_matches_lp(data):
 
 def test_hull_kinds():
     sq = square_market()
-    assert sq.hull().kind == "box" and sq.hull().pinned == {}
+    assert sq.hull().is_box and sq.hull().levels == (0, 2)
+    assert sq.hull().pinned == {}
     face = sq.hull(((1, 0), (1, 1)))
-    assert face.kind == "box" and face.pinned == {0: 1.0}
+    assert face.is_box and face.levels == (0, 1) and face.pinned == {0: 1.0}
     assert list(face.free) == [1]
     corner = sq.hull(((0, 1),))  # one unit vector outside a complete market
-    assert corner.kind == "box" and corner.pinned == {0: 0.0, 1: 1.0}
+    assert corner.is_box and corner.levels == (0, 0)
+    assert corner.pinned == {0: 0.0, 1: 1.0} and corner.free.size == 0
     anti = sq.hull(((0, 1), (1, 0)))  # conv{e0, e1}
-    assert anti.kind == "simplex" and anti.pinned == {}
-    assert sq.hull(((0, 0), (1, 1))).kind == "generic"
+    assert anti.levels == (1, 1) and not anti.is_box and anti.pinned == {}
+    assert sq.hull(((0, 0), (1, 1))).levels is None
+    # three corners of the square: the bands (0, 1) and (1, 2)
+    below = sq.hull(((0, 0), (0, 1), (1, 0)))
+    assert below.levels == (0, 1) and not below.is_box
+    assert sq.hull(((0, 1), (1, 0), (1, 1))).levels == (1, 2)
+    assert sq.hull(((0, 0), (0, 1), (1, 1))).levels is None
     lm = simplex_market(3)
-    one = lm.hull((2,))  # every event of a complete market is a simplex face
-    assert one.kind == "simplex" and one.pinned == {0: 0.0, 1: 0.0}
+    one = lm.hull((2,))  # every event of a complete market keeps its units
+    assert one.levels == (1, 1) and one.free.tolist() == [2]
+    assert one.pinned == {0: 0.0, 1: 0.0}
     assert lm.hull((0, 2)).pinned == {1: 0.0}
+    # a one-outcome complete market too, its whole hull included
+    single = simplex_market(1)
+    assert single.hull().levels == single.hull((0,)).levels == (1, 1)
+    assert single.hull().free.tolist() == [0] and not single.hull().is_box
     assert sq.hull(((1, 0), (1, 1))) is face  # built once per event
     counts = np.array([[0.0, 2.0], [1.0, 1.0], [2.0, 0.0]])
-    assert geometry.Hull(counts).kind == "generic"
+    assert geometry.Hull(counts).levels is None
     cube = independent_binary_market(3)
     two = cube.hull(tuple(w for w in cube.outcomes if sum(w) == 2))
-    assert two.kind == "slice" and two.level == 2 and two.pinned == {}
-    # level 1 with a coordinate pinned to 1 is a slice, not a simplex
+    assert two.levels == (2, 2) and two.pinned == {}
+    # level 1 with a coordinate pinned to 1
     face = cube.hull(((1, 0, 1), (1, 1, 0)))
-    assert face.kind == "slice" and face.level == 1
+    assert face.levels == (1, 1) and not face.is_box
     assert face.pinned == {0: 1.0} and face.free.tolist() == [1, 2]
+    # the cube without its origin is a band, but no box
+    corners = cube.hull(tuple(w for w in cube.outcomes if any(w)))
+    assert corners.levels == (1, 3) and not corners.is_box
     # not every vertex of its level: generic
     cube4 = independent_binary_market(4)
-    assert cube4.hull(((1, 1, 0, 0), (0, 0, 1, 1))).kind == "generic"
+    assert cube4.hull(((1, 1, 0, 0), (0, 0, 1, 1))).levels is None
 
 
-def cube_slices():
-    """Every inner level of the 3- to 6-cube, free or with coordinates
-    pinned: x0 = 1, x0 = 0, or (x0, x1) = (1, 0). Level 1 with every pin 0
-    is a simplex."""
+def cube_bands():
+    """(levels, hull): every inner level of the 3- to 6-cube, and every
+    band lo < hi of the 3- and 4-cube, free or with coordinates pinned:
+    x0 = 1, x0 = 0, or (x0, x1) = (1, 0)."""
     for n in range(3, 7):
         space = independent_binary_market(n)
         for pins in ({}, {0: 1}, {0: 0}, {0: 1, 1: 0}):
-            for level in range(1, n - len(pins)):
-                yield space.hull(tuple(
+            f = n - len(pins)
+            levels = [(j, j) for j in range(1, f)]
+            if n <= 4:
+                levels += [(lo, hi) for lo in range(f)
+                           for hi in range(lo + 1, f + 1)]
+            for lo, hi in levels:
+                yield (lo, hi), space.hull(tuple(
                     w for w in space.outcomes
                     if all(w[i] == x for i, x in pins.items())
-                    and sum(w) - sum(pins.values()) == level))
+                    and lo <= sum(w) - sum(pins.values()) <= hi))
 
 
-def test_slice_membership_matches_the_lp():
+def test_band_membership_matches_the_lp():
     rng = np.random.default_rng(9)
     seen = set()
-    for hull in cube_slices():
-        assert hull.kind in ("slice", "simplex")
+    for levels, hull in cube_bands():
+        assert hull.levels == levels
         V = hull.vertices
         i, j = rng.choice(len(V), size=2, replace=False)
-        k = hull.free[0]  # a facet of the slice: points with x_k = 0
+        k = hull.free[0]  # a facet of the band: points with x_k = 0
         facet = V[V[:, k] == 0.0]
         points = np.vstack([V[i], (V[i] + V[j]) / 2.0,
                             rng.dirichlet(np.ones(len(facet))) @ facet,
@@ -599,21 +619,20 @@ def test_hulls_that_share_a_vertex_intersect_without_an_lp(lps):
 def test_worst_case_loss_of_a_medal_market_makes_no_lp(lps):
     # each payoff vertex is a vertex of its own space's hull
     m = medal_count_model(2)
-    assert m.space.hull().kind == "generic"
+    assert m.space.hull().levels is None
     assert wc_loss_bound(m, np.zeros(m.dim)) > 0
     assert lps == []
 
 
 def _stack_hulls():
-    """Every box and simplex event of the square and of lmsr(4), a 3-cube
-    face, a 3-cube slice, and one generic hull (each of its rows is an
-    LP)."""
+    """Every band event of the square and of lmsr(4), a 3-cube face, a
+    3-cube slice, and one generic hull (each of its rows is an LP)."""
     square, lm = square_market(), simplex_market(4)
     cube = independent_binary_market(3)
     for space in (square, lm):
         for k in range(1, space.n_outcomes + 1):
             for event in combinations(space.outcomes, k):
-                if space.hull(event).kind != "generic":
+                if space.hull(event).levels is not None:
                     yield space.hull(event)
     yield cube.hull(tuple(w for w in cube.outcomes if w[1] == 1))
     yield cube.hull(tuple(w for w in cube.outcomes if sum(w) == 2))
@@ -641,9 +660,9 @@ def test_stacked_membership_equals_the_point_form(tol):
         got = hull.contains_rows(stack, tol)
         assert got.dtype == bool
         assert got.tolist() == [hull.contains(mu, tol) for mu in stack]
-        seen.setdefault(hull.kind, set()).update(got.tolist())
-    assert seen == dict.fromkeys(("box", "simplex", "slice", "generic"),
-                                 {True, False})
+        seen.setdefault(hull.levels, set()).update(got.tolist())
+    assert seen == dict.fromkeys(
+        ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2), None), {True, False})
 
 
 def test_generic_cell_still_uses_lp(lps):
@@ -651,9 +670,54 @@ def test_generic_cell_still_uses_lp(lps):
     diagonals = observe_partition(
         m.space, [[(0, 0), (1, 1)], [(0, 1), (1, 0)]])
     plan = plan_switch(m, diagonals, np.zeros(2))
-    assert plan.cell_models[0].hull.kind == "generic"
+    assert plan.cell_models[0].hull.levels is None
     lps.clear()
     plan.cell_models[0].conjugate(np.array([0.5, 0.5]))
     assert len(lps) == 1
     assert plan.cell_models[0].hull.intersects(plan.cell_models[1].hull)
     assert len(lps) == 2
+
+
+BAND_SCENARIO = """name: {name}
+seed: 1
+market: {market}
+protocol: sudden
+observation:
+  kind: partition
+  groups: {groups}
+initial_state: {state}
+switch_time: 1.0
+settlement: {settlement}
+traders:
+  - {{kind: noise, name: n1, times: [0.5, 1.2, 1.4], scale: 1.0}}
+  - {{kind: jit, name: a1, times: [1.1, 1.5]}}
+"""
+
+
+@pytest.mark.parametrize("market, groups, state, settlement", [
+    ("square", [[[0, 0], [0, 1], [1, 0]], [[1, 1]]], [0.3, -0.2], [0, 1]),
+    ("independent_binary(3)",
+     [[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]],
+      [[1, 1, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1]]],
+     [0.3, -0.2, 0.1], [0, 1, 1]),
+], ids=["square-below-1", "cube3-below-2"])
+def test_a_partition_into_bands_makes_one_lp_and_no_frank_wolfe(
+        tmp_path, monkeypatch, capsys, lps, market, groups, state,
+        settlement):
+    # the square's {00, 01, 10} is the band (0, 1) and the 3-cube's sum
+    # <= 1 and >= 2 the bands (0, 1) and (2, 3): each projects in closed
+    # form, is settled as not exposed with no LP, and overlaps no other
+    # cell in closed form, so the sampled verdict's roof is the one LP
+    import cfmarkets.costs
+    from cfmarkets.cli import cmd_run
+
+    real, solves = cfmarkets.costs.project_onto_hull, []
+    monkeypatch.setattr(cfmarkets.costs, "project_onto_hull",
+                        lambda *a: solves.append(1) or real(*a))
+    path = tmp_path / "bands.scn"
+    path.write_text(BAND_SCENARIO.format(
+        name="a partition into bands", market=market, groups=groups,
+        state=state, settlement=settlement))
+    assert cmd_run(str(path), allow_inconsistent=True) == 0
+    assert "trade" in capsys.readouterr().out
+    assert len(lps) == 1 and solves == []

@@ -9,7 +9,7 @@ from cfmarkets import (Observation, OutcomeSpace,
                        single_binary_market, square_market,
                        trivial_observation)
 from cfmarkets import geometry
-from cfmarkets.markets import EXPOSURE_MARGIN, _inner_slice
+from cfmarkets.markets import EXPOSURE_MARGIN, _inner_band
 
 from oracles import face_check
 
@@ -102,7 +102,7 @@ def test_event_hull_membership():
 def test_a_repeated_outcome_counts_once_in_an_event_hull():
     sp = simplex_market(3)
     hull = sp.hull((0, 2, 0))
-    assert hull.kind == "simplex" and hull.free.tolist() == [0, 2]
+    assert hull.levels == (1, 1) and hull.free.tolist() == [0, 2]
     assert hull.pinned == {1: 0.0}
     assert np.array_equal(hull.vertices, sp.vertices((0, 2)))
     assert sp.hull((0, 2)) is hull
@@ -110,17 +110,31 @@ def test_a_repeated_outcome_counts_once_in_an_event_hull():
     assert np.array_equal(sp.hull((2, 0, 2)).vertices, sp.vertices((2, 0)))
 
 
-def test_a_cubes_inner_slices_are_not_exposed_and_need_no_lp(exposure_lps):
-    # the cube's sum levels 1 and 2 are inner slices, which no direction
-    # exposes (`_inner_slice`); the corners keep their constructive witness
-    cube = independent_binary_market(3)
-    obs = observe_sum(cube)
-    assert [cube.hull(obs.cell(x)).kind for x in obs.realizations] == [
-        "box", "simplex", "slice", "box"]
+@pytest.mark.parametrize("n, label, levels", [
+    (3, sum, [(0, 0), (1, 1), (2, 2), (0, 0)]),  # a corner has nothing free
+    (3, lambda w: sum(w) >= 2, [(0, 1), (2, 3)]),
+    (4, lambda w: min(max(sum(w) - 1, 0), 2), [(0, 1), (2, 2), (3, 4)]),
+    # x0 = 1, a sub-cube face, and x0 = 0 split into two bands of the rest
+    (4, lambda w: 2 if w[0] else int(sum(w) >= 2), [(0, 1), (2, 3), (0, 3)]),
+], ids=["sum", "halves", "thirds", "pinned"])
+def test_a_cubes_inner_bands_are_not_exposed_and_need_no_lp(exposure_lps, n,
+                                                            label, levels):
+    # a cube's inner bands, such as its sum levels 1 and 2 or the band of
+    # sums 0 and 1, are exposed by no direction (`_inner_band`), as the LP
+    # confirms; the sub-cube faces keep their constructive witness
+    cube = independent_binary_market(n)
+    obs = Observation({w: label(w) for w in cube.outcomes})
+    hulls = [cube.hull(obs.cell(x)) for x in obs.realizations]
+    assert [hull.levels for hull in hulls] == levels
     out = exposure_witness(cube, obs)
-    assert out[1.0] is None and out[2.0] is None
-    assert out[0.0] is not None and out[3.0] is not None
     assert exposure_lps == []
+    for x, hull in zip(obs.realizations, hulls):
+        cell = set(obs.cell(x))
+        lp = geometry.separating_direction(
+            hull.vertices, cube.vertices([w for w in cube.outcomes
+                                          if w not in cell]),
+            EXPOSURE_MARGIN)
+        assert (out[x] is None) == (lp is None) == (not hull.is_box)
 
 
 def test_empty_event_hull_is_rejected():
@@ -264,7 +278,7 @@ def cube_partitions(n, count, seed):
         yield Observation(label)
 
 
-def test_the_inner_slice_rule_answers_as_the_lp_does():
+def test_the_inner_band_rule_answers_as_the_lp_does():
     # on every cell of the sum observation and of 20 seeded partitions of
     # the 2- to 5-cube, a cell the rule settles is one the LP finds not
     # exposed, and every cell's witness is None exactly where the LP's is
@@ -282,7 +296,7 @@ def test_the_inner_slice_rule_answers_as_the_lp_does():
                 lp = geometry.separating_direction(
                     sp.vertices(obs.cell(x)), sp.vertices(others),
                     EXPOSURE_MARGIN)
-                if _inner_slice(sp.hull(obs.cell(x)), whole):
+                if _inner_band(sp.hull(obs.cell(x)), whole):
                     assert lp is None, (n, obs.label, x)
                     settled += 1
                 assert (witnesses[x] is None) == (lp is None), (obs.label, x)
@@ -290,13 +304,14 @@ def test_the_inner_slice_rule_answers_as_the_lp_does():
 
 
 def test_a_cube_without_its_origin_keeps_the_exposure_lp(exposure_lps):
-    # the space's hull is no box, so the sum's level-1 cell goes to the LP,
-    # which finds it exposed by -(1, 1, 1); level 2 is not exposed
+    # the space's hull is the band (1, 3) but no box, so the sum's level-1
+    # cell goes to the LP, which finds it exposed by -(1, 1, 1); level 2 is
+    # not exposed
     corners = [w for w in independent_binary_market(3).outcomes if any(w)]
     sp = OutcomeSpace(tuple(corners), np.array(corners, dtype=float))
-    assert sp.hull().kind == "generic"
+    assert sp.hull().levels == (1, 3) and not sp.hull().is_box
     obs = observe_sum(sp)
-    assert sp.hull(obs.cell(1.0)).kind == "simplex"
+    assert sp.hull(obs.cell(1.0)).levels == (1, 1)
     out = exposure_witness(sp, obs)
     assert len(exposure_lps) == 2  # levels 1 and 2; level 3 is a vertex
     assert np.allclose(out[1.0], [-1.0, -1.0, -1.0], atol=1e-9)

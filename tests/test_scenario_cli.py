@@ -295,6 +295,39 @@ def test_cmd_run_overlapping_cells(tmp_path, capsys):
     assert "realizations 0 and 1 overlap" in capsys.readouterr().out
 
 
+ONE_OUTCOME = """name: one-outcome market
+seed: 1
+market: lmsr(1)
+protocol: sudden
+observation: identity
+switch_time: 1.0
+settlement: 0
+traders:
+  - {kind: noise, name: n1, times: [0.5, 1.5], scale: 1.0}
+  - {kind: jit, name: a1, times: [1.1]}
+"""
+
+
+def test_a_one_outcome_market_runs_and_checks(tmp_path, capsys):
+    # lmsr(1)'s payoffs are a unit vector, so the market is complete and
+    # its one cell keeps its coordinate free: the price is 1, the cell is
+    # exposed by (1), and run and check exit 0
+    path = tmp_path / "one.scn"
+    path.write_text(ONE_OUTCOME)
+    assert cmd_run(str(path)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    recs = [json.loads(line, parse_constant=_reject_constant)
+            for line in out.splitlines()]
+    assert all(set(r) == set(RECORD_FIELDS) for r in recs)
+    assert recs[-1]["kind"] == "settlement" and recs[-1]["pass"] is True
+    assert all(r["price_center"] == [1.0] for r in recs
+               if r["kind"] == "trade")
+    assert cmd_check(str(path)) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "cell 0: exposed, witness [1.0]" in out
+
+
 def test_a_failed_desideratum_exits_1_with_strict_records(capsys):
     # at a tolerance of 1e-300 the audit's roundoff fails a desideratum;
     # the run still writes every record and settles
@@ -789,22 +822,23 @@ def test_a_belief_of_the_wrong_length_names_its_trader(tmp_path, capsys):
 
 def test_line_searches_of_the_bundled_scenarios_are_cheap(monkeypatch,
                                                           capsys):
-    # one exact line search is a brentq root-find; every cell of the
-    # bundled scenarios projects in closed form, the square/sum middle cell
-    # by the slice projection, so none makes a Frank-Wolfe line search
+    # one exact line search is an `increasing_root` root-find of
+    # Frank-Wolfe's; every cell of the bundled scenarios projects in closed
+    # form, the square/sum middle cell by the band projection's root, so
+    # none makes a Frank-Wolfe line search
     import cfmarkets._solvers as solvers
-    real, counts = solvers._line_search, {"searches": 0, "evaluations": 0}
+    real, counts = solvers.increasing_root, {"searches": 0, "evaluations": 0}
 
-    def counted(deriv, gamma_max):
+    def counted(deriv, lo, hi):
         counts["searches"] += 1
 
         def evaluated(gamma):
             counts["evaluations"] += 1
             return deriv(gamma)
 
-        return real(evaluated, gamma_max)
+        return real(evaluated, lo, hi)
 
-    monkeypatch.setattr(solvers, "_line_search", counted)
+    monkeypatch.setattr(solvers, "increasing_root", counted)
     for name, path in bundled_scenarios().items():
         cmd_run(str(path),
                 allow_inconsistent=name == "square_count_impossible.scn")
